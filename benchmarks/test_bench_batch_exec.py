@@ -98,7 +98,7 @@ def test_bench_batch_exec_ablation(benchmark):
     # input counts, inconclusive counts, and counterexamples.
     assert verdicts["batched"] == verdicts["scalar"]
 
-    batches, lanes, splits, fallbacks = global_batch_stats().stats()
+    batches, lanes, splits, fallbacks = global_batch_stats().stats()[:4]
     lanes_per_batch = lanes / batches if batches else 0.0
     speedup = results["scalar"] / results["batched"]
     unsound = sum(

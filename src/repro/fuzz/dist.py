@@ -74,8 +74,8 @@ import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import (Callable, Dict, List, Optional, Protocol, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Collection, Dict, List, Optional, Protocol,
+                    Sequence, Set, Tuple)
 
 from ..mutate import MutatorConfig
 from ..obs import MetricsRegistry
@@ -348,8 +348,9 @@ class Transport(Protocol):
 
     def corpus_paths(self) -> List[Tuple[int, str]]: ...
 
-    def collect_results(self, fingerprint: str) -> Dict[int,
-                                                        ShardResult]: ...
+    def collect_results(self, fingerprint: str,
+                        known: Collection[int] = ()
+                        ) -> Dict[int, ShardResult]: ...
 
     def collect_tombstones(self) -> Dict[int, dict]: ...
 
@@ -877,20 +878,28 @@ class WorkQueue:
 
     # -- coordinator: collection and sweeping ------------------------------
 
-    def collect_results(self, fingerprint: str) -> Dict[int, ShardResult]:
+    def collect_results(self, fingerprint: str,
+                        known: Collection[int] = ()
+                        ) -> Dict[int, ShardResult]:
         """Every parked result of *this* campaign, keyed by job index.
 
         Results carrying a foreign fingerprint (a resurrected node from
         an older campaign that somehow shares the directory) are
         dropped; damaged files read as absent and the job re-runs.
+        ``known`` names job indices the caller already holds: a stored
+        result never changes (first writer wins), so their files are
+        not read again and they are left out of the reply.
         """
         results: Dict[int, ShardResult] = {}
+        skip = {os.path.basename(self.result_path(index))
+                for index in known}
         try:
             names = sorted(os.listdir(self._dir("results")))
         except OSError:
             return results
         for name in names:
-            if not (name.startswith("job-") and name.endswith(".json")):
+            if not (name.startswith("job-") and name.endswith(".json")) \
+                    or name in skip:
                 continue
             data = self._read_json(os.path.join(self._dir("results"), name))
             if data is None or data.get("kind") != "result":
@@ -1277,7 +1286,8 @@ def run_coordinator(executor, resume: bool = False) -> CampaignReport:
     try:
         with _SignalGuard(stop):
             while outstanding:
-                results = queue.collect_results(fingerprint)
+                results = queue.collect_results(fingerprint,
+                                                known=collected)
                 for index, result in results.items():
                     if index in collected or index not in outstanding:
                         continue

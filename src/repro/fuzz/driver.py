@@ -248,12 +248,11 @@ class FuzzDriver:
         # boundaries as exec.plan_cache.* counters.
         self._plan_stats: Optional[Tuple[int, int, int]] = (
             global_plan_cache().stats() if self.config.tv.compiled else None)
-        # Batched-execution observability follows the same delta-fold
-        # pattern: exec.batch.* counters record lanes driven per batch,
-        # divergence regrouping, and scalar fallbacks.
-        self._batch_stats: Optional[Tuple[int, int, int, int]] = (
-            global_batch_stats().stats()
-            if self.config.tv.compiled and self.config.tv.batched else None)
+        # Execution observability follows the same delta-fold pattern:
+        # exec.batch.* counters record lanes driven per batch, divergence
+        # regrouping, and scalar fallbacks; exec.verify.* the validation
+        # check_refinement proved unnecessary (both engines prune).
+        self._batch_stats: Tuple[int, ...] = global_batch_stats().stats()
         self._preprocess()
         self._harvest_plan_stats()
         self._harvest_batch_stats()
@@ -336,12 +335,12 @@ class FuzzDriver:
             if reason is None:
                 candidates.append(function)
         if candidates:
-            baseline, crashed, union_bugs = self._optimize_baseline()
+            fp_cache: Dict[int, str] = {}
+            baseline, crashed, union_bugs = self._optimize_baseline(fp_cache)
             if crashed:
                 # Crashes on the seed itself still count as fuzz food.
                 self._targets = [f.name for f in candidates]
             else:
-                fp_cache = dict(self._seed_fp_by_id)
                 for function in candidates:
                     target = baseline.get_function(function.name)
                     if target is None or target.is_declaration():
@@ -349,7 +348,8 @@ class FuzzDriver:
                             "function vanished during baseline optimization"
                         continue
                     result = check_refinement(function, target, self.module,
-                                              baseline, self.config.tv)
+                                              baseline, self.config.tv,
+                                              fp_cache=fp_cache)
                     if self._tv_cache is not None:
                         key = self._verify_key(function, target, fp_cache)
                         self._tv_cache.put(key, result)
@@ -364,14 +364,17 @@ class FuzzDriver:
             if reason is not None:
                 self.report.dropped_functions[function.name] = reason
 
-    def _optimize_baseline(self) -> Tuple[Module, bool, Set[str]]:
+    def _optimize_baseline(self, fp_cache: Dict[int, str]
+                           ) -> Tuple[Module, bool, Set[str]]:
         """Clone and optimize the seed once, one function at a time.
 
         Returns ``(optimized module, crashed?, union of triggered bug
-        ids)``.  Function-major pipeline runs produce the same IR as the
-        pass-major whole-module run (every pass is function-local),
-        while letting each function's optimized body, bug attribution,
-        and crash be recorded individually in the optimize cache.
+        ids)`` and leaves every fingerprint it computed — the seed's
+        and the optimized bodies' — in ``fp_cache``.  Function-major
+        pipeline runs produce the same IR as the pass-major whole-module
+        run (every pass is function-local), while letting each
+        function's optimized body, bug attribution, and crash be
+        recorded individually in the optimize cache.
         """
         memo = self._opt_cache is not None
         if memo:
@@ -379,6 +382,7 @@ class FuzzDriver:
                 fp = fingerprint_function(function)
                 self._seed_fps[function.name] = fp
                 self._seed_fp_by_id[id(function)] = fp
+            fp_cache.update(self._seed_fp_by_id)
         optimized = self.module.clone()
         manager = PassManager([self.config.pipeline], metrics=self.metrics)
         crashed = False
@@ -403,15 +407,21 @@ class FuzzDriver:
             union_bugs |= ctx.triggered_bugs
             self._baseline_features.update(ctx.stats)
             if cacheable:
+                post_fp = ""
+                if crash is None:
+                    post_fp = fp_cache[id(function)] = \
+                        fingerprint_function(function)
                 self._store_optimize_entry(self._seed_fps[original.name],
-                                           function, ctx, crash)
+                                           function, ctx, crash, post_fp)
         self._baseline_features.update(bug_feature(b) for b in union_bugs)
         return optimized, crashed, union_bugs
 
     def _store_optimize_entry(self, fp: str, function: Function,
                               ctx: OptContext,
-                              crash: Optional[OptimizerCrash]) -> None:
-        """Cache one function's pipeline outcome under its pre-opt hash.
+                              crash: Optional[OptimizerCrash],
+                              post_fp: str) -> None:
+        """Cache one function's pipeline outcome under its pre-opt hash
+        ``fp``; ``post_fp`` is the optimized body's (``""`` on a crash).
 
         Only called for *cacheable* functions — bodies referencing no
         definition but themselves before optimization, so their pipeline
@@ -422,19 +432,11 @@ class FuzzDriver:
         """
         if crash is None and references_definitions(function):
             return
-        if crash is not None:
-            entry = OptimizeEntry(function=None, fingerprint="",
-                                  triggered_bugs=frozenset(
-                                      ctx.triggered_bugs),
-                                  crash=crash,
-                                  stats=dict(ctx.stats))
-        else:
-            entry = OptimizeEntry(function=function,
-                                  fingerprint=fingerprint_function(function),
-                                  triggered_bugs=frozenset(
-                                      ctx.triggered_bugs),
-                                  crash=None,
-                                  stats=dict(ctx.stats))
+        entry = OptimizeEntry(function=None if crash is not None else function,
+                              fingerprint=post_fp,
+                              triggered_bugs=frozenset(ctx.triggered_bugs),
+                              crash=crash,
+                              stats=dict(ctx.stats))
         self._opt_cache.put((fp, self._pipeline_key), entry)
 
     @property
@@ -572,6 +574,9 @@ class FuzzDriver:
 
         self.check_deadline()
         begin = time.perf_counter()
+        # The counters are process-wide: start from now, so that another
+        # driver's work since our last harvest is not counted as ours.
+        self._batch_stats = global_batch_stats().stats()
         for name in self._targets:
             source = mutant.get_function(name)
             target = optimized.get_function(name)
@@ -586,7 +591,8 @@ class FuzzDriver:
                               else "cache.verify.miss")
             if result is None:
                 result = check_refinement(source, target, mutant, optimized,
-                                          self.config.tv, tracer=self.tracer)
+                                          self.config.tv, tracer=self.tracer,
+                                          fp_cache=fp_cache)
                 if key is not None:
                     self._tv_cache.put(key, result)
             metrics.count("tv.checks")
@@ -637,18 +643,20 @@ class FuzzDriver:
         self._plan_stats = stats
 
     def _harvest_batch_stats(self) -> None:
-        """Fold batched-execution deltas since the last call into metrics."""
-        if self._batch_stats is None:
-            return
+        """Fold execution-counter deltas since the last call into metrics."""
         stats = global_batch_stats().stats()
         previous = self._batch_stats
         if stats == previous:
             return
-        names = ("batches", "lanes", "divergence_splits", "scalar_fallbacks")
+        names = ("exec.batch.batches", "exec.batch.lanes",
+                 "exec.batch.divergence_splits",
+                 "exec.batch.scalar_fallbacks", "exec.verify.same_plan",
+                 "exec.verify.static_skips",
+                 "exec.verify.target_inputs_pruned")
         for index, name in enumerate(names):
             delta = stats[index] - previous[index]
             if delta:
-                self.metrics.count(f"exec.batch.{name}", delta)
+                self.metrics.count(name, delta)
         self._batch_stats = stats
 
     # -- coverage feedback (corpus admission + scheduling reward) -----------
@@ -861,13 +869,15 @@ class FuzzDriver:
                 fn_crash = exc
             ctx.triggered_bugs |= fn_ctx.triggered_bugs
             ctx.stats.update(fn_ctx.stats)
+            post_fp = ""
+            if fn_crash is None:
+                post_fp = fp_cache[id(copy)] = fingerprint_function(copy)
             if not references_definitions(function):
                 self._store_optimize_entry(fp_cache[id(function)], copy,
-                                           fn_ctx, fn_crash)
+                                           fn_ctx, fn_crash, post_fp)
             if fn_crash is not None:
                 crash = fn_crash
                 break
-            fp_cache[id(copy)] = fingerprint_function(copy)
         if crash is None and cached_crash is not None:
             crash = cached_crash[1]
         return optimized, ctx, crash

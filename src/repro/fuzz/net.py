@@ -50,7 +50,8 @@ import tempfile
 import threading
 import time
 from dataclasses import asdict, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Collection, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..obs import MetricsRegistry
 from .checkpoint import result_from_dict, result_to_dict
@@ -365,8 +366,17 @@ class QueueBroker:
                 return self._handle_corpus(header, blobs)
             if tag == TAG_COLLECT_RESULTS:
                 fingerprint = header.get("fingerprint", "")
+                # Indices the caller already holds (absent from requests
+                # of older nodes): stored results never change, so they
+                # need not travel again.
+                known = header.get("known")
+                if not isinstance(known, list):
+                    known = ()
+                known = {index for index in known if isinstance(index, int)}
                 results = []
                 for index in sorted(self._results):
+                    if index in known:
+                        continue
                     payload = self._results[index]
                     if payload.get("fingerprint") != fingerprint:
                         self.metrics.count("dist.results.foreign")
@@ -932,9 +942,12 @@ class SocketQueue:
 
     # -- Transport: collection and sweeping ---------------------------------
 
-    def collect_results(self, fingerprint: str) -> Dict[int, ShardResult]:
+    def collect_results(self, fingerprint: str,
+                        known: Collection[int] = ()
+                        ) -> Dict[int, ShardResult]:
         _tag, header, _blobs = self._request(
-            TAG_COLLECT_RESULTS, {"fingerprint": fingerprint})
+            TAG_COLLECT_RESULTS,
+            {"fingerprint": fingerprint, "known": sorted(known)})
         results: Dict[int, ShardResult] = {}
         for payload in header.get("results", []):
             try:

@@ -82,7 +82,7 @@ TAG_RELEASE = 8          # {job_index, lease, failure_kind, error} -> OK
 TAG_RETIRE = 9           # {job_index, lease} -> OK {retired}
 TAG_RESULT = 10          # {fingerprint, attempt, result} -> OK {published}
 TAG_CORPUS = 11          # {job_index} + blob -> OK (corpus-delta publish)
-TAG_COLLECT_RESULTS = 12  # {fingerprint} -> OK {results: [...]}
+TAG_COLLECT_RESULTS = 12  # {fingerprint, known?} -> OK {results: [...]}
 TAG_COLLECT_STONES = 13  # {} -> OK {tombstones: [[index, stone]]}
 TAG_COLLECT_CORPUS = 14  # {} -> OK {deltas: [[index, digest]]}
 TAG_SWEEP = 15           # {} -> OK {retired}

@@ -64,6 +64,13 @@ class ThroughputSnapshot:
     exec_batch_lanes_per_batch: float = 0.0
     exec_batch_divergence_splits: int = 0
     exec_batch_scalar_fallbacks: int = 0
+    # Validation proven unnecessary (repro.tv.refine): checks whose two
+    # sides share one plan, checks answered without executing anything,
+    # and target inputs never run because the source hit UB or a
+    # timeout there.  All 0 until something verified.
+    exec_verify_same_plan: int = 0
+    exec_verify_static_skips: int = 0
+    exec_verify_target_inputs_pruned: int = 0
     # Coverage feedback (repro.fuzz.feedback): runtime-corpus high-water
     # mark, features covered, and new-features-per-draw rate.  All 0
     # when feedback is off — and every rate here guards its denominator,
@@ -162,6 +169,13 @@ class ThroughputSnapshot:
             exec_batch_scalar_fallbacks=int(
                 metrics.counter("exec.batch.scalar_fallbacks")
             ),
+            exec_verify_same_plan=int(metrics.counter("exec.verify.same_plan")),
+            exec_verify_static_skips=int(
+                metrics.counter("exec.verify.static_skips")
+            ),
+            exec_verify_target_inputs_pruned=int(
+                metrics.counter("exec.verify.target_inputs_pruned")
+            ),
             corpus_size=int(metrics.gauges.get("corpus.size", 0.0)),
             features_covered=int(metrics.gauges.get("feedback.features.covered", 0.0)),
             new_feature_rate=new_features / draws if draws else 0.0,
@@ -202,6 +216,11 @@ class ThroughputSnapshot:
             ),
             "exec_batch_divergence_splits": self.exec_batch_divergence_splits,
             "exec_batch_scalar_fallbacks": self.exec_batch_scalar_fallbacks,
+            "exec_verify_same_plan": self.exec_verify_same_plan,
+            "exec_verify_static_skips": self.exec_verify_static_skips,
+            "exec_verify_target_inputs_pruned": (
+                self.exec_verify_target_inputs_pruned
+            ),
             "corpus_size": self.corpus_size,
             "features_covered": self.features_covered,
             "new_feature_rate": round(self.new_feature_rate, 6),
@@ -235,6 +254,12 @@ class ThroughputSnapshot:
             )
         if self.exec_plan_hit_rate:
             line += f" | plan {self.exec_plan_hit_rate:.0%}"
+        if self.exec_verify_same_plan or self.exec_verify_target_inputs_pruned:
+            line += (
+                f" | tv same-plan {self.exec_verify_same_plan}"
+                f" no-exec {self.exec_verify_static_skips}"
+                f" pruned {self.exec_verify_target_inputs_pruned}"
+            )
         if self.exec_batch_lanes_per_batch:
             line += f" | batch {self.exec_batch_lanes_per_batch:.1f} lanes"
         if self.incremental_skip_rate or self.incremental_worklist_runs:

@@ -69,6 +69,11 @@ def campaign_summary(report, name: str = "campaign") -> dict:
         ),
         "exec_batch_divergence_splits": snapshot.exec_batch_divergence_splits,
         "exec_batch_scalar_fallbacks": snapshot.exec_batch_scalar_fallbacks,
+        "exec_verify_same_plan": snapshot.exec_verify_same_plan,
+        "exec_verify_static_skips": snapshot.exec_verify_static_skips,
+        "exec_verify_target_inputs_pruned": (
+            snapshot.exec_verify_target_inputs_pruned
+        ),
         "corpus_size": snapshot.corpus_size,
         "features_covered": snapshot.features_covered,
         "new_feature_rate": round(snapshot.new_feature_rate, 6),

@@ -121,22 +121,41 @@ class BatchUnsupported(Exception):
 
 
 class BatchStats:
-    """Process-wide batched-execution counters (``exec.batch.*``)."""
+    """Process-wide execution counters: batched runs (``exec.batch.*``)
+    and the work ``check_refinement`` proved unnecessary
+    (``exec.verify.*``: checks whose two sides share one plan, checks
+    answered with no execution at all, and target inputs never run
+    because the source hit UB or a timeout there)."""
 
-    __slots__ = ("batches", "lanes", "divergence_splits", "scalar_fallbacks")
+    __slots__ = (
+        "batches",
+        "lanes",
+        "divergence_splits",
+        "scalar_fallbacks",
+        "same_plan",
+        "static_skips",
+        "target_inputs_pruned",
+    )
 
     def __init__(self) -> None:
         self.batches = 0
         self.lanes = 0
         self.divergence_splits = 0
         self.scalar_fallbacks = 0
+        self.same_plan = 0
+        self.static_skips = 0
+        self.target_inputs_pruned = 0
 
-    def stats(self) -> Tuple[int, int, int, int]:
+    def stats(self) -> Tuple[int, ...]:
+        """Every counter, in ``__slots__`` order."""
         return (
             self.batches,
             self.lanes,
             self.divergence_splits,
             self.scalar_fallbacks,
+            self.same_plan,
+            self.static_skips,
+            self.target_inputs_pruned,
         )
 
 
@@ -1636,18 +1655,36 @@ class BatchRunner:
     """
 
     def __init__(
-        self, module, limits: Optional[ExecutionLimits] = None, plans=None
+        self,
+        module,
+        limits: Optional[ExecutionLimits] = None,
+        plans=None,
+        fp_cache=None,
     ) -> None:
         self.module = module
         self.limits = limits or ExecutionLimits()
         self._plans = plans
+        self._fp_cache = fp_cache
         self._interps: List[Interpreter] = []
+
+    def rebind(self, module) -> None:
+        """Point the runner, lane arena included, at another module: the
+        two sides of one refinement check share lanes, since ``reset``
+        clears everything a run leaves behind."""
+        self.module = module
+        for interp in self._interps:
+            interp.module = module
 
     def _lane_interp(self, index: int) -> Interpreter:
         while len(self._interps) <= index:
             self._interps.append(
                 Interpreter(
-                    self.module, None, self.limits, compiled=True, plans=self._plans
+                    self.module,
+                    None,
+                    self.limits,
+                    compiled=True,
+                    plans=self._plans,
+                    fp_cache=self._fp_cache,
                 )
             )
         return self._interps[index]

@@ -39,6 +39,7 @@ import operator
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
+from ..analysis.cfg import reverse_postorder
 from ..ir.basicblock import BasicBlock
 from ..ir.fingerprint import _referenced_functions, fingerprint_closure
 from ..ir.function import Function
@@ -172,6 +173,7 @@ class ExecutionPlan:
         "num_args",
         "depth_slot",
         "entry_edge",
+        "step_bound",
         "batch_program",
     )
 
@@ -182,12 +184,16 @@ class ExecutionPlan:
         num_args: int,
         depth_slot: int,
         entry_edge: _Edge,
+        step_bound: Optional[int] = None,
     ) -> None:
         self.function = function
         self.frame_size = frame_size
         self.num_args = num_args
         self.depth_slot = depth_slot
         self.entry_edge = entry_edge
+        # The most steps any one call can be charged, when that is known
+        # at compile time (see _static_step_bound); None otherwise.
+        self.step_bound = step_bound
         # Lazily-compiled struct-of-arrays twin (repro.tv.batch); cached
         # here so the plan cache shares batch programs across mutants.
         self.batch_program = None
@@ -486,6 +492,7 @@ class _Compiler:
             len(self.function.arguments),
             self.depth_slot,
             self.edge(None, entry),
+            _static_step_bound(self.function),
         )
 
     # -- operands --------------------------------------------------------
@@ -956,6 +963,29 @@ class _Compiler:
                 edge = None
             return edge if edge is not None else default_edge
         return step
+
+
+def _static_step_bound(function: Function) -> Optional[int]:
+    """How many steps one call of ``function`` can be charged at most.
+
+    Known when the reachable CFG is acyclic — every edge runs forward in
+    reverse postorder, so each block executes at most once — and no
+    reachable instruction calls into a definition (declarations and
+    intrinsics are modeled in one step): the bound is then the number of
+    reachable non-phi instructions.  None when either condition fails.
+    """
+    order = reverse_postorder(function)
+    position = {id(block): index for index, block in enumerate(order)}
+    steps = 0
+    for index, block in enumerate(order):
+        for successor in block.successors():
+            if position[id(successor)] <= index:
+                return None
+        for inst in block.instructions:
+            if isinstance(inst, CallInst) and not inst.callee.is_declaration():
+                return None
+        steps += len(block.instructions) - block.first_non_phi_index()
+    return steps
 
 
 def compile_function(function: Function) -> ExecutionPlan:

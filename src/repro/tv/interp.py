@@ -136,7 +136,9 @@ class Interpreter:
     anything the compiler declines.  Plans are shared through ``plans``
     (defaults to the process-wide cache) and pinned per interpreter in
     ``_plan_memo``, so functions must not be mutated between runs of the
-    same interpreter.
+    same interpreter.  ``fp_cache`` is the caller's ``id(function) ->
+    fingerprint`` cache (see :func:`repro.ir.fingerprint.fingerprint_function`)
+    for plan-cache keys, under that same no-mutation contract.
     """
 
     def __init__(
@@ -147,6 +149,7 @@ class Interpreter:
         *,
         compiled: bool = True,
         plans=None,
+        fp_cache: Optional[Dict[int, str]] = None,
     ) -> None:
         self.module = module
         self.oracle = oracle or DeterministicOracle()
@@ -161,6 +164,7 @@ class Interpreter:
             from .compile import global_plan_cache
             plans = global_plan_cache()
         self._plans = plans
+        self._fp_cache = fp_cache
 
     # -- entry point -----------------------------------------------------------
 
@@ -204,7 +208,7 @@ class Interpreter:
         if plan is _MISSING:
             # The memo keeps a reference to the plan, and the plan keeps
             # one to the function, so id() stays unique for our lifetime.
-            plan = self._plans.plan_for(function)
+            plan = self._plans.plan_for(function, self._fp_cache)
             self._plan_memo[id(function)] = plan
         return plan
 

@@ -253,9 +253,13 @@ def generate_inputs(function: Function, config: RefinementConfig) -> List[TestIn
 _INPUT_CACHE = LRUCache(256)
 
 
-def _inputs_for(function: Function, config: RefinementConfig) -> Tuple[TestInput, ...]:
+def _inputs_for(
+    function: Function,
+    config: RefinementConfig,
+    fp_cache: Optional[Dict[int, str]] = None,
+) -> Tuple[TestInput, ...]:
     key = (
-        fingerprint_function(function),
+        fingerprint_function(function, fp_cache),
         tuple(argument.name for argument in function.arguments),
         config.cache_key(),
     )
@@ -533,6 +537,119 @@ def outcome_refines(tgt: Outcome, src: Outcome) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _Side:
+    """One function of the pair, with the arena and plan that run it."""
+
+    __slots__ = ("function", "module", "fp_cache", "interp", "plan")
+
+    def __init__(
+        self,
+        function: Function,
+        module: Optional[Module],
+        config: RefinementConfig,
+        fp_cache: Optional[Dict[int, str]],
+    ) -> None:
+        self.function = function
+        self.module = module
+        self.fp_cache = fp_cache
+        # One interpreter arena per side, reused across all inputs and
+        # nondeterminism paths; the plan is built up front so every run
+        # after the first is pure replay.
+        self.interp = Interpreter(
+            module, None, config.limits, compiled=config.compiled, fp_cache=fp_cache
+        )
+        self.plan = self.interp.prepare(function)
+
+
+def _engine(src: _Side, tgt: _Side, config: RefinementConfig):
+    """The callable ``(side, prepared inputs) -> [(outcomes, exhausted)]``
+    that enumerates either side's behavior sets.
+
+    Batched mode drives whole input sets through one struct-of-arrays
+    plan walk per nondeterminism round, both sides on one lane arena; if
+    the batch compiler declines either side, or in the ablation modes,
+    each input gets its own scalar enumeration instead (results are
+    identical by contract).
+    """
+    if config.batched and config.compiled:
+        programs = {side: batch_program_for(side.plan) for side in (src, tgt)}
+        if None in programs.values():
+            global_batch_stats().scalar_fallbacks += 1
+        else:
+            runner = BatchRunner(src.module, config.limits, fp_cache=src.fp_cache)
+
+            def run_batched(side: _Side, prepared):
+                runner.rebind(side.module)
+                return _enumerate_all_batched(
+                    runner, side.function, programs[side], prepared, config
+                )
+
+            return run_batched
+
+    def run_scalar(side: _Side, prepared):
+        return [
+            _enumerate_outcomes(side.interp, side.function, *lane, config)
+            for lane in prepared
+        ]
+
+    return run_scalar
+
+
+# What the comparison loop sees for a target input that was never run.
+_NOT_RUN: Tuple[List[Outcome], bool] = ([], False)
+
+
+def _source_first(src: _Side, tgt: _Side, inputs, config: RefinementConfig):
+    """Both sides' behavior sets per input, executing only what a verdict
+    can depend on.  Returns ``(src_results, tgt_results)``, or None when
+    nothing needs to run because the check is CORRECT as it stands.
+
+    Three exact rules (DESIGN §6 has the arguments):
+
+    * the source runs first, and the target only on inputs where no
+      source behavior is UB or a timeout — the comparison loop reads
+      target outcomes for no other input;
+    * when both sides resolved to the *same* plan object (equal
+      ``plan_key``: closure fingerprint, local names, declaration
+      attributes) the target would replay the source's runs step for
+      step, so the source's behaviors stand in for it;
+    * and if that shared plan cannot exhaust the step budget, every
+      input would compare a behavior set with itself: no run at all.
+    """
+    stats = global_batch_stats()
+    same_plan = src.plan is not None and tgt.plan is src.plan
+    if same_plan:
+        stats.same_plan += 1
+        bound = src.plan.step_bound
+        limits = config.limits
+        # The two ways a run times out: the step budget, and the call
+        # depth check every call — the root's at depth 0 included — makes.
+        if (
+            bound is not None
+            and bound <= limits.max_steps
+            and limits.max_call_depth >= 0
+        ):
+            stats.static_skips += 1
+            return None
+    # Arity matches (checked by the caller) and the runtime values depend
+    # only on the test input, so one prepared input serves both sides.
+    prepared = [_prepare_input(src.function, test_input) for test_input in inputs]
+    run = _engine(src, tgt, config)
+    src_results = run(src, prepared)
+    if same_plan:
+        return src_results, src_results
+    needed = [
+        index
+        for index, (outcomes, _) in enumerate(src_results)
+        if all(outcome.status == "ok" for outcome in outcomes)
+    ]
+    stats.target_inputs_pruned += len(prepared) - len(needed)
+    tgt_results = [_NOT_RUN] * len(prepared)
+    for index, result in zip(needed, run(tgt, [prepared[i] for i in needed])):
+        tgt_results[index] = result
+    return src_results, tgt_results
+
+
 def check_refinement(
     src_function: Function,
     tgt_function: Function,
@@ -540,18 +657,20 @@ def check_refinement(
     tgt_module: Optional[Module] = None,
     config: Optional[RefinementConfig] = None,
     tracer=None,
+    fp_cache: Optional[Dict[int, str]] = None,
 ) -> TVResult:
     """Does ``tgt_function`` refine ``src_function``? (Bounded check.)
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records one ``interp``
-    span per test input — the interpreter-enumeration breakdown of the
-    verify stage.  Disabled tracing costs one truthiness check per
-    input.
+    span per check that executes anything — the interpreter-enumeration
+    share of the verify stage.  ``fp_cache`` is the caller's
+    ``id(function) -> fingerprint`` cache for both functions and their
+    callees (see :func:`repro.ir.fingerprint.fingerprint_function`), so
+    bodies the caller already hashed are not hashed again.
     """
     config = config or RefinementConfig()
     src_module = src_module or src_function.parent
     tgt_module = tgt_module or tgt_function.parent
-    traced = tracer is not None and tracer.enabled
 
     reason = check_function_supported(src_function)
     if reason is None:
@@ -561,78 +680,30 @@ def check_refinement(
     if len(src_function.arguments) != len(tgt_function.arguments):
         return TVResult(Verdict.UNSUPPORTED, reason="signature changed")
 
-    inputs = _inputs_for(src_function, config)
-
-    # One interpreter arena per side, reused across all inputs and
-    # nondeterminism paths; plans for both functions are built up front
-    # so every run after the first is pure replay.
-    src_interp = Interpreter(src_module, None, config.limits, compiled=config.compiled)
-    tgt_interp = Interpreter(tgt_module, None, config.limits, compiled=config.compiled)
-    src_plan = src_interp.prepare(src_function)
-    tgt_plan = tgt_interp.prepare(tgt_function)
-
-    # Batched mode: whole input sets ride through one struct-of-arrays
-    # plan walk per nondeterminism round instead of N scalar runs.  Any
-    # side the batch compiler declines drops the whole check back to the
-    # scalar path (verdicts are identical either way by contract).
-    src_results = tgt_results = None
-    if config.batched and config.compiled:
-        src_program = batch_program_for(src_plan)
-        tgt_program = batch_program_for(tgt_plan)
-        if src_program is None or tgt_program is None:
-            global_batch_stats().scalar_fallbacks += 1
-        else:
-            prepared = [
-                _prepare_input(src_function, test_input) for test_input in inputs
-            ]
-            begin = time.perf_counter() if traced else 0.0
-            src_runner = BatchRunner(src_module, config.limits)
-            tgt_runner = BatchRunner(tgt_module, config.limits)
-            src_results = _enumerate_all_batched(
-                src_runner, src_function, src_program, prepared, config
-            )
-            tgt_results = _enumerate_all_batched(
-                tgt_runner, tgt_function, tgt_program, prepared, config
-            )
-            if traced:
-                tracer.record(
-                    "interp",
-                    begin,
-                    time.perf_counter() - begin,
-                    function=src_function.name,
-                    inputs=len(inputs),
-                    src_outcomes=sum(len(o) for o, _ in src_results),
-                    tgt_outcomes=sum(len(o) for o, _ in tgt_results),
-                )
+    inputs = _inputs_for(src_function, config, fp_cache)
+    src = _Side(src_function, src_module, config, fp_cache)
+    tgt = _Side(tgt_function, tgt_module, config, fp_cache)
+    traced = tracer is not None and tracer.enabled
+    begin = time.perf_counter() if traced else 0.0
+    behaviors = _source_first(src, tgt, inputs, config)
+    if behaviors is None:
+        return TVResult(Verdict.CORRECT, inputs_checked=len(inputs))
+    src_results, tgt_results = behaviors
+    if traced:
+        tracer.record(
+            "interp",
+            begin,
+            time.perf_counter() - begin,
+            function=src_function.name,
+            inputs=len(inputs),
+            src_outcomes=sum(len(o) for o, _ in src_results),
+            tgt_outcomes=sum(len(o) for o, _ in tgt_results),
+        )
 
     inconclusive = 0
-    for input_index, test_input in enumerate(inputs):
-        if src_results is not None:
-            src_outcomes, src_exhausted = src_results[input_index]
-            tgt_outcomes, _ = tgt_results[input_index]
-        else:
-            begin = time.perf_counter() if traced else 0.0
-            # Arity matches (checked above) and the runtime values depend
-            # only on the test input, so one prepared input serves both
-            # sides.
-            runtime_args, blocks, observable = _prepare_input(src_function, test_input)
-            src_outcomes, src_exhausted = _enumerate_outcomes(
-                src_interp, src_function, runtime_args, blocks, observable, config
-            )
-            tgt_outcomes, _ = _enumerate_outcomes(
-                tgt_interp, tgt_function, runtime_args, blocks, observable, config
-            )
-            if traced:
-                tracer.record(
-                    "interp",
-                    begin,
-                    time.perf_counter() - begin,
-                    function=src_function.name,
-                    input=input_index,
-                    src_outcomes=len(src_outcomes),
-                    tgt_outcomes=len(tgt_outcomes),
-                )
-
+    for test_input, (src_outcomes, src_exhausted), (tgt_outcomes, _) in zip(
+        inputs, src_results, tgt_results
+    ):
         if any(o.is_ub() for o in src_outcomes):
             # Some source nondeterminism hits UB; under the refinement
             # ordering anything is then allowed for choices we cannot

@@ -335,6 +335,15 @@ def _result_key(result):
     )
 
 
+def _pair(source_op, target_op):
+    """``@f`` computing ``source_op`` and a differently-written twin."""
+    template = "define i32 @f(i32 %x) {{\n  %r = {}\n  ret i32 %r\n}}"
+    return (
+        parsed(template.format(source_op)).get_function("f"),
+        parsed(template.format(target_op)).get_function("f"),
+    )
+
+
 class TestRefinementInvariance:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -358,34 +367,20 @@ class TestRefinementInvariance:
     def test_nondet_budget_zero_matches_scalar(self):
         # max_nondet_runs=0 exhausts the budget before the first run in
         # both modes: zero outcomes, marked non-exhaustive.
-        module = parsed("""
-        define i32 @f(i32 %x) {
-          %r = add i32 %x, 1
-          ret i32 %r
-        }
-        """)
-        function = module.get_function("f")
+        function, target = _pair("add i32 %x, 1", "sub i32 %x, -1")
         results = {}
         for batched in (True, False):
             config = RefinementConfig(max_inputs=4, max_nondet_runs=0, batched=batched)
-            results[batched] = check_refinement(
-                function, function, module, module, config
-            )
+            results[batched] = check_refinement(function, target, config=config)
         assert _result_key(results[True]) == _result_key(results[False])
 
     def test_batched_requires_compiled(self):
         # compiled=False forces the scalar path even with batched=True;
         # verdicts still agree and no batches run.
-        module = parsed("""
-        define i32 @f(i32 %x) {
-          %r = mul i32 %x, 3
-          ret i32 %r
-        }
-        """)
-        function = module.get_function("f")
+        function, target = _pair("mul i32 %x, 3", "mul i32 3, %x")
         batches_before = global_batch_stats().batches
         config = RefinementConfig(max_inputs=4, compiled=False, batched=True)
-        result = check_refinement(function, function, module, module, config)
+        result = check_refinement(function, target, config=config)
         assert result.verdict.value == "correct"
         assert global_batch_stats().batches == batches_before
 
@@ -393,15 +388,11 @@ class TestRefinementInvariance:
         # If the batch compiler declines either side the whole check
         # silently drops to per-input scalar enumeration (counted as a
         # scalar fallback) with identical results.
-        module = parsed("""
-        define i32 @f(i32 %x) {
-          %r = xor i32 %x, 9
-          ret i32 %r
-        }
-        """)
-        function = module.get_function("f")
+        # (A target equal to the source would share its plan and never
+        # reach an engine: see tests/test_refine_source_first.py.)
+        function, target = _pair("xor i32 %x, 9", "xor i32 9, %x")
         config = RefinementConfig(max_inputs=4)
-        baseline = check_refinement(function, function, module, module, config)
+        baseline = check_refinement(function, target, config=config)
 
         def refuse(_function):
             raise BatchUnsupported("forced by test")
@@ -409,7 +400,7 @@ class TestRefinementInvariance:
         reset_global_plan_cache()
         monkeypatch.setattr("repro.tv.batch.compile_batch_program", refuse)
         fallbacks_before = global_batch_stats().scalar_fallbacks
-        fallback = check_refinement(function, function, module, module, config)
+        fallback = check_refinement(function, target, config=config)
         assert global_batch_stats().scalar_fallbacks == fallbacks_before + 1
         assert _result_key(fallback) == _result_key(baseline)
         reset_global_plan_cache()

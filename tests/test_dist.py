@@ -307,6 +307,20 @@ class TestResultPublishing:
         assert collected[0].iterations == 2
         assert queue.metrics.counter("dist.results.duplicate") == 1
 
+    def test_known_results_are_not_read_again(self, tmp_path, monkeypatch):
+        queue, fingerprint = published_queue(tmp_path)
+        for index in (0, 1, 2):
+            assert queue.publish_result(make_result(index), fingerprint)
+        assert set(queue.collect_results(fingerprint)) == {0, 1, 2}
+        read = []
+        original = queue._read_json
+        monkeypatch.setattr(
+            queue, "_read_json",
+            lambda path: read.append(os.path.basename(path))
+            or original(path))
+        assert set(queue.collect_results(fingerprint, known={0, 2})) == {1}
+        assert read == [os.path.basename(queue.result_path(1))]
+
     def test_torn_result_reads_as_absent_and_is_repaired(self, tmp_path):
         queue, fingerprint = published_queue(tmp_path)
         path = queue.result_path(0)

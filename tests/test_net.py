@@ -24,6 +24,7 @@ from repro.fuzz.driver import FuzzConfig
 from repro.fuzz.faults import ChaosSocketQueue, damage_journal
 from repro.fuzz.net import QueueBroker, SocketQueue, parse_address
 from repro.fuzz.parallel import ShardJob
+from repro.fuzz.wire import TAG_COLLECT_RESULTS
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 
@@ -145,6 +146,21 @@ class TestSocketProtocol:
         assert queue.publish_result(result, fingerprint) is False
         collected = queue.collect_results(fingerprint)
         assert set(collected) == {0}
+        queue.close()
+
+    def test_collect_omits_known_results(self, broker):
+        queue, fingerprint = published(broker)
+        for index in (0, 1, 2):
+            assert queue.publish_result(make_result(index), fingerprint)
+        assert set(queue.collect_results(fingerprint, known=[0, 2])) == {1}
+        assert queue.collect_results(fingerprint, known=[0, 1, 2]) == {}
+        # A request without the field (an older node) gets everything,
+        # and a malformed one is read as naming nothing.
+        for header in ({"fingerprint": fingerprint},
+                       {"fingerprint": fingerprint, "known": "0"},
+                       {"fingerprint": fingerprint, "known": [[0], "1"]}):
+            _tag, reply, _blobs = queue._request(TAG_COLLECT_RESULTS, header)
+            assert len(reply["results"]) == 3
         queue.close()
 
     def test_foreign_fingerprint_publish_mismatches(self, broker):
