@@ -21,7 +21,8 @@ from ..ir.module import Module, clone_functions_into
 from ..ir.parser import parse_module
 from ..ir.printer import print_module
 from ..mutate import MutantRecord, Mutator, MutatorConfig
-from ..obs import NULL_TRACER, MetricsRegistry, ProgressReporter, Tracer
+from ..obs import (NULL_TRACER, GcProbe, MetricsRegistry, ProgressReporter,
+                   Tracer)
 from ..opt import (IncrementalState, OptContext, OptimizerCrash, PassManager,
                    initial_dirty)
 from ..tv import RefinementConfig, Verdict, check_function_supported, \
@@ -246,8 +247,8 @@ class FuzzDriver:
         # process-wide (repro.tv.compile), so hit/miss deltas since the
         # last snapshot are folded into this driver's metrics at stage
         # boundaries as exec.plan_cache.* counters.
-        self._plan_stats: Optional[Tuple[int, int, int]] = (
-            global_plan_cache().stats() if self.config.tv.compiled else None)
+        self._plan_stats: Optional[Tuple[int, ...]] = (
+            self._plan_cache_stats() if self.config.tv.compiled else None)
         # Execution observability follows the same delta-fold pattern:
         # exec.batch.* counters record lanes driven per batch, divergence
         # regrouping, and scalar fallbacks; exec.verify.* the validation
@@ -479,20 +480,22 @@ class FuzzDriver:
             return self.report
         started = time.perf_counter()
         i = 0
-        while True:
-            if iterations is not None and i >= iterations:
-                break
-            if time_budget is not None \
-                    and time.perf_counter() - started >= time_budget:
-                break
-            self.check_deadline()
-            finding = self.run_one(self.config.base_seed + i)
-            i += 1
-            self.report.iterations = i
-            if self.progress is not None:
-                self.progress.tick(self.metrics)
-            if finding and self.config.stop_on_first_finding:
-                break
+        # The collector's share of the loop goes into gc.* metrics.
+        with GcProbe(self.metrics):
+            while True:
+                if iterations is not None and i >= iterations:
+                    break
+                if time_budget is not None \
+                        and time.perf_counter() - started >= time_budget:
+                    break
+                self.check_deadline()
+                finding = self.run_one(self.config.base_seed + i)
+                i += 1
+                self.report.iterations = i
+                if self.progress is not None:
+                    self.progress.tick(self.metrics)
+                if finding and self.config.stop_on_first_finding:
+                    break
         self.report.iterations = i
         return self.report
 
@@ -628,18 +631,26 @@ class FuzzDriver:
                         mutate_seconds + optimize_seconds + verify_seconds)
         return found
 
+    @staticmethod
+    def _plan_cache_stats() -> Tuple[int, ...]:
+        """(hits, misses, fallbacks, evictions, resident slots)."""
+        cache = global_plan_cache()
+        return cache.stats() + (cache.evictions, cache.slots)
+
     def _harvest_plan_stats(self) -> None:
-        """Fold plan-cache lookup deltas since the last call into metrics."""
+        """Fold plan-cache deltas since the last call into metrics, and
+        raise the resident-slots high-water mark."""
         if self._plan_stats is None:
             return
-        stats = global_plan_cache().stats()
+        stats = self._plan_cache_stats()
         previous = self._plan_stats
         if stats == previous:
             return
-        for index, name in enumerate(("hit", "miss", "fallback")):
+        for index, name in enumerate(("hit", "miss", "fallback", "evictions")):
             delta = stats[index] - previous[index]
             if delta:
                 self.metrics.count(f"exec.plan_cache.{name}", delta)
+        self.metrics.gauge_max("exec.plan_cache.slots", stats[4])
         self._plan_stats = stats
 
     def _harvest_batch_stats(self) -> None:

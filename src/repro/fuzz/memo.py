@@ -6,7 +6,9 @@ The driver keeps two of these: an *optimize* cache mapping
 crash the pipeline produced), and a *verify* cache mapping
 ``(source closure fingerprint, target closure fingerprint, tv key)`` to
 the :class:`~repro.tv.refine.TVResult` verdict to replay.  Both are
-plain bounded LRU maps — eviction only ever costs extra recomputation,
+bounded :class:`~repro.tv.compile.LRUCache` maps (a segmented LRU; at
+their default sizes they sit inside its probationary segment and
+behave as plain LRUs) — eviction only ever costs extra recomputation,
 never a missed finding, because cached results are replayed verbatim.
 """
 

@@ -1,6 +1,7 @@
 """repro.obs — zero-dependency observability for the fuzzing runtime.
 
-Per-stage metrics (:mod:`repro.obs.metrics`), sampled span tracing
+Per-stage metrics (:mod:`repro.obs.metrics`), the collector's cost as
+metrics (:mod:`repro.obs.gcprobe`), sampled span tracing
 (:mod:`repro.obs.trace`), periodic throughput snapshots
 (:mod:`repro.obs.snapshots`), and normalized benchmark summaries
 (:mod:`repro.obs.summary`).  Everything here is stdlib-only and safe to
@@ -11,6 +12,7 @@ See README "Observability" for the CLI flags and JSONL schemas, and
 DESIGN for how the spans map onto the paper's §V timing breakdown.
 """
 
+from .gcprobe import GcProbe
 from .metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 from .snapshots import (
     JsonlSnapshotSink,
@@ -36,6 +38,7 @@ from .trace import (
 
 __all__ = [
     "DEFAULT_BUCKETS",
+    "GcProbe",
     "Histogram",
     "MetricsRegistry",
     "JsonlSnapshotSink",

@@ -209,7 +209,7 @@ class MetricsRegistry:
     def deterministic(self) -> dict:
         """The run-invariant subset: no ``.seconds`` metrics, no gauges,
         no ``campaign.retry.*``, ``cache.*``, ``clone.*``, ``exec.*``,
-        ``dist.*`` or ``chaos.*`` counters.
+        ``dist.*``, ``chaos.*`` or ``gc.*`` counters.
 
         For a fixed campaign configuration this subset is identical
         across worker counts and kill/resume cycles — what legitimately
@@ -238,6 +238,9 @@ class MetricsRegistry:
         (shared dir vs socket), the payload format (text vs bitcode),
         and reconnect/retry history, while the findings the transported
         modules produce are bit-identical by the print∘parse fixpoint.
+        ``gc.*`` is the cyclic collector's bookkeeping
+        (:mod:`repro.obs.gcprobe`): when a collection runs depends on
+        everything the process allocated before, not on the job.
         """
 
         def varies(name: str) -> bool:
@@ -253,6 +256,7 @@ class MetricsRegistry:
                 or name.startswith("wire.")
                 or name.startswith("bitcode.")
                 or name.startswith("net.")
+                or name.startswith("gc.")
             )
 
         return {

@@ -13,7 +13,8 @@ and :class:`JsonlSnapshotSink` (one JSON object per snapshot)::
 
     {"elapsed": 12.3, "iterations": 456, "mutants_per_sec": 37.1,
      "valid_mutant_rate": 0.98, "stage_share": {"mutate": 0.12, ...},
-     "findings": 3, "retries": 0, "quarantined": 0}
+     "findings": 3, "retries": 0, "quarantined": 0,
+     "gc_share": 0.07, "gc_full_collections": 4, ...}
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ class ThroughputSnapshot:
     # §III-B "pay once"): hit rate of the global plan cache, 0.0 when
     # compiled execution is off or no lookups happened yet.
     exec_plan_hit_rate: float = 0.0
+    # What the plan cache holds and sheds: plans evicted, and the
+    # high-water mark of resident frame slots (its bound's unit).
+    exec_plan_evictions: int = 0
+    exec_plan_slots: int = 0
     # Batched execution (repro.tv.batch): average lanes driven per batch
     # walk, divergence regroupings, and checks that fell back to scalar
     # enumeration.  All 0 when batching is off or nothing verified yet.
@@ -71,6 +76,13 @@ class ThroughputSnapshot:
     exec_verify_same_plan: int = 0
     exec_verify_static_skips: int = 0
     exec_verify_target_inputs_pruned: int = 0
+    # The cyclic collector's tax on the loop (repro.obs.gcprobe):
+    # seconds inside collections, their share of the stage time, and how
+    # many of them were full (generation 2) collections — the ones whose
+    # cost follows the number of long-lived objects.
+    gc_seconds: float = 0.0
+    gc_share: float = 0.0
+    gc_full_collections: int = 0
     # Coverage feedback (repro.fuzz.feedback): runtime-corpus high-water
     # mark, features covered, and new-features-per-draw rate.  All 0
     # when feedback is off — and every rate here guards its denominator,
@@ -114,6 +126,9 @@ class ThroughputSnapshot:
 
         plan_hits = metrics.counter("exec.plan_cache.hit")
         plan_total = plan_hits + metrics.counter("exec.plan_cache.miss")
+        gc_seconds = sum(
+            metrics.counters_with_prefix("gc.seconds.").values()
+        )
         batches = metrics.counter("exec.batch.batches")
         batch_lanes = metrics.counter("exec.batch.lanes")
         draws = metrics.counter("feedback.draws")
@@ -160,6 +175,10 @@ class ThroughputSnapshot:
             optimize_hit_rate=hit_rate("optimize"),
             verify_hit_rate=hit_rate("verify"),
             exec_plan_hit_rate=plan_hits / plan_total if plan_total else 0.0,
+            exec_plan_evictions=int(
+                metrics.counter("exec.plan_cache.evictions")
+            ),
+            exec_plan_slots=int(metrics.gauges.get("exec.plan_cache.slots", 0.0)),
             exec_batch_lanes_per_batch=(
                 batch_lanes / batches if batches else 0.0
             ),
@@ -176,6 +195,9 @@ class ThroughputSnapshot:
             exec_verify_target_inputs_pruned=int(
                 metrics.counter("exec.verify.target_inputs_pruned")
             ),
+            gc_seconds=gc_seconds,
+            gc_share=gc_seconds / stage_total if stage_total else 0.0,
+            gc_full_collections=int(metrics.counter("gc.collections.gen2")),
             corpus_size=int(metrics.gauges.get("corpus.size", 0.0)),
             features_covered=int(metrics.gauges.get("feedback.features.covered", 0.0)),
             new_feature_rate=new_features / draws if draws else 0.0,
@@ -211,6 +233,8 @@ class ThroughputSnapshot:
             "optimize_hit_rate": round(self.optimize_hit_rate, 6),
             "verify_hit_rate": round(self.verify_hit_rate, 6),
             "exec_plan_hit_rate": round(self.exec_plan_hit_rate, 6),
+            "exec_plan_evictions": self.exec_plan_evictions,
+            "exec_plan_slots": self.exec_plan_slots,
             "exec_batch_lanes_per_batch": round(
                 self.exec_batch_lanes_per_batch, 3
             ),
@@ -221,6 +245,9 @@ class ThroughputSnapshot:
             "exec_verify_target_inputs_pruned": (
                 self.exec_verify_target_inputs_pruned
             ),
+            "gc_seconds": round(self.gc_seconds, 6),
+            "gc_share": round(self.gc_share, 6),
+            "gc_full_collections": self.gc_full_collections,
             "corpus_size": self.corpus_size,
             "features_covered": self.features_covered,
             "new_feature_rate": round(self.new_feature_rate, 6),
@@ -262,6 +289,11 @@ class ThroughputSnapshot:
             )
         if self.exec_batch_lanes_per_batch:
             line += f" | batch {self.exec_batch_lanes_per_batch:.1f} lanes"
+        if self.gc_seconds:
+            line += (
+                f" | gc {self.gc_share:.0%}"
+                f" (full {self.gc_full_collections})"
+            )
         if self.incremental_skip_rate or self.incremental_worklist_runs:
             line += (
                 f" | inc skip {self.incremental_skip_rate:.0%}"

@@ -64,6 +64,8 @@ def campaign_summary(report, name: str = "campaign") -> dict:
         "optimize_hit_rate": round(snapshot.optimize_hit_rate, 6),
         "verify_hit_rate": round(snapshot.verify_hit_rate, 6),
         "exec_plan_hit_rate": round(snapshot.exec_plan_hit_rate, 6),
+        "exec_plan_evictions": snapshot.exec_plan_evictions,
+        "exec_plan_slots": snapshot.exec_plan_slots,
         "exec_batch_lanes_per_batch": round(
             snapshot.exec_batch_lanes_per_batch, 3
         ),
@@ -74,6 +76,9 @@ def campaign_summary(report, name: str = "campaign") -> dict:
         "exec_verify_target_inputs_pruned": (
             snapshot.exec_verify_target_inputs_pruned
         ),
+        "gc_seconds": round(snapshot.gc_seconds, 6),
+        "gc_share": round(snapshot.gc_share, 6),
+        "gc_full_collections": snapshot.gc_full_collections,
         "corpus_size": snapshot.corpus_size,
         "features_covered": snapshot.features_covered,
         "new_feature_rate": round(snapshot.new_feature_rate, 6),

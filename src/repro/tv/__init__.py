@@ -40,6 +40,7 @@ from .refine import (
     check_refinement,
     generate_inputs,
     outcome_refines,
+    reset_input_cache,
     value_refines,
 )
 
@@ -83,5 +84,6 @@ __all__ = [
     "global_plan_cache",
     "outcome_refines",
     "reset_global_plan_cache",
+    "reset_input_cache",
     "value_refines",
 ]

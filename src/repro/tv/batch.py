@@ -311,12 +311,9 @@ class _BEdge:
 class BatchProgram:
     """One function lowered to struct-of-arrays batched steps."""
 
-    __slots__ = ("function", "frame_size", "num_args", "entry_edge")
+    __slots__ = ("frame_size", "num_args", "entry_edge")
 
-    def __init__(
-        self, function: Function, frame_size: int, num_args: int, entry_edge: _BEdge
-    ) -> None:
-        self.function = function
+    def __init__(self, frame_size: int, num_args: int, entry_edge: _BEdge) -> None:
         self.frame_size = frame_size
         self.num_args = num_args
         self.entry_edge = entry_edge
@@ -972,7 +969,6 @@ class _BatchCompiler:
             )
         entry = self.function.entry_block()
         return BatchProgram(
-            self.function,
             self.frame_size,
             len(self.function.arguments),
             self.edge(None, entry),
@@ -1626,16 +1622,18 @@ def compile_batch_program(function: Function) -> BatchProgram:
     return _BatchCompiler(function).build()
 
 
-def batch_program_for(plan: Optional[ExecutionPlan]) -> Optional[BatchProgram]:
-    """The batch program for a scalar plan, compiled lazily and cached on
-    the plan itself — plan caching (global, fingerprint-keyed) then
-    shares batch programs across mutants for free."""
+def batch_program_for(
+    plan: Optional[ExecutionPlan], function: Function
+) -> Optional[BatchProgram]:
+    """The batch program for ``function``'s plan, compiled lazily and
+    cached on the plan itself — plan caching (global, fingerprint-keyed)
+    then shares batch programs across mutants for free."""
     if plan is None:
         return None
     program = plan.batch_program
     if program is None:
         try:
-            program = compile_batch_program(plan.function)
+            program = compile_batch_program(function)
         except Exception:
             program = _BATCH_FAILED
         plan.batch_program = program

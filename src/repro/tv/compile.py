@@ -25,11 +25,15 @@ across mutants" principle applied to execution itself:
   construction.  The differential suite in ``tests/test_compile.py``
   locks that equivalence.
 
-Plans are cached process-wide in a bounded :class:`LRUCache` keyed by
+Plans are cached process-wide in a :class:`PlanCache` keyed by
 structural fingerprint plus everything the fingerprint deliberately
 normalizes away but execution can observe: local value names (they
 appear in UB detail strings) and the attribute environment of reachable
-declarations (external-call semantics).  Compilation failures fall back
+declarations (external-call semantics).  A cached plan starts as its
+slot layout and step bound only; the closures are compiled by whichever
+engine first runs it — the batched twin (:mod:`repro.tv.batch`) for a
+normal refinement check, the scalar program here for nested calls, the
+scalar fallback and the ablation modes.  Compilation failures fall back
 to the tree-walking evaluator, never to an error.
 """
 
@@ -109,37 +113,95 @@ _UNDEF_BYTE_CHOICES = (0, 0xFF, 0x5A)
 Resolver = Callable[[Any, List[Any]], Any]
 
 
-class LRUCache:
-    """A bounded mapping evicting the least-recently-used entry.
+# How much weight may wait on probation for its second sighting (see
+# LRUCache).  In the cache's own unit: entries for the memo caches,
+# frame slots for the plan cache.
+PROBATION = 2048
 
-    (Moved here from ``repro.fuzz.memo`` so the TV layer can use it
-    without importing the fuzzing layer; ``repro.fuzz.memo`` re-exports
-    it for its existing users.)
+
+class LRUCache:
+    """A bounded mapping that admits on reuse (segmented LRU).
+
+    A new entry waits in a *probationary* segment of fixed size
+    (:data:`PROBATION`); its first hit promotes it to the *main*
+    segment, which holds the rest of ``capacity``.  Keys seen once flow
+    through probation and are dropped after a bounded wait, without ever
+    displacing an entry that has proven its reuse; a main segment that
+    overflows demotes its least-recently-used entry back to probation
+    for one more chance.  ``capacity`` counts ``weight`` units (1 per
+    entry unless ``put`` says otherwise).  Probation always keeps its
+    newest entry, so one entry heavier than the whole cache is still
+    cached, alone.  A cache no larger than :data:`PROBATION` is all
+    probation, i.e. a plain LRU.
+
+    (Lives here so the TV layer can use it without importing the fuzzing
+    layer; ``repro.fuzz.memo`` re-exports it for its existing users.)
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self.evictions = 0
+        # key -> (value, weight), least recently used first.
+        self._probation: "OrderedDict[Hashable, Tuple[Any, int]]" = OrderedDict()
+        self._main: "OrderedDict[Hashable, Tuple[Any, int]]" = OrderedDict()
+        self._probation_limit = min(PROBATION, capacity)
+        self._main_limit = capacity - self._probation_limit
+        self._probation_weight = 0
+        self._main_weight = 0
+
+    @property
+    def weight(self) -> int:
+        """Total weight resident in both segments."""
+        return self._probation_weight + self._main_weight
 
     def get(self, key: Hashable) -> Optional[Any]:
-        entry = self._entries.get(key)
+        entry = self._main.get(key)
         if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
+            self._main.move_to_end(key)
+            return entry[0]
+        entry = self._probation.pop(key, None)
+        if entry is None:
+            return None
+        # Second sighting: the entry has earned a place in the main segment.
+        self._probation_weight -= entry[1]
+        self._main[key] = entry
+        self._main_weight += entry[1]
+        self._rebalance()
+        return entry[0]
 
-    def put(self, key: Hashable, value: Any) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+    def put(self, key: Hashable, value: Any, weight: int = 1) -> None:
+        old = self._main.get(key)
+        if old is not None:
+            self._main[key] = (value, weight)
+            self._main.move_to_end(key)
+            self._main_weight += weight - old[1]
+        else:
+            old = self._probation.pop(key, None)
+            if old is not None:
+                self._probation_weight -= old[1]
+            self._probation[key] = (value, weight)
+            self._probation_weight += weight
+        self._rebalance()
+
+    def _rebalance(self) -> None:
+        main, probation = self._main, self._probation
+        while self._main_weight > self._main_limit:
+            key, entry = main.popitem(last=False)
+            self._main_weight -= entry[1]
+            probation[key] = entry
+            self._probation_weight += entry[1]
+        while self._probation_weight > self._probation_limit and len(probation) > 1:
+            _, entry = probation.popitem(last=False)
+            self._probation_weight -= entry[1]
+            self.evictions += 1
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._main) + len(self._probation)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+        return key in self._main or key in self._probation
 
 
 class _Block:
@@ -165,42 +227,59 @@ class _Edge:
 
 
 class ExecutionPlan:
-    """One function lowered to slot-indexed specialized closures."""
+    """One function's frame layout, step bound and compiled programs.
+
+    Construction is cheap: no closures, and no reference to the IR kept.
+    The scalar program — ``entry_edge`` — is compiled when something
+    first runs the plan one input at a time, the batched twin on the
+    first batched run, each from the function in the runner's hands
+    (any function with this plan's key compiles to the same program).
+    A refinement check that runs batched never pays for, or keeps
+    alive, the scalar closures.
+    """
 
     __slots__ = (
-        "function",
         "frame_size",
         "num_args",
         "depth_slot",
-        "entry_edge",
         "step_bound",
+        "entry_edge",
         "batch_program",
     )
 
-    def __init__(
-        self,
-        function: Function,
-        frame_size: int,
-        num_args: int,
-        depth_slot: int,
-        entry_edge: _Edge,
-        step_bound: Optional[int] = None,
-    ) -> None:
-        self.function = function
-        self.frame_size = frame_size
-        self.num_args = num_args
-        self.depth_slot = depth_slot
-        self.entry_edge = entry_edge
+    def __init__(self, function: Function) -> None:
+        # A branch out of the function is something no compiler here
+        # handles and the plan key cannot see: decline it before two
+        # such functions can be taken for one plan.
+        own = {id(block) for block in function.blocks}
+        for block in function.blocks:
+            for successor in block.successors():
+                if id(successor) not in own:
+                    raise ValueError(
+                        f"@{function.name} branches into a foreign block "
+                        f"%{successor.name}"
+                    )
+        # Slot layout: arguments, then instructions in program order,
+        # then the call depth (_Compiler assigns the same indices).
+        self.num_args = len(function.arguments)
+        self.depth_slot = self.num_args + sum(
+            len(block.instructions) for block in function.blocks
+        )
+        self.frame_size = self.depth_slot + 1
         # The most steps any one call can be charged, when that is known
         # at compile time (see _static_step_bound); None otherwise.
-        self.step_bound = step_bound
+        self.step_bound = _static_step_bound(function)
+        # The scalar program: None until PlanCache.scalar_entry compiles
+        # it, False once the compiler has declined (tree-walk).
+        self.entry_edge = None
         # Lazily-compiled struct-of-arrays twin (repro.tv.batch); cached
         # here so the plan cache shares batch programs across mutants.
         self.batch_program = None
 
     def execute(self, interp, args: List[RuntimeValue], depth: int) -> RuntimeValue:
-        """Replay the plan.  Mirrors ``Interpreter._tree_call`` exactly:
-        same step accounting, same phi-copy atomicity, same UB points."""
+        """Replay the (compiled) scalar program.  Mirrors
+        ``Interpreter._tree_call`` exactly: same step accounting, same
+        phi-copy atomicity, same UB points."""
         frame: List[Any] = [_UNSET] * self.frame_size
         count = self.num_args
         if len(args) < count:
@@ -472,12 +551,12 @@ class _Compiler:
                 self.slots[id(inst)] = position
                 position += 1
         self.depth_slot = position
-        self.frame_size = position + 1
         self.blocks: Dict[int, _Block] = {
             id(block): _Block() for block in function.blocks
         }
 
-    def build(self) -> ExecutionPlan:
+    def build(self) -> _Edge:
+        """Compile every block; returns the function's entry edge."""
         for block in self.function.blocks:
             compiled = self.blocks[id(block)]
             start = block.first_non_phi_index()
@@ -485,15 +564,7 @@ class _Compiler:
                 self.compile_instruction(block, inst)
                 for inst in block.instructions[start:]
             ]
-        entry = self.function.entry_block()
-        return ExecutionPlan(
-            self.function,
-            self.frame_size,
-            len(self.function.arguments),
-            self.depth_slot,
-            self.edge(None, entry),
-            _static_step_bound(self.function),
-        )
+        return self.edge(None, self.function.entry_block())
 
     # -- operands --------------------------------------------------------
 
@@ -988,8 +1059,11 @@ def _static_step_bound(function: Function) -> Optional[int]:
     return steps
 
 
-def compile_function(function: Function) -> ExecutionPlan:
-    """Lower one defined function into an :class:`ExecutionPlan`.
+def compile_function(
+    function: Function, plan: Optional[ExecutionPlan] = None
+) -> ExecutionPlan:
+    """Compile one defined function's scalar program into ``plan`` — the
+    layout the plan cache built earlier, or a new plan — and return it.
 
     Raises on IR shapes the compiler does not handle (e.g. declarations
     or branches into foreign functions); callers are expected to fall
@@ -997,7 +1071,10 @@ def compile_function(function: Function) -> ExecutionPlan:
     """
     if function.is_declaration():
         raise ValueError(f"cannot compile declaration @{function.name}")
-    return _Compiler(function).build()
+    if plan is None:
+        plan = ExecutionPlan(function)
+    plan.entry_edge = _Compiler(function).build()
+    return plan
 
 
 # -- plan cache --------------------------------------------------------------
@@ -1057,19 +1134,25 @@ def plan_key(
 
 _COMPILE_FAILED = object()
 
-DEFAULT_PLAN_CACHE_CAPACITY = 512
+# Frame slots the plan cache may keep resident.  A plan's closures, and
+# the cells and constants they hold, number a small multiple of its
+# slots, so slots — not entries — are what the heap and the cyclic
+# collector pay for: one 40-block function weighs as much as a dozen
+# ordinary ones.
+DEFAULT_PLAN_CACHE_SLOTS = 8192
 
 
 class PlanCache:
-    """Bounded, fingerprint-keyed store of execution plans.
+    """Slot-bounded, fingerprint-keyed store of execution plans.
 
     ``hits``/``misses``/``fallbacks`` feed the ``exec.plan_cache.*``
-    metrics.  Compilation failures are cached too (as a tree-walk
-    fallback marker) so a pathological function is not re-compiled on
-    every call.
+    metrics.  A plan enters as its layout; :meth:`scalar_entry` compiles
+    its scalar program when something first executes it that way.  A
+    function the compiler declines is cached too (as a tree-walk
+    fallback marker) so it is not re-compiled on every call.
     """
 
-    def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_CAPACITY) -> None:
+    def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_SLOTS) -> None:
         self._plans = LRUCache(capacity)
         self.hits = 0
         self.misses = 0
@@ -1078,7 +1161,7 @@ class PlanCache:
     def plan_for(
         self, function: Function, fp_cache: Optional[Dict[int, str]] = None
     ) -> Optional[ExecutionPlan]:
-        """The cached plan for ``function`` (compiling on first sight),
+        """The cached plan for ``function`` (laid out on first sight),
         or None when the function must be tree-walked."""
         key = plan_key(function, fp_cache)
         plan = self._plans.get(key)
@@ -1087,16 +1170,41 @@ class PlanCache:
             return None if plan is _COMPILE_FAILED else plan
         self.misses += 1
         try:
-            plan = compile_function(function)
+            plan = ExecutionPlan(function)
         except Exception:
-            self.fallbacks += 1
-            self._plans.put(key, _COMPILE_FAILED)
+            self._declined(key)
             return None
-        self._plans.put(key, plan)
+        self._plans.put(key, plan, plan.frame_size)
         return plan
+
+    def scalar_entry(self, plan: ExecutionPlan, function: Function):
+        """``plan``'s scalar program, compiled from ``function`` on first
+        use; False when the compiler declines, now or earlier: tree-walk."""
+        if plan.entry_edge is None:
+            try:
+                compile_function(function, plan)
+            except Exception:
+                # Interpreters that pinned the plan keep asking it, so
+                # the plan itself remembers; the cache stops handing it out.
+                plan.entry_edge = False
+                self._declined(plan_key(function))
+        return plan.entry_edge
+
+    def _declined(self, key: Hashable) -> None:
+        self.fallbacks += 1
+        self._plans.put(key, _COMPILE_FAILED)
 
     def stats(self) -> Tuple[int, int, int]:
         return (self.hits, self.misses, self.fallbacks)
+
+    @property
+    def evictions(self) -> int:
+        return self._plans.evictions
+
+    @property
+    def slots(self) -> int:
+        """Frame slots of the resident plans."""
+        return self._plans.weight
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -1114,7 +1222,7 @@ def global_plan_cache() -> PlanCache:
     return _GLOBAL_PLAN_CACHE
 
 
-def reset_global_plan_cache(capacity: int = DEFAULT_PLAN_CACHE_CAPACITY) -> PlanCache:
+def reset_global_plan_cache(capacity: int = DEFAULT_PLAN_CACHE_SLOTS) -> PlanCache:
     """Replace the process-wide cache (tests and long-lived sessions)."""
     global _GLOBAL_PLAN_CACHE
     _GLOBAL_PLAN_CACHE = PlanCache(capacity)

@@ -159,7 +159,7 @@ class Interpreter:
         self._alloca_counter = 0
         self._call_counter = 0
         self._compiled = compiled
-        self._plan_memo: Dict[int, object] = {}
+        self._plan_memo: Dict[Function, object] = {}
         if compiled and plans is None:
             from .compile import global_plan_cache
             plans = global_plan_cache()
@@ -194,9 +194,11 @@ class Interpreter:
         self._call_counter = 0
 
     def prepare(self, function: Function):
-        """Compile (or fetch from cache) ``function``'s execution plan now,
-        so later runs pay no compilation cost.  Returns the plan, or None
-        when compiled execution is off or the function is a declaration."""
+        """Fetch (or lay out) ``function``'s execution plan and pin it to
+        this interpreter.  The plan compiles its scalar program on the
+        first scalar run.  Returns the plan, or None when compiled
+        execution is off, the function is a declaration, or the compiler
+        has declined it before."""
         if not self._compiled or function.is_declaration():
             return None
         return self._plan_for(function)
@@ -204,12 +206,11 @@ class Interpreter:
     # -- function execution -------------------------------------------------------
 
     def _plan_for(self, function: Function):
-        plan = self._plan_memo.get(id(function), _MISSING)
+        # Keyed by the function object (identity): the memo keeps it alive.
+        plan = self._plan_memo.get(function, _MISSING)
         if plan is _MISSING:
-            # The memo keeps a reference to the plan, and the plan keeps
-            # one to the function, so id() stays unique for our lifetime.
             plan = self._plans.plan_for(function, self._fp_cache)
-            self._plan_memo[id(function)] = plan
+            self._plan_memo[function] = plan
         return plan
 
     def _call(
@@ -223,7 +224,11 @@ class Interpreter:
         if self._compiled:
             plan = self._plan_for(function)
             if plan is not None:
-                return plan.execute(self, args, depth)
+                edge = plan.entry_edge
+                if edge is None:
+                    edge = self._plans.scalar_entry(plan, function)
+                if edge:
+                    return plan.execute(self, args, depth)
         return self._tree_call(function, args, depth)
 
     def _tree_call(

@@ -27,7 +27,6 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.constants_pool import ConstantPool
-from ..ir.fingerprint import fingerprint_function
 from ..ir.function import Function
 from ..ir.instructions import CallInst
 from ..ir.intrinsics import lookup as lookup_intrinsic
@@ -201,10 +200,18 @@ def check_function_supported(function: Function) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def generate_inputs(function: Function, config: RefinementConfig) -> List[TestInput]:
-    """Concrete argument vectors: exhaustive when small, sampled otherwise."""
+def generate_inputs(
+    function: Function,
+    config: RefinementConfig,
+    pool: Optional[ConstantPool] = None,
+) -> List[TestInput]:
+    """Concrete argument vectors: exhaustive when small, sampled otherwise.
+
+    ``pool`` is ``ConstantPool(function)`` when the caller already built it.
+    """
     rng = random.Random(config.seed ^ 0x5EED)
-    pool = ConstantPool(function)
+    if pool is None:
+        pool = ConstantPool(function)
     per_arg: List[List[object]] = []
     for arg_index, argument in enumerate(function.arguments):
         if isinstance(argument.type, IntType):
@@ -245,37 +252,74 @@ def generate_inputs(function: Function, config: RefinementConfig) -> List[TestIn
     return inputs
 
 
-# Generated inputs only depend on the function's structure (constant
-# pool, widths, argument attributes), its argument names (pointer block
-# ids are derived from them) and the config — so they are shared across
-# the repeated check_refinement calls a campaign makes for one source
-# function instead of rebuilding the ConstantPool every time.
+# Integer arguments this narrow are enumerated; wider ones are sampled
+# around this many of the function's literal constants.
+_EXHAUSTIVE_WIDTH = 4
+_POOL_CONSTANTS = 8
+
+# Input sets are shared between all functions generate_inputs cannot
+# tell apart: _input_key is exactly what the generators below read, so
+# the mutants of one seed function, which mostly keep its signature and
+# its first few constants, reuse one set.  Key and generators change
+# together (tests/test_refine.py checks the key over mutator output).
 _INPUT_CACHE = LRUCache(256)
 
 
+def reset_input_cache() -> None:
+    """Drop every cached input set (tests and long-lived sessions)."""
+    global _INPUT_CACHE
+    _INPUT_CACHE = LRUCache(_INPUT_CACHE.capacity)
+
+
+def _input_key(
+    function: Function, config: RefinementConfig, pool: ConstantPool
+) -> tuple:
+    arguments = []
+    by_width: Dict[int, tuple] = {}  # arguments mostly share a width
+    for argument in function.arguments:
+        if isinstance(argument.type, IntType):
+            width = argument.type.width
+            constants = by_width.get(width)
+            if constants is None:
+                constants = by_width[width] = (
+                    tuple(pool.values_for_width(width)[:_POOL_CONSTANTS])
+                    if width > _EXHAUSTIVE_WIDTH
+                    else ()
+                )
+            arguments.append((width, constants))
+        elif argument.type.is_pointer():
+            attributes = argument.attributes
+            arguments.append(
+                (
+                    argument.name,
+                    attributes.get_int("dereferenceable") or 0,
+                    attributes.has("noalias"),
+                    attributes.has("nonnull"),
+                )
+            )
+        else:
+            arguments.append(None)
+    return (tuple(arguments), config.cache_key())
+
+
 def _inputs_for(
-    function: Function,
-    config: RefinementConfig,
-    fp_cache: Optional[Dict[int, str]] = None,
+    function: Function, config: RefinementConfig
 ) -> Tuple[TestInput, ...]:
-    key = (
-        fingerprint_function(function, fp_cache),
-        tuple(argument.name for argument in function.arguments),
-        config.cache_key(),
-    )
+    pool = ConstantPool(function)
+    key = _input_key(function, config, pool)
     inputs = _INPUT_CACHE.get(key)
     if inputs is None:
-        inputs = tuple(generate_inputs(function, config))
+        inputs = tuple(generate_inputs(function, config, pool))
         _INPUT_CACHE.put(key, inputs)
     return inputs
 
 
 def _int_candidates(width: int, pool: ConstantPool, rng: random.Random) -> List[int]:
     mask = (1 << width) - 1
-    if width <= 4:
+    if width <= _EXHAUSTIVE_WIDTH:
         return list(range(1 << width))
     values = list(interesting_values(width))
-    for constant in pool.values_for_width(width)[:8]:
+    for constant in pool.values_for_width(width)[:_POOL_CONSTANTS]:
         for delta in (-1, 0, 1):
             values.append((constant + delta) & mask)
     for _ in range(6):
@@ -553,8 +597,9 @@ class _Side:
         self.module = module
         self.fp_cache = fp_cache
         # One interpreter arena per side, reused across all inputs and
-        # nondeterminism paths; the plan is built up front so every run
-        # after the first is pure replay.
+        # nondeterminism paths.  The plan is looked up now — its identity
+        # and step bound decide what has to run at all — and compiles
+        # the program of whichever engine runs it.
         self.interp = Interpreter(
             module, None, config.limits, compiled=config.compiled, fp_cache=fp_cache
         )
@@ -572,7 +617,9 @@ def _engine(src: _Side, tgt: _Side, config: RefinementConfig):
     identical by contract).
     """
     if config.batched and config.compiled:
-        programs = {side: batch_program_for(side.plan) for side in (src, tgt)}
+        programs = {
+            side: batch_program_for(side.plan, side.function) for side in (src, tgt)
+        }
         if None in programs.values():
             global_batch_stats().scalar_fallbacks += 1
         else:
@@ -680,7 +727,7 @@ def check_refinement(
     if len(src_function.arguments) != len(tgt_function.arguments):
         return TVResult(Verdict.UNSUPPORTED, reason="signature changed")
 
-    inputs = _inputs_for(src_function, config, fp_cache)
+    inputs = _inputs_for(src_function, config)
     src = _Side(src_function, src_module, config, fp_cache)
     tgt = _Side(tgt_function, tgt_module, config, fp_cache)
     traced = tracer is not None and tracer.enabled

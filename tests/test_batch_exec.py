@@ -77,7 +77,7 @@ def assert_lanes_match(module, function, inputs, limits=None, max_rounds=8):
     batch compiler declined the function)."""
     limits = limits or ExecutionLimits()
     interp = Interpreter(module, None, limits, compiled=True)
-    program = batch_program_for(interp.prepare(function))
+    program = batch_program_for(interp.prepare(function), function)
     if program is None:
         return 0
     runner = BatchRunner(module, limits)

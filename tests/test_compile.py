@@ -6,6 +6,9 @@ exhaustiveness flags, same verdicts and counterexamples, same findings
 and deterministic metrics.  Every test here runs both modes and diffs.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.fuzz import FuzzConfig, FuzzDriver, corpus_modules
@@ -419,27 +422,244 @@ define i8 @f(i8 %x) {
         with pytest.raises(ValueError):
             compile_function(declaration)
 
-    def test_lru_eviction_recompiles(self):
-        functions = []
-        for index in range(3):
-            functions.append(parsed(f"""
+    @staticmethod
+    def _adders(count):
+        """``count`` distinct functions of four frame slots each."""
+        return [parsed(f"""
 define i8 @f(i8 %x) {{
   %r = add i8 %x, {index}
   ret i8 %r
 }}
-""").get_function("f"))
-        cache = PlanCache(capacity=2)
+""").get_function("f") for index in range(count)]
+
+    def test_lru_eviction_recompiles(self):
+        functions = self._adders(3)
+        cache = PlanCache(capacity=8)       # slots: two of these plans
         for function in functions:
             cache.plan_for(function)
+        assert (len(cache), cache.slots, cache.evictions) == (2, 8, 1)
         # functions[0] was evicted: looking it up again is a miss.
         cache.plan_for(functions[0])
         hits, misses, fallbacks = cache.stats()
         assert (hits, misses, fallbacks) == (0, 4, 0)
 
+    def test_bound_is_in_slots_not_entries(self):
+        body = "\n".join(
+            f"  %v{index} = add i32 %v{index - 1}, {index}"
+            for index in range(1, 238))
+        wide = parsed(f"""
+define i32 @wide(i32 %v0) {{
+{body}
+  ret i32 %v237
+}}
+""").get_function("wide")
+        cache = PlanCache(capacity=300)
+        small = self._adders(20)
+        for function in small:
+            cache.plan_for(function)
+        assert (len(cache), cache.slots) == (20, 80)
+        plan = cache.plan_for(wide)
+        assert plan.frame_size == 240
+        # One 240-slot plan costs five 4-slot ones their place.
+        assert (len(cache), cache.slots, cache.evictions) == (16, 300, 5)
+        assert cache.plan_for(wide) is plan
+        # However small the budget, the newest plan stays resident.
+        tiny = PlanCache(capacity=100)
+        tiny.plan_for(small[0])
+        assert tiny.plan_for(wide) is tiny.plan_for(wide)
+        assert (len(tiny), tiny.slots) == (1, 240)
+
     def test_global_cache_reset(self):
         cache = reset_global_plan_cache()
         assert cache.stats() == (0, 0, 0)
         assert len(cache) == 0
+
+
+NESTED = """
+define i8 @helper(i8 %v) {
+  %w = mul i8 %v, 3
+  ret i8 %w
+}
+
+define i8 @f(i8 %x) {
+  %h = call i8 @helper(i8 %x)
+  %r = add i8 %h, %STEP%
+  ret i8 %r
+}
+"""
+
+
+class TestCompileWhatRuns:
+    """A plan compiles only the program something executes."""
+
+    @staticmethod
+    def _pair(text, src_step="1", tgt_step="2"):
+        src = parsed(text.replace("%STEP%", src_step))
+        tgt = parsed(text.replace("%STEP%", tgt_step))
+        return src, tgt
+
+    def test_batched_check_compiles_no_scalar_program(self):
+        src, tgt = self._pair("""
+define i8 @f(i8 %x) {
+  %r = add i8 %x, %STEP%
+  ret i8 %r
+}
+""")
+        cache = reset_global_plan_cache()
+        result = check_refinement(src.get_function("f"), tgt.get_function("f"),
+                                  src, tgt, RefinementConfig(max_inputs=8))
+        assert result.verdict.value == "unsound"
+        for module in (src, tgt):
+            plan = cache.plan_for(module.get_function("f"))
+            assert plan.batch_program is not None
+            assert plan.entry_edge is None
+
+    def test_nested_call_compiles_the_callee_only(self):
+        src, tgt = self._pair(NESTED)
+        cache = reset_global_plan_cache()
+        result = check_refinement(src.get_function("f"), tgt.get_function("f"),
+                                  src, tgt, RefinementConfig(max_inputs=8))
+        assert result.verdict.value == "unsound"
+        # Lanes run the call through a scalar interpreter: the callee's
+        # scalar program exists (one plan: both helpers share a key),
+        # the callers' do not.
+        helper = cache.plan_for(src.get_function("helper"))
+        assert helper is cache.plan_for(tgt.get_function("helper"))
+        assert helper.entry_edge is not None
+        assert helper.batch_program is None
+        for module in (src, tgt):
+            assert cache.plan_for(module.get_function("f")).entry_edge is None
+
+    def test_scalar_engine_compiles_the_scalar_program_only(self):
+        src, tgt = self._pair(NESTED)
+        cache = reset_global_plan_cache()
+        check_refinement(src.get_function("f"), tgt.get_function("f"),
+                         src, tgt,
+                         RefinementConfig(max_inputs=8, batched=False))
+        plan = cache.plan_for(src.get_function("f"))
+        assert plan.entry_edge is not None
+        assert plan.batch_program is None
+
+    def test_plans_hold_no_ir(self):
+        # What a cached plan keeps alive is closures over constants, not
+        # the mutant module its function came from.
+        src, tgt = self._pair("""
+define i8 @f(i8 %x) {
+  %r = add i8 %x, %STEP%
+  ret i8 %r
+}
+""")
+        cache = reset_global_plan_cache()
+        check_refinement(src.get_function("f"), tgt.get_function("f"),
+                         src, tgt, RefinementConfig(max_inputs=8))
+        assert len(cache) == 2
+        watched = weakref.ref(src)
+        del src, tgt
+        gc.collect()
+        assert watched() is None
+
+
+def _branching_into(text, constant):
+    """``@f`` whose false edge leaves for a block of ``@g``: IR no
+    compiler here accepts and the plan key cannot tell apart."""
+    module = parsed(text.replace("%RESULT%", str(constant)))
+    branch = module.get_function("f").blocks[0].instructions[-1]
+    branch.set_operand(2, module.get_function("g").blocks[1])
+    return module
+
+
+FOREIGN = """
+define i8 @f(i8 %x) {
+entry:
+  %c = icmp ult i8 %x, 10
+  br i1 %c, label %small, label %big
+small:
+  %a = add i8 %x, 1
+  ret i8 %a
+big:
+  ret i8 %x
+}
+
+define i8 @g(i8 %y) {
+entry:
+  br label %out
+out:
+  ret i8 %RESULT%
+}
+"""
+
+MODES = {
+    "batched": dict(),
+    "scalar": dict(batched=False),
+    "tree-walk": dict(compiled=False),
+}
+
+
+class TestCompileFailureParity:
+    """A function the compilers decline is tree-walked: same verdicts in
+    every mode, one ``fallback`` per plan key."""
+
+    @staticmethod
+    def _check(src, tgt, **mode):
+        return check_refinement(
+            src.get_function("f"), tgt.get_function("f"), src, tgt,
+            RefinementConfig(max_inputs=12, **mode))
+
+    @staticmethod
+    def _key(result):
+        return (result.verdict, result.inputs_checked,
+                result.inconclusive_inputs, str(result.counterexample))
+
+    def test_foreign_block_is_declined_at_layout(self):
+        src = _branching_into(FOREIGN, 7)
+        cache = PlanCache()
+        assert cache.plan_for(src.get_function("f")) is None
+        assert cache.plan_for(src.get_function("f")) is None
+        assert cache.stats() == (1, 1, 1)
+
+    def test_foreign_block_verdicts_match_in_every_mode(self):
+        src, tgt = _branching_into(FOREIGN, 7), _branching_into(FOREIGN, 8)
+        same = _branching_into(FOREIGN, 7)
+        results = {}
+        for name, mode in MODES.items():
+            cache = reset_global_plan_cache()
+            results[name] = (self._key(self._check(src, tgt, **mode)),
+                             self._key(self._check(src, same, **mode)))
+            # One key (the foreign block is invisible to it), asked for
+            # by four sides: declined once, remembered three times.
+            expected = (0, 0, 0) if name == "tree-walk" else (3, 1, 1)
+            assert cache.stats() == expected, name
+        assert results["tree-walk"][0][0].value == "unsound"
+        assert results["tree-walk"][1][0].value == "correct"
+        assert results["batched"] == results["scalar"] == results["tree-walk"]
+
+    def test_scalar_compiler_tripping_later_flips_the_plan(self, monkeypatch):
+        # Whatever else the scalar compiler trips over surfaces when the
+        # program is first needed; the plan is declined then, once.
+        from repro.tv import compile as compile_module
+
+        text = """
+define i8 @f(i8 %x) {
+  %r = udiv i8 100, %x
+  ret i8 %r
+}
+"""
+        src = parsed(text)
+        tgt = parsed(text.replace("100", "101"))
+        walked = self._key(self._check(src, tgt, compiled=False))
+
+        def trip(self, block, inst):
+            raise KeyError("forced by test")
+
+        monkeypatch.setattr(compile_module._Compiler, "compile_instruction",
+                            trip)
+        cache = reset_global_plan_cache()
+        config = dict(batched=False)
+        assert self._key(self._check(src, tgt, **config)) == walked
+        assert cache.stats() == (0, 2, 2)
+        assert cache.plan_for(src.get_function("f")) is None
+        assert self._key(self._check(src, tgt, **config)) == walked
+        assert cache.stats()[2] == 2
 
 
 class TestInterpreterArena:

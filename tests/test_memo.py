@@ -6,6 +6,7 @@ from repro.fuzz import FuzzConfig, FuzzDriver
 from repro.fuzz.memo import LRUCache
 from repro.mutate import MutatorConfig
 from repro.tv import RefinementConfig
+from repro.tv.compile import PROBATION
 
 from helpers import parsed
 
@@ -84,6 +85,72 @@ class TestLRUCache:
         cache.put("a", 2)
         assert cache.get("a") == 2
         assert len(cache) == 1
+
+    def test_one_shot_keys_never_evict_a_promoted_entry(self):
+        cache = LRUCache(PROBATION + 4)
+        kept = object()
+        cache.put("kept", kept)
+        assert cache.get("kept") is kept      # first hit: promoted
+        for index in range(10 * PROBATION):
+            cache.put(index, index)           # never looked up again
+        assert cache.get("kept") is kept
+        assert len(cache) == PROBATION + 1
+        assert cache.evictions == 9 * PROBATION
+
+    def test_hit_on_probation_promotes_the_same_object(self):
+        cache = LRUCache(PROBATION + 1)
+        value = object()
+        cache.put("recurring", value)
+        assert cache.get("recurring") is value
+        # Promoted: a probation's worth of newer keys does not push it out.
+        for index in range(PROBATION):
+            cache.put(index, index)
+        assert cache.get("recurring") is value
+        assert 0 in cache
+
+    def test_unhit_entry_leaves_after_a_probations_worth_of_puts(self):
+        cache = LRUCache(4 * PROBATION)
+        cache.put("once", 1)
+        for index in range(PROBATION):
+            cache.put(index, index)
+        assert "once" not in cache
+        assert len(cache) == PROBATION
+
+    def test_main_overflow_demotes_least_recently_used(self):
+        cache = LRUCache(PROBATION + 2)
+        for key in ("a", "b", "c"):
+            cache.put(key, key)
+            cache.get(key)
+        # Main holds two: promoting "c" sent "a" back to probation,
+        # where one more hit saves it and nothing else would.
+        assert len(cache) == 3
+        for index in range(PROBATION - 1):
+            cache.put(index, index)
+        assert "a" in cache
+        cache.put("last", 0)
+        assert "a" not in cache
+        assert "b" in cache and "c" in cache
+
+    def test_capacity_one(self):
+        cache = LRUCache(1)
+        cache.put("a", 1)
+        assert cache.get("a") == 1
+        assert cache.get("a") == 1
+        cache.put("b", 2)
+        assert "a" not in cache
+        assert cache.get("b") == 2
+        assert len(cache) == 1
+
+    def test_weights_count_against_capacity(self):
+        cache = LRUCache(10)
+        cache.put("a", 1, weight=4)
+        cache.put("b", 2, weight=4)
+        assert cache.weight == 8
+        cache.put("c", 3, weight=4)           # 12 > 10: "a" goes
+        assert "a" not in cache and cache.weight == 8
+        cache.put("huge", 4, weight=50)       # alone, but still cached
+        assert cache.get("huge") == 4
+        assert len(cache) == 1 and cache.weight == 50
 
 
 class TestFindingParity:

@@ -6,6 +6,7 @@ to its timing-free ``deterministic()`` subset — is identical across
 worker counts and kill/resume cycles.
 """
 
+import gc
 import json
 import pickle
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from repro.fuzz import CampaignConfig, FuzzConfig, FuzzDriver, run_campaign
 from repro.ir.parser import parse_module
 from repro.mutate import MutatorConfig
-from repro.obs import (NULL_TRACER, Histogram, JsonlSnapshotSink,
+from repro.obs import (NULL_TRACER, GcProbe, Histogram, JsonlSnapshotSink,
                        ListTraceSink, MetricsRegistry, ProgressReporter,
                        ThroughputSnapshot, Tracer, campaign_summary,
                        load_summary, tracer_for_path, write_campaign_summary)
@@ -344,6 +345,67 @@ class TestSnapshots:
 
 
 # ---------------------------------------------------------------------------
+# The collector probe.
+# ---------------------------------------------------------------------------
+
+
+class TestGcProbe:
+    def test_counts_collections_per_generation_while_installed(self):
+        metrics = MetricsRegistry()
+        callbacks_before = list(gc.callbacks)
+        with GcProbe(metrics):
+            gc.collect(0)
+            gc.collect(2)
+            gc.collect(2)
+        assert gc.callbacks == callbacks_before
+        gc.collect(2)  # removed: not counted
+        assert metrics.counter("gc.collections.gen0") >= 1
+        assert metrics.counter("gc.collections.gen2") == 2
+        assert metrics.counter("gc.seconds.gen2") > 0
+        assert set(metrics.counters) <= {
+            f"gc.{kind}.gen{generation}"
+            for kind in ("collections", "seconds")
+            for generation in (0, 1, 2)}
+
+    def test_removed_when_the_block_raises(self):
+        callbacks_before = list(gc.callbacks)
+        with pytest.raises(RuntimeError):
+            with GcProbe(MetricsRegistry()):
+                raise RuntimeError("boom")
+        assert gc.callbacks == callbacks_before
+
+    def test_excluded_from_deterministic(self):
+        metrics = MetricsRegistry()
+        metrics.count("mutants.created", 3)
+        with GcProbe(metrics):
+            gc.collect()
+        assert metrics.deterministic()["counters"] == {"mutants.created": 3.0}
+
+    def test_snapshot_and_stats_line(self):
+        metrics = loaded_metrics()      # stage seconds add up to 10
+        metrics.count("gc.seconds.gen0", 0.25)
+        metrics.count("gc.seconds.gen2", 0.75)
+        metrics.count("gc.collections.gen0", 40)
+        metrics.count("gc.collections.gen2", 3)
+        metrics.count("exec.plan_cache.evictions", 12)
+        metrics.gauge_max("exec.plan_cache.slots", 4096)
+        snapshot = ThroughputSnapshot.from_metrics(metrics, 20.0)
+        assert snapshot.gc_seconds == pytest.approx(1.0)
+        assert snapshot.gc_share == pytest.approx(0.1)
+        assert snapshot.gc_full_collections == 3
+        assert "gc 10% (full 3)" in snapshot.progress_line()
+        data = snapshot.to_dict()
+        assert data["gc_share"] == pytest.approx(0.1)
+        assert data["exec_plan_evictions"] == 12
+        assert data["exec_plan_slots"] == 4096
+
+    def test_no_segment_without_collections(self):
+        line = ThroughputSnapshot.from_metrics(loaded_metrics(),
+                                               20.0).progress_line()
+        assert "gc " not in line
+
+
+# ---------------------------------------------------------------------------
 # Driver integration: the loop populates metrics and spans.
 # ---------------------------------------------------------------------------
 
@@ -362,6 +424,27 @@ class TestDriverIntegration:
         assert metrics.histograms["iteration.seconds"].count == 12
         assert sum(metrics.counters_with_prefix("mutate.op.").values()) == \
             sum(report.mutation_counts.values())
+
+    def test_run_owns_a_gc_probe(self):
+        callbacks_before = list(gc.callbacks)
+        seen = []
+
+        class Spy(ProgressReporter):
+            def tick(self, metrics):
+                seen.append(len(gc.callbacks))
+
+        driver = FuzzDriver(parse_module(IR, "t.ll"), small_config(),
+                            progress=Spy())
+        report = driver.run(iterations=200)
+        assert set(seen) == {len(callbacks_before) + 1}
+        assert gc.callbacks == callbacks_before
+        metrics = report.metrics
+        assert metrics.counter("gc.collections.gen0") > 0
+        assert metrics.counter("gc.seconds.gen0") > 0
+        # The plan cache's traffic rides along, outside deterministic().
+        assert metrics.gauges["exec.plan_cache.slots"] > 0
+        assert not any(name.startswith(("gc.", "exec."))
+                       for name in metrics.deterministic()["counters"])
 
     def test_stage_seconds_match_timings(self):
         driver = FuzzDriver(parse_module(IR, "t.ll"), small_config())
@@ -473,6 +556,11 @@ class TestSummary:
         assert set(data["stage_share"]) == {"mutate", "optimize", "verify"}
         assert data["failed_shards"] == 0
         assert 0.0 <= data["valid_mutant_rate"] <= 1.0
+        assert 0.0 <= data["gc_share"] < 1.0
+        assert data["gc_seconds"] >= 0.0
+        assert data["gc_full_collections"] >= 0
+        assert data["exec_plan_slots"] > 0
+        assert data["exec_plan_evictions"] >= 0
 
     def test_campaign_summary_is_duck_typed(self):
         class FakeReport:

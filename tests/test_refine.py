@@ -2,11 +2,17 @@
 nondeterminism handling, and input generation."""
 
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.fuzz.seeds import ARCHETYPES, generate_corpus
+from repro.ir import parse_module
+from repro.mutate import Mutator, MutatorConfig
 from repro.tv import (Outcome, POISON, RefinementConfig, Verdict,
                       check_function_supported, check_module_refinement,
                       check_refinement, generate_inputs, outcome_refines,
-                      value_refines)
-from repro.tv.refine import PointerInput, memory_refines
+                      reset_input_cache, value_refines)
+from repro.tv.refine import PointerInput, _inputs_for, memory_refines
 from repro.tv.memory import UNDEF_BYTE
 from repro.tv.memory import POISON as POISON_BYTE
 
@@ -333,3 +339,105 @@ define i32 @f(i32 %x) {
         a = generate_inputs(fn, RefinementConfig(seed=5))
         b = generate_inputs(fn, RefinementConfig(seed=5))
         assert a == b
+
+
+POINTER_VARIANTS = [
+    "ptr %p, ptr %q",
+    "ptr nonnull %p, ptr %q",
+    "ptr %p, ptr nonnull %q",
+    "ptr noalias %p, ptr %q",
+    "ptr %p, ptr noalias %q",
+    "ptr dereferenceable(32) %p, ptr %q",
+    "ptr %p, ptr dereferenceable(8) %q",
+    "ptr %a, ptr %q",
+    "ptr %p, i8 %q",
+]
+
+
+class TestInputCacheKey:
+    """``_inputs_for`` caches under exactly what ``generate_inputs``
+    reads, so a hit can never hand back another function's inputs."""
+
+    CONFIG = RefinementConfig(max_inputs=24)
+
+    def test_pointer_attributes_and_names_are_in_the_key(self):
+        functions = [parsed(f"""
+define i8 @f({params}) {{
+  ret i8 0
+}}
+""").get_function("f") for params in POINTER_VARIANTS]
+        # Warm the cache with every variant, then read each back.
+        for function in functions:
+            _inputs_for(function, self.CONFIG)
+        fresh = [tuple(generate_inputs(function, self.CONFIG))
+                 for function in functions]
+        assert [_inputs_for(function, self.CONFIG)
+                for function in functions] == fresh
+        # (The variants do differ: most of them in their input sets.)
+        assert len(set(fresh)) >= 6
+
+    def test_pool_constants_beyond_the_eighth_do_not_matter(self):
+        def summing(constants):
+            body = "\n".join(
+                f"  %v{index + 1} = add i32 %v{index}, {constant}"
+                for index, constant in enumerate(constants))
+            return parsed(f"""
+define i32 @f(i32 %v0) {{
+{body}
+  ret i32 %v{len(constants)}
+}}
+""").get_function("f")
+
+        first = summing(range(100, 110))
+        same_eight = summing(list(range(100, 108)) + [7, 9])
+        other_eight = summing([99] + list(range(101, 110)))
+        assert _inputs_for(first, self.CONFIG) is \
+            _inputs_for(same_eight, self.CONFIG)
+        assert _inputs_for(other_eight, self.CONFIG) == \
+            tuple(generate_inputs(other_eight, self.CONFIG))
+        assert _inputs_for(other_eight, self.CONFIG) != \
+            _inputs_for(first, self.CONFIG)
+
+    def test_reset_drops_every_input_set(self):
+        function = parsed("""
+define i8 @f(i8 %x) {
+  ret i8 %x
+}
+""").get_function("f")
+        before = _inputs_for(function, self.CONFIG)
+        assert _inputs_for(function, self.CONFIG) is before
+        reset_input_cache()
+        after = _inputs_for(function, self.CONFIG)
+        assert after == before and after is not before
+
+
+PROPERTY_CORPUS = generate_corpus(len(ARCHETYPES), seed=2024)
+
+
+def _assert_cache_is_transparent(module, config):
+    for function in module.definitions():
+        assert _inputs_for(function, config) == \
+            tuple(generate_inputs(function, config)), function.name
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(file_index=st.integers(0, len(PROPERTY_CORPUS) - 1),
+       seed=st.integers(0, 2**31), max_inputs=st.sampled_from([2, 16, 64]),
+       cold=st.booleans())
+def test_input_cache_is_transparent_on_mutants(file_index, seed, max_inputs,
+                                               cold):
+    """Cold, or warm with the seed file's own input sets and those of
+    every mutant an earlier example made: the cached answer is the one
+    ``generate_inputs`` gives for this very function."""
+    name, text = PROPERTY_CORPUS[file_index]
+    module = parse_module(text, name)
+    config = RefinementConfig(max_inputs=max_inputs, seed=seed & 0xFF)
+    if cold:
+        reset_input_cache()
+    else:
+        _assert_cache_is_transparent(module, config)
+    mutator = Mutator(module, MutatorConfig(max_mutations=4))
+    for offset in range(3):
+        mutant, _ = mutator.create_mutant(seed + offset)
+        _assert_cache_is_transparent(mutant, config)
