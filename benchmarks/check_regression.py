@@ -54,7 +54,29 @@ GATES = [
     # floor 2.0 - 25% = 1.5x: the E9 acceptance criterion.
     ("feedback", "BENCH_feedback.json", "speedup", "floor"),
     ("incremental_opt", "BENCH_incremental_opt.json", "findings", "exact"),
-    # floor 2.0 - 25% = 1.5x: the E11 acceptance criterion.
+    # E11 compares mutation-seeded worklists + skip memos against
+    # whole-function runs of the same passes.  Since the scan passes
+    # reach their fixpoint from a worklist in both legs (later sweeps
+    # visit only what a rewrite affected), the whole-function leg no
+    # longer re-sweeps 39 clean blocks and the ratio shrank with the layer
+    # it measured.  Ten alternating runs of parent and change, same box:
+    #   quick  incremental leg 0.099 -> 0.097 s per 20-mutant round,
+    #          full leg 0.258 -> 0.160 s, ratio 2.42-2.95 (median 2.66)
+    #          -> 1.52-1.89 (median 1.67)
+    #   full   incremental leg 0.384 -> 0.428 s per 60-mutant round (the
+    #          box ran in two speed states 1.6x apart; both sides 0.26 at
+    #          best), full leg 0.890 -> 0.573 s, ratio 1.52-3.11 (median
+    #          2.41) -> 1.09-1.60 (median 1.52)
+    # What is gated instead of "at least 2x": each leg's own rate
+    # (mutants per second of optimize stage) against the parent's —
+    # baseline = half the parent's median (quick 203 and 77 per second,
+    # full 156 and 67), as conservative as the other absolute floors here
+    # because one box already spans 1.6x — and the ratio keeps a floor of
+    # 1.4 - 25 % = 1.05x, i.e. the incremental leg must still win.
+    ("incremental_opt", "BENCH_incremental_opt.json", "incremental_opt_rate",
+     "floor"),
+    ("incremental_opt", "BENCH_incremental_opt.json", "full_opt_rate",
+     "floor"),
     ("incremental_opt", "BENCH_incremental_opt.json", "optimize_speedup",
      "floor"),
     ("incremental_opt", "BENCH_incremental_opt.json", "worklist_runs",

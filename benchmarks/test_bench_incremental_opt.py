@@ -6,7 +6,10 @@ no-change outcomes for repeated shapes, worklist-driven scan passes
 revisit only the mutation's dirty blocks, and refingerprint budgeting
 caps whole-function re-hashes for fresh mutants.  The ablation
 (``--no-incremental-opt`` / ``FuzzConfig(incremental=False)``) runs every
-pass over every function, the classic full-pipeline loop.
+pass over every function from a whole-function worklist.  (How a scan
+pass reaches its fixpoint — first sweep over its worklist, later sweeps
+over what the rewrites affected — is the same in both legs; the
+ablation switches off only what is seeded from the mutation.)
 
 The workload is shaped like real fuzzing corpora after a few rounds of
 growth: one function with many *dataflow-local* blocks (each block
@@ -139,6 +142,10 @@ def test_bench_incremental_opt_ablation(benchmark):
         "mutants_per_round": BATCH,
         "incremental_opt_best_round": round(opt_seconds["incremental"], 6),
         "full_opt_best_round": round(opt_seconds["full"], 6),
+        # Mutants per second of optimize stage, each leg's best round:
+        # the absolute numbers behind the ratio, gated on their own.
+        "incremental_opt_rate": round(BATCH / opt_seconds["incremental"], 3),
+        "full_opt_rate": round(BATCH / opt_seconds["full"], 3),
         "optimize_speedup": round(speedup, 4),
         "mutants_per_sec": round(BATCH / wall["incremental"], 3),
         "skip_rate": round(skip_rate, 6),
@@ -159,10 +166,17 @@ def test_bench_incremental_opt_ablation(benchmark):
     write_report("incremental_opt_ablation.txt", report)
     print("\n" + report)
 
-    # Acceptance floor: incremental optimization must at least halve the
-    # optimize stage on this workload, and the worklist machinery must
-    # actually have engaged (not just the skip memos).
-    assert speedup >= 2.0
+    # Acceptance floor: mutation-seeded worklists and skip memos must
+    # still buy a clear margin over whole-function runs, and the worklist
+    # machinery must actually have engaged (not just the skip memos).
+    # The floor was 2.0 while a whole-function run re-swept all 40 blocks
+    # to confirm its fixpoint; now its later sweeps visit only what its
+    # rewrites affected, that leg is ~38 % faster, and ten recorded runs
+    # per mode read 1.52-1.89 (quick, median 1.67) and 1.09-1.60 (full,
+    # median 1.52; the two runs under 1.46 caught a machine slowdown in
+    # one leg only).  See the comment above the gate in
+    # check_regression.py for the runs.
+    assert speedup >= 1.25
     assert worklist_runs > 0
 
 

@@ -3,47 +3,54 @@
 The InstCombine-style peephole rules use this to justify transforms
 ("the top bits are known zero, so this zext-of-trunc is a no-op").
 Soundness of this analysis is property-tested against the concrete
-interpreter.
+interpreter, and every transfer function is pinned exhaustively at
+widths 1-4 (``tests/test_knownbits_exhaustive.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from ..ir.instructions import (BinaryOperator, CallInst, CastInst, FreezeInst,
-                               ICmpInst, Instruction, PhiNode, SelectInst)
+from ..ir.instructions import (BinaryOperator, CallInst, CastInst,
+                               Instruction, PhiNode, SelectInst)
 from ..ir.types import IntType
-from ..ir.values import ConstantInt, PoisonValue, UndefValue, Value
+from ..ir.values import ConstantInt, Value
 
 MAX_DEPTH = 6
 
 
-@dataclass
-class KnownBits:
-    """Bit-level facts: ``zero`` has a 1 where the bit is known 0, ``one``
-    where it is known 1.  ``zero & one == 0`` always holds."""
-
+class _Fields(NamedTuple):
     width: int
     zero: int = 0
     one: int = 0
 
-    def __post_init__(self) -> None:
-        mask = (1 << self.width) - 1
-        self.zero &= mask
-        self.one &= mask
-        if self.zero & self.one:
+
+class KnownBits(_Fields):
+    """Bit-level facts: ``zero`` has a 1 where the bit is known 0, ``one``
+    where it is known 1.  ``zero & one == 0`` always holds.
+
+    Immutable: a :class:`KnownBitsMemo` hands one object to every caller.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, width: int, zero: int = 0, one: int = 0) -> "KnownBits":
+        mask = (1 << width) - 1
+        zero &= mask
+        one &= mask
+        if zero & one:
             raise ValueError("conflicting known bits")
+        return _new(cls, (width, zero, one))
 
     @classmethod
     def unknown(cls, width: int) -> "KnownBits":
-        return cls(width)
+        return _new(cls, (width, 0, 0))
 
     @classmethod
     def constant(cls, width: int, value: int) -> "KnownBits":
         mask = (1 << width) - 1
         value &= mask
-        return cls(width, zero=~value & mask, one=value)
+        return _new(cls, (width, ~value & mask, value))
 
     @property
     def mask(self) -> int:
@@ -81,224 +88,251 @@ class KnownBits:
         return (value & self.zero) == 0 and (value & self.one) == self.one
 
     def count_leading_known_zeros(self) -> int:
-        count = 0
-        for bit in range(self.width - 1, -1, -1):
-            if self.zero >> bit & 1:
-                count += 1
-            else:
-                break
-        return count
+        return self.width - (self.mask & ~self.zero).bit_length()
+
+    def count_leading_known_ones(self) -> int:
+        return self.width - (self.mask & ~self.one).bit_length()
+
+    def count_trailing_known_zeros(self) -> int:
+        # ~zero & (zero + 1) isolates the lowest bit not known zero.
+        return (~self.zero & (self.zero + 1)).bit_length() - 1
+
+    # The results below need no re-masking and cannot conflict when both
+    # operands are consistent and share a width, which one IR operation's
+    # operands do.
 
     def __and__(self, other: "KnownBits") -> "KnownBits":
-        return KnownBits(self.width,
-                         zero=self.zero | other.zero,
-                         one=self.one & other.one)
+        return _new(KnownBits, (self.width, self.zero | other.zero,
+                                 self.one & other.one))
 
     def __or__(self, other: "KnownBits") -> "KnownBits":
-        return KnownBits(self.width,
-                         zero=self.zero & other.zero,
-                         one=self.one | other.one)
+        return _new(KnownBits, (self.width, self.zero & other.zero,
+                                 self.one | other.one))
 
     def __xor__(self, other: "KnownBits") -> "KnownBits":
         known = (self.zero | self.one) & (other.zero | other.one)
         ones = (self.one ^ other.one) & known
-        return KnownBits(self.width, zero=known & ~ones, one=ones)
+        return _new(KnownBits, (self.width, known & ~ones, ones))
 
     def intersect(self, other: "KnownBits") -> "KnownBits":
         """Facts true on both paths (for select/phi merging)."""
-        return KnownBits(self.width,
-                         zero=self.zero & other.zero,
-                         one=self.one & other.one)
+        return _new(KnownBits, (self.width, self.zero & other.zero,
+                                 self.one & other.one))
 
 
-def compute_known_bits(value: Value, depth: int = 0) -> KnownBits:
+# The unchecked constructor: for results already masked and conflict-free.
+_new = tuple.__new__
+
+
+class KnownBitsMemo:
+    """Known bits of instructions, valid until the next rewrite.
+
+    One scan-pass run owns one memo and clears it whenever it rewrites
+    the function, so an entry never outlives the IR it was computed from.
+    An entry keeps, next to the result, the *height* of the recursion that
+    produced it: the number of levels of instructions it evaluated (a phi
+    needs one level more, for its own ``depth + 1 >= MAX_DEPTH`` test).
+    The entry answers a lookup at depth ``d`` only when
+    ``d + height <= MAX_DEPTH`` — exactly when the uncached recursion
+    from ``d`` would not meet the depth cap either — and a result the cap
+    cut short is never stored, so a hit returns what recomputing would.
+
+    ``queries`` counts instruction lookups at any depth, ``hits`` the
+    ones answered from an entry.
+    """
+
+    __slots__ = ("_entries", "_reach", "queries", "hits")
+
+    def __init__(self) -> None:
+        self._entries: Dict[Instruction, Tuple[KnownBits, int]] = {}
+        # While a lookup is being computed: the deepest level (exclusive)
+        # its recursion has needed so far.
+        self._reach = 0
+        self.queries = 0
+        self.hits = 0
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def need(self, level: int) -> None:
+        """The lookup being computed depends on ``level`` existing."""
+        if level > self._reach:
+            self._reach = level
+
+    def lookup(self, inst: Instruction, depth: int) -> KnownBits:
+        self.queries += 1
+        entry = self._entries.get(inst)
+        if entry is not None and depth + entry[1] <= MAX_DEPTH:
+            self.hits += 1
+            known, height = entry
+        elif depth >= MAX_DEPTH:
+            known, height = KnownBits.unknown(inst.type.width), 1
+        else:
+            outer, self._reach = self._reach, depth + 1
+            known = _known_bits_instruction(inst, depth, self)
+            height = self._reach - depth
+            self._reach = outer
+            if depth + height <= MAX_DEPTH:
+                self._entries[inst] = (known, height)
+        if depth + height > self._reach:
+            self._reach = depth + height
+        return known
+
+
+def compute_known_bits(value: Value, depth: int = 0,
+                       memo: Optional[KnownBitsMemo] = None) -> KnownBits:
     """Conservative known-bits for an integer-typed SSA value."""
+    if isinstance(value, ConstantInt):
+        return KnownBits.constant(value.type.width, value.value)
     if not isinstance(value.type, IntType):
         raise ValueError("known bits only defined for integers")
-    width = value.type.width
-    if isinstance(value, ConstantInt):
-        return KnownBits.constant(width, value.value)
-    if isinstance(value, (UndefValue, PoisonValue)):
-        # Undef/poison may be folded to anything; claim nothing.
-        return KnownBits.unknown(width)
-    if depth >= MAX_DEPTH or not isinstance(value, Instruction):
-        return KnownBits.unknown(width)
-    return _known_bits_instruction(value, depth)
+    if not isinstance(value, Instruction):
+        # Arguments and globals; undef/poison may be folded to anything.
+        return KnownBits.unknown(value.type.width)
+    if memo is not None:
+        return memo.lookup(value, depth)
+    if depth >= MAX_DEPTH:
+        return KnownBits.unknown(value.type.width)
+    return _known_bits_instruction(value, depth, None)
 
 
-def _known_bits_instruction(inst: Instruction, depth: int) -> KnownBits:
+def _known_bits_instruction(inst: Instruction, depth: int,
+                            memo: Optional[KnownBitsMemo]) -> KnownBits:
     width = inst.type.width
-    def recurse(v):
-        return compute_known_bits(v, depth + 1)
+    mask = (1 << width) - 1
+    depth += 1  # the operands' level
 
     if isinstance(inst, BinaryOperator):
         opcode = inst.opcode
         if opcode == "and":
-            return recurse(inst.lhs) & recurse(inst.rhs)
+            return (compute_known_bits(inst.lhs, depth, memo)
+                    & compute_known_bits(inst.rhs, depth, memo))
         if opcode == "or":
-            return recurse(inst.lhs) | recurse(inst.rhs)
+            return (compute_known_bits(inst.lhs, depth, memo)
+                    | compute_known_bits(inst.rhs, depth, memo))
         if opcode == "xor":
-            return recurse(inst.lhs) ^ recurse(inst.rhs)
+            return (compute_known_bits(inst.lhs, depth, memo)
+                    ^ compute_known_bits(inst.rhs, depth, memo))
         if opcode in ("add", "sub"):
-            return _known_bits_addsub(opcode, recurse(inst.lhs),
-                                      recurse(inst.rhs), width)
+            return _known_bits_addsub(
+                opcode, compute_known_bits(inst.lhs, depth, memo),
+                compute_known_bits(inst.rhs, depth, memo), width)
         if opcode == "mul":
-            return _known_bits_mul(recurse(inst.lhs), recurse(inst.rhs), width)
+            return _known_bits_mul(compute_known_bits(inst.lhs, depth, memo),
+                                   compute_known_bits(inst.rhs, depth, memo),
+                                   width)
         if opcode == "shl" and isinstance(inst.rhs, ConstantInt):
             shift = inst.rhs.value
             if shift >= width:
                 return KnownBits.unknown(width)  # poison; claim nothing
-            known = recurse(inst.lhs)
-            mask = (1 << width) - 1
-            return KnownBits(width,
-                             zero=((known.zero << shift) | ((1 << shift) - 1)) & mask,
-                             one=(known.one << shift) & mask)
+            known = compute_known_bits(inst.lhs, depth, memo)
+            return _new(KnownBits, (
+                width, ((known.zero << shift) | ((1 << shift) - 1)) & mask,
+                (known.one << shift) & mask))
         if opcode == "lshr" and isinstance(inst.rhs, ConstantInt):
             shift = inst.rhs.value
             if shift >= width:
                 return KnownBits.unknown(width)
-            known = recurse(inst.lhs)
-            mask = (1 << width) - 1
+            known = compute_known_bits(inst.lhs, depth, memo)
             high_zeros = mask & ~(mask >> shift)
-            return KnownBits(width,
-                             zero=(known.zero >> shift) | high_zeros,
-                             one=known.one >> shift)
+            return _new(KnownBits, (width, (known.zero >> shift) | high_zeros,
+                                    known.one >> shift))
         if opcode == "ashr" and isinstance(inst.rhs, ConstantInt):
             shift = inst.rhs.value
             if shift >= width:
                 return KnownBits.unknown(width)
-            known = recurse(inst.lhs)
-            sign_known_zero = bool(known.zero >> (width - 1))
-            sign_known_one = bool(known.one >> (width - 1))
-            mask = (1 << width) - 1
+            known = compute_known_bits(inst.lhs, depth, memo)
             zero = known.zero >> shift
             one = known.one >> shift
             high = mask & ~(mask >> shift)
-            if sign_known_zero:
+            if known.zero >> (width - 1):
                 zero |= high
-            elif sign_known_one:
+            elif known.one >> (width - 1):
                 one |= high
-            return KnownBits(width, zero=zero, one=one)
-        if opcode in ("udiv", "urem") and isinstance(inst.rhs, ConstantInt) \
+            return _new(KnownBits, (width, zero, one))
+        if opcode == "urem" and isinstance(inst.rhs, ConstantInt) \
                 and inst.rhs.value != 0:
-            if opcode == "urem":
-                # Result < divisor: high bits above divisor's top bit are 0.
-                divisor = inst.rhs.value
-                top = divisor.bit_length()
-                mask = (1 << width) - 1
-                return KnownBits(width, zero=mask & ~((1 << top) - 1))
-            return KnownBits.unknown(width)
+            # Result < divisor: high bits above divisor's top bit are 0.
+            top = inst.rhs.value.bit_length()
+            return _new(KnownBits, (width, mask & ~((1 << top) - 1), 0))
         return KnownBits.unknown(width)
 
     if isinstance(inst, CastInst):
         if inst.opcode == "zext":
-            src = compute_known_bits(inst.value, depth + 1)
-            mask = (1 << width) - 1
-            high = mask & ~src.mask
-            return KnownBits(width, zero=src.zero | high, one=src.one)
+            src = compute_known_bits(inst.value, depth, memo)
+            return _new(KnownBits, (width, src.zero | (mask & ~src.mask),
+                                    src.one))
         if inst.opcode == "trunc":
-            src = compute_known_bits(inst.value, depth + 1)
-            mask = (1 << width) - 1
-            return KnownBits(width, zero=src.zero & mask, one=src.one & mask)
+            src = compute_known_bits(inst.value, depth, memo)
+            return _new(KnownBits, (width, src.zero & mask, src.one & mask))
         if inst.opcode == "sext":
-            src = compute_known_bits(inst.value, depth + 1)
-            src_width = src.width
-            mask = (1 << width) - 1
+            src = compute_known_bits(inst.value, depth, memo)
             high = mask & ~src.mask
-            if src.zero >> (src_width - 1) & 1:
-                return KnownBits(width, zero=src.zero | high, one=src.one)
-            if src.one >> (src_width - 1) & 1:
-                return KnownBits(width, zero=src.zero, one=src.one | high)
-            return KnownBits(width, zero=src.zero & (src.mask >> 1),
-                             one=src.one & (src.mask >> 1))
+            if src.zero >> (src.width - 1):
+                return _new(KnownBits, (width, src.zero | high, src.one))
+            if src.one >> (src.width - 1):
+                return _new(KnownBits, (width, src.zero, src.one | high))
+            return _new(KnownBits, (width, src.zero, src.one))
         return KnownBits.unknown(width)
 
     if isinstance(inst, SelectInst):
-        true_known = compute_known_bits(inst.true_value, depth + 1)
-        false_known = compute_known_bits(inst.false_value, depth + 1)
-        return true_known.intersect(false_known)
-
-    if isinstance(inst, FreezeInst) and isinstance(inst.value.type, IntType):
-        # freeze only narrows nondeterminism; facts about the input hold
-        # for non-poison inputs, but a poison input may become anything,
-        # so claim nothing.
-        return KnownBits.unknown(width)
+        return compute_known_bits(inst.true_value, depth, memo).intersect(
+            compute_known_bits(inst.false_value, depth, memo))
 
     if isinstance(inst, PhiNode):
+        if memo is not None:
+            memo.need(depth + 1)
         merged: Optional[KnownBits] = None
         for incoming_value, _ in inst.incoming():
-            if depth + 1 >= MAX_DEPTH:
+            if depth >= MAX_DEPTH:
                 return KnownBits.unknown(width)
-            known = compute_known_bits(incoming_value, depth + 1)
+            known = compute_known_bits(incoming_value, depth, memo)
             merged = known if merged is None else merged.intersect(known)
         return merged if merged is not None else KnownBits.unknown(width)
-
-    if isinstance(inst, ICmpInst):
-        return KnownBits.unknown(width)
 
     if isinstance(inst, CallInst):
         base = inst.intrinsic_name()
         if base in ("llvm.umin", "llvm.umax") and len(inst.args) == 2:
-            lhs = compute_known_bits(inst.args[0], depth + 1)
-            rhs = compute_known_bits(inst.args[1], depth + 1)
             # Common leading bits of both bounds are preserved only in
             # special cases; keep it simple and sound: intersect.
-            return lhs.intersect(rhs)
+            return compute_known_bits(inst.args[0], depth, memo).intersect(
+                compute_known_bits(inst.args[1], depth, memo))
         if base == "llvm.ctpop":
-            top = inst.type.width.bit_length()
-            mask = (1 << width) - 1
-            return KnownBits(width, zero=mask & ~((1 << top) - 1))
+            top = width.bit_length()
+            return _new(KnownBits, (width, mask & ~((1 << top) - 1), 0))
         return KnownBits.unknown(width)
 
+    # freeze: facts about the input hold for non-poison inputs, but a
+    # poison input may become anything, so claim nothing.  icmp and the
+    # rest: nothing tracked.
     return KnownBits.unknown(width)
 
 
 def _known_bits_addsub(opcode: str, lhs: KnownBits, rhs: KnownBits,
                        width: int) -> KnownBits:
-    """Ripple known bits through add/sub from the bottom until uncertain."""
-    mask = (1 << width) - 1
+    """Known bits of add/sub over the low bits both operands fully know.
+
+    Deliberately no stronger than "ripple from bit 0 until the first
+    unknown operand bit": everything above that prefix is unknown.
+    """
+    known = (lhs.zero | lhs.one) & (rhs.zero | rhs.one)
+    low = ~known & (known + 1)  # 1 << (length of the fully-known prefix)
+    low -= 1
     if opcode == "sub":
-        # a - b == a + ~b + 1; rewrite rhs and start with carry-in 1.
-        rhs = KnownBits(width, zero=rhs.one, one=rhs.zero)
-        carry = True
+        # a - b == a + ~b + 1
+        total = (lhs.one & low) + (rhs.zero & low) + 1
     else:
-        carry = False
-    zero = one = 0
-    carry_known = True
-    for bit in range(width):
-        lhs_known = bool((lhs.zero | lhs.one) >> bit & 1)
-        rhs_known = bool((rhs.zero | rhs.one) >> bit & 1)
-        if not (lhs_known and rhs_known and carry_known):
-            carry_known = False
-            continue
-        lhs_bit = bool(lhs.one >> bit & 1)
-        rhs_bit = bool(rhs.one >> bit & 1)
-        total = int(lhs_bit) + int(rhs_bit) + int(carry)
-        if total & 1:
-            one |= 1 << bit
-        else:
-            zero |= 1 << bit
-        carry = total >= 2
-    return KnownBits(width, zero=zero & mask, one=one & mask)
+        total = (lhs.one & low) + (rhs.one & low)
+    return _new(KnownBits, (width, ~total & low, total & low))
 
 
 def _known_bits_mul(lhs: KnownBits, rhs: KnownBits, width: int) -> KnownBits:
     """Low-bit tracking: trailing zeros add; a fully-known product folds."""
     if lhs.is_constant() and rhs.is_constant():
-        return KnownBits.constant(width, lhs.constant_value() * rhs.constant_value())
-    trailing = _trailing_known_zeros(lhs) + _trailing_known_zeros(rhs)
-    trailing = min(trailing, width)
-    return KnownBits(width, zero=(1 << trailing) - 1)
-
-
-def _trailing_known_zeros(known: KnownBits) -> int:
-    count = 0
-    for bit in range(known.width):
-        if known.zero >> bit & 1:
-            count += 1
-        else:
-            break
-    return count
+        return KnownBits.constant(width, lhs.one * rhs.one)
+    trailing = min(lhs.count_trailing_known_zeros()
+                   + rhs.count_trailing_known_zeros(), width)
+    return _new(KnownBits, (width, (1 << trailing) - 1, 0))
 
 
 # -- derived predicates -------------------------------------------------------
@@ -318,12 +352,13 @@ def is_known_non_zero(value: Value, depth: int = 0) -> bool:
     return False
 
 
-def is_known_non_negative(value: Value, depth: int = 0) -> bool:
+def is_known_non_negative(value: Value, depth: int = 0,
+                          memo: Optional[KnownBitsMemo] = None) -> bool:
     if not isinstance(value.type, IntType):
         return False
     if isinstance(value, CastInst) and value.opcode == "zext":
         return True
-    return compute_known_bits(value, depth).is_non_negative()
+    return compute_known_bits(value, depth, memo).is_non_negative()
 
 
 def compute_num_sign_bits(value: Value, depth: int = 0) -> int:
@@ -354,15 +389,5 @@ def compute_num_sign_bits(value: Value, depth: int = 0) -> int:
         return min(compute_num_sign_bits(value.true_value, depth + 1),
                    compute_num_sign_bits(value.false_value, depth + 1))
     known = compute_known_bits(value, depth)
-    count = 1
-    top = width - 1
-    if known.zero >> top & 1:
-        count = known.count_leading_known_zeros()
-    elif known.one >> top & 1:
-        count = 0
-        for bit in range(width - 1, -1, -1):
-            if known.one >> bit & 1:
-                count += 1
-            else:
-                break
-    return max(1, count)
+    return max(1, known.count_leading_known_zeros(),
+               known.count_leading_known_ones())

@@ -444,11 +444,8 @@ def _fuzz_one(path: str, config: FuzzConfig, args) -> int:
             tracer.close()
     if progress is not None:
         snapshot = progress.emit(driver.metrics)
-        if snapshot.pass_seconds:
-            breakdown = " ".join(
-                f"{name} {seconds:.2f}s"
-                for name, seconds in sorted(snapshot.pass_seconds.items(),
-                                            key=lambda item: -item[1]))
+        breakdown = snapshot.pass_breakdown()
+        if breakdown:
             print(f"alive-mutate: optimize passes: {breakdown}",
                   file=sys.stderr)
     if args.metrics_out:
@@ -592,12 +589,8 @@ def _fuzz_sharded(config: FuzzConfig, args) -> int:
             snapshot = ThroughputSnapshot.from_metrics(merged, elapsed)
             print(f"alive-mutate: total: {snapshot.progress_line()}",
                   file=sys.stderr)
-            if snapshot.pass_seconds:
-                breakdown = " ".join(
-                    f"{name} {seconds:.2f}s"
-                    for name, seconds in sorted(
-                        snapshot.pass_seconds.items(),
-                        key=lambda item: -item[1]))
+            breakdown = snapshot.pass_breakdown()
+            if breakdown:
                 print(f"alive-mutate: optimize passes: {breakdown}",
                       file=sys.stderr)
         if args.metrics_out:

@@ -209,7 +209,8 @@ class MetricsRegistry:
     def deterministic(self) -> dict:
         """The run-invariant subset: no ``.seconds`` metrics, no gauges,
         no ``campaign.retry.*``, ``cache.*``, ``clone.*``, ``exec.*``,
-        ``dist.*``, ``chaos.*`` or ``gc.*`` counters.
+        ``dist.*``, ``chaos.*``, ``gc.*``, ``opt.scan.*`` or
+        ``opt.knownbits.*`` counters.
 
         For a fixed campaign configuration this subset is identical
         across worker counts and kill/resume cycles — what legitimately
@@ -241,6 +242,10 @@ class MetricsRegistry:
         ``gc.*`` is the cyclic collector's bookkeeping
         (:mod:`repro.obs.gcprobe`): when a collection runs depends on
         everything the process allocated before, not on the job.
+        ``opt.scan.*`` / ``opt.knownbits.*`` count the work the scan
+        passes did (instructions visited, known-bits lookups and memo
+        hits), which like ``opt.incremental.*`` follows memo warmth and
+        the ``--no-incremental-opt`` ablation, not the IR produced.
         """
 
         def varies(name: str) -> bool:
@@ -253,6 +258,8 @@ class MetricsRegistry:
                 or name.startswith("dist.")
                 or name.startswith("chaos.")
                 or name.startswith("opt.incremental.")
+                or name.startswith("opt.scan.")
+                or name.startswith("opt.knownbits.")
                 or name.startswith("wire.")
                 or name.startswith("bitcode.")
                 or name.startswith("net.")

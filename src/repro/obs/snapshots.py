@@ -99,6 +99,12 @@ class ThroughputSnapshot:
     incremental_skip_rate: float = 0.0
     incremental_worklist_runs: int = 0
     pass_seconds: Dict[str, float] = field(default_factory=dict)
+    # Work done by the scan passes (constfold / instsimplify /
+    # instcombine): instructions visited over all sweeps, known-bits
+    # lookups, and the share of those answered by the per-run memo.
+    scan_visits: int = 0
+    knownbits_queries: int = 0
+    knownbits_hit_rate: float = 0.0
     # Transport tier (repro.fuzz.wire / repro.fuzz.net): bytes on the
     # socket, the per-node blob-transfer cache's hit rate, and the
     # decode LRU's hit rate.  All 0 on single-host campaigns or the
@@ -149,6 +155,8 @@ class ThroughputSnapshot:
             for name, seconds in metrics.counters_with_prefix(prefix).items()
             if name.endswith(suffix)
         }
+        kb_queries = metrics.counter("opt.knownbits.queries")
+        kb_hits = metrics.counter("opt.knownbits.memo_hits")
         blob_hits = metrics.counter("wire.blob_cache.hit")
         blob_total = blob_hits + metrics.counter("wire.blob_cache.miss")
         decode_hits = metrics.counter("bitcode.decode_cache.hit")
@@ -206,6 +214,9 @@ class ThroughputSnapshot:
                 metrics.counter("opt.incremental.worklist_runs")
             ),
             pass_seconds=pass_seconds,
+            scan_visits=int(metrics.counter("opt.scan.visits")),
+            knownbits_queries=int(kb_queries),
+            knownbits_hit_rate=kb_hits / kb_queries if kb_queries else 0.0,
             wire_bytes_sent=int(metrics.counter("wire.bytes.sent")),
             blob_hit_rate=blob_hits / blob_total if blob_total else 0.0,
             decode_hit_rate=(
@@ -257,6 +268,9 @@ class ThroughputSnapshot:
                 name: round(seconds, 6)
                 for name, seconds in sorted(self.pass_seconds.items())
             },
+            "scan_visits": self.scan_visits,
+            "knownbits_queries": self.knownbits_queries,
+            "knownbits_hit_rate": round(self.knownbits_hit_rate, 6),
             "wire_bytes_sent": self.wire_bytes_sent,
             "blob_hit_rate": round(self.blob_hit_rate, 6),
             "decode_hit_rate": round(self.decode_hit_rate, 6),
@@ -311,6 +325,25 @@ class ThroughputSnapshot:
             line += (
                 f" | {self.retries} retries, "
                 f"{self.quarantined} quarantined"
+            )
+        return line
+
+    def pass_breakdown(self) -> str:
+        """Where the optimize stage went: seconds per pass, slowest
+        first, then the scan passes' work counts.  Empty if no pass ran."""
+        if not self.pass_seconds:
+            return ""
+        line = " ".join(
+            f"{name} {seconds:.2f}s"
+            for name, seconds in sorted(
+                self.pass_seconds.items(), key=lambda item: -item[1]
+            )
+        )
+        if self.scan_visits:
+            line += (
+                f" | scan {self.scan_visits} visits"
+                f" · kb {self.knownbits_queries} queries"
+                f" ({self.knownbits_hit_rate:.0%} memo)"
             )
         return line
 

@@ -88,6 +88,9 @@ def campaign_summary(report, name: str = "campaign") -> dict:
             name: round(seconds, 6)
             for name, seconds in sorted(snapshot.pass_seconds.items())
         },
+        "scan_visits": snapshot.scan_visits,
+        "knownbits_queries": snapshot.knownbits_queries,
+        "knownbits_hit_rate": round(snapshot.knownbits_hit_rate, 6),
         "wire_bytes_sent": snapshot.wire_bytes_sent,
         "blob_hit_rate": round(snapshot.blob_hit_rate, 6),
         "decode_hit_rate": round(snapshot.decode_hit_rate, 6),

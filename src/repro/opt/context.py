@@ -34,6 +34,8 @@ class OptContext:
         self.stats: Counter = Counter()
         # Bug ids whose injected code path actually executed this run.
         self.triggered_bugs: Set[str] = set()
+        # The running scan pass's known-bits memo (None between passes).
+        self.known_bits = None
 
     def bug_enabled(self, bug_id: str) -> bool:
         return bug_id in self.enabled_bugs

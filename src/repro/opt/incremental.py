@@ -18,19 +18,24 @@ exploit that:
   dirty set, and the set of passes *proven* to be at fixpoint on the
   dirty set's complement.  A pass that is proven and worklist-capable
   visits only the dirty region; everything else full-runs.
-* :class:`SweepState` — exact-sweep bookkeeping for the scan passes
-  (constfold / instsimplify / instcombine).  A worklist sweep walks the
-  function's blocks in program order, visiting only worklist members, and
-  every rewrite grows the worklist with the affected closure (operands,
-  pre-rewrite users, freshly built instructions, and their transitive
-  users — transitive because known-bits reasoning reaches arbitrarily
-  deep cones).  Because the traversal arrives at blocks in the same order
-  and with the same per-block snapshots as a full sweep, a worklist run
-  fires the same rewrites in the same order as the full pass would.
+* :class:`ScanPass` / :class:`SweepState` — the one sweep loop of the
+  scan passes (constfold / instsimplify / instcombine) and its
+  bookkeeping.  Every sweep walks the function's blocks in program
+  order, visiting only worklist members, and every rewrite grows the
+  worklist with the affected closure (operands, pre-rewrite users,
+  freshly built instructions, and their transitive users — transitive
+  because known-bits reasoning reaches arbitrarily deep cones).  The
+  first worklist is the whole function or a mutation's dirty closure.
+  Because the traversal arrives at blocks in the same order and with
+  the same per-block snapshots as a sweep over everything, it fires the
+  same rewrites in the same order as re-sweeping everything until
+  nothing changes would.
 
 Soundness of the worklist skip rests on the proven-fixpoint invariant:
 an instruction outside the dirty closure has the cone and use counts it
-had when the pass was last proven quiescent on it, and every mutation
+had when the pass was last proven quiescent on it (by the source's run
+for a mutation-seeded worklist, by this run's own earlier visit for a
+later sweep), and every mutation
 or rewrite that changes a cone or a use count adds the affected users
 (for cone changes) or the operand's users (for use-count changes) to the
 dirty set.  Rule matching is a function of cone shape plus use counts,
@@ -44,11 +49,13 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
+from ..analysis.knownbits import KnownBitsMemo
 from ..ir.fingerprint import fingerprint_function
 from ..ir.function import Function
 from ..ir.instructions import Instruction
 from ..tv.compile import LRUCache
 from .context import OptContext, OptimizerCrash
+from .pass_manager import FunctionPass
 
 DEFAULT_MEMO_SIZE = 4096
 
@@ -260,6 +267,11 @@ def initial_dirty(function: Function,
 class SweepState:
     """Worklist bookkeeping for one scan pass's block-ordered sweeps.
 
+    A run is seeded with a mutation's ``dirty`` closure or, with
+    ``dirty`` None, with the whole function: then ``everything`` holds
+    for the first sweep, which visits every instruction and builds no
+    membership set to do it.
+
     ``visit`` is this sweep's membership set and ``pending`` the next
     sweep's; every affected instruction goes into both (a rewrite may
     affect an instruction later in the current sweep *and* require a
@@ -267,25 +279,25 @@ class SweepState:
     Block membership mirrors instruction membership so the sweep loop
     can skip clean blocks in O(1) while still arriving at newly dirtied
     blocks it has not passed yet.
+
+    ``known_bits`` is the run's known-bits memo; every rewrite empties
+    it, so no entry outlives the IR it was computed from.
     """
 
-    def __init__(self, dirty: Set[Instruction]) -> None:
-        self.dirty = dirty
+    def __init__(self, dirty: Optional[Set[Instruction]] = None) -> None:
+        self.everything = dirty is None
+        self.dirty: Set[Instruction] = set() if dirty is None else dirty
         self.visit: Set[Instruction] = set()
         self.visit_blocks: Set[int] = set()
-        for inst in dirty:
+        for inst in self.dirty:
             parent = inst.parent
             if parent is not None:
                 self.visit.add(inst)
                 self.visit_blocks.add(id(parent))
         self.pending: Set[Instruction] = set()
         self.pending_blocks: Set[int] = set()
-
-    def block_active(self, block) -> bool:
-        return id(block) in self.visit_blocks
-
-    def should_visit(self, inst: Instruction) -> bool:
-        return inst in self.visit
+        self.known_bits = KnownBitsMemo()
+        self.visits = 0
 
     def note_affected(self, seeds: Iterable[Instruction]) -> None:
         """Grow the worklists (and the shared dirty set) with ``seeds``
@@ -317,21 +329,55 @@ class SweepState:
         gain or lose uses), its users (their cones change), any freshly
         built instructions, and those instructions' operands.
         """
+        self.known_bits.clear()
         seeds: List[Instruction] = [inst]
-        seeds.extend(op for op in inst.operands
-                     if isinstance(op, Instruction))
-        seeds.extend(use.user for use in inst.uses
-                     if isinstance(use.user, Instruction))
+        seeds.extend(inst.operands)
+        seeds.extend([use.user for use in inst.uses])
         for fresh in new_insts:
             seeds.append(fresh)
-            seeds.extend(op for op in fresh.operands
-                         if isinstance(op, Instruction))
+            seeds.extend(fresh.operands)
         self.note_affected(seeds)
 
-    def finish_sweep(self) -> bool:
-        """Promote next-sweep state; True if another sweep has work."""
+    def finish_sweep(self) -> None:
+        """Promote the next sweep's worklists."""
+        self.everything = False
         self.visit = self.pending
         self.visit_blocks = self.pending_blocks
         self.pending = set()
         self.pending_blocks = set()
-        return bool(self.visit)
+
+
+class ScanPass(FunctionPass):
+    """A pass that sweeps the function's blocks in program order until
+    nothing changes (constfold / instsimplify / instcombine).
+
+    There is one sweep loop, ``_run``, and two ways of seeding it: the
+    whole function, or a mutation's dirty closure.  Either way the first
+    sweep visits the seeded instructions and each later one only what
+    the rewrites before it affected.  The run's known-bits memo is on
+    ``ctx.known_bits`` exactly while the loop runs.
+    """
+
+    supports_worklist = True
+
+    def run_on_function(self, function: Function, ctx: OptContext) -> bool:
+        return self.run_on_worklist(function, ctx, None)
+
+    def run_on_worklist(self, function: Function, ctx: OptContext,
+                        dirty: Optional[Set[Instruction]]) -> bool:
+        sweep = SweepState(dirty)
+        ctx.known_bits = memo = sweep.known_bits
+        try:
+            return self._run(function, ctx, sweep)
+        finally:
+            ctx.known_bits = None
+            metrics = self.metrics
+            if metrics is not None:
+                metrics.count("opt.scan.visits", sweep.visits)
+                if memo.queries:
+                    metrics.count("opt.knownbits.queries", memo.queries)
+                    metrics.count("opt.knownbits.memo_hits", memo.hits)
+
+    def _run(self, function: Function, ctx: OptContext,
+             sweep: SweepState) -> bool:
+        raise NotImplementedError

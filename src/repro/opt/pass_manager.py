@@ -25,6 +25,9 @@ class FunctionPass:
     # :meth:`run_on_worklist` (see ``repro.opt.incremental``); everything
     # else is always run over the whole function.
     supports_worklist = False
+    # The registry of the PassManager that created this pass, if any:
+    # where a pass reports work counts that must stay out of ``ctx.stats``.
+    metrics = None
 
     def run_on_function(self, function: Function, ctx: OptContext) -> bool:
         raise NotImplementedError
@@ -94,6 +97,8 @@ class PassManager:
         self.metrics = metrics
         self.pass_seconds: Dict[str, float] = {}
         self._passes = [create_pass(name) for name in expanded]
+        for function_pass in self._passes:
+            function_pass.metrics = metrics
 
     def _apply(self, function_pass: FunctionPass, function: Function,
                ctx: OptContext, incremental=None) -> bool:

@@ -7,11 +7,12 @@ from ...ir.instructions import CallInst, SelectInst
 from ...ir.values import PoisonValue
 from ..context import OptContext
 from ..fold import fold_instruction
-from ..pass_manager import FunctionPass, register_pass, replace_and_erase
+from ..incremental import ScanPass, SweepState
+from ..pass_manager import register_pass, replace_and_erase
 
 
 @register_pass("constfold")
-class ConstantFolding(FunctionPass):
+class ConstantFolding(ScanPass):
     """Folds instructions whose operands are all constants.
 
     Hosts two seeded crash bugs from Table I:
@@ -25,30 +26,21 @@ class ConstantFolding(FunctionPass):
       folded select condition is 0 or 1 *after* poison substitution.
     """
 
-    supports_worklist = True
-
-    def run_on_function(self, function: Function, ctx: OptContext) -> bool:
-        return self._run(function, ctx, None)
-
-    def run_on_worklist(self, function: Function, ctx: OptContext,
-                        dirty) -> bool:
-        from ..incremental import SweepState
-
-        return self._run(function, ctx, SweepState(dirty))
-
-    def _run(self, function: Function, ctx: OptContext, sweep) -> bool:
+    def _run(self, function: Function, ctx: OptContext,
+             sweep: SweepState) -> bool:
         changed = True
         any_change = False
         while changed:
             changed = False
+            everything, visit = sweep.everything, sweep.visit
             for block in function.blocks:
-                if sweep is not None and not sweep.block_active(block):
+                if not everything and id(block) not in sweep.visit_blocks:
                     continue
                 for inst in list(block.instructions):
-                    if inst.parent is None:
+                    if inst.parent is None \
+                            or not (everything or inst in visit):
                         continue
-                    if sweep is not None and not sweep.should_visit(inst):
-                        continue
+                    sweep.visits += 1
                     if ctx.bug_enabled("56945") and isinstance(inst, CallInst) \
                             and inst.is_intrinsic() \
                             and any(isinstance(a, PoisonValue) for a in inst.args):
@@ -60,12 +52,10 @@ class ConstantFolding(FunctionPass):
                                   "assert(isa<ConstantInt>(Cond)) is too strong")
                     folded = fold_instruction(inst)
                     if folded is not None:
-                        if sweep is not None:
-                            sweep.note_rewrite(inst)
+                        sweep.note_rewrite(inst)
                         replace_and_erase(inst, folded)
                         ctx.count("constfold.folded")
                         changed = True
                         any_change = True
-            if sweep is not None and changed:
-                sweep.finish_sweep()
+            sweep.finish_sweep()
         return any_change

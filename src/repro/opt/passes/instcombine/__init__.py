@@ -24,8 +24,8 @@ from ....ir.instructions import Instruction
 from ....ir.module import Module
 from ....ir.values import Value
 from ...context import OptContext
-from ...incremental import SweepState
-from ...pass_manager import FunctionPass, register_pass, replace_and_erase
+from ...incremental import ScanPass, SweepState
+from ...pass_manager import register_pass, replace_and_erase
 from ...rewrite import RewriteRule, RuleIndex
 from ..instsimplify import simplify_instruction
 
@@ -36,10 +36,19 @@ class CombineContext:
     def __init__(self, function: Function, ctx: OptContext) -> None:
         self.function = function
         self.ctx = ctx
+        # The run's known-bits memo, for compute_known_bits(..., memo).
+        self.known_bits = ctx.known_bits
+        # Where in its block the instruction in hand stood when a rule
+        # first asked for a builder: the start of what the rule built.
+        self.built_from: Optional[int] = None
 
     def builder_before(self, inst: Instruction) -> IRBuilder:
+        block = inst.parent
+        index = block.index_of(inst)
+        if self.built_from is None:
+            self.built_from = index
         builder = IRBuilder()
-        builder.set_insert_before(inst)
+        builder.set_insert_point(block, index)
         return builder
 
     @property
@@ -78,58 +87,46 @@ MAX_ITERATIONS = 8
 
 
 @register_pass("instcombine")
-class InstCombine(FunctionPass):
-    supports_worklist = True
-
-    def run_on_function(self, function: Function, ctx: OptContext) -> bool:
-        return self._run(function, ctx, None)
-
-    def run_on_worklist(self, function: Function, ctx: OptContext,
-                        dirty) -> bool:
-        return self._run(function, ctx, SweepState(dirty))
-
+class InstCombine(ScanPass):
     def _run(self, function: Function, ctx: OptContext,
-             sweep: Optional[SweepState]) -> bool:
+             sweep: SweepState) -> bool:
         combine = CombineContext(function, ctx)
         index = rule_index()
         any_change = False
         for _ in range(MAX_ITERATIONS):
             changed = False
+            everything, visit = sweep.everything, sweep.visit
             for block in function.blocks:
-                if sweep is not None and not sweep.block_active(block):
+                if not everything and id(block) not in sweep.visit_blocks:
                     continue
                 for inst in list(block.instructions):
-                    if inst.parent is None:
+                    if inst.parent is None \
+                            or not (everything or inst in visit) \
+                            or inst.is_terminator():
                         continue
-                    if sweep is not None and not sweep.should_visit(inst):
-                        continue
-                    if inst.is_terminator():
-                        continue
+                    sweep.visits += 1
                     simplified = None
                     if not inst.type.is_void():
                         simplified = simplify_instruction(inst, ctx)
                     if simplified is not None and simplified is not inst:
-                        if sweep is not None:
-                            sweep.note_rewrite(inst)
+                        sweep.note_rewrite(inst)
                         replace_and_erase(inst, simplified)
                         ctx.count("instcombine.simplified")
                         changed = True
                         continue
+                    combine.built_from = None
                     for entry in index.rules_for(inst.opcode):
-                        if sweep is not None:
-                            # Rules build replacement chains right before
-                            # the anchor; snapshot its position so the
-                            # fresh instructions can be found afterwards.
-                            pos_before = block.index_of(inst)
                         result = entry.fn(inst, combine)
                         if result is None:
                             continue
                         ctx.count(f"instcombine.rule.{entry.name}")
                         changed = True
-                        if sweep is not None:
-                            new_insts = block.instructions[
-                                pos_before:block.index_of(inst)]
-                            sweep.note_rewrite(inst, new_insts)
+                        # Rules build replacement chains right before
+                        # the anchor.
+                        built = () if combine.built_from is None else \
+                            block.instructions[
+                                combine.built_from:block.index_of(inst)]
+                        sweep.note_rewrite(inst, built)
                         if result is not inst:
                             replace_and_erase(inst, result)
                         break
@@ -140,13 +137,12 @@ class InstCombine(FunctionPass):
             any_change = any_change or changed
             if not changed:
                 break
-            if sweep is not None:
-                sweep.finish_sweep()
+            sweep.finish_sweep()
         return any_change
 
     @staticmethod
     def _erase_trivially_dead(function: Function, ctx: OptContext,
-                              sweep: Optional[SweepState] = None) -> None:
+                              sweep: SweepState) -> None:
         from ..dce import is_trivially_dead
 
         worklist = list(function.instructions())
@@ -159,7 +155,6 @@ class InstCombine(FunctionPass):
             inst.erase_from_parent()
             ctx.count("instcombine.dead")
             worklist.extend(operands)
-            if sweep is not None:
-                # Each operand just lost a use; one-use rules at its
-                # remaining users may now fire.
-                sweep.note_affected(operands)
+            # Each operand just lost a use; one-use rules at its
+            # remaining users may now fire.
+            sweep.note_affected(operands)

@@ -75,7 +75,7 @@ def rule_and_with_known_mask(inst, combine) -> Optional[Value]:
         return None
     if not isinstance(inst.rhs, ConstantInt):
         return None
-    known = compute_known_bits(inst.lhs)
+    known = compute_known_bits(inst.lhs, 0, combine.known_bits)
     possibly_set = known.mask & ~known.zero
     if possibly_set & ~inst.rhs.value:
         return None
@@ -93,8 +93,8 @@ def rule_or_disjoint_to_add(inst, combine) -> Optional[Value]:
         return None
     if inst.nuw or inst.nsw:
         return None  # keep flag-carrying adds for other rules
-    lhs_known = compute_known_bits(inst.lhs)
-    rhs_known = compute_known_bits(inst.rhs)
+    lhs_known = compute_known_bits(inst.lhs, 0, combine.known_bits)
+    rhs_known = compute_known_bits(inst.rhs, 0, combine.known_bits)
     lhs_possible = lhs_known.mask & ~lhs_known.zero
     rhs_possible = rhs_known.mask & ~rhs_known.zero
     if lhs_possible & rhs_possible:

@@ -64,7 +64,7 @@ def rule_sext_of_nonnegative(inst, combine) -> Optional[Value]:
     """sext x  ->  zext x when the sign bit of x is known zero."""
     if not (isinstance(inst, CastInst) and inst.opcode == "sext"):
         return None
-    if not is_known_non_negative(inst.value):
+    if not is_known_non_negative(inst.value, 0, combine.known_bits):
         return None
     builder = combine.builder_before(inst)
     return builder.zext(inst.value, inst.type)

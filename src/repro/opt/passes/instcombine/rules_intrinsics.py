@@ -116,7 +116,7 @@ def rule_abs_of_nonnegative(inst, combine) -> Optional[Value]:
     """llvm.abs(x, f)  ->  x when x is known non-negative."""
     if not _intrinsic_call(inst, "llvm.abs"):
         return None
-    if is_known_non_negative(inst.args[0]):
+    if is_known_non_negative(inst.args[0], 0, combine.known_bits):
         return inst.args[0]
     return None
 

@@ -18,7 +18,8 @@ from ...ir.types import IntType
 from ...ir.values import ConstantInt, PoisonValue, Value
 from ..context import OptContext
 from ..fold import fold_instruction
-from ..pass_manager import FunctionPass, register_pass, replace_and_erase
+from ..incremental import ScanPass, SweepState
+from ..pass_manager import register_pass, replace_and_erase
 
 
 def simplify_instruction(inst: Instruction,
@@ -30,7 +31,7 @@ def simplify_instruction(inst: Instruction,
     if isinstance(inst, BinaryOperator):
         return _simplify_binary(inst, ctx)
     if isinstance(inst, ICmpInst):
-        return _simplify_icmp(inst)
+        return _simplify_icmp(inst, ctx)
     if isinstance(inst, SelectInst):
         return _simplify_select(inst)
     if isinstance(inst, FreezeInst):
@@ -121,15 +122,16 @@ def _simplify_binary(inst: BinaryOperator,
             # 0 shifted by an in-range amount is 0; an out-of-range amount
             # gives poison, which 0 refines.
             return ConstantInt(inst.type, 0)
-        if opcode == "lshr" and lhs is not rhs:
-            known = compute_known_bits(lhs)
-            if isinstance(rhs, ConstantInt) and \
-                    known.count_leading_known_zeros() >= width - rhs.value:
+        if opcode == "lshr" and lhs is not rhs and rhs_const is not None:
+            known = compute_known_bits(
+                lhs, 0, None if ctx is None else ctx.known_bits)
+            if known.count_leading_known_zeros() >= width - rhs_const.value:
                 return ConstantInt(inst.type, 0)
     return None
 
 
-def _simplify_icmp(inst: ICmpInst) -> Optional[Value]:
+def _simplify_icmp(inst: ICmpInst,
+                   ctx: Optional[OptContext]) -> Optional[Value]:
     if inst.lhs is inst.rhs:
         # Same-operand compares fold even for poison (poison refines both).
         result = inst.predicate in ("eq", "uge", "ule", "sge", "sle")
@@ -138,7 +140,8 @@ def _simplify_icmp(inst: ICmpInst) -> Optional[Value]:
         return None
     width = inst.lhs.type.width
     if isinstance(inst.rhs, ConstantInt):
-        known = compute_known_bits(inst.lhs)
+        known = compute_known_bits(
+            inst.lhs, 0, None if ctx is None else ctx.known_bits)
         rhs_value = inst.rhs.value
         if inst.predicate == "ult" and known.max_unsigned() < rhs_value:
             return ConstantInt(IntType(1), 1)
@@ -174,40 +177,29 @@ def _simplify_freeze(inst: FreezeInst) -> Optional[Value]:
 
 
 @register_pass("instsimplify")
-class InstSimplify(FunctionPass):
-    supports_worklist = True
-
-    def run_on_function(self, function: Function, ctx: OptContext) -> bool:
-        return self._run(function, ctx, None)
-
-    def run_on_worklist(self, function: Function, ctx: OptContext,
-                        dirty) -> bool:
-        from ..incremental import SweepState
-
-        return self._run(function, ctx, SweepState(dirty))
-
-    def _run(self, function: Function, ctx: OptContext, sweep) -> bool:
+class InstSimplify(ScanPass):
+    def _run(self, function: Function, ctx: OptContext,
+             sweep: SweepState) -> bool:
         changed = True
         any_change = False
         while changed:
             changed = False
+            everything, visit = sweep.everything, sweep.visit
             for block in function.blocks:
-                if sweep is not None and not sweep.block_active(block):
+                if not everything and id(block) not in sweep.visit_blocks:
                     continue
                 for inst in list(block.instructions):
-                    if inst.parent is None or inst.type.is_void() \
-                            or inst.is_terminator():
+                    if inst.parent is None \
+                            or not (everything or inst in visit) \
+                            or inst.type.is_void() or inst.is_terminator():
                         continue
-                    if sweep is not None and not sweep.should_visit(inst):
-                        continue
+                    sweep.visits += 1
                     simplified = simplify_instruction(inst, ctx)
                     if simplified is not None and simplified is not inst:
-                        if sweep is not None:
-                            sweep.note_rewrite(inst)
+                        sweep.note_rewrite(inst)
                         replace_and_erase(inst, simplified)
                         ctx.count("instsimplify.simplified")
                         changed = True
                         any_change = True
-            if sweep is not None and changed:
-                sweep.finish_sweep()
+            sweep.finish_sweep()
         return any_change

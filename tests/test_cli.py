@@ -136,6 +136,12 @@ class TestAliveMutate:
         assert "mutants" in err and "/s" in err
         assert "valid" in err
         assert "mutate" in err and "verify" in err  # per-stage share
+        # Per-pass breakdown, then what the scan passes did.
+        breakdown = [line for line in err.splitlines()
+                     if "optimize passes:" in line]
+        assert len(breakdown) == 1
+        assert " | scan " in breakdown[0] and " visits · kb " in breakdown[0]
+        assert "% memo)" in breakdown[0]
 
     def test_metrics_out_single_mode(self, input_file, tmp_path, capsys):
         import json
@@ -158,7 +164,10 @@ class TestAliveMutate:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["counters"]["mutants.created"] == 10
-        assert "total:" in capsys.readouterr().err
+        assert data["counters"]["opt.scan.visits"] > 0
+        err = capsys.readouterr().err
+        assert "total:" in err
+        assert "optimize passes:" in err and " | scan " in err
 
     def test_trace_out_single_mode(self, input_file, tmp_path, capsys):
         import json

@@ -7,8 +7,10 @@ full (non-incremental) run — skips and worklist sweeps buy time, never
 different answers.  The differential tests below drive random mutants
 through both paths and demand equality at every layer:
 
-* pass level — a worklist sweep seeded from the mutation's dirty
-  closure versus a full ``run_on_function`` sweep;
+* pass level — the scan passes' one sweep loop seeded from the
+  mutation's dirty closure versus seeded with the whole function
+  (``run_on_function``); the loop itself is checked against the old
+  re-sweep-everything loop in ``test_scan_differential.py``;
 * pipeline level — ``PassManager.run_function`` with an
   :class:`IncrementalRun` (warm memos, proven sets) versus without;
 * driver level — whole fuzzing runs with ``incremental=True`` versus
@@ -211,8 +213,8 @@ class TestPassMemo:
 
 
 class TestPassLevelDifferential:
-    """Worklist sweep == full sweep, for every worklist-capable pass,
-    on random mutants of a pass-fixpointed source."""
+    """Closure-seeded run == whole-function run, for every
+    worklist-capable pass, on random mutants of a pass-fixpointed source."""
 
     @staticmethod
     def fixpointed(pass_name):

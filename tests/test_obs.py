@@ -405,6 +405,72 @@ class TestGcProbe:
         assert "gc " not in line
 
 
+class TestScanCounters:
+    """``opt.scan.*`` / ``opt.knownbits.*``: the scan passes' work counts,
+    reported through the pass manager's registry only."""
+
+    SHIFTY = """
+define i32 @shifty(i32 %x) {
+entry:
+  %s = shl i32 %x, 3
+  %t = lshr i32 %s, 3
+  %a = and i32 %t, 255
+  %b = and i32 %t, 65280
+  %u = sub i32 %a, %b
+  ret i32 %u
+}
+"""
+
+    def test_pass_manager_reports_to_its_registry(self):
+        from repro.opt import OptContext, PassManager
+
+        metrics = MetricsRegistry()
+        module = parse_module(self.SHIFTY, "t.ll")
+        ctx = OptContext(())
+        PassManager(["O2"], ctx, metrics=metrics).run(module)
+        assert metrics.counter("opt.scan.visits") >= 5
+        queries = metrics.counter("opt.knownbits.queries")
+        assert 0 < metrics.counter("opt.knownbits.memo_hits") < queries
+        # Feedback features and deterministic() never see them.
+        assert not any(key.startswith(("opt.scan", "opt.knownbits"))
+                       for key in ctx.stats)
+        assert not any(key.startswith(("opt.scan", "opt.knownbits"))
+                       for key in metrics.deterministic()["counters"])
+
+    def test_no_registry_no_trace(self):
+        from repro.opt import OptContext, PassManager
+
+        ctx = OptContext(())
+        manager = PassManager(["O2"], ctx)
+        manager.run(parse_module(self.SHIFTY, "t.ll"))
+        assert manager.metrics is None
+        assert not any(key.startswith(("opt.scan", "opt.knownbits"))
+                       for key in ctx.stats)
+
+    def test_snapshot_and_pass_breakdown(self):
+        metrics = loaded_metrics()
+        metrics.count("optimize.pass.instcombine.seconds", 1.5)
+        metrics.count("optimize.pass.gvn.seconds", 0.25)
+        metrics.count("opt.scan.visits", 4200)
+        metrics.count("opt.knownbits.queries", 800)
+        metrics.count("opt.knownbits.memo_hits", 200)
+        snapshot = ThroughputSnapshot.from_metrics(metrics, 20.0)
+        assert snapshot.scan_visits == 4200
+        assert snapshot.knownbits_hit_rate == pytest.approx(0.25)
+        assert snapshot.pass_breakdown() == (
+            "instcombine 1.50s gvn 0.25s"
+            " | scan 4200 visits · kb 800 queries (25% memo)")
+        data = snapshot.to_dict()
+        assert data["scan_visits"] == 4200
+        assert data["knownbits_queries"] == 800
+        assert data["knownbits_hit_rate"] == pytest.approx(0.25)
+
+    def test_breakdown_empty_without_passes(self):
+        snapshot = ThroughputSnapshot.from_metrics(loaded_metrics(), 20.0)
+        assert snapshot.pass_breakdown() == ""
+        assert snapshot.knownbits_hit_rate == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Driver integration: the loop populates metrics and spans.
 # ---------------------------------------------------------------------------
@@ -561,6 +627,9 @@ class TestSummary:
         assert data["gc_full_collections"] >= 0
         assert data["exec_plan_slots"] > 0
         assert data["exec_plan_evictions"] >= 0
+        assert data["scan_visits"] > 0
+        assert data["knownbits_queries"] >= 0
+        assert 0.0 <= data["knownbits_hit_rate"] <= 1.0
 
     def test_campaign_summary_is_duck_typed(self):
         class FakeReport:
