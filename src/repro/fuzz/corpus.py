@@ -22,10 +22,8 @@ pure functions of the candidate sequence — no wall clock, no ambient
 RNG — so a re-run job rebuilds the identical corpus and the campaign's
 ``deterministic()`` metrics stay bit-identical across kill/resume.
 
-This module used to hold the *seed generators* (the synthetic LLVM-style
-unit-test corpus); those now live in :mod:`repro.fuzz.seeds` and remain
-importable from here for one release via a ``DeprecationWarning`` shim
-(see ``__getattr__`` below).
+The *seed generators* (the synthetic LLVM-style unit-test corpus) live in
+:mod:`repro.fuzz.seeds`.
 """
 
 from __future__ import annotations
@@ -43,10 +41,6 @@ from ..ir.printer import print_module
 
 __all__ = ["Corpus", "CorpusEntry", "CorpusJournal", "merge_journals",
            "module_fingerprint"]
-
-# Seed-generator names re-exported from repro.fuzz.seeds for one release.
-_LEGACY_SEED_NAMES = ("ARCHETYPES", "STANDARD_WIDTHS", "corpus_modules",
-                      "generate_corpus", "generate_large_corpus")
 
 CORPUS_JOURNAL_VERSION = 1
 
@@ -377,23 +371,3 @@ def merge_journals(paths: Iterable[str], out_path: str,
     finally:
         journal.close()
     return len(merged)
-
-
-def __getattr__(name: str):
-    """Legacy shim: the seed generators lived here before the split.
-
-    ``from repro.fuzz.corpus import generate_corpus`` keeps working for
-    one release but warns; import from :mod:`repro.fuzz.seeds` instead.
-    """
-    if name in _LEGACY_SEED_NAMES:
-        import warnings
-
-        from . import seeds
-
-        warnings.warn(
-            f"repro.fuzz.corpus.{name} moved to repro.fuzz.seeds.{name}; "
-            "repro.fuzz.corpus now holds the runtime coverage corpus "
-            "(this re-export will be removed next release)",
-            DeprecationWarning, stacklevel=2)
-        return getattr(seeds, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

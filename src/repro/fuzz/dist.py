@@ -45,6 +45,9 @@ protocol file.  Readers treat an unparsable lease as expired (the claim
 protocol re-takes it) and an unparsable result as absent (the job
 re-runs and the repaired result replaces the torn file).
 
+Every decision above is made by :mod:`repro.fuzz.lease`, the state
+machine the socket broker shares; this module owns only the files.
+
 Failure matrix
 --------------
 =====================  ====================================================
@@ -81,42 +84,27 @@ from ..mutate import MutatorConfig
 from ..obs import MetricsRegistry
 from ..tv import RefinementConfig
 from ..tv.interp import ExecutionLimits
+from . import lease as core
 from .campaign import CampaignReport, new_report
 from .checkpoint import (CheckpointJournal, jobs_fingerprint, result_from_dict,
                          result_to_dict)
 from .driver import FuzzConfig
 from .feedback import FeedbackConfig
-from .parallel import (KIND_NODE_LOST, JobRunner, ShardJob, ShardResult,
-                       _SignalGuard, execute_job, retry_delay, run_jobs)
-from .wire import (FORMAT_BITCODE, PAYLOAD_FORMATS, BlobStore, DecodeCache,
-                   WireError, encode_payload)
+from .lease import (KIND_LEASE, KIND_MANIFEST, KIND_RESULT, KIND_TOMBSTONE,
+                    REASON_NODE_LOST, REASON_QUARANTINE, Lease, Policy,
+                    QueueError, QueueMismatch)
+from .parallel import (JobRunner, ShardJob, ShardResult, _SignalGuard,
+                       execute_job, run_jobs)
+from .wire import BlobStore, DecodeCache, WireError, encode_payload
 
-__all__ = ["DistConfig", "NodeReport", "NodeRunner", "QueueError",
-           "QueueMismatch", "Transport", "WorkQueue", "job_from_dict",
-           "job_from_wire", "job_to_dict", "job_to_wire", "open_queue",
-           "run_coordinator"]
+__all__ = ["DistConfig", "Lease", "NodeReport", "NodeRunner", "QueueError",
+           "QueueMismatch", "Transport", "WorkQueue", "job_from_wire",
+           "job_to_wire", "open_queue", "run_coordinator"]
 
 MANIFEST_NAME = "manifest.json"
 QUEUE_VERSION = 2
 MERGED_CORPUS_NAME = "merged.corpus.jsonl"
 BLOBS_DIR = "blobs"
-
-#: Tombstone/terminal reasons.
-REASON_NODE_LOST = KIND_NODE_LOST
-REASON_QUARANTINE = "quarantine"
-
-
-class QueueError(RuntimeError):
-    """The work queue directory cannot be used (I/O or format problem)."""
-
-
-class QueueMismatch(QueueError):
-    """The queue directory belongs to a different campaign.
-
-    Raised when a manifest's fingerprint disagrees with the campaign
-    about to be published or joined: mixing two campaigns in one queue
-    directory would merge findings across configurations.
-    """
 
 
 @dataclass
@@ -135,11 +123,6 @@ class DistConfig:
     # :class:`repro.fuzz.net.QueueBroker` someone is serving; exclusive
     # with queue_dir).
     queue_addr: str = ""
-    # How module payloads travel: "bitcode" (the compact binary format,
-    # content-addressed and decoded once per node) or "text" (printed
-    # IR verbatim — the ablation/debug path).  Findings and
-    # deterministic() metrics are identical either way.
-    payload_format: str = FORMAT_BITCODE
     # Seconds a lease lives between heartbeats.  Short leases detect
     # node loss quickly but demand frequent heartbeats; the node
     # heartbeats every lease_duration / 3 by default.
@@ -158,10 +141,6 @@ class DistConfig:
         if self.queue_dir and self.queue_addr:
             raise ValueError("dist.queue_dir and dist.queue_addr are "
                              "exclusive: one campaign, one transport")
-        if self.payload_format not in PAYLOAD_FORMATS:
-            raise ValueError(f"dist.payload_format must be one of "
-                             f"{PAYLOAD_FORMATS}, got "
-                             f"{self.payload_format!r}")
         if self.lease_duration <= 0:
             raise ValueError("dist.lease_duration must be positive, "
                              f"got {self.lease_duration}")
@@ -182,21 +161,6 @@ class DistConfig:
 # ---------------------------------------------------------------------------
 
 
-def job_to_dict(job: ShardJob) -> dict:
-    """A self-contained JSON-safe dict for one :class:`ShardJob`.
-
-    ``dataclasses.asdict`` flattens the nested config dataclasses; the
-    result round-trips through :func:`job_from_dict` to a job whose
-    :func:`~repro.fuzz.checkpoint.jobs_fingerprint` matches the
-    original's, which is what lets a node verify it is running the
-    campaign the manifest claims.  This full form is the
-    checkpoint/debug representation; the queue itself ships the deduped
-    :func:`job_to_wire` form (shared config in the manifest, module
-    payload by content hash).
-    """
-    return asdict(job)
-
-
 def config_from_dict(config: dict) -> FuzzConfig:
     """Rebuild a :class:`FuzzConfig` from its ``asdict`` flattening."""
     config = dict(config)
@@ -211,26 +175,15 @@ def config_from_dict(config: dict) -> FuzzConfig:
         **config)
 
 
-def job_from_dict(data: dict) -> ShardJob:
-    """Rehydrate a :class:`ShardJob` serialized by :func:`job_to_dict`."""
-    return ShardJob(
-        job_index=data["job_index"],
-        file_name=data["file_name"],
-        text=data["text"],
-        config=config_from_dict(data["config"]),
-        iterations=data.get("iterations"),
-        time_budget=data.get("time_budget"),
-        confirm_attributions=data.get("confirm_attributions", False),
-        deadline=data.get("deadline"),
-        trace_dir=data.get("trace_dir"),
-        trace_sample=data.get("trace_sample", 1.0),
-    )
-
-
 def _jsonified(value):
     """``value`` normalized through a JSON round-trip (tuples -> lists),
     so configs hydrated from disk diff cleanly against fresh ones."""
     return json.loads(json.dumps(value, sort_keys=True, default=str))
+
+
+def config_base(jobs: Sequence[ShardJob]) -> Optional[dict]:
+    """The shared config a fresh campaign's job records diff against."""
+    return _jsonified(asdict(jobs[0].config)) if jobs else None
 
 
 def _dict_diff(full: dict, base: dict) -> dict:
@@ -307,6 +260,22 @@ def job_from_wire(record: dict, shared_config: dict,
     )
 
 
+def job_from_record(record: dict, manifest: Optional[dict],
+                    blob: Callable[[str], Optional[bytes]],
+                    decode_cache: DecodeCache) -> Optional[ShardJob]:
+    """Rehydrate a queue's job record: the manifest's shared config plus
+    the module ``blob(sha)`` returns, decoded once per digest; None while
+    either is missing."""
+    shared_config = manifest.get("shared_config") if manifest else None
+    payload = record.get("payload", {})
+    sha = payload.get("sha", "")
+    data = blob(sha) if isinstance(shared_config, dict) else None
+    if data is None:
+        return None
+    text = decode_cache.text(sha, data, payload.get("format", "text"))
+    return job_from_wire(record, shared_config, text)
+
+
 # ---------------------------------------------------------------------------
 # The transport protocol.
 # ---------------------------------------------------------------------------
@@ -334,11 +303,11 @@ class Transport(Protocol):
                 retry_jitter: float = 0.0) -> None: ...
 
     def claim_next(self, limit: int = 1) -> List[Tuple[ShardJob,
-                                                       "Lease"]]: ...
+                                                       Lease]]: ...
 
     def heartbeat(self, job_index: int, lease_duration: float) -> bool: ...
 
-    def release_for_retry(self, job_index: int, lease: "Lease",
+    def release_for_retry(self, job_index: int, lease: Lease,
                           failure_kind: str, error: str) -> None: ...
 
     def publish_result(self, result: ShardResult, fingerprint: str,
@@ -366,34 +335,6 @@ class Transport(Protocol):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Lease:
-    """One lease record as stored in ``leases/job-<index>.json``."""
-
-    node: str
-    attempt: int
-    claimed_at: float
-    expires_at: float
-    # A node that watched its own job hang/crash *releases* the lease
-    # (expiry now, failure recorded) instead of silently vanishing, so
-    # the reclaim path can tell a retryable failure from node loss.
-    released: bool = False
-    failure_kind: str = ""
-    error: str = ""
-
-    def to_dict(self) -> dict:
-        return {"kind": "lease", **asdict(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Lease":
-        return cls(node=data["node"], attempt=int(data["attempt"]),
-                   claimed_at=float(data["claimed_at"]),
-                   expires_at=float(data["expires_at"]),
-                   released=bool(data.get("released", False)),
-                   failure_kind=data.get("failure_kind", ""),
-                   error=data.get("error", ""))
-
-
 class WorkQueue:
     """Crash-safe lease/result protocol over one shared directory.
 
@@ -407,12 +348,10 @@ class WorkQueue:
     """
 
     def __init__(self, directory: str, node: str = "",
-                 clock: Callable[[], float] = time.time,
-                 payload_format: str = FORMAT_BITCODE) -> None:
+                 clock: Callable[[], float] = time.time) -> None:
         self.directory = directory
         self.node = node or f"node-{os.getpid()}"
         self.clock = clock
-        self.payload_format = payload_format
         self.metrics = MetricsRegistry()
         self.blobs = BlobStore(os.path.join(directory, BLOBS_DIR),
                                metrics=self.metrics)
@@ -522,25 +461,12 @@ class WorkQueue:
         :class:`QueueMismatch` — one queue directory serves one
         campaign.
         """
-        existing = self._read_json(self.manifest_path())
-        if existing is not None \
-                and existing.get("fingerprint") != fingerprint:
-            raise QueueMismatch(
-                f"{self.directory} already serves campaign "
-                f"{existing.get('fingerprint', '?')[:12]}, not "
-                f"{fingerprint[:12]}; use a fresh queue directory")
-        # The config-diff base: once a manifest exists its shared config
-        # is authoritative (a resume's re-publish may cover a different
-        # job subset, and the already-published records diff against the
-        # original base); a fresh campaign derives it from the first job.
-        shared_config = None
-        if existing is not None:
-            shared_config = existing.get("shared_config")
-        if shared_config is None and jobs:
-            shared_config = _jsonified(asdict(jobs[0].config))
+        shared_config = core.publish_base(
+            self._read_json(self.manifest_path()), fingerprint,
+            config_base(jobs), f"queue directory {self.directory}")
         for job in jobs:
-            payload, actual_format = encode_payload(
-                job.text, self.payload_format, metrics=self.metrics)
+            payload, actual_format = encode_payload(job.text,
+                                                    metrics=self.metrics)
             sha = self.blobs.put(payload)
             record = {
                 "kind": "job",
@@ -556,18 +482,11 @@ class WorkQueue:
                 continue
             self._write_atomic(self.job_path(job.job_index), record)
             self.metrics.count("dist.jobs.published")
-        self._write_atomic(self.manifest_path(), {
-            "kind": "manifest",
-            "version": QUEUE_VERSION,
-            "fingerprint": fingerprint,
-            "total_jobs": (total_jobs if total_jobs is not None
-                           else len(jobs)),
-            "lease_duration": lease_duration,
-            "max_attempts": max_attempts,
-            "retry_backoff": retry_backoff,
-            "retry_jitter": retry_jitter,
-            "shared_config": shared_config,
-        })
+        policy = Policy(lease_duration, max_attempts, retry_backoff,
+                        retry_jitter, fingerprint)
+        self._write_atomic(self.manifest_path(), core.manifest_record(
+            policy, len(jobs) if total_jobs is None else total_jobs,
+            shared_config, QUEUE_VERSION))
         self._manifest_cache = None
 
     def manifest(self) -> Optional[dict]:
@@ -575,7 +494,7 @@ class WorkQueue:
         if self._manifest_cache is not None:
             return self._manifest_cache
         data = self._read_json(self.manifest_path())
-        if data is not None and data.get("kind") != "manifest":
+        if data is not None and data.get("kind") != KIND_MANIFEST:
             return None
         if data is not None:
             # Manifests are immutable once published (same fingerprint,
@@ -585,20 +504,27 @@ class WorkQueue:
 
     # -- nodes: jobs and claims --------------------------------------------
 
-    def published_indexes(self) -> List[int]:
-        """Every published job index, sorted."""
+    def _listed(self, name: str,
+                suffix: str = ".json") -> List[Tuple[int, str]]:
+        """(job index, path) of each ``job-<index><suffix>`` file in the
+        ``name`` directory, index-sorted."""
         try:
-            names = os.listdir(self._dir("jobs"))
+            entries = os.listdir(self._dir(name))
         except OSError:
             return []
-        indexes = []
-        for name in names:
-            if name.startswith("job-") and name.endswith(".json"):
+        found = []
+        for entry in entries:
+            if entry.startswith("job-") and entry.endswith(suffix):
                 try:
-                    indexes.append(int(name[4:-5]))
+                    index = int(entry[4:-len(suffix)])
                 except ValueError:
                     continue
-        return sorted(indexes)
+                found.append((index, os.path.join(self._dir(name), entry)))
+        return sorted(found)
+
+    def published_indexes(self) -> List[int]:
+        """Every published job index, sorted."""
+        return [index for index, _path in self._listed("jobs")]
 
     def load_job(self, job_index: int) -> Optional[ShardJob]:
         cached = self._job_cache.get(job_index)
@@ -611,13 +537,8 @@ class WorkQueue:
         if not isinstance(record, dict):
             return None
         try:
-            if "text" in record:
-                # Legacy self-contained record (queue version 1): full
-                # config and inline text; still loadable so old queue
-                # directories drain cleanly.
-                job = job_from_dict(record)
-            else:
-                job = self._job_from_record(record)
+            job = job_from_record(record, self.manifest(), self.blobs.get,
+                                  self.decode_cache)
         except (KeyError, TypeError, ValueError, WireError):
             return None
         if job is None:
@@ -625,26 +546,9 @@ class WorkQueue:
         self._job_cache[job_index] = job
         return job
 
-    def _job_from_record(self, record: dict) -> Optional[ShardJob]:
-        """Resolve a deduped record: manifest config + blob payload."""
-        manifest = self.manifest()
-        if manifest is None:
-            return None
-        shared_config = manifest.get("shared_config")
-        if not isinstance(shared_config, dict):
-            return None
-        payload = record.get("payload", {})
-        sha = payload.get("sha", "")
-        data = self.blobs.get(sha)
-        if data is None:
-            return None
-        text = self.decode_cache.text(sha, data,
-                                      payload.get("format", "text"))
-        return job_from_wire(record, shared_config, text)
-
     def read_lease(self, job_index: int) -> Optional[Lease]:
         data = self._read_json(self.lease_path(job_index))
-        if data is None or data.get("kind") != "lease":
+        if data is None or data.get("kind") != KIND_LEASE:
             return None
         try:
             return Lease.from_dict(data)
@@ -662,8 +566,9 @@ class WorkQueue:
         return self.has_result(job_index) or self.has_tombstone(job_index)
 
     def drained(self) -> bool:
-        """True when every published job is settled."""
-        return all(self.settled(index) for index in self.published_indexes())
+        """True when the campaign is published and every job settled."""
+        return core.drained(self.manifest(), self.published_indexes(),
+                            self.settled)
 
     def claim(self, job_index: int,
               manifest: Optional[dict] = None) -> Optional[Tuple[ShardJob,
@@ -680,58 +585,37 @@ class WorkQueue:
         the job with a tombstone once ``max_attempts`` is exhausted.
         """
         manifest = manifest or self.manifest()
-        if manifest is None:
-            return None
-        if self.settled(job_index):
+        if manifest is None or self.settled(job_index):
             return None
         job = self.load_job(job_index)
         if job is None:
             return None
-        now = self.clock()
-        duration = float(manifest.get("lease_duration", 30.0))
-        previous = self.read_lease(job_index)
-        if previous is None:
-            attempt = 1
-            if os.path.exists(self.lease_path(job_index)):
-                # Damaged lease file: crash-consistency says treat it as
-                # expired with unknown history; replace it outright.
-                lease = Lease(node=self.node, attempt=attempt,
-                              claimed_at=now, expires_at=now + duration)
-                self._write_atomic(self.lease_path(job_index),
-                                   lease.to_dict())
-                self.metrics.count("dist.lease.reclaims")
-            else:
-                lease = Lease(node=self.node, attempt=attempt,
-                              claimed_at=now, expires_at=now + duration)
-                if not self._create_exclusive(self.lease_path(job_index),
-                                              lease.to_dict()):
-                    return None  # lost the race
-                self.metrics.count("dist.lease.claims")
-        else:
-            if previous.expires_at > now and not previous.released:
-                return None  # live lease
-            if previous.attempt >= int(manifest.get("max_attempts", 3)):
-                self.retire(job_index, previous)
-                return None
-            backoff = retry_delay(
-                float(manifest.get("retry_backoff", 0.25)),
-                previous.attempt,
-                float(manifest.get("retry_jitter", 0.0)),
-                manifest.get("fingerprint", ""), job_index)
-            if now < previous.expires_at + backoff:
-                return None  # still backing off
-            attempt = previous.attempt + 1
-            lease = Lease(node=self.node, attempt=attempt,
-                          claimed_at=now, expires_at=now + duration)
-            self._write_atomic(self.lease_path(job_index), lease.to_dict())
-            self.metrics.count("dist.lease.reclaims")
-            # Read-back ownership check: if another node replaced after
-            # us, it owns the job now (at most one of the racers sees
-            # its own write).
-            current = self.read_lease(job_index)
-            if current is None or current.node != self.node \
-                    or current.claimed_at != lease.claimed_at:
-                return None
+        path = self.lease_path(job_index)
+        decision = core.claim(self.read_lease(job_index), self.clock(),
+                              Policy.from_manifest(manifest), job_index,
+                              self.node)
+        lease = decision.lease
+        if decision.outcome == core.RETIRE:
+            self.retire(job_index, lease)
+            return None
+        if lease is None:
+            return None  # live lease, or still backing off
+        if decision.outcome == core.FRESH and not os.path.exists(path):
+            if not self._create_exclusive(path, lease.to_dict()):
+                return None  # lost the race
+            self.metrics.count("dist.lease.claims")
+            return job, lease
+        # A reclaim — or a fresh claim over a damaged lease file, which
+        # crash-consistency treats as expired with unknown history.
+        self._write_atomic(path, lease.to_dict())
+        self.metrics.count("dist.lease.reclaims")
+        # Read-back ownership check: if another node replaced after us,
+        # it owns the job now (at most one of the racers sees its own
+        # write).
+        current = self.read_lease(job_index)
+        if current is None or (current.node, current.claimed_at) \
+                != (self.node, lease.claimed_at):
+            return None
         return job, lease
 
     def claim_next(self, limit: int = 1) -> List[Tuple[ShardJob, Lease]]:
@@ -756,14 +640,11 @@ class WorkQueue:
         may keep running — the duplicate result will be dropped — but
         should stop renewing.
         """
-        current = self.read_lease(job_index)
-        if current is None or current.node != self.node:
+        renewed = core.renew(self.read_lease(job_index), self.node,
+                             self.clock(), lease_duration)
+        if renewed is None:
             self.metrics.count("dist.lease.lost")
             return False
-        now = self.clock()
-        renewed = Lease(node=self.node, attempt=current.attempt,
-                        claimed_at=current.claimed_at,
-                        expires_at=now + lease_duration)
         self._write_atomic(self.lease_path(job_index), renewed.to_dict())
         self.metrics.count("dist.heartbeats")
         return True
@@ -776,34 +657,27 @@ class WorkQueue:
         now, with the failure recorded — the next claim bumps the
         attempt and (once attempts are exhausted) the failure kind
         decides between a ``quarantine`` and a ``node_lost`` retirement.
+        A lease reclaimed elsewhere in the meantime is not ours to
+        release: that is a lost lease, as for a failed heartbeat.
         """
-        released = Lease(node=self.node, attempt=lease.attempt,
-                         claimed_at=lease.claimed_at,
-                         expires_at=self.clock(), released=True,
-                         failure_kind=failure_kind, error=error)
+        released = core.release(self.read_lease(job_index), self.node,
+                                lease.claimed_at, self.clock(),
+                                failure_kind, error)
+        if released is None:
+            self.metrics.count("dist.lease.lost")
+            return
         self._write_atomic(self.lease_path(job_index), released.to_dict())
         self.metrics.count("dist.lease.released")
 
     def retire(self, job_index: int, lease: Lease) -> bool:
-        """Tombstone a job whose attempts are exhausted.
-
-        ``released`` leases retire as ``quarantine`` (the node watched
-        the job hang or crash and said so); silently expired leases
-        retire as ``node_lost`` (the node vanished mid-lease).
-        """
-        reason = REASON_QUARANTINE if lease.released else REASON_NODE_LOST
-        error = lease.error or (f"lease of node {lease.node!r} expired "
-                                f"(attempt {lease.attempt})")
-        created = self._create_exclusive(self.tombstone_path(job_index), {
-            "kind": "tombstone",
-            "reason": reason,
-            "attempts": lease.attempt,
-            "node": lease.node,
-            "failure_kind": lease.failure_kind or reason,
-            "error": error,
-        })
+        """Tombstone a job whose attempts are exhausted (first writer
+        wins); see :func:`repro.fuzz.lease.tombstone`."""
+        created = self._create_exclusive(self.tombstone_path(job_index),
+                                         core.tombstone(lease))
         if created:
             self.metrics.count("dist.tombstones")
+            if not lease.released:
+                self.metrics.count("dist.node_lost")
         return created
 
     # -- nodes: publishing results -----------------------------------------
@@ -817,13 +691,8 @@ class WorkQueue:
         *repairs* it via atomic replace instead of dropping the good
         copy.
         """
-        payload = {
-            "kind": "result",
-            "fingerprint": fingerprint,
-            "node": self.node,
-            "attempt": attempt,
-            "result": result_to_dict(result),
-        }
+        payload = core.result_record(fingerprint, self.node, attempt,
+                                     result_to_dict(result))
         path = self.result_path(result.job_index)
         if self._create_exclusive(path, payload):
             self.metrics.count("dist.results.published")
@@ -855,20 +724,7 @@ class WorkQueue:
 
     def corpus_paths(self) -> List[Tuple[int, str]]:
         """Published corpus deltas as (job index, path), index-sorted."""
-        try:
-            names = os.listdir(self._dir("corpus"))
-        except OSError:
-            return []
-        deltas = []
-        for name in names:
-            if name.startswith("job-") and name.endswith(".corpus.jsonl"):
-                try:
-                    index = int(name[4:-len(".corpus.jsonl")])
-                except ValueError:
-                    continue
-                deltas.append((index, os.path.join(self._dir("corpus"),
-                                                   name)))
-        return sorted(deltas)
+        return self._listed("corpus", ".corpus.jsonl")
 
     def _drop_lease(self, job_index: int) -> None:
         try:
@@ -891,18 +747,12 @@ class WorkQueue:
         not read again and they are left out of the reply.
         """
         results: Dict[int, ShardResult] = {}
-        skip = {os.path.basename(self.result_path(index))
-                for index in known}
-        try:
-            names = sorted(os.listdir(self._dir("results")))
-        except OSError:
-            return results
-        for name in names:
-            if not (name.startswith("job-") and name.endswith(".json")) \
-                    or name in skip:
+        skip = set(known)
+        for index, path in self._listed("results"):
+            if index in skip:
                 continue
-            data = self._read_json(os.path.join(self._dir("results"), name))
-            if data is None or data.get("kind") != "result":
+            data = self._read_json(path)
+            if data is None or data.get("kind") != KIND_RESULT:
                 continue
             if data.get("fingerprint") != fingerprint:
                 self.metrics.count("dist.results.foreign")
@@ -916,21 +766,10 @@ class WorkQueue:
 
     def collect_tombstones(self) -> Dict[int, dict]:
         stones: Dict[int, dict] = {}
-        try:
-            names = sorted(os.listdir(self._dir("tombstones")))
-        except OSError:
-            return stones
-        for name in names:
-            if not (name.startswith("job-") and name.endswith(".json")):
-                continue
-            data = self._read_json(os.path.join(self._dir("tombstones"),
-                                                name))
-            if data is None or data.get("kind") != "tombstone":
-                continue
-            try:
-                stones[int(name[4:-5])] = data
-            except ValueError:
-                continue
+        for index, path in self._listed("tombstones"):
+            data = self._read_json(path)
+            if data is not None and data.get("kind") == KIND_TOMBSTONE:
+                stones[index] = data
         return stones
 
     def sweep(self) -> int:
@@ -944,25 +783,14 @@ class WorkQueue:
         manifest = self.manifest()
         if manifest is None:
             return 0
-        now = self.clock()
-        max_attempts = int(manifest.get("max_attempts", 3))
-        retired = 0
-        for index in self.published_indexes():
-            if self.settled(index):
-                continue
-            lease = self.read_lease(index)
-            if lease is None:
-                continue
-            if lease.expires_at > now and not lease.released:
-                continue
-            if not lease.released:
-                self.metrics.count("dist.lease.expired")
-            if lease.attempt >= max_attempts:
-                if self.retire(index, lease):
-                    retired += 1
-                    if not lease.released:
-                        self.metrics.count("dist.node_lost")
-        return retired
+        expired, exhausted = core.sweep(
+            ((index, self.read_lease(index))
+             for index in self.published_indexes()
+             if not self.settled(index)),
+            self.clock(), Policy.from_manifest(manifest).max_attempts)
+        if expired:
+            self.metrics.count("dist.lease.expired", expired)
+        return sum(self.retire(index, lease) for index, lease in exhausted)
 
     def close(self) -> None:
         """Release transport resources (none: the directory is the state)."""
@@ -978,10 +806,8 @@ def open_queue(dist: DistConfig, node: str = "") -> "Transport":
     """
     if dist.queue_addr:
         from .net import SocketQueue
-        return SocketQueue(dist.queue_addr, node=node,
-                           payload_format=dist.payload_format)
-    return WorkQueue(dist.queue_dir, node=node,
-                     payload_format=dist.payload_format)
+        return SocketQueue(dist.queue_addr, node=node)
+    return WorkQueue(dist.queue_dir, node=node)
 
 
 # ---------------------------------------------------------------------------
@@ -1205,7 +1031,7 @@ def synthesize_tombstone_result(job: ShardJob, stone: dict) -> ShardResult:
     """
     reason = stone.get("reason", REASON_NODE_LOST)
     kind = REASON_QUARANTINE if reason == REASON_QUARANTINE \
-        else KIND_NODE_LOST
+        else REASON_NODE_LOST
     return ShardResult(
         job_index=job.job_index, file_name=job.file_name,
         pipeline=job.config.pipeline, seed=job.config.base_seed,

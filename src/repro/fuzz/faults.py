@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from .dist import WorkQueue
+from .lease import result_record
 from .net import SocketQueue
 from .parallel import ShardJob, ShardResult, execute_job
 from .wire import TAG_RESULT, encode_frame
@@ -235,13 +236,9 @@ class ChaosQueue(WorkQueue):
             self.torn_results[result.job_index] = pending - 1
             import json
             from .checkpoint import result_to_dict
-            payload = json.dumps({
-                "kind": "result",
-                "fingerprint": fingerprint,
-                "node": self.node,
-                "attempt": attempt,
-                "result": result_to_dict(result),
-            }, sort_keys=True).encode("utf-8")
+            payload = json.dumps(result_record(
+                fingerprint, self.node, attempt, result_to_dict(result)),
+                sort_keys=True).encode("utf-8")
             path = self.result_path(result.job_index)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             torn_write(path, payload)

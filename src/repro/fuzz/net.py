@@ -1,13 +1,14 @@
 """The socket transport: a TCP queue broker and its client.
 
 For fleets whose hosts cannot share a directory, the queue state moves
-into a :class:`QueueBroker` — a small TCP server owning the
-lease/result protocol **in memory**, journal-backed for crash recovery
-— and nodes/coordinators talk to it through :class:`SocketQueue`, a
-drop-in :class:`~repro.fuzz.dist.Transport`.  Everything above the
-transport surface (claims, heartbeats, backoff, result dedup, corpus
-merging, the campaign fingerprint) is byte-identical to the shared-dir
-queue; only the bytes' route changes.
+into a :class:`QueueBroker` — a small TCP server holding the queue
+**in memory**, journal-backed for crash recovery — and
+nodes/coordinators talk to it through :class:`SocketQueue`, a drop-in
+:class:`~repro.fuzz.dist.Transport`.  Every lease decision (claim,
+renew, release, sweep, drained) and every stored record comes from
+:mod:`repro.fuzz.lease`, the state machine the shared-dir queue uses
+too; the broker adds only the lock, the journal, and lease expiry on
+disconnect, so campaigns behave identically over either transport.
 
 Protocol
 --------
@@ -44,28 +45,30 @@ Failure matrix delta vs the shared-dir queue: see DESIGN §13.
 
 from __future__ import annotations
 
+import json
 import os
 import socket
 import tempfile
 import threading
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from typing import (Callable, Collection, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from ..obs import MetricsRegistry
+from . import lease as core
 from .checkpoint import result_from_dict, result_to_dict
-from .dist import (Lease, QueueError, QueueMismatch, REASON_NODE_LOST,
-                   REASON_QUARANTINE, ShardJob, ShardResult, _jsonified,
-                   job_from_wire, job_to_wire)
-from .parallel import retry_delay
-from .wire import (FORMAT_BITCODE, BlobStore, DecodeCache, FrameError,
-                   FrameStream, TAG_BLOB_GET, TAG_BLOB_HAVE, TAG_BLOB_PUT,
-                   TAG_CLAIM, TAG_COLLECT_CORPUS, TAG_COLLECT_RESULTS,
-                   TAG_COLLECT_STONES, TAG_CORPUS, TAG_DRAINED, TAG_ERROR,
-                   TAG_HEARTBEAT, TAG_HELLO, TAG_MANIFEST, TAG_OK,
-                   TAG_PUBLISH, TAG_RELEASE, TAG_RESULT, TAG_RETIRE,
-                   TAG_SWEEP, blob_digest, encode_payload)
+from .dist import (ShardJob, ShardResult, config_base, job_from_record,
+                   job_to_wire)
+from .lease import (KIND_MANIFEST, KIND_RESULT, KIND_TOMBSTONE, Lease,
+                    Policy, QueueError, QueueMismatch)
+from .wire import (TAG_NAMES, BlobStore, DecodeCache, FrameError,
+                   FrameStream, WireError, TAG_BLOB_GET, TAG_BLOB_HAVE,
+                   TAG_BLOB_PUT, TAG_CLAIM, TAG_COLLECT_CORPUS,
+                   TAG_COLLECT_RESULTS, TAG_COLLECT_STONES, TAG_CORPUS,
+                   TAG_DRAINED, TAG_ERROR, TAG_HEARTBEAT, TAG_HELLO,
+                   TAG_MANIFEST, TAG_OK, TAG_PUBLISH, TAG_RELEASE,
+                   TAG_RESULT, TAG_SWEEP, blob_digest, encode_payload)
 
 __all__ = ["QueueBroker", "SocketQueue", "parse_address"]
 
@@ -82,6 +85,16 @@ def parse_address(address: str) -> Tuple[str, int]:
         return host, int(port)
     except ValueError:
         raise QueueError(f"invalid port in queue address {address!r}")
+
+
+def _digests(header: dict) -> List[str]:
+    """The ``digests`` of a blob verb; a protocol error unless a list of
+    strings."""
+    digests = header.get("digests", [])
+    if not isinstance(digests, list) \
+            or not all(isinstance(digest, str) for digest in digests):
+        raise TypeError(f"digests must be a list of strings: {digests!r}")
+    return digests
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +155,6 @@ class QueueBroker:
         reply ever leaves the broker."""
         if self.journal_dir is None:
             return
-        import json
         if self._journal is None:
             self._journal = open(self.journal_path(), "a")
         self._journal.write(json.dumps(record, sort_keys=True) + "\n")
@@ -151,7 +163,6 @@ class QueueBroker:
 
     def _recover(self) -> None:
         """Replay the journal; tolerate (only) a torn trailing line."""
-        import json
         path = self.journal_path()
         try:
             with open(path, "rb") as stream:
@@ -183,34 +194,22 @@ class QueueBroker:
 
     def _replay(self, record: dict) -> None:
         kind = record.get("kind")
-        if kind == "manifest":
+        if kind == KIND_MANIFEST:
             self._manifest = record.get("manifest")
-        elif kind == "job":
-            try:
-                index = int(record["job"]["job_index"])
-            except (KeyError, TypeError, ValueError):
-                return
+            return
+        try:
+            index = int(record["job"]["job_index"] if kind == "job"
+                        else record["job_index"])
+        except (KeyError, TypeError, ValueError):
+            return
+        if kind == "job":
             self._jobs[index] = record["job"]
-        elif kind == "result":
-            try:
-                index = int(record["job_index"])
-            except (KeyError, TypeError, ValueError):
-                return
+        elif kind == KIND_RESULT:
             self._results.setdefault(index, record.get("payload", {}))
-        elif kind == "tombstone":
-            try:
-                index = int(record["job_index"])
-            except (KeyError, TypeError, ValueError):
-                return
+        elif kind == KIND_TOMBSTONE:
             self._tombstones.setdefault(index, record.get("stone", {}))
-        elif kind == "corpus":
-            try:
-                index = int(record["job_index"])
-            except (KeyError, TypeError, ValueError):
-                return
-            sha = record.get("sha", "")
-            if sha:
-                self._corpus[index] = sha
+        elif kind == "corpus" and record.get("sha"):
+            self._corpus[index] = record["sha"]
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -335,11 +334,8 @@ class QueueBroker:
                 return
             self._conns_by_node.pop(node, None)
             for index, lease in list(self._leases.items()):
-                if lease.node != node or lease.released:
-                    continue
-                if index in self._results or index in self._tombstones:
-                    continue
-                if lease.expires_at > now:
+                if lease.node == node and lease.live(now) \
+                        and not self._settled(index):
                     self._leases[index] = replace(lease, expires_at=now)
                     self.metrics.count("net.lease.disconnect_expired")
 
@@ -348,75 +344,83 @@ class QueueBroker:
     def _dispatch(self, tag: int, header: dict, blobs: List[bytes],
                   node: str) -> Tuple[int, dict, List[bytes]]:
         with self._lock:
-            if tag == TAG_MANIFEST:
-                return TAG_OK, {"manifest": self._manifest}, []
-            if tag == TAG_PUBLISH:
-                return self._handle_publish(header)
-            if tag == TAG_CLAIM:
-                return self._handle_claim(header, node)
-            if tag == TAG_HEARTBEAT:
-                return self._handle_heartbeat(header, node)
-            if tag == TAG_RELEASE:
-                return self._handle_release(header, node)
-            if tag == TAG_RETIRE:
-                return self._handle_retire(header)
-            if tag == TAG_RESULT:
-                return self._handle_result(header, node)
-            if tag == TAG_CORPUS:
-                return self._handle_corpus(header, blobs)
-            if tag == TAG_COLLECT_RESULTS:
-                fingerprint = header.get("fingerprint", "")
-                # Indices the caller already holds (absent from requests
-                # of older nodes): stored results never change, so they
-                # need not travel again.
-                known = header.get("known")
-                if not isinstance(known, list):
-                    known = ()
-                known = {index for index in known if isinstance(index, int)}
-                results = []
-                for index in sorted(self._results):
-                    if index in known:
-                        continue
-                    payload = self._results[index]
-                    if payload.get("fingerprint") != fingerprint:
-                        self.metrics.count("dist.results.foreign")
-                        continue
-                    results.append(payload)
-                return TAG_OK, {"results": results}, []
-            if tag == TAG_COLLECT_STONES:
-                stones = [[index, stone] for index, stone
-                          in sorted(self._tombstones.items())]
-                return TAG_OK, {"tombstones": stones}, []
-            if tag == TAG_COLLECT_CORPUS:
-                deltas = [[index, sha] for index, sha
-                          in sorted(self._corpus.items())]
-                return TAG_OK, {"deltas": deltas}, []
-            if tag == TAG_SWEEP:
-                return TAG_OK, {"retired": self._sweep()}, []
-            if tag == TAG_DRAINED:
-                drained = bool(self._jobs) and all(
-                    self._settled(index) for index in self._jobs)
-                return TAG_OK, {"drained": drained}, []
-            if tag == TAG_BLOB_HAVE:
-                digests = header.get("digests", [])
-                missing = [d for d in digests if d not in self.blobs]
-                return TAG_OK, {"missing": missing}, []
-            if tag == TAG_BLOB_PUT:
-                stored = 0
-                for data in blobs:
-                    self.blobs.put(data)
-                    stored += 1
-                return TAG_OK, {"stored": stored}, []
-            if tag == TAG_BLOB_GET:
-                found, out = [], []
-                for digest in header.get("digests", []):
-                    data = self.blobs.get(digest)
-                    if data is not None:
-                        found.append(digest)
-                        out.append(data)
-                return TAG_OK, {"found": found}, out
-            return TAG_ERROR, {"error": f"unknown verb tag {tag}",
-                               "kind": "protocol"}, []
+            try:
+                return self._handle(tag, header, blobs, node)
+            except QueueMismatch as exc:
+                return TAG_ERROR, {"error": str(exc), "kind": "mismatch"}, []
+            except (KeyError, TypeError, ValueError) as exc:
+                # Every handler reads its whole header before it changes
+                # anything, so a request it cannot read changed nothing.
+                verb = TAG_NAMES.get(tag, str(tag))
+                return TAG_ERROR, {"error": f"malformed {verb} request: "
+                                            f"{exc!r}",
+                                   "kind": "protocol"}, []
+
+    def _handle(self, tag: int, header: dict, blobs: List[bytes],
+                node: str) -> Tuple[int, dict, List[bytes]]:
+        if tag == TAG_MANIFEST:
+            return TAG_OK, {"manifest": self._manifest}, []
+        if tag == TAG_PUBLISH:
+            return self._handle_publish(header)
+        if tag == TAG_CLAIM:
+            return self._handle_claim(header, node)
+        if tag == TAG_HEARTBEAT:
+            return self._handle_heartbeat(header, node)
+        if tag == TAG_RELEASE:
+            return self._handle_release(header, node)
+        if tag == TAG_RESULT:
+            return self._handle_result(header, node)
+        if tag == TAG_CORPUS:
+            return self._handle_corpus(header, blobs)
+        if tag == TAG_COLLECT_RESULTS:
+            fingerprint = str(header.get("fingerprint", ""))
+            # Indices the caller already holds (absent from requests of
+            # older nodes): stored results never change, so they need
+            # not travel again.
+            known = header.get("known")
+            if not isinstance(known, list):
+                known = ()
+            known = {index for index in known if isinstance(index, int)}
+            results = []
+            for index in sorted(self._results):
+                if index in known:
+                    continue
+                payload = self._results[index]
+                if payload.get("fingerprint") != fingerprint:
+                    self.metrics.count("dist.results.foreign")
+                    continue
+                results.append(payload)
+            return TAG_OK, {"results": results}, []
+        if tag == TAG_COLLECT_STONES:
+            stones = [[index, stone] for index, stone
+                      in sorted(self._tombstones.items())]
+            return TAG_OK, {"tombstones": stones}, []
+        if tag == TAG_COLLECT_CORPUS:
+            deltas = [[index, sha] for index, sha
+                      in sorted(self._corpus.items())]
+            return TAG_OK, {"deltas": deltas}, []
+        if tag == TAG_SWEEP:
+            return TAG_OK, {"retired": self._sweep()}, []
+        if tag == TAG_DRAINED:
+            drained = core.drained(self._manifest, self._jobs, self._settled)
+            return TAG_OK, {"drained": drained}, []
+        if tag == TAG_BLOB_HAVE:
+            missing = [d for d in _digests(header) if d not in self.blobs]
+            return TAG_OK, {"missing": missing}, []
+        if tag == TAG_BLOB_PUT:
+            for data in blobs:
+                self.blobs.put(data)
+            return TAG_OK, {"stored": len(blobs)}, []
+        if tag == TAG_BLOB_GET:
+            found, out = [], []
+            for digest in _digests(header):
+                data = self.blobs.get(digest)
+                if data is not None:
+                    found.append(digest)
+                    out.append(data)
+            return TAG_OK, {"found": found}, out
+        return TAG_ERROR, {"error": f"unknown verb tag {tag}",
+                           "kind": "protocol"}, []
 
     # -- verb implementations (all called under the lock) -------------------
 
@@ -425,33 +429,26 @@ class QueueBroker:
 
     def _handle_publish(self, header: dict) -> Tuple[int, dict,
                                                      List[bytes]]:
-        fingerprint = header.get("fingerprint", "")
-        if self._manifest is not None \
-                and self._manifest.get("fingerprint") != fingerprint:
-            served = self._manifest.get("fingerprint", "?")[:12]
-            return TAG_ERROR, {
-                "error": f"broker already serves campaign {served}, not "
-                         f"{fingerprint[:12]}; use a fresh broker",
-                "kind": "mismatch"}, []
-        shared_config = header.get("shared_config")
-        if self._manifest is not None \
-                and self._manifest.get("shared_config") is not None:
-            # The original publish's config base stays authoritative
-            # for already-stored records (see WorkQueue.publish).
-            shared_config = self._manifest.get("shared_config")
+        policy = Policy.from_manifest(header)
+        proposed = header.get("shared_config")
+        if not isinstance(proposed, (dict, type(None))):
+            raise TypeError(f"shared_config must be an object: {proposed!r}")
+        shared_config = core.publish_base(self._manifest, policy.fingerprint,
+                                          proposed, "broker")
         records = header.get("jobs", [])
-        published = 0
+        total_jobs = int(header.get("total_jobs", len(records)))
+        indexed = []
         for record in records:
-            try:
-                index = int(record["job_index"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            sha = record.get("payload", {}).get("sha", "")
+            index = int(record["job_index"])
+            sha = record["payload"]["sha"]
             if sha not in self.blobs:
                 return TAG_ERROR, {
                     "error": f"job {index} references missing blob "
-                             f"{sha[:12]}; blob-put it first",
+                             f"{str(sha)[:12]}; blob-put it first",
                     "kind": "missing-blob"}, []
+            indexed.append((index, record))
+        published = 0
+        for index, record in indexed:
             if self._jobs.get(index) == record:
                 self.metrics.count("dist.jobs.unchanged")
                 continue
@@ -459,157 +456,90 @@ class QueueBroker:
             self._jobs[index] = record
             published += 1
             self.metrics.count("dist.jobs.published")
-        manifest = {
-            "kind": "manifest",
-            "version": self._manifest.get("version", BROKER_VERSION)
-            if self._manifest else BROKER_VERSION,
-            "fingerprint": fingerprint,
-            "total_jobs": header.get("total_jobs", len(records)),
-            "lease_duration": header.get("lease_duration", 30.0),
-            "max_attempts": header.get("max_attempts", 3),
-            "retry_backoff": header.get("retry_backoff", 0.25),
-            "retry_jitter": header.get("retry_jitter", 0.0),
-            "shared_config": shared_config,
-        }
+        manifest = core.manifest_record(policy, total_jobs, shared_config,
+                                        BROKER_VERSION)
         if manifest != self._manifest:
-            self._journal_append({"kind": "manifest",
+            self._journal_append({"kind": KIND_MANIFEST,
                                   "manifest": manifest})
             self._manifest = manifest
         return TAG_OK, {"published": published}, []
 
     def _handle_claim(self, header: dict,
                       node: str) -> Tuple[int, dict, List[bytes]]:
+        limit = max(1, int(header.get("limit", 1)))
         if self._manifest is None:
             return TAG_OK, {"claims": []}, []
-        limit = max(1, int(header.get("limit", 1)))
+        policy = Policy.from_manifest(self._manifest)
         now = self.clock()
         claims = []
         for index in sorted(self._jobs):
             if len(claims) >= limit:
                 break
-            taken = self._claim_one(index, node, now)
-            if taken is not None:
-                record, lease = taken
-                claims.append({"job": record, "lease": lease.to_dict()})
+            if self._settled(index):
+                continue
+            decision = core.claim(self._leases.get(index), now, policy,
+                                  index, node)
+            if decision.outcome == core.RETIRE:
+                self._retire(index, decision.lease)
+            elif decision.lease is not None:
+                self._leases[index] = decision.lease
+                self.metrics.count("dist.lease.claims"
+                                   if decision.outcome == core.FRESH
+                                   else "dist.lease.reclaims")
+                claims.append({"job": self._jobs[index],
+                               "lease": decision.lease.to_dict()})
         return TAG_OK, {"claims": claims}, []
-
-    def _claim_one(self, index: int, node: str,
-                   now: float) -> Optional[Tuple[dict, Lease]]:
-        """One job's claim decision — the in-memory twin of
-        :meth:`repro.fuzz.dist.WorkQueue.claim`."""
-        if self._settled(index):
-            return None
-        record = self._jobs.get(index)
-        if record is None:
-            return None
-        manifest = self._manifest or {}
-        duration = float(manifest.get("lease_duration", 30.0))
-        previous = self._leases.get(index)
-        if previous is None:
-            lease = Lease(node=node, attempt=1, claimed_at=now,
-                          expires_at=now + duration)
-            self._leases[index] = lease
-            self.metrics.count("dist.lease.claims")
-            return record, lease
-        if previous.expires_at > now and not previous.released:
-            return None  # live lease
-        if previous.attempt >= int(manifest.get("max_attempts", 3)):
-            self._retire(index, previous)
-            return None
-        backoff = retry_delay(
-            float(manifest.get("retry_backoff", 0.25)),
-            previous.attempt,
-            float(manifest.get("retry_jitter", 0.0)),
-            manifest.get("fingerprint", ""), index)
-        if now < previous.expires_at + backoff:
-            return None  # still backing off
-        lease = Lease(node=node, attempt=previous.attempt + 1,
-                      claimed_at=now, expires_at=now + duration)
-        self._leases[index] = lease
-        self.metrics.count("dist.lease.reclaims")
-        return record, lease
 
     def _handle_heartbeat(self, header: dict,
                           node: str) -> Tuple[int, dict, List[bytes]]:
-        try:
-            index = int(header["job_index"])
-            duration = float(header["lease_duration"])
-        except (KeyError, TypeError, ValueError):
-            return TAG_OK, {"renewed": False}, []
-        current = self._leases.get(index)
-        if current is None or current.node != node:
+        index = int(header["job_index"])
+        duration = float(header["lease_duration"])
+        renewed = core.renew(self._leases.get(index), node, self.clock(),
+                             duration)
+        if renewed is None:
             self.metrics.count("dist.lease.lost")
             return TAG_OK, {"renewed": False}, []
-        self._leases[index] = replace(
-            current, expires_at=self.clock() + duration)
+        self._leases[index] = renewed
         self.metrics.count("dist.heartbeats")
         return TAG_OK, {"renewed": True}, []
 
     def _handle_release(self, header: dict,
                         node: str) -> Tuple[int, dict, List[bytes]]:
-        try:
-            index = int(header["job_index"])
-            lease = Lease.from_dict(header["lease"])
-        except (KeyError, TypeError, ValueError):
-            return TAG_OK, {}, []
-        self._leases[index] = Lease(
-            node=node or lease.node, attempt=lease.attempt,
-            claimed_at=lease.claimed_at, expires_at=self.clock(),
-            released=True, failure_kind=str(header.get("failure_kind", "")),
-            error=str(header.get("error", "")))
+        index = int(header["job_index"])
+        held = Lease.from_dict(header["lease"])
+        released = core.release(
+            self._leases.get(index), node, held.claimed_at, self.clock(),
+            str(header.get("failure_kind", "")), str(header.get("error", "")))
+        if released is None:
+            self.metrics.count("dist.lease.lost")
+            return TAG_OK, {"released": False}, []
+        self._leases[index] = released
         self.metrics.count("dist.lease.released")
-        return TAG_OK, {}, []
-
-    def _handle_retire(self, header: dict) -> Tuple[int, dict,
-                                                    List[bytes]]:
-        try:
-            index = int(header["job_index"])
-            lease = Lease.from_dict(header["lease"])
-        except (KeyError, TypeError, ValueError):
-            return TAG_OK, {"retired": False}, []
-        return TAG_OK, {"retired": self._retire(index, lease)}, []
+        return TAG_OK, {"released": True}, []
 
     def _retire(self, index: int, lease: Lease) -> bool:
         if index in self._tombstones:
             return False
-        reason = REASON_QUARANTINE if lease.released else REASON_NODE_LOST
-        stone = {
-            "kind": "tombstone",
-            "reason": reason,
-            "attempts": lease.attempt,
-            "node": lease.node,
-            "failure_kind": lease.failure_kind or reason,
-            "error": lease.error or (f"lease of node {lease.node!r} "
-                                     f"expired (attempt {lease.attempt})"),
-        }
-        self._journal_append({"kind": "tombstone", "job_index": index,
+        stone = core.tombstone(lease)
+        self._journal_append({"kind": KIND_TOMBSTONE, "job_index": index,
                               "stone": stone})
         self._tombstones[index] = stone
         self.metrics.count("dist.tombstones")
+        if not lease.released:
+            self.metrics.count("dist.node_lost")
         return True
 
     def _handle_result(self, header: dict,
                        node: str) -> Tuple[int, dict, List[bytes]]:
-        result = header.get("result")
-        if not isinstance(result, dict):
-            return TAG_ERROR, {"error": "result verb without a result",
-                               "kind": "protocol"}, []
-        try:
-            index = int(result["job_index"])
-        except (KeyError, TypeError, ValueError):
-            return TAG_ERROR, {"error": "result without job_index",
-                               "kind": "protocol"}, []
+        result = header["result"]
+        index = int(result["job_index"])
+        payload = core.result_record(str(header.get("fingerprint", "")),
+                                     node, int(header.get("attempt", 1)),
+                                     result)
         if index in self._results:
             self.metrics.count("dist.results.duplicate")
             return TAG_OK, {"published": False}, []
-        payload = {
-            "kind": "result",
-            "fingerprint": header.get("fingerprint", ""),
-            "node": node,
-            "attempt": int(header.get("attempt", 1)),
-            "result": result,
-        }
-        self._journal_append({"kind": "result", "job_index": index,
+        self._journal_append({"kind": KIND_RESULT, "job_index": index,
                               "payload": payload})
         self._results[index] = payload
         self._leases.pop(index, None)
@@ -619,12 +549,9 @@ class QueueBroker:
     def _handle_corpus(self, header: dict,
                        blobs: List[bytes]) -> Tuple[int, dict,
                                                     List[bytes]]:
-        try:
-            index = int(header["job_index"])
-        except (KeyError, TypeError, ValueError):
-            return TAG_OK, {"ok": False}, []
-        if not blobs:
-            return TAG_OK, {"ok": False}, []
+        index = int(header["job_index"])
+        if len(blobs) != 1:
+            raise ValueError(f"corpus verb with {len(blobs)} blobs, not 1")
         sha = self.blobs.put(blobs[0])
         self._journal_append({"kind": "corpus", "job_index": index,
                               "sha": sha})
@@ -633,28 +560,15 @@ class QueueBroker:
         return TAG_OK, {"ok": True}, []
 
     def _sweep(self) -> int:
-        manifest = self._manifest
-        if manifest is None:
+        if self._manifest is None:
             return 0
-        now = self.clock()
-        max_attempts = int(manifest.get("max_attempts", 3))
-        retired = 0
-        for index in sorted(self._jobs):
-            if self._settled(index):
-                continue
-            lease = self._leases.get(index)
-            if lease is None:
-                continue
-            if lease.expires_at > now and not lease.released:
-                continue
-            if not lease.released:
-                self.metrics.count("dist.lease.expired")
-            if lease.attempt >= max_attempts:
-                if self._retire(index, lease):
-                    retired += 1
-                    if not lease.released:
-                        self.metrics.count("dist.node_lost")
-        return retired
+        expired, exhausted = core.sweep(
+            ((index, lease) for index, lease in sorted(self._leases.items())
+             if not self._settled(index)),
+            self.clock(), Policy.from_manifest(self._manifest).max_attempts)
+        if expired:
+            self.metrics.count("dist.lease.expired", expired)
+        return sum(self._retire(index, lease) for index, lease in exhausted)
 
     # -- introspection (tests, smoke harnesses) -----------------------------
 
@@ -687,14 +601,12 @@ class SocketQueue:
 
     def __init__(self, address: str, node: str = "",
                  clock: Callable[[], float] = time.time,
-                 payload_format: str = FORMAT_BITCODE,
                  connect_timeout: float = 60.0,
                  retry_interval: float = 0.2,
                  socket_timeout: float = 60.0) -> None:
         self.host, self.port = parse_address(address)
         self.node = node or f"node-{os.getpid()}"
         self.clock = clock
-        self.payload_format = payload_format
         self.connect_timeout = connect_timeout
         self.retry_interval = retry_interval
         self.socket_timeout = socket_timeout
@@ -782,22 +694,14 @@ class SocketQueue:
                 retry_backoff: float = 0.25,
                 retry_jitter: float = 0.0) -> None:
         self._manifest_cache = None
-        existing = self.manifest()
-        if existing is not None \
-                and existing.get("fingerprint") != fingerprint:
-            raise QueueMismatch(
-                f"broker {self.address} already serves campaign "
-                f"{existing.get('fingerprint', '?')[:12]}, not "
-                f"{fingerprint[:12]}")
-        shared_config = existing.get("shared_config") if existing else None
-        if shared_config is None and jobs:
-            shared_config = _jsonified(asdict(jobs[0].config))
+        shared_config = core.publish_base(self.manifest(), fingerprint,
+                                          config_base(jobs),
+                                          f"broker {self.address}")
         records = []
-        payloads: Dict[int, Tuple[bytes, str]] = {}
         blobs_by_digest: Dict[str, bytes] = {}
         for job in jobs:
-            data, actual_format = encode_payload(
-                job.text, self.payload_format, metrics=self.metrics)
+            data, actual_format = encode_payload(job.text,
+                                                 metrics=self.metrics)
             sha = blob_digest(data)
             blobs_by_digest[sha] = data
             records.append(job_to_wire(job, shared_config, sha,
@@ -844,29 +748,21 @@ class SocketQueue:
         return claimed
 
     def _resolve_job(self, record: dict) -> Optional[ShardJob]:
-        manifest = self.manifest()
-        if manifest is None:
+        try:
+            return job_from_record(record, self.manifest(), self._blob,
+                                   self.decode_cache)
+        except (KeyError, TypeError, ValueError, WireError):
+            self.metrics.count("wire.jobs.unresolvable")
             return None
-        shared_config = manifest.get("shared_config")
-        if not isinstance(shared_config, dict):
-            return None
-        payload = record.get("payload", {})
-        sha = payload.get("sha", "")
+
+    def _blob(self, sha: str) -> Optional[bytes]:
+        """A module blob from the node's cache, fetched on a miss."""
         data = self.blobs.get(sha)
         if data is not None:
             self.metrics.count("wire.blob_cache.hit")
-        else:
-            self.metrics.count("wire.blob_cache.miss")
-            data = self._fetch_blob(sha)
-            if data is None:
-                return None
-        try:
-            text = self.decode_cache.text(sha, data,
-                                          payload.get("format", "text"))
-            return job_from_wire(record, shared_config, text)
-        except (KeyError, TypeError, ValueError):
-            self.metrics.count("wire.jobs.unresolvable")
-            return None
+            return data
+        self.metrics.count("wire.blob_cache.miss")
+        return self._fetch_blob(sha)
 
     def _fetch_blob(self, sha: str) -> Optional[bytes]:
         _tag, header, blobs = self._request(TAG_BLOB_GET,
@@ -893,11 +789,6 @@ class SocketQueue:
         self._request(TAG_RELEASE, {
             "job_index": job_index, "lease": lease.to_dict(),
             "failure_kind": failure_kind, "error": error})
-
-    def retire(self, job_index: int, lease: Lease) -> bool:
-        _tag, header, _blobs = self._request(TAG_RETIRE, {
-            "job_index": job_index, "lease": lease.to_dict()})
-        return bool(header.get("retired", False))
 
     def publish_result(self, result: ShardResult, fingerprint: str,
                        attempt: int = 1) -> bool:

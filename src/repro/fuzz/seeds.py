@@ -10,8 +10,7 @@ modeled directly on the paper's listings (noted inline).
 
 This module used to be ``repro.fuzz.corpus``; it was renamed when the
 *runtime* corpus (coverage-selected mutants, see
-:mod:`repro.fuzz.corpus`) took that name.  The old module re-exports
-these names with a :class:`DeprecationWarning` for one release.
+:mod:`repro.fuzz.corpus`) took that name.
 """
 
 from __future__ import annotations

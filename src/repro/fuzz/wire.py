@@ -8,7 +8,7 @@ testable:
   ``varint(body length) || body``; the body is ``varint(tag) ||
   varint(header length) || header JSON || varint(blob count) ||
   (varint(blob length) || blob bytes)*``.  Tags mirror the queue verbs
-  (publish/claim/heartbeat/release/retire/result/corpus-delta) plus
+  (publish/claim/heartbeat/release/result/corpus-delta) plus
   the blob-transfer and control verbs.  Varints are unsigned LEB128 —
   the same encoding :mod:`repro.ir.bitcode` uses, so a frame carrying
   a bitcode blob is varints all the way down.  A short read anywhere
@@ -31,8 +31,8 @@ testable:
 
 Payload helpers :func:`encode_payload` / :func:`decode_payload` convert
 module text to/from its transfer representation (``"bitcode"`` — the
-compact binary format — or ``"text"`` for the ablation/debug path).
-Text that does not parse is shipped verbatim as ``"text"`` so a
+compact binary format — or ``"text"``).  Queues always ask for
+bitcode; text that does not parse is shipped verbatim as ``"text"`` so a
 seed with a deliberate parse error still reaches the node and fails
 there, exactly as it does on a single host.
 
@@ -79,7 +79,8 @@ TAG_MANIFEST = 5         # {} -> OK {manifest}
 TAG_CLAIM = 6            # {limit} -> OK {claims: [{job, lease}]}
 TAG_HEARTBEAT = 7        # {job_index, lease_duration} -> OK {renewed}
 TAG_RELEASE = 8          # {job_index, lease, failure_kind, error} -> OK
-TAG_RETIRE = 9           # {job_index, lease} -> OK {retired}
+# 9 was ``retire``; it stays unassigned so an old client's retire frame
+# gets the broker's "unknown verb" error.
 TAG_RESULT = 10          # {fingerprint, attempt, result} -> OK {published}
 TAG_CORPUS = 11          # {job_index} + blob -> OK (corpus-delta publish)
 TAG_COLLECT_RESULTS = 12  # {fingerprint, known?} -> OK {results: [...]}
@@ -95,7 +96,7 @@ TAG_NAMES = {
     TAG_HELLO: "hello", TAG_OK: "ok", TAG_ERROR: "error",
     TAG_PUBLISH: "publish", TAG_MANIFEST: "manifest", TAG_CLAIM: "claim",
     TAG_HEARTBEAT: "heartbeat", TAG_RELEASE: "release",
-    TAG_RETIRE: "retire", TAG_RESULT: "result", TAG_CORPUS: "corpus",
+    TAG_RESULT: "result", TAG_CORPUS: "corpus",
     TAG_COLLECT_RESULTS: "collect-results",
     TAG_COLLECT_STONES: "collect-tombstones",
     TAG_COLLECT_CORPUS: "collect-corpus", TAG_SWEEP: "sweep",

@@ -7,7 +7,6 @@ live in this module.
 """
 
 import json
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -230,20 +229,12 @@ class TestJournal:
 
 
 class TestSeedsMoveShim:
-    def test_legacy_import_warns_and_resolves(self):
-        import repro.fuzz.corpus as corpus_module
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            generate_corpus = corpus_module.generate_corpus
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        from repro.fuzz.seeds import generate_corpus as canonical
-        assert generate_corpus is canonical
-
     def test_unknown_attribute_still_raises(self):
+        # The seed generators live only in repro.fuzz.seeds.
         import repro.fuzz.corpus as corpus_module
-        with pytest.raises(AttributeError):
-            corpus_module.no_such_name
+        for name in ("generate_corpus", "no_such_name"):
+            with pytest.raises(AttributeError):
+                getattr(corpus_module, name)
 
 
 # ---------------------------------------------------------------------------

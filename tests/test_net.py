@@ -1,35 +1,45 @@
-"""The socket transport: broker protocol, crash recovery, campaign parity.
+"""The socket transport: the lease suite over the wire, the broker's
+own duties, crash recovery, campaign parity.
 
-Protocol tests drive :class:`QueueBroker` + :class:`SocketQueue` over a
-real loopback socket under a fake broker clock (lease expiry and backoff
-are simulated by advancing the clock, not by sleeping).  Campaign tests
-prove the tentpole invariant — findings and ``deterministic()`` metrics
-over the socket transport (either payload format, with or without
-injected chaos, across a broker kill/restart) are identical to a
-single-host run.
+The lease and result protocol itself is written once in
+``queue_protocol.py`` and bound here to :class:`QueueBroker` +
+:class:`SocketQueue` over a real loopback socket under a fake broker
+clock; this module adds what only the broker has (the wire decoder,
+blob transfer, disconnects, the journal).  Campaign tests prove that
+findings and ``deterministic()`` metrics over the socket transport (with
+or without injected chaos, across a broker kill/restart) are identical
+to a single-host run.
 """
 
 from __future__ import annotations
 
+import copy
+import json
 import os
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.fuzz import CampaignConfig, run_campaign
-from repro.fuzz.checkpoint import jobs_fingerprint
-from repro.fuzz.dist import DistConfig, NodeRunner, QueueMismatch
-from repro.fuzz.driver import FuzzConfig
+from repro.fuzz.checkpoint import jobs_fingerprint, result_to_dict
+from repro.fuzz.dist import DistConfig, NodeRunner, QueueError, config_base
 from repro.fuzz.faults import ChaosSocketQueue, damage_journal
 from repro.fuzz.net import QueueBroker, SocketQueue, parse_address
-from repro.fuzz.parallel import ShardJob
-from repro.fuzz.wire import TAG_COLLECT_RESULTS
-from repro.ir.parser import parse_module
-from repro.ir.printer import print_module
+from repro.fuzz.wire import (TAG_BLOB_GET, TAG_BLOB_HAVE, TAG_CLAIM,
+                             TAG_COLLECT_RESULTS, TAG_CORPUS, TAG_ERROR,
+                             TAG_HEARTBEAT, TAG_HELLO, TAG_MANIFEST, TAG_OK,
+                             TAG_PUBLISH, TAG_RELEASE, TAG_RESULT, BlobStore,
+                             FrameStream, encode_payload)
 
-from .test_dist import (FakeClock, IR, SMALL, make_jobs, make_result,
-                        report_key)
+from .queue_protocol import (IR, FakeClock, LeaseProtocolSuite,
+                             ResultPublishingSuite, make_jobs, make_result,
+                             node_death_interleavings, report_key,
+                             v2_job_record, v2_manifest)
+
+SMALL = dict(corpus_size=4, mutants_per_file=8, max_inputs=8,
+             pipelines=("O2",))
 
 
 @pytest.fixture()
@@ -55,105 +65,27 @@ def published(broker, node="n1", jobs=None, **manifest):
     return client(broker, node=node), fingerprint
 
 
+def broker_state(broker):
+    """A deep snapshot of everything the broker holds."""
+    with broker._lock:
+        return copy.deepcopy((broker._manifest, broker._jobs, broker._leases,
+                              broker._results, broker._tombstones,
+                              broker._corpus))
+
+
 # ---------------------------------------------------------------------------
 # The lease protocol over the wire (fake broker clock).
 # ---------------------------------------------------------------------------
 
 
-class TestSocketProtocol:
-    def test_publish_then_manifest_and_claim(self, broker):
-        queue, fingerprint = published(broker)
-        manifest = queue.manifest()
-        assert manifest["fingerprint"] == fingerprint
-        assert manifest["total_jobs"] == 3
-        claims = queue.claim_next(limit=2)
-        assert [job.job_index for job, _lease in claims] == [0, 1]
-        # The payload crossed as bitcode; the reconstructed text is the
-        # canonical print of the original.
-        assert claims[0][0].text == print_module(parse_module(IR))
-        assert claims[0][0].config.base_seed == 0
-        assert claims[1][0].config.base_seed == 100
-        queue.close()
+class TestSocketProtocol(LeaseProtocolSuite, ResultPublishingSuite):
+    TRANSPORT = "socket"
 
-    def test_claims_are_exclusive_across_clients(self, broker):
-        queue, _ = published(broker)
-        other = client(broker, node="n2")
-        taken = queue.claim_next(limit=1)
-        assert len(taken) == 1
-        stolen = [j for j, _ in other.claim_next(limit=3)]
-        assert all(job.job_index != taken[0][0].job_index for job in stolen)
-        queue.close()
-        other.close()
-
-    def test_heartbeat_renews_only_for_owner(self, broker):
-        clock = FakeClock()
-        broker.clock = clock
-        queue, _ = published(broker, lease_duration=10.0)
-        (job, _lease), = queue.claim_next()
-        assert queue.heartbeat(job.job_index, 10.0) is True
-        thief = client(broker, node="n2")
-        assert thief.heartbeat(job.job_index, 10.0) is False
-        queue.close()
-        thief.close()
-
-    def test_expired_lease_reclaims_with_bumped_attempt(self, broker):
-        clock = FakeClock()
-        broker.clock = clock
-        queue, _ = published(broker, lease_duration=10.0,
-                             retry_backoff=1.0)
-        queue.claim_next(limit=1)
-        other = client(broker, node="n2")
-        clock.advance(10.5)            # expired, but inside backoff
-        assert not [j for j, _ in other.claim_next(limit=1)
-                    if j.job_index == 0]
-        clock.advance(1.0)             # past expiry + backoff
-        (job, lease), = other.claim_next(limit=1)
-        assert job.job_index == 0
-        assert lease.attempt == 2
-        queue.close()
-        other.close()
-
-    def test_release_for_retry_feeds_reclaim(self, broker):
-        clock = FakeClock()
-        broker.clock = clock
-        queue, _ = published(broker, retry_backoff=0.5)
-        (job, lease), = queue.claim_next()
-        queue.release_for_retry(job.job_index, lease, "hang", "stuck")
-        clock.advance(1.0)
-        (again, lease2), = queue.claim_next()
-        assert again.job_index == job.job_index
-        assert lease2.attempt == 2
-        queue.close()
-
-    def test_exhausted_attempts_retire_with_quarantine(self, broker):
-        clock = FakeClock()
-        broker.clock = clock
-        queue, _ = published(broker, max_attempts=1, retry_backoff=0.1)
-        (job, lease), = queue.claim_next()
-        queue.release_for_retry(job.job_index, lease, "crash", "boom")
-        clock.advance(1.0)
-        queue.claim_next()  # attempt exhausted: retires instead
-        stones = queue.collect_tombstones()
-        assert stones[job.job_index]["reason"] == "quarantine"
-        assert stones[job.job_index]["failure_kind"] == "crash"
-        queue.close()
-
-    def test_result_dedup_is_first_writer_wins(self, broker):
-        queue, fingerprint = published(broker)
-        queue.claim_next()
-        result = make_result(0)
-        assert queue.publish_result(result, fingerprint) is True
-        assert queue.publish_result(result, fingerprint) is False
-        collected = queue.collect_results(fingerprint)
-        assert set(collected) == {0}
-        queue.close()
-
-    def test_collect_omits_known_results(self, broker):
-        queue, fingerprint = published(broker)
+    def test_collect_reads_known_leniently(self, transport):
+        fingerprint = transport.publish()
+        queue = transport.node()
         for index in (0, 1, 2):
             assert queue.publish_result(make_result(index), fingerprint)
-        assert set(queue.collect_results(fingerprint, known=[0, 2])) == {1}
-        assert queue.collect_results(fingerprint, known=[0, 1, 2]) == {}
         # A request without the field (an older node) gets everything,
         # and a malformed one is read as naming nothing.
         for header in ({"fingerprint": fingerprint},
@@ -161,65 +93,78 @@ class TestSocketProtocol:
                        {"fingerprint": fingerprint, "known": [[0], "1"]}):
             _tag, reply, _blobs = queue._request(TAG_COLLECT_RESULTS, header)
             assert len(reply["results"]) == 3
-        queue.close()
 
-    def test_foreign_fingerprint_publish_mismatches(self, broker):
-        _queue, _ = published(broker)
-        other_jobs = [ShardJob(job_index=0, file_name="g.ll", text=IR,
-                               config=FuzzConfig(base_seed=7),
-                               iterations=1)]
-        stranger = client(broker, node="x")
-        with pytest.raises(QueueMismatch):
-            stranger.publish(other_jobs, jobs_fingerprint(other_jobs))
-        stranger.close()
-
-    def test_drained_and_sweep(self, broker):
-        clock = FakeClock()
-        broker.clock = clock
-        queue, fingerprint = published(broker, lease_duration=5.0,
-                                       max_attempts=1)
-        assert queue.drained() is False
-        for index in range(3):
-            claims = queue.claim_next()
-            assert claims
-            queue.publish_result(make_result(index), fingerprint)
-        assert queue.drained() is True
-        assert queue.sweep() == 0
-        queue.close()
-
-    def test_sweep_retires_lost_nodes(self, broker):
-        clock = FakeClock()
-        broker.clock = clock
-        queue, _ = published(broker, lease_duration=5.0, max_attempts=1)
-        queue.claim_next(limit=3)
-        clock.advance(6.0)  # all leases silently expired
-        assert queue.sweep() == 3
-        stones = queue.collect_tombstones()
-        assert all(s["reason"] == "node_lost" for s in stones.values())
-        queue.close()
-
-    def test_corpus_delta_round_trips(self, broker, tmp_path):
-        queue, _ = published(broker)
-        delta = tmp_path / "job-0.corpus.jsonl"
-        delta.write_text('{"kind": "header", "version": 1}\n')
-        assert queue.publish_corpus(0, str(delta)) is True
-        paths = queue.corpus_paths()
-        assert [index for index, _ in paths] == [0]
-        assert open(paths[0][1]).read() == delta.read_text()
-        queue.close()
-
-    def test_blob_cache_hits_on_repeat_claims(self, broker):
+    def test_blob_cache_hits_on_repeat_claims(self, transport):
         # All three jobs share one module: after the first claim pulls
         # the blob, later claims hit the per-node cache.
-        queue, _ = published(broker)
+        transport.publish()
+        queue = transport.node()
         queue.claim_next(limit=3)
         assert queue.metrics.counter("wire.blob_cache.hit") == 2
         assert queue.metrics.counter("wire.blob_cache.miss") == 1
         assert queue.metrics.counter("bitcode.decode_cache.hit") == 2
-        queue.close()
+
+    def test_malformed_headers_get_typed_errors(self, tmp_path):
+        """One unreadable header per verb (and a frame of the retired
+        ``retire`` verb): each gets a ``protocol`` error, the connection
+        keeps serving, and neither the broker's state nor its journal
+        changes — a publish is validated whole before its first
+        journal append."""
+        journal_dir = str(tmp_path / "broker")
+        broker = QueueBroker(journal_dir=journal_dir)
+        broker.start()
+        try:
+            queue, fingerprint = published(broker)
+            (_job, lease), = queue.claim_next()
+            fresh = dict(broker._jobs[0], job_index=7)  # valid, not stored
+            requests = [
+                (TAG_PUBLISH, {"fingerprint": fingerprint,
+                               "jobs": [fresh, {"job_index": "x"}]}),
+                (TAG_PUBLISH, {"fingerprint": fingerprint,
+                               "lease_duration": "long", "jobs": [fresh]}),
+                (TAG_PUBLISH, {"fingerprint": fingerprint,
+                               "jobs": [dict(fresh, payload="sha")]}),
+                (TAG_CLAIM, {"limit": "many"}),
+                (TAG_HEARTBEAT, {"job_index": "zero",
+                                 "lease_duration": 10.0}),
+                (TAG_RELEASE, {"job_index": 0, "lease": "mine",
+                               "failure_kind": "hang", "error": ""}),
+                (TAG_RESULT, {"fingerprint": fingerprint, "attempt": "one",
+                              "result": result_to_dict(make_result(1))}),
+                (TAG_RESULT, {"fingerprint": fingerprint, "result": [1]}),
+                (TAG_CORPUS, {"job_index": None}),
+                (TAG_BLOB_HAVE, {"digests": "abc"}),
+                (TAG_BLOB_GET, {"digests": [{"sha": "abc"}]}),
+                (9, {"job_index": 0, "lease": lease.to_dict()}),
+            ]
+            journal = os.path.join(journal_dir, "broker.jsonl")
+            with open(journal, "rb") as stream:
+                journaled = stream.read()
+            before = broker_state(broker)
+            stream = FrameStream(socket.create_connection(
+                (broker.host, broker.port), timeout=10.0))
+            stream.send(TAG_HELLO, {"node": "raw"})
+            assert stream.recv()[0] == TAG_OK
+            for tag, header in requests:
+                stream.send(tag, header)
+                reply_tag, reply, _blobs = stream.recv()
+                assert (reply_tag, reply["kind"]) == (TAG_ERROR, "protocol"), \
+                    (tag, reply)
+            stream.send(TAG_MANIFEST, {})
+            assert stream.recv()[0] == TAG_OK
+            stream.close()
+            assert broker_state(broker) == before
+            with open(journal, "rb") as stream:
+                assert stream.read() == journaled
+            # The client surfaces the error as a QueueError.
+            with pytest.raises(QueueError, match="malformed claim"):
+                queue._request(TAG_CLAIM, {"limit": "many"})
+            assert queue.heartbeat(0, 10.0)
+            queue.close()
+        finally:
+            broker.stop()
 
     def test_parse_address_rejects_garbage(self):
-        from repro.fuzz.dist import QueueError
         assert parse_address("127.0.0.1:99") == ("127.0.0.1", 99)
         for bad in ("nope", ":80", "host:", "host:notaport"):
             with pytest.raises(QueueError):
@@ -342,6 +287,59 @@ class TestBrokerJournal:
         finally:
             revived.stop()
 
+    def test_queue_version_2_journal_replays(self, tmp_path):
+        """A journal the previous release wrote — manifest, job, result,
+        tombstone and corpus records — replays; the campaign's re-publish
+        adds no record, and the one open job drains it."""
+        journal_dir = str(tmp_path / "broker")
+        blobs = BlobStore(os.path.join(journal_dir, "blobs"))
+        sha = blobs.put(encode_payload(IR)[0])
+        delta = b'{"kind": "header", "version": 1}\n'
+        jobs = make_jobs()
+        fingerprint = jobs_fingerprint(jobs)
+        records = [
+            {"kind": "manifest",
+             "manifest": v2_manifest(fingerprint, config_base(jobs), 1)},
+            *({"kind": "job", "job": v2_job_record(index, sha)}
+              for index in range(3)),
+            {"kind": "result", "job_index": 0,
+             "payload": {"kind": "result", "fingerprint": fingerprint,
+                         "node": "n0", "attempt": 1,
+                         "result": result_to_dict(make_result(0))}},
+            {"kind": "tombstone", "job_index": 2,
+             "stone": {"kind": "tombstone", "reason": "node_lost",
+                       "attempts": 3, "node": "gone",
+                       "failure_kind": "node_lost",
+                       "error": "lease of node 'gone' expired (attempt 3)"}},
+            {"kind": "corpus", "job_index": 0, "sha": blobs.put(delta)},
+        ]
+        journal = os.path.join(journal_dir, "broker.jsonl")
+        with open(journal, "w") as stream:
+            for record in records:
+                stream.write(json.dumps(record, sort_keys=True) + "\n")
+        broker = QueueBroker(journal_dir=journal_dir)
+        broker.start()
+        try:
+            coordinator = client(broker, node="coordinator")
+            coordinator.publish(jobs, fingerprint)
+            with open(journal) as stream:
+                assert len(stream.readlines()) == len(records)
+            queue = client(broker)
+            assert set(queue.collect_results(fingerprint)) == {0}
+            assert queue.collect_tombstones()[2]["reason"] == "node_lost"
+            (index, path), = queue.corpus_paths()
+            with open(path, "rb") as stream:
+                assert (index, stream.read()) == (0, delta)
+            (job, lease), = queue.claim_next(limit=3)
+            assert (job.job_index, job.config.base_seed) == (1, 100)
+            assert lease.attempt == 1   # leases are soft state
+            assert queue.publish_result(make_result(1), fingerprint)
+            assert queue.drained()
+            queue.close()
+            coordinator.close()
+        finally:
+            broker.stop()
+
     def test_in_memory_broker_needs_no_journal(self):
         broker = QueueBroker()  # no journal_dir: pure in-memory
         broker.start()
@@ -413,21 +411,6 @@ class TestSocketCampaignParity:
         # The payloads really did travel as bitcode.
         assert report.metrics.counter("bitcode.encode.count") > 0
 
-    def test_text_payloads_match_single_host(self, reference):
-        broker = QueueBroker()
-        broker.start()
-        try:
-            config = socket_config(broker.address,
-                                   dist=dict(payload_format="text"))
-            report, _nodes = run_socket_campaign(
-                config, [client(broker)])
-        finally:
-            broker.stop()
-        assert report_key(report) == report_key(reference)
-        assert report.metrics.deterministic() == \
-            reference.metrics.deterministic()
-        assert report.metrics.counter("bitcode.encode.count") == 0
-
     def test_wire_chaos_preserves_findings(self, reference):
         broker = QueueBroker()
         broker.start()
@@ -495,3 +478,13 @@ class TestSocketCampaignParity:
         assert report_key(report) == report_key(reference)
         assert report.metrics.deterministic() == \
             reference.metrics.deterministic()
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis: any interleaving of node deaths yields the same findings.
+# ---------------------------------------------------------------------------
+
+
+class TestSocketNodeDeathInterleavings:
+    test_any_death_interleaving_preserves_findings = \
+        node_death_interleavings("socket")
