@@ -21,17 +21,16 @@ def reverse_postorder(function: Function) -> List[BasicBlock]:
     entry = function.entry_block()
     if entry is None:
         return []
-    visited: Set[int] = set()
+    visited: Set[BasicBlock] = {entry}
     order: List[BasicBlock] = []
     # Iterative DFS computing postorder.
     stack: List[tuple] = [(entry, iter(entry.successors()))]
-    visited.add(id(entry))
     while stack:
         block, successor_iter = stack[-1]
         advanced = False
         for successor in successor_iter:
-            if id(successor) not in visited:
-                visited.add(id(successor))
+            if successor not in visited:
+                visited.add(successor)
                 stack.append((successor, iter(successor.successors())))
                 advanced = True
                 break

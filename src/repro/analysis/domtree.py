@@ -3,6 +3,12 @@
 The mutation engine's central primitive — "pick a dominating, type-compatible
 SSA value for this program point" (paper §IV-F) — and the verifier's SSA
 check are both built on this analysis.
+
+Blocks are numbered once, by reverse-postorder position, and the tree is
+kept as a list of those numbers: every query after construction is
+integer comparison and list indexing.  A dominator precedes the blocks
+it dominates in reverse postorder, so walking up the tree only ever
+moves to smaller numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import Instruction, PhiNode
 from ..ir.values import Argument, Constant, Value
-from .cfg import predecessor_map, reverse_postorder
+from .cfg import reverse_postorder
 
 
 class DominatorTree:
@@ -21,72 +27,73 @@ class DominatorTree:
 
     def __init__(self, function: Function) -> None:
         self.function = function
-        self._idom: Dict[int, Optional[BasicBlock]] = {}
-        self._rpo_index: Dict[int, int] = {}
-        self._blocks: List[BasicBlock] = []
-        self._compute()
+        order = reverse_postorder(function)
+        self._blocks: List[BasicBlock] = order
+        # Reverse-postorder position of each reachable block.
+        self._index: Dict[BasicBlock, int] = {
+            block: i for i, block in enumerate(order)}
+        # _idom[i]: position of block i's immediate dominator (the
+        # entry, position 0, names itself).
+        self._idom: List[int] = self._compute()
+        self._children: List[List[BasicBlock]] = [[] for _ in order]
+        for i in range(1, len(order)):
+            self._children[self._idom[i]].append(order[i])
 
-    def _compute(self) -> None:
-        order = reverse_postorder(self.function)
-        self._blocks = order
-        self._rpo_index = {id(block): i for i, block in enumerate(order)}
+    def _compute(self) -> List[int]:
+        order, index = self._blocks, self._index
         if not order:
-            return
-        preds = predecessor_map(self.function)
-        entry = order[0]
-        idom: Dict[int, BasicBlock] = {id(entry): entry}
+            return []
+        preds: List[List[int]] = [[] for _ in order]
+        for i, block in enumerate(order):
+            for successor in block.successors():
+                if successor in index:
+                    preds[index[successor]].append(i)
+        idom = [-1] * len(order)  # -1: not processed yet
+        idom[0] = 0
         changed = True
         while changed:
             changed = False
-            for block in order[1:]:
-                new_idom: Optional[BasicBlock] = None
-                for pred in preds[id(block)]:
-                    if id(pred) not in self._rpo_index:
-                        continue  # unreachable predecessor
-                    if id(pred) not in idom:
-                        continue  # not processed yet this round
-                    if new_idom is None:
-                        new_idom = pred
-                    else:
-                        new_idom = self._intersect(pred, new_idom, idom)
-                if new_idom is not None and idom.get(id(block)) is not new_idom:
-                    idom[id(block)] = new_idom
+            for b in range(1, len(order)):
+                new_idom = -1
+                for p in preds[b]:
+                    if idom[p] == -1:
+                        continue
+                    if new_idom == -1:
+                        new_idom = p
+                        continue
+                    # Intersect: climb from the later block until the
+                    # two fingers meet.
+                    while p != new_idom:
+                        while p > new_idom:
+                            p = idom[p]
+                        while new_idom > p:
+                            new_idom = idom[new_idom]
+                if new_idom != -1 and idom[b] != new_idom:
+                    idom[b] = new_idom
                     changed = True
-        self._idom = {}
-        for block in order:
-            if block is entry:
-                self._idom[id(block)] = None
-            else:
-                self._idom[id(block)] = idom.get(id(block))
-
-    def _intersect(self, a: BasicBlock, b: BasicBlock,
-                   idom: Dict[int, BasicBlock]) -> BasicBlock:
-        index = self._rpo_index
-        while a is not b:
-            while index[id(a)] > index[id(b)]:
-                a = idom[id(a)]
-            while index[id(b)] > index[id(a)]:
-                b = idom[id(b)]
-        return a
+        return idom
 
     # -- queries ---------------------------------------------------------------
 
     def is_reachable(self, block: BasicBlock) -> bool:
-        return id(block) in self._rpo_index
+        return block in self._index
 
     def immediate_dominator(self, block: BasicBlock) -> Optional[BasicBlock]:
-        return self._idom.get(id(block))
+        index = self._index
+        if block not in index or index[block] == 0:
+            return None
+        return self._blocks[self._idom[index[block]]]
 
     def dominates_block(self, a: BasicBlock, b: BasicBlock) -> bool:
         """Does block ``a`` dominate block ``b``?  (Reflexive.)"""
-        if not self.is_reachable(a) or not self.is_reachable(b):
+        index = self._index
+        if a not in index or b not in index:
             return False
-        runner: Optional[BasicBlock] = b
-        while runner is not None:
-            if runner is a:
-                return True
-            runner = self._idom.get(id(runner))
-        return False
+        target, runner = index[a], index[b]
+        idom = self._idom
+        while runner > target:
+            runner = idom[runner]
+        return runner == target
 
     def strictly_dominates_block(self, a: BasicBlock, b: BasicBlock) -> bool:
         return a is not b and self.dominates_block(a, b)
@@ -129,15 +136,21 @@ class DominatorTree:
         return self.dominates(definition, use_block, use_block.index_of(user))
 
     def children(self, block: BasicBlock) -> List[BasicBlock]:
-        return [b for b in self._blocks
-                if self._idom.get(id(b)) is block]
+        """Blocks ``block`` immediately dominates, in reverse postorder."""
+        index = self._index
+        if block not in index:
+            return []
+        return self._children[index[block]][:]
 
     def dominance_depth(self, block: BasicBlock) -> int:
-        depth = 0
-        runner = self._idom.get(id(block))
-        while runner is not None:
+        index = self._index
+        if block not in index:
+            return 0
+        runner, depth = index[block], 0
+        idom = self._idom
+        while runner:
+            runner = idom[runner]
             depth += 1
-            runner = self._idom.get(id(runner))
         return depth
 
     def blocks_in_rpo(self) -> List[BasicBlock]:

@@ -71,9 +71,9 @@ class MutantOverlay:
         self._cfg_dirty = False
         self._mutant_domtree: Optional[DominatorTree] = None
         self._has_callers: Optional[bool] = None
-        # id(mutant block) -> original block, filled lazily; cloning
+        # Mutant block -> original block, filled lazily; cloning
         # preserves names, so the name lookup runs once per block.
-        self._translation: Dict[int, Optional[BasicBlock]] = {}
+        self._translation: Dict[BasicBlock, Optional[BasicBlock]] = {}
         self._stats = {"original_hits": 0, "mutant_computes": 0}
         # Incremental-optimization support: names of the blocks the
         # applied mutations touched (None = effects could not be
@@ -211,15 +211,16 @@ class MutantOverlay:
         return self._mutant_domtree
 
     def _translate(self, block: BasicBlock) -> Optional[BasicBlock]:
-        key = id(block)
-        cached = self._translation.get(key, _MISSING)
+        # Keyed by the block itself, not its id(): a block a mutation
+        # erased could otherwise lend its id to a fresh one.
+        cached = self._translation.get(block, _MISSING)
         if cached is not _MISSING:
             return cached
         if block.parent is self.original.function:
             resolved: Optional[BasicBlock] = block
         else:
             resolved = self.original.blocks_by_name.get(block.name)
-        self._translation[key] = resolved
+        self._translation[block] = resolved
         return resolved
 
     def dominates_block(self, a: BasicBlock, b: BasicBlock) -> bool:

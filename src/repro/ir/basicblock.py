@@ -30,11 +30,17 @@ class BasicBlock(Value):
     def append(self, inst: Instruction) -> Instruction:
         inst.parent = self
         self.instructions.append(inst)
+        function = self.parent
+        if function is not None and function._names is not None:
+            function._names.add(inst.name)
         return inst
 
     def insert(self, index: int, inst: Instruction) -> Instruction:
         inst.parent = self
         self.instructions.insert(index, inst)
+        function = self.parent
+        if function is not None and function._names is not None:
+            function._names.add(inst.name)
         return inst
 
     def insert_before(self, anchor: Instruction, inst: Instruction) -> Instruction:

@@ -27,11 +27,11 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional
 
-from .basicblock import BasicBlock
 from .function import Function
-from .instructions import (AllocaInst, CallInst, GEPInst, ICmpInst, LoadInst,
-                           StoreInst)
-from .values import (Argument, ConstantInt, ConstantPointerNull, PoisonValue,
+from .instructions import (AllocaInst, BinaryOperator, CallInst, GEPInst,
+                           ICmpInst, Instruction, LoadInst, StoreInst)
+from .types import Type
+from .values import (ConstantInt, ConstantPointerNull, PoisonValue,
                      UndefValue, Value)
 
 __all__ = [
@@ -42,11 +42,15 @@ __all__ = [
 ]
 
 
-def _encode_operand(value: Value, ids: Dict[int, str]) -> str:
-    """Position-based (or structural, for constants) operand encoding."""
-    label = ids.get(id(value))
-    if label is not None:
-        return label
+def _encode_operand(value: Value, function: Function,
+                    labels: Dict[Value, str]) -> str:
+    """Encoding of an operand the walk has not numbered yet.
+
+    That is a constant (by type and value), a function (by name), an
+    instruction of ``function`` that the layout defines later (numbered
+    by its position now, and remembered in ``labels``), or a value of
+    another function, which only malformed IR holds.
+    """
     if isinstance(value, ConstantInt):
         return f"ci{value.type.width}:{value.value}"
     if isinstance(value, UndefValue):
@@ -57,87 +61,93 @@ def _encode_operand(value: Value, ids: Dict[int, str]) -> str:
         return "null"
     if isinstance(value, Function):
         return f"fn:{value.name}"
-    # Foreign values (another function's argument/block/instruction) can
-    # only appear in malformed IR; fall back to something stable enough.
+    if isinstance(value, Instruction):
+        position = _layout_position(function, value)
+        if position is not None:
+            label = labels[value] = f"V{position}"
+            return label
     kind = type(value).__name__
     return f"?{kind}:{value.type}:{value.name}"
 
 
-def _instruction_payload(inst) -> str:
-    """The per-opcode extras that operands and flags do not capture."""
-    if isinstance(inst, ICmpInst):
-        return inst.predicate
-    if isinstance(inst, AllocaInst):
-        return f"{inst.allocated_type}@{inst.align}"
-    if isinstance(inst, (LoadInst, StoreInst)):
-        return f"@{inst.align}"
-    if isinstance(inst, GEPInst):
-        return str(inst.source_type)
-    if isinstance(inst, CallInst):
-        bundles = ",".join(
-            f"{bundle.tag}:{len(bundle.inputs)}" for bundle in inst.bundles)
-        return (f"nargs={len(inst.args)};bundles={bundles};"
-                f"attrs={inst.attributes}")
-    return ""
+def _layout_position(function: Function, inst: Instruction) -> Optional[int]:
+    """Index of ``inst`` among all of ``function``'s instructions."""
+    position = 0
+    for block in function.blocks:
+        if block is inst.parent:
+            for index, candidate in enumerate(block.instructions):
+                if candidate is inst:
+                    return position + index
+            return None
+        position += len(block.instructions)
+    return None
 
 
 def _canonical_tokens(function: Function) -> List[str]:
     """The token stream the fingerprint hashes, exposed for tests.
 
-    This sits on the driver's hot path (every mutant function is hashed
-    at least twice per iteration), so the inner loop caches the two
-    encodings that repeat heavily — type strings (type objects are
-    interned per width) and constant operands (shared pool objects) —
-    and inlines the common positional-operand lookup.
+    One walk emits it.  Arguments and blocks are numbered up front; an
+    instruction gets its number when the walk reaches it, or earlier,
+    from its layout position, when an operand refers to it first (a phi
+    back-edge).  Per-opcode payloads are dispatched on the exact class
+    and flags are read from their fields; type names are formatted once
+    per type.  This sits on the driver's hot path: every mutant function
+    is hashed at least twice per iteration.
     """
-    ids: Dict[int, str] = {id(function): "self"}
-    for index, argument in enumerate(function.arguments):
-        ids[id(argument)] = f"A{index}"
-    next_value = 0
-    for index, block in enumerate(function.blocks):
-        ids[id(block)] = f"B{index}"
-        for inst in block.instructions:
-            ids[id(inst)] = f"V{next_value}"
-            next_value += 1
-
+    labels: Dict[Value, str] = {function: "self"}
     signature = function.function_type
     params = ",".join(str(t) for t in signature.param_types)
     vararg = "..." if signature.is_vararg else ""
     tokens = [f"sig:{signature.return_type}({params}{vararg})",
               f"fattrs:{function.attributes}"]
     for index, argument in enumerate(function.arguments):
-        attrs = str(argument.attributes)
-        if attrs:
-            tokens.append(f"aattrs{index}:{attrs}")
+        labels[argument] = f"A{index}"
+        if argument.attributes:
+            tokens.append(f"aattrs{index}:{argument.attributes}")
+    for index, block in enumerate(function.blocks):
+        labels[block] = f"B{index}"
 
-    type_strs: Dict[int, str] = {}
-    operand_strs: Dict[int, str] = {}
-    ids_get = ids.get
+    type_names: Dict[Type, str] = {}
     append = tokens.append
+    next_value = 0
     for block in function.blocks:
-        append(f"block:{ids[id(block)]}")
+        append(f"block:{labels[block]}")
         for inst in block.instructions:
-            # Operands are encoded positionally; the CallInst callee is a
-            # separate attribute, not an operand, so encode it explicitly.
+            label = labels[inst] = f"V{next_value}"
+            next_value += 1
             parts = []
             for operand in inst.operands:
-                key = id(operand)
-                label = ids_get(key)
-                if label is None:
-                    label = operand_strs.get(key)
-                    if label is None:
-                        label = _encode_operand(operand, ids)
-                        operand_strs[key] = label
-                parts.append(label)
-            payload = _instruction_payload(inst)
-            if isinstance(inst, CallInst):
-                payload = f"{_encode_operand(inst.callee, ids)};{payload}"
-            type_key = id(inst.type)
-            type_str = type_strs.get(type_key)
-            if type_str is None:
-                type_str = type_strs[type_key] = str(inst.type)
-            append(f"{ids[id(inst)]}={inst.opcode}:{type_str}:"
-                   f"{inst.flags_repr()}:{payload}({','.join(parts)})")
+                parts.append(labels[operand] if operand in labels
+                             else _encode_operand(operand, function, labels))
+            cls = inst.__class__
+            flags = payload = ""
+            if cls is BinaryOperator:
+                flags = (("nuw " if inst.nuw else "")
+                         + ("nsw " if inst.nsw else "")
+                         + ("exact " if inst.exact else ""))
+            elif cls is ICmpInst:
+                payload = inst.predicate
+            elif cls is LoadInst or cls is StoreInst:
+                payload = f"@{inst.align}"
+            elif cls is CallInst:
+                # The callee is an attribute, not an operand.
+                callee = inst.callee
+                callee = (labels[callee] if callee in labels
+                          else _encode_operand(callee, function, labels))
+                bundles = ",".join(f"{bundle.tag}:{len(bundle.inputs)}"
+                                   for bundle in inst.bundles)
+                payload = (f"{callee};nargs={len(inst.args)};"
+                           f"bundles={bundles};attrs={inst.attributes}")
+            elif cls is AllocaInst:
+                payload = f"{inst.allocated_type}@{inst.align}"
+            elif cls is GEPInst:
+                flags = "inbounds " if inst.inbounds else ""
+                payload = str(inst.source_type)
+            result_type = inst.type
+            if result_type not in type_names:
+                type_names[result_type] = str(result_type)
+            append(f"{label}={inst.opcode}:{type_names[result_type]}:"
+                   f"{flags}:{payload}({','.join(parts)})")
     return tokens
 
 
@@ -162,20 +172,31 @@ def fingerprint_function(function: Function,
 
 
 def _referenced_functions(function: Function) -> List[Function]:
-    """Every Function object referenced from ``function``'s body."""
-    seen: Dict[int, Function] = {}
-    for inst in function.instructions():
-        candidates = list(inst.operands)
-        if isinstance(inst, CallInst):
-            candidates.append(inst.callee)
-        for value in candidates:
-            if isinstance(value, Function) and id(value) not in seen:
-                seen[id(value)] = value
-    return list(seen.values())
+    """Every other Function object ``function``'s body references, in
+    order of first reference (an instruction's operands, then its callee).
+
+    A body references only functions of its own module, so a module
+    that holds no other function needs no walk.
+    """
+    module = function.parent
+    if module is not None and len(module) == 1:
+        return []
+    seen: Dict[Function, None] = {}
+    for block in function.blocks:
+        for inst in block.instructions:
+            for value in inst.operands:
+                if isinstance(value, Function):
+                    seen[value] = None
+            if isinstance(inst, CallInst) and isinstance(inst.callee,
+                                                         Function):
+                seen[inst.callee] = None
+    seen.pop(function, None)
+    return list(seen)
 
 
 def called_definitions(function: Function) -> List[Function]:
-    """Defined (non-declaration) functions referenced by ``function``."""
+    """Defined (non-declaration) functions, other than ``function``
+    itself, that ``function`` references."""
     return [fn for fn in _referenced_functions(function)
             if not fn.is_declaration()]
 
@@ -188,7 +209,7 @@ def references_definitions(function: Function) -> bool:
     call other *definitions* cannot, because the cached body would keep
     executing the stale callee object.
     """
-    return any(fn is not function for fn in called_definitions(function))
+    return bool(called_definitions(function))
 
 
 def fingerprint_closure(function: Function,
@@ -204,13 +225,13 @@ def fingerprint_closure(function: Function,
     root = fingerprint_function(function, fp_cache)
     reachable: Dict[str, str] = {}
     stack = [function]
-    visited = {id(function)}
+    visited = {function}
     while stack:
         current = stack.pop()
         for callee in called_definitions(current):
-            if id(callee) in visited:
+            if callee in visited:
                 continue
-            visited.add(id(callee))
+            visited.add(callee)
             reachable[callee.name] = fingerprint_function(callee, fp_cache)
             stack.append(callee)
     if not reachable:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, TYPE_CHECKING
+from typing import Iterator, List, Optional, Set, TYPE_CHECKING
 
 from .attributes import AttributeSet
 from .basicblock import BasicBlock
@@ -23,7 +23,7 @@ class Function(Constant):
     """
 
     __slots__ = ("function_type", "arguments", "blocks", "attributes",
-                 "parent", "_next_temp")
+                 "parent", "_next_temp", "_names", "__weakref__")
 
     def __init__(self, function_type: FunctionType, name: str,
                  module: Optional["Module"] = None,
@@ -36,6 +36,9 @@ class Function(Constant):
         self.blocks: List[BasicBlock] = []
         self.arguments: List[Argument] = []
         self._next_temp = 0
+        # A superset of the value names in use, built by the first
+        # next_temp_name() call (None until then); see there.
+        self._names: Optional[Set[str]] = None
         for index, param_type in enumerate(function_type.param_types):
             arg_name = arg_names[index] if arg_names else ""
             self.arguments.append(Argument(param_type, arg_name, self, index))
@@ -58,6 +61,8 @@ class Function(Constant):
         """Append a fresh parameter (used by the use-mutation primitive)."""
         argument = Argument(type, name, self, len(self.arguments))
         self.arguments.append(argument)
+        if self._names is not None:
+            self._names.add(name)
         self.function_type = FunctionType(
             self.function_type.return_type,
             tuple(arg.type for arg in self.arguments),
@@ -70,6 +75,9 @@ class Function(Constant):
     def append_block(self, block: BasicBlock) -> BasicBlock:
         block.parent = self
         self.blocks.append(block)
+        if self._names is not None:
+            self._names.add(block.name)
+            self._names.update([inst.name for inst in block.instructions])
         return block
 
     def remove_block(self, block: BasicBlock) -> None:
@@ -110,17 +118,38 @@ class Function(Constant):
     # -- naming ------------------------------------------------------------------
 
     def next_temp_name(self) -> str:
-        """A fresh numeric name distinct from any existing value name."""
-        taken = {arg.name for arg in self.arguments}
-        for block in self.blocks:
-            taken.add(block.name)
-            for inst in block.instructions:
-                taken.add(inst.name)
+        """A fresh numeric name distinct from any existing value name.
+
+        ``_names`` holds every name the last scan saw and every name
+        placed since (``BasicBlock.append`` / ``insert``,
+        :meth:`append_block` and :meth:`add_argument` add theirs), so it
+        can only over-approximate the names in use: erasing a value
+        leaves its name behind.  A candidate the set lacks is therefore
+        free.  On a hit the set is rebuilt exactly, once, before the
+        search goes on, so the answer is always the first free counter
+        value, as a scan on every call would give.  (Names handed out
+        here need no entry: the counter never comes back to them.)
+        """
+        names = self._names
+        exact = names is None
+        if exact:
+            names = self._names = self._scan_names()
         while True:
             candidate = str(self._next_temp)
+            if not exact and candidate in names:
+                names = self._names = self._scan_names()
+                exact = True
             self._next_temp += 1
-            if candidate not in taken:
+            if candidate not in names:
                 return candidate
+
+    def _scan_names(self) -> Set[str]:
+        """The names of every argument, block and instruction."""
+        names = {argument.name for argument in self.arguments}
+        for block in self.blocks:
+            names.add(block.name)
+            names.update([inst.name for inst in block.instructions])
+        return names
 
     def __repr__(self) -> str:
         kind = "declare" if self.is_declaration() else "define"

@@ -130,8 +130,36 @@ class Instruction(User):
         """Printable flag string (``"nuw nsw "`` etc.); empty by default."""
         return ""
 
-    def clone(self) -> "Instruction":  # pragma: no cover - overridden
-        raise NotImplementedError(f"clone not implemented for {self.opcode}")
+    def clone(self) -> "Instruction":
+        """A detached, unnamed copy over the same operands."""
+        return self.copy_with(self.operands)
+
+    def copy_with(self, operands: Sequence[Value]) -> "Instruction":
+        """A detached, unnamed copy over ``operands``, one per slot."""
+        new = self._bare_copy()
+        for value in operands:
+            new._append_operand(value)
+        return new
+
+    def _bare_copy(self) -> "Instruction":
+        """A detached, unnamed copy with no operands yet.
+
+        It carries the opcode, the result type and whatever the subclass
+        adds (flags, predicate, alignment, callee ...); the caller fills
+        the operand slots.  Bypassing ``__init__`` is what lets
+        :meth:`Module.clone` register each operand once, on the copy's
+        values only.
+        """
+        cls = self.__class__
+        new = cls.__new__(cls)
+        new.type = self.type
+        new.name = ""
+        new._uses = []
+        new.operands = []
+        new._operand_uses = []
+        new.opcode = self.opcode
+        new.parent = None
+        return new
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.opcode} {self.short_name()}>"
@@ -178,9 +206,12 @@ class BinaryOperator(Instruction):
             parts.append("exact")
         return "".join(part + " " for part in parts)
 
-    def clone(self) -> "BinaryOperator":
-        return BinaryOperator(self.opcode, self.lhs, self.rhs, "",
-                              nuw=self.nuw, nsw=self.nsw, exact=self.exact)
+    def _bare_copy(self) -> "BinaryOperator":
+        new = Instruction._bare_copy(self)
+        new.nuw = self.nuw
+        new.nsw = self.nsw
+        new.exact = self.exact
+        return new
 
 
 class ICmpInst(Instruction):
@@ -217,8 +248,10 @@ class ICmpInst(Instruction):
     def is_equality(self) -> bool:
         return self.predicate in ("eq", "ne")
 
-    def clone(self) -> "ICmpInst":
-        return ICmpInst(self.predicate, self.lhs, self.rhs)
+    def _bare_copy(self) -> "ICmpInst":
+        new = Instruction._bare_copy(self)
+        new.predicate = self.predicate
+        return new
 
 
 class SelectInst(Instruction):
@@ -243,9 +276,6 @@ class SelectInst(Instruction):
     def false_value(self) -> Value:
         return self.operands[2]
 
-    def clone(self) -> "SelectInst":
-        return SelectInst(self.condition, self.true_value, self.false_value)
-
 
 class CastInst(Instruction):
     """Integer casts: ``trunc``, ``zext``, ``sext``."""
@@ -265,9 +295,6 @@ class CastInst(Instruction):
     def src_type(self) -> Type:
         return self.value.type
 
-    def clone(self) -> "CastInst":
-        return CastInst(self.opcode, self.value, self.type)
-
 
 class FreezeInst(Instruction):
     """``freeze`` stops poison/undef propagation by picking an arbitrary value."""
@@ -281,9 +308,6 @@ class FreezeInst(Instruction):
     def value(self) -> Value:
         return self.operands[0]
 
-    def clone(self) -> "FreezeInst":
-        return FreezeInst(self.value)
-
 
 class AllocaInst(Instruction):
     """Stack allocation of one element of ``allocated_type``."""
@@ -295,8 +319,11 @@ class AllocaInst(Instruction):
         self.allocated_type = allocated_type
         self.align = align
 
-    def clone(self) -> "AllocaInst":
-        return AllocaInst(self.allocated_type, "", self.align)
+    def _bare_copy(self) -> "AllocaInst":
+        new = Instruction._bare_copy(self)
+        new.allocated_type = self.allocated_type
+        new.align = self.align
+        return new
 
 
 class LoadInst(Instruction):
@@ -313,8 +340,10 @@ class LoadInst(Instruction):
     def pointer(self) -> Value:
         return self.operands[0]
 
-    def clone(self) -> "LoadInst":
-        return LoadInst(self.type, self.pointer, "", self.align)
+    def _bare_copy(self) -> "LoadInst":
+        new = Instruction._bare_copy(self)
+        new.align = self.align
+        return new
 
 
 class StoreInst(Instruction):
@@ -334,8 +363,10 @@ class StoreInst(Instruction):
     def pointer(self) -> Value:
         return self.operands[1]
 
-    def clone(self) -> "StoreInst":
-        return StoreInst(self.value, self.pointer, self.align)
+    def _bare_copy(self) -> "StoreInst":
+        new = Instruction._bare_copy(self)
+        new.align = self.align
+        return new
 
 
 class GEPInst(Instruction):
@@ -364,9 +395,11 @@ class GEPInst(Instruction):
     def flags_repr(self) -> str:
         return "inbounds " if self.inbounds else ""
 
-    def clone(self) -> "GEPInst":
-        return GEPInst(self.source_type, self.pointer, self.indices, "",
-                       inbounds=self.inbounds)
+    def _bare_copy(self) -> "GEPInst":
+        new = Instruction._bare_copy(self)
+        new.source_type = self.source_type
+        new.inbounds = self.inbounds
+        return new
 
 
 class OperandBundle:
@@ -445,12 +478,27 @@ class CallInst(Instruction):
     def is_readonly(self) -> bool:
         return self.callee.attributes.has("readonly")
 
-    def clone(self) -> "CallInst":
-        cloned = CallInst(self.callee, self.args)
+    def copy_with(self, operands: Sequence[Value]) -> "CallInst":
+        new = Instruction.copy_with(self, operands)
+        new._bind_bundle_inputs()
+        return new
+
+    def _bare_copy(self) -> "CallInst":
+        new = Instruction._bare_copy(self)
+        new.callee = self.callee
+        new.attributes = self.attributes.copy()
+        new.bundles = []
         for bundle in self.bundles:
-            cloned.add_bundle(OperandBundle(bundle.tag, self.bundle_operands(bundle)))
-        cloned.attributes = self.attributes.copy()
-        return cloned
+            copy = OperandBundle(bundle.tag, ())
+            copy._range = bundle._range
+            new.bundles.append(copy)
+        return new
+
+    def _bind_bundle_inputs(self) -> None:
+        """Point each bundle's ``inputs`` at its slice of the operands."""
+        for bundle in self.bundles:
+            start, end = bundle._range  # type: ignore[misc]
+            bundle.inputs = self.operands[start:end]
 
 
 class RetInst(Instruction):
@@ -465,9 +513,6 @@ class RetInst(Instruction):
     @property
     def return_value(self) -> Optional[Value]:
         return self.operands[0] if self.operands else None
-
-    def clone(self) -> "RetInst":
-        return RetInst(self.return_value)
 
 
 class BrInst(Instruction):
@@ -496,11 +541,6 @@ class BrInst(Instruction):
         if self.is_conditional():
             return [self.operands[1], self.operands[2]]
         return [self.operands[0]]
-
-    def clone(self) -> "BrInst":
-        if self.is_conditional():
-            return BrInst(self.operands[0], self.operands[1], self.operands[2])
-        return BrInst(self.operands[0])
 
 
 class SwitchInst(Instruction):
@@ -536,9 +576,6 @@ class SwitchInst(Instruction):
     def successors(self) -> List["BasicBlock"]:
         return [self.default] + [block for _, block in self.cases()]
 
-    def clone(self) -> "SwitchInst":
-        return SwitchInst(self.value, self.default, self.cases())
-
 
 class UnreachableInst(Instruction):
     """Executing ``unreachable`` is immediate undefined behavior."""
@@ -547,9 +584,6 @@ class UnreachableInst(Instruction):
 
     def __init__(self) -> None:
         super().__init__("unreachable", VoidType(), [], "")
-
-    def clone(self) -> "UnreachableInst":
-        return UnreachableInst()
 
 
 class PhiNode(Instruction):
@@ -596,9 +630,6 @@ class PhiNode(Instruction):
                 self.set_operand(i - 1, value)
                 return
         raise ValueError(f"phi has no incoming edge from {block}")
-
-    def clone(self) -> "PhiNode":
-        return PhiNode(self.type, self.incoming())
 
 
 def terminator_successors(inst: Instruction) -> List["BasicBlock"]:

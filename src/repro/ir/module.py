@@ -2,19 +2,19 @@
 
 ``Module.clone()`` is the workhorse of the fuzzing loop (paper §III-B):
 each iteration deep-copies the in-memory IR, mutates the copy, optimizes
-it, verifies refinement, and throws the copy away.
+it, verifies refinement, and throws the copy away.  Cloning only reads
+the source: it never touches a source value's use list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .basicblock import BasicBlock
 from .function import Function
-from .instructions import (BrInst, CallInst, Instruction, OperandBundle,
-                           PhiNode, SwitchInst)
+from .instructions import CallInst, Instruction
 from .types import FunctionType
-from .values import Value
+from .values import NO_USES, Use, Value
 
 
 class Module:
@@ -102,7 +102,7 @@ class Module:
         exactly how the originals linked to them.
         """
         cloned = Module(self.name)
-        value_map: Dict[int, Value] = {}
+        value_map: Dict[Value, Value] = {}
 
         # Create all function shells first so calls can be remapped.
         copied: List[Function] = []
@@ -112,19 +112,14 @@ class Module:
                     or function.name not in mutable_only):
                 cloned.adopt_shared(function)
                 continue
-            shell = Function(function.function_type, function.name, cloned,
-                             arg_names=[a.name for a in function.arguments])
-            shell.attributes = function.attributes.copy()
-            for old_arg, new_arg in zip(function.arguments, shell.arguments):
-                new_arg.attributes = old_arg.attributes.copy()
-                value_map[id(old_arg)] = new_arg
-            value_map[id(function)] = shell
+            value_map[function] = _copy_shell(function, function.name, cloned,
+                                              value_map)
             copied.append(function)
 
         for function in copied:
             if function.is_declaration():
                 continue
-            _clone_function_body(function, value_map[id(function)], value_map)
+            _clone_function_body(function, value_map[function], value_map)
         return cloned
 
     def __repr__(self) -> str:
@@ -146,30 +141,18 @@ def clone_functions_into(sources: Dict[str, Function],
     appear under several keys.  Returns the new functions by name.
     """
     shells: Dict[str, Function] = {}
-    arg_maps: Dict[str, Dict[int, Value]] = {}
+    value_maps: Dict[str, Dict[Value, Value]] = {}
     for name, function in sources.items():
-        shell = Function(function.function_type, name, dest,
-                         arg_names=[a.name for a in function.arguments])
-        shell.attributes = function.attributes.copy()
-        arg_map: Dict[int, Value] = {id(function): shell}
-        for old_arg, new_arg in zip(function.arguments, shell.arguments):
-            new_arg.attributes = old_arg.attributes.copy()
-            arg_map[id(old_arg)] = new_arg
-        shells[name] = shell
-        arg_maps[name] = arg_map
+        value_map: Dict[Value, Value] = {}
+        shells[name] = value_map[function] = _copy_shell(
+            function, name, dest, value_map)
+        value_maps[name] = value_map
 
     def resolve_function(function: Function) -> Function:
         existing = dest.get_function(function.name)
         if existing is not None:
             return existing
-        declaration = Function(
-            function.function_type, function.name, dest,
-            arg_names=[a.name for a in function.arguments])
-        declaration.attributes = function.attributes.copy()
-        for old_arg, new_arg in zip(function.arguments,
-                                    declaration.arguments):
-            new_arg.attributes = old_arg.attributes.copy()
-        return declaration
+        return _copy_shell(function, function.name, dest)
 
     # Each body is cloned with its own value map (never shared: the same
     # source object may be spliced under several names, and one global
@@ -178,82 +161,84 @@ def clone_functions_into(sources: Dict[str, Function],
     for name, function in sources.items():
         if function.is_declaration():
             continue
-        _clone_function_body(function, shells[name], arg_maps[name],
+        _clone_function_body(function, shells[name], value_maps[name],
                              resolve_function)
     return shells
 
 
+def _copy_shell(function: Function, name: str, module: Module,
+                value_map: Optional[Dict[Value, Value]] = None) -> Function:
+    """A body-less copy of ``function``'s signature and attributes, added
+    to ``module`` as ``name``; its arguments go into ``value_map``."""
+    shell = Function(function.function_type, name, module,
+                     arg_names=[a.name for a in function.arguments])
+    shell.attributes = function.attributes.copy()
+    for old_arg, new_arg in zip(function.arguments, shell.arguments):
+        new_arg.attributes = old_arg.attributes.copy()
+        if value_map is not None:
+            value_map[old_arg] = new_arg
+    return shell
+
+
 def _clone_function_body(source: Function, dest: Function,
-                         value_map: Dict[int, Value],
+                         value_map: Dict[Value, Value],
                          resolve_function=None) -> None:
     """Clone blocks and instructions of ``source`` into the shell ``dest``.
 
-    Cloning is two-pass: instructions are created first (possibly still
-    pointing at originals, e.g. phi incoming values defined in later
-    blocks), then every operand is remapped once the full map exists.
+    One walk creates each instruction with its operands already mapped
+    and registers every use on the copy's values only.  An operand that
+    is defined later in layout order (a phi back-edge, say) is parked in
+    its slot unregistered, and a second pass patches just those slots.
+    Nothing is ever added to or removed from a source value's use list.
     ``resolve_function``, when given, maps function references that are
     not in ``value_map`` (cross-module splicing relinks those by name).
     """
     for block in source.blocks:
-        new_block = BasicBlock(block.name, dest)
-        value_map[id(block)] = new_block
+        value_map[block] = BasicBlock(block.name, dest)
 
-    def remap(value: Value) -> Value:
-        mapped = value_map.get(id(value))
-        if mapped is not None:
-            return mapped
-        if resolve_function is not None and isinstance(value, Function):
-            return resolve_function(value)
-        return value
-
-    cloned_instructions = []
+    forward: List[Tuple[Instruction, int, Value]] = []
     for block in source.blocks:
-        new_block = value_map[id(block)]
+        new_block = value_map[block]
         for inst in block.instructions:
-            new_inst = _clone_instruction(inst, remap)
-            new_inst.name = inst.name
-            new_block.append(new_inst)
-            value_map[id(inst)] = new_inst
-            cloned_instructions.append(new_inst)
+            new = inst._bare_copy()
+            new.name = inst.name
+            is_call = isinstance(inst, CallInst)
+            if is_call:
+                # Before the operands: resolving may create declarations,
+                # and they join ``dest`` in order of first reference.
+                callee = inst.callee
+                if callee in value_map:
+                    new.callee = value_map[callee]
+                elif resolve_function is not None:
+                    new.callee = resolve_function(callee)
+            operands = new.operands
+            operand_uses = new._operand_uses
+            for slot, value in enumerate(inst.operands):
+                if value in value_map:
+                    value = value_map[value]
+                    uses = value._uses
+                elif value._uses is NO_USES:
+                    if resolve_function is not None \
+                            and isinstance(value, Function):
+                        value = resolve_function(value)
+                    uses = NO_USES
+                else:
+                    forward.append((new, slot, value))
+                    uses = NO_USES
+                use = Use(new, slot)
+                operands.append(value)
+                operand_uses.append(use)
+                if uses is not NO_USES:
+                    uses.append(use)
+            if is_call:
+                new._bind_bundle_inputs()
+            new_block.append(new)
+            value_map[inst] = new
 
-    for inst in cloned_instructions:
-        for index, operand in enumerate(inst.operands):
-            replacement = remap(operand)
-            if replacement is not operand:
-                inst.set_operand(index, replacement)
-        if isinstance(inst, CallInst):
-            inst.callee = remap(inst.callee)
-
-
-def _clone_instruction(inst: Instruction, remap) -> Instruction:
-    """Clone one instruction, remapping operands through ``remap``.
-
-    Instructions are cloned with their original operands and then patched,
-    because ``Instruction.clone`` captures operand identity.
-    """
-    if isinstance(inst, CallInst):
-        cloned = CallInst(remap(inst.callee), [remap(a) for a in inst.args])
-        for bundle in inst.bundles:
-            cloned.add_bundle(OperandBundle(
-                bundle.tag, [remap(v) for v in inst.bundle_operands(bundle)]))
-        cloned.attributes = inst.attributes.copy()
-        return cloned
-    if isinstance(inst, PhiNode):
-        cloned = PhiNode(inst.type)
-        for value, block in inst.incoming():
-            cloned.add_incoming(remap(value), remap(block))
-        return cloned
-    if isinstance(inst, BrInst):
-        if inst.is_conditional():
-            return BrInst(remap(inst.operands[0]), remap(inst.operands[1]),
-                          remap(inst.operands[2]))
-        return BrInst(remap(inst.operands[0]))
-    if isinstance(inst, SwitchInst):
-        return SwitchInst(remap(inst.value), remap(inst.default),
-                          [(remap(v), remap(b)) for v, b in inst.cases()])
-    cloned = inst.clone()
-    for index, operand in enumerate(cloned.operands):
-        replacement = remap(operand)
-        if replacement is not operand:
-            cloned.set_operand(index, replacement)
-    return cloned
+    # Values defined after their first use in layout order; anything
+    # still unmapped belongs to no block of ``source`` and is kept.
+    for new, slot, value in forward:
+        value = new.operands[slot] = value_map.get(value, value)
+        value._add_use(new._operand_uses[slot])
+        if isinstance(new, CallInst):
+            new._bind_bundle_inputs()

@@ -3,11 +3,12 @@
 Every operand edge in the IR is a :class:`Use` that is registered on the
 used value, so ``replace_all_uses_with`` and the mutation engine's
 "who uses this value" queries are O(uses), like LLVM's use lists.
+Constants are the exception: they keep no use list (see :class:`Constant`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from .types import IntType, PtrType, Type
 
@@ -55,12 +56,16 @@ class Value:
         return bool(self._uses)
 
     def _add_use(self, use: Use) -> None:
-        self._uses.append(use)
+        if self._uses is not NO_USES:
+            self._uses.append(use)
 
     def _remove_use(self, use: Use) -> None:
-        for i, existing in enumerate(self._uses):
+        uses = self._uses
+        if uses is NO_USES:
+            return
+        for i, existing in enumerate(uses):
             if existing is use:
-                del self._uses[i]
+                del uses[i]
                 return
         raise ValueError("use not found on value")
 
@@ -93,10 +98,12 @@ class User(Value):
         self._operand_uses: List[Use] = []
 
     def _append_operand(self, value: Value) -> None:
-        use = Use(self, len(self.operands))
-        self.operands.append(value)
+        operands = self.operands
+        use = Use(self, len(operands))
+        operands.append(value)
         self._operand_uses.append(use)
-        value._add_use(use)
+        if value._uses is not NO_USES:
+            value._uses.append(use)
 
     def set_operand(self, index: int, value: Value) -> None:
         old = self.operands[index]
@@ -124,10 +131,27 @@ class User(Value):
         return iter(self.operands)
 
 
+#: The use list of every constant: always empty, never appended to.
+NO_USES: Tuple[Use, ...] = ()
+
+
 class Constant(Value):
-    """Base class for constants (which have no defining instruction)."""
+    """Base class for constants (which have no defining instruction).
+
+    Constants keep no use list.  Cloning shares them between the source
+    and every copy (copy-on-write views, cached optimized bodies), so a
+    use list on a constant would collect the users of every clone ever
+    made, keep those discarded clones alive, and make the shared source
+    mutable.  No pass asks who uses a constant; use queries on one answer
+    "no uses".
+    """
 
     __slots__ = ()
+
+    def __init__(self, type: Type, name: str = "") -> None:
+        self.type = type
+        self.name = name
+        self._uses = NO_USES
 
 
 class ConstantInt(Constant):

@@ -17,7 +17,6 @@ from typing import Dict, Optional
 from ...analysis.overlay import MutantOverlay
 from ...ir.function import Function
 from ...ir.instructions import CallInst, RetInst
-from ...ir.module import _clone_instruction
 from ...ir.values import Value
 from ..primitives import random_dominating_value
 from ..rng import MutationRNG
@@ -66,26 +65,24 @@ def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:
 def _inline_body(call: CallInst, callee: Function, overlay: MutantOverlay,
                  rng: MutationRNG) -> None:
     block = call.parent
-    value_map: Dict[int, Value] = {}
-    for argument, actual in zip(callee.arguments, call.args):
-        value_map[id(argument)] = actual
-
-    def remap(value: Value) -> Value:
-        return value_map.get(id(value), value)
-
+    # Callee values -> their copies at the call site; anything else
+    # (constants, functions) maps to itself.
+    value_map: Dict[Value, Value] = dict(zip(callee.arguments, call.args))
     insert_at = block.index_of(call)
     return_value: Optional[Value] = None
     for inst in callee.blocks[0].instructions:
         if isinstance(inst, RetInst):
-            if inst.return_value is not None:
-                return_value = remap(inst.return_value)
+            value = inst.return_value
+            if value is not None:
+                return_value = value_map.get(value, value)
             break
-        cloned = _clone_instruction(inst, remap)
+        cloned = inst.copy_with([value_map.get(value, value)
+                                 for value in inst.operands])
         cloned.name = call.parent.parent.next_temp_name() \
             if cloned.type.is_first_class() else ""
         block.insert(insert_at, cloned)
         insert_at += 1
-        value_map[id(inst)] = cloned
+        value_map[inst] = cloned
 
     if call.type.is_void():
         call.erase_from_parent()

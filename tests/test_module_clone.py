@@ -1,9 +1,16 @@
 """Tests for deep module cloning — the heart of the per-mutant copy."""
 
-from repro.ir import (BasicBlock, CallInst, Instruction, PhiNode, print_module,
-                      verify_module)
+import gc
+import weakref
 
-from helpers import parsed
+from repro.fuzz import FuzzConfig, FuzzDriver
+from repro.ir import (BasicBlock, CallInst, Constant, Instruction, PhiNode,
+                      clone_functions_into, parse_module, print_module,
+                      verify_module)
+from repro.mutate import MutatorConfig
+from repro.tv import RefinementConfig
+
+from helpers import block_function, parsed
 
 COMPLEX = """
 declare void @clobber(ptr)
@@ -183,3 +190,93 @@ class TestCowClone:
             spliced = dest.get_function(name)
             assert spliced is not source
             assert spliced.arguments[0] is not source.arguments[0]
+
+
+def _source_values(module):
+    """Every argument, block, instruction and operand of ``module``."""
+    values = []
+    for function in module.functions():
+        values.extend(function.arguments)
+        for block in function.blocks:
+            values.append(block)
+            for inst in block.instructions:
+                values.append(inst)
+                values.extend(inst.operands)
+    return values
+
+
+def _use_lists(module):
+    """(value, its Use objects in order) for every value of ``module``;
+    holding the Use objects keeps their identity meaningful."""
+    return [(value, value.uses) for value in _source_values(module)]
+
+
+def _assert_use_lists_unchanged(before):
+    for value, uses in before:
+        now = value.uses
+        assert len(now) == len(uses) and all(
+            a is b for a, b in zip(now, uses)), value
+
+
+class TestSourceUntouched:
+    """Cloning only reads its source, and fuzzing leaks nothing into it.
+
+    Clones share constants (and, copy-on-write, whole functions) with
+    their source, so any use a clone registers there survives the clone:
+    it makes the shared view mutable and keeps the clone alive.
+    """
+
+    def test_clone_leaves_every_source_use_list_unchanged(self):
+        for text in (COMPLEX, block_function(blocks=6)):
+            module = parsed(text)
+            names = {f.name for f in module.definitions()}
+            for mutable in (None, set(), names):
+                before = _use_lists(module)
+                module.clone(mutable_only=mutable)
+                _assert_use_lists_unchanged(before)
+
+    def test_clone_functions_into_leaves_source_use_lists_unchanged(self):
+        module = parsed(COMPLEX)
+        before = _use_lists(module)
+        clone_functions_into(
+            {"f": module.get_function("f"),
+             "helper": module.get_function("helper"),
+             "helper2": module.get_function("helper")},
+            parse_module("declare void @clobber(ptr)"))
+        _assert_use_lists_unchanged(before)
+
+    def test_constants_keep_no_uses(self):
+        module = parsed(COMPLEX)
+        constants = [value for value in _source_values(module)
+                     if isinstance(value, Constant)]
+        assert constants
+        assert all(c.num_uses() == 0 and not c.uses for c in constants)
+
+    def test_fuzzing_leaves_seed_constants_alone_and_frees_mutants(self):
+        module = parse_module(block_function(blocks=8))
+        constants = [value for value in _source_values(module)
+                     if isinstance(value, Constant)]
+        counts = [constant.num_uses() for constant in constants]
+        driver = FuzzDriver(module, FuzzConfig(
+            mutator=MutatorConfig(max_mutations=2),
+            tv=RefinementConfig(max_inputs=4)))
+        mutants = []
+        create = driver.mutator.create_mutant
+
+        def spy(seed, operators=None):
+            mutant, record = create(seed, operators)
+            # A mutant that declared an intrinsic stays reachable for as
+            # long as the optimize memo keeps a body calling it: the
+            # declaration's parent is the mutant module.  Watch the rest.
+            if len(mutant) == len(module):
+                mutants.extend(weakref.ref(function)
+                               for function in mutant.definitions()
+                               if function.parent is mutant)
+            return mutant, record
+
+        driver.mutator.create_mutant = spy
+        driver.run(iterations=20)
+        gc.collect()
+        assert [constant.num_uses() for constant in constants] == counts
+        assert len(mutants) >= 10
+        assert all(ref() is None for ref in mutants)

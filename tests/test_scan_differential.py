@@ -35,6 +35,8 @@ from repro.opt.passes import instcombine
 from repro.opt.passes.dce import is_trivially_dead
 from repro.opt.passes.instsimplify import simplify_instruction
 
+from helpers import block_function
+
 SCAN_PASSES = ("constfold", "instsimplify", "instcombine")
 BUG_SETS = ((), tuple(all_bug_ids()))
 
@@ -231,29 +233,6 @@ def assert_same_as_resweep(module, monkeypatch):
 
 
 # -- inputs ------------------------------------------------------------------
-
-
-def block_function(blocks=40, ops_per_block=6):
-    """The E11 / ``optimize_blocks`` shape: every block computes a short
-    chain from the arguments, so a rewrite's closure stays in its block."""
-    ops = ("add", "sub", "xor", "and", "or", "mul")
-    lines = ["define i32 @work(i32 %x, i32 %y) {", "entry:", "  br label %b0"]
-    incoming = []
-    for b in range(blocks):
-        lines.append(f"b{b}:")
-        prev = "%x" if b % 2 == 0 else "%y"
-        for i in range(ops_per_block):
-            constant = (2 * (b * ops_per_block + i) + 3) % 256
-            lines.append(f"  %v{b}_{i} = {ops[(b + i) % len(ops)]} i32 "
-                         f"{prev}, {constant}")
-            prev = f"%v{b}_{i}"
-        lines.append(f"  %c{b} = icmp slt i32 {prev}, {b}")
-        following = f"b{b + 1}" if b + 1 < blocks else "out"
-        lines.append(f"  br i1 %c{b}, label %{following}, label %out")
-        incoming.append(f"[ {prev}, %b{b} ]")
-    lines += ["out:", "  %r = phi i32 " + ", ".join(incoming),
-              "  ret i32 %r", "}"]
-    return "\n".join(lines) + "\n"
 
 
 CORPUS = generate_corpus(58, 0)
