@@ -100,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--job-deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="per-shard wall-clock deadline; overruns are "
-                             "recorded as hangs (with --jobs > 1 a watchdog "
-                             "also kills the stuck worker)")
+                             "recorded as hangs (when sharded, with any "
+                             "--jobs, a watchdog also kills the stuck "
+                             "worker)")
     parser.add_argument("--max-job-retries", type=int, default=0,
                         metavar="N",
                         help="retry shards that hang or kill their worker "

@@ -65,9 +65,10 @@ class CampaignConfig:
     global_time_budget: Optional[float] = None
     # -- resilience knobs (all opt-in; defaults preserve the fast path) --
     # Per-job wall-clock deadline, seconds.  Enforced cooperatively at
-    # the driver's stage boundaries; with workers > 1 a supervisor
-    # additionally hard-kills any worker that exceeds
-    # ``job_deadline * grace_factor`` and records the job as a ``hang``.
+    # the driver's stage boundaries; jobs with a deadline also run in
+    # worker processes (even with workers=1), and a supervisor hard-kills
+    # any worker that exceeds ``job_deadline * grace_factor`` and records
+    # the job as a ``hang``.
     job_deadline: Optional[float] = None
     grace_factor: float = 2.0
     # Jobs that hang or kill their worker are retried with exponential

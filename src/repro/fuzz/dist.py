@@ -93,8 +93,7 @@ from .feedback import FeedbackConfig
 from .lease import (KIND_LEASE, KIND_MANIFEST, KIND_RESULT, KIND_TOMBSTONE,
                     REASON_NODE_LOST, REASON_QUARANTINE, Lease, Policy,
                     QueueError, QueueMismatch)
-from .parallel import (JobRunner, ShardJob, ShardResult, _SignalGuard,
-                       execute_job, run_jobs)
+from .parallel import JobRunner, ShardJob, ShardResult, execute_job, run_jobs
 from .wire import BlobStore, DecodeCache, WireError, encode_payload
 
 __all__ = ["DistConfig", "Lease", "NodeReport", "NodeRunner", "QueueError",
@@ -831,10 +830,10 @@ class NodeReport:
 class NodeRunner:
     """Pull jobs from a :class:`Transport` and run them to completion.
 
-    Claimed jobs run through the existing execution stack —
-    :func:`repro.fuzz.parallel.run_jobs` in isolated (process-per-job)
-    mode whenever a deadline is present, so the hard watchdog and crash
-    containment of single-host campaigns apply unchanged on a node.  A
+    Claimed jobs run through :func:`repro.fuzz.parallel.run_jobs`, the
+    scheduler single-host campaigns use, so its hard watchdog and crash
+    attribution apply unchanged on a node (a job with a deadline runs in
+    a worker process even when ``workers=1``).  A
     heartbeat thread renews every active lease at
     ``lease_duration / 3``; if the node is SIGKILLed the thread dies
     with it and the leases expire on their own, which *is* the
@@ -949,7 +948,6 @@ class NodeRunner:
         jobs = [self._localize(job) for job, _lease in claimed]
         with self._active_lock:
             self._active.update(leases)
-        isolate = any(job.deadline is not None for job in jobs)
 
         def publish(result: ShardResult) -> None:
             with self._active_lock:
@@ -974,7 +972,7 @@ class NodeRunner:
 
         try:
             run_jobs(jobs, workers=self.workers, runner=self.runner,
-                     on_result=publish, isolate=isolate)
+                     on_result=publish)
         finally:
             with self._active_lock:
                 for job_index in leases:
@@ -1110,7 +1108,7 @@ def run_coordinator(executor, resume: bool = False) -> CampaignReport:
         return stop.requested
 
     try:
-        with _SignalGuard(stop):
+        with stop:
             while outstanding:
                 results = queue.collect_results(fingerprint,
                                                 known=collected)

@@ -79,8 +79,8 @@ class FaultyRunner:
     """A job runner that injects faults for chosen job indexes.
 
     Picklable (plain data attributes + module-level base runner), so it
-    crosses the process boundary into pool and supervised workers
-    exactly like the real runner.
+    crosses the process boundary into worker processes exactly like the
+    real runner.
     """
 
     def __init__(self, faults: Dict[int, FaultSpec],

@@ -4,7 +4,7 @@ The campaign's (corpus file × pipeline) job matrix is embarrassingly
 parallel: every job owns a disjoint seed range (see
 :data:`repro.fuzz.campaign.JOB_SEED_STRIDE`), so jobs can run on any
 worker in any order and still produce the same findings.  This module
-shards the matrix across a ``ProcessPoolExecutor`` and merges the
+runs the matrix through one scheduler, :func:`run_jobs`, and merges the
 per-job :class:`ShardResult` records back into one
 :class:`~repro.fuzz.campaign.CampaignReport` on the calling process.
 
@@ -15,47 +15,61 @@ Determinism contract
 * Merging walks shard results in job-index order, so "first discovery"
   attributions (``first_file``/``first_seed``) are identical for
   ``workers=1`` and ``workers=N``.
-* ``workers=1`` runs every job on the calling process — the exact
-  sequential path, no pool, bit-identical results.
+* ``workers=1`` without a job deadline runs every job on the calling
+  process — no worker process, bit-identical results.
 
 Fault containment
 -----------------
-A job that raises inside the worker is returned as a :class:`ShardResult`
-with ``error`` set.  A job whose worker *process* dies (killing the whole
-pool) is retried once in a fresh single-worker pool, so one poisoned job
-costs one failed shard, not the campaign.  An optional global time budget
-stops submitting new jobs on expiry and drains the in-flight ones; the
-never-started remainder is reported as skipped.
+A job that raises comes back as a :class:`ShardResult` with ``error``
+set.  A worker death is pinned on the job its worker was running (a
+``crash``), a job outliving ``deadline × grace_factor`` is killed (a
+``hang``), and either is retried, then quarantined (see :func:`run_jobs`).
+An optional global time budget stops starting jobs on expiry and drains
+the running ones; the never-finished remainder is reported as skipped.
 """
 
 from __future__ import annotations
 
+import hashlib
+import heapq
+import multiprocessing
 import os
 import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import (BrokenExecutor, CancelledError,
-                                ProcessPoolExecutor, as_completed)
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.parser import ParseError, parse_module
 from ..obs import MetricsRegistry, tracer_for_path
-from .campaign import (CampaignConfig, CampaignReport, QuarantinedJob,
-                       ShardFailure, new_report)
+from .campaign import (
+    CampaignConfig,
+    CampaignReport,
+    QuarantinedJob,
+    ShardFailure,
+    new_report,
+)
 from .driver import DeadlineExceeded, FuzzConfig, FuzzDriver, StageTimings
 from .feedback import FeedbackStats
 from .findings import Finding
 from .seeds import generate_corpus
 
-__all__ = ["CampaignExecutor", "KIND_NODE_LOST", "ShardJob", "ShardResult",
-           "execute_job", "retry_delay", "run_jobs"]
+__all__ = [
+    "CampaignExecutor",
+    "KIND_NODE_LOST",
+    "ShardJob",
+    "ShardResult",
+    "execute_job",
+    "retry_delay",
+    "run_jobs",
+]
 
 
 @dataclass
 class ShardJob:
-    """One cell of the job matrix, picklable for pool submission."""
+    """One cell of the job matrix, picklable for a worker process."""
 
     job_index: int
     file_name: str
@@ -65,8 +79,8 @@ class ShardJob:
     time_budget: Optional[float] = None
     confirm_attributions: bool = False
     # Per-job wall-clock deadline, seconds.  Enforced cooperatively at
-    # the driver's stage boundaries; the supervised scheduler also
-    # hard-kills workers at ``deadline * grace_factor``.
+    # the driver's stage boundaries; :func:`run_jobs` also runs the job
+    # in a worker process and kills it at ``deadline * grace_factor``.
     deadline: Optional[float] = None
     # Span tracing (repro.obs): when ``trace_dir`` is set the job writes
     # its spans to ``<trace_dir>/job-<index>.jsonl`` (one file per job —
@@ -84,8 +98,7 @@ class ShardResult:
     file_name: str
     pipeline: str = ""
     worker: str = ""
-    # The job's driver base seed, carried for reproducibility of
-    # failed/quarantined shards.
+    # The job's driver base seed, carried to reproduce failed/quarantined shards.
     seed: int = -1
     iterations: int = 0
     findings: List[Finding] = field(default_factory=list)
@@ -113,7 +126,7 @@ class ShardResult:
 
 JobRunner = Callable[[ShardJob], ShardResult]
 
-# Supervisor-side results never produced by a worker use this marker.
+# The failure kinds the scheduler retries (hang, crash) or retires with.
 _KIND_HANG = "hang"
 _KIND_CRASH = "crash"
 _KIND_QUARANTINE = "quarantine"
@@ -122,8 +135,13 @@ _KIND_QUARANTINE = "quarantine"
 KIND_NODE_LOST = "node_lost"
 
 
-def retry_delay(backoff: float, attempt: int, jitter: float = 0.0,
-                jitter_seed: str = "", job_index: int = 0) -> float:
+def retry_delay(
+    backoff: float,
+    attempt: int,
+    jitter: float = 0.0,
+    jitter_seed: str = "",
+    job_index: int = 0,
+) -> float:
     """The backoff delay before retry ``attempt + 1`` of a job.
 
     Exponential in the attempt number (``backoff * 2**(attempt - 1)``),
@@ -136,9 +154,7 @@ def retry_delay(backoff: float, attempt: int, jitter: float = 0.0,
     delay = backoff * (2 ** (attempt - 1))
     if jitter <= 0.0 or delay <= 0.0:
         return delay
-    import hashlib
-    digest = hashlib.sha256(
-        f"{jitter_seed}:{job_index}:{attempt}".encode()).digest()
+    digest = hashlib.sha256(f"{jitter_seed}:{job_index}:{attempt}".encode()).digest()
     unit = int.from_bytes(digest[:8], "big") / float(1 << 64)  # [0, 1)
     return delay * (1.0 + jitter * unit)
 
@@ -146,47 +162,44 @@ def retry_delay(backoff: float, attempt: int, jitter: float = 0.0,
 def execute_job(job: ShardJob) -> ShardResult:
     """Run one job: parse, fuzz, confirm attributions.
 
-    This is the loop body of the old sequential campaign, extracted so
-    the sequential and sharded paths share it verbatim.  A cooperative
-    ``job.deadline`` covers the whole job — fuzzing *and* attribution
-    confirmation — and turns an overrun into a ``hang`` shard.
+    This is the default :data:`JobRunner`, on the calling process and in
+    a worker alike.  A cooperative ``job.deadline`` covers the whole job
+    — fuzzing *and* attribution confirmation — and turns an overrun into
+    a ``hang`` shard.
     """
-    result = ShardResult(job_index=job.job_index, file_name=job.file_name,
-                         pipeline=job.config.pipeline, worker=_worker_id(),
-                         seed=job.config.base_seed)
+    result = _result(job)
     try:
         module = parse_module(job.text, job.file_name)
     except ParseError as exc:
         result.parse_error = str(exc)
         return result
-    deadline_at = (None if job.deadline is None
-                   else time.monotonic() + job.deadline)
+    deadline_at = None if job.deadline is None else time.monotonic() + job.deadline
     tracer = None
     if job.trace_dir:
         os.makedirs(job.trace_dir, exist_ok=True)
-        tracer = tracer_for_path(
-            os.path.join(job.trace_dir, f"job-{job.job_index:04d}.jsonl"),
-            sample_rate=job.trace_sample)
+        path = os.path.join(job.trace_dir, f"job-{job.job_index:04d}.jsonl")
+        tracer = tracer_for_path(path, sample_rate=job.trace_sample)
     driver = None
     try:
-        driver = FuzzDriver(module, job.config, file_name=job.file_name,
-                            metrics=result.metrics, tracer=tracer)
+        driver = FuzzDriver(
+            module, job.config, job.file_name, metrics=result.metrics, tracer=tracer
+        )
         driver.deadline_at = deadline_at
-        report = driver.run(iterations=job.iterations,
-                            time_budget=job.time_budget)
+        report = driver.run(iterations=job.iterations, time_budget=job.time_budget)
         result.iterations = report.iterations
         result.findings = report.findings
         result.dropped_functions = dict(report.dropped_functions)
         result.timings = report.timings
         result.feedback = report.feedback
-        confirm_cache: Dict[str, FuzzDriver] = {}
+        cache: Dict[str, FuzzDriver] = {}
         for finding in report.findings:
             driver.check_deadline()
             if job.confirm_attributions and len(finding.bug_ids) > 1:
-                confirmed = [bug_id for bug_id in finding.bug_ids
-                             if _confirm(module, job.file_name, bug_id,
-                                         finding, job.config, confirm_cache,
-                                         deadline_at)]
+                confirmed = [
+                    bug_id
+                    for bug_id in finding.bug_ids
+                    if _confirm(module, job, bug_id, finding, cache, deadline_at)
+                ]
             else:
                 confirmed = list(finding.bug_ids)
             result.confirmed_bug_ids.append(confirmed)
@@ -195,14 +208,13 @@ def execute_job(job: ShardJob) -> ShardResult:
         # progress (iterations, timings, metrics) so the supervisor can
         # account for discarded work — the merge must NOT count it as
         # campaign progress, or retried jobs would be double-counted.
-        return ShardResult(job_index=job.job_index, file_name=job.file_name,
-                           pipeline=job.config.pipeline, worker=_worker_id(),
-                           seed=job.config.base_seed,
-                           iterations=driver.report.iterations,
-                           timings=driver.report.timings,
-                           metrics=result.metrics,
-                           error=f"{exc} (deadline {job.deadline}s)",
-                           failure_kind=_KIND_HANG)
+        error = f"{exc} (deadline {job.deadline}s)"
+        return replace(
+            _result(job, error, _KIND_HANG),
+            iterations=driver.report.iterations,
+            timings=driver.report.timings,
+            metrics=result.metrics,
+        )
     finally:
         if driver is not None:
             driver.close()
@@ -211,36 +223,44 @@ def execute_job(job: ShardJob) -> ShardResult:
     return result
 
 
-def _confirm(module, file_name: str, bug_id: str, finding: Finding,
-             base_config: FuzzConfig,
-             cache: Dict[str, FuzzDriver],
-             deadline_at: Optional[float] = None) -> bool:
+def _confirm(
+    module,
+    job: ShardJob,
+    bug_id: str,
+    finding: Finding,
+    cache: Dict[str, FuzzDriver],
+    deadline_at: Optional[float],
+) -> bool:
     """Replay the finding's seed with only ``bug_id`` enabled."""
     driver = cache.get(bug_id)
     if driver is None:
         solo_config = FuzzConfig(
-            pipeline=base_config.pipeline,
+            pipeline=job.config.pipeline,
             enabled_bugs=[bug_id],
-            mutator=base_config.mutator,
-            tv=base_config.tv,
-            base_seed=base_config.base_seed,
+            mutator=job.config.mutator,
+            tv=job.config.tv,
+            base_seed=job.config.base_seed,
         )
-        driver = FuzzDriver(module, solo_config, file_name=file_name)
+        driver = FuzzDriver(module, solo_config, file_name=job.file_name)
         driver.deadline_at = deadline_at
         cache[bug_id] = driver
     replayed = driver.run_one(finding.seed)
     return any(bug_id in f.bug_ids for f in replayed)
 
 
-def _worker_id() -> str:
-    return f"pid-{os.getpid()}"
-
-
-def _failure(job: ShardJob, error: str, kind: str = "") -> ShardResult:
-    return ShardResult(job_index=job.job_index, file_name=job.file_name,
-                       pipeline=job.config.pipeline, worker=_worker_id(),
-                       seed=job.config.base_seed, error=error,
-                       failure_kind=kind)
+def _result(
+    job: ShardJob, error: str = "", kind: str = "", worker: str = ""
+) -> ShardResult:
+    """A result naming ``job``; ``error`` and ``kind`` make it a failure."""
+    return ShardResult(
+        job_index=job.job_index,
+        file_name=job.file_name,
+        pipeline=job.config.pipeline,
+        worker=worker or f"pid-{os.getpid()}",
+        seed=job.config.base_seed,
+        error=error,
+        failure_kind=kind,
+    )
 
 
 def _call_runner(runner: JobRunner, job: ShardJob) -> ShardResult:
@@ -248,7 +268,7 @@ def _call_runner(runner: JobRunner, job: ShardJob) -> ShardResult:
     try:
         return runner(job)
     except Exception as exc:  # noqa: BLE001 — containment is the point
-        return _failure(job, f"{type(exc).__name__}: {exc}")
+        return _result(job, f"{type(exc).__name__}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,331 +276,183 @@ def _call_runner(runner: JobRunner, job: ShardJob) -> ShardResult:
 # ---------------------------------------------------------------------------
 
 
-ResultSink = Optional[Callable[[ShardResult], None]]
-StopFlag = Optional[Callable[[], bool]]
-
-
-def run_jobs(jobs: Sequence[ShardJob], workers: int = 1,
-             runner: JobRunner = execute_job,
-             time_budget: Optional[float] = None,
-             grace_factor: float = 2.0,
-             max_retries: int = 0,
-             retry_backoff: float = 0.25,
-             retry_jitter: float = 0.0,
-             jitter_seed: str = "",
-             on_result: ResultSink = None,
-             should_stop: StopFlag = None,
-             isolate: bool = False) -> List[ShardResult]:
-    """Run ``jobs`` and return their results ordered by job index.
-
-    ``workers <= 1`` runs on the calling process; otherwise jobs are
-    sharded across worker processes.  Jobs skipped by the
-    ``time_budget`` (or a true ``should_stop``) have no entry in the
-    returned list.  ``on_result`` is invoked on the calling process for
-    every *terminal* result, in completion order — the checkpoint
-    journal hangs off this hook.
-
-    Two multi-worker schedulers exist: the plain process *pool* (the
-    fast path), and a process-per-job *supervised* scheduler that adds
-    a hard watchdog kill at ``deadline * grace_factor`` plus bounded
-    hang/crash retries.  The supervised path engages automatically when
-    any job carries a deadline or ``max_retries > 0``; ``isolate=True``
-    forces it even for ``workers=1`` (distributed node runners use this
-    so a single-worker node still gets the hard watchdog and crash
-    containment of process-per-job execution).
-
-    ``retry_jitter``/``jitter_seed`` add deterministic decorrelation
-    jitter to the retry backoff (see :func:`retry_delay`).
+def _worker_main(runner: JobRunner, conn) -> None:
+    """Worker entry: run each job sent until ``None`` (or EOF: the
+    supervisor is gone).  A Ctrl-C to the process group must not kill a
+    job mid-drain, so SIGINT is ignored; SIGTERM gets its default action
+    back instead of the supervisor's inherited drain handler.
     """
-    supervised = (max_retries > 0
-                  or any(job.deadline is not None for job in jobs))
-    if workers <= 1 and not (isolate and jobs):
-        return _run_sequential(jobs, runner, time_budget, on_result,
-                               should_stop)
-    if supervised or isolate:
-        return _run_supervised(jobs, max(1, workers), runner, time_budget,
-                               grace_factor, max_retries, retry_backoff,
-                               on_result, should_stop,
-                               retry_jitter=retry_jitter,
-                               jitter_seed=jitter_seed)
-    return _run_pool(jobs, workers, runner, time_budget, on_result,
-                     should_stop)
-
-
-def _emit(results: Dict[int, ShardResult], on_result: ResultSink,
-          result: ShardResult) -> None:
-    results[result.job_index] = result
-    if on_result is not None:
-        on_result(result)
-
-
-def _run_sequential(jobs: Sequence[ShardJob], runner: JobRunner,
-                    time_budget: Optional[float],
-                    on_result: ResultSink = None,
-                    should_stop: StopFlag = None) -> List[ShardResult]:
-    started = time.perf_counter()
-    results: Dict[int, ShardResult] = {}
-    for job in jobs:
-        if time_budget is not None \
-                and time.perf_counter() - started >= time_budget:
-            break
-        if should_stop is not None and should_stop():
-            break
-        _emit(results, on_result, _call_runner(runner, job))
-    return [results[index] for index in sorted(results)]
-
-
-def _init_worker_signals() -> None:
-    """Pool/supervised worker initializer: the supervisor owns signals.
-
-    A Ctrl-C hits the whole foreground process group; workers must not
-    die mid-job or the graceful drain would record phantom crashes, so
-    SIGINT is ignored.  SIGTERM goes back to the default action —
-    forked workers inherit the supervisor's drain handler, which would
-    otherwise shrug off the watchdog's ``terminate()``.
-    """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    except (ValueError, OSError):  # non-main thread or exotic platform
-        pass
-
-
-def _run_pool(jobs: Sequence[ShardJob], workers: int, runner: JobRunner,
-              time_budget: Optional[float],
-              on_result: ResultSink = None,
-              should_stop: StopFlag = None) -> List[ShardResult]:
-    started = time.perf_counter()
-
-    def expired() -> bool:
-        if time_budget is not None \
-                and time.perf_counter() - started >= time_budget:
-            return True
-        return should_stop is not None and should_stop()
-
-    results: Dict[int, ShardResult] = {}
-    suspects: List[ShardJob] = []
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_init_worker_signals) as pool:
-        futures = {}
-        for job in jobs:
-            if expired():
-                break
-            futures[pool.submit(_call_runner, runner, job)] = job
-        cancelled = False
-        for future in as_completed(futures):
-            if expired() and not cancelled:
-                # Graceful early shutdown: cancel what has not started
-                # (running futures are not cancellable and get drained by
-                # as_completed / pool shutdown below).  Once is enough —
-                # cancelling an already-cancelled/running future is a
-                # no-op, so re-walking the set per completion would only
-                # add O(n^2) churn.
-                cancelled = True
-                for pending in futures:
-                    pending.cancel()
-            job = futures[future]
-            try:
-                _emit(results, on_result, future.result())
-            except CancelledError:
-                continue  # skipped by the budget
-            except BrokenExecutor:
-                # The worker process died.  Every in-flight job gets this
-                # error; the actual culprit is unknowable from here, so
-                # each suspect is retried in isolation below.
-                suspects.append(job)
-            except Exception as exc:  # noqa: BLE001
-                _emit(results, on_result,
-                      _failure(job, f"{type(exc).__name__}: {exc}"))
-    for job in sorted(suspects, key=lambda j: j.job_index):
-        if expired():
-            continue
-        _emit(results, on_result, _retry_in_isolation(runner, job))
-    return [results[index] for index in sorted(results)]
-
-
-def _retry_in_isolation(runner: JobRunner, job: ShardJob) -> ShardResult:
-    """Re-run a broken-pool suspect in its own single-worker pool.
-
-    If the job really is the one that killed the shared pool, it kills
-    only its private pool this time and is recorded as a failed shard;
-    innocent bystanders complete normally.
-    """
-    try:
-        with ProcessPoolExecutor(max_workers=1,
-                                 initializer=_init_worker_signals) as solo:
-            return solo.submit(_call_runner, runner, job).result()
-    except Exception as exc:  # noqa: BLE001 — typically BrokenProcessPool
-        return _failure(job, "worker process died: "
-                             f"{type(exc).__name__}: {exc}",
-                        kind=_KIND_CRASH)
-
-
-# ---------------------------------------------------------------------------
-# The supervised scheduler: process-per-job with watchdog + retries.
-# ---------------------------------------------------------------------------
-
-
-def _supervised_worker(runner: JobRunner, job: ShardJob, conn) -> None:
-    """Worker entry: run one job, ship the result back, exit."""
-    _init_worker_signals()
-    result = _call_runner(runner, job)
-    try:
-        conn.send(result)
-    finally:
-        conn.close()
-
-
-@dataclass
-class _Running:
-    job: ShardJob
-    attempt: int
-    conn: object
-    kill_at: Optional[float]
-
-
-def _run_supervised(jobs: Sequence[ShardJob], workers: int,
-                    runner: JobRunner, time_budget: Optional[float],
-                    grace_factor: float, max_retries: int,
-                    retry_backoff: float,
-                    on_result: ResultSink = None,
-                    should_stop: StopFlag = None,
-                    retry_jitter: float = 0.0,
-                    jitter_seed: str = "") -> List[ShardResult]:
-    """Process-per-job scheduling with hard hang containment.
-
-    Unlike the shared pool, every job owns a dedicated worker process
-    whose start time the supervisor knows, so a worker that blows
-    through ``deadline * grace_factor`` is killed (``terminate`` then
-    ``kill``) and the job is recorded as a ``hang`` — the cooperative
-    in-worker deadline is the first line of defense, this timer is the
-    backstop for jobs stuck inside a single stage.  Jobs that hang or
-    kill their worker are retried with exponential backoff up to
-    ``max_retries`` times, then retired as ``quarantine`` results.
-    """
-    import multiprocessing as mp
-    from multiprocessing.connection import wait as conn_wait
-
-    ctx = mp.get_context()
-    started = time.perf_counter()
-
-    def stopping() -> bool:
-        if time_budget is not None \
-                and time.perf_counter() - started >= time_budget:
-            return True
-        return should_stop is not None and should_stop()
-
-    pending = deque((job, 1) for job in jobs)
-    delayed: List[Tuple[float, ShardJob, int]] = []
-    running: Dict[object, _Running] = {}
-    results: Dict[int, ShardResult] = {}
-
-    def settle_failure(job: ShardJob, attempt: int, kind: str,
-                       detail: str,
-                       partial: Optional[ShardResult] = None) -> None:
-        """Retry a hang/crash while budget remains, else retire it.
-
-        ``partial`` is the failed attempt's shard result (cooperative
-        hangs ship one back with partial progress); its iteration count
-        and metrics are carried onto the terminal result so the merge
-        can account for discarded work without counting it as progress.
-        """
-        if attempt <= max_retries:
-            delay = retry_delay(retry_backoff, attempt, retry_jitter,
-                                jitter_seed, job.job_index)
-            delayed.append((time.perf_counter() + delay, job, attempt + 1))
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
             return
-        terminal_kind = kind if max_retries == 0 else _KIND_QUARANTINE
-        if terminal_kind == _KIND_QUARANTINE:
-            detail = (f"quarantined after {attempt} attempts; "
-                      f"last failure ({kind}): {detail}")
-        result = _failure(job, detail, kind=terminal_kind)
-        result.attempts = attempt
-        if partial is not None:
-            result.iterations = partial.iterations
-            result.timings = partial.timings
-            result.metrics = partial.metrics
-        _emit(results, on_result, result)
+        if job is None:
+            return
+        result = _call_runner(runner, job)
+        try:
+            conn.send(result)
+        except Exception as exc:  # noqa: BLE001 — an unpicklable result
+            conn.send(_result(job, f"{type(exc).__name__}: {exc}"))
 
-    def reap(proc, record: _Running, now: float) -> bool:
-        """Handle one running worker; True if it left the running set."""
-        if record.conn.poll():
+
+class _Worker:
+    """One long-lived worker process, fed one job at a time over a pipe.
+
+    The supervisor hands over every job itself, so it knows which job a
+    worker runs and since when: EOF on the pipe means that job killed
+    its worker, and ``kill_at`` is that job's watchdog time.
+    """
+
+    def __init__(self, ctx, runner: JobRunner) -> None:
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_worker_main, args=(runner, child), daemon=True
+        )
+        self.process.start()
+        child.close()
+        self.name = f"pid-{self.process.pid}"
+        self.job, self.attempt, self.kill_at = None, 0, None
+
+    def start(self, job: ShardJob, attempt: int, grace_factor: float) -> None:
+        self.job, self.attempt, self.kill_at = job, attempt, None
+        if job.deadline is not None:
+            self.kill_at = time.perf_counter() + job.deadline * grace_factor
+        try:
+            self.conn.send(job)
+        except OSError:  # it died while idle: the EOF is read as this job's crash
+            pass
+
+    def stop(self) -> None:
+        """Let an idle worker exit; kill one that is still on a job."""
+        if self.job is None:
             try:
-                result = record.conn.recv()
-            except (EOFError, OSError):
-                result = None
-            record.conn.close()
-            proc.join()
-            del running[proc]
-            if result is None:
-                settle_failure(record.job, record.attempt, _KIND_CRASH,
-                               "worker process died mid-result")
-            elif result.failure_kind == _KIND_HANG:
-                result.attempts = record.attempt
-                settle_failure(record.job, record.attempt, _KIND_HANG,
-                               result.error, partial=result)
-            else:
-                result.attempts = record.attempt
-                _emit(results, on_result, result)
-            return True
-        if not proc.is_alive():
-            exitcode = proc.exitcode
-            record.conn.close()
-            proc.join()
-            del running[proc]
-            settle_failure(record.job, record.attempt, _KIND_CRASH,
-                           f"worker process died (exit code {exitcode})")
-            return True
-        if record.kill_at is not None and now >= record.kill_at:
-            proc.terminate()
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-            record.conn.close()
-            del running[proc]
-            settle_failure(
-                record.job, record.attempt, _KIND_HANG,
-                "worker killed after exceeding deadline "
-                f"({record.job.deadline}s x grace {grace_factor})")
-            return True
-        return False
+                self.conn.send(None)
+                self.process.join(timeout=5.0)
+            except OSError:
+                pass
+        self.process.kill()  # SIGKILL: no handler can delay a watchdog kill
+        self.process.join()
+        self.conn.close()
 
-    while pending or delayed or running:
-        now = time.perf_counter()
-        if stopping():
-            # Drain mode: nothing new starts, retries are abandoned
-            # (the jobs re-run on resume), in-flight workers finish
-            # under the watchdog.
-            pending.clear()
-            delayed.clear()
-        else:
-            ready = [entry for entry in delayed if entry[0] <= now]
-            for entry in ready:
-                delayed.remove(entry)
-                pending.append((entry[1], entry[2]))
-            while pending and len(running) < workers:
+
+def run_jobs(
+    jobs: Sequence[ShardJob],
+    workers: int = 1,
+    runner: JobRunner = execute_job,
+    time_budget: Optional[float] = None,
+    grace_factor: float = 2.0,
+    max_retries: int = 0,
+    retry_backoff: float = 0.25,
+    retry_jitter: float = 0.0,
+    jitter_seed: str = "",
+    on_result: Optional[Callable[[ShardResult], None]] = None,
+    should_stop: Optional[Callable[[], bool]] = None,
+) -> List[ShardResult]:
+    """Run ``jobs`` in ``workers`` slots; return results by job index.
+
+    The slots are the calling process when ``workers <= 1`` and no job
+    has a deadline, else long-lived worker processes fed one job at a
+    time: a job outliving ``deadline * grace_factor`` is killed (a
+    ``hang``), a worker death is a ``crash`` of the job it ran, and a
+    lost worker is replaced when a job next needs its slot.  A hang or
+    crash is retried after :func:`retry_delay` until ``max_retries`` is
+    used up, then quarantined; anything else is terminal.  Every
+    terminal result goes to ``on_result`` on the calling process, in
+    completion order (the checkpoint journal hangs off this hook).  Once
+    ``time_budget`` expires or ``should_stop()`` is true, nothing new
+    starts and pending retries are dropped; running jobs finish, and
+    jobs without a terminal result have no entry in the returned list.
+    """
+    started = time.perf_counter()
+    budget_end = None if time_budget is None else started + time_budget
+    in_process = workers <= 1 and all(job.deadline is None for job in jobs)
+    workers = max(1, workers)
+    ctx = multiprocessing.get_context()
+    pending = deque((job, 1) for job in jobs)
+    delayed: List[Tuple[float, int, ShardJob, int]] = []  # a heap by due time
+    idle: List[_Worker] = []
+    busy: Dict[object, _Worker] = {}  # by pipe
+    results: Dict[int, ShardResult] = {}
+
+    def settle(job: ShardJob, attempt: int, result: ShardResult) -> None:
+        result.attempts = attempt
+        kind = result.failure_kind
+        if kind in (_KIND_HANG, _KIND_CRASH):
+            if attempt <= max_retries:
+                delay = retry_delay(
+                    retry_backoff, attempt, retry_jitter, jitter_seed, job.job_index
+                )
+                due = time.perf_counter() + delay
+                heapq.heappush(delayed, (due, job.job_index, job, attempt + 1))
+                return
+            if max_retries:
+                # Partial progress stays on, for the merge to count as discarded.
+                detail = f"last failure ({kind}): {result.error}"
+                result = replace(
+                    result,
+                    failure_kind=_KIND_QUARANTINE,
+                    error=f"quarantined after {attempt} attempts; {detail}",
+                )
+        results[job.job_index] = result
+        if on_result is not None:
+            on_result(result)
+
+    try:
+        while pending or delayed or busy:
+            now = time.perf_counter()
+            expired = budget_end is not None and now >= budget_end
+            if expired or (should_stop is not None and should_stop()):
+                pending.clear()
+                delayed.clear()
+            while delayed and delayed[0][0] <= now:
+                _due, _index, job, attempt = heapq.heappop(delayed)
+                pending.append((job, attempt))
+            if in_process and pending:
                 job, attempt = pending.popleft()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_supervised_worker,
-                                   args=(runner, job, child_conn))
-                proc.daemon = True
-                proc.start()
-                child_conn.close()
-                kill_at = (None if job.deadline is None
-                           else time.perf_counter()
-                           + job.deadline * grace_factor)
-                running[proc] = _Running(job=job, attempt=attempt,
-                                         conn=parent_conn, kill_at=kill_at)
-        now = time.perf_counter()
-        for proc in list(running):
-            reap(proc, running[proc], now)
-        if running:
-            conn_wait([record.conn for record in running.values()],
-                      timeout=0.02)
-        elif delayed and not pending:
-            time.sleep(min(0.02, max(0.0, min(entry[0] for entry in delayed)
-                                     - time.perf_counter())))
+                settle(job, attempt, _call_runner(runner, job))
+                continue
+            while pending and len(busy) < workers:
+                job, attempt = pending.popleft()
+                worker = idle.pop() if idle else _Worker(ctx, runner)
+                worker.start(job, attempt, grace_factor)
+                busy[worker.conn] = worker
+            wake = [w.kill_at for w in busy.values() if w.kill_at is not None]
+            if delayed:
+                wake.append(delayed[0][0])
+                if budget_end is not None:
+                    wake.append(budget_end)
+            timeout = max(0.0, min(wake) - time.perf_counter()) if wake else None
+            if not busy:
+                time.sleep(timeout or 0.0)  # only delayed retries, if any, remain
+                continue
+            for conn in wait(list(busy), timeout):
+                worker = busy.pop(conn)
+                job, attempt = worker.job, worker.attempt
+                try:
+                    result = conn.recv()
+                except (EOFError, OSError):
+                    worker.stop()
+                    error = f"worker process died (exit code {worker.process.exitcode})"
+                    result = _result(job, error, _KIND_CRASH, worker.name)
+                else:
+                    worker.job = None
+                    idle.append(worker)
+                settle(job, attempt, result)
+            now = time.perf_counter()
+            for conn, worker in list(busy.items()):
+                if worker.kill_at is not None and now >= worker.kill_at:
+                    del busy[conn]
+                    worker.stop()
+                    limit = f"{worker.job.deadline}s x grace {grace_factor}"
+                    error = f"worker killed after exceeding deadline ({limit})"
+                    hang = _result(worker.job, error, _KIND_HANG, worker.name)
+                    settle(worker.job, worker.attempt, hang)
+    finally:
+        for worker in idle + list(busy.values()):
+            worker.stop()
     return [results[index] for index in sorted(results)]
 
 
@@ -589,47 +461,39 @@ def _run_supervised(jobs: Sequence[ShardJob], workers: int,
 # ---------------------------------------------------------------------------
 
 
-class _StopState:
-    """Shared flag between the signal handlers and the schedulers."""
+class _Stop:
+    """The drain flag: set by :meth:`CampaignExecutor.request_stop`, or by
+    SIGINT/SIGTERM while ``with stop:`` holds.
+
+    Only the main thread may install handlers; elsewhere (an executor
+    driven from a worker thread) the ``with`` is a no-op and graceful
+    shutdown remains available via :meth:`CampaignExecutor.request_stop`.
+    """
+
+    SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
     def __init__(self) -> None:
         self.requested = False
         self.signal_name = ""
+        self._previous: Dict[int, object] = {}
 
     def request(self, signal_name: str = "") -> None:
         self.requested = True
         if signal_name and not self.signal_name:
             self.signal_name = signal_name
 
-
-class _SignalGuard:
-    """Install SIGINT/SIGTERM drain handlers for the execute() scope.
-
-    Only the main thread may install handlers; elsewhere (an executor
-    driven from a worker thread) the guard degrades to a no-op and
-    graceful shutdown remains available via
-    :meth:`CampaignExecutor.request_stop`.
-    """
-
-    SIGNALS = (signal.SIGINT, signal.SIGTERM)
-
-    def __init__(self, stop: _StopState) -> None:
-        self._stop = stop
-        self._previous: Dict[int, object] = {}
-
-    def __enter__(self) -> "_SignalGuard":
+    def __enter__(self) -> "_Stop":
         if threading.current_thread() is not threading.main_thread():
             return self
         for signum in self.SIGNALS:
             try:
-                self._previous[signum] = signal.signal(
-                    signum, self._handle)
+                self._previous[signum] = signal.signal(signum, self._handle)
             except (ValueError, OSError):
                 pass
         return self
 
     def _handle(self, signum, _frame) -> None:
-        self._stop.request(signal.Signals(signum).name)
+        self.request(signal.Signals(signum).name)
 
     def __exit__(self, *_exc) -> None:
         for signum, handler in self._previous.items():
@@ -658,13 +522,16 @@ class CampaignExecutor:
     a valid partial state with ``interrupted`` set.
     """
 
-    def __init__(self, config: Optional[CampaignConfig] = None,
-                 corpus: Optional[Sequence[Tuple[str, str]]] = None,
-                 job_runner: JobRunner = execute_job) -> None:
+    def __init__(
+        self,
+        config: Optional[CampaignConfig] = None,
+        corpus: Optional[Sequence[Tuple[str, str]]] = None,
+        job_runner: JobRunner = execute_job,
+    ) -> None:
         self.config = config or CampaignConfig()
         self._corpus = corpus
         self._runner = job_runner
-        self._stop = _StopState()
+        self._stop = _Stop()
 
     def request_stop(self) -> None:
         """Ask :meth:`execute` to drain and return (thread-safe).
@@ -677,32 +544,39 @@ class CampaignExecutor:
     def build_jobs(self) -> List[ShardJob]:
         """The (file × pipeline) matrix, one picklable job per cell."""
         config = self.config
-        corpus = (self._corpus if self._corpus is not None
-                  else generate_corpus(config.corpus_size,
-                                       config.corpus_seed))
+        corpus = self._corpus
+        if corpus is None:
+            corpus = generate_corpus(config.corpus_size, config.corpus_seed)
         return [
-            ShardJob(job_index=job_index, file_name=file_name, text=text,
-                     config=config.job_config(job_index, pipeline),
-                     iterations=config.mutants_per_file,
-                     time_budget=config.time_budget,
-                     confirm_attributions=config.confirm_attributions,
-                     deadline=config.job_deadline,
-                     trace_dir=config.trace_dir,
-                     trace_sample=config.trace_sample)
+            ShardJob(
+                job_index=job_index,
+                file_name=file_name,
+                text=text,
+                config=config.job_config(job_index, pipeline),
+                iterations=config.mutants_per_file,
+                time_budget=config.time_budget,
+                confirm_attributions=config.confirm_attributions,
+                deadline=config.job_deadline,
+                trace_dir=config.trace_dir,
+                trace_sample=config.trace_sample,
+            )
             for job_index, (file_name, text, pipeline) in enumerate(
                 (file_name, text, pipeline)
                 for file_name, text in corpus
-                for pipeline in config.pipelines)
+                for pipeline in config.pipelines
+            )
         ]
 
     def execute(self, resume: bool = False) -> CampaignReport:
         from .checkpoint import CheckpointJournal, jobs_fingerprint
+
         config = self.config
         config.validate()
         if resume and not config.checkpoint_dir:
             raise ValueError("resume=True requires config.checkpoint_dir")
         if config.dist is not None:
             from .dist import run_coordinator
+
             return run_coordinator(self, resume=resume)
         report = new_report(config)
         started = time.perf_counter()
@@ -714,14 +588,14 @@ class CampaignExecutor:
             fingerprint = jobs_fingerprint(jobs)
         if config.checkpoint_dir:
             journal = CheckpointJournal(config.checkpoint_dir)
-            cached = journal.start(fingerprint,
-                                   total_jobs=len(jobs), resume=resume)
+            cached = journal.start(fingerprint, total_jobs=len(jobs), resume=resume)
         todo = [job for job in jobs if job.job_index not in cached]
-        stop = self._stop
         try:
-            with _SignalGuard(stop):
+            with self._stop as stop:
                 results = run_jobs(
-                    todo, workers=config.workers, runner=self._runner,
+                    todo,
+                    workers=config.workers,
+                    runner=self._runner,
                     time_budget=config.global_time_budget,
                     grace_factor=config.grace_factor,
                     max_retries=config.max_job_retries,
@@ -729,12 +603,12 @@ class CampaignExecutor:
                     retry_jitter=config.retry_jitter,
                     jitter_seed=fingerprint,
                     on_result=journal.append if journal else None,
-                    should_stop=lambda: stop.requested)
+                    should_stop=lambda: stop.requested,
+                )
         finally:
             if journal is not None:
                 journal.close()
-        merged = sorted(list(cached.values()) + list(results),
-                        key=lambda result: result.job_index)
+        merged = sorted([*cached.values(), *results], key=lambda r: r.job_index)
         self._merge(report, jobs, merged)
         report.resumed_jobs = len(cached)
         report.interrupted = stop.requested
@@ -742,8 +616,12 @@ class CampaignExecutor:
         report.elapsed = time.perf_counter() - started
         return report
 
-    def _merge(self, report: CampaignReport, jobs: Sequence[ShardJob],
-               results: Sequence[ShardResult]) -> None:
+    def _merge(
+        self,
+        report: CampaignReport,
+        jobs: Sequence[ShardJob],
+        results: Sequence[ShardResult],
+    ) -> None:
         """Fold shard results (already job-index ordered) into the report.
 
         Accounting contract: each job contributes to the campaign totals
@@ -757,34 +635,24 @@ class CampaignExecutor:
         metrics = report.metrics
         for shard in results:
             if shard.attempts > 1:
-                metrics.count("campaign.retry.attempts",
-                              shard.attempts - 1)
+                metrics.count("campaign.retry.attempts", shard.attempts - 1)
+            if shard.error and shard.iterations:
+                metrics.count("campaign.retry.discarded_iterations", shard.iterations)
+            where = (shard.job_index, shard.file_name, shard.pipeline)
             if shard.failure_kind == _KIND_QUARANTINE:
-                if shard.iterations:
-                    metrics.count("campaign.retry.discarded_iterations",
-                                  shard.iterations)
                 metrics.count("campaign.quarantined")
-                report.quarantined.append(QuarantinedJob(
-                    job_index=shard.job_index, file=shard.file_name,
-                    pipeline=shard.pipeline, seed=shard.seed,
-                    attempts=shard.attempts, error=shard.error))
+                job = QuarantinedJob(*where, shard.seed, shard.attempts, shard.error)
+                report.quarantined.append(job)
                 continue
             if shard.error:
-                if shard.iterations:
-                    metrics.count("campaign.retry.discarded_iterations",
-                                  shard.iterations)
                 metrics.count("campaign.failed_shards")
-                report.failed_shards.append(ShardFailure(
-                    job_index=shard.job_index, file=shard.file_name,
-                    pipeline=shard.pipeline, error=shard.error,
-                    kind=shard.failure_kind or "error"))
+                kind = shard.failure_kind or "error"
+                report.failed_shards.append(ShardFailure(*where, shard.error, kind))
                 continue
             if shard.parse_error:
                 metrics.count("campaign.parse_failures")
-                report.parse_failures.append(ShardFailure(
-                    job_index=shard.job_index, file=shard.file_name,
-                    pipeline=shard.pipeline, error=shard.parse_error,
-                    kind="parse"))
+                failure = ShardFailure(*where, shard.parse_error, "parse")
+                report.parse_failures.append(failure)
                 continue
             metrics.count("campaign.jobs.completed")
             metrics.merge(shard.metrics)
@@ -795,11 +663,9 @@ class CampaignExecutor:
             report.total_iterations += shard.iterations
             report.total_findings += len(shard.findings)
             _add_timings(report.timings, shard.timings)
-            _add_timings(report.worker_timings.setdefault(shard.worker,
-                                                          StageTimings()),
-                         shard.timings)
-            for finding, confirmed in zip(shard.findings,
-                                          shard.confirmed_bug_ids):
+            timings = report.worker_timings.setdefault(shard.worker, StageTimings())
+            _add_timings(timings, shard.timings)
+            for finding, confirmed in zip(shard.findings, shard.confirmed_bug_ids):
                 if not finding.bug_ids:
                     report.unattributed.append(finding)
                     continue

@@ -241,6 +241,21 @@ class TestAliveMutate:
         assert code == 2
         assert "no processable functions" in capsys.readouterr().err
 
+    def test_one_job_retries_and_quarantines_hung_shards(self, input_file,
+                                                         tmp_path, capsys):
+        """--jobs 1 follows the same retry rule as --jobs N: every shard
+        overruns its deadline, is retried once, then quarantined."""
+        other = tmp_path / "clamp.ll"
+        other.write_text(CLAMP)
+        code = alive_mutate.main([input_file, str(other), "-n", "5",
+                                  "--jobs", "1", "--job-deadline", "1e-9",
+                                  "--max-job-retries", "1"])
+        assert code == 2  # nothing merged
+        captured = capsys.readouterr()
+        assert captured.err.count("quarantined (seed") == 2
+        assert captured.err.count(", 2 attempts)") == 2
+        assert "0 failed, 2 quarantined" in captured.out
+
     def test_console_scripts_run_as_modules(self, input_file):
         result = subprocess.run(
             [sys.executable, "-m", "repro.cli.opt_tool", input_file,

@@ -14,12 +14,16 @@ reader drops exactly the damaged record, never raises, and never
 parses half a record as state.
 """
 
+import itertools
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.fuzz import (CampaignConfig, CampaignExecutor, DeadlineExceeded,
                         FaultSpec, FaultyRunner, FuzzDriver, ShardJob,
                         run_campaign, run_jobs)
@@ -27,6 +31,7 @@ from repro.fuzz.parallel import execute_job
 
 SMALL = dict(corpus_size=6, mutants_per_file=10, max_inputs=8,
              pipelines=("O2",))
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def report_key(report):
@@ -36,6 +41,33 @@ def report_key(report):
         {bug_id: (o.found, o.first_file, o.first_seed, o.findings)
          for bug_id, o in report.outcomes.items()},
     )
+
+
+# A campaign run in a fresh interpreter whose workers are spawned, not
+# forked: job 1 kills its worker once, then heals on retry.
+SPAWN_SCRIPT = """\
+import json
+import multiprocessing
+import sys
+
+from repro.fuzz import CampaignConfig, CampaignExecutor, FaultSpec, FaultyRunner
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    runner = FaultyRunner({{1: FaultSpec("exit", times=1)}},
+                          state_dir=sys.argv[1])
+    report = CampaignExecutor(
+        CampaignConfig(workers=2, max_job_retries=1, retry_backoff=0.01,
+                       **{small!r}),
+        job_runner=runner).execute()
+    key = [report.total_iterations, report.total_findings,
+           {{bug_id: [o.found, o.first_file, o.first_seed, o.findings]
+             for bug_id, o in report.outcomes.items()}}]
+    print(json.dumps({{
+        "key": key,
+        "retries": report.metrics.counter("campaign.retry.attempts"),
+        "failed": len(report.failed_shards) + len(report.quarantined)}}))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +127,21 @@ class TestWatchdog:
         # Everyone else still ran and merged.
         assert report.total_iterations == 5 * SMALL["mutants_per_file"]
 
+    def test_hung_job_is_killed_with_one_worker(self):
+        """A deadline puts even a single slot in a worker process, so
+        the watchdog ends the sleep and the worker is replaced."""
+        runner = FaultyRunner({1: FaultSpec("hang", seconds=60.0)})
+        started = time.perf_counter()
+        report = CampaignExecutor(
+            CampaignConfig(workers=1, job_deadline=0.3, grace_factor=1.5,
+                           **SMALL),
+            job_runner=runner).execute()
+        elapsed = time.perf_counter() - started
+        assert [(f.job_index, f.kind) for f in report.failed_shards] == \
+            [(1, "hang")]
+        assert elapsed < 30.0
+        assert report.total_iterations == 5 * SMALL["mutants_per_file"]
+
     def test_hang_then_quarantine_after_retries(self):
         runner = FaultyRunner({1: FaultSpec("hang", seconds=60.0)})
         report = CampaignExecutor(
@@ -147,24 +194,55 @@ class TestQuarantine:
         assert "injected fault" in report.failed_shards[0].error
         assert not report.quarantined
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hang_retries_do_not_depend_on_worker_count(self, workers):
+        """One retry rule for every worker count: one worker retries and
+        quarantines the hangs exactly as two do."""
+        report = run_campaign(CampaignConfig(
+            workers=workers, job_deadline=1e-9, grace_factor=1.0,
+            max_job_retries=1, retry_backoff=0.01, corpus_size=2,
+            pipelines=("O2",), mutants_per_file=2))
+        assert not report.failed_shards
+        assert [(q.job_index, q.attempts) for q in report.quarantined] == \
+            [(0, 2), (1, 2)]
+        assert report.metrics.counter("campaign.retry.attempts") == 2
+
+    def test_spawned_workers_receive_the_runner(self, tmp_path, reference):
+        """Under ``spawn`` (the macOS default; ``forkserver``, Linux's
+        default from Python 3.14, pickles the same way) a worker gets
+        the runner pickled at start-up; a transient crash still heals on
+        retry with identical results."""
+        script = tmp_path / "spawned.py"
+        script.write_text(SPAWN_SCRIPT.format(small=SMALL))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (SRC_DIR, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / "state")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outcome = json.loads(done.stdout.splitlines()[-1])
+        assert outcome["key"] == json.loads(
+            json.dumps(report_key(reference)))
+        assert outcome["retries"] == 1 and outcome["failed"] == 0
+
     def test_times_needs_state_dir(self):
         with pytest.raises(ValueError):
             FaultyRunner({0: FaultSpec("exit", times=1)})
 
 
 class TestSupervisedScheduler:
-    def test_results_ordered_and_complete_without_faults(self, reference):
-        """The supervised path (engaged by max_job_retries) must match
-        the pool and sequential paths bit-for-bit when nothing fails."""
+    @pytest.mark.parametrize("workers,deadline,retries", list(
+        itertools.product((1, 2, 3), (None, 300.0), (0, 2))))
+    def test_every_slot_layout_matches_reference(self, reference, workers,
+                                                 deadline, retries):
+        """In-process or in worker processes, with or without the
+        watchdog and retries: without faults every layout reports
+        exactly what the in-process reference does."""
         report = run_campaign(CampaignConfig(
-            workers=3, max_job_retries=2, **SMALL))
+            workers=workers, job_deadline=deadline, max_job_retries=retries,
+            **SMALL))
         assert report_key(report) == report_key(reference)
         assert not report.failed_shards and not report.quarantined
-
-    def test_deadline_routes_to_supervised_scheduler(self, reference):
-        report = run_campaign(CampaignConfig(
-            workers=3, job_deadline=300.0, **SMALL))
-        assert report_key(report) == report_key(reference)
 
     def test_time_budget_skips_unstarted_jobs(self):
         jobs = CampaignExecutor(CampaignConfig(**SMALL)).build_jobs()

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from repro.fuzz import (CampaignConfig, CampaignExecutor, ShardJob,
-                        ShardResult, execute_job, run_campaign, run_jobs)
+from repro.fuzz import (CampaignConfig, CampaignExecutor, FaultSpec,
+                        FaultyRunner, ShardJob, ShardResult, execute_job,
+                        run_campaign, run_jobs)
 from repro.fuzz.campaign import JOB_SEED_STRIDE
 
 SMALL = dict(corpus_size=6, mutants_per_file=10, max_inputs=8,
@@ -25,7 +26,7 @@ def report_key(report):
     )
 
 
-# Module-level so they pickle by reference into pool workers.
+# Module-level so they pickle by reference into spawned workers.
 def poisoned_runner(job):
     if job.job_index == 2:
         raise RuntimeError("poisoned job")
@@ -103,16 +104,27 @@ class TestCrashContainment:
         assert [f.job_index for f in report.failed_shards] == [2]
 
     def test_worker_process_death_is_contained(self):
-        # os._exit kills the worker, breaking the shared pool; the engine
-        # must retry the suspects in isolation and record exactly the
-        # dying job as failed.
+        # os._exit kills the worker; EOF on its pipe pins the death on
+        # the job it was running, so exactly the dying job is failed.
         config = CampaignConfig(workers=2, **SMALL)
         report = CampaignExecutor(config, job_runner=dying_runner).execute()
         assert [f.job_index for f in report.failed_shards] == [1]
+        assert report.failed_shards[0].kind == "crash"
         assert "died" in report.failed_shards[0].error
         expected_jobs = len(CampaignExecutor(config).build_jobs())
         assert report.total_iterations == \
             (expected_jobs - 1) * SMALL["mutants_per_file"]
+
+    def test_workers_are_reused_and_a_dead_one_replaced(self):
+        # Two long-lived workers run six jobs; job 2 kills its worker,
+        # which is replaced once.  A process per job would show six pids.
+        jobs = CampaignExecutor(CampaignConfig(**SMALL)).build_jobs()
+        results = run_jobs(jobs, workers=2,
+                           runner=FaultyRunner({2: FaultSpec("exit")}))
+        assert [r.job_index for r in results] == list(range(6))
+        assert [r.job_index for r in results if r.error] == [2]
+        assert results[2].failure_kind == "crash"
+        assert len({r.worker for r in results}) <= 3
 
 
 class TestGlobalTimeBudget:
@@ -144,33 +156,30 @@ class TestGlobalTimeBudget:
         assert report.total_iterations <= \
             total_jobs * SMALL["mutants_per_file"]
 
-    def test_pool_budget_expiry_cancels_pending_once(self):
-        # Jobs take ~0.25s each and the budget expires at 0.1s, so the
-        # first completion already finds it spent and cancels everything
-        # still pending.  The pool prefetches a few work items beyond
-        # the running ones (uncancellable), so with twelve jobs some run
-        # and some are cancelled: results hold an error-free subset, the
-        # rest simply have no entry (skipped, not failed).
+    def test_budget_expiry_starts_no_new_job(self):
+        # Jobs take ~0.25s each and the budget expires at 0.1s: the two
+        # jobs started at once finish and merge, and no slot is refilled
+        # after expiry — the other ten simply have no entry (skipped,
+        # not failed).
         wide = dict(SMALL, corpus_size=12)
         jobs = CampaignExecutor(CampaignConfig(**wide)).build_jobs()
         results = run_jobs(jobs, workers=2, runner=slow_runner,
                            time_budget=0.1)
-        assert 0 < len(results) < len(jobs)
+        assert [r.job_index for r in results] == [0, 1]
         assert all(not r.error for r in results)
-        assert [r.job_index for r in results] == sorted(
-            r.job_index for r in results)
 
-    def test_broken_pool_suspects_skipped_under_expired_budget(self):
-        # Every worker dies after the 0.1s budget has already expired.
-        # The broken-pool recovery must not spin up isolated retry pools
-        # for the suspects once the budget is gone — the run ends fast
-        # with no results rather than re-running each dying job alone.
+    def test_deaths_after_expiry_are_crashes_at_their_indices(self):
+        # Every worker dies 0.2s in, after the 0.1s budget has expired.
+        # Each death is pinned on the job its worker was running, no
+        # replacement worker starts another job, and the run ends fast.
         jobs = CampaignExecutor(CampaignConfig(**SMALL)).build_jobs()
         started = time.perf_counter()
         results = run_jobs(jobs, workers=2, runner=slow_dying_runner,
                            time_budget=0.1)
         elapsed = time.perf_counter() - started
-        assert results == []
+        assert [(r.job_index, r.failure_kind) for r in results] == \
+            [(0, "crash"), (1, "crash")]
+        assert all("exit code 17" in r.error for r in results)
         assert elapsed < 10.0
 
 
