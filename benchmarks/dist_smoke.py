@@ -37,7 +37,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.fuzz import CampaignConfig, run_campaign  # noqa: E402
-from repro.fuzz.dist import DistConfig  # noqa: E402
+from repro.fuzz.dist import DirectoryStore, DistConfig  # noqa: E402
 from repro.fuzz.net import QueueBroker  # noqa: E402
 
 SMOKE = dict(corpus_size=6, mutants_per_file=12, max_inputs=8, pipelines=("O2",))
@@ -84,34 +84,15 @@ def spawn_node(name, queue_spec):
     )
 
 
-def wait_for_lease(queue_dir, node, timeout=60.0):
-    """Block until ``node`` owns at least one lease; False on timeout."""
-    leases = os.path.join(queue_dir, "leases")
+def wait_for_lease(store, node, timeout=60.0):
+    """Block until ``node`` holds at least one lease in the queue's record
+    ``store``; False on timeout."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        try:
-            names = os.listdir(leases)
-        except OSError:
-            names = []
-        for name in names:
-            if name.startswith("."):
-                continue
-            try:
-                with open(os.path.join(leases, name)) as stream:
-                    if json.load(stream).get("node") == node:
-                        return True
-            except (OSError, json.JSONDecodeError):
-                continue
-        time.sleep(0.05)
-    return False
-
-
-def wait_for_broker_lease(broker, node, timeout=60.0):
-    """Socket-mode twin of :func:`wait_for_lease`."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if any(lease.node == node for lease in broker.leases().values()):
-            return True
+        for index in store.indexes("lease"):
+            lease = store.read("lease", index)
+            if lease is not None and lease.get("node") == node:
+                return True
         time.sleep(0.05)
     return False
 
@@ -167,9 +148,8 @@ def main():
     survivor = spawn_node(SURVIVOR, queue_spec)
     killed = False
     try:
-        if (wait_for_broker_lease(broker, VICTIM, timeout=60.0)
-                if broker is not None
-                else wait_for_lease(queue_dir, VICTIM, timeout=60.0)):
+        store = broker.store if broker is not None else DirectoryStore(queue_dir)
+        if wait_for_lease(store, VICTIM, timeout=60.0):
             victim.send_signal(signal.SIGKILL)
             killed = True
             print(

@@ -15,70 +15,42 @@ The coordinator publishes the job matrix and a ``manifest.json`` naming
 the campaign fingerprint; node runners then race over the jobs:
 
 * **claim** — a node takes a job by *exclusively creating* its lease
-  file (``os.link`` of a unique temp file, which fails atomically if a
-  lease exists).  A lease is time-bounded: it names the node, the
-  attempt number, and an expiry timestamp.
-* **heartbeat** — the owning node periodically rewrites the lease
-  (atomic ``os.replace``) with a fresh expiry.  A node that stops
-  heartbeating — SIGKILL, kernel panic, unplugged cable — simply stops
-  renewing, and the lease expires on its own.
-* **reclaim** — any node (or the coordinator's sweep) that finds an
-  expired lease may take the job over, bumping the attempt number and
-  honoring the quarantine machinery's exponential backoff (plus the
-  campaign's optional decorrelation jitter).  Node loss is therefore
-  *the existing hang/retry path*: attempts are bounded, and a job whose
-  every lease expired is retired as ``ShardFailure(kind="node_lost")``.
-* **result** — a finished job's :class:`~repro.fuzz.parallel.ShardResult`
-  is parked as a result file via exclusive create.  Jobs are
-  *at-least-once*: a resurrected node may finish a job that was already
-  reclaimed and re-run elsewhere, but results are keyed by (job index,
-  campaign fingerprint) and only the first publish lands — duplicates
-  are dropped deterministically, and since job execution is
-  deterministic the dropped copy is bit-identical anyway.
+  (``os.link``: it fails atomically if a lease exists), which names the
+  node, the attempt number, and an expiry timestamp.
+* **heartbeat** — the owner rewrites the lease with a fresh expiry.  A
+  node that dies simply stops renewing, and the lease expires.
+* **reclaim** — any node (or the coordinator's sweep) may take over an
+  expired lease, bumping the attempt after the quarantine machinery's
+  exponential backoff (plus optional jitter): node loss is *the existing
+  hang/retry path*, ending in ``ShardFailure(kind="node_lost")``.
+* **result** — a finished job's result is parked by exclusive create.
+  Jobs are *at-least-once*, but only the first result per (job index,
+  campaign fingerprint) lands; jobs are deterministic, so a dropped
+  duplicate is bit-identical anyway.
 * **tombstone** — a job retired without a usable result (attempts
   exhausted) gets a tombstone so nodes stop reclaiming it.
 
-Every mutation is crash-safe: files are written to a unique temp name,
-fsync'd, then atomically linked or renamed into place, so a SIGKILL at
-any instant leaves either the old state or the new state, never a torn
-protocol file.  Readers treat an unparsable lease as expired (the claim
-protocol re-takes it) and an unparsable result as absent (the job
-re-runs and the repaired result replaces the torn file).
+Three layers, each written once: :mod:`repro.fuzz.lease` makes every
+decision above; :class:`WorkQueue` holds every verb and every
+``dist.*`` count; a record store keeps the records —
+:class:`DirectoryStore` here, :class:`repro.fuzz.net.MemoryStore` in the
+socket broker, which serves the same :class:`WorkQueue`.
 
-Every decision above is made by :mod:`repro.fuzz.lease`, the state
-machine the socket broker shares; this module owns only the files.
-
-Failure matrix
---------------
-=====================  ====================================================
-node killed mid-job    lease expires; job reclaimed with backoff; partial
-                       node-local state discarded (jobs are atomic)
-node killed            result already parked; coordinator collects it;
-after publish          nothing re-runs
-coordinator killed     nodes keep draining their leases and park results;
-                       a restarted coordinator re-publishes the (identical)
-                       manifest, collects parked results, and resumes
-torn queue file        impossible via the protocol (atomic rename); if
-                       injected anyway (chaos), damaged leases read as
-                       expired and damaged results as absent
-clock skew             leases are compared against the *reader's* clock;
-                       skew shortens or stretches effective lease time but
-                       never breaks exclusivity (claims are exclusive file
-                       creation, not timestamp arbitration)
-=====================  ====================================================
+Failure matrix: see DESIGN §10 (and §13 for the socket transport).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import tempfile
 import threading
 import time
+import uuid
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
-from typing import (Callable, Collection, Dict, List, Optional, Protocol,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Collection, Dict, Iterable, List, Optional,
+                    Protocol, Sequence, Set, Tuple)
 
 from ..mutate import MutatorConfig
 from ..obs import MetricsRegistry
@@ -90,20 +62,27 @@ from .checkpoint import (CheckpointJournal, jobs_fingerprint, result_from_dict,
                          result_to_dict)
 from .driver import FuzzConfig
 from .feedback import FeedbackConfig
-from .lease import (KIND_LEASE, KIND_MANIFEST, KIND_RESULT, KIND_TOMBSTONE,
-                    REASON_NODE_LOST, REASON_QUARANTINE, Lease, Policy,
-                    QueueError, QueueMismatch)
+from .lease import (KIND_CORPUS, KIND_JOB, KIND_LEASE, KIND_MANIFEST,
+                    KIND_RESULT, KIND_TOMBSTONE, REASON_NODE_LOST,
+                    REASON_QUARANTINE, Lease, Policy, QueueError,
+                    QueueMismatch)
 from .parallel import JobRunner, ShardJob, ShardResult, execute_job, run_jobs
 from .wire import BlobStore, DecodeCache, WireError, encode_payload
 
-__all__ = ["DistConfig", "Lease", "NodeReport", "NodeRunner", "QueueError",
-           "QueueMismatch", "Transport", "WorkQueue", "job_from_wire",
-           "job_to_wire", "open_queue", "run_coordinator"]
+__all__ = ["DirectoryStore", "DistConfig", "Lease", "NodeReport",
+           "NodeRunner", "QueueError", "QueueMismatch", "Transport",
+           "WorkQueue", "job_from_wire", "job_to_wire", "open_queue",
+           "run_coordinator"]
 
 MANIFEST_NAME = "manifest.json"
 QUEUE_VERSION = 2
 MERGED_CORPUS_NAME = "merged.corpus.jsonl"
 BLOBS_DIR = "blobs"
+# Each record kind's directory and file suffix in a queue directory.
+_FILES = {KIND_JOB: ("jobs", ".json"), KIND_LEASE: ("leases", ".json"),
+          KIND_RESULT: ("results", ".json"),
+          KIND_TOMBSTONE: ("tombstones", ".json"),
+          KIND_CORPUS: ("corpus", ".corpus.jsonl")}
 
 
 @dataclass
@@ -259,20 +238,39 @@ def job_from_wire(record: dict, shared_config: dict,
     )
 
 
-def job_from_record(record: dict, manifest: Optional[dict],
-                    blob: Callable[[str], Optional[bytes]],
-                    decode_cache: DecodeCache) -> Optional[ShardJob]:
-    """Rehydrate a queue's job record: the manifest's shared config plus
-    the module ``blob(sha)`` returns, decoded once per digest; None while
-    either is missing."""
-    shared_config = manifest.get("shared_config") if manifest else None
-    payload = record.get("payload", {})
-    sha = payload.get("sha", "")
-    data = blob(sha) if isinstance(shared_config, dict) else None
-    if data is None:
-        return None
-    text = decode_cache.text(sha, data, payload.get("format", "text"))
-    return job_from_wire(record, shared_config, text)
+def resolve_claims(queue: "Transport",
+                   claims: Iterable[Tuple[dict, Lease]],
+                   blob: Callable[[str], Optional[bytes]]
+                   ) -> List[Tuple[ShardJob, Lease]]:
+    """Rehydrate claimed job records: the manifest's shared config plus
+    the module ``blob(sha)`` returns, decoded once per digest.  A job that
+    cannot be resolved is left out, but its lease stands and lapses into
+    the ordinary reclaim → tombstone path, so the queue still drains."""
+    shared_config = (queue.manifest() or {}).get("shared_config")
+    resolved = []
+    for record, lease in claims:
+        with suppress(KeyError, TypeError, ValueError, WireError):
+            payload = record["payload"]
+            data = blob(payload["sha"])
+            if data is not None:
+                resolved.append((job_from_wire(
+                    record, shared_config, queue.decode_cache.text(
+                        payload["sha"], data, payload.get("format", "text"))),
+                    lease))
+                continue
+        queue.metrics.count("wire.jobs.unresolvable")
+    return resolved
+
+
+def results_from_records(records: Iterable[dict]) -> Dict[int, ShardResult]:
+    """Decode stored result records, keyed by job index; a record that
+    does not decode is skipped."""
+    results: Dict[int, ShardResult] = {}
+    for record in records:
+        with suppress(KeyError, TypeError):
+            result = result_from_dict(record["result"])
+            results[result.job_index] = result
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +279,10 @@ def job_from_record(record: dict, manifest: Optional[dict],
 
 
 class Transport(Protocol):
-    """The queue verbs :func:`run_coordinator` and :class:`NodeRunner` use.
-
-    Extracted from :class:`WorkQueue` so the runtime is
-    transport-agnostic: the shared-dir queue and the socket queue
-    (:class:`repro.fuzz.net.SocketQueue`) implement the same surface,
-    and everything above this line — claims, heartbeats, retries,
-    result dedup, corpus merging — behaves identically over both.
-    """
+    """The queue verbs :func:`run_coordinator` and :class:`NodeRunner` use:
+    :class:`WorkQueue` and :class:`repro.fuzz.net.SocketQueue` implement
+    them, so everything above — claims, heartbeats, retries, result
+    dedup, corpus merging — behaves identically over both."""
 
     node: str
     metrics: MetricsRegistry
@@ -330,107 +324,49 @@ class Transport(Protocol):
 
 
 # ---------------------------------------------------------------------------
-# The filesystem-backed work queue.
+# The work queue, and its record store over a shared directory.
 # ---------------------------------------------------------------------------
 
 
-class WorkQueue:
-    """Crash-safe lease/result protocol over one shared directory.
+def _encode(record: dict) -> bytes:
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
 
-    Every instance (coordinator or node) talks to the same directory;
-    there is no in-memory state another process could need.  All
-    mutations go through :meth:`_write_atomic` (write temp + fsync +
-    ``os.replace``) or :meth:`_create_exclusive` (write temp + fsync +
-    ``os.link``), so a SIGKILL at any instant leaves a recoverable
-    state.  ``clock`` is injectable for chaos tests (clock skew) and
-    deterministic simulations.
-    """
 
-    def __init__(self, directory: str, node: str = "",
-                 clock: Callable[[], float] = time.time) -> None:
+class DirectoryStore:
+    """Queue records as one JSON file each, in one shared directory:
+    ``manifest.json``, then ``job-<index>.json`` under ``jobs/``,
+    ``leases/``, ``results/`` and ``tombstones/``, corpus deltas under
+    ``corpus/`` and modules under ``blobs/``.  Every write is a fsync'd
+    temp file moved into place by ``os.replace`` (last writer wins) or
+    ``os.link`` (first writer wins), so a SIGKILL leaves the old file or
+    the new one; a file that does not parse reads as absent."""
+
+    version = QUEUE_VERSION
+
+    def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.node = node or f"node-{os.getpid()}"
-        self.clock = clock
+        self.label = f"queue directory {directory}"
         self.metrics = MetricsRegistry()
         self.blobs = BlobStore(os.path.join(directory, BLOBS_DIR),
                                metrics=self.metrics)
-        self.decode_cache = DecodeCache(metrics=self.metrics)
-        self._tmp_serial = 0
-        self._job_cache: Dict[int, ShardJob] = {}
-        self._manifest_cache: Optional[dict] = None
 
-    # -- paths --------------------------------------------------------------
+    def path(self, kind: str, job_index: int) -> str:
+        name, suffix = _FILES[kind]
+        return os.path.join(self.directory, name,
+                            f"job-{job_index:06d}{suffix}")
 
-    def _dir(self, name: str) -> str:
-        return os.path.join(self.directory, name)
-
-    def manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
-
-    def job_path(self, job_index: int) -> str:
-        return os.path.join(self._dir("jobs"), f"job-{job_index:06d}.json")
-
-    def lease_path(self, job_index: int) -> str:
-        return os.path.join(self._dir("leases"), f"job-{job_index:06d}.json")
-
-    def result_path(self, job_index: int) -> str:
-        return os.path.join(self._dir("results"), f"job-{job_index:06d}.json")
-
-    def tombstone_path(self, job_index: int) -> str:
-        return os.path.join(self._dir("tombstones"),
-                            f"job-{job_index:06d}.json")
-
-    def corpus_path(self, job_index: int) -> str:
-        return os.path.join(self._dir("corpus"),
-                            f"job-{job_index:06d}.corpus.jsonl")
-
-    # -- atomic file primitives --------------------------------------------
-
-    def _tmp_path(self, final_path: str) -> str:
-        self._tmp_serial += 1
-        directory, base = os.path.split(final_path)
-        return os.path.join(directory, f".{base}.{self.node}."
-                                       f"{os.getpid()}.{self._tmp_serial}.tmp")
-
-    def _write_payload(self, tmp: str, payload: dict) -> None:
-        with open(tmp, "w") as stream:
-            stream.write(json.dumps(payload, sort_keys=True) + "\n")
+    def _temp(self, path: str, data: bytes) -> str:
+        """``data`` in a fsync'd temp file next to ``path``."""
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        directory, base = os.path.split(path)
+        tmp = os.path.join(directory, f".{base}.{uuid.uuid4().hex}.tmp")
+        with open(tmp, "wb") as stream:
+            stream.write(data)
             stream.flush()
             os.fsync(stream.fileno())
+        return tmp
 
-    def _write_atomic(self, path: str, payload: dict) -> None:
-        """Last-writer-wins atomic replace (heartbeats, reclaims)."""
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = self._tmp_path(path)
-        self._write_payload(tmp, payload)
-        os.replace(tmp, path)
-
-    def _create_exclusive(self, path: str, payload: dict) -> bool:
-        """First-writer-wins atomic create (claims, results, tombstones).
-
-        Returns False if ``path`` already exists — the caller lost the
-        race (or is a duplicate publisher) and must not assume
-        ownership.
-        """
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = self._tmp_path(path)
-        self._write_payload(tmp, payload)
-        try:
-            os.link(tmp, path)
-            return True
-        except FileExistsError:
-            return False
-        finally:
-            os.unlink(tmp)
-
-    def _read_json(self, path: str) -> Optional[dict]:
-        """Parse one protocol file; None if absent *or damaged*.
-
-        Damage (torn writes injected by chaos, or a reader racing a
-        non-atomic writer on an exotic filesystem) is indistinguishable
-        from absence by design: a damaged lease is reclaimable, a
-        damaged result re-runs.
-        """
+    def _load(self, path: str) -> Optional[dict]:
         try:
             with open(path, "rb") as stream:
                 raw = stream.read()
@@ -443,356 +379,374 @@ class WorkQueue:
             return None
         return data if isinstance(data, dict) else None
 
-    # -- coordinator: publish ----------------------------------------------
+    def read(self, kind: str, job_index: int) -> Optional[dict]:
+        """The record, or None if it is absent *or damaged*."""
+        return self._load(self.path(kind, job_index))
+
+    def create(self, kind: str, job_index: int, record: dict) -> bool:
+        """Store ``record`` unless a file is there (first writer wins)."""
+        path = self.path(kind, job_index)
+        tmp = self._temp(path, _encode(record))
+        try:
+            os.link(tmp, path)
+            return True
+        except FileExistsError:
+            return False
+        finally:
+            os.unlink(tmp)
+
+    def replace(self, kind: str, job_index: int, record: dict,
+                verify: bool = False) -> bool:
+        """Store ``record`` over whatever is there (last writer wins).
+        ``verify`` reads it back: with no lock, two nodes may both take a
+        job, and only the file that survives says which one did."""
+        path, data = self.path(kind, job_index), _encode(record)
+        os.replace(self._temp(path, data), path)
+        return not verify or self._load(path) == json.loads(data)
+
+    def delete(self, kind: str, job_index: int) -> None:
+        with suppress(OSError):
+            os.unlink(self.path(kind, job_index))
+
+    def _listed(self, kind: str) -> List[Tuple[int, str]]:
+        """(job index, path) of each of ``kind``'s files, index-sorted."""
+        name, suffix = _FILES[kind]
+        directory = os.path.join(self.directory, name)
+        try:
+            entries = os.listdir(directory)
+        except OSError:
+            return []
+        found = []
+        for entry in entries:
+            stem = entry[4:-len(suffix)]
+            if entry.startswith("job-") and entry.endswith(suffix) \
+                    and stem.isdecimal():
+                found.append((int(stem), os.path.join(directory, entry)))
+        return sorted(found)
+
+    def indexes(self, kind: str) -> List[int]:
+        return [index for index, _path in self._listed(kind)]
+
+    def manifest(self) -> Optional[dict]:
+        return self._load(os.path.join(self.directory, MANIFEST_NAME))
+
+    def put_manifest(self, record: dict) -> None:
+        path = os.path.join(self.directory, MANIFEST_NAME)
+        os.replace(self._temp(path, _encode(record)), path)
+
+    def put_corpus(self, job_index: int, data: bytes) -> None:
+        path = self.path(KIND_CORPUS, job_index)
+        os.replace(self._temp(path, data), path)
+
+    def corpus_paths(self) -> List[Tuple[int, str]]:
+        return self._listed(KIND_CORPUS)
+
+
+class WorkQueue:
+    """The lease queue: every verb and every ``dist.*`` count, written
+    once over a record store.
+
+    ``directory`` names a shared queue directory (a
+    :class:`DirectoryStore`) or is a record store.  The :class:`Transport`
+    verbs act as this queue's ``node``; the socket broker serves one
+    instance over a :class:`~repro.fuzz.net.MemoryStore` and acts for each
+    connection's node through the verbs that take one.  ``clock`` is
+    injectable for fake-clock tests and clock skew.
+    """
+
+    def __init__(self, directory, node: str = "",
+                 clock: Callable[[], float] = time.time) -> None:
+        self.store = DirectoryStore(os.fspath(directory)) \
+            if isinstance(directory, (str, os.PathLike)) else directory
+        self.node = node or f"node-{os.getpid()}"
+        self.clock = clock
+        self.metrics = self.store.metrics
+        self.blobs = self.store.blobs
+        self.decode_cache = DecodeCache(metrics=self.metrics)
+        self._manifest_cache: Optional[dict] = None
+
+    def manifest(self) -> Optional[dict]:
+        """The campaign manifest, or None until a coordinator publishes."""
+        if self._manifest_cache is None:
+            data = self.store.manifest()
+            if data is not None and data.get("kind") == KIND_MANIFEST:
+                # Manifests are immutable once published (same
+                # fingerprint, same content): one read serves this queue.
+                self._manifest_cache = data
+        return self._manifest_cache
+
+    def read_lease(self, job_index: int) -> Optional[Lease]:
+        data = self.store.read(KIND_LEASE, job_index)
+        if data is not None and data.get("kind") == KIND_LEASE:
+            with suppress(KeyError, TypeError, ValueError):
+                return Lease.from_dict(data)
+        return None
+
+    def settled(self, job_index: int) -> bool:
+        """True once the job has a (readable) result or tombstone."""
+        return self.store.read(KIND_RESULT, job_index) is not None \
+            or self.store.read(KIND_TOMBSTONE, job_index) is not None
+
+    def _create_or_repair(self, kind: str, job_index: int,
+                          record: dict) -> Optional[bool]:
+        """Store ``record`` unless a readable one is there: True when it
+        was created, False when it repaired one that reads as damaged,
+        None when a readable one was there first (or a racing repair won).
+        """
+        if self.store.create(kind, job_index, record):
+            return True
+        current = self.read_lease(job_index) if kind == KIND_LEASE \
+            else self.store.read(kind, job_index)
+        if current is None and self.store.replace(kind, job_index, record,
+                                                  verify=True):
+            return False
+        return None
+
+    # -- publishing ---------------------------------------------------------
 
     def publish(self, jobs: Sequence[ShardJob], fingerprint: str,
                 total_jobs: Optional[int] = None,
                 lease_duration: float = 30.0, max_attempts: int = 3,
                 retry_backoff: float = 0.25,
                 retry_jitter: float = 0.0) -> None:
-        """Publish ``jobs`` and the campaign manifest.
-
-        Job files land first, the manifest last (atomically), so nodes
-        never observe a campaign whose jobs are still being written.  A
-        coordinator killed mid-publish leaves no manifest (or the old,
-        identical one); re-running ``publish`` is idempotent.  An
-        existing manifest with a different fingerprint raises
-        :class:`QueueMismatch` — one queue directory serves one
-        campaign.
-        """
-        shared_config = core.publish_base(
-            self._read_json(self.manifest_path()), fingerprint,
-            config_base(jobs), f"queue directory {self.directory}")
+        """Publish ``jobs``, each module stored once as a blob, and the
+        campaign manifest (see :meth:`publish_records`)."""
+        shared_config = core.publish_base(self.store.manifest(), fingerprint,
+                                          config_base(jobs),
+                                          self.store.label)
+        records = []
         for job in jobs:
             payload, actual_format = encode_payload(job.text,
                                                     metrics=self.metrics)
-            sha = self.blobs.put(payload)
-            record = {
-                "kind": "job",
-                "fingerprint": fingerprint,
-                "job": job_to_wire(job, shared_config, sha, actual_format),
-            }
-            current = self._read_json(self.job_path(job.job_index))
-            if current == record:
-                # Re-published retry job with unchanged state: the blob
-                # is content-addressed and the record identical, so
-                # nothing is re-serialized.
-                self.metrics.count("dist.jobs.unchanged")
-                continue
-            self._write_atomic(self.job_path(job.job_index), record)
-            self.metrics.count("dist.jobs.published")
+            records.append((job.job_index, job_to_wire(
+                job, shared_config, self.blobs.put(payload), actual_format)))
         policy = Policy(lease_duration, max_attempts, retry_backoff,
                         retry_jitter, fingerprint)
-        self._write_atomic(self.manifest_path(), core.manifest_record(
-            policy, len(jobs) if total_jobs is None else total_jobs,
-            shared_config, QUEUE_VERSION))
+        self.publish_records(policy,
+                             len(jobs) if total_jobs is None else total_jobs,
+                             shared_config, records)
+
+    def publish_records(self, policy: Policy, total_jobs: int,
+                        shared_config: Optional[dict],
+                        records: Sequence[Tuple[int, dict]]) -> int:
+        """Store ``(job index, wire record)`` pairs, unchanged ones
+        skipped, then the manifest last, so nodes never see a campaign
+        whose jobs are still being written; returns how many were written.
+        A manifest of another campaign raises :class:`QueueMismatch`."""
+        existing = self.store.manifest()
+        shared_config = core.publish_base(existing, policy.fingerprint,
+                                          shared_config, self.store.label)
+        written = 0
+        for index, record in records:
+            current = self.store.read(KIND_JOB, index)
+            if current is not None and current.get("job") == record:
+                self.metrics.count("dist.jobs.unchanged")
+                continue
+            self.store.replace(KIND_JOB, index, {
+                "kind": KIND_JOB, "fingerprint": policy.fingerprint,
+                "job": record})
+            written += 1
+            self.metrics.count("dist.jobs.published")
+        manifest = core.manifest_record(policy, total_jobs, shared_config,
+                                        self.store.version)
+        if manifest != existing:
+            self.store.put_manifest(manifest)
         self._manifest_cache = None
+        return written
 
-    def manifest(self) -> Optional[dict]:
-        """The campaign manifest, or None until a coordinator publishes."""
-        if self._manifest_cache is not None:
-            return self._manifest_cache
-        data = self._read_json(self.manifest_path())
-        if data is not None and data.get("kind") != KIND_MANIFEST:
-            return None
-        if data is not None:
-            # Manifests are immutable once published (same fingerprint,
-            # same content), so one read serves the whole session.
-            self._manifest_cache = data
-        return data
-
-    # -- nodes: jobs and claims --------------------------------------------
-
-    def _listed(self, name: str,
-                suffix: str = ".json") -> List[Tuple[int, str]]:
-        """(job index, path) of each ``job-<index><suffix>`` file in the
-        ``name`` directory, index-sorted."""
-        try:
-            entries = os.listdir(self._dir(name))
-        except OSError:
-            return []
-        found = []
-        for entry in entries:
-            if entry.startswith("job-") and entry.endswith(suffix):
-                try:
-                    index = int(entry[4:-len(suffix)])
-                except ValueError:
-                    continue
-                found.append((index, os.path.join(self._dir(name), entry)))
-        return sorted(found)
-
-    def published_indexes(self) -> List[int]:
-        """Every published job index, sorted."""
-        return [index for index, _path in self._listed("jobs")]
-
-    def load_job(self, job_index: int) -> Optional[ShardJob]:
-        cached = self._job_cache.get(job_index)
-        if cached is not None:
-            return cached
-        data = self._read_json(self.job_path(job_index))
-        if data is None or data.get("kind") != "job":
-            return None
-        record = data.get("job")
-        if not isinstance(record, dict):
-            return None
-        try:
-            job = job_from_record(record, self.manifest(), self.blobs.get,
-                                  self.decode_cache)
-        except (KeyError, TypeError, ValueError, WireError):
-            return None
-        if job is None:
-            return None
-        self._job_cache[job_index] = job
-        return job
-
-    def read_lease(self, job_index: int) -> Optional[Lease]:
-        data = self._read_json(self.lease_path(job_index))
-        if data is None or data.get("kind") != KIND_LEASE:
-            return None
-        try:
-            return Lease.from_dict(data)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def has_result(self, job_index: int) -> bool:
-        return self._read_json(self.result_path(job_index)) is not None
-
-    def has_tombstone(self, job_index: int) -> bool:
-        return self._read_json(self.tombstone_path(job_index)) is not None
-
-    def settled(self, job_index: int) -> bool:
-        """True once the job has a (readable) result or tombstone."""
-        return self.has_result(job_index) or self.has_tombstone(job_index)
-
-    def drained(self) -> bool:
-        """True when the campaign is published and every job settled."""
-        return core.drained(self.manifest(), self.published_indexes(),
-                            self.settled)
-
-    def claim(self, job_index: int,
-              manifest: Optional[dict] = None) -> Optional[Tuple[ShardJob,
-                                                                 Lease]]:
-        """Try to take one job; None if it is settled, leased, or backing
-        off.
-
-        Fresh jobs are claimed by exclusive lease creation; expired (or
-        damaged, or released-for-retry) leases are reclaimed by atomic
-        replace followed by a read-back ownership check — two nodes may
-        race the replace, but exactly one sees itself as the owner
-        afterwards, and even a double-run is safe (results dedup).
-        Reclaims honor the campaign's retry backoff + jitter and retire
-        the job with a tombstone once ``max_attempts`` is exhausted.
-        """
-        manifest = manifest or self.manifest()
-        if manifest is None or self.settled(job_index):
-            return None
-        job = self.load_job(job_index)
-        if job is None:
-            return None
-        path = self.lease_path(job_index)
-        decision = core.claim(self.read_lease(job_index), self.clock(),
-                              Policy.from_manifest(manifest), job_index,
-                              self.node)
-        lease = decision.lease
-        if decision.outcome == core.RETIRE:
-            self.retire(job_index, lease)
-            return None
-        if lease is None:
-            return None  # live lease, or still backing off
-        if decision.outcome == core.FRESH and not os.path.exists(path):
-            if not self._create_exclusive(path, lease.to_dict()):
-                return None  # lost the race
-            self.metrics.count("dist.lease.claims")
-            return job, lease
-        # A reclaim — or a fresh claim over a damaged lease file, which
-        # crash-consistency treats as expired with unknown history.
-        self._write_atomic(path, lease.to_dict())
-        self.metrics.count("dist.lease.reclaims")
-        # Read-back ownership check: if another node replaced after us,
-        # it owns the job now (at most one of the racers sees its own
-        # write).
-        current = self.read_lease(job_index)
-        if current is None or (current.node, current.claimed_at) \
-                != (self.node, lease.claimed_at):
-            return None
-        return job, lease
+    # -- leases -------------------------------------------------------------
 
     def claim_next(self, limit: int = 1) -> List[Tuple[ShardJob, Lease]]:
         """Claim up to ``limit`` runnable jobs, lowest index first."""
+        return resolve_claims(self, self.claim(self.node, limit),
+                              self.blobs.get)
+
+    def claim(self, node: str, limit: int = 1) -> List[Tuple[dict, Lease]]:
+        """Lease up to ``limit`` open jobs to ``node``, lowest index first,
+        as (wire record, lease) pairs; a job whose attempts are exhausted
+        is retired instead (see :func:`repro.fuzz.lease.claim`)."""
         manifest = self.manifest()
         if manifest is None:
             return []
-        claimed: List[Tuple[ShardJob, Lease]] = []
-        for index in self.published_indexes():
+        policy = Policy.from_manifest(manifest)
+        now = self.clock()
+        claimed: List[Tuple[dict, Lease]] = []
+        for index in self.store.indexes(KIND_JOB):
             if len(claimed) >= limit:
                 break
-            taken = self.claim(index, manifest)
-            if taken is not None:
-                claimed.append(taken)
+            if self.settled(index):
+                continue
+            decision = core.claim(self.read_lease(index), now, policy, index,
+                                  node)
+            lease = decision.lease
+            if decision.outcome == core.RETIRE:
+                self.retire(index, lease)
+                continue
+            if lease is None:
+                continue  # live lease, or still backing off
+            if decision.outcome == core.FRESH:
+                fresh = self._create_or_repair(KIND_LEASE, index,
+                                               lease.to_dict())
+            else:
+                fresh = False if self.store.replace(
+                    KIND_LEASE, index, lease.to_dict(), verify=True) else None
+            if fresh is None:
+                continue  # lost the race
+            self.metrics.count("dist.lease.claims" if fresh
+                               else "dist.lease.reclaims")
+            record = self.store.read(KIND_JOB, index) or {}
+            claimed.append((record.get("job", {}), lease))
         return claimed
 
-    def heartbeat(self, job_index: int, lease_duration: float) -> bool:
-        """Renew this node's lease; False if the lease was lost.
-
-        A lost heartbeat means the lease expired (e.g. a long GC pause
-        or clock skew) and someone else reclaimed the job.  The caller
-        may keep running — the duplicate result will be dropped — but
-        should stop renewing.
-        """
-        renewed = core.renew(self.read_lease(job_index), self.node,
-                             self.clock(), lease_duration)
-        if renewed is None:
-            self.metrics.count("dist.lease.lost")
-            return False
-        self._write_atomic(self.lease_path(job_index), renewed.to_dict())
-        self.metrics.count("dist.heartbeats")
-        return True
+    def heartbeat(self, job_index: int, lease_duration: float,
+                  node: Optional[str] = None) -> bool:
+        """Renew ``node``'s lease (this queue's by default); False if it
+        was lost: it expired (a long GC pause, clock skew) and another
+        node reclaimed the job.  The caller may keep running — the
+        duplicate result is dropped — but should stop renewing."""
+        return self._rewrite(job_index, core.renew(
+            self.read_lease(job_index), self.node if node is None else node,
+            self.clock(), lease_duration), "dist.heartbeats")
 
     def release_for_retry(self, job_index: int, lease: Lease,
-                          failure_kind: str, error: str) -> None:
-        """Give a hang/crash job back to the queue for reclaim-with-backoff.
+                          failure_kind: str, error: str,
+                          node: Optional[str] = None) -> bool:
+        """Give a hung or crashed job back for reclaim-with-backoff.
 
-        The lease stays on disk as the attempt record, expired as of
-        now, with the failure recorded — the next claim bumps the
-        attempt and (once attempts are exhausted) the failure kind
-        decides between a ``quarantine`` and a ``node_lost`` retirement.
-        A lease reclaimed elsewhere in the meantime is not ours to
-        release: that is a lost lease, as for a failed heartbeat.
-        """
-        released = core.release(self.read_lease(job_index), self.node,
-                                lease.claimed_at, self.clock(),
-                                failure_kind, error)
-        if released is None:
+        The lease stays as the attempt record, expired as of now, with
+        the failure recorded: the next claim bumps the attempt, and once
+        the attempts are exhausted the failure kind decides between a
+        ``quarantine`` and a ``node_lost`` tombstone.  False if the lease
+        was reclaimed elsewhere meanwhile — lost, as for a heartbeat."""
+        return self._rewrite(job_index, core.release(
+            self.read_lease(job_index), self.node if node is None else node,
+            lease.claimed_at, self.clock(), failure_kind, error),
+            "dist.lease.released")
+
+    def _rewrite(self, job_index: int, lease: Optional[Lease],
+                 counter: str) -> bool:
+        if lease is None:
             self.metrics.count("dist.lease.lost")
-            return
-        self._write_atomic(self.lease_path(job_index), released.to_dict())
-        self.metrics.count("dist.lease.released")
+            return False
+        self.store.replace(KIND_LEASE, job_index, lease.to_dict())
+        self.metrics.count(counter)
+        return True
 
     def retire(self, job_index: int, lease: Lease) -> bool:
         """Tombstone a job whose attempts are exhausted (first writer
         wins); see :func:`repro.fuzz.lease.tombstone`."""
-        created = self._create_exclusive(self.tombstone_path(job_index),
-                                         core.tombstone(lease))
-        if created:
-            self.metrics.count("dist.tombstones")
-            if not lease.released:
-                self.metrics.count("dist.node_lost")
-        return created
+        if self._create_or_repair(KIND_TOMBSTONE, job_index,
+                                  core.tombstone(lease)) is None:
+            return False
+        self.metrics.count("dist.tombstones")
+        if not lease.released:
+            self.metrics.count("dist.node_lost")
+        return True
 
-    # -- nodes: publishing results -----------------------------------------
+    # -- results and corpus deltas ------------------------------------------
 
     def publish_result(self, result: ShardResult, fingerprint: str,
                        attempt: int = 1) -> bool:
         """Park one terminal shard result; False if it was a duplicate.
 
-        First-writer-wins (exclusive create).  A torn result file left
-        by chaos injection parses as absent, so the retry's publish
-        *repairs* it via atomic replace instead of dropping the good
-        copy.
-        """
-        payload = core.result_record(fingerprint, self.node, attempt,
-                                     result_to_dict(result))
-        path = self.result_path(result.job_index)
-        if self._create_exclusive(path, payload):
-            self.metrics.count("dist.results.published")
-            self._drop_lease(result.job_index)
-            return True
-        if self._read_json(path) is None:
-            # Existing file is torn/unreadable: repair it.
-            self._write_atomic(path, payload)
-            self.metrics.count("dist.results.repaired")
-            self._drop_lease(result.job_index)
-            return True
-        self.metrics.count("dist.results.duplicate")
-        return False
+        First writer wins.  A stored result that reads as damaged (a torn
+        file) is repaired by this publish, so a broken copy never shadows
+        the good one and the job's result is not lost."""
+        return self.store_result(self.node, result.job_index, fingerprint,
+                                 attempt, result_to_dict(result))
+
+    def store_result(self, node: str, job_index: int, fingerprint: str,
+                     attempt: int, result: dict) -> bool:
+        """Store ``node``'s result of a job (the :func:`result_to_dict`
+        form) unless a readable one is there; False for a duplicate."""
+        stored = self._create_or_repair(KIND_RESULT, job_index,
+                                        core.result_record(
+                                            fingerprint, node, attempt,
+                                            result))
+        if stored is None:
+            self.metrics.count("dist.results.duplicate")
+            return False
+        self.metrics.count("dist.results.published" if stored
+                           else "dist.results.repaired")
+        self.store.delete(KIND_LEASE, job_index)
+        return True
 
     def publish_corpus(self, job_index: int, journal_path: str) -> bool:
         """Park a job's corpus-journal delta next to its result."""
-        path = self.corpus_path(job_index)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = self._tmp_path(path)
         try:
-            shutil.copyfile(journal_path, tmp)
+            with open(journal_path, "rb") as stream:
+                self.put_corpus(job_index, stream.read())
         except OSError:
             return False
-        with open(tmp, "rb") as stream:
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
-        self.metrics.count("dist.corpus.published")
         return True
+
+    def put_corpus(self, job_index: int, data: bytes) -> None:
+        self.store.put_corpus(job_index, data)
+        self.metrics.count("dist.corpus.published")
 
     def corpus_paths(self) -> List[Tuple[int, str]]:
         """Published corpus deltas as (job index, path), index-sorted."""
-        return self._listed("corpus", ".corpus.jsonl")
+        return self.store.corpus_paths()
 
-    def _drop_lease(self, job_index: int) -> None:
-        try:
-            os.unlink(self.lease_path(job_index))
-        except OSError:
-            pass
-
-    # -- coordinator: collection and sweeping ------------------------------
+    # -- the coordinator ----------------------------------------------------
 
     def collect_results(self, fingerprint: str,
                         known: Collection[int] = ()
                         ) -> Dict[int, ShardResult]:
         """Every parked result of *this* campaign, keyed by job index.
 
-        Results carrying a foreign fingerprint (a resurrected node from
-        an older campaign that somehow shares the directory) are
-        dropped; damaged files read as absent and the job re-runs.
-        ``known`` names job indices the caller already holds: a stored
-        result never changes (first writer wins), so their files are
-        not read again and they are left out of the reply.
-        """
-        results: Dict[int, ShardResult] = {}
-        skip = set(known)
-        for index, path in self._listed("results"):
-            if index in skip:
-                continue
-            data = self._read_json(path)
-            if data is None or data.get("kind") != KIND_RESULT:
-                continue
-            if data.get("fingerprint") != fingerprint:
+        Results of another fingerprint (a resurrected node of an older
+        campaign sharing the queue) are dropped, and a damaged one reads
+        as absent, so its job re-runs (see :meth:`results`)."""
+        return results_from_records(self.results(fingerprint, known))
+
+    def results(self, fingerprint: str,
+                known: Collection[int] = ()) -> List[dict]:
+        """The stored result records of campaign ``fingerprint`` (another
+        campaign's are dropped), leaving out the ``known`` indices: a
+        stored result never changes, so those are not read again."""
+        records = []
+        for _index, record in self._stored(KIND_RESULT, set(known)):
+            if record.get("fingerprint") == fingerprint:
+                records.append(record)
+            else:
                 self.metrics.count("dist.results.foreign")
-                continue
-            try:
-                result = result_from_dict(data["result"])
-            except (KeyError, TypeError):
-                continue
-            results[result.job_index] = result
-        return results
+        return records
 
     def collect_tombstones(self) -> Dict[int, dict]:
-        stones: Dict[int, dict] = {}
-        for index, path in self._listed("tombstones"):
-            data = self._read_json(path)
-            if data is not None and data.get("kind") == KIND_TOMBSTONE:
-                stones[index] = data
-        return stones
+        return dict(self._stored(KIND_TOMBSTONE))
+
+    def _stored(self, kind: str, skip: Collection[int] = ()):
+        """(job index, record) of each readable ``kind`` record, by index;
+        ``skip`` indices are not read."""
+        for index in self.store.indexes(kind):
+            record = None if index in skip else self.store.read(kind, index)
+            if record is not None and record.get("kind") == kind:
+                yield index, record
 
     def sweep(self) -> int:
-        """Retire jobs whose attempts are exhausted; count lost leases.
-
-        Nodes normally do the reclaiming themselves, but if the whole
-        fleet died the coordinator's sweep is what turns the silence
-        into ``node_lost`` tombstones instead of an eternal wait.
-        Returns how many jobs were newly retired.
-        """
+        """Retire jobs whose attempts are exhausted and count lost leases:
+        if the whole fleet died, this turns the silence into ``node_lost``
+        tombstones.  Returns how many jobs were newly retired."""
         manifest = self.manifest()
         if manifest is None:
             return 0
         expired, exhausted = core.sweep(
             ((index, self.read_lease(index))
-             for index in self.published_indexes()
+             for index in self.store.indexes(KIND_LEASE)
              if not self.settled(index)),
             self.clock(), Policy.from_manifest(manifest).max_attempts)
         if expired:
             self.metrics.count("dist.lease.expired", expired)
         return sum(self.retire(index, lease) for index, lease in exhausted)
 
+    def drained(self) -> bool:
+        """True when the campaign is published and every job settled."""
+        return core.drained(self.manifest(), self.store.indexes(KIND_JOB),
+                            self.settled)
+
     def close(self) -> None:
-        """Release transport resources (none: the directory is the state)."""
+        """Release transport resources (none: the store is the state)."""
 
 
 def open_queue(dist: DistConfig, node: str = "") -> "Transport":
@@ -981,29 +935,27 @@ class NodeRunner:
     # -- node-local paths ---------------------------------------------------
 
     def _localize(self, job: ShardJob) -> ShardJob:
-        """Point a job's corpus journal at node-local scratch space.
-
-        The coordinator's ``feedback.corpus_dir`` (if any) names a path
-        on *its* filesystem; on the node the journal is written to a
-        private per-job directory and *published* into the queue after
-        the job completes — the shared dir sees only whole, settled
-        deltas.  ``corpus_dir`` is excluded from the campaign
-        fingerprint, so the rewrite does not change the job's identity.
-        """
+        """Point a job's corpus journal at a private per-job directory
+        (the coordinator's ``corpus_dir`` names a path on *its*
+        filesystem); the delta is published once the job completes, so
+        the queue only ever sees whole, settled deltas.  ``corpus_dir``
+        is not part of the campaign fingerprint, so the rewrite does not
+        change the job's identity."""
         if not job.config.feedback.enabled:
             return job
         from dataclasses import replace
-        work_dir = self.work_dir or os.path.join(
-            tempfile.gettempdir(), f"repro-dist-{self.queue.node}")
-        job_dir = os.path.join(work_dir, f"job-{job.job_index:06d}")
+        job_dir = self._job_dir(job.job_index)
         os.makedirs(job_dir, exist_ok=True)
         feedback = replace(job.config.feedback, corpus_dir=job_dir)
         return replace(job, config=replace(job.config, feedback=feedback))
 
-    def _publish_corpus(self, job_index: int) -> None:
+    def _job_dir(self, job_index: int) -> str:
         work_dir = self.work_dir or os.path.join(
             tempfile.gettempdir(), f"repro-dist-{self.queue.node}")
-        job_dir = os.path.join(work_dir, f"job-{job_index:06d}")
+        return os.path.join(work_dir, f"job-{job_index:06d}")
+
+    def _publish_corpus(self, job_index: int) -> None:
+        job_dir = self._job_dir(job_index)
         try:
             names = sorted(os.listdir(job_dir))
         except OSError:

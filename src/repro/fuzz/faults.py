@@ -8,16 +8,12 @@ provides a :class:`FaultyRunner` — a picklable
 faults *by job index*, so every fault-tolerance path can be exercised
 deterministically — plus the on-disk half of the harness:
 
-* :func:`damage_journal` simulates a crash mid-append on any fsync'd
-  JSONL journal (checkpoint, corpus, findings) *or* a torn write on a
-  single-record queue file, leaving a truncated trailing record;
-* :func:`torn_write` simulates the rawest failure — a partial
-  ``os.write`` cut short by SIGKILL — by writing only a prefix of the
-  payload straight to the target path, bypassing the atomic-rename
-  protocol the real writers use;
-* :class:`ChaosQueue` wraps :class:`repro.fuzz.dist.WorkQueue` with
-  injected lease expiry, torn queue files, duplicate delivery, and
-  per-instance clock skew, for distributed-protocol chaos tests.
+* :func:`damage_journal` — a crash mid-append on any fsync'd JSONL
+  journal, or a torn single-record queue file;
+* :func:`torn_write` — a partial ``os.write`` cut short by SIGKILL;
+* :class:`ChaosQueue` — lease expiry, duplicate delivery and torn
+  results at a queue's record store, and :class:`ChaosSocketQueue` —
+  dropped connections, torn frames and duplicated results on the wire.
 
 >>> runner = FaultyRunner({3: FaultSpec("exit")}, state_dir=tmp)
 >>> CampaignExecutor(config, job_runner=runner).execute()
@@ -31,13 +27,13 @@ in-memory counters would reset.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Iterable, Optional
 
-from .dist import WorkQueue
-from .lease import result_record
+from .lease import KIND_LEASE, KIND_RESULT, KIND_TOMBSTONE
 from .net import SocketQueue
 from .parallel import ShardJob, ShardResult, execute_job
 from .wire import TAG_RESULT, encode_frame
@@ -177,96 +173,78 @@ def torn_write(path: str, payload: bytes, fraction: float = 0.5) -> None:
         os.close(fd)
 
 
-class ChaosQueue(WorkQueue):
-    """A :class:`~repro.fuzz.dist.WorkQueue` with protocol-level chaos.
+class ChaosQueue:
+    """A record store with queue failures injected, around another store.
 
-    Each injection models one distributed failure the protocol claims
-    to survive, applied deterministically so tests can assert exact
-    outcomes:
+    A queue over it (``WorkQueue(ChaosQueue(store), node=...)``) meets,
+    deterministically, the failures the lease protocol claims to survive:
 
-    * ``clock_skew`` — this instance's clock runs offset by that many
-      seconds (heartbeat renewal and lease-expiry checks both see the
-      skewed time, like a node with a drifting clock);
-    * :meth:`force_expire` — rewrite a job's live lease as already
-      expired, simulating the owner vanishing without the wait;
-    * ``torn_results`` — the next publishes of these job indexes tear
-      mid-write instead of landing atomically (the torn file must read
-      as absent and be repaired by the retry's publish);
-    * ``duplicate_delivery`` — the first N :meth:`settled` checks per
-      job pretend the job is still open, letting a second node claim
-      and re-run work that already has a result (the classic
-      at-least-once duplicate; the merge must dedup it).
+    * :meth:`force_expire` — a lease reads as expired since its claim,
+      as if the owner vanished right after taking the job;
+    * ``duplicate_delivery`` — the first read that finds one of these
+      jobs' result or tombstone comes back empty (a stale view, once per
+      job), so a settled job is claimed and re-run: the at-least-once
+      duplicate the result dedup must drop, keeping the first result;
+    * ``torn_results`` — the next N result writes of these jobs tear,
+      unnoticed by the writer; the retry's publish must repair them (a
+      :class:`~repro.fuzz.dist.DirectoryStore` fault).
+
+    Clock skew needs no wrapper: give the queue a skewed ``clock``.
     """
 
-    def __init__(self, directory: str, node: str = "",
-                 clock: Callable[[], float] = time.time,
-                 clock_skew: float = 0.0,
-                 torn_results: Optional[Dict[int, int]] = None,
-                 duplicate_delivery: Optional[Dict[int, int]] = None) -> None:
-        super().__init__(directory, node=node, clock=clock)
-        self.clock_skew = clock_skew
+    def __init__(self, store, torn_results: Optional[Dict[int, int]] = None,
+                 duplicate_delivery: Iterable[int] = ()) -> None:
+        self.store = store
         self.torn_results = dict(torn_results or {})
-        self.duplicate_delivery = dict(duplicate_delivery or {})
-        base_clock = self.clock
-        self.clock = lambda: base_clock() + self.clock_skew
+        self.duplicate_delivery = set(duplicate_delivery)
+
+    def __getattr__(self, name: str):
+        return getattr(self.store, name)
 
     def force_expire(self, job_index: int) -> bool:
-        """Rewrite a job's lease as expired-now; False if no lease."""
-        lease = self.read_lease(job_index)
+        """Rewrite a job's lease as expired; False if there is none."""
+        lease = self.store.read(KIND_LEASE, job_index)
         if lease is None:
             return False
-        from dataclasses import replace
-        expired = replace(lease, expires_at=self.clock() - 1.0)
-        self._write_atomic(self.lease_path(job_index), expired.to_dict())
+        self.store.replace(KIND_LEASE, job_index,
+                           dict(lease, expires_at=lease.get("claimed_at", 0)))
         self.metrics.count("chaos.lease.forced_expiry")
         return True
 
-    def settled(self, job_index: int) -> bool:
-        pending = self.duplicate_delivery.get(job_index, 0)
-        if pending > 0 and super().settled(job_index):
-            self.duplicate_delivery[job_index] = pending - 1
+    def read(self, kind: str, job_index: int) -> Optional[dict]:
+        record = self.store.read(kind, job_index)
+        if record is not None and job_index in self.duplicate_delivery \
+                and kind in (KIND_RESULT, KIND_TOMBSTONE):
+            self.duplicate_delivery.discard(job_index)
             self.metrics.count("chaos.duplicate_delivery")
-            return False
-        return super().settled(job_index)
+            return None
+        return record
 
-    def publish_result(self, result, fingerprint: str,
-                       attempt: int = 1) -> bool:
-        pending = self.torn_results.get(result.job_index, 0)
-        if pending > 0:
-            self.torn_results[result.job_index] = pending - 1
-            import json
-            from .checkpoint import result_to_dict
-            payload = json.dumps(result_record(
-                fingerprint, self.node, attempt, result_to_dict(result)),
-                sort_keys=True).encode("utf-8")
-            path = self.result_path(result.job_index)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            torn_write(path, payload)
-            self.metrics.count("chaos.results.torn")
-            return False
-        return super().publish_result(result, fingerprint, attempt=attempt)
+    def create(self, kind: str, job_index: int, record: dict) -> bool:
+        pending = self.torn_results.get(job_index, 0)
+        if kind != KIND_RESULT or pending <= 0:
+            return self.store.create(kind, job_index, record)
+        self.torn_results[job_index] = pending - 1
+        path = self.store.path(kind, job_index)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        torn_write(path, json.dumps(record, sort_keys=True).encode("utf-8"))
+        self.metrics.count("chaos.results.torn")
+        return True
 
 
 class ChaosSocketQueue(SocketQueue):
-    """A :class:`~repro.fuzz.net.SocketQueue` with wire-level chaos.
-
-    Each injection models one network failure the socket transport
-    claims to survive, applied deterministically by request count:
+    """A :class:`~repro.fuzz.net.SocketQueue` with wire faults, injected
+    deterministically by request count (queue faults are
+    :class:`ChaosQueue`'s, at a record store):
 
     * ``drop_every`` — every Nth request finds its connection already
-      dead (dropped client-side just before sending), exercising the
-      reconnect-and-retry path mid-protocol;
-    * ``torn_every`` — every Nth request first sends *half* a frame on
-      a throwaway connection and abandons it, leaving the broker to
-      detect the torn frame and kill that connection (the client then
-      completes the request normally on a fresh one);
+      dead, exercising reconnect-and-retry mid-protocol;
+    * ``torn_every`` — every Nth request first sends *half* a frame on a
+      throwaway connection, which the broker must detect and drop;
     * ``duplicate_results`` — the first N result publishes are sent
-      twice, the classic at-least-once duplicate; the broker's
-      first-writer-wins dedup must report the echo as unpublished.
+      twice; the broker's dedup must report the echo as unpublished.
 
-    All of these must leave findings and ``deterministic()`` metrics
-    identical to a chaos-free run — that invariance is what the chaos
-    campaign tests assert.
+    Findings and ``deterministic()`` metrics must equal a chaos-free run.
     """
 
     def __init__(self, address: str, node: str = "",

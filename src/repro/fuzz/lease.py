@@ -3,24 +3,23 @@
 A distributed campaign's queue decides who may take a job, whether a
 heartbeat still renews, what a release records, when silence becomes a
 tombstone, when the queue is drained, and what every stored record
-looks like.  The shared-directory :class:`~repro.fuzz.dist.WorkQueue`
-and the socket :class:`~repro.fuzz.net.QueueBroker` must decide all of
-it identically, so each rule is written here once, as a pure function:
-no I/O, no lock, and no clock of its own (``now`` is always an
-argument).  The transports keep only what is truly theirs — atomic
-files and the read-back ownership check for the directory; the lock,
-the write-ahead journal and expiry on disconnect for the broker — and
-every rule is testable under a fake clock without a queue at all.
+looks like.  Each rule is written here once, as a pure function: no
+I/O, no lock, and no clock of its own (``now`` is always an argument).
+:class:`~repro.fuzz.dist.WorkQueue` applies the decisions over a record
+store — a shared directory, or the socket broker's journaled memory —
+and every rule is testable under a fake clock without a queue at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .parallel import KIND_NODE_LOST, retry_delay
 
 #: The ``kind`` of each stored record.
+KIND_CORPUS = "corpus"
+KIND_JOB = "job"
 KIND_LEASE = "lease"
 KIND_MANIFEST = "manifest"
 KIND_RESULT = "result"
@@ -74,7 +73,8 @@ class Lease:
         return not self.released and self.expires_at > now
 
     def to_dict(self) -> dict:
-        return {"kind": KIND_LEASE, **asdict(self)}
+        # Every field is a scalar: no deep copy (``asdict``) is needed.
+        return {"kind": KIND_LEASE, **vars(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Lease":

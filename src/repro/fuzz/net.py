@@ -1,14 +1,14 @@
-"""The socket transport: a TCP queue broker and its client.
+"""The socket transport: a TCP queue broker, its record store, its client.
 
 For fleets whose hosts cannot share a directory, the queue state moves
 into a :class:`QueueBroker` — a small TCP server holding the queue
 **in memory**, journal-backed for crash recovery — and
 nodes/coordinators talk to it through :class:`SocketQueue`, a drop-in
-:class:`~repro.fuzz.dist.Transport`.  Every lease decision (claim,
-renew, release, sweep, drained) and every stored record comes from
-:mod:`repro.fuzz.lease`, the state machine the shared-dir queue uses
-too; the broker adds only the lock, the journal, and lease expiry on
-disconnect, so campaigns behave identically over either transport.
+:class:`~repro.fuzz.dist.Transport`.  The broker serves the same
+:class:`~repro.fuzz.dist.WorkQueue` the shared directory uses, over a
+:class:`MemoryStore` instead of files, so every verb, lease decision
+and ``dist.*`` count is one piece of code on both transports; the broker
+adds only the lock, frame dispatch, and lease expiry on disconnect.
 
 Protocol
 --------
@@ -23,22 +23,14 @@ through the bounded decode LRU.
 
 Durability
 ----------
-Every accepted mutation (manifest, job record, result, tombstone,
-corpus delta) is appended to ``broker.jsonl`` — one fsync'd JSON line,
-written *before* the reply — and blobs live in a content-addressed
-directory next to it, so a broker killed with SIGKILL at any instant
-restarts from the journal having lost at most the mutations it never
-acknowledged; the clients that sent those never saw a reply and retry.
-The journal reader tolerates the single crash failure mode (a torn
-trailing line) exactly like every other journal in the system.
-
-Leases are deliberately **not** journaled: they are soft state.  A
-restarted broker comes up with no leases, which reads as "every node
-vanished" — in-flight jobs are simply reclaimable again, and duplicate
-completions dedup as always.  A *disconnect* expires the dropped node's
-leases immediately (no other connection from that node remaining), so
-lease recovery after a node kill -9 is bounded by TCP teardown, not by
-the lease clock — feeding the existing reclaim/quarantine machinery.
+The :class:`MemoryStore` appends every accepted mutation (manifest, job
+record, result, tombstone, corpus delta) to ``broker.jsonl`` — one
+fsync'd JSON line, written *before* the reply — next to a
+content-addressed blob directory, so a broker killed with SIGKILL
+restarts having lost only mutations it never acknowledged (their senders
+retry).  A torn trailing line is dropped, as in every other journal.
+Leases are soft state, never journaled: a restarted broker reads as
+"every node vanished", and in-flight jobs are reclaimable again.
 
 Failure matrix delta vs the shared-dir queue: see DESIGN §13.
 """
@@ -51,29 +43,34 @@ import socket
 import tempfile
 import threading
 import time
+from contextlib import suppress
 from dataclasses import replace
-from typing import (Callable, Collection, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Collection, Dict, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..obs import MetricsRegistry
 from . import lease as core
-from .checkpoint import result_from_dict, result_to_dict
-from .dist import (ShardJob, ShardResult, config_base, job_from_record,
-                   job_to_wire)
-from .lease import (KIND_MANIFEST, KIND_RESULT, KIND_TOMBSTONE, Lease,
-                    Policy, QueueError, QueueMismatch)
+from .checkpoint import result_to_dict
+from .dist import (ShardJob, ShardResult, WorkQueue, config_base,
+                   job_to_wire, resolve_claims, results_from_records)
+from .lease import (KIND_CORPUS, KIND_JOB, KIND_LEASE, KIND_MANIFEST,
+                    KIND_RESULT, KIND_TOMBSTONE, Lease, Policy, QueueError,
+                    QueueMismatch)
 from .wire import (TAG_NAMES, BlobStore, DecodeCache, FrameError,
-                   FrameStream, WireError, TAG_BLOB_GET, TAG_BLOB_HAVE,
+                   FrameStream, TAG_BLOB_GET, TAG_BLOB_HAVE,
                    TAG_BLOB_PUT, TAG_CLAIM, TAG_COLLECT_CORPUS,
                    TAG_COLLECT_RESULTS, TAG_COLLECT_STONES, TAG_CORPUS,
                    TAG_DRAINED, TAG_ERROR, TAG_HEARTBEAT, TAG_HELLO,
                    TAG_MANIFEST, TAG_OK, TAG_PUBLISH, TAG_RELEASE,
                    TAG_RESULT, TAG_SWEEP, blob_digest, encode_payload)
 
-__all__ = ["QueueBroker", "SocketQueue", "parse_address"]
+__all__ = ["MemoryStore", "QueueBroker", "SocketQueue", "parse_address"]
 
 BROKER_JOURNAL_NAME = "broker.jsonl"
 BROKER_VERSION = 1
+# The field a journal line holds a record in (a corpus delta's: its sha).
+_JOURNAL_FIELDS = {KIND_RESULT: "payload", KIND_TOMBSTONE: "stone",
+                   KIND_CORPUS: "sha"}
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -98,72 +95,114 @@ def _digests(header: dict) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# The broker.
+# The broker and its record store.
 # ---------------------------------------------------------------------------
 
 
-class QueueBroker:
-    """In-memory queue state behind a TCP socket, journaled for crashes.
+def write_deltas(directory: str, deltas: Iterable[Tuple[int, str]],
+                 blob: Callable[[str], Optional[bytes]]
+                 ) -> List[Tuple[int, str]]:
+    """Write each ``(job index, sha)`` corpus delta whose bytes
+    ``blob(sha)`` returns into ``directory``: (job index, path) pairs."""
+    paths = []
+    for index, sha in deltas:
+        data = blob(sha)
+        if data is None:
+            continue
+        path = os.path.join(directory, f"job-{index:06d}.corpus.jsonl")
+        with open(path, "wb") as stream:
+            stream.write(data)
+        paths.append((index, path))
+    return paths
 
-    ``journal_dir`` (optional but recommended) makes the broker
-    crash-safe: every accepted mutation is an fsync'd JSONL append
-    *before* the reply, blobs are content-addressed files, and a
-    restarted broker replays the journal.  Without it the broker is a
-    fast in-memory queue that loses state with the process (fine for
-    tests and single-run campaigns where the coordinator republishes).
 
-    ``clock`` is injectable for chaos tests, exactly as on
-    :class:`~repro.fuzz.dist.WorkQueue`.
-    """
+class MemoryStore:
+    """Queue records in dicts; with ``journal_dir``, every record but a
+    lease is journaled before the call returns (see Durability above)
+    and a store reopened on the directory replays it.  A job line keeps
+    the wire record only.  Not thread-safe: the broker holds its lock."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 journal_dir: Optional[str] = None,
-                 clock: Callable[[], float] = time.time) -> None:
-        self.host = host
-        self.port = port
+    version = BROKER_VERSION
+    label = "broker"
+
+    def __init__(self, journal_dir: Optional[str] = None) -> None:
         self.journal_dir = journal_dir
-        self.clock = clock
         self.metrics = MetricsRegistry()
-        blob_dir = os.path.join(journal_dir, "blobs") if journal_dir \
-            else None
-        self.blobs = BlobStore(blob_dir, metrics=self.metrics)
-        self._lock = threading.Lock()
+        self.blobs = BlobStore(os.path.join(journal_dir, "blobs")
+                               if journal_dir else None,
+                               metrics=self.metrics)
+        self.tables: Dict[str, Dict[int, dict]] = {
+            kind: {} for kind in (KIND_JOB, KIND_LEASE, *_JOURNAL_FIELDS)}
         self._manifest: Optional[dict] = None
-        self._jobs: Dict[int, dict] = {}
-        self._leases: Dict[int, Lease] = {}
-        self._results: Dict[int, dict] = {}
-        self._tombstones: Dict[int, dict] = {}
-        self._corpus: Dict[int, str] = {}
         self._journal = None
-        self._server: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._stopping = threading.Event()
-        self._live_conns: Set[socket.socket] = set()
-        self._conns_by_node: Dict[str, int] = {}
+        self._work_dir: Optional[str] = None
         if journal_dir:
             os.makedirs(journal_dir, exist_ok=True)
             self._recover()
 
-    # -- journal ------------------------------------------------------------
+    def read(self, kind: str, job_index: int) -> Optional[dict]:
+        return self.tables[kind].get(job_index)
 
-    def journal_path(self) -> str:
-        assert self.journal_dir is not None
-        return os.path.join(self.journal_dir, BROKER_JOURNAL_NAME)
+    def create(self, kind: str, job_index: int, record: dict) -> bool:
+        return job_index not in self.tables[kind] \
+            and self.replace(kind, job_index, record)
 
-    def _journal_append(self, record: dict) -> None:
-        """Write-ahead: fsync the record before the state mutation's
-        reply ever leaves the broker."""
+    def replace(self, kind: str, job_index: int, record: dict,
+                verify: bool = False) -> bool:
+        if kind == KIND_JOB:
+            self._append({"kind": kind, "job": record["job"]})
+        elif kind != KIND_LEASE:
+            self._append({"kind": kind, "job_index": job_index,
+                          _JOURNAL_FIELDS[kind]: record})
+        self.tables[kind][job_index] = record
+        return True
+
+    def delete(self, kind: str, job_index: int) -> None:
+        """Drop a record (only leases are deleted: never journaled)."""
+        self.tables[kind].pop(job_index, None)
+
+    def indexes(self, kind: str) -> List[int]:
+        return sorted(self.tables[kind])
+
+    def manifest(self) -> Optional[dict]:
+        return self._manifest
+
+    def put_manifest(self, record: dict) -> None:
+        self._append({"kind": KIND_MANIFEST, "manifest": record})
+        self._manifest = record
+
+    def put_corpus(self, job_index: int, data: bytes) -> None:
+        self.replace(KIND_CORPUS, job_index, self.blobs.put(data))
+
+    def corpus_paths(self) -> List[Tuple[int, str]]:
+        """The corpus deltas, written out to a private temp directory."""
+        if self._work_dir is None:
+            self._work_dir = tempfile.mkdtemp(prefix="repro-queue-corpus-")
+        return write_deltas(self._work_dir,
+                            sorted(self.tables[KIND_CORPUS].items()),
+                            self.blobs.get)
+
+    # -- the journal ---------------------------------------------------------
+
+    def _append(self, line: dict) -> None:
         if self.journal_dir is None:
             return
         if self._journal is None:
-            self._journal = open(self.journal_path(), "a")
-        self._journal.write(json.dumps(record, sort_keys=True) + "\n")
+            self._journal = open(os.path.join(self.journal_dir,
+                                              BROKER_JOURNAL_NAME), "a")
+        self._journal.write(json.dumps(line, sort_keys=True) + "\n")
         self._journal.flush()
         os.fsync(self._journal.fileno())
 
+    def close(self) -> None:
+        if self._journal is not None:
+            with suppress(OSError):
+                self._journal.close()
+            self._journal = None
+
     def _recover(self) -> None:
         """Replay the journal; tolerate (only) a torn trailing line."""
-        path = self.journal_path()
+        path = os.path.join(self.journal_dir, BROKER_JOURNAL_NAME)
         try:
             with open(path, "rb") as stream:
                 raw = stream.read()
@@ -176,7 +215,7 @@ class QueueBroker:
             if not stripped:
                 continue
             try:
-                record = json.loads(stripped.decode("utf-8"))
+                line = json.loads(stripped.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
                 if last:
                     self.metrics.count("net.journal.torn_tail")
@@ -186,30 +225,55 @@ class QueueBroker:
             if not piece.endswith(b"\n") and last:
                 self.metrics.count("net.journal.torn_tail")
                 break  # complete-looking JSON, newline never landed
-            if not isinstance(record, dict):
-                continue
-            self._replay(record)
+            if isinstance(line, dict):
+                self._replay(line)
         self.metrics.count("net.journal.recovered",
-                           len(self._results) + len(self._tombstones))
+                           len(self.tables[KIND_RESULT])
+                           + len(self.tables[KIND_TOMBSTONE]))
 
-    def _replay(self, record: dict) -> None:
-        kind = record.get("kind")
+    def _replay(self, line: dict) -> None:
+        kind = line.get("kind")
         if kind == KIND_MANIFEST:
-            self._manifest = record.get("manifest")
+            self._manifest = line.get("manifest")
             return
-        try:
-            index = int(record["job"]["job_index"] if kind == "job"
-                        else record["job_index"])
-        except (KeyError, TypeError, ValueError):
-            return
-        if kind == "job":
-            self._jobs[index] = record["job"]
-        elif kind == KIND_RESULT:
-            self._results.setdefault(index, record.get("payload", {}))
-        elif kind == KIND_TOMBSTONE:
-            self._tombstones.setdefault(index, record.get("stone", {}))
-        elif kind == "corpus" and record.get("sha"):
-            self._corpus[index] = record["sha"]
+        field = _JOURNAL_FIELDS.get(kind)
+        with suppress(KeyError, TypeError, ValueError):  # malformed: skip
+            if kind == KIND_JOB:
+                self.tables[kind][int(line["job"]["job_index"])] = {
+                    "kind": kind, "job": line["job"]}
+            elif field and line.get(field):
+                self.tables[kind][int(line["job_index"])] = line[field]
+
+
+class QueueBroker:
+    """A :class:`~repro.fuzz.dist.WorkQueue` over a :class:`MemoryStore`,
+    behind a TCP socket: one lock around every verb, frame dispatch, and
+    lease expiry when a node's last connection drops.
+
+    ``journal_dir`` (recommended) makes it crash-safe; without it the
+    broker loses its state with the process (fine for tests and
+    single-run campaigns).  ``clock`` is injectable for chaos tests and
+    may be reassigned while the broker runs.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
+                 journal_dir: Optional[str] = None,
+                 clock: Callable[[], float] = time.time) -> None:
+        self.host = host
+        self.port = port
+        self.journal_dir = journal_dir
+        self.clock = clock
+        self.store = MemoryStore(journal_dir)
+        self.metrics = self.store.metrics
+        self.blobs = self.store.blobs
+        self.queue = WorkQueue(self.store, node="broker",
+                               clock=lambda: self.clock())
+        self._lock = threading.Lock()
+        self._server: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        self._stopping = threading.Event()
+        self._live_conns: Set[socket.socket] = set()
+        self._conns_by_node: Dict[str, int] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -242,31 +306,19 @@ class QueueBroker:
         self._stopping.wait()
 
     def stop(self) -> None:
-        """Tear the broker down without flushing anything extra.
-
-        Deliberately crash-equivalent: because every accepted mutation
-        was journaled before its reply, ``stop()`` and SIGKILL leave
-        the same recoverable on-disk state — which is what the torn-
-        journal and kill tests rely on.
-        """
+        """Tear the broker down without flushing anything extra: every
+        accepted mutation was journaled before its reply, so ``stop()``
+        and SIGKILL leave the same recoverable state (the kill tests rely
+        on it)."""
         self._stopping.set()
         if self._server is not None:
-            try:
+            with suppress(OSError):
                 self._server.close()
-            except OSError:
-                pass
             self._server = None
         for conn in list(self._live_conns):
-            try:
+            with suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
-        if self._journal is not None:
-            try:
-                self._journal.close()
-            except OSError:
-                pass
-            self._journal = None
+        self.store.close()
 
     def _accept_loop(self) -> None:
         assert self._server is not None
@@ -282,10 +334,8 @@ class QueueBroker:
     # -- one connection -----------------------------------------------------
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        try:
+        with suppress(OSError):
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
         stream = FrameStream(conn, metrics=self.metrics)
         node = ""
         try:
@@ -311,21 +361,15 @@ class QueueBroker:
             self.metrics.count("net.conns.dropped")
         finally:
             self._live_conns.discard(conn)
-            try:
+            with suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
             if node:
                 self._disconnect_node(node)
 
     def _disconnect_node(self, node: str) -> None:
-        """Expire the node's live leases once its last connection dies.
-
-        This is lease-expiry-on-disconnect: the reclaim machinery sees
-        an already-expired lease (attempt history intact) instead of
-        waiting out the lease clock.  A node that merely reconnected
-        keeps its leases — only the *last* connection's loss expires.
-        """
+        """Expire the node's live leases once its *last* connection dies,
+        so the reclaim machinery sees an expired lease (attempt history
+        intact) instead of waiting out the lease clock."""
         now = self.clock()
         with self._lock:
             remaining = self._conns_by_node.get(node, 1) - 1
@@ -333,10 +377,12 @@ class QueueBroker:
                 self._conns_by_node[node] = remaining
                 return
             self._conns_by_node.pop(node, None)
-            for index, lease in list(self._leases.items()):
-                if lease.node == node and lease.live(now) \
-                        and not self._settled(index):
-                    self._leases[index] = replace(lease, expires_at=now)
+            for index in self.store.indexes(KIND_LEASE):
+                lease = self.queue.read_lease(index)
+                if lease is not None and lease.node == node \
+                        and lease.live(now) and not self.queue.settled(index):
+                    self.store.replace(KIND_LEASE, index,
+                                       replace(lease, expires_at=now).to_dict())
                     self.metrics.count("net.lease.disconnect_expired")
 
     # -- verb dispatch ------------------------------------------------------
@@ -349,8 +395,8 @@ class QueueBroker:
             except QueueMismatch as exc:
                 return TAG_ERROR, {"error": str(exc), "kind": "mismatch"}, []
             except (KeyError, TypeError, ValueError) as exc:
-                # Every handler reads its whole header before it changes
-                # anything, so a request it cannot read changed nothing.
+                # Every handler reads its whole header before it calls a
+                # verb, so a request it cannot read changed nothing.
                 verb = TAG_NAMES.get(tag, str(tag))
                 return TAG_ERROR, {"error": f"malformed {verb} request: "
                                             f"{exc!r}",
@@ -358,52 +404,79 @@ class QueueBroker:
 
     def _handle(self, tag: int, header: dict, blobs: List[bytes],
                 node: str) -> Tuple[int, dict, List[bytes]]:
+        queue = self.queue
         if tag == TAG_MANIFEST:
-            return TAG_OK, {"manifest": self._manifest}, []
+            return TAG_OK, {"manifest": queue.manifest()}, []
         if tag == TAG_PUBLISH:
-            return self._handle_publish(header)
+            policy = Policy.from_manifest(header)
+            shared_config = header.get("shared_config")
+            if not isinstance(shared_config, (dict, type(None))):
+                raise TypeError(f"shared_config must be an object: "
+                                f"{shared_config!r}")
+            records = [(int(record["job_index"]), record)
+                       for record in header.get("jobs", [])]
+            total_jobs = int(header.get("total_jobs", len(records)))
+            for index, record in records:
+                sha = record["payload"]["sha"]
+                if sha not in self.blobs:
+                    return TAG_ERROR, {
+                        "error": f"job {index} references missing blob "
+                                 f"{str(sha)[:12]}; blob-put it first",
+                        "kind": "missing-blob"}, []
+            published = queue.publish_records(policy, total_jobs,
+                                              shared_config, records)
+            return TAG_OK, {"published": published}, []
         if tag == TAG_CLAIM:
-            return self._handle_claim(header, node)
+            claims = queue.claim(node, max(1, int(header.get("limit", 1))))
+            return TAG_OK, {"claims": [{"job": record,
+                                        "lease": lease.to_dict()}
+                                       for record, lease in claims]}, []
         if tag == TAG_HEARTBEAT:
-            return self._handle_heartbeat(header, node)
+            renewed = queue.heartbeat(int(header["job_index"]),
+                                      float(header["lease_duration"]),
+                                      node=node)
+            return TAG_OK, {"renewed": renewed}, []
         if tag == TAG_RELEASE:
-            return self._handle_release(header, node)
+            released = queue.release_for_retry(
+                int(header["job_index"]), Lease.from_dict(header["lease"]),
+                str(header.get("failure_kind", "")),
+                str(header.get("error", "")), node=node)
+            return TAG_OK, {"released": released}, []
         if tag == TAG_RESULT:
-            return self._handle_result(header, node)
+            result = header["result"]
+            published = queue.store_result(
+                node, int(result["job_index"]),
+                str(header.get("fingerprint", "")),
+                int(header.get("attempt", 1)), result)
+            return TAG_OK, {"published": published}, []
         if tag == TAG_CORPUS:
-            return self._handle_corpus(header, blobs)
+            index = int(header["job_index"])
+            if len(blobs) != 1:
+                raise ValueError(f"corpus verb needs 1 blob, got {len(blobs)}")
+            queue.put_corpus(index, blobs[0])
+            return TAG_OK, {"ok": True}, []
         if tag == TAG_COLLECT_RESULTS:
-            fingerprint = str(header.get("fingerprint", ""))
-            # Indices the caller already holds (absent from requests of
-            # older nodes): stored results never change, so they need
-            # not travel again.
+            # Indices the caller already holds (older nodes send none):
+            # stored results never change, so they need not travel again.
             known = header.get("known")
             if not isinstance(known, list):
                 known = ()
-            known = {index for index in known if isinstance(index, int)}
-            results = []
-            for index in sorted(self._results):
-                if index in known:
-                    continue
-                payload = self._results[index]
-                if payload.get("fingerprint") != fingerprint:
-                    self.metrics.count("dist.results.foreign")
-                    continue
-                results.append(payload)
+            results = queue.results(str(header.get("fingerprint", "")),
+                                    {index for index in known
+                                     if isinstance(index, int)})
             return TAG_OK, {"results": results}, []
         if tag == TAG_COLLECT_STONES:
             stones = [[index, stone] for index, stone
-                      in sorted(self._tombstones.items())]
+                      in sorted(queue.collect_tombstones().items())]
             return TAG_OK, {"tombstones": stones}, []
         if tag == TAG_COLLECT_CORPUS:
-            deltas = [[index, sha] for index, sha
-                      in sorted(self._corpus.items())]
+            deltas = [[index, self.store.read(KIND_CORPUS, index)]
+                      for index in self.store.indexes(KIND_CORPUS)]
             return TAG_OK, {"deltas": deltas}, []
         if tag == TAG_SWEEP:
-            return TAG_OK, {"retired": self._sweep()}, []
+            return TAG_OK, {"retired": queue.sweep()}, []
         if tag == TAG_DRAINED:
-            drained = core.drained(self._manifest, self._jobs, self._settled)
-            return TAG_OK, {"drained": drained}, []
+            return TAG_OK, {"drained": queue.drained()}, []
         if tag == TAG_BLOB_HAVE:
             missing = [d for d in _digests(header) if d not in self.blobs]
             return TAG_OK, {"missing": missing}, []
@@ -422,161 +495,6 @@ class QueueBroker:
         return TAG_ERROR, {"error": f"unknown verb tag {tag}",
                            "kind": "protocol"}, []
 
-    # -- verb implementations (all called under the lock) -------------------
-
-    def _settled(self, index: int) -> bool:
-        return index in self._results or index in self._tombstones
-
-    def _handle_publish(self, header: dict) -> Tuple[int, dict,
-                                                     List[bytes]]:
-        policy = Policy.from_manifest(header)
-        proposed = header.get("shared_config")
-        if not isinstance(proposed, (dict, type(None))):
-            raise TypeError(f"shared_config must be an object: {proposed!r}")
-        shared_config = core.publish_base(self._manifest, policy.fingerprint,
-                                          proposed, "broker")
-        records = header.get("jobs", [])
-        total_jobs = int(header.get("total_jobs", len(records)))
-        indexed = []
-        for record in records:
-            index = int(record["job_index"])
-            sha = record["payload"]["sha"]
-            if sha not in self.blobs:
-                return TAG_ERROR, {
-                    "error": f"job {index} references missing blob "
-                             f"{str(sha)[:12]}; blob-put it first",
-                    "kind": "missing-blob"}, []
-            indexed.append((index, record))
-        published = 0
-        for index, record in indexed:
-            if self._jobs.get(index) == record:
-                self.metrics.count("dist.jobs.unchanged")
-                continue
-            self._journal_append({"kind": "job", "job": record})
-            self._jobs[index] = record
-            published += 1
-            self.metrics.count("dist.jobs.published")
-        manifest = core.manifest_record(policy, total_jobs, shared_config,
-                                        BROKER_VERSION)
-        if manifest != self._manifest:
-            self._journal_append({"kind": KIND_MANIFEST,
-                                  "manifest": manifest})
-            self._manifest = manifest
-        return TAG_OK, {"published": published}, []
-
-    def _handle_claim(self, header: dict,
-                      node: str) -> Tuple[int, dict, List[bytes]]:
-        limit = max(1, int(header.get("limit", 1)))
-        if self._manifest is None:
-            return TAG_OK, {"claims": []}, []
-        policy = Policy.from_manifest(self._manifest)
-        now = self.clock()
-        claims = []
-        for index in sorted(self._jobs):
-            if len(claims) >= limit:
-                break
-            if self._settled(index):
-                continue
-            decision = core.claim(self._leases.get(index), now, policy,
-                                  index, node)
-            if decision.outcome == core.RETIRE:
-                self._retire(index, decision.lease)
-            elif decision.lease is not None:
-                self._leases[index] = decision.lease
-                self.metrics.count("dist.lease.claims"
-                                   if decision.outcome == core.FRESH
-                                   else "dist.lease.reclaims")
-                claims.append({"job": self._jobs[index],
-                               "lease": decision.lease.to_dict()})
-        return TAG_OK, {"claims": claims}, []
-
-    def _handle_heartbeat(self, header: dict,
-                          node: str) -> Tuple[int, dict, List[bytes]]:
-        index = int(header["job_index"])
-        duration = float(header["lease_duration"])
-        renewed = core.renew(self._leases.get(index), node, self.clock(),
-                             duration)
-        if renewed is None:
-            self.metrics.count("dist.lease.lost")
-            return TAG_OK, {"renewed": False}, []
-        self._leases[index] = renewed
-        self.metrics.count("dist.heartbeats")
-        return TAG_OK, {"renewed": True}, []
-
-    def _handle_release(self, header: dict,
-                        node: str) -> Tuple[int, dict, List[bytes]]:
-        index = int(header["job_index"])
-        held = Lease.from_dict(header["lease"])
-        released = core.release(
-            self._leases.get(index), node, held.claimed_at, self.clock(),
-            str(header.get("failure_kind", "")), str(header.get("error", "")))
-        if released is None:
-            self.metrics.count("dist.lease.lost")
-            return TAG_OK, {"released": False}, []
-        self._leases[index] = released
-        self.metrics.count("dist.lease.released")
-        return TAG_OK, {"released": True}, []
-
-    def _retire(self, index: int, lease: Lease) -> bool:
-        if index in self._tombstones:
-            return False
-        stone = core.tombstone(lease)
-        self._journal_append({"kind": KIND_TOMBSTONE, "job_index": index,
-                              "stone": stone})
-        self._tombstones[index] = stone
-        self.metrics.count("dist.tombstones")
-        if not lease.released:
-            self.metrics.count("dist.node_lost")
-        return True
-
-    def _handle_result(self, header: dict,
-                       node: str) -> Tuple[int, dict, List[bytes]]:
-        result = header["result"]
-        index = int(result["job_index"])
-        payload = core.result_record(str(header.get("fingerprint", "")),
-                                     node, int(header.get("attempt", 1)),
-                                     result)
-        if index in self._results:
-            self.metrics.count("dist.results.duplicate")
-            return TAG_OK, {"published": False}, []
-        self._journal_append({"kind": KIND_RESULT, "job_index": index,
-                              "payload": payload})
-        self._results[index] = payload
-        self._leases.pop(index, None)
-        self.metrics.count("dist.results.published")
-        return TAG_OK, {"published": True}, []
-
-    def _handle_corpus(self, header: dict,
-                       blobs: List[bytes]) -> Tuple[int, dict,
-                                                    List[bytes]]:
-        index = int(header["job_index"])
-        if len(blobs) != 1:
-            raise ValueError(f"corpus verb with {len(blobs)} blobs, not 1")
-        sha = self.blobs.put(blobs[0])
-        self._journal_append({"kind": "corpus", "job_index": index,
-                              "sha": sha})
-        self._corpus[index] = sha
-        self.metrics.count("dist.corpus.published")
-        return TAG_OK, {"ok": True}, []
-
-    def _sweep(self) -> int:
-        if self._manifest is None:
-            return 0
-        expired, exhausted = core.sweep(
-            ((index, lease) for index, lease in sorted(self._leases.items())
-             if not self._settled(index)),
-            self.clock(), Policy.from_manifest(self._manifest).max_attempts)
-        if expired:
-            self.metrics.count("dist.lease.expired", expired)
-        return sum(self._retire(index, lease) for index, lease in exhausted)
-
-    # -- introspection (tests, smoke harnesses) -----------------------------
-
-    def leases(self) -> Dict[int, Lease]:
-        """A snapshot of the live lease table."""
-        with self._lock:
-            return dict(self._leases)
-
 
 # ---------------------------------------------------------------------------
 # The client.
@@ -586,17 +504,13 @@ class QueueBroker:
 class SocketQueue:
     """A broker-backed :class:`~repro.fuzz.dist.Transport`.
 
-    One connection, shared by the caller's threads under a lock
-    (:class:`~repro.fuzz.dist.NodeRunner`'s heartbeat thread and main
-    loop both go through it).  Any connection failure — broker restart,
-    chaos-injected drop, torn frame — closes the socket and the next
-    request reconnects and retries until ``connect_timeout`` is spent;
-    since every verb is either idempotent or first-writer-wins-deduped,
-    a retried request after a lost reply is always safe.
-
-    The per-node transfer cache (:class:`~repro.fuzz.wire.BlobStore`,
-    memory-backed) and the bounded decode LRU make repeated claims over
-    the same seed cost one ``blob-get`` and one decode, total.
+    One connection, shared by the caller's threads under a lock.  Any
+    connection failure — broker restart, dropped connection, torn frame —
+    closes the socket and the next request reconnects and retries until
+    ``connect_timeout`` is spent; every verb is idempotent or
+    first-writer-wins, so retrying after a lost reply is always safe.
+    The node's blob cache and the decode LRU make repeated claims over
+    one seed cost one ``blob-get`` and one decode, total.
     """
 
     def __init__(self, address: str, node: str = "",
@@ -629,10 +543,8 @@ class SocketQueue:
             return self._stream
         sock = socket.create_connection((self.host, self.port),
                                         timeout=self.socket_timeout)
-        try:
+        with suppress(OSError):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
         stream = FrameStream(sock, metrics=self.metrics)
         stream.send(TAG_HELLO, {"node": self.node})
         tag, _header, _blobs = stream.recv()
@@ -676,17 +588,14 @@ class SocketQueue:
     # -- Transport: manifest and publish ------------------------------------
 
     def manifest(self) -> Optional[dict]:
-        if self._manifest_cache is not None:
-            return self._manifest_cache
-        try:
-            _tag, header, _blobs = self._request(TAG_MANIFEST, {})
-        except QueueError:
-            return None  # broker not up yet: same as "not published yet"
-        manifest = header.get("manifest")
-        if isinstance(manifest, dict):
-            self._manifest_cache = manifest
-            return manifest
-        return None
+        if self._manifest_cache is None:
+            try:
+                _tag, header, _blobs = self._request(TAG_MANIFEST, {})
+            except QueueError:
+                return None  # broker not up yet: same as "not published"
+            if isinstance(header.get("manifest"), dict):
+                self._manifest_cache = header["manifest"]
+        return self._manifest_cache
 
     def publish(self, jobs: Sequence[ShardJob], fingerprint: str,
                 total_jobs: Optional[int] = None,
@@ -717,43 +626,22 @@ class SocketQueue:
                               [blobs_by_digest[d] for d in missing])
             for digest in digests:
                 self.blobs.put(blobs_by_digest[digest])
-        self._request(TAG_PUBLISH, {
-            "fingerprint": fingerprint,
-            "total_jobs": (total_jobs if total_jobs is not None
-                           else len(jobs)),
-            "lease_duration": lease_duration,
-            "max_attempts": max_attempts,
-            "retry_backoff": retry_backoff,
-            "retry_jitter": retry_jitter,
-            "shared_config": shared_config,
-            "jobs": records,
-        })
+        policy = Policy(lease_duration, max_attempts, retry_backoff,
+                        retry_jitter, fingerprint)
+        self._request(TAG_PUBLISH, dict(
+            policy._asdict(), shared_config=shared_config, jobs=records,
+            total_jobs=len(jobs) if total_jobs is None else total_jobs))
         self._manifest_cache = None
 
     # -- Transport: claims and results --------------------------------------
 
     def claim_next(self, limit: int = 1) -> List[Tuple[ShardJob, Lease]]:
         _tag, header, _blobs = self._request(TAG_CLAIM, {"limit": limit})
-        claimed: List[Tuple[ShardJob, Lease]] = []
+        claims = []
         for item in header.get("claims", []):
-            try:
-                record = item["job"]
-                lease = Lease.from_dict(item["lease"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            job = self._resolve_job(record)
-            if job is None:
-                continue  # unresolvable: the lease expires on its own
-            claimed.append((job, lease))
-        return claimed
-
-    def _resolve_job(self, record: dict) -> Optional[ShardJob]:
-        try:
-            return job_from_record(record, self.manifest(), self._blob,
-                                   self.decode_cache)
-        except (KeyError, TypeError, ValueError, WireError):
-            self.metrics.count("wire.jobs.unresolvable")
-            return None
+            with suppress(KeyError, TypeError, ValueError):
+                claims.append((item["job"], Lease.from_dict(item["lease"])))
+        return resolve_claims(self, claims, self._blob)
 
     def _blob(self, sha: str) -> Optional[bytes]:
         """A module blob from the node's cache, fetched on a miss."""
@@ -779,8 +667,8 @@ class SocketQueue:
         try:
             _tag, header, _blobs = self._request(TAG_HEARTBEAT, {
                 "job_index": job_index, "lease_duration": lease_duration})
-        except QueueError:
-            self.metrics.count("dist.lease.lost")
+        except QueueError:  # the broker is gone: treat the lease as lost
+            self.metrics.count("net.heartbeat.unreachable")
             return False
         return bool(header.get("renewed", False))
 
@@ -815,21 +703,11 @@ class SocketQueue:
                 prefix=f"repro-net-{self.node}-")
         deltas: List[Tuple[int, str]] = []
         for item in header.get("deltas", []):
-            try:
-                index, sha = int(item[0]), str(item[1])
-            except (TypeError, ValueError, IndexError):
-                continue
-            data = self.blobs.get(sha)
-            if data is None:
-                data = self._fetch_blob(sha)
-                if data is None:
-                    continue
-            path = os.path.join(self._work_dir,
-                                f"job-{index:06d}.corpus.jsonl")
-            with open(path, "wb") as stream:
-                stream.write(data)
-            deltas.append((index, path))
-        return sorted(deltas)
+            with suppress(TypeError, ValueError, IndexError):
+                deltas.append((int(item[0]), str(item[1])))
+        return write_deltas(
+            self._work_dir, sorted(deltas),
+            lambda sha: self.blobs.get(sha) or self._fetch_blob(sha))
 
     # -- Transport: collection and sweeping ---------------------------------
 
@@ -839,23 +717,14 @@ class SocketQueue:
         _tag, header, _blobs = self._request(
             TAG_COLLECT_RESULTS,
             {"fingerprint": fingerprint, "known": sorted(known)})
-        results: Dict[int, ShardResult] = {}
-        for payload in header.get("results", []):
-            try:
-                result = result_from_dict(payload["result"])
-            except (KeyError, TypeError):
-                continue
-            results[result.job_index] = result
-        return results
+        return results_from_records(header.get("results", []))
 
     def collect_tombstones(self) -> Dict[int, dict]:
         _tag, header, _blobs = self._request(TAG_COLLECT_STONES, {})
         stones: Dict[int, dict] = {}
         for item in header.get("tombstones", []):
-            try:
+            with suppress(TypeError, ValueError, IndexError):
                 stones[int(item[0])] = dict(item[1])
-            except (TypeError, ValueError, IndexError):
-                continue
         return stones
 
     def sweep(self) -> int:

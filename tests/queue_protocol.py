@@ -1,15 +1,18 @@
-"""One lease-protocol suite, run over both queue transports.
+"""One lease-protocol suite, run over three queue bindings.
 
 Every behaviour of the lease and result protocol is written once here
 and bound to a transport by its test class: ``TestLeaseProtocol`` /
-``TestResultPublishing`` / ``TestNodeDeathInterleavings`` in
-``test_dist.py`` run it over the shared-directory :class:`WorkQueue`,
-``TestSocketProtocol`` / ``TestSocketNodeDeathInterleavings`` in
-``test_net.py`` over a loopback :class:`QueueBroker` +
-:class:`SocketQueue`.  Both use the same :class:`FakeClock`, so lease
-expiry and backoff are simulated by advancing it, never by sleeping.
-What only one transport can have — damaged lease files, torn results,
-disconnects, the broker journal — is tested next to that transport.
+``TestResultPublishing`` / ``TestChaosQueue`` /
+``TestNodeDeathInterleavings`` in ``test_dist.py`` run it over the
+shared-directory :class:`WorkQueue`, ``TestMemoryProtocol`` /
+``TestMemoryChaos`` in ``test_lease.py`` over per-node queues sharing
+one :class:`MemoryStore`, and ``TestSocketProtocol`` /
+``TestSocketNodeDeathInterleavings`` in ``test_net.py`` over a loopback
+:class:`QueueBroker` + :class:`SocketQueue`.  All use the same
+:class:`FakeClock`, so lease expiry and backoff are simulated by
+advancing it, never by sleeping.  What only one transport can have —
+damaged lease files, torn results, disconnects, the broker journal — is
+tested next to that transport.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ from hypothesis import strategies as st
 
 from repro.fuzz import CampaignConfig, run_campaign
 from repro.fuzz.checkpoint import jobs_fingerprint
-from repro.fuzz.dist import DistConfig, NodeRunner, QueueMismatch, WorkQueue
+from repro.fuzz.dist import (DirectoryStore, DistConfig, NodeRunner,
+                             QueueMismatch, WorkQueue)
 from repro.fuzz.driver import FuzzConfig
-from repro.fuzz.net import QueueBroker, SocketQueue
+from repro.fuzz.faults import ChaosQueue
+from repro.fuzz.lease import Lease
+from repro.fuzz.net import MemoryStore, QueueBroker, SocketQueue
 from repro.fuzz.parallel import CampaignExecutor, ShardJob, ShardResult
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
@@ -102,15 +108,17 @@ class QueueHarness:
     """Per-node queues over one transport, all on one fake clock.
 
     ``"dir"`` opens :class:`WorkQueue` instances on ``directory``;
+    ``"memory"`` opens them over one shared :class:`MemoryStore`;
     ``"socket"`` starts an in-memory broker on the fake clock and opens
     :class:`SocketQueue` clients to it.
     """
 
     def __init__(self, kind: str, directory: str) -> None:
-        assert kind in ("dir", "socket"), kind
+        assert kind in ("dir", "memory", "socket"), kind
         self.clock = FakeClock()
         self.directory = directory
         self.broker = None
+        self.memory = MemoryStore() if kind == "memory" else None
         self._opened = []
         if kind == "socket":
             self.broker = QueueBroker(clock=self.clock)
@@ -118,12 +126,26 @@ class QueueHarness:
 
     def node(self, name="n1"):
         if self.broker is None:
-            queue = WorkQueue(self.directory, node=name, clock=self.clock)
+            queue = WorkQueue(self.memory or self.directory, node=name,
+                              clock=self.clock)
         else:
             queue = SocketQueue(self.broker.address, node=name,
                                 connect_timeout=10.0, retry_interval=0.05)
         self._opened.append(queue)
         return queue
+
+    def store(self):
+        """The record store every node's records live in (the broker's,
+        over the socket)."""
+        if self.broker is not None:
+            return self.broker.store
+        return self.memory or DirectoryStore(self.directory)
+
+    def chaos(self, **faults):
+        """A fault-injecting store over this binding's records; the
+        broker's store is out of a socket client's reach."""
+        assert self.broker is None, "chaos stores wrap dir or memory"
+        return ChaosQueue(self.store(), **faults)
 
     def publish(self, jobs=None, **manifest):
         jobs = make_jobs() if jobs is None else jobs
@@ -133,19 +155,30 @@ class QueueHarness:
 
     def lease(self, index):
         """The stored lease of job ``index`` (None if there is none)."""
-        if self.broker is None:
-            return WorkQueue(self.directory).read_lease(index)
-        return self.broker.leases().get(index)
+        record = self.store().read("lease", index)
+        return None if record is None else Lease.from_dict(record)
+
+    def corrupt_blobs(self):
+        """Overwrite every stored module blob with bytes that do not
+        decode."""
+        blobs = self.store().blobs
+        for digest in blobs.digests():
+            if blobs.directory is None:
+                blobs._memory[digest] = b"garbage"
+            else:
+                with open(os.path.join(blobs.directory, digest), "wb") as out:
+                    out.write(b"garbage")
 
     def counter(self, queue, name):
         """A ``dist.*`` counter of the decisions ``queue`` asked for: the
-        broker keeps them over the socket, the node's queue over a
-        directory."""
+        broker keeps them over the socket, the shared store's registry in
+        memory, the node's queue over a directory."""
         registry = queue.metrics if self.broker is None \
             else self.broker.metrics
         return registry.counter(name)
 
     def dist_config(self, **fields):
+        assert self.memory is None, "a campaign needs dir or socket"
         if self.broker is None:
             return DistConfig(queue_dir=self.directory, **fields)
         return DistConfig(queue_addr=self.broker.address, **fields)
@@ -326,11 +359,29 @@ class LeaseProtocolSuite(TransportSuite):
     def test_drained_with_no_open_jobs(self, transport):
         """A resumed coordinator whose checkpoint holds every result
         publishes no jobs: the campaign is drained the moment it is
-        published, on either transport, and not before."""
+        published, on every transport, and not before."""
         queue = transport.node()
         assert queue.drained() is False
         transport.publish(jobs=[], total_jobs=3)
         assert queue.drained() is True
+
+    def test_unresolvable_job_tombstones_and_drains(self, transport):
+        """A job whose module blob is corrupt is still leased: no node
+        can run it, so each lease lapses into the ordinary reclaim path
+        until the attempts run out and the job is tombstoned."""
+        transport.publish(make_jobs(1), lease_duration=5.0, max_attempts=2,
+                          retry_backoff=0.1)
+        transport.corrupt_blobs()
+        queue = transport.node()
+        for _round in range(6):
+            assert queue.claim_next() == []
+            queue.sweep()
+            transport.clock.advance(100.0)
+        stone = queue.collect_tombstones()[0]
+        assert (stone["reason"], stone["attempts"]) == ("node_lost", 2)
+        assert transport.counter(queue, "dist.lease.claims") == 1
+        assert transport.counter(queue, "dist.lease.reclaims") == 1
+        assert queue.drained()
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +444,60 @@ class ResultPublishingSuite(TransportSuite):
         paths = queue.corpus_paths()
         assert [index for index, _ in paths] == [0]
         assert open(paths[0][1]).read() == delta.read_text()
+
+
+# ---------------------------------------------------------------------------
+# Chaos at the record store (dir and memory: the broker's store is its own).
+# ---------------------------------------------------------------------------
+
+
+class ChaosSuite(TransportSuite):
+    def test_force_expire_reclaims_without_waiting(self, transport):
+        transport.publish(retry_backoff=0.0)
+        chaos = transport.chaos()
+        WorkQueue(chaos, node="n1", clock=transport.clock).claim_next()
+        assert chaos.force_expire(0)
+        (job, lease), = transport.node("n2").claim_next()
+        assert (job.job_index, lease.attempt) == (0, 2)
+
+    def test_duplicate_delivery_lets_settled_job_be_reclaimed(self,
+                                                              transport):
+        fingerprint = transport.publish(make_jobs(1), retry_backoff=0.0)
+        first = transport.node("n1")
+        first.claim_next()
+        first.publish_result(make_result(0, worker="n1"), fingerprint)
+        transport.clock.advance(100.0)
+        again = WorkQueue(transport.chaos(duplicate_delivery=[0]),
+                          node="n2", clock=transport.clock)
+        # The settled job reads as open once: claimed and run again.
+        assert indexes(again.claim_next()) == [0]
+        assert not again.publish_result(make_result(0, worker="n2"),
+                                        fingerprint)  # deduped
+        assert again.collect_results(fingerprint)[0].worker == "n1"
+
+    def test_duplicate_delivery_never_repairs_the_first_result(self,
+                                                              transport):
+        """The stale view is one read per job: the re-run's publish reads
+        the stored result, so it is a duplicate (not a repair that would
+        overwrite the first result), and the job is not claimed again."""
+        fingerprint = transport.publish(make_jobs(2), retry_backoff=0.0)
+        first = transport.node("n1")
+        assert indexes(first.claim_next(limit=2)) == [0, 1]
+        for index in (0, 1):
+            first.publish_result(make_result(index, worker="n1"),
+                                 fingerprint)
+        again = WorkQueue(transport.chaos(duplicate_delivery=[0, 1]),
+                          node="n2", clock=transport.clock)
+        assert indexes(again.claim_next(limit=2)) == [0, 1]
+        for index in (0, 1):
+            assert not again.publish_result(make_result(index, worker="n2"),
+                                            fingerprint)
+        transport.clock.advance(100.0)  # n2's leases lapse; jobs settled
+        assert again.claim_next(limit=2) == []
+        assert transport.counter(again, "dist.results.duplicate") == 2
+        assert transport.counter(again, "dist.results.repaired") == 0
+        results = first.collect_results(fingerprint)
+        assert [results[index].worker for index in (0, 1)] == ["n1", "n1"]
 
 
 # ---------------------------------------------------------------------------

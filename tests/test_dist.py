@@ -5,6 +5,8 @@ The lease and result protocol itself is written once in
 ``queue_protocol.py`` and bound here to :class:`WorkQueue`; this module
 adds what only a directory has (clock skew per reader, damaged and torn
 files, file-level read accounting, the queue-version-2 file layout).
+The store-level chaos suite runs here over the directory and in
+``test_lease.py`` over memory.
 Campaign-level tests prove the headline invariant — kill any node (or
 the coordinator) mid-campaign, resume, and the merged findings +
 ``deterministic()`` metrics equal an uninterrupted single-host run, with
@@ -21,19 +23,19 @@ import pytest
 
 from repro.fuzz import CampaignConfig, run_campaign
 from repro.fuzz.checkpoint import jobs_fingerprint, result_to_dict
-from repro.fuzz.dist import (DistConfig, NodeRunner, WorkQueue, config_base,
-                             job_from_wire, job_to_wire,
-                             merge_corpus_journals)
+from repro.fuzz.dist import (DirectoryStore, DistConfig, NodeRunner,
+                             WorkQueue, config_base, job_from_wire,
+                             job_to_wire, merge_corpus_journals)
 from repro.fuzz.faults import ChaosQueue, torn_write
 from repro.fuzz.parallel import CampaignExecutor
 from repro.fuzz.wire import BlobStore, encode_payload
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 
-from .queue_protocol import (IR, FakeClock, LeaseProtocolSuite, QueueHarness,
-                             ResultPublishingSuite, make_jobs, make_result,
-                             node_death_interleavings, report_key,
-                             v2_job_record, v2_manifest)
+from .queue_protocol import (IR, ChaosSuite, FakeClock, LeaseProtocolSuite,
+                             QueueHarness, ResultPublishingSuite, make_jobs,
+                             make_result, node_death_interleavings,
+                             report_key, v2_job_record, v2_manifest)
 
 SMALL = dict(corpus_size=4, mutants_per_file=8, max_inputs=8,
              pipelines=("O2",))
@@ -120,32 +122,36 @@ class TestLeaseProtocol(LeaseProtocolSuite):
     TRANSPORT = "dir"
 
     def test_heartbeat_under_clock_skew_keeps_exclusivity(self, transport):
-        transport.publish(lease_duration=10.0)
+        transport.publish(make_jobs(1), lease_duration=10.0)
         base = transport.clock
-        skewed = ChaosQueue(transport.directory, node="n1", clock=base,
-                            clock_skew=-6.0)  # this node's clock runs behind
-        skewed.claim(0)
+        # This node's clock runs 6 s behind.
+        skewed = WorkQueue(transport.directory, node="n1",
+                           clock=lambda: base() - 6.0)
+        skewed.claim_next()
         # The skewed owner heartbeats on its own (late) clock; a peer on
         # true time must still see a live lease after renewal.
         base.advance(8.0)
         assert skewed.heartbeat(0, 10.0)
         peer = transport.node("n2")
         # expires_at = skewed_now(1002) + 10 = 1012 > true now (1008).
-        assert peer.claim(0) is None
+        assert peer.claim_next() == []
         # Skew eats into effective lease time but never grants two owners:
         # once the true clock passes the skewed expiry the lease is simply
         # reclaimable, which is the at-least-once path, not a safety hole.
         base.advance(10.0)
-        assert peer.claim(0) is not None
+        assert peer.claim_next() != []
 
     def test_damaged_lease_file_reads_as_claimable(self, transport):
-        transport.publish()
-        queue = transport.node()
-        queue.claim(0)
-        torn_write(queue.lease_path(0), b'{"kind": "lease", "node": "n1"',
-                   fraction=0.7)
-        taken = transport.node("n2").claim(0)
-        assert taken is not None and taken[1].node == "n2"
+        transport.publish(make_jobs(1))
+        transport.node().claim_next()
+        path = transport.store().path("lease", 0)
+        torn_write(path, b'{"kind": "lease", "node": "n1"', fraction=0.7)
+        (_job, lease), = transport.node("n2").claim_next()
+        assert lease.node == "n2"
+        # A file that parses but is no lease reads as damaged too.
+        torn_write(path, b'{"kind": "lease", "node": "n2"}', fraction=1.0)
+        (_job, lease), = transport.node("n3").claim_next()
+        assert lease.node == "n3"
 
 
 # ---------------------------------------------------------------------------
@@ -162,23 +168,23 @@ class TestResultPublishing(ResultPublishingSuite):
         for index in (0, 1, 2):
             assert queue.publish_result(make_result(index), fingerprint)
         read = []
-        original = queue._read_json
+        original = queue.store.read
         monkeypatch.setattr(
-            queue, "_read_json",
-            lambda path: read.append(os.path.basename(path))
-            or original(path))
+            queue.store, "read",
+            lambda kind, index: read.append((kind, index))
+            or original(kind, index))
         assert set(queue.collect_results(fingerprint, known={0, 2})) == {1}
-        assert read == [os.path.basename(queue.result_path(1))]
+        assert read == [("result", 1)]
 
     def test_torn_result_reads_as_absent_and_is_repaired(self, transport):
         fingerprint = transport.publish()
         queue = transport.node()
-        path = queue.result_path(0)
+        path = queue.store.path("result", 0)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         torn_write(path, json.dumps(
             {"kind": "result", "fingerprint": fingerprint,
              "result": {"job_index": 0}}).encode(), fraction=0.4)
-        assert not queue.has_result(0)
+        assert not queue.settled(0)
         assert 0 not in queue.collect_results(fingerprint)
         assert queue.publish_result(make_result(0), fingerprint)  # repair
         assert queue.collect_results(fingerprint)[0].iterations == 2
@@ -232,29 +238,8 @@ class TestResultPublishing(ResultPublishingSuite):
 # ---------------------------------------------------------------------------
 
 
-class TestChaosQueue:
-    def test_force_expire_reclaims_without_waiting(self, harness):
-        harness.publish(retry_backoff=0.0)
-        chaos = ChaosQueue(harness.directory, node="n1", clock=harness.clock)
-        chaos.claim(0)
-        assert chaos.force_expire(0)
-        taken = harness.node("n2").claim(0)
-        assert taken is not None and taken[1].attempt == 2
-
-    def test_duplicate_delivery_lets_settled_job_be_reclaimed(self,
-                                                              harness):
-        fingerprint = harness.publish(retry_backoff=0.0)
-        chaos = ChaosQueue(harness.directory, node="n2", clock=harness.clock,
-                           duplicate_delivery={0: 1})
-        first = harness.node("n1")
-        first.claim(0)
-        first.publish_result(make_result(0, worker="n1"), fingerprint)
-        harness.clock.advance(100.0)
-        taken = chaos.claim(0)        # sees the job as still open once
-        assert taken is not None
-        assert not chaos.publish_result(make_result(0, worker="n2"),
-                                        fingerprint)  # deduped
-        assert chaos.collect_results(fingerprint)[0].worker == "n1"
+class TestChaosQueue(ChaosSuite):
+    TRANSPORT = "dir"
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +282,8 @@ class TestDistributedCampaign:
         coordinator.start()
         try:
             # The doomed node claims one job and vanishes mid-lease.
-            doomed = ChaosQueue(queue_dir, node="doomed")
+            chaos = ChaosQueue(DirectoryStore(queue_dir))
+            doomed = WorkQueue(chaos, node="doomed")
             manifest = None
             import time as _time
             deadline = _time.monotonic() + 60
@@ -310,7 +296,7 @@ class TestDistributedCampaign:
             assert claimed
             dead_index = claimed[0][0].job_index
             # It never runs the job: simulated kill -9.
-            doomed.force_expire(dead_index)
+            chaos.force_expire(dead_index)
             # A healthy node drains everything, including the reclaim.
             healthy = NodeRunner(WorkQueue(queue_dir, node="healthy"),
                                  workers=1)
@@ -360,8 +346,9 @@ class TestDistributedCampaign:
         queue_dir = config.dist.queue_dir
 
         def chaos(name):
-            return ChaosQueue(queue_dir, node=name,
-                              torn_results={0: 1, 2: 1})
+            return WorkQueue(ChaosQueue(DirectoryStore(queue_dir),
+                                        torn_results={0: 1, 2: 1}),
+                             node=name)
 
         report, (node_report,) = run_distributed(config, chaos=chaos)
         assert report_key(report) == report_key(reference)
@@ -489,7 +476,7 @@ class TestWirePayloads:
         coordinator.publish(make_jobs(), jobs_fingerprint(make_jobs()))
         assert coordinator.metrics.counter("dist.jobs.unchanged") == 3
         assert coordinator.metrics.counter("dist.jobs.published") == 0
-        assert harness.node().published_indexes() == [0, 1, 2]
+        assert harness.store().indexes("job") == [0, 1, 2]
 
     def test_bitcode_payload_travels_by_default(self, tmp_path,
                                                 reference):

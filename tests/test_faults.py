@@ -389,12 +389,13 @@ class TestJournalCrashConsistency:
         from repro.fuzz import damage_journal
         from repro.fuzz.dist import WorkQueue
         queue = WorkQueue(str(tmp_path), node="n1")
-        queue._write_atomic(queue.lease_path(0),
+        path = queue.store.path("lease", 0)
+        queue.store.replace("lease", 0,
                             {"kind": "lease", "node": "n1", "attempt": 1,
                              "claimed_at": 0.0, "expires_at": 9.0})
         with pytest.raises(ValueError):
-            damage_journal(queue.lease_path(0))  # journal contract kept
-        damage_journal(queue.lease_path(0), allow_single=True)
+            damage_journal(path)  # journal contract kept
+        damage_journal(path, allow_single=True)
         assert queue.read_lease(0) is None  # damaged == absent
 
     def test_torn_queue_files_read_as_absent(self, tmp_path):
@@ -403,8 +404,11 @@ class TestJournalCrashConsistency:
         queue = WorkQueue(str(tmp_path), node="n1")
         payload = json.dumps({"kind": "manifest", "fingerprint": "f" * 64,
                               "detail": MULTIBYTE}).encode("utf-8")
-        torn_write(queue.manifest_path(), payload, fraction=0.6)
+        torn_write(os.path.join(str(tmp_path), "manifest.json"), payload,
+                   fraction=0.6)
         assert queue.manifest() is None
-        os.makedirs(os.path.dirname(queue.tombstone_path(0)), exist_ok=True)
-        torn_write(queue.tombstone_path(0), payload, fraction=0.3)
-        assert not queue.has_tombstone(0)
+        path = queue.store.path("tombstone", 0)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        torn_write(path, payload, fraction=0.3)
+        assert not queue.settled(0)
+        assert queue.metrics.counter("dist.files.damaged") == 2

@@ -1,9 +1,11 @@
-"""The lease state machine on its own: no queue, no I/O, a fake clock.
+"""The lease state machine and the queue over memory: no I/O, a fake clock.
 
-Example tests pin each rule of :mod:`repro.fuzz.lease`; the hypothesis
-property drives the rules the way both transports do, over random
-claim / heartbeat / release / advance / sweep / result sequences, and
-checks the protocol's safety invariants after every step.
+Example tests pin each rule of :mod:`repro.fuzz.lease`; the lease,
+result and chaos suites of ``queue_protocol.py`` run over per-node
+queues sharing one :class:`MemoryStore`; and the hypothesis property
+drives the real :class:`WorkQueue` over a memory store through random
+claim / heartbeat / release / advance / sweep / result sequences,
+checking the protocol's safety invariants after every step.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fuzz import lease as core
+from repro.fuzz.dist import WorkQueue
 from repro.fuzz.lease import Lease, Policy, QueueMismatch
+from repro.fuzz.net import MemoryStore
+
+from .queue_protocol import (ChaosSuite, LeaseProtocolSuite,
+                             ResultPublishingSuite)
 
 POLICY = Policy(lease_duration=10.0, max_attempts=3, retry_backoff=1.0,
                 retry_jitter=0.5, fingerprint="f" * 64)
@@ -109,8 +116,20 @@ class TestRecords:
 
 
 # ---------------------------------------------------------------------------
-# The property: random schedules against the rules, as a transport runs
-# them.
+# The lease and result suites over per-node queues sharing one memory store.
+# ---------------------------------------------------------------------------
+
+
+class TestMemoryProtocol(LeaseProtocolSuite, ResultPublishingSuite):
+    TRANSPORT = "memory"
+
+
+class TestMemoryChaos(ChaosSuite):
+    TRANSPORT = "memory"
+
+
+# ---------------------------------------------------------------------------
+# The property: random schedules against the real queue, over memory.
 # ---------------------------------------------------------------------------
 
 # Two attempts, two nodes, two jobs and coarse clock steps keep the
@@ -127,103 +146,89 @@ def node_step(action):
 
 
 step = st.one_of(
-    node_step("claim"), node_step("claim"), node_step("heartbeat"),
-    node_step("release"), node_step("result"),
+    st.tuples(st.just("claim"), st.sampled_from(NODES)),
+    st.tuples(st.just("claim"), st.sampled_from(NODES)),
+    node_step("heartbeat"), node_step("release"), node_step("result"),
     st.tuples(st.just("advance"), st.sampled_from((3.0, 11.0))),
     st.tuples(st.just("advance"), st.sampled_from((3.0, 11.0))),
     st.tuples(st.just("sweep")),
 )
 
 
-class Queue:
-    """The smallest transport: one dict per record kind, the core's
-    decisions applied as the broker applies them.  ``held`` is what each
-    node *believes* it holds (the lease it was granted or renewed)."""
+class Schedule:
+    """Nodes driving one :class:`WorkQueue` over a :class:`MemoryStore`.
+
+    ``held`` is what each node *believes* it holds (the lease it was
+    granted or renewed); ``offered`` the first result offered per job;
+    ``attempts`` the highest attempt stored per job so far.
+    """
 
     def __init__(self) -> None:
         self.now = 1000.0
-        self.leases = {}
-        self.results = {}
-        self.stones = {}
+        self.store = MemoryStore()
+        self.queue = WorkQueue(self.store, clock=lambda: self.now)
+        self.queue.publish_records(RULES, len(JOBS), None,
+                                   [(job, {"job_index": job})
+                                    for job in JOBS])
         self.held = {}
         self.offered = {}
-
-    def settled(self, job):
-        return job in self.results or job in self.stones
-
-    def store(self, job, lease):
-        previous = self.leases.get(job)
-        assert previous is None or lease.attempt >= previous.attempt, \
-            "attempts went down"
-        assert lease.attempt <= RULES.max_attempts
-        self.leases[job] = lease
+        self.attempts = {}
 
     def live_owners(self, job):
         return [node for node in NODES if (node, job) in self.held
                 and self.held[(node, job)].live(self.now)]
 
-    def retire(self, job, lease):
-        assert not self.live_owners(job), "retired a job someone holds"
-        assert lease.attempt >= RULES.max_attempts, \
-            "tombstone before attempts were exhausted"
-        stone = self.stones.setdefault(job, core.tombstone(lease))
-        assert (stone["reason"] == "quarantine") == lease.released
-
     def apply(self, op):
+        leases = {job: self.queue.read_lease(job) for job in JOBS}
+        stones = self.queue.collect_tombstones()
         kind = op[0]
         if kind == "advance":
             self.now += op[1]
         elif kind == "sweep":
-            _expired, exhausted = core.sweep(
-                ((job, self.leases.get(job)) for job in JOBS
-                 if not self.settled(job)),
-                self.now, RULES.max_attempts)
-            for job, lease in exhausted:
-                self.retire(job, lease)
+            self.queue.sweep()
+        elif kind == "claim":
+            for record, lease in self.queue.claim(op[1]):
+                self.held[(op[1], record["job_index"])] = lease
         else:
             self.apply_node(kind, *op[1:])
+        for job, stone in self.queue.collect_tombstones().items():
+            if job not in stones:
+                retired = leases[job]
+                assert not self.live_owners(job), \
+                    "retired a job someone holds"
+                assert retired.attempt >= RULES.max_attempts, \
+                    "tombstone before attempts were exhausted"
+                assert (stone["reason"] == "quarantine") == retired.released
 
     def apply_node(self, kind, node, job):
-        mine = self.held.get((node, job))
-        if kind == "claim":
-            if self.settled(job):
-                return
-            decision = core.claim(self.leases.get(job), self.now, RULES,
-                                  job, node)
-            if decision.outcome == core.RETIRE:
-                self.retire(job, decision.lease)
-            elif decision.lease is not None:
-                self.store(job, decision.lease)
-                self.held[(node, job)] = decision.lease
-        elif kind == "heartbeat" and mine is not None:
-            renewed = core.renew(self.leases.get(job), node, self.now,
-                                 RULES.lease_duration)
-            if renewed is None:
-                del self.held[(node, job)]
-            else:
-                self.store(job, renewed)
-                self.held[(node, job)] = renewed
-        elif kind == "release" and mine is not None:
-            del self.held[(node, job)]
-            released = core.release(self.leases.get(job), node,
-                                    mine.claimed_at, self.now, "hang", "")
-            if released is not None:
-                self.store(job, released)
-        elif kind == "result" and mine is not None:
-            del self.held[(node, job)]
+        mine = self.held.pop((node, job), None)
+        if mine is None:
+            return
+        if kind == "heartbeat":
+            if self.queue.heartbeat(job, RULES.lease_duration, node=node):
+                self.held[(node, job)] = self.queue.read_lease(job)
+        elif kind == "release":
+            self.queue.release_for_retry(job, mine, "hang", "", node=node)
+        elif kind == "result":
             record = core.result_record(RULES.fingerprint, node,
                                         mine.attempt, {"job_index": job})
             self.offered.setdefault(job, record)
-            if job not in self.results:
-                self.results[job] = record
-                self.leases.pop(job, None)
+            self.queue.store_result(node, job, RULES.fingerprint,
+                                    mine.attempt, {"job_index": job})
 
     def check(self):
         for job in JOBS:
             owners = self.live_owners(job)
             assert len(owners) <= 1, f"job {job} has owners {owners}"
-            if job in self.results:
-                assert self.results[job] is self.offered[job], \
+            lease = self.queue.read_lease(job)
+            if lease is not None:
+                assert lease.attempt >= self.attempts.get(job, 0), \
+                    "attempts went down"
+                assert lease.attempt <= RULES.max_attempts
+                self.attempts[job] = lease.attempt
+            result = self.store.read("result", job)
+            if result is not None:
+                assert result == self.offered[job], \
                     "a later result replaced the first"
 
 
@@ -231,14 +236,14 @@ class Queue:
 @given(steps=st.lists(step, min_size=20, max_size=60))
 # A release that arrives after the job was reclaimed elsewhere: random
 # search seldom lines these steps up, so they are always tried.
-@example(steps=[("claim", "a", 0), ("advance", 11.0), ("advance", 3.0),
-                ("claim", "b", 0), ("release", "a", 0), ("claim", "a", 0)])
+@example(steps=[("claim", "a"), ("advance", 11.0), ("advance", 3.0),
+                ("claim", "b"), ("release", "a", 0), ("claim", "a")])
 def test_random_schedules_keep_the_protocol_invariants(steps):
     """At most one unreleased, unexpired owner per job; attempts never
     go down (nor past the budget); a tombstone only once attempts are
     exhausted, ``quarantine`` iff the lease was released; the first
     result wins."""
-    queue = Queue()
+    schedule = Schedule()
     for op in steps:
-        queue.apply(op)
-        queue.check()
+        schedule.apply(op)
+        schedule.check()

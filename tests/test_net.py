@@ -26,12 +26,15 @@ from repro.fuzz import CampaignConfig, run_campaign
 from repro.fuzz.checkpoint import jobs_fingerprint, result_to_dict
 from repro.fuzz.dist import DistConfig, NodeRunner, QueueError, config_base
 from repro.fuzz.faults import ChaosSocketQueue, damage_journal
+from repro.fuzz.lease import Lease
 from repro.fuzz.net import QueueBroker, SocketQueue, parse_address
 from repro.fuzz.wire import (TAG_BLOB_GET, TAG_BLOB_HAVE, TAG_CLAIM,
                              TAG_COLLECT_RESULTS, TAG_CORPUS, TAG_ERROR,
                              TAG_HEARTBEAT, TAG_HELLO, TAG_MANIFEST, TAG_OK,
                              TAG_PUBLISH, TAG_RELEASE, TAG_RESULT, BlobStore,
-                             FrameStream, encode_payload)
+                             FrameStream, blob_digest, encode_payload)
+from repro.ir.parser import parse_module
+from repro.ir.printer import print_module
 
 from .queue_protocol import (IR, FakeClock, LeaseProtocolSuite,
                              ResultPublishingSuite, make_jobs, make_result,
@@ -66,11 +69,71 @@ def published(broker, node="n1", jobs=None, **manifest):
 
 
 def broker_state(broker):
-    """A deep snapshot of everything the broker holds."""
+    """A deep snapshot of everything the broker holds, read through its
+    record store."""
+    store = broker.store
     with broker._lock:
-        return copy.deepcopy((broker._manifest, broker._jobs, broker._leases,
-                              broker._results, broker._tombstones,
-                              broker._corpus))
+        records = {kind: {index: store.read(kind, index)
+                          for index in store.indexes(kind)}
+                   for kind in ("job", "lease", "result", "tombstone")}
+        corpus = []
+        for index, path in store.corpus_paths():
+            with open(path, "rb") as stream:
+                corpus.append((index, stream.read()))
+        return copy.deepcopy((store.manifest(), records, corpus))
+
+
+# ``broker.jsonl`` as the previous release wrote it for ``make_jobs()``
+# published with ``max_attempts=1``, job 0's result and corpus delta, and
+# job 1's lease expired and swept (see
+# ``test_literal_journal_replays_and_drains``).  Only what is not the
+# journal's own layout is filled in: module digest, fingerprint, config
+# base, result.
+LITERAL_JOURNAL = """\
+{"job": {"config": {}, "confirm_attributions": false, "deadline": null, \
+"file_name": "f0.ll", "iterations": 2, "job_index": 0, "payload": \
+{"format": "bitcode", "sha": "<sha>"}, "time_budget": null, "trace_dir": \
+null, "trace_sample": 1.0}, "kind": "job"}
+{"job": {"config": {"base_seed": 100}, "confirm_attributions": false, \
+"deadline": null, "file_name": "f1.ll", "iterations": 2, "job_index": 1, \
+"payload": {"format": "bitcode", "sha": "<sha>"}, "time_budget": null, \
+"trace_dir": null, "trace_sample": 1.0}, "kind": "job"}
+{"job": {"config": {"base_seed": 200}, "confirm_attributions": false, \
+"deadline": null, "file_name": "f2.ll", "iterations": 2, "job_index": 2, \
+"payload": {"format": "bitcode", "sha": "<sha>"}, "time_budget": null, \
+"trace_dir": null, "trace_sample": 1.0}, "kind": "job"}
+{"kind": "manifest", "manifest": {"fingerprint": "<fp>", "kind": \
+"manifest", "lease_duration": 30.0, "max_attempts": 1, "retry_backoff": \
+0.25, "retry_jitter": 0.0, "shared_config": <config>, "total_jobs": 3, \
+"version": 1}}
+{"job_index": 0, "kind": "result", "payload": {"attempt": 1, \
+"fingerprint": "<fp>", "kind": "result", "node": "n1", "result": \
+<result>}}
+{"job_index": 0, "kind": "corpus", "sha": \
+"4a51413dc6a1379db31f03a3623f7c6a1c870c6c5a6a26ad2753bf770df7b1b9"}
+{"job_index": 1, "kind": "tombstone", "stone": {"attempts": 1, "error": \
+"lease of node 'n1' expired (attempt 1)", "failure_kind": "node_lost", \
+"kind": "tombstone", "node": "n1", "reason": "node_lost"}}
+"""
+
+
+def literal_journal(jobs, sha):
+    """:data:`LITERAL_JOURNAL` filled in for ``jobs`` and module ``sha``."""
+    filled = {"<sha>": sha, "<fp>": jobs_fingerprint(jobs),
+              "<config>": json.dumps(config_base(jobs), sort_keys=True),
+              "<result>": json.dumps(result_to_dict(make_result(0)),
+                                     sort_keys=True)}
+    text = LITERAL_JOURNAL
+    for hole, value in filled.items():
+        text = text.replace(hole, value)
+    return text
+
+
+def leases(broker):
+    """The broker's stored leases, by job index."""
+    with broker._lock:
+        return {index: Lease.from_dict(broker.store.read("lease", index))
+                for index in broker.store.indexes("lease")}
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +179,8 @@ class TestSocketProtocol(LeaseProtocolSuite, ResultPublishingSuite):
         try:
             queue, fingerprint = published(broker)
             (_job, lease), = queue.claim_next()
-            fresh = dict(broker._jobs[0], job_index=7)  # valid, not stored
+            fresh = dict(broker.store.read("job", 0)["job"],
+                         job_index=7)  # valid, not stored
             requests = [
                 (TAG_PUBLISH, {"fingerprint": fingerprint,
                                "jobs": [fresh, {"job_index": "x"}]}),
@@ -201,7 +265,7 @@ class TestDisconnects:
         queue.close()  # the node vanishes without releasing
         assert wait_for(lambda: all(
             lease.expires_at <= clock()
-            for lease in broker.leases().values()))
+            for lease in leases(broker).values()))
         # The hour-long lease is reclaimable after just the backoff,
         # not after the hour.
         clock.advance(1.0)
@@ -222,10 +286,23 @@ class TestDisconnects:
         assert second.manifest() is not None
         queue.close()
         time.sleep(0.2)
-        lease = broker.leases()[job.job_index]
+        lease = leases(broker)[job.job_index]
         assert lease.expires_at > clock()
         assert second.heartbeat(job.job_index, 10.0) is True
         second.close()
+
+    def test_heartbeat_to_a_dead_broker_is_counted_on_the_node(self):
+        broker = QueueBroker()
+        broker.start()
+        queue, _ = published(broker)
+        (job, _lease), = queue.claim_next()
+        broker.stop()
+        queue.connect_timeout = 0.2
+        queue._drop()
+        assert queue.heartbeat(job.job_index, 10.0) is False
+        assert queue.metrics.counter("net.heartbeat.unreachable") == 1
+        assert queue.metrics.counter("dist.lease.lost") == 0
+        queue.close()
 
     def test_broker_restart_resets_leases_but_keeps_results(self, tmp_path):
         journal_dir = str(tmp_path / "broker")
@@ -340,6 +417,53 @@ class TestBrokerJournal:
         finally:
             broker.stop()
 
+    def test_literal_journal_replays_and_drains(self, tmp_path):
+        """The twin of ``test_queue_version_2_directory_drains``: these
+        operations write :data:`LITERAL_JOURNAL` byte for byte, as the
+        previous release did, and a broker restarted on it resumes and
+        drains."""
+        journal_dir = str(tmp_path / "broker")
+        clock = FakeClock()
+        broker = QueueBroker(journal_dir=journal_dir, clock=clock)
+        broker.start()
+        jobs = make_jobs()
+        fingerprint = jobs_fingerprint(jobs)
+        try:
+            coordinator = client(broker, node="coordinator")
+            coordinator.publish(jobs, fingerprint, max_attempts=1)
+            queue = client(broker)
+            queue.claim_next(limit=2)
+            queue.publish_result(make_result(0), fingerprint)
+            delta = tmp_path / "delta.jsonl"
+            delta.write_bytes(b'{"kind": "header", "version": 1}\n')
+            queue.publish_corpus(0, str(delta))
+            clock.advance(100.0)
+            assert coordinator.sweep() == 1
+            queue.close()
+            coordinator.close()
+        finally:
+            broker.stop()
+        with open(os.path.join(journal_dir, "broker.jsonl")) as stream:
+            assert stream.read() == literal_journal(
+                jobs, blob_digest(encode_payload(IR)[0]))
+        revived = QueueBroker(journal_dir=journal_dir)
+        revived.start()
+        try:
+            queue = client(revived)
+            assert queue.manifest()["max_attempts"] == 1
+            assert set(queue.collect_results(fingerprint)) == {0}
+            assert queue.collect_tombstones()[1]["reason"] == "node_lost"
+            assert [index for index, _path in queue.corpus_paths()] == [0]
+            assert not queue.drained()
+            (job, lease), = queue.claim_next(limit=3)
+            assert (job.job_index, job.config.base_seed) == (2, 200)
+            assert job.text == print_module(parse_module(IR))
+            assert queue.publish_result(make_result(2), fingerprint)
+            assert queue.drained()
+            queue.close()
+        finally:
+            revived.stop()
+
     def test_in_memory_broker_needs_no_journal(self):
         broker = QueueBroker()  # no journal_dir: pure in-memory
         broker.start()
@@ -445,7 +569,8 @@ class TestSocketCampaignParity:
         def assassin():
             # Wait for real progress, then kill the broker cold and
             # restart it from its journal on the same port.
-            if wait_for(lambda: len(broker._results) >= 1, timeout=60):
+            if wait_for(lambda: broker.store.indexes("result"),
+                        timeout=60):
                 broker.stop()
                 # The port needs a beat to shake off dying connection
                 # sockets — retry the bind like a supervisor would.
