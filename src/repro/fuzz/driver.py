@@ -250,9 +250,10 @@ class FuzzDriver:
         self._plan_stats: Optional[Tuple[int, ...]] = (
             self._plan_cache_stats() if self.config.tv.compiled else None)
         # Execution observability follows the same delta-fold pattern:
-        # exec.batch.* counters record lanes driven per batch, divergence
-        # regrouping, and scalar fallbacks; exec.verify.* the validation
-        # check_refinement proved unnecessary (both engines prune).
+        # exec.batch.* counters record lanes driven per batch (and how
+        # many needed no interpreter), divergence regrouping, and scalar
+        # fallbacks; exec.verify.* the validation check_refinement
+        # proved unnecessary (both engines prune).
         self._batch_stats: Tuple[int, ...] = global_batch_stats().stats()
         self._preprocess()
         self._harvest_plan_stats()
@@ -663,7 +664,8 @@ class FuzzDriver:
                  "exec.batch.divergence_splits",
                  "exec.batch.scalar_fallbacks", "exec.verify.same_plan",
                  "exec.verify.static_skips",
-                 "exec.verify.target_inputs_pruned")
+                 "exec.verify.target_inputs_pruned",
+                 "exec.batch.stateless_lanes")
         for index, name in enumerate(names):
             delta = stats[index] - previous[index]
             if delta:

@@ -23,7 +23,11 @@ plan walk:
   (poison/undef propagation, oracle choice order and domain sizes, UB
   classification, step accounting) are identical by construction.  The
   differential suite in ``tests/test_batch_exec.py`` locks lane-by-lane
-  bit-equality against the scalar path.
+  bit-equality against the scalar path;
+* a program none of whose steps reads that state (no undef, freeze,
+  memory access, non-intrinsic call or pointer parameter — see
+  :attr:`BatchProgram.lane_state`) gets no interpreter at all: its lanes
+  are argument columns plus the ``noundef`` entry check.
 
 Batch programs are compiled lazily from the scalar
 :class:`~repro.tv.compile.ExecutionPlan` (and cached on it, so the
@@ -125,7 +129,8 @@ class BatchStats:
     and the work ``check_refinement`` proved unnecessary
     (``exec.verify.*``: checks whose two sides share one plan, checks
     answered with no execution at all, and target inputs never run
-    because the source hit UB or a timeout there)."""
+    because the source hit UB or a timeout there).  ``stateless_lanes``
+    counts the batched lanes that ran without an interpreter."""
 
     __slots__ = (
         "batches",
@@ -135,6 +140,7 @@ class BatchStats:
         "same_plan",
         "static_skips",
         "target_inputs_pruned",
+        "stateless_lanes",
     )
 
     def __init__(self) -> None:
@@ -145,6 +151,7 @@ class BatchStats:
         self.same_plan = 0
         self.static_skips = 0
         self.target_inputs_pruned = 0
+        self.stateless_lanes = 0
 
     def stats(self) -> Tuple[int, ...]:
         """Every counter, in ``__slots__`` order."""
@@ -156,6 +163,7 @@ class BatchStats:
             self.same_plan,
             self.static_skips,
             self.target_inputs_pruned,
+            self.stateless_lanes,
         )
 
 
@@ -309,14 +317,27 @@ class _BEdge:
 
 
 class BatchProgram:
-    """One function lowered to struct-of-arrays batched steps."""
+    """One function lowered to struct-of-arrays batched steps.
 
-    __slots__ = ("frame_size", "num_args", "entry_edge")
+    ``lane_state`` is set when some step reads per-lane state — the
+    lane's oracle, memory or call counters, all of which live on
+    ``ctx.interps[lane]``: an undef operand, ``freeze``, ``alloca``,
+    ``load``, ``store``, ``gep``, a call that is not an intrinsic, or a
+    pointer (or ``dereferenceable``) parameter.  Only
+    such programs get a scalar interpreter per lane; the others never
+    index ``ctx.interps``, so a missed case fails with ``IndexError``
+    rather than silently.
+    """
 
-    def __init__(self, frame_size: int, num_args: int, entry_edge: _BEdge) -> None:
+    __slots__ = ("frame_size", "num_args", "entry_edge", "lane_state")
+
+    def __init__(
+        self, frame_size: int, num_args: int, entry_edge: _BEdge, lane_state: bool
+    ) -> None:
         self.frame_size = frame_size
         self.num_args = num_args
         self.entry_edge = entry_edge
+        self.lane_state = lane_state
 
     def execute(self, ctx: _BatchContext, lanes: List[int]) -> None:
         """Drive every lane in ``lanes`` to completion.
@@ -329,6 +350,10 @@ class BatchProgram:
         Call-free blocks with budget headroom use bulk accounting (see
         :class:`_BBlock`), everything else counts step by step.
         """
+        if not lanes:
+            # An unconditional branch hands its group on as it is, so an
+            # empty group would circle a self-loop forever.
+            return
         frame = ctx.frame
         counts = ctx.steps
         max_steps = ctx.max_steps
@@ -475,6 +500,7 @@ def _operand_info(compiler: "_BatchCompiler", value: Value):
     if isinstance(value, Function):
         return (_CONST, Pointer(f"func:{value.name}", 0))
     if isinstance(value, UndefValue):
+        compiler.lane_state = True
         value_type = value.type
         label = f"undef:{id(value)}"
 
@@ -951,6 +977,14 @@ class _BatchCompiler:
         self.blocks: Dict[int, _BBlock] = {
             id(block): _BBlock() for block in function.blocks
         }
+        # Raised by every compile method whose step reads ``ctx.interps``
+        # (see BatchProgram.lane_state); the entry checks read memory for
+        # pointer and dereferenceable parameters.
+        self.lane_state = any(
+            argument.type.is_pointer()
+            or argument.attributes.get_int("dereferenceable")
+            for argument in function.arguments
+        )
 
     def build(self) -> BatchProgram:
         for block in self.function.blocks:
@@ -972,6 +1006,7 @@ class _BatchCompiler:
             self.frame_size,
             len(self.function.arguments),
             self.edge(None, entry),
+            self.lane_state,
         )
 
     def operand(self, value: Value):
@@ -1156,6 +1191,7 @@ class _BatchCompiler:
         return _unary_step(fn, info, slot)
 
     def compile_freeze(self, inst: FreezeInst) -> BatchStep:
+        self.lane_state = True
         value = self.lane_operand(inst.value)
         slot = self.slots[id(inst)]
         frozen_type = inst.type
@@ -1178,6 +1214,7 @@ class _BatchCompiler:
         return step
 
     def compile_alloca(self, inst: AllocaInst) -> BatchStep:
+        self.lane_state = True
         size = _required_size(inst.allocated_type)
         slot = self.slots[id(inst)]
 
@@ -1194,6 +1231,7 @@ class _BatchCompiler:
         return step
 
     def compile_load(self, inst: LoadInst) -> BatchStep:
+        self.lane_state = True
         pointer = self.lane_operand(inst.pointer)
         size = _required_size(inst.type)
         slot = self.slots[id(inst)]
@@ -1257,6 +1295,7 @@ class _BatchCompiler:
         return step
 
     def compile_store(self, inst: StoreInst) -> BatchStep:
+        self.lane_state = True
         pointer = self.lane_operand(inst.pointer)
         value = self.lane_operand(inst.value)
         size = _required_size(inst.value.type)
@@ -1287,6 +1326,7 @@ class _BatchCompiler:
         return step
 
     def compile_gep(self, inst: GEPInst) -> BatchStep:
+        self.lane_state = True
         pointer = self.lane_operand(inst.pointer)
         element_size = _required_size(inst.source_type)
         index_parts = tuple(
@@ -1337,6 +1377,7 @@ class _BatchCompiler:
         resolvers = tuple(self.lane_operand(argument) for argument in inst.args)
         if callee.name.startswith("llvm."):
             return self.compile_intrinsic(inst, resolvers)
+        self.lane_state = True
         nonnull_checks = tuple(
             (index, argument.attributes.has("noundef"))
             for index, argument in enumerate(callee.arguments)
@@ -1646,10 +1687,13 @@ def batch_program_for(
 class BatchRunner:
     """Executes batches for one module side, reusing a lane arena.
 
-    Each lane is backed by a real scalar :class:`Interpreter` (its own
-    memory, oracle, alloca/call counters), reset per run exactly like
-    the scalar enumeration's arena — nested calls, external-call
-    modeling, and oracle choices run through unmodified scalar code.
+    A program with :attr:`~BatchProgram.lane_state` backs each lane with
+    a real scalar :class:`Interpreter` (its own memory, oracle,
+    alloca/call counters), reset per run exactly like the scalar
+    enumeration's arena — nested calls, external-call modeling, and
+    oracle choices run through unmodified scalar code.  Any other
+    program reads nothing but its argument columns, so its lanes get no
+    interpreter, memory or snapshot.
     """
 
     def __init__(
@@ -1691,57 +1735,82 @@ class BatchRunner:
         """Run one batch; ``lanes`` is a list of ``(runtime_args, blocks,
         observable, oracle)`` tuples.  Returns per-lane ``(status, value,
         memory, detail, steps)`` tuples mirroring the scalar
-        ``_run_once`` (plus the lane's exact step count)."""
+        ``_run_once`` (plus the lane's exact step count).  A program
+        without lane state never consults the oracle, which may then be
+        None."""
         size = len(lanes)
         ctx = _BatchContext(size, self.limits.max_steps)
         frame = [[_UNSET] * size for _ in range(program.frame_size)]
         num_args = program.num_args
         depth_exceeded = 0 > self.limits.max_call_depth
+        stateful = program.lane_state
+        if not stateful:
+            for lane in lanes:
+                if lane[2]:
+                    # Observable memory (pointer inputs built for another
+                    # signature) is snapshotted from a lane's arena.
+                    stateful = True
+                    break
+        # The entry check reads noundef and dereferenceable only; without
+        # pointer parameters noundef is all that can fail.
+        noundef: List[Tuple[int, str]] = []
+        checks_attributes = False
+        for position, argument in enumerate(function.arguments):
+            attributes = argument.attributes
+            if attributes.has("noundef"):
+                reason = f"poison passed to noundef arg %{argument.name}"
+                noundef.append((position, reason))
+                checks_attributes = True
+            elif attributes.get_int("dereferenceable"):
+                checks_attributes = True
         for index, (runtime_args, blocks, _observable, oracle) in enumerate(lanes):
-            interp = self._lane_interp(index)
-            interp.reset(oracle)
-            memory = interp.memory
-            for block_id, block_size, contents in blocks:
-                memory.add_block(block_id, block_size, list(contents))
-            ctx.interps.append(interp)
-            count = num_args
-            if len(runtime_args) < count:
-                count = len(runtime_args)
+            count = len(runtime_args)
+            if count > num_args:
+                count = num_args
             for position in range(count):
                 frame[position][index] = runtime_args[position]
+            if stateful:
+                interp = self._lane_interp(index)
+                interp.reset(oracle)
+                arena = interp.memory
+                for block_id, block_size, contents in blocks:
+                    arena.add_block(block_id, block_size, list(contents))
+                ctx.interps.append(interp)
             # Entry checks, in scalar _call order: depth, then argument
             # attributes (which may read this lane's fresh memory).
             if depth_exceeded:
                 ctx.timeout(index)
-                continue
-            try:
-                interp._check_argument_attributes(function, runtime_args)
-            except _LANE_ERRORS as exc:
-                ctx.trap_exception(index, exc)
+            elif stateful:
+                if checks_attributes:
+                    try:
+                        interp._check_argument_attributes(function, runtime_args)
+                    except _LANE_ERRORS as exc:
+                        ctx.trap_exception(index, exc)
+            else:
+                for position, reason in noundef:
+                    if position < count and runtime_args[position] is POISON:
+                        ctx.trap(index, reason)
+                        break
         ctx.frame = frame
         ctx.dead = False
-        live = [index for index in range(size) if ctx.running[index]]
         stats = _GLOBAL_BATCH_STATS
         stats.batches += 1
         stats.lanes += size
-        if live:
-            program.execute(ctx, live)
+        if not stateful:
+            stats.stateless_lanes += size
+        program.execute(ctx, [index for index in range(size) if ctx.running[index]])
         stats.divergence_splits += ctx.divergence_splits
         results = []
         for index in range(size):
             status = ctx.statuses[index]
             steps = ctx.steps[index]
             if status == "ok":
-                snapshot = ctx.interps[index].memory.snapshot(lanes[index][2])
-                results.append(
-                    (
-                        "ok",
-                        ctx.values[index],
-                        tuple(sorted(snapshot.items())),
-                        "",
-                        steps,
-                    )
-                )
+                if stateful:
+                    snapshot = ctx.interps[index].memory.snapshot(lanes[index][2])
+                    memory = tuple(sorted(snapshot.items()))
+                else:
+                    memory = ()
+                results.append(("ok", ctx.values[index], memory, "", steps))
             elif status == "ub":
                 results.append(("ub", None, (), ctx.details[index], steps))
             elif status == "timeout":

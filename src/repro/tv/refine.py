@@ -488,14 +488,25 @@ def _enumerate_all_batched(
     truncated-domain accounting replicate the scalar loop exactly —
     only the grouping of runs into plan walks changes.  Returns one
     ``(outcomes, exhausted)`` pair per input, in input order.
+
+    A program without lane state consults no oracle, so its first path
+    is its whole tree: one round, exhausted, with no oracle at all.
     """
     count = len(prepared)
-    outcomes: List[List[Outcome]] = [[] for _ in range(count)]
-    seen = [set() for _ in range(count)]
-    exhausted = [True] * count
     if config.max_nondet_runs <= 0:
         # The scalar loop exhausts its budget before the first run.
         return [([], False) for _ in range(count)]
+    if not program.lane_state and prepared:
+        results = runner.run_batch(
+            function, program, [lane + (None,) for lane in prepared]
+        )
+        return [
+            ([Outcome(status, value, memory, detail)], True)
+            for status, value, memory, detail, _steps in results
+        ]
+    outcomes: List[List[Outcome]] = [[] for _ in range(count)]
+    seen = [set() for _ in range(count)]
+    exhausted = [True] * count
     paths: List[Optional[List[int]]] = [[] for _ in range(count)]
     runs = [0] * count
     pending = list(range(count))
@@ -751,6 +762,18 @@ def check_refinement(
     for test_input, (src_outcomes, src_exhausted), (tgt_outcomes, _) in zip(
         inputs, src_results, tgt_results
     ):
+        if len(src_outcomes) == 1:
+            # A lone source behavior (DESIGN §6): UB allows anything,
+            # and a lone target behavior equal to an ok one refines it.
+            src_outcome = src_outcomes[0]
+            if src_outcome.status == "ub":
+                continue
+            if (
+                len(tgt_outcomes) == 1
+                and src_outcome.status == "ok"
+                and tgt_outcomes[0] == src_outcome
+            ):
+                continue
         if any(o.is_ub() for o in src_outcomes):
             # Some source nondeterminism hits UB; under the refinement
             # ordering anything is then allowed for choices we cannot

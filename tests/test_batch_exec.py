@@ -19,9 +19,11 @@ from repro.ir import parse_module
 from repro.mutate import Mutator, MutatorConfig
 from repro.opt import OptContext, PassManager
 from repro.tv import (
+    POISON,
     ExecutionLimits,
     Interpreter,
     PathOracle,
+    Pointer,
     RefinementConfig,
     StepLimitExceeded,
     UBError,
@@ -32,7 +34,9 @@ from repro.tv import (
 from repro.tv.batch import (
     BatchRunner,
     BatchUnsupported,
+    _BatchContext,
     batch_program_for,
+    compile_batch_program,
     global_batch_stats,
 )
 from repro.tv.oracle import advance_path
@@ -320,6 +324,234 @@ class TestArbitraryPlans:
             inputs = _inputs_for(function, config)
             assert_lanes_match(mutant, function, inputs)
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_stateless_lanes_equal_forced_lane_state(self, seed):
+        # Every program the compiler marks stateless must give the same
+        # per-lane 5-tuples when it is run with an interpreter per lane.
+        pairs = corpus_modules(4, seed=seed % 1000 + 1)
+        module = pairs[seed % len(pairs)][1]
+        mutant, _record = Mutator(module, MutatorConfig(max_mutations=3)).create_mutant(
+            seed
+        )
+        config = RefinementConfig(max_inputs=6, seed=seed % 7)
+        for function in mutant.definitions():
+            if check_function_supported(function) is not None:
+                continue
+            assert_stateless_matches_forced(
+                mutant, function, _inputs_for(function, config)
+            )
+
+    def test_wide_batch_of_256_lanes(self):
+        # Two i8 arguments give a sampled set of max_inputs lanes in one
+        # batch; traps, poison and divergence all occur among them.
+        module = parsed(WIDE_BATCH_FUNCTION)
+        function = module.get_function("wide")
+        inputs = _inputs_for(function, RefinementConfig(max_inputs=256))
+        assert len(inputs) == 256
+        stateless_before = global_batch_stats().stateless_lanes
+        assert assert_lanes_match(module, function, inputs) == 256
+        assert global_batch_stats().stateless_lanes == stateless_before + 256
+        assert assert_stateless_matches_forced(module, function, inputs) == 256
+
+
+WIDE_BATCH_FUNCTION = """
+declare i8 @llvm.umax.i8(i8, i8)
+
+define i8 @wide(i8 %x, i8 %y) {
+entry:
+  %s = add nsw i8 %x, %y
+  %big = icmp ugt i8 %s, 100
+  br i1 %big, label %div, label %join
+div:
+  %q = sdiv i8 %x, %y
+  br label %join
+join:
+  %r = phi i8 [ %q, %div ], [ %s, %entry ]
+  %m = call i8 @llvm.umax.i8(i8 %r, i8 3)
+  ret i8 %m
+}
+"""
+
+
+def assert_stateless_matches_forced(module, function, inputs):
+    """Run a stateless program twice — as compiled, and with
+    ``lane_state`` forced on so every lane gets an interpreter — and
+    require identical per-lane 5-tuples.  Returns the number of
+    compared lanes (0 when the program has lane state)."""
+    try:
+        program = compile_batch_program(function)
+    except BatchUnsupported:
+        return 0
+    if program.lane_state:
+        return 0
+    forced = compile_batch_program(function)
+    forced.lane_state = True
+    runner = BatchRunner(module)
+    prepared = [_prepare_input(function, test_input) for test_input in inputs]
+    stateless = runner.run_batch(
+        function, program, [lane + (None,) for lane in prepared]
+    )
+    stateful = runner.run_batch(
+        function, forced, [lane + (PathOracle([]),) for lane in prepared]
+    )
+    assert stateless == stateful, f"@{function.name}"
+    return len(prepared)
+
+
+# ---------------------------------------------------------------------------
+# Which programs need per-lane state.
+# ---------------------------------------------------------------------------
+
+
+def _lane_state(body, params="i32 %x", declarations=""):
+    module = parsed(
+        f"{declarations}\ndefine i32 @f({params}) {{\n{body}\n}}"
+    )
+    return compile_batch_program(module.get_function("f")).lane_state
+
+
+class TestLaneStateFlag:
+    @pytest.mark.parametrize(
+        "body, params, declarations",
+        [
+            ("  %r = add i32 %x, undef\n  ret i32 %r", "i32 %x", ""),
+            ("  %r = freeze i32 %x\n  ret i32 %r", "i32 %x", ""),
+            ("  %p = alloca i32\n  ret i32 %x", "i32 %x", ""),
+            ("  %r = load i32, ptr null\n  ret i32 %r", "i32 %x", ""),
+            ("  store i32 %x, ptr null\n  ret i32 %x", "i32 %x", ""),
+            (
+                "  %p = getelementptr i8, ptr null, i32 %x\n  ret i32 %x",
+                "i32 %x",
+                "",
+            ),
+            (
+                "  %r = call i32 @ext(i32 %x)\n  ret i32 %r",
+                "i32 %x",
+                "declare i32 @ext(i32)",
+            ),
+            (
+                "  %r = call i32 @g(i32 %x)\n  ret i32 %r",
+                "i32 %x",
+                "define i32 @g(i32 %y) {\n  ret i32 %y\n}",
+            ),
+            ("  ret i32 0", "ptr %p", ""),
+            ("  ret i32 %x", "i32 dereferenceable(4) %x", ""),
+        ],
+        ids=[
+            "undef",
+            "freeze",
+            "alloca",
+            "load",
+            "store",
+            "gep",
+            "external-call",
+            "defined-call",
+            "pointer-param",
+            "dereferenceable-param",
+        ],
+    )
+    def test_stateful_constructs_set_the_flag(self, body, params, declarations):
+        assert _lane_state(body, params, declarations)
+
+    def test_pure_control_and_arithmetic_is_stateless(self):
+        body = """
+entry:
+  %a = add nsw i32 %x, 1
+  %t = trunc i32 %a to i8
+  %z = zext i8 %t to i32
+  %s = sext i8 %t to i32
+  %c = icmp slt i32 %z, %s
+  %m = select i1 %c, i32 %z, i32 %s
+  %u = call i32 @llvm.umax.i32(i32 %m, i32 %x)
+  call void @llvm.assume(i1 true)
+  br i1 %c, label %left, label %right
+left:
+  br label %join
+right:
+  switch i32 %u, label %join [
+    i32 0, label %left
+  ]
+join:
+  %r = phi i32 [ %a, %left ], [ %u, %right ]
+  ret i32 %r
+"""
+        declarations = (
+            "declare i32 @llvm.umax.i32(i32, i32)\ndeclare void @llvm.assume(i1)"
+        )
+        assert not _lane_state(body, "i32 noundef %x", declarations)
+
+
+class TestEmptyBatch:
+    SELF_LOOP = """
+    define i32 @spin(i32 %x) {
+    entry:
+      br label %l
+    l:
+      br label %l
+    }
+    """
+
+    def test_run_batch_with_no_lanes_returns(self):
+        module = parsed(self.SELF_LOOP)
+        function = module.get_function("spin")
+        program = compile_batch_program(function)
+        assert BatchRunner(module).run_batch(function, program, []) == []
+
+    def test_execute_returns_on_an_empty_group(self):
+        module = parsed(self.SELF_LOOP)
+        program = compile_batch_program(module.get_function("spin"))
+        ctx = _BatchContext(0, ExecutionLimits().max_steps)
+        ctx.frame = [[] for _ in range(program.frame_size)]
+        program.execute(ctx, [])
+        assert ctx.divergence_splits == 0
+
+
+class TestStatelessEntryChecks:
+    def test_noundef_poison_argument_traps_like_the_scalar_path(self):
+        module = parsed(
+            "define i32 @f(i32 %x, i32 noundef %y) {\n"
+            "  %r = add i32 %x, %y\n  ret i32 %r\n}"
+        )
+        function = module.get_function("f")
+        program = compile_batch_program(function)
+        assert not program.lane_state
+        lanes = [
+            ([1, 2], [], [], PathOracle([])),
+            ([POISON, 2], [], [], PathOracle([])),
+            ([1, POISON], [], [], PathOracle([])),
+        ]
+        batched = BatchRunner(module).run_batch(function, program, lanes)
+        scalar = _scalar_reference(module, function, lanes, ExecutionLimits())
+        assert batched == scalar
+        assert batched[2][3] == "poison passed to noundef arg %y"
+
+    def test_observable_memory_keeps_the_arena(self):
+        # A pointer input checked against a pointer-free signature (as
+        # when two files disagree on a parameter type) still reports the
+        # block in its memory snapshot, exactly like the scalar path.
+        module = parsed("define i32 @f(i64 %p) {\n  ret i32 7\n}")
+        function = module.get_function("f")
+        program = compile_batch_program(function)
+        assert not program.lane_state
+        lanes = [
+            ([Pointer("arg:p", 0)], [("arg:p", 4, (1, 2, 3, 4))], ["arg:p"], None)
+        ]
+        batched = BatchRunner(module).run_batch(function, program, lanes)
+        scalar = _scalar_reference(module, function, lanes, ExecutionLimits())
+        assert batched == scalar
+        assert batched[0][2] == (("arg:p", (1, 2, 3, 4)),)
+
+    def test_depth_limit_still_times_out(self):
+        module = parsed("define i32 @f(i32 %x) {\n  ret i32 %x\n}")
+        function = module.get_function("f")
+        program = compile_batch_program(function)
+        limits = ExecutionLimits(max_call_depth=-1)
+        lanes = [([5], [], [], PathOracle([]))]
+        batched = BatchRunner(module, limits).run_batch(function, program, lanes)
+        assert batched == _scalar_reference(module, function, lanes, limits)
+        assert batched[0][0] == "timeout"
+
 
 # ---------------------------------------------------------------------------
 # Refinement-level invariance: batched on/off is unobservable.
@@ -456,6 +688,16 @@ class TestDriverParity:
         assert batched_driver.metrics.counter("exec.batch.lanes") > 0
         assert scalar_driver.metrics.counter("exec.batch.batches") == 0
         assert scalar_driver.metrics.counter("exec.batch.lanes") == 0
+
+    def test_stateless_lanes_are_harvested_outside_deterministic(self):
+        # DRIVER_SEED has no memory, undef or call, so most of its
+        # mutants run stateless; the counter stays out of deterministic().
+        reset_global_plan_cache()
+        driver, _ = self._run(True)
+        metrics = driver.metrics
+        stateless = metrics.counter("exec.batch.stateless_lanes")
+        assert 0 < stateless <= metrics.counter("exec.batch.lanes")
+        assert not any("stateless" in name for name in metrics.deterministic())
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,35 @@ define i32 @f(i32 %x, i32 %extra) {
         assert check(src, tgt).verdict == Verdict.UNSUPPORTED
 
 
+class TestInconclusiveCounting:
+    # One inconclusive is counted per target outcome that matches no
+    # source outcome of a non-exhausted source, not one per input: the
+    # source's wide undef is a sample (not exhausted), and the target's
+    # undef i1 select gives two values outside that sample.
+    SRC = """
+define i32 @f() {
+  ret i32 undef
+}
+"""
+    TGT = """
+define i32 @f() {
+  %r = select i1 undef, i32 7, i32 9
+  ret i32 %r
+}
+"""
+
+    def test_counts_each_unmatched_target_outcome(self):
+        src = parsed(self.SRC)
+        tgt = parsed(self.TGT)
+        for batched in (True, False):
+            result = check_refinement(
+                src.get_function("f"), tgt.get_function("f"), src, tgt,
+                RefinementConfig(batched=batched))
+            assert result.verdict == Verdict.CORRECT
+            assert result.inputs_checked == 1
+            assert result.inconclusive_inputs == 2
+
+
 class TestModuleRefinement:
     def test_pairs_by_name(self):
         src = parsed("""
