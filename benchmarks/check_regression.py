@@ -87,15 +87,16 @@ GATES = [
     ("cow_memo", "BENCH_cow_memo.json", "speedup", "floor"),
     ("cow_memo", "BENCH_cow_memo.json", "optimize_hit_rate", "floor"),
     ("cow_memo", "BENCH_cow_memo.json", "mutants_per_sec", "floor"),
-    ("exec_compile", "BENCH_exec_compile.json", "pairs", "exact"),
-    ("exec_compile", "BENCH_exec_compile.json", "plan_fallbacks", "exact"),
-    ("exec_compile", "BENCH_exec_compile.json", "speedup", "floor"),
-    ("exec_compile", "BENCH_exec_compile.json", "plan_hit_rate", "floor"),
-    ("exec_compile", "BENCH_exec_compile.json", "checks_per_sec", "floor"),
-    # floor 2.0 - 25% = 1.5x: the E10 acceptance criterion.
+    # E10 batched vs per-input tree-walking; it carries the gates of the
+    # former E8 (compiled vs tree-walk) ablation, which timed the same
+    # pair once the scalar closure compiler was gone.  Where both had a
+    # gate (speedup, checks_per_sec) the baselines keep the stricter
+    # value, so the quick speedup floor is 3.0 - 25% = 2.25x.
     ("batch_exec", "BENCH_batch_exec.json", "pairs", "exact"),
     ("batch_exec", "BENCH_batch_exec.json", "scalar_fallbacks", "exact"),
+    ("batch_exec", "BENCH_batch_exec.json", "plan_fallbacks", "exact"),
     ("batch_exec", "BENCH_batch_exec.json", "speedup", "floor"),
+    ("batch_exec", "BENCH_batch_exec.json", "plan_hit_rate", "floor"),
     ("batch_exec", "BENCH_batch_exec.json", "lanes_per_batch", "floor"),
     ("batch_exec", "BENCH_batch_exec.json", "checks_per_sec", "floor"),
     ("throughput", "BENCH_throughput.json", "files", "exact"),

@@ -1,17 +1,20 @@
-"""E10 — ablation of batched (struct-of-arrays) execution (ROADMAP 3).
+"""E10 — ablation of batched execution plans (paper §III-B, ROADMAP 3).
 
-After E8's compile-once plans, the verify stage still replays the same
-plan once per enumerated input: ``max_inputs`` scalar walks per side
-per check.  Batched execution drives the whole pending input set down
-each plan step as a vector of lanes — one tight loop per instruction
-instead of one interpreter walk per input — regrouping lanes at
-divergent branches and masking out lanes that trap.
+The verify stage dominates the integrated loop (see overheads.txt).
+Tree-walking it pays per-instruction dispatch on every run of every
+enumerated input: ``max_inputs`` walks per side per check.  Batched
+execution lowers each function once into struct-of-arrays steps, cached
+on its execution plan so every input, path and mutant that re-executes
+the function shares one compilation, and drives the whole pending input
+set down each step as a vector of lanes — one tight loop per
+instruction instead of one interpreter walk per input — regrouping lanes
+at divergent branches and masking out lanes that trap.
 
 The ablation (``--no-batched-exec`` / ``RefinementConfig(batched=
-False)``) enumerates scalar runs instead.  Verdicts must be identical —
-batching is a pure performance layer over the same semantics — and the
-batched mode must clear a 2x speedup floor on this verification
-workload.
+False)``) tree-walks each input on the reference interpreter instead.
+Verdicts must be identical — batching is a pure performance layer over
+the same semantics — and the batched mode must clear a 2x speedup floor
+on this verification workload.
 """
 
 import time
@@ -54,7 +57,7 @@ def _pairs():
 def test_bench_batch_exec_ablation(benchmark):
     jobs = _pairs()
     assert jobs
-    reset_global_plan_cache()
+    cache = reset_global_plan_cache()
     reset_global_batch_stats()
     results = {"batched": float("inf"), "scalar": float("inf")}
     verdicts = {}
@@ -84,8 +87,8 @@ def test_bench_batch_exec_ablation(benchmark):
     def measure_both():
         # Interleave the two modes round-robin and keep each mode's
         # best round, so a transient load spike cannot skew the
-        # comparison.  Both modes share the warm plan cache, exactly
-        # as they would across a long campaign.
+        # comparison.  The plan cache warms on the first round, exactly
+        # as it would across a long campaign.
         for _ in range(ROUNDS):
             for mode, batched in (("batched", True), ("scalar", False)):
                 begin = time.perf_counter()
@@ -100,6 +103,9 @@ def test_bench_batch_exec_ablation(benchmark):
 
     batches, lanes, splits, fallbacks = global_batch_stats().stats()[:4]
     lanes_per_batch = lanes / batches if batches else 0.0
+    hits, misses, plan_fallbacks = cache.stats()
+    lookups = hits + misses
+    plan_hit_rate = hits / lookups if lookups else 0.0
     speedup = results["scalar"] / results["batched"]
     unsound = sum(
         1 for _, verdict, _, _, _ in verdicts["batched"]
@@ -118,26 +124,33 @@ def test_bench_batch_exec_ablation(benchmark):
         "lanes_per_batch": round(lanes_per_batch, 3),
         "divergence_splits": splits,
         "scalar_fallbacks": fallbacks,
+        "plan_hit_rate": round(plan_hit_rate, 6),
+        "plan_fallbacks": plan_fallbacks,
         "unsound_pairs": unsound,
     }
     write_json("BENCH_batch_exec.json", payload)
     report = (
         f"batched exec:    {results['batched']:.3f}s per best "
         f"{len(jobs)}-pair round\n"
-        f"scalar exec:     {results['scalar']:.3f}s per best "
+        f"tree-walking:    {results['scalar']:.3f}s per best "
         f"{len(jobs)}-pair round\n"
         f"speedup:         {speedup:.2f}x\n"
         f"lanes per batch: {lanes_per_batch:.1f} "
         f"({splits} divergence splits, {fallbacks} fallbacks)\n"
+        f"plan hit rate:   {plan_hit_rate:.0%} "
+        f"({plan_fallbacks} fallbacks)\n"
         f"verdicts (equal in both modes): {len(jobs)} pairs, "
         f"{unsound} unsound\n"
     )
     write_report("batch_exec_ablation.txt", report)
     print("\n" + report)
 
-    # Acceptance floor: batched execution must beat per-input scalar
-    # enumeration by at least 2x on this verification workload.
+    # Acceptance floor: batched execution must beat per-input
+    # tree-walking by at least 2x on this verification workload.
     assert speedup >= 2.0
+    # After the warm-up round most plan lookups must be cache hits.
+    assert plan_hit_rate > 0.5
+    assert plan_fallbacks == 0
     # The whole corpus must actually take the batched path.
     assert fallbacks == 0
     assert lanes_per_batch > 1.0
@@ -145,7 +158,8 @@ def test_bench_batch_exec_ablation(benchmark):
 
 def test_bench_batch_exec_driver_parity(benchmark):
     """Driver-level invariance: same findings, same deterministic
-    metrics, with the batched mode's lane counters visibly live."""
+    metrics, with the batched mode's lane counters visibly live and its
+    plan cache visibly hot."""
     seed_text = "\n".join(
         [
             "define i32 @clamp(i32 %x, i32 %y) {",
@@ -195,6 +209,8 @@ def test_bench_batch_exec_driver_parity(benchmark):
         batches = batched_driver.metrics.counter("exec.batch.batches")
         assert batches > 0 and lanes >= batches
         assert scalar_driver.metrics.counter("exec.batch.batches") == 0
+        # Repeated functions are served from the plan cache.
+        assert batched_driver.metrics.counter("exec.plan_cache.hit") > 0
         return lanes, batches
 
     benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -208,11 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "incremental-optimizer ablation; findings "
                              "are identical either way, throughput is "
                              "not)")
-    parser.add_argument("--no-compiled-exec", action="store_true",
-                        help="disable compiled execution plans and "
-                             "tree-walk the IR during verification (the "
-                             "interpreter ablation; findings are "
-                             "identical either way, throughput is not)")
     parser.add_argument("--no-batched-exec", action="store_true",
                         help="run enumerated inputs one at a time "
                              "instead of struct-of-arrays batches (the "
@@ -286,7 +281,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         enabled_bugs=tuple(args.enable_bug),
         mutator=mutator_config,
         tv=RefinementConfig(max_inputs=args.max_inputs,
-                            compiled=not args.no_compiled_exec,
                             batched=not args.no_batched_exec),
         base_seed=args.seed,
         save_dir=args.save_dir,

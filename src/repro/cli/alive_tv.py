@@ -25,14 +25,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inputs per function pair")
     parser.add_argument("--seed", type=int, default=0,
                         help="input-generation seed")
-    parser.add_argument("--no-compiled-exec", action="store_true",
-                        help="tree-walk the IR instead of compiling "
-                             "execution plans (verdicts are identical "
-                             "either way)")
     parser.add_argument("--no-batched-exec", action="store_true",
-                        help="run enumerated inputs one at a time "
-                             "instead of struct-of-arrays batches "
-                             "(verdicts are identical either way)")
+                        help="tree-walk enumerated inputs one at a time "
+                             "instead of running struct-of-arrays "
+                             "batches (verdicts are identical either way)")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="only set the exit code")
     return parser
@@ -40,6 +36,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    config = RefinementConfig(max_inputs=args.max_inputs, seed=args.seed,
+                              batched=not args.no_batched_exec)
+    try:
+        config.validate()
+    except ValueError as exc:
+        print(f"alive-tv: {exc}", file=sys.stderr)
+        return 2
     try:
         source = load_module_file(args.source)
         target = load_module_file(args.target)
@@ -47,9 +50,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"alive-tv: {exc}", file=sys.stderr)
         return 2
 
-    config = RefinementConfig(max_inputs=args.max_inputs, seed=args.seed,
-                              compiled=not args.no_compiled_exec,
-                              batched=not args.no_batched_exec)
     results = check_module_refinement(source, target, config)
     unsound = 0
     for name, result in results.items():

@@ -65,10 +65,12 @@ def jobs_fingerprint(jobs: Sequence) -> str:
     Depends only on what each job *computes* — index, seed file text,
     per-job :class:`~repro.fuzz.driver.FuzzConfig`, iteration/time
     budget, confirmation mode.  Deliberately independent of scheduling
-    (worker count, deadlines, retry policy) and of operational path
-    knobs (``feedback.corpus_dir`` — where the corpus journal lands
-    never changes what a job computes), so operational tuning never
-    invalidates completed work.
+    (worker count, deadlines, retry policy), of operational path knobs
+    (``feedback.corpus_dir`` — where the corpus journal lands never
+    changes what a job computes) and of the execution engine
+    (``tv.batched`` — verdicts are identical either way, which is why
+    ``RefinementConfig.cache_key`` leaves it out too), so operational
+    tuning never invalidates completed work.
     """
     digest = hashlib.sha256()
     for job in jobs:
@@ -76,6 +78,9 @@ def jobs_fingerprint(jobs: Sequence) -> str:
         feedback = config.get("feedback")
         if isinstance(feedback, dict):
             feedback["corpus_dir"] = None
+        tv = config.get("tv")
+        if isinstance(tv, dict):
+            tv["batched"] = None
         payload = {
             "index": job.job_index,
             "file": job.file_name,

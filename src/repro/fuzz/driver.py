@@ -100,11 +100,10 @@ class FuzzConfig:
         from ..opt import available_passes, available_pipelines, expand
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
-        if self.tv.seed < 0:
-            raise ConfigError(f"tv.seed must be >= 0, got {self.tv.seed}")
-        if self.tv.max_inputs <= 0:
-            raise ConfigError(
-                f"tv.max_inputs must be positive, got {self.tv.max_inputs}")
+        try:
+            self.tv.validate()
+        except ValueError as exc:
+            raise ConfigError(f"tv.{exc}") from None
         if self.mutator.min_mutations < 1:
             raise ConfigError("mutator.min_mutations must be >= 1, "
                               f"got {self.mutator.min_mutations}")
@@ -247,8 +246,7 @@ class FuzzDriver:
         # process-wide (repro.tv.compile), so hit/miss deltas since the
         # last snapshot are folded into this driver's metrics at stage
         # boundaries as exec.plan_cache.* counters.
-        self._plan_stats: Optional[Tuple[int, ...]] = (
-            self._plan_cache_stats() if self.config.tv.compiled else None)
+        self._plan_stats: Tuple[int, ...] = self._plan_cache_stats()
         # Execution observability follows the same delta-fold pattern:
         # exec.batch.* counters record lanes driven per batch (and how
         # many needed no interpreter), divergence regrouping, and scalar
@@ -641,8 +639,6 @@ class FuzzDriver:
     def _harvest_plan_stats(self) -> None:
         """Fold plan-cache deltas since the last call into metrics, and
         raise the resident-slots high-water mark."""
-        if self._plan_stats is None:
-            return
         stats = self._plan_cache_stats()
         previous = self._plan_stats
         if stats == previous:

@@ -38,6 +38,7 @@ __all__ = [
     "called_definitions",
     "fingerprint_closure",
     "fingerprint_function",
+    "referenced_functions",
     "references_definitions",
 ]
 
@@ -171,7 +172,7 @@ def fingerprint_function(function: Function,
     return digest
 
 
-def _referenced_functions(function: Function) -> List[Function]:
+def referenced_functions(function: Function) -> List[Function]:
     """Every other Function object ``function``'s body references, in
     order of first reference (an instruction's operands, then its callee).
 
@@ -197,7 +198,7 @@ def _referenced_functions(function: Function) -> List[Function]:
 def called_definitions(function: Function) -> List[Function]:
     """Defined (non-declaration) functions, other than ``function``
     itself, that ``function`` references."""
-    return [fn for fn in _referenced_functions(function)
+    return [fn for fn in referenced_functions(function)
             if not fn.is_declaration()]
 
 

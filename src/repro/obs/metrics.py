@@ -223,7 +223,7 @@ class MetricsRegistry:
         stay identical — that invariance is what the deterministic
         subset certifies.  ``exec.*`` covers the execution-plan cache
         counters, which likewise vary with sharding, resume boundaries
-        and the ``--no-compiled-exec`` ablation without affecting
+        and the ``--no-batched-exec`` ablation without affecting
         verdicts.  ``dist.*``/``chaos.*`` cover the distributed queue's
         protocol bookkeeping (claims, heartbeats, reclaims, dedups) and
         injected chaos — which node ran which job and how many leases

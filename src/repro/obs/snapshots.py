@@ -55,9 +55,8 @@ class ThroughputSnapshot:
     # off or no lookups happened yet.
     optimize_hit_rate: float = 0.0
     verify_hit_rate: float = 0.0
-    # Execution-plan cache effectiveness (compiled interpreter, paper
-    # §III-B "pay once"): hit rate of the global plan cache, 0.0 when
-    # compiled execution is off or no lookups happened yet.
+    # Execution-plan cache effectiveness (paper §III-B "pay once"): hit
+    # rate of the global plan cache, 0.0 when no lookups happened yet.
     exec_plan_hit_rate: float = 0.0
     # What the plan cache holds and sheds: plans evicted, and the
     # high-water mark of resident frame slots (its bound's unit).

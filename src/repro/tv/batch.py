@@ -1,11 +1,11 @@
-"""Struct-of-arrays batched execution for compiled TV plans (ROADMAP 3).
+"""Struct-of-arrays batched execution for TV plans (ROADMAP 3).
 
 The refinement checker enumerates the same function over
-``max_inputs x max_nondet_runs`` runs, and after PR 5's compile-once
-plans every one of those runs replays the same closure sequence — the
-remaining waste is re-walking the plan once per enumerated input.  This
-module executes one *batch* of lanes (one lane per pending input) per
-plan walk:
+``max_inputs x max_nondet_runs`` runs.  Walking the IR once per run pays
+per-instruction dispatch and re-derives every static fact (widths,
+flags, branch targets, phi schedules) for each input.  This module
+lowers a function once into batched steps with those facts captured, and
+executes one *batch* of lanes (one lane per pending input) per walk:
 
 * frames are struct-of-arrays — ``frame[slot]`` is a per-lane column,
   so each batched step resolves its static operands once and then
@@ -17,24 +17,24 @@ plan walk:
   proceed independently off a worklist, sharing the frame columns
   (their lane indices are disjoint by construction);
 * everything per-lane-stateful (memory, oracle choices, external-call
-  sequence numbers, nested calls) runs against that lane's own scalar
-  :class:`~repro.tv.interp.Interpreter`, and nested defined calls fall
-  back to the scalar ``_call`` path wholesale — so observable semantics
-  (poison/undef propagation, oracle choice order and domain sizes, UB
-  classification, step accounting) are identical by construction.  The
-  differential suite in ``tests/test_batch_exec.py`` locks lane-by-lane
-  bit-equality against the scalar path;
+  sequence numbers, nested calls) runs against that lane's own
+  :class:`~repro.tv.interp.Interpreter`, and nested defined calls are
+  tree-walked by it wholesale — so observable semantics (poison/undef
+  propagation, oracle choice order and domain sizes, UB classification,
+  step accounting) are the reference walker's.  The differential suite
+  in ``tests/test_batch_exec.py`` locks lane-by-lane bit-equality
+  against it;
 * a program none of whose steps reads that state (no undef, freeze,
   memory access, non-intrinsic call or pointer parameter — see
   :attr:`BatchProgram.lane_state`) gets no interpreter at all: its lanes
   are argument columns plus the ``noundef`` entry check.
 
-Batch programs are compiled lazily from the scalar
-:class:`~repro.tv.compile.ExecutionPlan` (and cached on it, so the
-global plan cache shares them across mutants).  Anything the batch
-compiler declines — deferred size errors whose ``ValueError`` must
-abort the whole check in scalar input order — falls back to the scalar
-enumeration, counted in ``exec.batch.scalar_fallbacks``.
+Batch programs are compiled lazily and cached on the function's
+:class:`~repro.tv.compile.ExecutionPlan`, so the global plan cache
+shares them across mutants.  Anything the batch compiler declines —
+deferred size errors whose ``ValueError`` must abort the whole check in
+scalar input order — is tree-walked one input at a time instead,
+counted in ``exec.batch.scalar_fallbacks``.
 """
 
 from __future__ import annotations
@@ -69,22 +69,22 @@ from ..ir.values import (
     UndefValue,
     Value,
 )
-from .compile import (
-    _ICMP_COMPARATORS,
-    _SIGNED_ICMP,
-    _UNDEF_BYTE_CHOICES,
-    _UNSET,
-    ExecutionPlan,
-    _binary_fn,
-    _constant_pointer_address,
-    _safe_size,
+from .compile import ExecutionPlan
+from .domain import (
+    NULL_POINTER,
+    POISON,
+    Pointer,
+    fits_signed,
+    to_signed,
+    to_unsigned,
+    trunc_div,
 )
-from .domain import NULL_POINTER, POISON, Pointer, to_signed, to_unsigned
 from .interp import (
     ExecutionLimits,
     Interpreter,
     StepLimitExceeded,
     UBError,
+    byte_size_of_type,
     evaluate_intrinsic,
     pointer_address,
 )
@@ -118,6 +118,214 @@ _DYN = "dyn"
 
 LaneResolver = Callable[["_BatchContext", List[List[Any]], int], Any]
 BatchStep = Callable[["_BatchContext", List[List[Any]], List[int]], Any]
+
+# A frame slot that was never written.  Distinct from None: void call
+# results are never stored, and a returned None must not read as "set".
+_UNSET = object()
+
+_UNDEF_BYTE_CHOICES = (0, 0xFF, 0x5A)
+
+
+def _constant_pointer_address(value: Value) -> Optional[int]:
+    """``pointer_address`` of a constant-pointer operand, folded at
+    compile time (None for any other operand)."""
+    if isinstance(value, ConstantPointerNull):
+        return pointer_address(NULL_POINTER)
+    if isinstance(value, Function):
+        return pointer_address(Pointer(f"func:{value.name}", 0))
+    return None
+
+
+_ICMP_COMPARATORS = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "ugt": operator.gt,
+    "uge": operator.ge,
+    "ult": operator.lt,
+    "ule": operator.le,
+    "sgt": operator.gt,
+    "sge": operator.ge,
+    "slt": operator.lt,
+    "sle": operator.le,
+}
+
+_SIGNED_ICMP = ("sgt", "sge", "slt", "sle")
+
+
+def _safe_size(type) -> Tuple[Optional[int], Optional[str]]:
+    """byte_size_of_type with the error deferred to execution time."""
+    try:
+        return byte_size_of_type(type), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+# -- binary operator specialization ------------------------------------------
+
+
+def _binary_fn(opcode: str, width: int, nuw: bool, nsw: bool, exact: bool):
+    """A closure computing one binary op on resolved values.  Each branch
+    mirrors the corresponding case of ``Interpreter._eval_binary``."""
+    mask = (1 << width) - 1
+    int_min = -(1 << (width - 1))
+
+    if opcode == "add":
+        def fn(lhs, rhs):
+            if lhs is POISON or rhs is POISON:
+                return POISON
+            total = lhs + rhs
+            result = total & mask
+            if nuw and total > mask:
+                return POISON
+            if nsw and not fits_signed(
+                to_signed(lhs, width) + to_signed(rhs, width), width
+            ):
+                return POISON
+            return result
+        return fn
+    if opcode == "sub":
+        def fn(lhs, rhs):
+            if lhs is POISON or rhs is POISON:
+                return POISON
+            difference = lhs - rhs
+            result = difference & mask
+            if nuw and difference < 0:
+                return POISON
+            if nsw and not fits_signed(
+                to_signed(lhs, width) - to_signed(rhs, width), width
+            ):
+                return POISON
+            return result
+        return fn
+    if opcode == "mul":
+        def fn(lhs, rhs):
+            if lhs is POISON or rhs is POISON:
+                return POISON
+            product = lhs * rhs
+            result = product & mask
+            if nuw and product > mask:
+                return POISON
+            if nsw and not fits_signed(
+                to_signed(lhs, width) * to_signed(rhs, width), width
+            ):
+                return POISON
+            return result
+        return fn
+    if opcode == "udiv":
+        def fn(lhs, rhs):
+            # Division by zero is immediate UB even with poison on the
+            # other side, so check the divisor first.
+            if rhs is POISON:
+                raise UBError("udiv by poison divisor")
+            if rhs == 0:
+                raise UBError("udiv by zero")
+            if lhs is POISON:
+                return POISON
+            result = lhs // rhs
+            if exact and lhs % rhs != 0:
+                return POISON
+            return result
+        return fn
+    if opcode == "sdiv":
+        def fn(lhs, rhs):
+            if rhs is POISON:
+                raise UBError("sdiv by poison divisor")
+            if rhs == 0:
+                raise UBError("sdiv by zero")
+            if lhs is POISON:
+                return POISON
+            signed_lhs = to_signed(lhs, width)
+            signed_rhs = to_signed(rhs, width)
+            if signed_lhs == int_min and signed_rhs == -1:
+                raise UBError("sdiv overflow")
+            quotient = trunc_div(signed_lhs, signed_rhs)
+            if exact and signed_lhs - quotient * signed_rhs != 0:
+                return POISON
+            return to_unsigned(quotient, width)
+        return fn
+    if opcode == "urem":
+        def fn(lhs, rhs):
+            if rhs is POISON:
+                raise UBError("urem by poison divisor")
+            if rhs == 0:
+                raise UBError("urem by zero")
+            if lhs is POISON:
+                return POISON
+            return lhs % rhs
+        return fn
+    if opcode == "srem":
+        def fn(lhs, rhs):
+            if rhs is POISON:
+                raise UBError("srem by poison divisor")
+            if rhs == 0:
+                raise UBError("srem by zero")
+            if lhs is POISON:
+                return POISON
+            signed_lhs = to_signed(lhs, width)
+            signed_rhs = to_signed(rhs, width)
+            if signed_lhs == int_min and signed_rhs == -1:
+                raise UBError("srem overflow")
+            remainder = signed_lhs - trunc_div(signed_lhs, signed_rhs) * signed_rhs
+            return to_unsigned(remainder, width)
+        return fn
+    if opcode == "shl":
+        def fn(lhs, rhs):
+            if lhs is POISON or rhs is POISON:
+                return POISON
+            if rhs >= width:
+                return POISON
+            full = lhs << rhs
+            result = full & mask
+            if nuw and full > mask:
+                return POISON
+            if nsw and to_signed(result, width) != to_signed(lhs, width) * (1 << rhs):
+                return POISON
+            return result
+        return fn
+    if opcode == "lshr":
+        def fn(lhs, rhs):
+            if lhs is POISON or rhs is POISON:
+                return POISON
+            if rhs >= width:
+                return POISON
+            if exact and lhs & ((1 << rhs) - 1):
+                return POISON
+            return lhs >> rhs
+        return fn
+    if opcode == "ashr":
+        def fn(lhs, rhs):
+            if lhs is POISON or rhs is POISON:
+                return POISON
+            if rhs >= width:
+                return POISON
+            if exact and lhs & ((1 << rhs) - 1):
+                return POISON
+            return to_unsigned(to_signed(lhs, width) >> rhs, width)
+        return fn
+    if opcode == "and":
+        def fn(lhs, rhs):
+            if lhs is POISON or rhs is POISON:
+                return POISON
+            return lhs & rhs
+        return fn
+    if opcode == "or":
+        def fn(lhs, rhs):
+            if lhs is POISON or rhs is POISON:
+                return POISON
+            return lhs | rhs
+        return fn
+    if opcode == "xor":
+        def fn(lhs, rhs):
+            if lhs is POISON or rhs is POISON:
+                return POISON
+            return lhs ^ rhs
+        return fn
+
+    def fn(lhs, rhs):  # constructor-validated; defensively mirrored
+        if lhs is POISON or rhs is POISON:
+            return POISON
+        raise UBError(f"unsupported binary opcode {opcode}")
+    return fn
 
 
 class BatchUnsupported(Exception):
@@ -329,20 +537,20 @@ class BatchProgram:
     rather than silently.
     """
 
-    __slots__ = ("frame_size", "num_args", "entry_edge", "lane_state")
+    __slots__ = ("frame_size", "num_args", "entry", "lane_state")
 
     def __init__(
-        self, frame_size: int, num_args: int, entry_edge: _BEdge, lane_state: bool
+        self, frame_size: int, num_args: int, entry: _BEdge, lane_state: bool
     ) -> None:
         self.frame_size = frame_size
         self.num_args = num_args
-        self.entry_edge = entry_edge
+        self.entry = entry
         self.lane_state = lane_state
 
     def execute(self, ctx: _BatchContext, lanes: List[int]) -> None:
         """Drive every lane in ``lanes`` to completion.
 
-        Mirrors ``ExecutionPlan.execute``: accounting charges each step
+        Mirrors ``Interpreter._call``: accounting charges each step
         before it runs (phi copies are free), phi reads are atomic
         w.r.t. the edge taken, and falling off a block end is UB.
         Divergent terminators return per-edge lane groups; all but the
@@ -358,7 +566,7 @@ class BatchProgram:
         counts = ctx.steps
         max_steps = ctx.max_steps
         running = ctx.running
-        stack: List[Tuple[_BEdge, List[int]]] = [(self.entry_edge, lanes)]
+        stack: List[Tuple[_BEdge, List[int]]] = [(self.entry, lanes)]
         while stack:
             edge, active = stack.pop()
             # Groups always hold live lanes; a dead flag left over from a
@@ -897,7 +1105,7 @@ def _int_icmp_step(inst: ICmpInst, lhs_info, rhs_info, slot):
 
 
 def _icmp_fn(inst: ICmpInst):
-    """Per-value icmp closure mirroring ``_Compiler.compile_icmp``."""
+    """Per-value icmp closure mirroring ``Interpreter._eval_icmp``."""
     compare = _ICMP_COMPARATORS[inst.predicate]
     signed = inst.predicate in _SIGNED_ICMP
     width = inst.lhs.type.width if isinstance(inst.lhs.type, IntType) else 64
@@ -957,9 +1165,10 @@ def _icmp_fn(inst: ICmpInst):
 
 
 class _BatchCompiler:
-    """Mirror of ``repro.tv.compile._Compiler`` emitting batched steps.
+    """Lowers one function to batched steps, one compile method per
+    case of the tree-walking ``Interpreter._execute``.
 
-    Slot layout is identical to the scalar plan (arguments, then
+    Slot layout is identical to the :class:`ExecutionPlan` (arguments, then
     instructions in program order; the trailing depth slot is unused
     here — batched execution always runs at call depth 0)."""
 
@@ -1403,8 +1612,8 @@ class _BatchCompiler:
                                 )
                             args[index] = POISON
                     # The nested call shares this lane's step budget:
-                    # sync the scalar counter in, run through the exact
-                    # scalar _call path (plans, externals, depth), and
+                    # sync the scalar counter in, tree-walk the callee
+                    # through the lane's ``_call`` (externals, depth), and
                     # sync whatever it consumed back out.
                     interp._steps = counts[lane]
                     try:
@@ -1656,7 +1865,7 @@ def compile_batch_program(function: Function) -> BatchProgram:
 
     Raises (:class:`BatchUnsupported` or anything the IR walk trips
     over) when the function cannot be batch-executed; callers fall back
-    to scalar enumeration via :func:`batch_program_for`.
+    to per-input tree-walking via :func:`batch_program_for`.
     """
     if function.is_declaration():
         raise BatchUnsupported(f"cannot batch declaration @{function.name}")
@@ -1688,25 +1897,17 @@ class BatchRunner:
     """Executes batches for one module side, reusing a lane arena.
 
     A program with :attr:`~BatchProgram.lane_state` backs each lane with
-    a real scalar :class:`Interpreter` (its own memory, oracle,
-    alloca/call counters), reset per run exactly like the scalar
-    enumeration's arena — nested calls, external-call modeling, and
-    oracle choices run through unmodified scalar code.  Any other
+    a real :class:`Interpreter` (its own memory, oracle, alloca/call
+    counters), reset per run exactly like the scalar enumeration's
+    arena — nested calls, external-call modeling, and oracle choices run
+    through the reference tree-walker unmodified.  Any other
     program reads nothing but its argument columns, so its lanes get no
     interpreter, memory or snapshot.
     """
 
-    def __init__(
-        self,
-        module,
-        limits: Optional[ExecutionLimits] = None,
-        plans=None,
-        fp_cache=None,
-    ) -> None:
+    def __init__(self, module, limits: Optional[ExecutionLimits] = None) -> None:
         self.module = module
         self.limits = limits or ExecutionLimits()
-        self._plans = plans
-        self._fp_cache = fp_cache
         self._interps: List[Interpreter] = []
 
     def rebind(self, module) -> None:
@@ -1719,16 +1920,7 @@ class BatchRunner:
 
     def _lane_interp(self, index: int) -> Interpreter:
         while len(self._interps) <= index:
-            self._interps.append(
-                Interpreter(
-                    self.module,
-                    None,
-                    self.limits,
-                    compiled=True,
-                    plans=self._plans,
-                    fp_cache=self._fp_cache,
-                )
-            )
+            self._interps.append(Interpreter(self.module, None, self.limits))
         return self._interps[index]
 
     def run_batch(self, function: Function, program: BatchProgram, lanes):

@@ -68,8 +68,6 @@ from .oracle import DeterministicOracle, Oracle
 
 POINTER_SIZE = 8
 
-_MISSING = object()
-
 
 class UBError(Exception):
     """Execution hit undefined behavior."""
@@ -129,16 +127,9 @@ class _Frame:
 class Interpreter:
     """Executes functions of one module under an oracle and step budget.
 
-    ``compiled=True`` (the default) routes execution through per-function
-    execution plans from :mod:`repro.tv.compile`: each function is lowered
-    once into specialized closures over dense frame slots and the plan is
-    replayed on every call, falling back to the tree-walking evaluator for
-    anything the compiler declines.  Plans are shared through ``plans``
-    (defaults to the process-wide cache) and pinned per interpreter in
-    ``_plan_memo``, so functions must not be mutated between runs of the
-    same interpreter.  ``fp_cache`` is the caller's ``id(function) ->
-    fingerprint`` cache (see :func:`repro.ir.fingerprint.fingerprint_function`)
-    for plan-cache keys, under that same no-mutation contract.
+    This tree-walker is the reference semantics of the validator: every
+    run one input at a time goes through it, and the batch engine
+    (:mod:`repro.tv.batch`) is tested lane by lane against it.
     """
 
     def __init__(
@@ -146,10 +137,6 @@ class Interpreter:
         module,
         oracle: Optional[Oracle] = None,
         limits: Optional[ExecutionLimits] = None,
-        *,
-        compiled: bool = True,
-        plans=None,
-        fp_cache: Optional[Dict[int, str]] = None,
     ) -> None:
         self.module = module
         self.oracle = oracle or DeterministicOracle()
@@ -158,13 +145,6 @@ class Interpreter:
         self._steps = 0
         self._alloca_counter = 0
         self._call_counter = 0
-        self._compiled = compiled
-        self._plan_memo: Dict[Function, object] = {}
-        if compiled and plans is None:
-            from .compile import global_plan_cache
-            plans = global_plan_cache()
-        self._plans = plans
-        self._fp_cache = fp_cache
 
     # -- entry point -----------------------------------------------------------
 
@@ -182,9 +162,9 @@ class Interpreter:
         """Rewind this interpreter for a fresh run of the same module.
 
         Clears memory and the step/alloca/call counters exactly as a new
-        instance would, but keeps the compiled execution plans — this is
-        the arena the refinement checker reuses across inputs and
-        nondeterminism paths instead of reallocating per run.
+        instance would — this is the arena the refinement checker reuses
+        across inputs and nondeterminism paths instead of reallocating
+        per run.
         """
         if oracle is not None:
             self.oracle = oracle
@@ -193,25 +173,7 @@ class Interpreter:
         self._alloca_counter = 0
         self._call_counter = 0
 
-    def prepare(self, function: Function):
-        """Fetch (or lay out) ``function``'s execution plan and pin it to
-        this interpreter.  The plan compiles its scalar program on the
-        first scalar run.  Returns the plan, or None when compiled
-        execution is off, the function is a declaration, or the compiler
-        has declined it before."""
-        if not self._compiled or function.is_declaration():
-            return None
-        return self._plan_for(function)
-
     # -- function execution -------------------------------------------------------
-
-    def _plan_for(self, function: Function):
-        # Keyed by the function object (identity): the memo keeps it alive.
-        plan = self._plan_memo.get(function, _MISSING)
-        if plan is _MISSING:
-            plan = self._plans.plan_for(function, self._fp_cache)
-            self._plan_memo[function] = plan
-        return plan
 
     def _call(
         self, function: Function, args: List[RuntimeValue], depth: int
@@ -221,19 +183,6 @@ class Interpreter:
         self._check_argument_attributes(function, args)
         if function.is_declaration():
             return self._call_external(function, args)
-        if self._compiled:
-            plan = self._plan_for(function)
-            if plan is not None:
-                edge = plan.entry_edge
-                if edge is None:
-                    edge = self._plans.scalar_entry(plan, function)
-                if edge:
-                    return plan.execute(self, args, depth)
-        return self._tree_call(function, args, depth)
-
-    def _tree_call(
-        self, function: Function, args: List[RuntimeValue], depth: int
-    ) -> RuntimeValue:
         frame = _Frame()
         for argument, value in zip(function.arguments, args):
             frame.values[id(argument)] = value
@@ -752,8 +701,8 @@ def evaluate_intrinsic(
 ) -> RuntimeValue:
     """Pure evaluation of a (non-assume) intrinsic on poison-free args.
 
-    Shared between the tree-walking evaluator and compiled execution
-    plans so the two modes cannot drift.
+    Shared between the tree-walking evaluator and the batch engine so
+    the two cannot drift.
     """
     if base in ("llvm.smax", "llvm.smin"):
         lhs = to_signed(args[0], width)

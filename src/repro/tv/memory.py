@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from .domain import POISON as POISON  # re-exported: the byte-level poison marker
-from .domain import Pointer, _Poison
+from .domain import Pointer
 
 
 class _UndefByte:
@@ -28,7 +28,7 @@ class _UndefByte:
 
 UNDEF_BYTE = _UndefByte()
 
-Byte = Union[int, _Poison, _UndefByte]
+Byte = Union[int, type(POISON), _UndefByte]
 
 
 class MemoryFault(Exception):

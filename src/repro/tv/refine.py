@@ -33,7 +33,7 @@ from ..ir.intrinsics import lookup as lookup_intrinsic
 from ..ir.module import Module
 from ..ir.types import IntType
 from .batch import BatchRunner, batch_program_for, global_batch_stats
-from .compile import LRUCache
+from .compile import LRUCache, global_plan_cache
 from .domain import (
     NULL_POINTER,
     POISON,
@@ -138,17 +138,23 @@ class RefinementConfig:
     pointer_block_size: int = 16
     limits: ExecutionLimits = field(default_factory=ExecutionLimits)
     seed: int = 0
-    # Execute through compile-once plans (repro.tv.compile).  Off =
-    # tree-walking ablation (--no-compiled-exec).  Deliberately NOT part
-    # of cache_key(): both modes produce identical verdicts by contract
-    # (locked by the differential suite), so cached results are shared.
-    compiled: bool = True
     # Drive whole input sets through struct-of-arrays batched plan runs
-    # (repro.tv.batch) instead of one scalar run per (input, path).  Off
-    # = per-input ablation (--no-batched-exec).  Requires ``compiled``;
-    # like it, deliberately NOT part of cache_key(): lane results are
-    # bit-identical to scalar runs (locked by tests/test_batch_exec.py).
+    # (repro.tv.batch) instead of one tree-walked run per (input, path).
+    # Off = per-input ablation (--no-batched-exec).  Deliberately NOT
+    # part of cache_key(): lane results are bit-identical to the
+    # tree-walker's (locked by tests/test_batch_exec.py), so cached
+    # results are shared.
     batched: bool = True
+
+    def validate(self) -> "RefinementConfig":
+        """Reject settings no check can run with (``ValueError``): a
+        negative seed, or no inputs at all — which would verify any
+        pair, miscompiled or not."""
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.max_inputs <= 0:
+            raise ValueError(f"max_inputs must be positive, got {self.max_inputs}")
+        return self
 
     def cache_key(self) -> tuple:
         """A hashable key covering every knob a verdict depends on.
@@ -448,7 +454,7 @@ def behavior_set(
     config: RefinementConfig,
 ) -> Tuple[List[Outcome], bool]:
     """All observed outcomes for one input, plus an exhaustiveness flag."""
-    interpreter = Interpreter(module, None, config.limits, compiled=config.compiled)
+    interpreter = Interpreter(module, None, config.limits)
     runtime_args, blocks, observable = _prepare_input(function, test_input)
     return _enumerate_outcomes(
         interpreter, function, runtime_args, blocks, observable, config
@@ -593,28 +599,25 @@ def outcome_refines(tgt: Outcome, src: Outcome) -> bool:
 
 
 class _Side:
-    """One function of the pair, with the arena and plan that run it."""
+    """One function of the pair, with the plan that runs it batched."""
 
-    __slots__ = ("function", "module", "fp_cache", "interp", "plan")
+    __slots__ = ("function", "module", "plan")
 
     def __init__(
         self,
         function: Function,
         module: Optional[Module],
-        config: RefinementConfig,
         fp_cache: Optional[Dict[int, str]],
     ) -> None:
         self.function = function
         self.module = module
-        self.fp_cache = fp_cache
-        # One interpreter arena per side, reused across all inputs and
-        # nondeterminism paths.  The plan is looked up now — its identity
-        # and step bound decide what has to run at all — and compiles
-        # the program of whichever engine runs it.
-        self.interp = Interpreter(
-            module, None, config.limits, compiled=config.compiled, fp_cache=fp_cache
+        # The plan is looked up now: its identity and step bound decide
+        # what has to run at all, and it caches the batch program.
+        self.plan = (
+            None
+            if function.is_declaration()
+            else global_plan_cache().plan_for(function, fp_cache)
         )
-        self.plan = self.interp.prepare(function)
 
 
 def _engine(src: _Side, tgt: _Side, config: RefinementConfig):
@@ -623,18 +626,18 @@ def _engine(src: _Side, tgt: _Side, config: RefinementConfig):
 
     Batched mode drives whole input sets through one struct-of-arrays
     plan walk per nondeterminism round, both sides on one lane arena; if
-    the batch compiler declines either side, or in the ablation modes,
-    each input gets its own scalar enumeration instead (results are
-    identical by contract).
+    the batch compiler declines either side, or in the ablation mode,
+    each input is tree-walked on its own instead (results are identical
+    by contract).
     """
-    if config.batched and config.compiled:
+    if config.batched:
         programs = {
             side: batch_program_for(side.plan, side.function) for side in (src, tgt)
         }
         if None in programs.values():
             global_batch_stats().scalar_fallbacks += 1
         else:
-            runner = BatchRunner(src.module, config.limits, fp_cache=src.fp_cache)
+            runner = BatchRunner(src.module, config.limits)
 
             def run_batched(side: _Side, prepared):
                 runner.rebind(side.module)
@@ -645,8 +648,10 @@ def _engine(src: _Side, tgt: _Side, config: RefinementConfig):
             return run_batched
 
     def run_scalar(side: _Side, prepared):
+        # One arena per side, reused across all inputs and paths.
+        interp = Interpreter(side.module, None, config.limits)
         return [
-            _enumerate_outcomes(side.interp, side.function, *lane, config)
+            _enumerate_outcomes(interp, side.function, *lane, config)
             for lane in prepared
         ]
 
@@ -739,8 +744,8 @@ def check_refinement(
         return TVResult(Verdict.UNSUPPORTED, reason="signature changed")
 
     inputs = _inputs_for(src_function, config)
-    src = _Side(src_function, src_module, config, fp_cache)
-    tgt = _Side(tgt_function, tgt_module, config, fp_cache)
+    src = _Side(src_function, src_module, fp_cache)
+    tgt = _Side(tgt_function, tgt_module, fp_cache)
     traced = tracer is not None and tracer.enabled
     begin = time.perf_counter() if traced else 0.0
     behaviors = _source_first(src, tgt, inputs, config)

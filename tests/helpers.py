@@ -7,7 +7,12 @@ from typing import Optional, Tuple
 from repro.ir import (Function, Module, parse_module, print_module,
                       verify_module)
 from repro.opt import OptContext, PassManager
-from repro.tv import (RefinementConfig, TVResult, Verdict, check_refinement)
+from repro.tv import (ExecutionLimits, Interpreter, PathOracle,
+                      RefinementConfig, StepLimitExceeded, TVResult, UBError,
+                      Verdict, check_refinement, global_plan_cache)
+from repro.tv.batch import BatchRunner, batch_program_for
+from repro.tv.oracle import advance_path
+from repro.tv.refine import _prepare_input
 
 
 def parsed(text: str) -> Module:
@@ -83,3 +88,76 @@ def round_trips(module: Module) -> bool:
     reparsed = parse_module(text)
     verify_module(reparsed)
     return print_module(reparsed) == text
+
+
+def reference_lanes(module, function, lanes, limits):
+    """Per-lane (status, value, memory, detail, steps) from the reference
+    tree-walker — the ground truth ``BatchRunner.run_batch`` must
+    reproduce exactly.  ``lanes`` are ``(runtime_args, blocks,
+    observable, oracle)`` tuples, as ``run_batch`` takes them."""
+    interp = Interpreter(module, None, limits)
+    results = []
+    for runtime_args, blocks, observable, oracle in lanes:
+        interp.reset(oracle)
+        for block_id, size, contents in blocks:
+            interp.memory.add_block(block_id, size, list(contents))
+        try:
+            value = interp.run(function, runtime_args)
+        except UBError as ub:
+            results.append(("ub", None, (), ub.reason, interp._steps))
+            continue
+        except StepLimitExceeded:
+            results.append(("timeout", None, (), "", interp._steps))
+            continue
+        snapshot = interp.memory.snapshot(observable)
+        memory = tuple(sorted(snapshot.items()))
+        results.append(("ok", value, memory, "", interp._steps))
+    return results
+
+
+def assert_lanes_match(module, function, inputs, limits=None, max_rounds=8):
+    """Drive ``inputs`` through the batch engine and the tree-walker
+    across the whole nondeterminism tree (one batched run per round) and
+    require bit-identical 5-tuples plus identical oracle bookkeeping.
+    Returns the number of compared lanes (0 when the batch compiler
+    declined the function)."""
+    limits = limits or ExecutionLimits()
+    program = batch_program_for(global_plan_cache().plan_for(function), function)
+    if program is None:
+        return 0
+    runner = BatchRunner(module, limits)
+    prepared = [_prepare_input(function, test_input) for test_input in inputs]
+    paths = [[] for _ in inputs]
+    pending = list(range(len(inputs)))
+    compared = 0
+    for _ in range(max_rounds):
+        if not pending:
+            break
+        walk_oracles = [PathOracle(list(paths[i])) for i in pending]
+        batch_oracles = [PathOracle(list(paths[i])) for i in pending]
+        walked = reference_lanes(
+            module, function,
+            [prepared[i] + (o,) for i, o in zip(pending, walk_oracles)],
+            limits)
+        batched = runner.run_batch(
+            function, program,
+            [prepared[i] + (o,) for i, o in zip(pending, batch_oracles)])
+        for position, lane in enumerate(pending):
+            assert batched[position] == walked[position], (
+                f"@{function.name} lane {lane} path {paths[lane]}: "
+                f"batched={batched[position]!r} walked={walked[position]!r}")
+            w_oracle = walk_oracles[position]
+            b_oracle = batch_oracles[position]
+            assert b_oracle.taken == w_oracle.taken
+            assert b_oracle.domain_sizes == w_oracle.domain_sizes
+            assert b_oracle.domain_truncated == w_oracle.domain_truncated
+        compared += len(pending)
+        next_pending = []
+        for position, lane in enumerate(pending):
+            oracle = walk_oracles[position]
+            path = advance_path(oracle.taken, oracle.domain_sizes)
+            if path is not None:
+                paths[lane] = path
+                next_pending.append(lane)
+        pending = next_pending
+    return compared

@@ -1,11 +1,11 @@
 """Differential tests for batched (struct-of-arrays) execution.
 
 The batched runner must be a pure performance layer: for every lane it
-has to reproduce the scalar interpreter's results *bit for bit* —
+has to reproduce the reference tree-walker's results *bit for bit* —
 status, return value (including poison), observable memory, UB detail
 strings, and exact step counts — across the whole nondeterminism tree.
-These tests drive arbitrary compiled plans and input batches through
-both paths and compare lane by lane, then check the refinement- and
+These tests drive arbitrary programs and input batches through both
+engines and compare lane by lane, then check the refinement- and
 driver-level invariance contracts (`RefinementConfig.batched` /
 ``--no-batched-exec`` may change speed, never findings or metrics).
 """
@@ -21,12 +21,9 @@ from repro.opt import OptContext, PassManager
 from repro.tv import (
     POISON,
     ExecutionLimits,
-    Interpreter,
     PathOracle,
     Pointer,
     RefinementConfig,
-    StepLimitExceeded,
-    UBError,
     check_function_supported,
     check_refinement,
     reset_global_plan_cache,
@@ -35,96 +32,17 @@ from repro.tv.batch import (
     BatchRunner,
     BatchUnsupported,
     _BatchContext,
-    batch_program_for,
     compile_batch_program,
     global_batch_stats,
 )
-from repro.tv.oracle import advance_path
 from repro.tv.refine import _inputs_for, _prepare_input
 
-from helpers import parsed
+from helpers import assert_lanes_match, parsed, reference_lanes
 
 
 # ---------------------------------------------------------------------------
-# Lane-by-lane comparison harness.
+# Lane-by-lane comparison harness (assert_lanes_match: tests/helpers.py).
 # ---------------------------------------------------------------------------
-
-
-def _scalar_reference(module, function, lanes, limits):
-    """Per-lane (status, value, memory, detail, steps) via the scalar
-    arena — the ground truth ``run_batch`` must reproduce exactly."""
-    interp = Interpreter(module, None, limits, compiled=True)
-    results = []
-    for runtime_args, blocks, observable, oracle in lanes:
-        interp.reset(oracle)
-        for block_id, size, contents in blocks:
-            interp.memory.add_block(block_id, size, list(contents))
-        try:
-            value = interp.run(function, runtime_args)
-        except UBError as ub:
-            results.append(("ub", None, (), ub.reason, interp._steps))
-            continue
-        except StepLimitExceeded:
-            results.append(("timeout", None, (), "", interp._steps))
-            continue
-        snapshot = interp.memory.snapshot(observable)
-        memory = tuple(sorted(snapshot.items()))
-        results.append(("ok", value, memory, "", interp._steps))
-    return results
-
-
-def assert_lanes_match(module, function, inputs, limits=None, max_rounds=8):
-    """Drive ``inputs`` through both executors across the whole
-    nondeterminism tree (one batched run per round, scalar lanes as the
-    oracle) and require bit-identical 5-tuples plus identical oracle
-    bookkeeping.  Returns the number of compared lanes (0 when the
-    batch compiler declined the function)."""
-    limits = limits or ExecutionLimits()
-    interp = Interpreter(module, None, limits, compiled=True)
-    program = batch_program_for(interp.prepare(function), function)
-    if program is None:
-        return 0
-    runner = BatchRunner(module, limits)
-    prepared = [_prepare_input(function, test_input) for test_input in inputs]
-    paths = [[] for _ in inputs]
-    pending = list(range(len(inputs)))
-    compared = 0
-    for _ in range(max_rounds):
-        if not pending:
-            break
-        scalar_oracles = [PathOracle(list(paths[i])) for i in pending]
-        batch_oracles = [PathOracle(list(paths[i])) for i in pending]
-        scalar = _scalar_reference(
-            module,
-            function,
-            [prepared[i] + (o,) for i, o in zip(pending, scalar_oracles)],
-            limits,
-        )
-        batched = runner.run_batch(
-            function,
-            program,
-            [prepared[i] + (o,) for i, o in zip(pending, batch_oracles)],
-        )
-        for position, lane in enumerate(pending):
-            assert batched[position] == scalar[position], (
-                f"@{function.name} lane {lane} path {paths[lane]}: "
-                f"batched={batched[position]!r} scalar={scalar[position]!r}"
-            )
-            s_oracle = scalar_oracles[position]
-            b_oracle = batch_oracles[position]
-            assert b_oracle.taken == s_oracle.taken
-            assert b_oracle.domain_sizes == s_oracle.domain_sizes
-            assert b_oracle.domain_truncated == s_oracle.domain_truncated
-        compared += len(pending)
-        next_pending = []
-        for position, lane in enumerate(pending):
-            oracle = scalar_oracles[position]
-            path = advance_path(oracle.taken, oracle.domain_sizes)
-            if path is not None:
-                paths[lane] = path
-                next_pending.append(lane)
-        pending = next_pending
-    return compared
 
 
 def check_text(text, limits=None, max_inputs=12):
@@ -150,7 +68,7 @@ def check_text(text, limits=None, max_inputs=12):
 class TestLaneBitEquality:
     def test_division_ub_details(self):
         # Division UB carries a reason string; lanes that trap must
-        # report the same detail (and step count) as scalar runs.
+        # report the same detail (and step count) as tree-walked runs.
         check_text("""
         define i32 @div(i32 %x, i32 %y) {
           %q = sdiv i32 %x, %y
@@ -190,7 +108,7 @@ class TestLaneBitEquality:
 
     def test_loop_step_counts(self):
         # A data-dependent loop: per-lane step counts differ and must
-        # match the scalar interpreter exactly.
+        # match the tree-walker exactly.
         check_text("""
         define i32 @count(i32 %n) {
         entry:
@@ -207,7 +125,7 @@ class TestLaneBitEquality:
 
     def test_step_limit_timeout_counts(self):
         # With a tiny budget some lanes time out; the recorded step
-        # count at the trap point must equal the scalar one.
+        # count at the trap point must equal the tree-walked one.
         check_text(
             """
         define i32 @spin(i32 %n) {
@@ -265,7 +183,7 @@ class TestLaneBitEquality:
         """)
 
     def test_nested_calls_use_scalar_lane_interp(self):
-        # Calls leave the columnar fast path; the per-lane scalar
+        # Calls leave the columnar fast path; the per-lane tree-walking
         # interpreters must keep call counters and steps in sync.
         check_text("""
         define i32 @double(i32 %x) {
@@ -311,7 +229,7 @@ class TestArbitraryPlans:
         # Arbitrary programs: corpus archetypes run through the
         # mutation engine, so plans cover the whole op inventory in
         # random combinations.  Every supported function must agree
-        # lane-for-lane with the scalar interpreter.
+        # lane-for-lane with the reference tree-walker.
         pairs = corpus_modules(4, seed=seed % 1000 + 1)
         module = pairs[seed % len(pairs)][1]
         mutant, _record = Mutator(module, MutatorConfig(max_mutations=3)).create_mutant(
@@ -522,7 +440,7 @@ class TestStatelessEntryChecks:
             ([1, POISON], [], [], PathOracle([])),
         ]
         batched = BatchRunner(module).run_batch(function, program, lanes)
-        scalar = _scalar_reference(module, function, lanes, ExecutionLimits())
+        scalar = reference_lanes(module, function, lanes, ExecutionLimits())
         assert batched == scalar
         assert batched[2][3] == "poison passed to noundef arg %y"
 
@@ -538,7 +456,7 @@ class TestStatelessEntryChecks:
             ([Pointer("arg:p", 0)], [("arg:p", 4, (1, 2, 3, 4))], ["arg:p"], None)
         ]
         batched = BatchRunner(module).run_batch(function, program, lanes)
-        scalar = _scalar_reference(module, function, lanes, ExecutionLimits())
+        scalar = reference_lanes(module, function, lanes, ExecutionLimits())
         assert batched == scalar
         assert batched[0][2] == (("arg:p", (1, 2, 3, 4)),)
 
@@ -549,7 +467,7 @@ class TestStatelessEntryChecks:
         limits = ExecutionLimits(max_call_depth=-1)
         lanes = [([5], [], [], PathOracle([]))]
         batched = BatchRunner(module, limits).run_batch(function, program, lanes)
-        assert batched == _scalar_reference(module, function, lanes, limits)
+        assert batched == reference_lanes(module, function, lanes, limits)
         assert batched[0][0] == "timeout"
 
 
@@ -606,19 +524,9 @@ class TestRefinementInvariance:
             results[batched] = check_refinement(function, target, config=config)
         assert _result_key(results[True]) == _result_key(results[False])
 
-    def test_batched_requires_compiled(self):
-        # compiled=False forces the scalar path even with batched=True;
-        # verdicts still agree and no batches run.
-        function, target = _pair("mul i32 %x, 3", "mul i32 3, %x")
-        batches_before = global_batch_stats().batches
-        config = RefinementConfig(max_inputs=4, compiled=False, batched=True)
-        result = check_refinement(function, target, config=config)
-        assert result.verdict.value == "correct"
-        assert global_batch_stats().batches == batches_before
-
     def test_unsupported_side_falls_back_to_scalar(self, monkeypatch):
         # If the batch compiler declines either side the whole check
-        # silently drops to per-input scalar enumeration (counted as a
+        # silently drops to per-input tree-walking (counted as a
         # scalar fallback) with identical results.
         # (A target equal to the source would share its plan and never
         # reach an engine: see tests/test_refine_source_first.py.)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -164,6 +165,17 @@ class TestFingerprint:
                                **SMALL)
         assert jobs_fingerprint(CampaignExecutor(base).build_jobs()) == \
             jobs_fingerprint(CampaignExecutor(tuned).build_jobs())
+
+    def test_invariant_to_the_execution_engine(self):
+        # --no-batched-exec changes how fast a job runs, not its result.
+        def fp(batched=True, **overrides):
+            config = CampaignConfig(**dict(SMALL, **overrides))
+            tv = replace(config.fuzz.tv, batched=batched)
+            config = replace(config, fuzz=replace(config.fuzz, tv=tv))
+            return jobs_fingerprint(CampaignExecutor(config).build_jobs())
+
+        assert fp(batched=True) == fp(batched=False)
+        assert fp() != fp(max_inputs=9)
 
     def test_sensitive_to_config_and_corpus(self):
         fp = jobs_fingerprint(

@@ -89,6 +89,22 @@ class TestAliveTV:
         assert alive_tv.main([str(src), str(src), "-q"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_no_inputs_or_negative_seed_is_a_usage_error(self, tmp_path,
+                                                         capsys):
+        # With no inputs nothing would run and a miscompilation would
+        # read as verified.
+        src = tmp_path / "src.ll"
+        tgt = tmp_path / "tgt.ll"
+        src.write_text(CLEAN)
+        tgt.write_text(CLEAN.replace("add i32 %x, 0", "add i32 %x, 1"))
+        for flags, message in ((["--max-inputs", "0"], "max_inputs"),
+                               (["--max-inputs", "-3"], "max_inputs"),
+                               (["--seed", "-1"], "seed")):
+            assert alive_tv.main([str(src), str(tgt)] + flags) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+
 
 class TestAliveMutate:
     def test_mutate_only_writes_valid_ir(self, input_file, tmp_path):

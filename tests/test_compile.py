@@ -1,9 +1,11 @@
-"""Differential tests for compiled execution plans (repro.tv.compile).
+"""Execution plans and the plan cache (repro.tv.compile), and the two
+engines that run them.
 
-The compiled interpreter must be observationally identical to the
-tree-walking one: same Outcomes (including UB detail strings), same
-exhaustiveness flags, same verdicts and counterexamples, same findings
-and deterministic metrics.  Every test here runs both modes and diffs.
+The batch engine must be observationally identical to the reference
+tree-walker: same lane outcomes (including UB detail strings and step
+counts), same oracle bookkeeping, same verdicts and counterexamples,
+same findings and deterministic metrics.  The parity tests here run
+both engines and diff.
 """
 
 import gc
@@ -13,41 +15,31 @@ import pytest
 
 from repro.fuzz import FuzzConfig, FuzzDriver, corpus_modules
 from repro.mutate import MutatorConfig
-from repro.tv import (ExecutionLimits, Interpreter, PlanCache,
-                      RefinementConfig, behavior_set, check_refinement,
-                      compile_function, generate_inputs,
-                      reset_global_plan_cache)
+from repro.tv import (ExecutionLimits, Interpreter, PathOracle, PlanCache,
+                      RefinementConfig, check_refinement, compile_function,
+                      generate_inputs, reset_global_plan_cache)
 from repro.tv.compile import plan_key
 from repro.tv.refine import _inputs_for
 
-from helpers import optimize, parsed
+from helpers import assert_lanes_match, optimize, parsed, reference_lanes
 
 
-def both_behaviors(text, fn="f", max_inputs=24, seed=0):
-    """(compiled, tree-walk) behavior sets for every generated input."""
+def assert_identical_behaviors(text, fn="f", max_inputs=24, seed=0,
+                               limits=None):
+    """Every generated input of ``@fn``, through the batch engine and
+    the tree-walker, compared lane by lane over the nondeterminism
+    tree; the batch compiler must accept the program."""
     module = parsed(text)
     function = module.get_function(fn)
-    results = []
-    for compiled in (True, False):
-        config = RefinementConfig(max_inputs=max_inputs, seed=seed,
-                                  compiled=compiled)
-        per_input = []
-        for test_input in generate_inputs(function, config):
-            outcomes, exhausted = behavior_set(function, test_input,
-                                               module, config)
-            per_input.append((tuple(outcomes), exhausted))
-        results.append(per_input)
-    return results
-
-
-def assert_identical_behaviors(text, fn="f", max_inputs=24, seed=0):
-    compiled, walked = both_behaviors(text, fn, max_inputs, seed)
-    assert compiled, "workload generated no inputs"
-    assert compiled == walked
+    config = RefinementConfig(max_inputs=max_inputs, seed=seed)
+    inputs = generate_inputs(function, config)
+    assert inputs, "workload generated no inputs"
+    compared = assert_lanes_match(module, function, inputs, limits=limits)
+    assert compared >= len(inputs), "the batch compiler declined @" + fn
 
 
 class TestDifferentialBehavior:
-    """behavior_set parity on targeted semantic edge cases."""
+    """Batch lanes == tree-walked runs on targeted semantic edge cases."""
 
     def test_arithmetic_and_poison_flags(self):
         assert_identical_behaviors("""
@@ -93,7 +85,7 @@ define i8 @f(i8 %x) {
 
     def test_undef_multi_use_is_independent_choices(self):
         # Each textual use of undef is an independent oracle choice; the
-        # compiled operand resolvers must preserve the choice order.
+        # batched operand resolvers must preserve the choice order.
         assert_identical_behaviors("""
 define i8 @f() {
   %a = add i8 undef, 0
@@ -259,7 +251,7 @@ define i8 @f(i8 %x) {
 
     def test_step_limit_classification(self):
         # An infinite loop must time out at the same step count in both
-        # modes (phis are not counted as steps).
+        # engines (phis are not counted as steps).
         text = """
 define i8 @f(i8 %x) {
 entry:
@@ -270,23 +262,12 @@ loop:
   br label %loop
 }
 """
-        module = parsed(text)
-        function = module.get_function("f")
         limits = ExecutionLimits(max_steps=100)
-        results = []
-        for compiled in (True, False):
-            config = RefinementConfig(max_inputs=4, limits=limits,
-                                      compiled=compiled)
-            test_input = generate_inputs(function, config)[0]
-            outcomes, exhausted = behavior_set(function, test_input,
-                                               module, config)
-            interp = Interpreter(module, None, limits, compiled=compiled)
-            interp.reset()
-            with pytest.raises(Exception):
-                interp.run(function, [0])
-            results.append((tuple(outcomes), exhausted, interp._steps))
-        assert results[0] == results[1]
-        assert results[0][0][0].is_timeout()
+        assert_identical_behaviors(text, max_inputs=4, limits=limits)
+        module = parsed(text)
+        walked = reference_lanes(module, module.get_function("f"),
+                                 [([0], [], [], PathOracle([]))], limits)
+        assert walked == [("timeout", None, (), "", 101)]
 
     def test_recursion_depth_limit(self):
         assert_identical_behaviors("""
@@ -310,12 +291,13 @@ b:
 
 
 class TestVerdictParity:
-    """check_refinement parity, including over optimized corpus pairs."""
+    """check_refinement parity between the batch engine and per-input
+    tree-walking, including over optimized corpus pairs."""
 
     def _check_both(self, src, tgt, fn):
         results = []
-        for compiled in (True, False):
-            config = RefinementConfig(max_inputs=24, compiled=compiled)
+        for batched in (True, False):
+            config = RefinementConfig(max_inputs=24, batched=batched)
             results.append(check_refinement(
                 src.get_function(fn), tgt.get_function(fn),
                 src, tgt, config))
@@ -330,11 +312,11 @@ define i32 @clamp(i32 %x) {
 }
 """)
         optimized, _ = optimize(module, "O2", bugs=("53252",))
-        with_plans, walked = self._check_both(module, optimized, "clamp")
-        assert with_plans.verdict == walked.verdict
-        assert with_plans.counterexample == walked.counterexample
-        assert with_plans.inputs_checked == walked.inputs_checked
-        assert with_plans.inconclusive_inputs == walked.inconclusive_inputs
+        batched, walked = self._check_both(module, optimized, "clamp")
+        assert batched.verdict == walked.verdict
+        assert batched.counterexample == walked.counterexample
+        assert batched.inputs_checked == walked.inputs_checked
+        assert batched.inconclusive_inputs == walked.inconclusive_inputs
 
     def test_corpus_sweep_identical_verdicts(self):
         # The acceptance criterion in miniature: every corpus member's
@@ -346,11 +328,11 @@ define i32 @clamp(i32 %x) {
                 for function in module.definitions():
                     if optimized.get_function(function.name) is None:
                         continue
-                    with_plans, walked = self._check_both(
+                    batched, walked = self._check_both(
                         module, optimized, function.name)
-                    assert with_plans.verdict == walked.verdict, \
+                    assert batched.verdict == walked.verdict, \
                         function.name
-                    assert with_plans.counterexample == \
+                    assert batched.counterexample == \
                         walked.counterexample, function.name
                     checked += 1
         assert checked >= 6
@@ -512,33 +494,24 @@ define i8 @f(i8 %x) {
         for module in (src, tgt):
             plan = cache.plan_for(module.get_function("f"))
             assert plan.batch_program is not None
-            assert plan.entry_edge is None
 
-    def test_nested_call_compiles_the_callee_only(self):
+    def test_nested_call_lays_out_no_callee_plan(self):
+        # Lanes tree-walk the call: only the two callers have plans.
         src, tgt = self._pair(NESTED)
         cache = reset_global_plan_cache()
         result = check_refinement(src.get_function("f"), tgt.get_function("f"),
                                   src, tgt, RefinementConfig(max_inputs=8))
         assert result.verdict.value == "unsound"
-        # Lanes run the call through a scalar interpreter: the callee's
-        # scalar program exists (one plan: both helpers share a key),
-        # the callers' do not.
-        helper = cache.plan_for(src.get_function("helper"))
-        assert helper is cache.plan_for(tgt.get_function("helper"))
-        assert helper.entry_edge is not None
-        assert helper.batch_program is None
-        for module in (src, tgt):
-            assert cache.plan_for(module.get_function("f")).entry_edge is None
+        assert cache.stats() == (0, 2, 0)
+        assert len(cache) == 2
 
-    def test_scalar_engine_compiles_the_scalar_program_only(self):
+    def test_tree_walked_check_compiles_no_batch_program(self):
         src, tgt = self._pair(NESTED)
         cache = reset_global_plan_cache()
         check_refinement(src.get_function("f"), tgt.get_function("f"),
                          src, tgt,
                          RefinementConfig(max_inputs=8, batched=False))
-        plan = cache.plan_for(src.get_function("f"))
-        assert plan.entry_edge is not None
-        assert plan.batch_program is None
+        assert cache.plan_for(src.get_function("f")).batch_program is None
 
     def test_plans_hold_no_ir(self):
         # What a cached plan keeps alive is closures over constants, not
@@ -590,14 +563,13 @@ out:
 
 MODES = {
     "batched": dict(),
-    "scalar": dict(batched=False),
-    "tree-walk": dict(compiled=False),
+    "tree-walk": dict(batched=False),
 }
 
 
 class TestCompileFailureParity:
-    """A function the compilers decline is tree-walked: same verdicts in
-    every mode, one ``fallback`` per plan key."""
+    """A function no plan covers is tree-walked: same verdicts in every
+    mode, one ``fallback`` per plan key."""
 
     @staticmethod
     def _check(src, tgt, **mode):
@@ -627,39 +599,10 @@ class TestCompileFailureParity:
                              self._key(self._check(src, same, **mode)))
             # One key (the foreign block is invisible to it), asked for
             # by four sides: declined once, remembered three times.
-            expected = (0, 0, 0) if name == "tree-walk" else (3, 1, 1)
-            assert cache.stats() == expected, name
+            assert cache.stats() == (3, 1, 1), name
         assert results["tree-walk"][0][0].value == "unsound"
         assert results["tree-walk"][1][0].value == "correct"
-        assert results["batched"] == results["scalar"] == results["tree-walk"]
-
-    def test_scalar_compiler_tripping_later_flips_the_plan(self, monkeypatch):
-        # Whatever else the scalar compiler trips over surfaces when the
-        # program is first needed; the plan is declined then, once.
-        from repro.tv import compile as compile_module
-
-        text = """
-define i8 @f(i8 %x) {
-  %r = udiv i8 100, %x
-  ret i8 %r
-}
-"""
-        src = parsed(text)
-        tgt = parsed(text.replace("100", "101"))
-        walked = self._key(self._check(src, tgt, compiled=False))
-
-        def trip(self, block, inst):
-            raise KeyError("forced by test")
-
-        monkeypatch.setattr(compile_module._Compiler, "compile_instruction",
-                            trip)
-        cache = reset_global_plan_cache()
-        config = dict(batched=False)
-        assert self._key(self._check(src, tgt, **config)) == walked
-        assert cache.stats() == (0, 2, 2)
-        assert cache.plan_for(src.get_function("f")) is None
-        assert self._key(self._check(src, tgt, **config)) == walked
-        assert cache.stats()[2] == 2
+        assert results["batched"] == results["tree-walk"]
 
 
 class TestInterpreterArena:
@@ -681,29 +624,6 @@ define i32 @f(i32 %x) {
         assert interp._steps == 0
         assert interp.run(function, [9]) == 9
         assert interp._steps == steps
-
-    def test_prepare_memoizes_per_function_identity(self):
-        module = parsed("""
-define i8 @f(i8 %x) {
-  %r = add i8 %x, 1
-  ret i8 %r
-}
-""")
-        interp = Interpreter(module)
-        function = module.get_function("f")
-        plan = interp.prepare(function)
-        assert plan is not None
-        assert interp.prepare(function) is plan
-
-    def test_tree_walk_interpreter_prepares_nothing(self):
-        module = parsed("""
-define i8 @f(i8 %x) {
-  %r = add i8 %x, 1
-  ret i8 %r
-}
-""")
-        interp = Interpreter(module, compiled=False)
-        assert interp.prepare(module.get_function("f")) is None
 
 
 class TestInputCache:
@@ -734,8 +654,8 @@ define i8 @f(i8 %x) {
         many = _inputs_for(function, RefinementConfig(max_inputs=12))
         assert len(few) < len(many)
 
-    def test_compiled_flag_shares_the_entry(self):
-        # `compiled` is deliberately not part of cache_key(): both modes
+    def test_batched_flag_shares_the_entry(self):
+        # `batched` is deliberately not part of cache_key(): both modes
         # must generate identical inputs.
         function = parsed("""
 define i8 @f(i8 %x) {
@@ -743,8 +663,8 @@ define i8 @f(i8 %x) {
   ret i8 %r
 }
 """).get_function("f")
-        on = _inputs_for(function, RefinementConfig(compiled=True))
-        off = _inputs_for(function, RefinementConfig(compiled=False))
+        on = _inputs_for(function, RefinementConfig(batched=True))
+        off = _inputs_for(function, RefinementConfig(batched=False))
         assert on is off
 
 
@@ -764,10 +684,10 @@ define i32 @shifty(i32 %x) {
 """
 
 
-def run_driver(compiled, iterations=30, **kwargs):
+def run_driver(batched, iterations=30, **kwargs):
     config = FuzzConfig(
         mutator=MutatorConfig(max_mutations=2),
-        tv=RefinementConfig(max_inputs=12, compiled=compiled),
+        tv=RefinementConfig(max_inputs=12, batched=batched),
         **kwargs,
     )
     driver = FuzzDriver(parsed(MIXED), config, file_name="t.ll")
@@ -781,13 +701,13 @@ def finding_keys(report):
 
 
 class TestDriverParity:
-    """Compiled on == compiled off: the acceptance determinism bar."""
+    """Batched == tree-walked: the acceptance determinism bar."""
 
     def test_findings_identical(self):
-        _, with_plans = run_driver(True, enabled_bugs=("53252",))
+        _, batched = run_driver(True, enabled_bugs=("53252",))
         _, walked = run_driver(False, enabled_bugs=("53252",))
-        assert with_plans.findings  # the workload must actually find bugs
-        assert finding_keys(with_plans) == finding_keys(walked)
+        assert batched.findings  # the workload must actually find bugs
+        assert finding_keys(batched) == finding_keys(walked)
 
     def test_deterministic_metrics_identical(self):
         on_driver, _ = run_driver(True, enabled_bugs=("53252",))
@@ -800,8 +720,3 @@ class TestDriverParity:
         driver, _ = run_driver(True)
         assert driver.metrics.counter("exec.plan_cache.miss") > 0
         assert driver.metrics.counter("exec.plan_cache.hit") > 0
-
-    def test_tree_walk_driver_reports_no_plan_metrics(self):
-        driver, _ = run_driver(False)
-        assert driver.metrics.counter("exec.plan_cache.miss") == 0
-        assert driver.metrics.counter("exec.plan_cache.hit") == 0

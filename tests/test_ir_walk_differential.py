@@ -10,7 +10,7 @@ from every mutation operator:
 - a clone prints the same and gives every value the same use list
   (users compared by position, in order) as the old clone;
 - ``_canonical_tokens`` returns the same token list, so every
-  fingerprint is bit-identical, and ``_referenced_functions`` finds the
+  fingerprint is bit-identical, and ``referenced_functions`` finds the
   same functions;
 - the dominator tree answers ``immediate_dominator``, ``dominates_block``,
   ``children``, ``dominance_depth`` and ``blocks_in_rpo`` the same;
@@ -30,7 +30,7 @@ from repro.analysis.cfg import predecessor_map, reverse_postorder
 from repro.fuzz import generate_corpus
 from repro.ir import (BasicBlock, Function, IRBuilder, Module, parse_module,
                       print_module)
-from repro.ir.fingerprint import (_canonical_tokens, _referenced_functions,
+from repro.ir.fingerprint import (_canonical_tokens, referenced_functions,
                                   fingerprint_function)
 from repro.ir.instructions import (AllocaInst, BinaryOperator, BrInst,
                                    CallInst, CastInst, FreezeInst, GEPInst,
@@ -572,7 +572,7 @@ def check_fingerprints(module: Module) -> None:
         assert fingerprint_function(function) == hasher.hexdigest()
         others = [fn for fn in reference_referenced_functions(function)
                   if fn is not function]
-        assert _referenced_functions(function) == others
+        assert referenced_functions(function) == others
 
 
 @pytest.mark.parametrize("index", range(len(SOURCES)),
