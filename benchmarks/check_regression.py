@@ -20,7 +20,9 @@ the measured value, so runner variance does not turn the gate into a
 coin flip.  Review the diff before committing it.
 
 Exit status: 0 when every gate passes, 1 on any regression, 2 when a
-required summary file is missing.
+required summary file is missing or the baseline does not match the
+gate list (a gate whose metric the baseline lacks, or a baseline metric
+no gate reads).
 """
 
 import argparse
@@ -53,36 +55,6 @@ GATES = [
     ("feedback", "BENCH_feedback.json", "guided_iterations", "exact"),
     # floor 2.0 - 25% = 1.5x: the E9 acceptance criterion.
     ("feedback", "BENCH_feedback.json", "speedup", "floor"),
-    ("incremental_opt", "BENCH_incremental_opt.json", "findings", "exact"),
-    # E11 compares mutation-seeded worklists + skip memos against
-    # whole-function runs of the same passes.  Since the scan passes
-    # reach their fixpoint from a worklist in both legs (later sweeps
-    # visit only what a rewrite affected), the whole-function leg no
-    # longer re-sweeps 39 clean blocks and the ratio shrank with the layer
-    # it measured.  Ten alternating runs of parent and change, same box:
-    #   quick  incremental leg 0.099 -> 0.097 s per 20-mutant round,
-    #          full leg 0.258 -> 0.160 s, ratio 2.42-2.95 (median 2.66)
-    #          -> 1.52-1.89 (median 1.67)
-    #   full   incremental leg 0.384 -> 0.428 s per 60-mutant round (the
-    #          box ran in two speed states 1.6x apart; both sides 0.26 at
-    #          best), full leg 0.890 -> 0.573 s, ratio 1.52-3.11 (median
-    #          2.41) -> 1.09-1.60 (median 1.52)
-    # What is gated instead of "at least 2x": each leg's own rate
-    # (mutants per second of optimize stage) against the parent's —
-    # baseline = half the parent's median (quick 203 and 77 per second,
-    # full 156 and 67), as conservative as the other absolute floors here
-    # because one box already spans 1.6x — and the ratio keeps a floor of
-    # 1.4 - 25 % = 1.05x, i.e. the incremental leg must still win.
-    ("incremental_opt", "BENCH_incremental_opt.json", "incremental_opt_rate",
-     "floor"),
-    ("incremental_opt", "BENCH_incremental_opt.json", "full_opt_rate",
-     "floor"),
-    ("incremental_opt", "BENCH_incremental_opt.json", "optimize_speedup",
-     "floor"),
-    ("incremental_opt", "BENCH_incremental_opt.json", "worklist_runs",
-     "floor"),
-    ("incremental_opt", "BENCH_incremental_opt.json", "mutants_per_sec",
-     "floor"),
     ("cow_memo", "BENCH_cow_memo.json", "findings", "exact"),
     ("cow_memo", "BENCH_cow_memo.json", "speedup", "floor"),
     ("cow_memo", "BENCH_cow_memo.json", "optimize_hit_rate", "floor"),
@@ -115,6 +87,9 @@ GATES = [
     ("wire", "BENCH_wire.json", "socket_jobs_per_sec", "floor"),
 ]
 
+# Top-level baseline keys that describe the file rather than pin a metric.
+BASELINE_META = ("_note", "schema", "mode")
+
 _NOTE = (
     "{mode}-mode reference for check_regression.py. Metrics gated 'exact' "
     "are deterministic for the seeded {mode} workload; metrics gated "
@@ -141,14 +116,27 @@ def load_summaries(out_dir):
     return summaries
 
 
+def mismatches(baseline):
+    """``(missing, extra)``: ``section.metric`` keys a gate reads that the
+    baseline does not pin, and keys the baseline pins that no gate reads."""
+    gated = {f"{section}.{metric}" for section, _, metric, _ in GATES}
+    pinned = set()
+    for section, metrics in baseline.items():
+        if section in BASELINE_META:
+            continue
+        if not isinstance(metrics, dict):
+            pinned.add(section)
+            continue
+        pinned.update(f"{section}.{metric}" for metric in metrics)
+    return sorted(gated - pinned), sorted(pinned - gated)
+
+
 def check(baseline, summaries, tolerance):
     """Compare summaries against the baseline; returns failure list."""
     failures = []
     checked = 0
     for section, file_name, metric, kind in GATES:
-        expected = baseline.get(section, {}).get(metric)
-        if expected is None:
-            continue  # metric not pinned by this baseline
+        expected = baseline[section][metric]
         actual = summaries[file_name].get(metric)
         if actual is None:
             failures.append(f"{section}.{metric} missing from {file_name}")
@@ -230,6 +218,21 @@ def main(argv=None):
     args = parser.parse_args(argv)
     baseline_path = args.baseline or BASELINES[args.mode]
 
+    if not args.update:
+        with open(baseline_path) as stream:
+            baseline = json.load(stream)
+        missing, extra = mismatches(baseline)
+        for key in missing:
+            print(f"baseline lacks gated metric: {key}", file=sys.stderr)
+        for key in extra:
+            print(f"baseline pins ungated metric: {key}", file=sys.stderr)
+        if missing or extra:
+            print(
+                f"{baseline_path} does not match the gate list",
+                file=sys.stderr,
+            )
+            return 2
+
     summaries = load_summaries(args.out_dir)
     if summaries is None:
         return 2
@@ -246,8 +249,6 @@ def main(argv=None):
         print(f"wrote {baseline_path} from {args.out_dir} summaries")
         return 0
 
-    with open(baseline_path) as stream:
-        baseline = json.load(stream)
     failures, checked = check(baseline, summaries, args.tolerance)
     if failures:
         print(

@@ -1,8 +1,12 @@
-"""Analyses over the IR: CFG, dominance, overlays, value tracking."""
+"""Analyses over the IR: overlays, loops, value tracking.
 
-from .cfg import (postorder, predecessor_map, reachable_blocks,
-                  reverse_postorder)
-from .domtree import DominatorTree
+CFG traversal and the dominator tree live in :mod:`repro.ir` (the
+verifier's SSA check needs them) and are re-exported here.
+"""
+
+from ..ir.cfg import (postorder, predecessor_map, reachable_blocks,
+                      reverse_postorder)
+from ..ir.domtree import DominatorTree
 
 __all__ = ["postorder", "predecessor_map", "reachable_blocks",
            "reverse_postorder", "DominatorTree"]

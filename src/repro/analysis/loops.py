@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..ir.basicblock import BasicBlock
+from ..ir.domtree import DominatorTree
 from ..ir.function import Function
-from .domtree import DominatorTree
 
 
 @dataclass

@@ -16,14 +16,14 @@ computes a mutant-level replacement lazily.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from ..ir.basicblock import BasicBlock
+from ..ir.domtree import DominatorTree
 from ..ir.function import Function
 from ..ir.instructions import Instruction
 from ..ir.values import Argument, Constant, Value
 from .constants_pool import ConstantPool
-from .domtree import DominatorTree
 from .shuffle_ranges import ShuffleRange, shufflable_ranges
 
 
@@ -75,13 +75,9 @@ class MutantOverlay:
         # preserves names, so the name lookup runs once per block.
         self._translation: Dict[BasicBlock, Optional[BasicBlock]] = {}
         self._stats = {"original_hits": 0, "mutant_computes": 0}
-        # Incremental-optimization support: names of the blocks the
-        # applied mutations touched (None = effects could not be
-        # localized, degrade to whole-function), plus a note counter the
-        # engine uses to auto-degrade uninstrumented operators and to
-        # recognize pristine (not-yet-mutated) clones.
-        self._touched: Optional[Set[str]] = set()
-        self._touch_notes = 0
+        # True until the engine records the first applied mutation:
+        # a pristine clone shares its original's mutation sites.
+        self.pristine = True
 
     def signature_is_frozen(self) -> bool:
         """May the mutant's signature not change (fresh parameters)?
@@ -108,52 +104,6 @@ class MutantOverlay:
                         break
         return self._has_callers
 
-    # -- touched-region tracking ---------------------------------------------
-
-    @property
-    def touch_notes(self) -> int:
-        """How many touched-region notes operators have recorded."""
-        return self._touch_notes
-
-    def note_touched_block(self, block: Optional[BasicBlock]) -> None:
-        """Record that a mutation changed something inside ``block``."""
-        self._touch_notes += 1
-        if self._touched is None:
-            return
-        if block is None or not block.name:
-            self._touched = None
-        else:
-            self._touched.add(block.name)
-
-    def note_touched_value(self, value: Value) -> None:
-        """Record a touched instruction (its block); other value kinds —
-        arguments, constants — are not rule anchors and need no note."""
-        if isinstance(value, Instruction):
-            self.note_touched_block(value.parent)
-
-    def note_touched_all(self) -> None:
-        """Degrade to whole-function: the effect cannot be localized."""
-        self._touch_notes += 1
-        self._touched = None
-
-    def note_touched_nothing(self) -> None:
-        """Record a mutation the pass pipeline cannot observe.
-
-        For mutations that change only function/parameter attributes (or
-        other metadata no optimizer pass or analysis reads): the note
-        keeps the engine from auto-degrading to whole-function while
-        leaving the touched set empty.  Any future pass that starts
-        consulting attributes must make its mutation call
-        :meth:`note_touched_all` instead.
-        """
-        self._touch_notes += 1
-
-    def touched_blocks(self) -> Optional[FrozenSet[str]]:
-        """Names of mutation-touched blocks, or None for whole-function."""
-        if self._touched is None:
-            return None
-        return frozenset(self._touched)
-
     # -- mutation-site enumeration -------------------------------------------
 
     def enumerate_sites(self, kind: str,
@@ -169,7 +119,7 @@ class MutantOverlay:
         scan order, so cached and live enumeration present candidates
         identically (same RNG draws either way).
         """
-        if self._touch_notes == 0:
+        if self.pristine:
             descriptors = self.original.cached_sites(kind, scan)
         else:
             descriptors = scan(self.mutant)

@@ -201,13 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "fingerprint memoization (the deep-clone "
                              "ablation; findings are identical either "
                              "way, throughput is not)")
-    parser.add_argument("--no-incremental-opt", action="store_true",
-                        help="disable incremental re-optimization: "
-                             "per-(function, pass) skip memos and "
-                             "worklist-driven pass sweeps (the "
-                             "incremental-optimizer ablation; findings "
-                             "are identical either way, throughput is "
-                             "not)")
     parser.add_argument("--no-batched-exec", action="store_true",
                         help="run enumerated inputs one at a time "
                              "instead of struct-of-arrays batches (the "
@@ -287,7 +280,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         save_all=args.saveAll and args.save_dir is not None,
         log_path=args.log,
         memo=not args.no_memo,
-        incremental=not args.no_incremental_opt,
         feedback=FeedbackConfig(
             enabled=args.feedback,
             corpus_dir=args.corpus_dir,

@@ -67,20 +67,24 @@ def jobs_fingerprint(jobs: Sequence) -> str:
     budget, confirmation mode.  Deliberately independent of scheduling
     (worker count, deadlines, retry policy), of operational path knobs
     (``feedback.corpus_dir`` — where the corpus journal lands never
-    changes what a job computes) and of the execution engine
-    (``tv.batched`` — verdicts are identical either way, which is why
-    ``RefinementConfig.cache_key`` leaves it out too), so operational
-    tuning never invalidates completed work.
+    changes what a job computes), of the execution engine (``tv.batched``
+    — verdicts are identical either way, which is why
+    ``RefinementConfig.cache_key`` leaves it out too) and of the caches
+    (``memo``, ``optimize_cache_size``, ``verify_cache_size``,
+    ``mutator.cow_clone`` — findings are identical with memoization on
+    and off, DESIGN §3), so operational tuning never invalidates
+    completed work.
     """
     digest = hashlib.sha256()
     for job in jobs:
         config = asdict(job.config)
-        feedback = config.get("feedback")
-        if isinstance(feedback, dict):
-            feedback["corpus_dir"] = None
-        tv = config.get("tv")
-        if isinstance(tv, dict):
-            tv["batched"] = None
+        for key in ("memo", "optimize_cache_size", "verify_cache_size"):
+            if key in config:
+                config[key] = None
+        for section, key in (("feedback", "corpus_dir"), ("tv", "batched"),
+                             ("mutator", "cow_clone")):
+            if isinstance(config.get(section), dict):
+                config[section][key] = None
         payload = {
             "index": job.job_index,
             "file": job.file_name,

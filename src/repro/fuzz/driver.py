@@ -23,8 +23,7 @@ from ..ir.printer import print_module
 from ..mutate import MutantRecord, Mutator, MutatorConfig
 from ..obs import (NULL_TRACER, GcProbe, MetricsRegistry, ProgressReporter,
                    Tracer)
-from ..opt import (IncrementalState, OptContext, OptimizerCrash, PassManager,
-                   initial_dirty)
+from ..opt import OptContext, OptimizerCrash, PassManager
 from ..tv import RefinementConfig, Verdict, check_function_supported, \
     check_refinement, global_batch_stats, global_plan_cache
 from .corpus import Corpus, CorpusEntry, CorpusJournal, module_fingerprint
@@ -74,14 +73,6 @@ class FuzzConfig:
     memo: bool = True
     optimize_cache_size: int = 512
     verify_cache_size: int = 2048
-    # Incremental re-optimization (requires memo): per-(function
-    # fingerprint, pass) skip memos plus worklist-driven scan passes that
-    # revisit only the mutation's dirty region.  Bit-identical to full
-    # optimization — IR, stats, bug attribution, and findings all match —
-    # so it is on by default; ``alive-mutate --no-incremental-opt``
-    # disables it for ablation.
-    incremental: bool = True
-    incremental_cache_size: int = 4096
     # Coverage-guided fuzzing (rule-firing feedback, runtime corpus,
     # adaptive scheduling) — one sub-config, off by default; see
     # repro.fuzz.feedback.
@@ -125,9 +116,6 @@ class FuzzConfig:
         if self.memo and self.verify_cache_size <= 0:
             raise ConfigError("verify_cache_size must be positive, got "
                               f"{self.verify_cache_size}")
-        if self.memo and self.incremental and self.incremental_cache_size <= 0:
-            raise ConfigError("incremental_cache_size must be positive, got "
-                              f"{self.incremental_cache_size}")
         try:
             self.feedback.validate()
         except ValueError as exc:
@@ -232,14 +220,6 @@ class FuzzDriver:
         self._tv_cache: Optional[LRUCache] = (
             LRUCache(self.config.verify_cache_size)
             if self.config.memo else None)
-        # Incremental optimization (see repro.opt.incremental): the
-        # per-(fingerprint, pass) skip-memo store, shared by the baseline
-        # run and every mutant iteration.  Needs the whole-stage memo's
-        # fingerprints, so it rides on the same switch.
-        self._incremental: Optional[IncrementalState] = (
-            IncrementalState(self.config.incremental_cache_size,
-                             metrics=self.metrics)
-            if self.config.memo and self.config.incremental else None)
         self._seed_fps: Dict[str, str] = {}
         self._seed_fp_by_id: Dict[int, str] = {}
         # Execution-plan cache observability: the cache itself is
@@ -392,15 +372,8 @@ class FuzzDriver:
             cacheable = memo and not references_definitions(original)
             ctx = OptContext(self.config.enabled_bugs)
             crash: Optional[OptimizerCrash] = None
-            incremental = None
-            if cacheable and self._incremental is not None:
-                # Record per-pass skip memos along the seed's trajectory;
-                # mutants whose clean regions reach these fingerprints
-                # skip or worklist the matching passes.
-                incremental = self._incremental.begin(
-                    fp=self._seed_fps[original.name])
             try:
-                manager.run_function(function, ctx, incremental=incremental)
+                manager.run_function(function, ctx)
             except OptimizerCrash as exc:
                 crash = exc
                 crashed = True
@@ -848,32 +821,8 @@ class FuzzDriver:
             copy = copies[function.name]
             fn_ctx = OptContext(self.config.enabled_bugs)
             fn_crash: Optional[OptimizerCrash] = None
-            incremental = None
-            if self._incremental is not None \
-                    and not references_definitions(function):
-                # Seed the dirty region from the mutation's touched
-                # blocks (untouched-but-evicted functions get an empty
-                # region and replay their source's recorded trajectory);
-                # passes recorded quiescent on the *source* fingerprint
-                # are proven on the mutant's clean complement.
-                if function.name not in dirty:
-                    seed_dirty: Optional[set] = set()
-                    refingerprints: Optional[int] = None
-                else:
-                    touched = record.touched.get(function.name)
-                    seed_dirty = (initial_dirty(copy, touched)
-                                  if touched is not None else None)
-                    # A mutated body's intermediate forms are almost
-                    # never memoized; cap the whole-function re-hashes
-                    # at one convergence checkpoint (see IncrementalRun).
-                    refingerprints = 1
-                proven = self._incremental.proven_passes(
-                    source_fps.get(function.name), manager.pass_names)
-                incremental = self._incremental.begin(
-                    fp=fp_cache[id(function)], dirty=seed_dirty,
-                    proven=proven, refingerprints=refingerprints)
             try:
-                manager.run_function(copy, fn_ctx, incremental=incremental)
+                manager.run_function(copy, fn_ctx)
             except OptimizerCrash as exc:
                 fn_crash = exc
             ctx.triggered_bugs |= fn_ctx.triggered_bugs

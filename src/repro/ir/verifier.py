@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import List
 
 from .basicblock import BasicBlock
+from .domtree import DominatorTree
 from .function import Function
 from .instructions import (BinaryOperator, BrInst, CallInst, CastInst,
                            EXACT_FLAG_OPCODES, GEPInst, ICmpInst, Instruction,
@@ -78,9 +79,6 @@ def collect_function_errors(function: Function) -> List[str]:
             if isinstance(inst, PhiNode) and i > block.first_non_phi_index():
                 errors.append(f"{where}/{block_name}: phi after non-phi")
             errors.extend(_check_instruction(function, block, inst))
-
-    # Imported here: the analysis package itself imports repro.ir.
-    from ..analysis.domtree import DominatorTree
 
     domtree = DominatorTree(function)
     errors.extend(_check_ssa(function, domtree))

@@ -11,7 +11,7 @@ module together with the seed that reproduces it (§III-E).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import time
 
@@ -65,10 +65,6 @@ class MutantRecord:
     # How many definitions the clone deep-copied: all of them for full
     # clones, only the mutation targets under copy-on-write.
     functions_copied: int = 0
-    # Per mutated function: the names of the blocks its mutations
-    # touched, or None when an effect could not be localized — the seed
-    # of the incremental optimizer's dirty region (repro.opt.incremental).
-    touched: Dict[str, Optional[FrozenSet[str]]] = field(default_factory=dict)
 
     def dirty_functions(self) -> set:
         """Names of functions at least one operator actually changed."""
@@ -170,7 +166,6 @@ class Mutator:
                     # that conservatively recomputes instead of overlaying.
                     overlay.invalidate_cfg()
                 name = _weighted_choice(rng, names, weights)
-                notes_before = overlay.touch_notes
                 if tracer.enabled:
                     begin = time.perf_counter()
                     changed = MUTATIONS[name](overlay, rng)
@@ -180,14 +175,9 @@ class Mutator:
                 else:
                     changed = MUTATIONS[name](overlay, rng)
                 if changed:
-                    if overlay.touch_notes == notes_before:
-                        # The operator changed the function without saying
-                        # where: conservatively dirty the whole function.
-                        overlay.note_touched_all()
+                    overlay.pristine = False
                     record.applied.append((function_name, name))
                     applied += 1
-            if applied:
-                record.touched[function_name] = overlay.touched_blocks()
 
         if self.config.verify_mutants:
             errors: List[str] = []

@@ -65,7 +65,6 @@ def change_opcode(overlay: MutantOverlay, rng: MutationRNG) -> bool:
         victim.nuw = victim.nsw = False
     if victim.opcode not in EXACT_FLAG_OPCODES:
         victim.exact = False
-    overlay.note_touched_value(victim)
     return True
 
 
@@ -78,7 +77,6 @@ def swap_operands(overlay: MutantOverlay, rng: MutationRNG) -> bool:
     lhs, rhs = victim.operands[0], victim.operands[1]
     victim.set_operand(0, rhs)
     victim.set_operand(1, lhs)
-    overlay.note_touched_value(victim)
     return True
 
 
@@ -97,7 +95,6 @@ def toggle_flags(overlay: MutantOverlay, rng: MutationRNG) -> bool:
             victim.nsw = not victim.nsw
     else:
         victim.exact = not victim.exact
-    overlay.note_touched_value(victim)
     return True
 
 
@@ -108,7 +105,6 @@ def change_predicate(overlay: MutantOverlay, rng: MutationRNG) -> bool:
         return False
     others = [p for p in ICMP_PREDICATES if p != victim.predicate]
     victim.predicate = rng.choice(others)
-    overlay.note_touched_value(victim)
     return True
 
 
@@ -143,5 +139,4 @@ def replace_constant(overlay: MutantOverlay, rng: MutationRNG) -> bool:
     replacement = random_constant(old.type, overlay, rng,
                                   allow_undef=rng.chance(0.5))
     inst.set_operand(index, replacement)
-    overlay.note_touched_value(inst)
     return True

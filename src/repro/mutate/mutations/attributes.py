@@ -37,14 +37,9 @@ def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:
         actions.extend(["param", "param"])
     action = rng.choice(actions)
 
-    # No optimizer pass or analysis reads attributes (they only matter to
-    # the validator's input generation and refinement semantics), so an
-    # attribute flip leaves the pass pipeline's view of the function
-    # untouched — note it as such instead of degrading to whole-function.
     if action == "function":
         name = rng.choice(TOGGLEABLE_FUNCTION_ATTRIBUTES)
         function.attributes.toggle(Attribute(name))
-        overlay.note_touched_nothing()
         return True
 
     argument = rng.choice(function.arguments)
@@ -56,15 +51,12 @@ def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:
             else:
                 size = rng.choice(DEREFERENCEABLE_SIZES)
                 argument.attributes.add(Attribute("dereferenceable", size))
-            overlay.note_touched_nothing()
             return True
         name = rng.choice(TOGGLEABLE_POINTER_ATTRIBUTES)
         argument.attributes.toggle(Attribute(name))
-        overlay.note_touched_nothing()
         return True
     if argument.type.is_integer():
         name = rng.choice(TOGGLEABLE_INT_ATTRIBUTES)
         argument.attributes.toggle(Attribute(name))
-        overlay.note_touched_nothing()
         return True
     return False

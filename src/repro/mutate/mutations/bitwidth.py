@@ -83,17 +83,11 @@ def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:
                                  nuw=node.nuw, nsw=node.nsw,
                                  exact=node.exact)
         new_values[id(node)] = new_node
-        # The retargeted copy (and any resize casts) landed next to the
-        # old node; the old node's operands gained uses from the copies.
-        overlay.note_touched_value(node)
-        for operand in node.operands:
-            overlay.note_touched_value(operand)
 
     leaf = path[-1]
     new_leaf = new_values[id(leaf)]
     builder = IRBuilder()
     builder.set_insert_after(new_leaf)
     back = _resize(builder, new_leaf, leaf.type, rng)
-    overlay.note_touched_value(leaf)  # before RAUW: users still visible
     leaf.replace_all_uses_with(back)
     return True

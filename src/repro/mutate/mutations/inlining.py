@@ -55,9 +55,6 @@ def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:
     if chosen is None:
         return False
     _inline_body(call, chosen, overlay, rng)
-    # Inlining rewires uses of the call's result and may splice arbitrary
-    # instructions; treat the whole function as touched.
-    overlay.note_touched_all()
     overlay.invalidate_positions()
     return True
 

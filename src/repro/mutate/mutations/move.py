@@ -72,6 +72,5 @@ def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:
             user_index = block.index_of(user)
             if old_index <= user_index < block.index_of(victim):
                 replace_operand_with_dominating(overlay, user, use.index, rng)
-    overlay.note_touched_value(victim)
     overlay.invalidate_positions()
     return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List
 
 from ...analysis.overlay import MutantOverlay
-from ...ir.instructions import CallInst, Instruction
+from ...ir.instructions import CallInst
 from ..rng import MutationRNG
 
 
@@ -29,22 +29,12 @@ def _any_void_call_scan(function) -> List[tuple]:
             if isinstance(inst, CallInst) and inst.type.is_void()]
 
 
-def _erase(overlay: MutantOverlay, victim: CallInst) -> None:
-    overlay.note_touched_value(victim)
-    # The arguments each lose a use; note them so one-use rules at their
-    # remaining users are re-examined.
-    operands = [op for op in victim.operands if isinstance(op, Instruction)]
-    victim.erase_from_parent()
-    for operand in operands:
-        overlay.note_touched_value(operand)
-
-
 def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:
     candidates = overlay.enumerate_sites("void-calls", _void_call_scan)
     victim = rng.maybe_choice(candidates)
     if victim is None:
         return False
-    _erase(overlay, victim)
+    victim.erase_from_parent()
     return True
 
 
@@ -54,5 +44,5 @@ def apply_including_assumes(overlay: MutantOverlay, rng: MutationRNG) -> bool:
     victim = rng.maybe_choice(candidates)
     if victim is None:
         return False
-    _erase(overlay, victim)
+    victim.erase_from_parent()
     return True

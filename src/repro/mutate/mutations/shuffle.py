@@ -31,7 +31,6 @@ def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:
             # Identity permutation: rotate instead so something changes.
             permuted = selected[1:] + selected[:1]
         block.instructions[start:end] = permuted
-        overlay.note_touched_block(block)
         overlay.invalidate_positions()
         return True
     return False

@@ -162,12 +162,4 @@ def replace_operand_with_dominating(overlay: MutantOverlay,
         anchor = terminator
     replacement = random_dominating_value(overlay, anchor, operand.type, rng)
     inst.set_operand(operand_index, replacement)
-    overlay.note_touched_value(inst)
-    # The old operand lost a use: one-use rules at its remaining users
-    # (possibly in other blocks) may now fire.
-    overlay.note_touched_value(operand)
-    if anchor is not inst:
-        # Fresh instructions were anchored at the incoming block's
-        # terminator (the phi case), not at ``inst`` itself.
-        overlay.note_touched_value(anchor)
     return True

@@ -228,12 +228,8 @@ class MetricsRegistry:
         protocol bookkeeping (claims, heartbeats, reclaims, dedups) and
         injected chaos — which node ran which job and how many leases
         expired is scheduling history, not computation, and must not
-        break the kill-and-resume == uninterrupted invariant.
-        ``opt.incremental.*`` covers the incremental optimizer's
-        skip/worklist bookkeeping, which varies with memo warmth and the
-        ``--no-incremental-opt`` ablation while the optimized IR, stats,
-        and findings it produces stay bit-identical.  ``wire.*`` /
-        ``bitcode.*`` / ``net.*`` cover the transport tier — frames and
+        break the kill-and-resume == uninterrupted invariant.  ``wire.*``
+        / ``bitcode.*`` / ``net.*`` cover the transport tier — frames and
         bytes on the socket, blob-store and decode-cache hit rates,
         broker bookkeeping — which varies with the transport choice
         (shared dir vs socket), the payload format (text vs bitcode),
@@ -244,8 +240,8 @@ class MetricsRegistry:
         everything the process allocated before, not on the job.
         ``opt.scan.*`` / ``opt.knownbits.*`` count the work the scan
         passes did (instructions visited, known-bits lookups and memo
-        hits), which like ``opt.incremental.*`` follows memo warmth and
-        the ``--no-incremental-opt`` ablation, not the IR produced.
+        hits), which follows memo warmth and the ``--no-memo`` ablation,
+        not the IR produced.
         """
 
         def varies(name: str) -> bool:
@@ -257,7 +253,6 @@ class MetricsRegistry:
                 or name.startswith("exec.")
                 or name.startswith("dist.")
                 or name.startswith("chaos.")
-                or name.startswith("opt.incremental.")
                 or name.startswith("opt.scan.")
                 or name.startswith("opt.knownbits.")
                 or name.startswith("wire.")

@@ -90,13 +90,9 @@ class ThroughputSnapshot:
     corpus_size: int = 0
     features_covered: int = 0
     new_feature_rate: float = 0.0
-    # Incremental optimization (repro.opt.incremental): share of pass
-    # dispatches answered from the skip memo, worklist (dirty-region)
-    # runs, and the per-pass wall-clock breakdown of the optimize stage
-    # (from the ``optimize.pass.<name>.seconds`` counters).  All 0/empty
-    # when incremental optimization is off or nothing optimized yet.
-    incremental_skip_rate: float = 0.0
-    incremental_worklist_runs: int = 0
+    # The per-pass wall-clock breakdown of the optimize stage (from the
+    # ``optimize.pass.<name>.seconds`` counters); empty until something
+    # was optimized.
     pass_seconds: Dict[str, float] = field(default_factory=dict)
     # Work done by the scan passes (constfold / instsimplify /
     # instcombine): instructions visited over all sweeps, known-bits
@@ -138,15 +134,6 @@ class ThroughputSnapshot:
         batch_lanes = metrics.counter("exec.batch.lanes")
         draws = metrics.counter("feedback.draws")
         new_features = metrics.counter("feedback.features.new")
-        skips = (
-            metrics.counter("opt.incremental.memo_skips")
-            + metrics.counter("opt.incremental.memo_crash_skips")
-        )
-        dispatches = (
-            skips
-            + metrics.counter("opt.incremental.full_runs")
-            + metrics.counter("opt.incremental.worklist_runs")
-        )
         prefix = "optimize.pass."
         suffix = ".seconds"
         pass_seconds = {
@@ -208,10 +195,6 @@ class ThroughputSnapshot:
             corpus_size=int(metrics.gauges.get("corpus.size", 0.0)),
             features_covered=int(metrics.gauges.get("feedback.features.covered", 0.0)),
             new_feature_rate=new_features / draws if draws else 0.0,
-            incremental_skip_rate=skips / dispatches if dispatches else 0.0,
-            incremental_worklist_runs=int(
-                metrics.counter("opt.incremental.worklist_runs")
-            ),
             pass_seconds=pass_seconds,
             scan_visits=int(metrics.counter("opt.scan.visits")),
             knownbits_queries=int(kb_queries),
@@ -261,8 +244,6 @@ class ThroughputSnapshot:
             "corpus_size": self.corpus_size,
             "features_covered": self.features_covered,
             "new_feature_rate": round(self.new_feature_rate, 6),
-            "incremental_skip_rate": round(self.incremental_skip_rate, 6),
-            "incremental_worklist_runs": self.incremental_worklist_runs,
             "pass_seconds": {
                 name: round(seconds, 6)
                 for name, seconds in sorted(self.pass_seconds.items())
@@ -306,11 +287,6 @@ class ThroughputSnapshot:
             line += (
                 f" | gc {self.gc_share:.0%}"
                 f" (full {self.gc_full_collections})"
-            )
-        if self.incremental_skip_rate or self.incremental_worklist_runs:
-            line += (
-                f" | inc skip {self.incremental_skip_rate:.0%}"
-                f" wl {self.incremental_worklist_runs}"
             )
         if self.corpus_size or self.features_covered:
             line += f" | corpus {self.corpus_size} ({self.features_covered} feats)"

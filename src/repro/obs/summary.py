@@ -82,8 +82,6 @@ def campaign_summary(report, name: str = "campaign") -> dict:
         "corpus_size": snapshot.corpus_size,
         "features_covered": snapshot.features_covered,
         "new_feature_rate": round(snapshot.new_feature_rate, 6),
-        "incremental_skip_rate": round(snapshot.incremental_skip_rate, 6),
-        "incremental_worklist_runs": snapshot.incremental_worklist_runs,
         "pass_seconds": {
             name: round(seconds, 6)
             for name, seconds in sorted(snapshot.pass_seconds.items())

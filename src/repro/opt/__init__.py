@@ -4,22 +4,19 @@ from . import passes  # noqa: F401  (registers all passes)
 from .bugs import (SeededBug, all_bug_ids, all_bugs, bugs_by_id, crash_bugs,
                    get_bug, miscompilation_bugs)
 from .context import OptContext, OptimizerCrash
-from .incremental import (IncrementalRun, IncrementalState, PassMemoEntry,
-                          SweepState, initial_dirty)
 from .pass_manager import (FunctionPass, PassManager, available_passes,
                            create_pass, optimize_module, register_pass,
                            replace_and_erase)
 from .pipelines import PIPELINES, available_pipelines, expand
 from .rewrite import RewriteRule, RuleIndex, rule
+from .scan import SweepState
 
 __all__ = [
     "SeededBug", "all_bug_ids", "all_bugs", "bugs_by_id", "crash_bugs",
     "get_bug", "miscompilation_bugs",
     "OptContext", "OptimizerCrash",
-    "IncrementalRun", "IncrementalState", "PassMemoEntry", "SweepState",
-    "initial_dirty",
     "FunctionPass", "PassManager", "available_passes", "create_pass",
     "optimize_module", "register_pass", "replace_and_erase",
     "PIPELINES", "available_pipelines", "expand",
-    "RewriteRule", "RuleIndex", "rule",
+    "RewriteRule", "RuleIndex", "rule", "SweepState",
 ]

@@ -21,20 +21,12 @@ class FunctionPass:
     """Base class: transform one function, report whether IR changed."""
 
     name = "<unnamed>"
-    # Worklist-capable passes can re-optimize just a dirty region through
-    # :meth:`run_on_worklist` (see ``repro.opt.incremental``); everything
-    # else is always run over the whole function.
-    supports_worklist = False
     # The registry of the PassManager that created this pass, if any:
     # where a pass reports work counts that must stay out of ``ctx.stats``.
     metrics = None
 
     def run_on_function(self, function: Function, ctx: OptContext) -> bool:
         raise NotImplementedError
-
-    def run_on_worklist(self, function: Function, ctx: OptContext,
-                        dirty) -> bool:
-        raise NotImplementedError(f"pass {self.name} is not worklist-capable")
 
     def __repr__(self) -> str:
         return f"<pass {self.name}>"
@@ -78,9 +70,7 @@ class PassManager:
     accumulation into :attr:`pass_seconds`, ``optimize.pass.<name>.seconds``
     counters when a ``metrics`` registry is attached, one
     ``optimize.pass.<name>`` span per (pass, function) when a ``tracer``
-    is enabled, the ``pass.<name>.changed`` stat, and — when an
-    :class:`repro.opt.incremental.IncrementalRun` is threaded through
-    :meth:`run_function` — skip-memo/worklist dispatch.
+    is enabled, and the ``pass.<name>.changed`` stat.
     """
 
     def __init__(self, pass_names: Sequence[str],
@@ -101,16 +91,12 @@ class PassManager:
             function_pass.metrics = metrics
 
     def _apply(self, function_pass: FunctionPass, function: Function,
-               ctx: OptContext, incremental=None) -> bool:
-        """Run (or incrementally dispatch) one pass over one function."""
+               ctx: OptContext) -> bool:
+        """Run one pass over one function."""
         name = function_pass.name
         begin = time.perf_counter()
         try:
-            if incremental is not None:
-                pass_changed = incremental.dispatch(function_pass, function,
-                                                    ctx)
-            else:
-                pass_changed = function_pass.run_on_function(function, ctx)
+            pass_changed = function_pass.run_on_function(function, ctx)
         finally:
             elapsed = time.perf_counter() - begin
             self.pass_seconds[name] = \
@@ -139,8 +125,7 @@ class PassManager:
         return changed
 
     def run_function(self, function: Function,
-                     ctx: Optional[OptContext] = None,
-                     incremental=None) -> bool:
+                     ctx: Optional[OptContext] = None) -> bool:
         """Run the full pipeline over one function (function-major order).
 
         Because every registered pass is a :class:`FunctionPass`, running
@@ -148,14 +133,12 @@ class PassManager:
         produces the same IR as the pass-major :meth:`run` — this is what
         lets the memoized driver optimize (and cache) functions one at a
         time.  ``ctx`` overrides the manager's context for this call so
-        per-function bug attribution stays separable.  ``incremental`` is
-        an optional :class:`repro.opt.incremental.IncrementalRun` carrying
-        this function's skip-memo/worklist state.
+        per-function bug attribution stays separable.
         """
         ctx = ctx if ctx is not None else self.ctx
         changed = False
         for function_pass in self._passes:
-            if self._apply(function_pass, function, ctx, incremental):
+            if self._apply(function_pass, function, ctx):
                 changed = True
         return changed
 

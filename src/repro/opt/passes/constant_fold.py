@@ -7,7 +7,7 @@ from ...ir.instructions import CallInst, SelectInst
 from ...ir.values import PoisonValue
 from ..context import OptContext
 from ..fold import fold_instruction
-from ..incremental import ScanPass, SweepState
+from ..scan import ScanPass, SweepState
 from ..pass_manager import register_pass, replace_and_erase
 
 

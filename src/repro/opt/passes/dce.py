@@ -22,29 +22,10 @@ def is_trivially_dead(inst: Instruction) -> bool:
 
 @register_pass("dce")
 class DeadCodeElimination(FunctionPass):
-    """Iteratively removes trivially-dead instructions.
-
-    Trivial DCE is confluent — any erasure order reaches the same
-    fixpoint — so the worklist mode seeds from the dirty set instead of
-    the whole function and still produces identical IR and counts: an
-    instruction can only *become* dead through a use-count change, and
-    every use-count change is tracked into the dirty set.
-    """
-
-    supports_worklist = True
+    """Iteratively removes trivially-dead instructions."""
 
     def run_on_function(self, function: Function, ctx: OptContext) -> bool:
-        return self._run(list(function.instructions()), ctx, None)
-
-    def run_on_worklist(self, function: Function, ctx: OptContext,
-                        dirty) -> bool:
-        seeds = [inst for inst in dirty if inst.parent is not None]
-        return self._run(seeds, ctx, dirty)
-
-    @staticmethod
-    def _run(worklist: List[Instruction], ctx: OptContext, dirty) -> bool:
-        from ..incremental import expand_users
-
+        worklist = list(function.instructions())
         changed = False
         while worklist:
             inst = worklist.pop()
@@ -56,10 +37,6 @@ class DeadCodeElimination(FunctionPass):
             ctx.count("dce.removed")
             changed = True
             worklist.extend(operands)
-            if dirty is not None:
-                # Each operand lost a use; later passes' one-use rules at
-                # its remaining users may now fire.
-                expand_users(operands, dirty)
         return changed
 
 

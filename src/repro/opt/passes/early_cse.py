@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ...analysis.domtree import DominatorTree
 from ...ir.basicblock import BasicBlock
+from ...ir.domtree import DominatorTree
 from ...ir.function import Function
 from ...ir.instructions import (BinaryOperator, CallInst, CastInst,
                                 COMMUTATIVE_OPCODES, GEPInst, ICmpInst,

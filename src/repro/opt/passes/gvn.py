@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ...analysis.domtree import DominatorTree
+from ...ir.domtree import DominatorTree
 from ...ir.function import Function
 from ...ir.instructions import Instruction, PhiNode
 from ...ir.values import UndefValue

@@ -24,7 +24,7 @@ from ....ir.instructions import Instruction
 from ....ir.module import Module
 from ....ir.values import Value
 from ...context import OptContext
-from ...incremental import ScanPass, SweepState
+from ...scan import ScanPass, SweepState
 from ...pass_manager import register_pass, replace_and_erase
 from ...rewrite import RewriteRule, RuleIndex
 from ..instsimplify import simplify_instruction

@@ -18,7 +18,7 @@ from ...ir.types import IntType
 from ...ir.values import ConstantInt, PoisonValue, Value
 from ..context import OptContext
 from ..fold import fold_instruction
-from ..incremental import ScanPass, SweepState
+from ..scan import ScanPass, SweepState
 from ..pass_manager import register_pass, replace_and_erase
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Set
 
-from ...analysis.domtree import DominatorTree
 from ...analysis.loops import Loop, LoopInfo
+from ...ir.domtree import DominatorTree
 from ...ir.function import Function
 from ...ir.instructions import (BinaryOperator, CallInst, CastInst,
                                 FreezeInst, GEPInst, ICmpInst, Instruction,

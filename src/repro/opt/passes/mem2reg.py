@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ...analysis.domtree import DominatorTree
+from ...ir.domtree import DominatorTree
 from ...ir.function import Function
 from ...ir.instructions import AllocaInst, Instruction, LoadInst, StoreInst
 from ...ir.values import UndefValue, Value

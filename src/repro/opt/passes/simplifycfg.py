@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 
-from ...analysis.cfg import reachable_blocks
+from ...ir.cfg import reachable_blocks
 from ...ir.function import Function
 from ...ir.instructions import BrInst, SwitchInst
 from ...ir.values import ConstantInt

@@ -1,4 +1,4 @@
-"""Opcode-indexed rewrite-rule dispatch (the incremental-optimize layer 1).
+"""Opcode-indexed rewrite-rule dispatch.
 
 Historically every pattern-based pass tried its whole rule library against
 every instruction on every sweep.  A :class:`RewriteRule` declares, next to

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Optional, Tuple
 
-from ..analysis.cfg import reverse_postorder
+from ..ir.cfg import reverse_postorder
 from ..ir.fingerprint import fingerprint_closure, referenced_functions
 from ..ir.function import Function
 from ..ir.instructions import CallInst

@@ -61,7 +61,7 @@ def assert_sound(module: Module, pipeline: str = "O2",
 
 
 def block_function(blocks: int = 40, ops_per_block: int = 6) -> str:
-    """The E11 / ``optimize_blocks`` shape: every block computes a short
+    """The ``optimize_blocks`` shape: every block computes a short
     chain from the arguments, so a rewrite's closure stays in its block."""
     ops = ("add", "sub", "xor", "and", "or", "mul")
     lines = ["define i32 @work(i32 %x, i32 %y) {", "entry:", "  br label %b0"]

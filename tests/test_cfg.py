@@ -1,7 +1,7 @@
 """Tests for CFG traversal utilities."""
 
-from repro.analysis.cfg import (postorder, predecessor_map, reachable_blocks,
-                                reverse_postorder)
+from repro.ir.cfg import (postorder, predecessor_map, reachable_blocks,
+                          reverse_postorder)
 
 from helpers import parsed
 

@@ -4,7 +4,7 @@ dataflow computation of dominance."""
 from typing import Dict, Set
 
 from repro.analysis import DominatorTree, reverse_postorder
-from repro.analysis.cfg import predecessor_map
+from repro.ir.cfg import predecessor_map
 
 from helpers import parsed
 

@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import DominatorTree
-from repro.analysis.cfg import predecessor_map, reverse_postorder
+from repro.ir.cfg import predecessor_map, reverse_postorder
 from repro.fuzz import generate_corpus
 from repro.ir import (BasicBlock, Function, IRBuilder, Module, parse_module,
                       print_module)

@@ -1,0 +1,98 @@
+"""Package import boundaries.
+
+The packages form layers: ``ir`` at the bottom, ``analysis`` on it,
+``opt`` and ``tv`` side by side above that (the optimizer and its oracle
+must not share code the oracle could inherit a bug from), ``mutate``
+beside them, and ``fuzz`` / ``cli`` on top.  Every module of a lower
+package is parsed, and every import it makes — absolute or relative,
+at module level or inside a function — must stay out of the packages
+above or beside it.
+"""
+
+import ast
+import os
+
+import pytest
+
+import repro
+
+PACKAGE_ROOT = os.path.dirname(repro.__file__)
+
+FORBIDDEN = {
+    "ir": {"analysis", "opt", "tv", "mutate", "fuzz", "cli"},
+    "analysis": {"opt", "tv", "mutate", "fuzz", "cli"},
+    "opt": {"tv", "mutate", "fuzz", "cli"},
+    "tv": {"opt", "mutate", "fuzz", "cli"},
+    "mutate": {"opt", "tv", "fuzz", "cli"},
+}
+
+
+def module_name(path, root=PACKAGE_ROOT):
+    relative = os.path.relpath(path, os.path.dirname(root))
+    parts = relative[:-len(".py")].split(os.sep)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return parts
+
+
+def imported_modules(path, root=PACKAGE_ROOT):
+    """Absolute dotted names of everything ``path`` imports."""
+    parts = module_name(path, root)
+    is_package = path.endswith("__init__.py")
+    with open(path) as stream:
+        tree = ast.parse(stream.read(), path)
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                # A module's own package is parts[:-1]; a package's own
+                # package is itself.
+                base = parts if is_package else parts[:-1]
+                base = base[:len(base) - (node.level - 1)]
+                stem = ".".join(base + ([node.module] if node.module else []))
+            else:
+                stem = node.module
+            names.append(stem)
+            # ``from repro import opt`` imports a package by name.
+            names.extend(f"{stem}.{alias.name}" for alias in node.names)
+    return names
+
+
+def package_modules(package):
+    for directory, _, files in os.walk(os.path.join(PACKAGE_ROOT, package)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                yield os.path.join(directory, name)
+
+
+def violations(package):
+    found = []
+    for path in package_modules(package):
+        for name in imported_modules(path):
+            parts = name.split(".")
+            if parts[0] == "repro" and len(parts) > 1 \
+                    and parts[1] in FORBIDDEN[package]:
+                found.append(f"{'.'.join(module_name(path))} imports {name}")
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("package", sorted(FORBIDDEN))
+def test_no_import_crosses_a_layer(package):
+    assert violations(package) == []
+
+
+def test_relative_and_local_imports_are_seen(tmp_path):
+    # The walker resolves relative imports and finds function-local ones.
+    fake = tmp_path / "repro" / "opt" / "passes"
+    fake.mkdir(parents=True)
+    source = fake / "probe.py"
+    source.write_text(
+        "from ...tv.compile import LRUCache\n"
+        "def late():\n"
+        "    from repro import fuzz\n"
+        "    import repro.mutate.engine\n")
+    names = imported_modules(str(source), str(tmp_path / "repro"))
+    assert set(names) >= {
+        "repro.tv.compile", "repro.fuzz", "repro.mutate.engine"}

@@ -27,8 +27,8 @@ from repro.ir.printer import print_function
 from repro.ir.values import PoisonValue
 from repro.mutate import Mutator, MutatorConfig
 from repro.opt import (OptContext, OptimizerCrash, PassManager, RewriteRule,
-                       RuleIndex, all_bug_ids, create_pass, incremental,
-                       pass_manager)
+                       RuleIndex, all_bug_ids, create_pass, pass_manager,
+                       scan)
 from repro.opt.fold import fold_instruction
 from repro.opt.pass_manager import FunctionPass, replace_and_erase
 from repro.opt.passes import instcombine
@@ -183,7 +183,7 @@ def _leaves_function_alone_on_none(entry):
 def install_checks(monkeypatch, guard_rules=True):
     """Run the new passes with the recomputing memo and, unless the
     function is too big to print around every rule tried, guarded rules."""
-    monkeypatch.setattr(incremental, "KnownBitsMemo", RecomputingMemo)
+    monkeypatch.setattr(scan, "KnownBitsMemo", RecomputingMemo)
     if guard_rules:
         monkeypatch.setattr(instcombine, "_INDEX", RuleIndex(
             [_leaves_function_alone_on_none(entry)
@@ -340,7 +340,7 @@ def test_memo_is_consulted_and_hits():
             seen.append(self)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(incremental, "KnownBitsMemo", Spy)
+        monkeypatch.setattr(scan, "KnownBitsMemo", Spy)
         ctx = OptContext(())
         create_pass("instcombine").run_on_function(function, ctx)
         assert ctx.known_bits is None  # dropped with the run
