@@ -56,7 +56,6 @@ GATES = [
     # floor 2.0 - 25% = 1.5x: the E9 acceptance criterion.
     ("feedback", "BENCH_feedback.json", "speedup", "floor"),
     ("cow_memo", "BENCH_cow_memo.json", "findings", "exact"),
-    ("cow_memo", "BENCH_cow_memo.json", "speedup", "floor"),
     ("cow_memo", "BENCH_cow_memo.json", "optimize_hit_rate", "floor"),
     ("cow_memo", "BENCH_cow_memo.json", "mutants_per_sec", "floor"),
     # E10 batched vs per-input tree-walking; it carries the gates of the

@@ -23,13 +23,7 @@ from repro.fuzz import FuzzConfig, FuzzDriver, corpus_modules
 from repro.ir import parse_module
 from repro.mutate import MutatorConfig
 from repro.opt import OptContext, PassManager
-from repro.tv import (
-    RefinementConfig,
-    check_refinement,
-    global_batch_stats,
-    reset_global_batch_stats,
-    reset_global_plan_cache,
-)
+from repro.tv import RefinementConfig, TVCaches, check_refinement
 
 from bench_utils import scaled, write_json, write_report
 
@@ -57,8 +51,8 @@ def _pairs():
 def test_bench_batch_exec_ablation(benchmark):
     jobs = _pairs()
     assert jobs
-    cache = reset_global_plan_cache()
-    reset_global_batch_stats()
+    # Both modes share one set of caches, as one driver's checks do.
+    caches = TVCaches()
     results = {"batched": float("inf"), "scalar": float("inf")}
     verdicts = {}
 
@@ -72,6 +66,7 @@ def test_bench_batch_exec_ablation(benchmark):
                 src_module,
                 tgt_module,
                 config,
+                caches=caches,
             )
             observed.append(
                 (
@@ -101,9 +96,9 @@ def test_bench_batch_exec_ablation(benchmark):
     # input counts, inconclusive counts, and counterexamples.
     assert verdicts["batched"] == verdicts["scalar"]
 
-    batches, lanes, splits, fallbacks = global_batch_stats().stats()[:4]
+    batches, lanes, splits, fallbacks = caches.stats.stats()[:4]
     lanes_per_batch = lanes / batches if batches else 0.0
-    hits, misses, plan_fallbacks = cache.stats()
+    hits, misses, plan_fallbacks = caches.plans.stats()
     lookups = hits + misses
     plan_hit_rate = hits / lookups if lookups else 0.0
     speedup = results["scalar"] / results["batched"]
@@ -187,8 +182,6 @@ def test_bench_batch_exec_driver_parity(benchmark):
         return FuzzDriver(parse_module(seed_text), config, file_name="bench.ll")
 
     def run_both():
-        reset_global_plan_cache()
-        reset_global_batch_stats()
         batched_driver = driver_for(True)
         scalar_driver = driver_for(False)
         batched_report = batched_driver.run(iterations=mutants)

@@ -1,17 +1,15 @@
-"""E7 — ablation of CoW cloning + fingerprint memoization (paper §III-B).
+"""E7 — CoW cloning + fingerprint memoization (paper §III-B).
 
 Real fuzzing corpora are modules where only a couple of functions are
-viable mutation targets while the rest ride along: they are cloned and
-re-optimized on every iteration even though they never change.  The
-memoized driver shares those functions copy-on-write and replays their
-cached optimize results (and repeated verify verdicts), so per-iteration
-work shrinks to the functions the mutant round actually touched.  The
-ablation (``--no-memo`` / ``FuzzConfig(memo=False)``) deep-clones and
-re-optimizes everything, mirroring the overhead the paper attributes to
-naive per-mutant copying in §V-B.
-
-The two modes must produce byte-identical findings — the caches are a
-pure performance layer.
+viable mutation targets while the rest ride along.  The driver shares
+those functions copy-on-write and replays their cached optimize results
+(and repeated verify verdicts), so per-iteration work shrinks to the
+functions the mutant round actually touched.  Memoization is always on:
+this bench records the memoized driver's throughput, its cache hit
+rates and its findings (pinned exactly by the baseline).  The deep-clone
+leg and its speed-up ratio went with the switch that turned the memos
+off; the tests compare the driver against a deep-clone reference loop
+instead (``tests/helpers.py``).
 """
 
 import time
@@ -25,8 +23,7 @@ from bench_utils import scaled, write_json, write_report
 
 # Cold functions: unsupported by TV (i128 parameters, so preprocessing
 # drops them from targeting) but perfectly optimizable, which is what
-# makes them pure overhead for the deep-clone driver and pure cache hits
-# for the memoized one.
+# makes them pure cache hits for the memoized driver.
 COLD_FUNCTIONS = 10
 COLD_BODY_ADDS = 12
 
@@ -64,11 +61,10 @@ ROUNDS = 4
 BATCH = MUTANTS // ROUNDS
 
 
-def _driver(memo: bool) -> FuzzDriver:
+def _driver() -> FuzzDriver:
     config = FuzzConfig(
-        mutator=MutatorConfig(max_mutations=2, cow_clone=memo),
+        mutator=MutatorConfig(max_mutations=2),
         tv=RefinementConfig(max_inputs=12),
-        memo=memo,
         enabled_bugs=("53252",),
     )
     return FuzzDriver(parse_module(SEED_TEXT), config, file_name="bench.ll")
@@ -79,81 +75,68 @@ def _finding_keys(findings) -> list:
 
 
 def test_bench_cow_memo_ablation(benchmark):
-    results = {"memo": float("inf"), "deep": float("inf")}
-    findings = {"memo": [], "deep": []}
-    drivers = {"memo": _driver(True), "deep": _driver(False)}
+    best = float("inf")
+    findings = []
+    driver = _driver()
 
-    def measure_both():
-        # Interleave the two modes round-robin and keep each mode's best
-        # round, so a transient load spike cannot skew the comparison.
-        # The memo driver's caches warm across rounds, exactly as they
+    def measure():
+        # Keep the best round, so a transient load spike cannot skew
+        # the number.  The caches warm across rounds, exactly as they
         # would across a long campaign.
+        nonlocal best
         for round_index in range(ROUNDS):
-            for mode, driver in drivers.items():
-                begin = time.perf_counter()
-                for offset in range(BATCH):
-                    found = driver.run_one(round_index * BATCH + offset)
-                    findings[mode].extend(_finding_keys(found))
-                results[mode] = min(results[mode], time.perf_counter() - begin)
+            begin = time.perf_counter()
+            for offset in range(BATCH):
+                found = driver.run_one(round_index * BATCH + offset)
+                findings.extend(_finding_keys(found))
+            best = min(best, time.perf_counter() - begin)
 
-    benchmark.pedantic(measure_both, rounds=1, iterations=1)
+    benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    # Findings invariance is the whole contract: same seeds, same bugs.
-    assert findings["memo"] == findings["deep"]
-
-    speedup = results["deep"] / results["memo"]
-    memo_metrics = drivers["memo"].metrics
+    metrics = driver.metrics
 
     def hit_rate(cache: str) -> float:
-        hits = memo_metrics.counter(f"cache.{cache}.hit")
-        total = hits + memo_metrics.counter(f"cache.{cache}.miss")
+        hits = metrics.counter(f"cache.{cache}.hit")
+        total = hits + metrics.counter(f"cache.{cache}.miss")
         return hits / total if total else 0.0
 
     payload = {
         "bench": "cow_memo",
-        "schema": 1,
+        "schema": 2,
         "mutants_per_round": BATCH,
-        "memo_best_round": round(results["memo"], 6),
-        "deep_best_round": round(results["deep"], 6),
-        "speedup": round(speedup, 4),
-        "mutants_per_sec": round(BATCH / results["memo"], 3),
+        "memo_best_round": round(best, 6),
+        "mutants_per_sec": round(BATCH / best, 3),
         "optimize_hit_rate": round(hit_rate("optimize"), 6),
         "verify_hit_rate": round(hit_rate("verify"), 6),
-        "findings": len(findings["memo"]),
+        "findings": len(findings),
     }
     write_json("BENCH_cow_memo.json", payload)
     report = (
-        f"memoized driver:  {results['memo']:.3f}s per best "
-        f"{BATCH}-mutant round\n"
-        f"deep-clone driver: {results['deep']:.3f}s per best "
-        f"{BATCH}-mutant round\n"
-        f"speedup:           {speedup:.2f}x\n"
+        f"memoized driver:   {best:.3f}s per best {BATCH}-mutant round\n"
         f"optimize hit rate: {payload['optimize_hit_rate']:.0%}\n"
         f"verify hit rate:   {payload['verify_hit_rate']:.0%}\n"
-        f"findings (equal in both modes): {payload['findings']}\n"
+        f"findings:          {payload['findings']}\n"
     )
     write_report("cow_memo_ablation.txt", report)
     print("\n" + report)
 
-    # Acceptance floor: the memoized hot loop must beat the deep-clone
-    # ablation by at least 1.5x on this workload.
-    assert speedup >= 1.5
     # The cold functions must actually be served from cache.
     assert payload["optimize_hit_rate"] > 0.5
 
 
 def test_bench_cow_memo_clone_volume(benchmark):
-    """CoW must copy strictly fewer functions than deep cloning."""
+    """CoW and the optimize memo copy fewer functions per mutant than
+    the module defines: at most half what a deep-clone loop copies,
+    which is every definition twice (once to mutate, once to optimize)."""
 
-    def run_both():
-        memo_driver = _driver(True)
-        deep_driver = _driver(False)
-        for seed in range(20):
-            memo_driver.run_one(seed)
-            deep_driver.run_one(seed)
-        memo_copied = memo_driver.metrics.counter("clone.functions_copied")
-        deep_copied = deep_driver.metrics.counter("clone.functions_copied")
-        assert memo_copied < deep_copied / 2
-        return memo_copied, deep_copied
+    def run():
+        driver = _driver()
+        iterations = 20
+        for seed in range(iterations):
+            driver.run_one(seed)
+        copied = driver.metrics.counter("clone.functions_copied")
+        definitions = len(driver.module.definitions())
+        assert copied < definitions * iterations
+        return copied, definitions
 
-    benchmark.pedantic(run_both, rounds=1, iterations=1)
+    benchmark.pedantic(run, rounds=1, iterations=1)

@@ -25,13 +25,14 @@ Campaigns (optionally sharded across worker processes):
 >>> print(run_campaign(CampaignConfig(workers=4)).table())
 """
 
-from .fuzz import (BugLog, CampaignConfig, CampaignExecutor, CampaignReport,
-                   ConfigError, Finding, FuzzConfig, FuzzDriver, FuzzReport,
-                   Session, StageTimings, run_campaign)
-from .obs import MetricsRegistry, Tracer
-from .tv import Verdict
+import importlib
 
 __version__ = "1.2.0"
+
+# The public names resolve on first use (PEP 562), so ``import repro.ir``
+# does not import ``repro.fuzz``.  Every name not listed here comes from
+# ``repro.fuzz``.
+_HOMES = {"MetricsRegistry": "obs", "Tracer": "obs", "Verdict": "tv"}
 
 __all__ = [
     "__version__",
@@ -45,3 +46,15 @@ __all__ = [
     # Observability (repro.obs): per-run metrics and span tracing.
     "MetricsRegistry", "Tracer",
 ]
+
+
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    package = importlib.import_module("." + _HOMES.get(name, "fuzz"), __name__)
+    value = globals()[name] = getattr(package, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -196,11 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output file for --mutate-only")
     parser.add_argument("--emit-bitcode", action="store_true",
                         help="write the mutant in the compact binary format")
-    parser.add_argument("--no-memo", action="store_true",
-                        help="disable copy-on-write cloning and "
-                             "fingerprint memoization (the deep-clone "
-                             "ablation; findings are identical either "
-                             "way, throughput is not)")
     parser.add_argument("--no-batched-exec", action="store_true",
                         help="run enumerated inputs one at a time "
                              "instead of struct-of-arrays batches (the "
@@ -240,8 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
     mutator_config = MutatorConfig(max_mutations=args.max_mutations,
-                                   verify_mutants=args.verify_mutants,
-                                   cow_clone=not args.no_memo)
+                                   verify_mutants=args.verify_mutants)
 
     if args.mutate_only:
         if len(args.inputs) > 1:
@@ -279,7 +273,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         save_dir=args.save_dir,
         save_all=args.saveAll and args.save_dir is not None,
         log_path=args.log,
-        memo=not args.no_memo,
         feedback=FeedbackConfig(
             enabled=args.feedback,
             corpus_dir=args.corpus_dir,

@@ -31,9 +31,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict
 from typing import Dict, IO, Optional, Sequence
 
+from ..config import semantic_dict
 from ..obs import MetricsRegistry
 from .driver import StageTimings
 from .feedback import FeedbackStats
@@ -63,33 +63,21 @@ def jobs_fingerprint(jobs: Sequence) -> str:
     """Deterministic fingerprint of a job matrix (config + corpus hash).
 
     Depends only on what each job *computes* — index, seed file text,
-    per-job :class:`~repro.fuzz.driver.FuzzConfig`, iteration/time
-    budget, confirmation mode.  Deliberately independent of scheduling
-    (worker count, deadlines, retry policy), of operational path knobs
-    (``feedback.corpus_dir`` — where the corpus journal lands never
-    changes what a job computes), of the execution engine (``tv.batched``
-    — verdicts are identical either way, which is why
-    ``RefinementConfig.cache_key`` leaves it out too) and of the caches
-    (``memo``, ``optimize_cache_size``, ``verify_cache_size``,
-    ``mutator.cow_clone`` — findings are identical with memoization on
-    and off, DESIGN §3), so operational tuning never invalidates
-    completed work.
+    the *semantic* fields of the per-job
+    :class:`~repro.fuzz.driver.FuzzConfig` (see :mod:`repro.config`),
+    iteration/time budget, confirmation mode.  Deliberately independent
+    of scheduling (worker count, deadlines, retry policy) and of every
+    field tagged operational (output paths such as
+    ``feedback.corpus_dir``, the execution engine ``tv.batched``), so
+    operational tuning never invalidates completed work.
     """
     digest = hashlib.sha256()
     for job in jobs:
-        config = asdict(job.config)
-        for key in ("memo", "optimize_cache_size", "verify_cache_size"):
-            if key in config:
-                config[key] = None
-        for section, key in (("feedback", "corpus_dir"), ("tv", "batched"),
-                             ("mutator", "cow_clone")):
-            if isinstance(config.get(section), dict):
-                config[section][key] = None
         payload = {
             "index": job.job_index,
             "file": job.file_name,
             "text_sha": hashlib.sha256(job.text.encode()).hexdigest(),
-            "config": config,
+            "config": semantic_dict(job.config),
             "iterations": job.iterations,
             "time_budget": job.time_budget,
             "confirm": job.confirm_attributions,

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..config import operational, semantic
 from ..ir.fingerprint import (fingerprint_closure, fingerprint_function,
                               references_definitions)
 from ..ir.function import Function
@@ -24,8 +25,8 @@ from ..mutate import MutantRecord, Mutator, MutatorConfig
 from ..obs import (NULL_TRACER, GcProbe, MetricsRegistry, ProgressReporter,
                    Tracer)
 from ..opt import OptContext, OptimizerCrash, PassManager
-from ..tv import RefinementConfig, Verdict, check_function_supported, \
-    check_refinement, global_batch_stats, global_plan_cache
+from ..tv import (RefinementConfig, TVCaches, Verdict,
+                  check_function_supported, check_refinement)
 from .corpus import Corpus, CorpusEntry, CorpusJournal, module_fingerprint
 from .feedback import (Feedback, FeedbackConfig, FeedbackStats, bug_feature)
 from .findings import CRASH, MISCOMPILATION, BugLog, Finding
@@ -51,32 +52,45 @@ class DeadlineExceeded(Exception):
     """
 
 
+# Entries the driver's fingerprint memos keep (paper §III-B, lifted to
+# whole stages): bounded LRU caches replay optimize results and verify
+# verdicts for structurally repeated functions.  Finding-preserving —
+# cached UNSOUND verdicts and optimizer crashes are replayed, and cache
+# hits re-inject their ``OptContext.triggered_bugs``.
+OPTIMIZE_CACHE_SIZE = 512
+VERIFY_CACHE_SIZE = 2048
+
+# The exec.* metrics the driver's TVCaches counters are folded into:
+# plan lookups, lanes driven per batch (and how many needed no
+# interpreter), divergence regrouping and scalar fallbacks, and the
+# validation check_refinement proved unnecessary.
+EXEC_COUNTERS = (
+    "exec.plan_cache.hit", "exec.plan_cache.miss",
+    "exec.plan_cache.fallback", "exec.plan_cache.evictions",
+    "exec.batch.batches", "exec.batch.lanes",
+    "exec.batch.divergence_splits", "exec.batch.scalar_fallbacks",
+    "exec.verify.same_plan", "exec.verify.static_skips",
+    "exec.verify.target_inputs_pruned", "exec.batch.stateless_lanes")
+
+
 @dataclass
 class FuzzConfig:
-    pipeline: str = "O2"
-    enabled_bugs: Sequence[str] = ()
-    mutator: MutatorConfig = field(default_factory=MutatorConfig)
-    tv: RefinementConfig = field(default_factory=RefinementConfig)
-    base_seed: int = 0
+    """One job's settings; each field is tagged (:mod:`repro.config`)."""
+
+    pipeline: str = semantic("O2")
+    enabled_bugs: Sequence[str] = semantic(())
+    mutator: MutatorConfig = semantic(default_factory=MutatorConfig)
+    tv: RefinementConfig = semantic(default_factory=RefinementConfig)
+    base_seed: int = semantic(0)
     # Saving mutants to disk is off by default — the paper's fast path.
-    save_dir: Optional[str] = None
-    save_all: bool = False
-    log_path: Optional[str] = None
-    stop_on_first_finding: bool = False
-    # Fingerprint memoization (paper §III-B, lifted to whole stages):
-    # bounded LRU caches replay optimize results and verify verdicts for
-    # structurally repeated functions.  Guaranteed finding-preserving —
-    # cached UNSOUND verdicts and optimizer crashes are replayed, and
-    # cache hits re-inject their ``OptContext.triggered_bugs``.  Disable
-    # (with ``mutator.cow_clone``) for the classic deep-clone loop, e.g.
-    # via ``alive-mutate --no-memo``.
-    memo: bool = True
-    optimize_cache_size: int = 512
-    verify_cache_size: int = 2048
+    save_dir: Optional[str] = operational(None)
+    save_all: bool = operational(False)
+    log_path: Optional[str] = operational(None)
+    stop_on_first_finding: bool = semantic(False)
     # Coverage-guided fuzzing (rule-firing feedback, runtime corpus,
     # adaptive scheduling) — one sub-config, off by default; see
     # repro.fuzz.feedback.
-    feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
+    feedback: FeedbackConfig = semantic(default_factory=FeedbackConfig)
 
     def validate(self, iterations: Optional[int] = None,
                  time_budget: Optional[float] = None,
@@ -110,12 +124,6 @@ class FuzzConfig:
                     f"{self.pipeline!r} (pipelines: "
                     f"{', '.join(available_pipelines())}; see "
                     "repro-opt --list-passes for individual passes)")
-        if self.memo and self.optimize_cache_size <= 0:
-            raise ConfigError("optimize_cache_size must be positive, got "
-                              f"{self.optimize_cache_size}")
-        if self.memo and self.verify_cache_size <= 0:
-            raise ConfigError("verify_cache_size must be positive, got "
-                              f"{self.verify_cache_size}")
         try:
             self.feedback.validate()
         except ValueError as exc:
@@ -208,34 +216,20 @@ class FuzzDriver:
         # (or None).  Checked at stage boundaries; on expiry the loop
         # raises DeadlineExceeded instead of starting the next stage.
         self.deadline_at: Optional[float] = None
-        # Memoization state (see repro.fuzz.memo): bounded LRU caches
-        # over structural fingerprints, plus the seed module's own
-        # fingerprints (by name and by object id) so copy-on-write
-        # mutants can skip re-hashing functions no operator touched.
+        # Every cache of the job belongs to the driver and dies with it:
+        # the memos (repro.fuzz.memo), the seed's fingerprints (so CoW
+        # mutants skip re-hashing untouched functions), and TVCaches.
         self._pipeline_key = self.config.pipeline
         self._tv_key = self.config.tv.cache_key()
-        self._opt_cache: Optional[LRUCache] = (
-            LRUCache(self.config.optimize_cache_size)
-            if self.config.memo else None)
-        self._tv_cache: Optional[LRUCache] = (
-            LRUCache(self.config.verify_cache_size)
-            if self.config.memo else None)
+        self._opt_cache = LRUCache(OPTIMIZE_CACHE_SIZE)
+        self._tv_cache = LRUCache(VERIFY_CACHE_SIZE)
         self._seed_fps: Dict[str, str] = {}
         self._seed_fp_by_id: Dict[int, str] = {}
-        # Execution-plan cache observability: the cache itself is
-        # process-wide (repro.tv.compile), so hit/miss deltas since the
-        # last snapshot are folded into this driver's metrics at stage
-        # boundaries as exec.plan_cache.* counters.
-        self._plan_stats: Tuple[int, ...] = self._plan_cache_stats()
-        # Execution observability follows the same delta-fold pattern:
-        # exec.batch.* counters record lanes driven per batch (and how
-        # many needed no interpreter), divergence regrouping, and scalar
-        # fallbacks; exec.verify.* the validation check_refinement
-        # proved unnecessary (both engines prune).
-        self._batch_stats: Tuple[int, ...] = global_batch_stats().stats()
+        # The TV counters are folded into metrics at stage boundaries.
+        self._tv_caches = TVCaches()
+        self._exec_seen = self._exec_stats()
         self._preprocess()
-        self._harvest_plan_stats()
-        self._harvest_batch_stats()
+        self._harvest_exec_stats()
         self.mutator = Mutator(module, self._mutator_config(),
                                tracer=self.tracer)
         # Coverage-guided state (see repro.fuzz.feedback): the runtime
@@ -289,7 +283,7 @@ class FuzzDriver:
             enabled_mutations=base.enabled_mutations,
             verify_mutants=base.verify_mutants,
             only_functions=list(self._targets),
-            cow_clone=base.cow_clone,
+            overlay_mode=base.overlay_mode,
         )
 
     # -- preprocessing (paper §III-A) ---------------------------------------
@@ -301,9 +295,9 @@ class FuzzDriver:
         The baseline clone+optimize runs once for the *whole module* (it
         used to run once per candidate function — O(F²) in module size);
         every candidate is checked against that single optimized copy.
-        When memoization is on, the per-function baseline results seed
-        the optimize and verify caches, so functions a mutation round
-        leaves untouched hit from the very first iteration.
+        The per-function baseline results seed the optimize and verify
+        caches, so functions a mutation round leaves untouched hit from
+        the very first iteration.
         """
         self._targets: List[str] = []
         self._baseline_features: Set[str] = set()
@@ -329,10 +323,10 @@ class FuzzDriver:
                         continue
                     result = check_refinement(function, target, self.module,
                                               baseline, self.config.tv,
-                                              fp_cache=fp_cache)
-                    if self._tv_cache is not None:
-                        key = self._verify_key(function, target, fp_cache)
-                        self._tv_cache.put(key, result)
+                                              fp_cache=fp_cache,
+                                              caches=self._tv_caches)
+                    key = self._verify_key(function, target, fp_cache)
+                    self._tv_cache.put(key, result)
                     if result.verdict == Verdict.UNSOUND and not union_bugs:
                         reasons[function.name] = ("un-mutated form already "
                                                   "fails translation "
@@ -356,20 +350,18 @@ class FuzzDriver:
         function's optimized body, bug attribution, and crash be
         recorded individually in the optimize cache.
         """
-        memo = self._opt_cache is not None
-        if memo:
-            for function in self.module.definitions():
-                fp = fingerprint_function(function)
-                self._seed_fps[function.name] = fp
-                self._seed_fp_by_id[id(function)] = fp
-            fp_cache.update(self._seed_fp_by_id)
+        for function in self.module.definitions():
+            fp = fingerprint_function(function)
+            self._seed_fps[function.name] = fp
+            self._seed_fp_by_id[id(function)] = fp
+        fp_cache.update(self._seed_fp_by_id)
         optimized = self.module.clone()
         manager = PassManager([self.config.pipeline], metrics=self.metrics)
         crashed = False
         union_bugs: Set[str] = set()
         for original in self.module.definitions():
             function = optimized.get_function(original.name)
-            cacheable = memo and not references_definitions(original)
+            cacheable = not references_definitions(original)
             ctx = OptContext(self.config.enabled_bugs)
             crash: Optional[OptimizerCrash] = None
             try:
@@ -508,20 +500,8 @@ class FuzzDriver:
         self.check_deadline()
         begin = time.perf_counter()
         fp_cache: Dict[int, str] = dict(source_fp_by_id)
-        if self._opt_cache is not None:
-            optimized, ctx, crash = self._optimize_memo(mutant, record,
-                                                        fp_cache, source_fps)
-        else:
-            optimized = mutant.clone()
-            metrics.count("clone.functions_copied",
-                          len(optimized.definitions()))
-            ctx = OptContext(self.config.enabled_bugs)
-            crash = None
-            try:
-                PassManager([self.config.pipeline], ctx, tracer=self.tracer,
-                            metrics=metrics).run(optimized)
-            except OptimizerCrash as exc:
-                crash = exc
+        optimized, ctx, crash = self._optimize_memo(mutant, record,
+                                                    fp_cache, source_fps)
         optimize_seconds = time.perf_counter() - begin
         timings.optimize += optimize_seconds
         metrics.count("stage.optimize.seconds", optimize_seconds)
@@ -549,27 +529,21 @@ class FuzzDriver:
 
         self.check_deadline()
         begin = time.perf_counter()
-        # The counters are process-wide: start from now, so that another
-        # driver's work since our last harvest is not counted as ours.
-        self._batch_stats = global_batch_stats().stats()
         for name in self._targets:
             source = mutant.get_function(name)
             target = optimized.get_function(name)
             if source is None or target is None or target.is_declaration():
                 continue
-            result = None
-            key = None
-            if self._tv_cache is not None:
-                key = self._verify_key(source, target, fp_cache)
-                result = self._tv_cache.get(key)
-                metrics.count("cache.verify.hit" if result is not None
-                              else "cache.verify.miss")
+            key = self._verify_key(source, target, fp_cache)
+            result = self._tv_cache.get(key)
+            metrics.count("cache.verify.hit" if result is not None
+                          else "cache.verify.miss")
             if result is None:
                 result = check_refinement(source, target, mutant, optimized,
                                           self.config.tv, tracer=self.tracer,
-                                          fp_cache=fp_cache)
-                if key is not None:
-                    self._tv_cache.put(key, result)
+                                          fp_cache=fp_cache,
+                                          caches=self._tv_caches)
+                self._tv_cache.put(key, result)
             metrics.count("tv.checks")
             self.report.inconclusive += result.inconclusive_inputs
             if result.inconclusive_inputs:
@@ -589,8 +563,7 @@ class FuzzDriver:
                     self._save(mutant, seed)
         verify_seconds = time.perf_counter() - begin
         timings.verify += verify_seconds
-        self._harvest_plan_stats()
-        self._harvest_batch_stats()
+        self._harvest_exec_stats()
         metrics.count("stage.verify.seconds", verify_seconds)
         self.tracer.record("verify", begin, verify_seconds, seed=seed,
                            findings=len(found))
@@ -603,43 +576,25 @@ class FuzzDriver:
                         mutate_seconds + optimize_seconds + verify_seconds)
         return found
 
-    @staticmethod
-    def _plan_cache_stats() -> Tuple[int, ...]:
-        """(hits, misses, fallbacks, evictions, resident slots)."""
-        cache = global_plan_cache()
-        return cache.stats() + (cache.evictions, cache.slots)
+    def _exec_stats(self) -> Tuple[int, ...]:
+        """The driver's TV counters, in :data:`EXEC_COUNTERS` order."""
+        plans = self._tv_caches.plans
+        return plans.stats() + (plans.evictions,) + \
+            self._tv_caches.stats.stats()
 
-    def _harvest_plan_stats(self) -> None:
-        """Fold plan-cache deltas since the last call into metrics, and
-        raise the resident-slots high-water mark."""
-        stats = self._plan_cache_stats()
-        previous = self._plan_stats
+    def _harvest_exec_stats(self) -> None:
+        """Fold counter deltas since the last call into metrics, and
+        raise the plan cache's resident-slots high-water mark."""
+        stats = self._exec_stats()
+        previous = self._exec_seen
         if stats == previous:
             return
-        for index, name in enumerate(("hit", "miss", "fallback", "evictions")):
-            delta = stats[index] - previous[index]
-            if delta:
-                self.metrics.count(f"exec.plan_cache.{name}", delta)
-        self.metrics.gauge_max("exec.plan_cache.slots", stats[4])
-        self._plan_stats = stats
-
-    def _harvest_batch_stats(self) -> None:
-        """Fold execution-counter deltas since the last call into metrics."""
-        stats = global_batch_stats().stats()
-        previous = self._batch_stats
-        if stats == previous:
-            return
-        names = ("exec.batch.batches", "exec.batch.lanes",
-                 "exec.batch.divergence_splits",
-                 "exec.batch.scalar_fallbacks", "exec.verify.same_plan",
-                 "exec.verify.static_skips",
-                 "exec.verify.target_inputs_pruned",
-                 "exec.batch.stateless_lanes")
-        for index, name in enumerate(names):
-            delta = stats[index] - previous[index]
-            if delta:
-                self.metrics.count(name, delta)
-        self._batch_stats = stats
+        for name, now, then in zip(EXEC_COUNTERS, stats, previous):
+            if now != then:
+                self.metrics.count(name, now - then)
+        self.metrics.gauge_max("exec.plan_cache.slots",
+                               self._tv_caches.plans.slots)
+        self._exec_seen = stats
 
     # -- coverage feedback (corpus admission + scheduling reward) -----------
 
@@ -706,11 +661,10 @@ class FuzzDriver:
         mutator = Mutator(module, self._mutator_config(), tracer=self.tracer)
         fps: Dict[str, str] = {}
         fp_by_id: Dict[int, str] = {}
-        if self._opt_cache is not None:
-            for function in module.definitions():
-                fp = fingerprint_function(function)
-                fps[function.name] = fp
-                fp_by_id[id(function)] = fp
+        for function in module.definitions():
+            fp = fingerprint_function(function)
+            fps[function.name] = fp
+            fp_by_id[id(function)] = fp
         self._sources[entry.fingerprint] = _MutationSource(
             module=module, mutator=mutator, fps=fps, fp_by_id=fp_by_id)
         self.scheduler.add_source(entry.fingerprint)
@@ -732,8 +686,7 @@ class FuzzDriver:
                 self._tv_key)
 
     def _optimize_memo(self, mutant: Module, record: MutantRecord,
-                       fp_cache: Dict[int, str],
-                       source_fps: Optional[Dict[str, str]] = None
+                       fp_cache: Dict[int, str], source_fps: Dict[str, str]
                        ) -> Tuple[Module, OptContext, Optional[OptimizerCrash]]:
         """Build the optimized module through the fingerprint caches.
 
@@ -742,13 +695,11 @@ class FuzzDriver:
         immutable view (zero copying; its ``triggered_bugs``/crash are
         replayed so cache hits never mask findings), misses are
         deep-copied and run through the pipeline one function at a time.
-        Crash policy matches the no-memo whole-module run for the common
+        Crash policy matches a whole-module pipeline run for the common
         single-crash-bug case: the first crashing definition in module
         order wins and aborts the iteration.
         """
         metrics = self.metrics
-        if source_fps is None:
-            source_fps = self._seed_fps
         dirty = record.dirty_functions()
         ctx = OptContext(self.config.enabled_bugs)
         optimized = Module(mutant.name)

@@ -33,6 +33,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional
 
+from ..config import operational, semantic
+
 __all__ = ["Feedback", "FeedbackConfig", "FeedbackMap", "FeedbackStats",
            "bug_feature"]
 
@@ -120,13 +122,14 @@ class FeedbackConfig:
     guidance it is not getting.
     """
 
-    enabled: bool = False
+    enabled: bool = semantic(False)
     # Directory for the per-driver corpus journal (None = in-memory only).
-    corpus_dir: Optional[str] = None
+    # Operational: where the journal lands never changes what a job does.
+    corpus_dir: Optional[str] = operational(None)
     # "bandit" (default) or "round-robin"; None = default when enabled.
-    scheduler: Optional[str] = None
+    scheduler: Optional[str] = semantic(None)
     # Corpus distills back down to at most this many entries.
-    max_corpus_size: int = 64
+    max_corpus_size: int = semantic(64)
 
     def scheduler_name(self) -> str:
         return self.scheduler or "bandit"

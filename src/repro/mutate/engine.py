@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import time
 
 from ..analysis.overlay import MutantOverlay, OriginalFunctionInfo
+from ..config import semantic
 from ..ir.function import Function
 from ..ir.module import Module
 from ..ir.verifier import collect_function_errors
@@ -29,23 +30,20 @@ class MutatorConfig:
     """Tuning knobs for the engine."""
 
     # How many mutations to apply to each function (inclusive range).
-    min_mutations: int = 1
-    max_mutations: int = 3
+    min_mutations: int = semantic(1)
+    max_mutations: int = semantic(3)
     # Which operators are in play (None = all of §IV).
-    enabled_mutations: Optional[Sequence[str]] = None
+    enabled_mutations: Optional[Sequence[str]] = semantic(None)
     # Run the IR verifier on every mutant (the 100%-valid property; slow,
     # so campaigns may disable it and rely on the test suite's guarantee).
-    verify_mutants: bool = False
+    # Semantic: an invalid mutant turns into an error instead of a run.
+    verify_mutants: bool = semantic(False)
     # Restrict mutation to these function names (None = all definitions).
-    only_functions: Optional[Sequence[str]] = None
-    # Copy-on-write cloning: share declarations and untargeted definitions
-    # with the seed module and deep-copy only the functions this engine
-    # will mutate.  Off = the classic full deep clone per mutant.
-    cow_clone: bool = True
+    only_functions: Optional[Sequence[str]] = semantic(None)
     # Analysis strategy (the paper §III-B ablation): "two-level" reuses the
     # original function's immutable analyses through the overlay;
     # "recompute" forces a fresh dominator tree per mutant.
-    overlay_mode: str = "two-level"
+    overlay_mode: str = semantic("two-level")
 
     def mutation_names(self) -> List[str]:
         if self.enabled_mutations is None:
@@ -62,8 +60,8 @@ class MutantRecord:
 
     seed: int
     applied: List[Tuple[str, str]] = field(default_factory=list)  # (fn, op)
-    # How many definitions the clone deep-copied: all of them for full
-    # clones, only the mutation targets under copy-on-write.
+    # How many definitions the clone deep-copied: only the mutation
+    # targets (the clone is copy-on-write).
     functions_copied: int = 0
 
     def dirty_functions(self) -> set:
@@ -136,7 +134,9 @@ class Mutator:
         rng = MutationRNG(seed)
         record = MutantRecord(seed=seed)
         tracer = self.tracer
-        mutable_only = set(self._infos) if self.config.cow_clone else None
+        # Copy-on-write: declarations and untargeted definitions are
+        # shared with the seed module; only the targets are deep-copied.
+        mutable_only = set(self._infos)
         if tracer.enabled:
             begin = time.perf_counter()
             mutant_module = self.module.clone(mutable_only=mutable_only)
@@ -144,9 +144,7 @@ class Mutator:
                           time.perf_counter() - begin, seed=seed)
         else:
             mutant_module = self.module.clone(mutable_only=mutable_only)
-        record.functions_copied = (
-            len(self._infos) if mutable_only is not None
-            else len(self.module.definitions()))
+        record.functions_copied = len(mutable_only)
 
         for function_name, info in self._infos.items():
             mutant_function = mutant_module.get_function(function_name)

@@ -218,17 +218,18 @@ class MetricsRegistry:
         operational retry bookkeeping (retries happen when transient
         faults do, not when the configuration says so).  Cache hit/miss
         and functions-copied counters vary with sharding and resume
-        boundaries (each driver instance starts with cold caches) and
-        with the ``--no-memo`` ablation, while the *findings* they feed
-        stay identical — that invariance is what the deterministic
-        subset certifies.  ``exec.*`` covers the execution-plan cache
-        counters, which likewise vary with sharding, resume boundaries
-        and the ``--no-batched-exec`` ablation without affecting
-        verdicts.  ``dist.*``/``chaos.*`` cover the distributed queue's
-        protocol bookkeeping (claims, heartbeats, reclaims, dedups) and
-        injected chaos — which node ran which job and how many leases
-        expired is scheduling history, not computation, and must not
-        break the kill-and-resume == uninterrupted invariant.  ``wire.*``
+        boundaries (each driver instance owns its caches and starts
+        them cold), while the *findings* they feed stay identical —
+        that invariance is what the deterministic subset certifies.
+        ``exec.*`` covers the execution-plan cache and execution
+        counters of the driver's ``TVCaches``, which likewise vary with
+        sharding, resume boundaries and the ``--no-batched-exec``
+        ablation without affecting verdicts.  ``dist.*``/``chaos.*``
+        cover the distributed queue's protocol bookkeeping (claims,
+        heartbeats, reclaims, dedups) and injected chaos — which node
+        ran which job and how many leases expired is scheduling
+        history, not computation, and must not break the
+        kill-and-resume == uninterrupted invariant.  ``wire.*``
         / ``bitcode.*`` / ``net.*`` cover the transport tier — frames and
         bytes on the socket, blob-store and decode-cache hit rates,
         broker bookkeeping — which varies with the transport choice
@@ -240,8 +241,7 @@ class MetricsRegistry:
         everything the process allocated before, not on the job.
         ``opt.scan.*`` / ``opt.knownbits.*`` count the work the scan
         passes did (instructions visited, known-bits lookups and memo
-        hits), which follows memo warmth and the ``--no-memo`` ablation,
-        not the IR produced.
+        hits), which follows memo warmth, not the IR produced.
         """
 
         def varies(name: str) -> bool:

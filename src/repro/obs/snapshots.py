@@ -51,8 +51,8 @@ class ThroughputSnapshot:
     retries: int = 0
     quarantined: int = 0
     # Memoization effectiveness (paper §III-B): hit rates of the
-    # optimize and verify fingerprint caches, 0.0 when memoization is
-    # off or no lookups happened yet.
+    # optimize and verify fingerprint caches, 0.0 when no lookups
+    # happened yet.
     optimize_hit_rate: float = 0.0
     verify_hit_rate: float = 0.0
     # Execution-plan cache effectiveness (paper §III-B "pay once"): hit

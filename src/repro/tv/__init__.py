@@ -4,7 +4,9 @@ The public API mirrors how the paper uses Alive2: check one function pair
 (:func:`check_refinement`) or a whole module pair
 (:func:`check_module_refinement`), and use
 :func:`check_function_supported` during preprocessing to drop functions
-the validator cannot handle (paper §III-A).
+the validator cannot handle (paper §III-A).  A :class:`TVCaches` holds
+what checks reuse across calls (plans, input sets, counters); the fuzzing
+driver owns one per job, and a call without one gets a fresh one.
 """
 
 from .batch import (
@@ -13,16 +15,8 @@ from .batch import (
     BatchStats,
     batch_program_for,
     compile_batch_program,
-    global_batch_stats,
-    reset_global_batch_stats,
 )
-from .compile import (
-    ExecutionPlan,
-    PlanCache,
-    compile_function,
-    global_plan_cache,
-    reset_global_plan_cache,
-)
+from .compile import ExecutionPlan, PlanCache, compile_function
 from .domain import NULL_POINTER, POISON, Pointer, RuntimeValue, is_poison
 from .interp import ExecutionLimits, Interpreter, StepLimitExceeded, UBError
 from .memory import Memory, MemoryFault, UNDEF_BYTE
@@ -32,6 +26,7 @@ from .refine import (
     Outcome,
     RefinementConfig,
     TestInput,
+    TVCaches,
     TVResult,
     Verdict,
     behavior_set,
@@ -40,7 +35,6 @@ from .refine import (
     check_refinement,
     generate_inputs,
     outcome_refines,
-    reset_input_cache,
     value_refines,
 )
 
@@ -55,8 +49,6 @@ __all__ = [
     "BatchStats",
     "batch_program_for",
     "compile_batch_program",
-    "global_batch_stats",
-    "reset_global_batch_stats",
     "ExecutionLimits",
     "ExecutionPlan",
     "Interpreter",
@@ -73,6 +65,7 @@ __all__ = [
     "Outcome",
     "RefinementConfig",
     "TestInput",
+    "TVCaches",
     "TVResult",
     "Verdict",
     "behavior_set",
@@ -81,9 +74,6 @@ __all__ = [
     "check_refinement",
     "compile_function",
     "generate_inputs",
-    "global_plan_cache",
     "outcome_refines",
-    "reset_global_plan_cache",
-    "reset_input_cache",
     "value_refines",
 ]

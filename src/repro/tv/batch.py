@@ -96,8 +96,6 @@ __all__ = [
     "BatchStats",
     "batch_program_for",
     "compile_batch_program",
-    "global_batch_stats",
-    "reset_global_batch_stats",
 ]
 
 # Control value returned by ret steps: the group is done, per-lane
@@ -333,7 +331,7 @@ class BatchUnsupported(Exception):
 
 
 class BatchStats:
-    """Process-wide execution counters: batched runs (``exec.batch.*``)
+    """Execution counters: batched runs (``exec.batch.*``)
     and the work ``check_refinement`` proved unnecessary
     (``exec.verify.*``: checks whose two sides share one plan, checks
     answered with no execution at all, and target inputs never run
@@ -352,14 +350,8 @@ class BatchStats:
     )
 
     def __init__(self) -> None:
-        self.batches = 0
-        self.lanes = 0
-        self.divergence_splits = 0
-        self.scalar_fallbacks = 0
-        self.same_plan = 0
-        self.static_skips = 0
-        self.target_inputs_pruned = 0
-        self.stateless_lanes = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def stats(self) -> Tuple[int, ...]:
         """Every counter, in ``__slots__`` order."""
@@ -374,18 +366,6 @@ class BatchStats:
             self.stateless_lanes,
         )
 
-
-_GLOBAL_BATCH_STATS = BatchStats()
-
-
-def global_batch_stats() -> BatchStats:
-    return _GLOBAL_BATCH_STATS
-
-
-def reset_global_batch_stats() -> BatchStats:
-    global _GLOBAL_BATCH_STATS
-    _GLOBAL_BATCH_STATS = BatchStats()
-    return _GLOBAL_BATCH_STATS
 
 
 class _BatchContext:
@@ -1876,8 +1856,8 @@ def batch_program_for(
     plan: Optional[ExecutionPlan], function: Function
 ) -> Optional[BatchProgram]:
     """The batch program for ``function``'s plan, compiled lazily and
-    cached on the plan itself — plan caching (global, fingerprint-keyed)
-    then shares batch programs across mutants for free."""
+    cached on the plan itself — plan caching (fingerprint-keyed) then
+    shares batch programs across mutants for free."""
     if plan is None:
         return None
     program = plan.batch_program
@@ -1902,12 +1882,19 @@ class BatchRunner:
     arena — nested calls, external-call modeling, and oracle choices run
     through the reference tree-walker unmodified.  Any other
     program reads nothing but its argument columns, so its lanes get no
-    interpreter, memory or snapshot.
+    interpreter, memory or snapshot.  Every batch is counted in
+    ``stats`` (a fresh :class:`BatchStats` when none is given).
     """
 
-    def __init__(self, module, limits: Optional[ExecutionLimits] = None) -> None:
+    def __init__(
+        self,
+        module,
+        limits: Optional[ExecutionLimits] = None,
+        stats: Optional[BatchStats] = None,
+    ) -> None:
         self.module = module
         self.limits = limits or ExecutionLimits()
+        self.stats = stats if stats is not None else BatchStats()
         self._interps: List[Interpreter] = []
 
     def rebind(self, module) -> None:
@@ -1985,7 +1972,7 @@ class BatchRunner:
                         break
         ctx.frame = frame
         ctx.dead = False
-        stats = _GLOBAL_BATCH_STATS
+        stats = self.stats
         stats.batches += 1
         stats.lanes += size
         if not stateful:

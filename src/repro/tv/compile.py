@@ -10,11 +10,12 @@ program (:mod:`repro.tv.batch`).  Anything run one input at a time
 function the batch compiler declines) is tree-walked by the reference
 :class:`~repro.tv.interp.Interpreter`; no plan is needed for that.
 
-Plans are cached process-wide in a :class:`PlanCache` keyed by
-structural fingerprint plus everything the fingerprint deliberately
-normalizes away but execution can observe: local value names (they
-appear in UB detail strings) and the attribute environment of reachable
-declarations (external-call semantics).  A function no plan covers is
+Plans are cached in a :class:`PlanCache`, one per fuzzing driver (see
+:class:`repro.tv.refine.TVCaches`), keyed by structural fingerprint plus
+everything the fingerprint deliberately normalizes away but execution
+can observe: local value names (they appear in UB detail strings) and
+the attribute environment of reachable declarations (external-call
+semantics).  A function no plan covers is
 remembered as a fallback and tree-walked, never an error.
 """
 
@@ -33,9 +34,7 @@ __all__ = [
     "LRUCache",
     "PlanCache",
     "compile_function",
-    "global_plan_cache",
     "plan_key",
-    "reset_global_plan_cache",
 ]
 
 
@@ -323,22 +322,3 @@ class PlanCache:
 
     def __len__(self) -> int:
         return len(self._plans)
-
-
-_GLOBAL_PLAN_CACHE: Optional[PlanCache] = None
-
-
-def global_plan_cache() -> PlanCache:
-    """The process-wide plan cache every refinement check shares, so the
-    campaign's fixed source function is laid out and compiled once."""
-    global _GLOBAL_PLAN_CACHE
-    if _GLOBAL_PLAN_CACHE is None:
-        _GLOBAL_PLAN_CACHE = PlanCache()
-    return _GLOBAL_PLAN_CACHE
-
-
-def reset_global_plan_cache(capacity: int = DEFAULT_PLAN_CACHE_SLOTS) -> PlanCache:
-    """Replace the process-wide cache (tests and long-lived sessions)."""
-    global _GLOBAL_PLAN_CACHE
-    _GLOBAL_PLAN_CACHE = PlanCache(capacity)
-    return _GLOBAL_PLAN_CACHE

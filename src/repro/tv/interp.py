@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..config import semantic
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -83,8 +84,8 @@ class StepLimitExceeded(Exception):
 
 @dataclass
 class ExecutionLimits:
-    max_steps: int = 4096
-    max_call_depth: int = 8
+    max_steps: int = semantic(4096)
+    max_call_depth: int = semantic(8)
 
 
 @lru_cache(maxsize=8192)

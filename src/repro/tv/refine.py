@@ -22,18 +22,19 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.constants_pool import ConstantPool
+from ..config import operational, semantic, semantic_key
 from ..ir.function import Function
 from ..ir.instructions import CallInst
 from ..ir.intrinsics import lookup as lookup_intrinsic
 from ..ir.module import Module
 from ..ir.types import IntType
-from .batch import BatchRunner, batch_program_for, global_batch_stats
-from .compile import LRUCache, global_plan_cache
+from .batch import BatchRunner, BatchStats, batch_program_for
+from .compile import LRUCache, PlanCache
 from .domain import (
     NULL_POINTER,
     POISON,
@@ -133,18 +134,18 @@ class TVResult:
 
 @dataclass
 class RefinementConfig:
-    max_inputs: int = 48
-    max_nondet_runs: int = 12
-    pointer_block_size: int = 16
-    limits: ExecutionLimits = field(default_factory=ExecutionLimits)
-    seed: int = 0
+    max_inputs: int = semantic(48)
+    max_nondet_runs: int = semantic(12)
+    pointer_block_size: int = semantic(16)
+    limits: ExecutionLimits = semantic(default_factory=ExecutionLimits)
+    seed: int = semantic(0)
     # Drive whole input sets through struct-of-arrays batched plan runs
     # (repro.tv.batch) instead of one tree-walked run per (input, path).
-    # Off = per-input ablation (--no-batched-exec).  Deliberately NOT
+    # Off = per-input ablation (--no-batched-exec).  Operational, so not
     # part of cache_key(): lane results are bit-identical to the
     # tree-walker's (locked by tests/test_batch_exec.py), so cached
     # results are shared.
-    batched: bool = True
+    batched: bool = operational(True)
 
     def validate(self) -> "RefinementConfig":
         """Reject settings no check can run with (``ValueError``): a
@@ -157,21 +158,15 @@ class RefinementConfig:
         return self
 
     def cache_key(self) -> tuple:
-        """A hashable key covering every knob a verdict depends on.
+        """A hashable key covering every semantic field (see
+        :mod:`repro.config`): every knob a verdict depends on.
 
         Two :func:`check_refinement` calls with equal source/target
         fingerprints and equal cache keys produce the same
         :class:`TVResult`, which is what makes verify-verdict
         memoization sound (see :mod:`repro.fuzz.memo`).
         """
-        return (
-            self.max_inputs,
-            self.max_nondet_runs,
-            self.pointer_block_size,
-            self.seed,
-            self.limits.max_steps,
-            self.limits.max_call_depth,
-        )
+        return semantic_key(self)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +263,21 @@ _POOL_CONSTANTS = 8
 # the mutants of one seed function, which mostly keep its signature and
 # its first few constants, reuse one set.  Key and generators change
 # together (tests/test_refine.py checks the key over mutator output).
-_INPUT_CACHE = LRUCache(256)
+INPUT_CACHE_SIZE = 256
 
 
-def reset_input_cache() -> None:
-    """Drop every cached input set (tests and long-lived sessions)."""
-    global _INPUT_CACHE
-    _INPUT_CACHE = LRUCache(_INPUT_CACHE.capacity)
+class TVCaches:
+    """What refinement checks reuse across calls: plans
+    (:mod:`repro.tv.compile`), input sets and execution counters.  A
+    fuzzing driver owns one per job, so no job sees another's; a
+    :func:`check_refinement` call without one gets a fresh one."""
+
+    __slots__ = ("plans", "inputs", "stats")
+
+    def __init__(self) -> None:
+        self.plans = PlanCache()
+        self.inputs = LRUCache(INPUT_CACHE_SIZE)
+        self.stats = BatchStats()
 
 
 def _input_key(
@@ -305,18 +308,20 @@ def _input_key(
             )
         else:
             arguments.append(None)
-    return (tuple(arguments), config.cache_key())
+    # Only the three config fields the generators read: deriving the
+    # whole cache_key() on every lookup would cost more than it saves.
+    return (tuple(arguments), config.seed, config.max_inputs, config.pointer_block_size)
 
 
 def _inputs_for(
-    function: Function, config: RefinementConfig
+    function: Function, config: RefinementConfig, cache: LRUCache
 ) -> Tuple[TestInput, ...]:
     pool = ConstantPool(function)
     key = _input_key(function, config, pool)
-    inputs = _INPUT_CACHE.get(key)
+    inputs = cache.get(key)
     if inputs is None:
         inputs = tuple(generate_inputs(function, config, pool))
-        _INPUT_CACHE.put(key, inputs)
+        cache.put(key, inputs)
     return inputs
 
 
@@ -608,19 +613,18 @@ class _Side:
         function: Function,
         module: Optional[Module],
         fp_cache: Optional[Dict[int, str]],
+        plans: PlanCache,
     ) -> None:
         self.function = function
         self.module = module
         # The plan is looked up now: its identity and step bound decide
         # what has to run at all, and it caches the batch program.
         self.plan = (
-            None
-            if function.is_declaration()
-            else global_plan_cache().plan_for(function, fp_cache)
+            None if function.is_declaration() else plans.plan_for(function, fp_cache)
         )
 
 
-def _engine(src: _Side, tgt: _Side, config: RefinementConfig):
+def _engine(src: _Side, tgt: _Side, config: RefinementConfig, stats: BatchStats):
     """The callable ``(side, prepared inputs) -> [(outcomes, exhausted)]``
     that enumerates either side's behavior sets.
 
@@ -635,9 +639,9 @@ def _engine(src: _Side, tgt: _Side, config: RefinementConfig):
             side: batch_program_for(side.plan, side.function) for side in (src, tgt)
         }
         if None in programs.values():
-            global_batch_stats().scalar_fallbacks += 1
+            stats.scalar_fallbacks += 1
         else:
-            runner = BatchRunner(src.module, config.limits)
+            runner = BatchRunner(src.module, config.limits, stats)
 
             def run_batched(side: _Side, prepared):
                 runner.rebind(side.module)
@@ -662,7 +666,9 @@ def _engine(src: _Side, tgt: _Side, config: RefinementConfig):
 _NOT_RUN: Tuple[List[Outcome], bool] = ([], False)
 
 
-def _source_first(src: _Side, tgt: _Side, inputs, config: RefinementConfig):
+def _source_first(
+    src: _Side, tgt: _Side, inputs, config: RefinementConfig, stats: BatchStats
+):
     """Both sides' behavior sets per input, executing only what a verdict
     can depend on.  Returns ``(src_results, tgt_results)``, or None when
     nothing needs to run because the check is CORRECT as it stands.
@@ -679,7 +685,6 @@ def _source_first(src: _Side, tgt: _Side, inputs, config: RefinementConfig):
     * and if that shared plan cannot exhaust the step budget, every
       input would compare a behavior set with itself: no run at all.
     """
-    stats = global_batch_stats()
     same_plan = src.plan is not None and tgt.plan is src.plan
     if same_plan:
         stats.same_plan += 1
@@ -697,7 +702,7 @@ def _source_first(src: _Side, tgt: _Side, inputs, config: RefinementConfig):
     # Arity matches (checked by the caller) and the runtime values depend
     # only on the test input, so one prepared input serves both sides.
     prepared = [_prepare_input(src.function, test_input) for test_input in inputs]
-    run = _engine(src, tgt, config)
+    run = _engine(src, tgt, config, stats)
     src_results = run(src, prepared)
     if same_plan:
         return src_results, src_results
@@ -721,6 +726,7 @@ def check_refinement(
     config: Optional[RefinementConfig] = None,
     tracer=None,
     fp_cache: Optional[Dict[int, str]] = None,
+    caches: Optional[TVCaches] = None,
 ) -> TVResult:
     """Does ``tgt_function`` refine ``src_function``? (Bounded check.)
 
@@ -729,9 +735,13 @@ def check_refinement(
     share of the verify stage.  ``fp_cache`` is the caller's
     ``id(function) -> fingerprint`` cache for both functions and their
     callees (see :func:`repro.ir.fingerprint.fingerprint_function`), so
-    bodies the caller already hashed are not hashed again.
+    bodies the caller already hashed are not hashed again.  ``caches``
+    holds the plans, input sets and counters to reuse and update (a
+    fresh :class:`TVCaches` when None).
     """
     config = config or RefinementConfig()
+    if caches is None:
+        caches = TVCaches()
     src_module = src_module or src_function.parent
     tgt_module = tgt_module or tgt_function.parent
 
@@ -743,12 +753,12 @@ def check_refinement(
     if len(src_function.arguments) != len(tgt_function.arguments):
         return TVResult(Verdict.UNSUPPORTED, reason="signature changed")
 
-    inputs = _inputs_for(src_function, config)
-    src = _Side(src_function, src_module, fp_cache)
-    tgt = _Side(tgt_function, tgt_module, fp_cache)
+    inputs = _inputs_for(src_function, config, caches.inputs)
+    src = _Side(src_function, src_module, fp_cache, caches.plans)
+    tgt = _Side(tgt_function, tgt_module, fp_cache, caches.plans)
     traced = tracer is not None and tracer.enabled
     begin = time.perf_counter() if traced else 0.0
-    behaviors = _source_first(src, tgt, inputs, config)
+    behaviors = _source_first(src, tgt, inputs, config, caches.stats)
     if behaviors is None:
         return TVResult(Verdict.CORRECT, inputs_checked=len(inputs))
     src_results, tgt_results = behaviors

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import FrozenSet, List, Optional, Tuple
 
+from repro.fuzz.feedback import bug_feature
 from repro.ir import (Function, Module, parse_module, print_module,
                       verify_module)
-from repro.opt import OptContext, PassManager
-from repro.tv import (ExecutionLimits, Interpreter, PathOracle,
+from repro.mutate import Mutator
+from repro.opt import OptContext, OptimizerCrash, PassManager
+from repro.tv import (ExecutionLimits, Interpreter, PathOracle, PlanCache,
                       RefinementConfig, StepLimitExceeded, TVResult, UBError,
-                      Verdict, check_refinement, global_plan_cache)
+                      Verdict, check_function_supported, check_refinement)
 from repro.tv.batch import BatchRunner, batch_program_for
 from repro.tv.oracle import advance_path
 from repro.tv.refine import _prepare_input
@@ -115,17 +118,18 @@ def reference_lanes(module, function, lanes, limits):
     return results
 
 
-def assert_lanes_match(module, function, inputs, limits=None, max_rounds=8):
+def assert_lanes_match(module, function, inputs, limits=None, max_rounds=8,
+                       stats=None):
     """Drive ``inputs`` through the batch engine and the tree-walker
     across the whole nondeterminism tree (one batched run per round) and
     require bit-identical 5-tuples plus identical oracle bookkeeping.
     Returns the number of compared lanes (0 when the batch compiler
-    declined the function)."""
+    declined the function); the batches are counted in ``stats``."""
     limits = limits or ExecutionLimits()
-    program = batch_program_for(global_plan_cache().plan_for(function), function)
+    program = batch_program_for(PlanCache().plan_for(function), function)
     if program is None:
         return 0
-    runner = BatchRunner(module, limits)
+    runner = BatchRunner(module, limits, stats)
     prepared = [_prepare_input(function, test_input) for test_input in inputs]
     paths = [[] for _ in inputs]
     pending = list(range(len(inputs)))
@@ -161,3 +165,103 @@ def assert_lanes_match(module, function, inputs, limits=None, max_rounds=8):
                 next_pending.append(lane)
         pending = next_pending
     return compared
+
+
+# -- the reference fuzzing loop ------------------------------------------------
+#
+# What the driver's memos, copy-on-write clones and function-major
+# optimization must agree with: every iteration deep-clones the mutant,
+# runs the whole module through the pipeline pass by pass, and validates
+# every target afresh, with nothing cached between iterations.
+
+
+@dataclass
+class ReferenceIteration:
+    """One reference iteration: finding keys ``(seed, kind, function,
+    bug_ids)``, the coverage features, the inconclusive inputs, and the
+    mutation operators applied."""
+
+    findings: List[tuple] = field(default_factory=list)
+    features: FrozenSet[str] = frozenset()
+    inconclusive: int = 0
+    applied: List[str] = field(default_factory=list)
+
+
+def reference_targets(module: Module, config) -> List[str]:
+    """The functions the driver's preprocessing keeps, decided on a
+    whole-module pipeline run over a deep clone."""
+    candidates = [function for function in module.definitions()
+                  if check_function_supported(function) is None]
+    optimized = module.clone()
+    ctx = OptContext(config.enabled_bugs)
+    try:
+        PassManager([config.pipeline], ctx).run(optimized)
+    except OptimizerCrash:
+        return [function.name for function in candidates]
+    targets = []
+    for function in candidates:
+        target = optimized.get_function(function.name)
+        if target is None or target.is_declaration():
+            continue
+        result = check_refinement(function, target, module, optimized,
+                                  config.tv)
+        if result.verdict == Verdict.UNSOUND and not ctx.triggered_bugs:
+            continue
+        targets.append(function.name)
+    return targets
+
+
+def reference_iteration(mutant: Module, seed: int, targets, config
+                        ) -> ReferenceIteration:
+    """Optimize a deep clone of ``mutant`` and validate every target."""
+    optimized = mutant.clone()
+    ctx = OptContext(config.enabled_bugs)
+    try:
+        PassManager([config.pipeline], ctx).run(optimized)
+    except OptimizerCrash as crash:
+        return ReferenceIteration(
+            findings=[(seed, "crash", "", (crash.bug_id,))],
+            features=frozenset({bug_feature(crash.bug_id)}))
+    outcome = ReferenceIteration(features=frozenset(ctx.stats) | frozenset(
+        bug_feature(bug) for bug in ctx.triggered_bugs))
+    for name in targets:
+        source = mutant.get_function(name)
+        target = optimized.get_function(name)
+        if source is None or target is None or target.is_declaration():
+            continue
+        result = check_refinement(source, target, mutant, optimized,
+                                  config.tv)
+        outcome.inconclusive += result.inconclusive_inputs
+        if result.verdict == Verdict.UNSOUND:
+            outcome.findings.append((seed, "miscompilation", name,
+                                     tuple(sorted(ctx.triggered_bugs))))
+    return outcome
+
+
+def reference_run(text: str, config, iterations: int
+                  ) -> Tuple[List[str], List[ReferenceIteration]]:
+    """The reference loop over seeds ``base_seed ..``: its targets and
+    one :class:`ReferenceIteration` per seed.  The mutator works on a
+    private deep clone of the seed module, so nothing is shared with
+    any driver."""
+    module = parsed(text)
+    targets = reference_targets(module, config)
+    mutator = Mutator(module.clone(),
+                      replace(config.mutator, only_functions=targets))
+    runs = []
+    for seed in range(config.base_seed, config.base_seed + iterations):
+        mutant, record = mutator.create_mutant(seed)
+        run = reference_iteration(mutant, seed, targets, config)
+        run.applied = [operator for _, operator in record.applied]
+        runs.append(run)
+    return targets, runs
+
+
+def reference_findings(runs: List[ReferenceIteration]) -> List[tuple]:
+    return [key for run in runs for key in run.findings]
+
+
+def driver_findings(findings) -> List[tuple]:
+    """Driver findings in :class:`ReferenceIteration` form."""
+    return [(f.seed, f.kind, f.function, tuple(f.bug_ids))
+            for f in findings]

@@ -25,15 +25,15 @@ from repro.tv import (
     Pointer,
     RefinementConfig,
     check_function_supported,
+    TVCaches,
     check_refinement,
-    reset_global_plan_cache,
 )
 from repro.tv.batch import (
     BatchRunner,
+    BatchStats,
     BatchUnsupported,
     _BatchContext,
     compile_batch_program,
-    global_batch_stats,
 )
 from repro.tv.refine import _inputs_for, _prepare_input
 
@@ -45,7 +45,12 @@ from helpers import assert_lanes_match, parsed, reference_lanes
 # ---------------------------------------------------------------------------
 
 
-def check_text(text, limits=None, max_inputs=12):
+def inputs_for(function, config):
+    """The input set ``check_refinement`` would run ``function`` on."""
+    return _inputs_for(function, config, TVCaches().inputs)
+
+
+def check_text(text, limits=None, max_inputs=12, stats=None):
     """Run every supported definition of an IR snippet through the
     harness; the batch compiler must accept at least one function."""
     module = parsed(text)
@@ -54,8 +59,10 @@ def check_text(text, limits=None, max_inputs=12):
     for function in module.definitions():
         if check_function_supported(function) is not None:
             continue
-        inputs = _inputs_for(function, config)
-        total += assert_lanes_match(module, function, inputs, limits=limits)
+        inputs = inputs_for(function, config)
+        total += assert_lanes_match(
+            module, function, inputs, limits=limits, stats=stats
+        )
     assert total > 0, "batch compiler declined every function"
     return total
 
@@ -90,7 +97,7 @@ class TestLaneBitEquality:
     def test_branch_divergence_regroups_lanes(self):
         # Lanes split by sign at the branch, re-merge at the join, and
         # the phi must pick per-lane values from the right predecessor.
-        splits_before = global_batch_stats().divergence_splits
+        stats = BatchStats()
         check_text("""
         define i32 @abs(i32 %x) {
         entry:
@@ -103,8 +110,8 @@ class TestLaneBitEquality:
           %r = phi i32 [ %flipped, %flip ], [ %x, %entry ]
           ret i32 %r
         }
-        """)
-        assert global_batch_stats().divergence_splits > splits_before
+        """, stats=stats)
+        assert stats.divergence_splits > 0
 
     def test_loop_step_counts(self):
         # A data-dependent loop: per-lane step counts differ and must
@@ -239,7 +246,7 @@ class TestArbitraryPlans:
         for function in mutant.definitions():
             if check_function_supported(function) is not None:
                 continue
-            inputs = _inputs_for(function, config)
+            inputs = inputs_for(function, config)
             assert_lanes_match(mutant, function, inputs)
 
     @settings(max_examples=20, deadline=None)
@@ -257,7 +264,7 @@ class TestArbitraryPlans:
             if check_function_supported(function) is not None:
                 continue
             assert_stateless_matches_forced(
-                mutant, function, _inputs_for(function, config)
+                mutant, function, inputs_for(function, config)
             )
 
     def test_wide_batch_of_256_lanes(self):
@@ -265,11 +272,11 @@ class TestArbitraryPlans:
         # batch; traps, poison and divergence all occur among them.
         module = parsed(WIDE_BATCH_FUNCTION)
         function = module.get_function("wide")
-        inputs = _inputs_for(function, RefinementConfig(max_inputs=256))
+        inputs = inputs_for(function, RefinementConfig(max_inputs=256))
         assert len(inputs) == 256
-        stateless_before = global_batch_stats().stateless_lanes
-        assert assert_lanes_match(module, function, inputs) == 256
-        assert global_batch_stats().stateless_lanes == stateless_before + 256
+        stats = BatchStats()
+        assert assert_lanes_match(module, function, inputs, stats=stats) == 256
+        assert stats.stateless_lanes == 256
         assert assert_stateless_matches_forced(module, function, inputs) == 256
 
 
@@ -537,13 +544,11 @@ class TestRefinementInvariance:
         def refuse(_function):
             raise BatchUnsupported("forced by test")
 
-        reset_global_plan_cache()
         monkeypatch.setattr("repro.tv.batch.compile_batch_program", refuse)
-        fallbacks_before = global_batch_stats().scalar_fallbacks
-        fallback = check_refinement(function, target, config=config)
-        assert global_batch_stats().scalar_fallbacks == fallbacks_before + 1
+        caches = TVCaches()
+        fallback = check_refinement(function, target, config=config, caches=caches)
+        assert caches.stats.scalar_fallbacks == 1
         assert _result_key(fallback) == _result_key(baseline)
-        reset_global_plan_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +577,6 @@ class TestDriverParity:
         return driver, report
 
     def test_findings_and_metrics_identical(self):
-        reset_global_plan_cache()
         batched_driver, batched_report = self._run(True)
         scalar_driver, scalar_report = self._run(False)
 
@@ -589,7 +593,6 @@ class TestDriverParity:
         )
 
     def test_batch_counters_track_modes(self):
-        reset_global_plan_cache()
         batched_driver, _ = self._run(True)
         scalar_driver, _ = self._run(False)
         assert batched_driver.metrics.counter("exec.batch.batches") > 0
@@ -600,7 +603,6 @@ class TestDriverParity:
     def test_stateless_lanes_are_harvested_outside_deterministic(self):
         # DRIVER_SEED has no memory, undef or call, so most of its
         # mutants run stateless; the counter stays out of deterministic().
-        reset_global_plan_cache()
         driver, _ = self._run(True)
         metrics = driver.metrics
         stateless = metrics.counter("exec.batch.stateless_lanes")

@@ -177,22 +177,22 @@ class TestFingerprint:
         assert fp(batched=True) == fp(batched=False)
         assert fp() != fp(max_inputs=9)
 
-    def test_invariant_to_the_caches(self):
-        # --no-memo and the cache sizes change how fast a job runs, not
-        # its findings (DESIGN §3), so they may change across --resume.
-        def fp(max_mutations=3, cow_clone=True, **fuzz):
+    def test_invariant_to_operational_fields(self, tmp_path):
+        # Fields tagged operational (repro.config) say where output
+        # lands; they may change across --resume.
+        def fp(max_mutations=3, **fuzz):
             config = CampaignConfig(**SMALL)
-            mutator = replace(config.fuzz.mutator, cow_clone=cow_clone,
+            mutator = replace(config.fuzz.mutator,
                               max_mutations=max_mutations)
             fuzz = replace(config.fuzz, mutator=mutator, **fuzz)
             config = replace(config, fuzz=fuzz)
             return jobs_fingerprint(CampaignExecutor(config).build_jobs())
 
         base = fp()
-        assert fp(memo=False, cow_clone=False) == base
-        assert fp(optimize_cache_size=7) == base
-        assert fp(verify_cache_size=5) == base
+        assert fp(save_dir=str(tmp_path), save_all=True) == base
+        assert fp(log_path=str(tmp_path / "bugs.log")) == base
         assert fp(max_mutations=4) != base
+        assert fp(stop_on_first_finding=True) != base
 
     def test_sensitive_to_config_and_corpus(self):
         fp = jobs_fingerprint(

@@ -16,8 +16,8 @@ import pytest
 from repro.fuzz import FuzzConfig, FuzzDriver, corpus_modules
 from repro.mutate import MutatorConfig
 from repro.tv import (ExecutionLimits, Interpreter, PathOracle, PlanCache,
-                      RefinementConfig, check_refinement, compile_function,
-                      generate_inputs, reset_global_plan_cache)
+                      RefinementConfig, TVCaches, check_refinement,
+                      compile_function, generate_inputs)
 from repro.tv.compile import plan_key
 from repro.tv.refine import _inputs_for
 
@@ -451,10 +451,11 @@ define i32 @wide(i32 %v0) {{
         assert tiny.plan_for(wide) is tiny.plan_for(wide)
         assert (len(tiny), tiny.slots) == (1, 240)
 
-    def test_global_cache_reset(self):
-        cache = reset_global_plan_cache()
-        assert cache.stats() == (0, 0, 0)
-        assert len(cache) == 0
+    def test_fresh_caches_start_empty(self):
+        caches = TVCaches()
+        assert caches.plans.stats() == (0, 0, 0)
+        assert len(caches.plans) == len(caches.inputs) == 0
+        assert not any(caches.stats.stats())
 
 
 NESTED = """
@@ -487,9 +488,11 @@ define i8 @f(i8 %x) {
   ret i8 %r
 }
 """)
-        cache = reset_global_plan_cache()
+        caches = TVCaches()
+        cache = caches.plans
         result = check_refinement(src.get_function("f"), tgt.get_function("f"),
-                                  src, tgt, RefinementConfig(max_inputs=8))
+                                  src, tgt, RefinementConfig(max_inputs=8),
+                                  caches=caches)
         assert result.verdict.value == "unsound"
         for module in (src, tgt):
             plan = cache.plan_for(module.get_function("f"))
@@ -498,19 +501,23 @@ define i8 @f(i8 %x) {
     def test_nested_call_lays_out_no_callee_plan(self):
         # Lanes tree-walk the call: only the two callers have plans.
         src, tgt = self._pair(NESTED)
-        cache = reset_global_plan_cache()
+        caches = TVCaches()
+        cache = caches.plans
         result = check_refinement(src.get_function("f"), tgt.get_function("f"),
-                                  src, tgt, RefinementConfig(max_inputs=8))
+                                  src, tgt, RefinementConfig(max_inputs=8),
+                                  caches=caches)
         assert result.verdict.value == "unsound"
         assert cache.stats() == (0, 2, 0)
         assert len(cache) == 2
 
     def test_tree_walked_check_compiles_no_batch_program(self):
         src, tgt = self._pair(NESTED)
-        cache = reset_global_plan_cache()
+        caches = TVCaches()
+        cache = caches.plans
         check_refinement(src.get_function("f"), tgt.get_function("f"),
                          src, tgt,
-                         RefinementConfig(max_inputs=8, batched=False))
+                         RefinementConfig(max_inputs=8, batched=False),
+                         caches=caches)
         assert cache.plan_for(src.get_function("f")).batch_program is None
 
     def test_plans_hold_no_ir(self):
@@ -522,9 +529,11 @@ define i8 @f(i8 %x) {
   ret i8 %r
 }
 """)
-        cache = reset_global_plan_cache()
+        caches = TVCaches()
+        cache = caches.plans
         check_refinement(src.get_function("f"), tgt.get_function("f"),
-                         src, tgt, RefinementConfig(max_inputs=8))
+                         src, tgt, RefinementConfig(max_inputs=8),
+                         caches=caches)
         assert len(cache) == 2
         watched = weakref.ref(src)
         del src, tgt
@@ -572,10 +581,10 @@ class TestCompileFailureParity:
     mode, one ``fallback`` per plan key."""
 
     @staticmethod
-    def _check(src, tgt, **mode):
+    def _check(src, tgt, caches, **mode):
         return check_refinement(
             src.get_function("f"), tgt.get_function("f"), src, tgt,
-            RefinementConfig(max_inputs=12, **mode))
+            RefinementConfig(max_inputs=12, **mode), caches=caches)
 
     @staticmethod
     def _key(result):
@@ -594,9 +603,10 @@ class TestCompileFailureParity:
         same = _branching_into(FOREIGN, 7)
         results = {}
         for name, mode in MODES.items():
-            cache = reset_global_plan_cache()
-            results[name] = (self._key(self._check(src, tgt, **mode)),
-                             self._key(self._check(src, same, **mode)))
+            caches = TVCaches()
+            cache = caches.plans
+            results[name] = (self._key(self._check(src, tgt, caches, **mode)),
+                             self._key(self._check(src, same, caches, **mode)))
             # One key (the foreign block is invisible to it), asked for
             # by four sides: declined once, remembered three times.
             assert cache.stats() == (3, 1, 1), name
@@ -641,7 +651,8 @@ define i8 @f(i8 %x) {
   ret i8 %r
 }
 """).get_function("f")
-        assert _inputs_for(a, config) is _inputs_for(b, config)
+        cache = TVCaches().inputs
+        assert _inputs_for(a, config, cache) is _inputs_for(b, config, cache)
 
     def test_config_key_separates_entries(self):
         function = parsed("""
@@ -650,8 +661,9 @@ define i8 @f(i8 %x) {
   ret i8 %r
 }
 """).get_function("f")
-        few = _inputs_for(function, RefinementConfig(max_inputs=4))
-        many = _inputs_for(function, RefinementConfig(max_inputs=12))
+        cache = TVCaches().inputs
+        few = _inputs_for(function, RefinementConfig(max_inputs=4), cache)
+        many = _inputs_for(function, RefinementConfig(max_inputs=12), cache)
         assert len(few) < len(many)
 
     def test_batched_flag_shares_the_entry(self):
@@ -663,8 +675,9 @@ define i8 @f(i8 %x) {
   ret i8 %r
 }
 """).get_function("f")
-        on = _inputs_for(function, RefinementConfig(batched=True))
-        off = _inputs_for(function, RefinementConfig(batched=False))
+        cache = TVCaches().inputs
+        on = _inputs_for(function, RefinementConfig(batched=True), cache)
+        off = _inputs_for(function, RefinementConfig(batched=False), cache)
         assert on is off
 
 
@@ -716,7 +729,6 @@ class TestDriverParity:
             off_driver.metrics.deterministic()
 
     def test_plan_cache_metrics_flow(self):
-        reset_global_plan_cache()
         driver, _ = run_driver(True)
         assert driver.metrics.counter("exec.plan_cache.miss") > 0
         assert driver.metrics.counter("exec.plan_cache.hit") > 0

@@ -4,8 +4,8 @@ Unit coverage of the feedback value types and the config validation,
 plus driver-level integration: the feedback loop must be deterministic
 (identical runs give identical corpora, arm statistics, and
 ``deterministic()`` metrics) and memo-invariant (the optimize cache
-replays stored stats, so feedback with memoization on equals feedback
-with memoization off, bit for bit).
+replays stored stats, so every iteration's features equal those of the
+reference loop in ``helpers.py`` on the same mutant, bit for bit).
 """
 
 import os
@@ -20,7 +20,7 @@ from repro.fuzz.feedback import (Feedback, FeedbackConfig, FeedbackMap,
 from repro.mutate import MutatorConfig
 from repro.tv import RefinementConfig
 
-from helpers import parsed
+from helpers import driver_findings, parsed, reference_iteration
 
 CLAMP = """
 define i32 @clamp(i32 %x, i32 %y) {
@@ -167,15 +167,25 @@ class TestDriverIntegration:
         assert run_state(make_driver()) == run_state(make_driver())
 
     def test_feedback_is_memo_invariant(self):
-        """Optimize-cache hits replay stored stats, so coverage, corpus,
-        arms, findings, and deterministic metrics are bit-identical with
-        memoization on and off."""
-        on = run_state(make_driver(
-            memo=True, enabled_bugs=("53252",)))
-        off = run_state(make_driver(
-            memo=False, enabled_bugs=("53252",),
-            mutator=MutatorConfig(max_mutations=2, cow_clone=False)))
-        assert on == off
+        """Optimize-cache hits replay stored stats, so every iteration's
+        features and findings equal the reference loop's (deep clone,
+        whole-module pipeline, no memo) on the same mutant — corpus
+        mutants included."""
+        driver = make_driver(enabled_bugs=("53252",))
+        sources = set()
+        for seed in range(60):
+            found = driver.run_one(seed)
+            feedback = driver.last_feedback
+            sources.add(feedback.source)
+            mutant, _ = driver._sources[feedback.source].mutator \
+                .create_mutant(seed, operators=(feedback.operator,))
+            reference = reference_iteration(
+                mutant, seed, driver.target_functions, driver.config)
+            assert feedback.features == reference.features
+            assert driver_findings(found) == reference.findings
+        driver.close()
+        assert len(sources) > 1  # corpus entries were drawn from too
+        assert driver.metrics.counter("cache.optimize.hit") > 0
 
     def test_round_robin_scheduler_is_selectable(self):
         driver = make_driver(

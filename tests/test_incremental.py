@@ -8,7 +8,8 @@ exactly what the plain one does.
 * pipeline level — function-major ``PassManager.run_function`` over
   every definition equals the pass-major ``PassManager.run`` on random
   mutants, and its output verifies;
-* driver level — whole fuzzing runs with the memo on versus off on a
+* driver level — whole fuzzing runs against the reference loop in
+  ``helpers.py`` (deep clone, whole-module pipeline, no memo) on a
   multi-function module with three crash bugs armed, plus kill+resume
   and the per-pass timing counters.
 """
@@ -22,7 +23,8 @@ from repro.mutate import Mutator, MutatorConfig
 from repro.opt import OptContext, PassManager, expand
 from repro.tv import RefinementConfig
 
-from helpers import parsed
+from helpers import (driver_findings, parsed, reference_findings,
+                     reference_run)
 
 SEED_MODULE = """
 declare void @ext(i32)
@@ -113,60 +115,66 @@ class TestPipelineDifferential:
             verify_module(clone)
 
 
-def run_driver(text, memo=True, iterations=150, base_seed=0, **kwargs):
-    config = FuzzConfig(
-        mutator=MutatorConfig(max_mutations=2, cow_clone=memo),
+def make_config(base_seed=0, **kwargs):
+    return FuzzConfig(
+        mutator=MutatorConfig(max_mutations=2),
         tv=RefinementConfig(max_inputs=8),
-        memo=memo,
         base_seed=base_seed,
         **kwargs,
     )
-    driver = FuzzDriver(parsed(text), config, file_name="t.ll")
+
+
+def run_driver(text, iterations=150, **kwargs):
+    driver = FuzzDriver(parsed(text), make_config(**kwargs), file_name="t.ll")
     report = driver.run(iterations=iterations)
     return driver, report
 
 
+def run_reference(text, iterations=150, **kwargs):
+    return reference_run(text, make_config(**kwargs), iterations)
+
+
 def finding_keys(report):
-    return [(f.seed, f.kind, f.function, tuple(f.bug_ids))
-            for f in report.findings]
+    return driver_findings(report.findings)
 
 
 class TestDriverParity:
-    """Memo on == memo off on a module whose functions the memo answers
-    only some of the time, with several crash bugs armed at once."""
+    """The memoized driver == the reference loop on a module whose
+    functions the memo answers only some of the time, with several
+    crash bugs armed at once."""
 
     def test_miscompilation_findings_identical(self):
-        _, on = run_driver(SEED_MODULE, True, enabled_bugs=("53252",))
-        _, off = run_driver(SEED_MODULE, False, enabled_bugs=("53252",))
-        assert on.findings  # the workload must actually find bugs
-        assert finding_keys(on) == finding_keys(off)
+        _, report = run_driver(SEED_MODULE, enabled_bugs=("53252",))
+        _, runs = run_reference(SEED_MODULE, enabled_bugs=("53252",))
+        assert report.findings  # the workload must actually find bugs
+        assert finding_keys(report) == reference_findings(runs)
 
     def test_crash_findings_identical(self):
-        _, on = run_driver(SEED_MODULE, True, enabled_bugs=CRASH_BUGS)
-        _, off = run_driver(SEED_MODULE, False, enabled_bugs=CRASH_BUGS)
-        assert any(f.kind == "crash" for f in on.findings)
-        assert finding_keys(on) == finding_keys(off)
+        _, report = run_driver(SEED_MODULE, enabled_bugs=CRASH_BUGS)
+        _, runs = run_reference(SEED_MODULE, enabled_bugs=CRASH_BUGS)
+        assert any(f.kind == "crash" for f in report.findings)
+        assert finding_keys(report) == reference_findings(runs)
 
     def test_deterministic_metrics_identical(self):
-        on_driver, _ = run_driver(SEED_MODULE, True,
-                                  enabled_bugs=("53252",))
-        off_driver, _ = run_driver(SEED_MODULE, False,
-                                   enabled_bugs=("53252",))
-        assert on_driver.metrics.deterministic() == \
-            off_driver.metrics.deterministic()
+        # The deterministic() counters the reference loop can rebuild:
+        # inconclusive inputs and the operators applied.
+        _, report = run_driver(SEED_MODULE, enabled_bugs=("53252",))
+        _, runs = run_reference(SEED_MODULE, enabled_bugs=("53252",))
+        assert report.inconclusive == sum(run.inconclusive for run in runs)
+        applied = {}
+        for run in runs:
+            for operator in run.applied:
+                applied[operator] = applied.get(operator, 0) + 1
+        assert report.mutation_counts == applied
+        for operator, count in applied.items():
+            assert report.metrics.counter("mutate.op." + operator) == count
 
     def test_incremental_actually_engages(self):
         # Both sides of the parity above are exercised: some functions
         # are answered by the memo, the rest run the pipeline.
-        driver, _ = run_driver(SEED_MODULE, True)
+        driver, _ = run_driver(SEED_MODULE)
         assert driver.metrics.counter("cache.optimize.hit") > 0
         assert driver.metrics.counter("cache.optimize.miss") > 0
-
-    def test_off_leaves_no_incremental_counters(self):
-        # ... and the memo-off side really runs every function through
-        # the pipeline.
-        driver, _ = run_driver(SEED_MODULE, False)
-        assert not driver.metrics.counters_with_prefix("cache.")
 
     def test_kill_and_resume_identical(self):
         """A fresh driver (cold memos) continuing at the kill point

@@ -11,6 +11,8 @@ above or beside it.
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -96,3 +98,21 @@ def test_relative_and_local_imports_are_seen(tmp_path):
     names = imported_modules(str(source), str(tmp_path / "repro"))
     assert set(names) >= {
         "repro.tv.compile", "repro.fuzz", "repro.mutate.engine"}
+
+
+def test_importing_a_lower_layer_leaves_the_top_unloaded():
+    # The package root resolves its public names lazily (PEP 562), so a
+    # tool that needs only the IR does not pay for importing the fuzzer.
+    probe = ("import sys, repro.ir; "
+             "print(sorted(name for name in sys.modules "
+             "if name.startswith(('repro.fuzz', 'repro.cli'))))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_ROOT))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_lazy_root_lists_its_names_and_refuses_others():
+    assert set(repro.__all__) <= set(dir(repro))
+    with pytest.raises(AttributeError):
+        repro.no_such_name

@@ -1,14 +1,24 @@
-"""Tests for CoW + fingerprint memoization: caches never change findings."""
+"""Tests for CoW + fingerprint memoization: caches never change findings.
+
+The reference the driver is held to is the test-side loop in
+``helpers.py``: deep clone, whole-module pipeline, a fresh
+``check_refinement`` per target, nothing cached between iterations.
+"""
+
+import gc
+import weakref
 
 import pytest
 
 from repro.fuzz import FuzzConfig, FuzzDriver
+from repro.fuzz import driver as driver_module
 from repro.fuzz.memo import LRUCache
 from repro.mutate import MutatorConfig
 from repro.tv import RefinementConfig
 from repro.tv.compile import PROBATION
 
-from helpers import parsed
+from helpers import (driver_findings, parsed, reference_findings,
+                     reference_run)
 
 CLAMP = """
 define i32 @clamp(i32 %x, i32 %y) {
@@ -20,8 +30,8 @@ define i32 @clamp(i32 %x, i32 %y) {
 """
 
 # A module with repeated structure: an unsupported-but-optimizable wide
-# function (dropped from targeting, yet cloned and optimized every
-# iteration without memoization) next to two supported targets.
+# function (dropped from targeting, yet optimized in every iteration of
+# the reference loop) next to two supported targets.
 MIXED = """
 declare void @ext(i32)
 
@@ -46,21 +56,22 @@ define i32 @shifty(i32 %x) {
 """
 
 
-def run_driver(text, memo, iterations=30, **kwargs):
-    config = FuzzConfig(
-        mutator=MutatorConfig(max_mutations=2, cow_clone=memo),
+def make_config(**kwargs):
+    return FuzzConfig(
+        mutator=MutatorConfig(max_mutations=2),
         tv=RefinementConfig(max_inputs=12),
-        memo=memo,
         **kwargs,
     )
-    driver = FuzzDriver(parsed(text), config, file_name="t.ll")
+
+
+def run_driver(text, iterations=30, **kwargs):
+    driver = FuzzDriver(parsed(text), make_config(**kwargs), file_name="t.ll")
     report = driver.run(iterations=iterations)
     return driver, report
 
 
-def finding_keys(report):
-    return [(f.seed, f.kind, f.function, tuple(f.bug_ids))
-            for f in report.findings]
+def run_reference(text, iterations=30, **kwargs):
+    return reference_run(text, make_config(**kwargs), iterations)
 
 
 class TestLRUCache:
@@ -154,51 +165,69 @@ class TestLRUCache:
 
 
 class TestFindingParity:
-    """Memo on == memo off: the acceptance determinism criterion."""
+    """The memoized driver == the reference loop: the acceptance
+    determinism criterion."""
 
     def test_miscompilation_findings_identical(self):
-        _, with_memo = run_driver(CLAMP, memo=True,
-                                  enabled_bugs=("53252",))
-        _, without = run_driver(CLAMP, memo=False,
-                                enabled_bugs=("53252",))
-        assert with_memo.findings  # the workload must actually find bugs
-        assert finding_keys(with_memo) == finding_keys(without)
+        _, report = run_driver(CLAMP, enabled_bugs=("53252",))
+        _, runs = run_reference(CLAMP, enabled_bugs=("53252",))
+        assert report.findings  # the workload must actually find bugs
+        assert driver_findings(report.findings) == reference_findings(runs)
 
     def test_crash_findings_identical(self):
-        _, with_memo = run_driver(MIXED, memo=True,
-                                  enabled_bugs=("56968",))
-        _, without = run_driver(MIXED, memo=False,
-                                enabled_bugs=("56968",))
-        assert any(f.kind == "crash" for f in with_memo.findings)
-        assert finding_keys(with_memo) == finding_keys(without)
+        _, report = run_driver(MIXED, enabled_bugs=("56968",))
+        _, runs = run_reference(MIXED, enabled_bugs=("56968",))
+        assert any(f.kind == "crash" for f in report.findings)
+        assert driver_findings(report.findings) == reference_findings(runs)
 
-    def test_deterministic_metrics_identical(self):
-        on_driver, _ = run_driver(MIXED, memo=True, enabled_bugs=("53252",))
-        off_driver, _ = run_driver(MIXED, memo=False, enabled_bugs=("53252",))
-        assert on_driver.metrics.deterministic() == \
-            off_driver.metrics.deterministic()
+    def test_deterministic_metrics_identical(self, monkeypatch):
+        # tv.inconclusive_inputs is the deterministic() counter the
+        # reference loop can sum; the whole subset must not move with
+        # how much the memos remember.
+        warm, report = run_driver(MIXED, enabled_bugs=("53252",))
+        _, runs = run_reference(MIXED, enabled_bugs=("53252",))
+        assert report.inconclusive == sum(run.inconclusive for run in runs)
+        monkeypatch.setattr(driver_module, "OPTIMIZE_CACHE_SIZE", 1)
+        monkeypatch.setattr(driver_module, "VERIFY_CACHE_SIZE", 1)
+        cold, _ = run_driver(MIXED, enabled_bugs=("53252",))
+        assert warm.metrics.deterministic() == cold.metrics.deterministic()
 
     def test_clean_module_stays_clean(self):
-        _, with_memo = run_driver(MIXED, memo=True)
-        _, without = run_driver(MIXED, memo=False)
-        assert finding_keys(with_memo) == finding_keys(without)
+        _, report = run_driver(MIXED)
+        _, runs = run_reference(MIXED)
+        assert driver_findings(report.findings) == reference_findings(runs)
 
     def test_targets_identical(self):
-        on_driver, _ = run_driver(MIXED, memo=True, iterations=0)
-        off_driver, _ = run_driver(MIXED, memo=False, iterations=0)
-        assert on_driver.target_functions == off_driver.target_functions
-        assert on_driver.report.dropped_functions == \
-            off_driver.report.dropped_functions
+        driver, _ = run_driver(MIXED, iterations=0)
+        targets, _ = run_reference(MIXED, iterations=0)
+        assert driver.target_functions == targets
+        assert set(driver.report.dropped_functions) == {"wide"}
+
+
+CALLS = """
+define i32 @helper(i32 %v) {
+  %w = mul i32 %v, 3
+  %c = icmp ult i32 %w, 100
+  %r = select i1 %c, i32 %w, i32 100
+  ret i32 %r
+}
+
+define i32 @f(i32 %x, i32 %y) {
+  %h = call i32 @helper(i32 %x)
+  %s = add i32 %h, %y
+  ret i32 %s
+}
+"""
 
 
 class TestCacheBehavior:
     def test_untouched_functions_hit_the_optimize_cache(self):
-        driver, _ = run_driver(MIXED, memo=True)
+        driver, _ = run_driver(MIXED)
         hits = driver.metrics.counter("cache.optimize.hit")
         assert hits > 0  # @wide is never mutated: every iteration hits
 
     def test_replaying_a_seed_hits_both_caches(self):
-        driver, _ = run_driver(CLAMP, memo=True, iterations=1)
+        driver, _ = run_driver(CLAMP, iterations=1)
         first = driver.run_one(7)
         opt_misses = driver.metrics.counter("cache.optimize.miss")
         tv_misses = driver.metrics.counter("cache.verify.miss")
@@ -208,7 +237,7 @@ class TestCacheBehavior:
         assert [f.kind for f in first] == [f.kind for f in second]
 
     def test_cached_unsound_verdict_is_replayed(self):
-        driver, report = run_driver(CLAMP, memo=True, iterations=40,
+        driver, report = run_driver(CLAMP, iterations=40,
                                     enabled_bugs=("53252",))
         miscompiles = [f for f in report.findings
                        if f.kind == "miscompilation"]
@@ -218,7 +247,7 @@ class TestCacheBehavior:
         assert replay[0].bug_ids == miscompiles[0].bug_ids
 
     def test_cached_crash_is_replayed(self):
-        driver, report = run_driver(MIXED, memo=True, iterations=40,
+        driver, report = run_driver(MIXED, iterations=40,
                                     enabled_bugs=("56968",))
         crashes = [f for f in report.findings if f.kind == "crash"]
         assert crashes
@@ -227,26 +256,74 @@ class TestCacheBehavior:
         assert replay[0].bug_ids == crashes[0].bug_ids
 
     def test_clone_copies_fewer_functions_under_cow(self):
-        on_driver, _ = run_driver(MIXED, memo=True)
-        off_driver, _ = run_driver(MIXED, memo=False)
-        assert on_driver.metrics.counter("clone.functions_copied") < \
-            off_driver.metrics.counter("clone.functions_copied")
+        # The reference loop deep-copies every definition twice per
+        # iteration (mutant, then its optimized copy); copy-on-write
+        # mutants copy their targets and the optimize stage only misses.
+        driver, report = run_driver(MIXED)
+        definitions = len(driver.module.definitions())
+        assert driver.metrics.counter("clone.functions_copied") < \
+            2 * definitions * report.iterations
 
-    def test_memo_requires_positive_cache_sizes(self):
-        from repro.fuzz.driver import ConfigError
+    def test_cache_sizes_are_not_settable(self):
+        with pytest.raises(TypeError):
+            FuzzConfig(optimize_cache_size=1)
+        with pytest.raises(TypeError):
+            FuzzConfig(memo=False)
 
-        with pytest.raises(ConfigError):
-            FuzzConfig(optimize_cache_size=0).validate()
-        with pytest.raises(ConfigError):
-            FuzzConfig(verify_cache_size=-1).validate()
-        # With memoization off the sizes are irrelevant.
-        FuzzConfig(memo=False, optimize_cache_size=0).validate()
+    def test_tiny_caches_only_cost_speed(self, monkeypatch):
+        monkeypatch.setattr(driver_module, "OPTIMIZE_CACHE_SIZE", 1)
+        monkeypatch.setattr(driver_module, "VERIFY_CACHE_SIZE", 1)
+        _, tiny = run_driver(CLAMP, enabled_bugs=("53252",))
+        _, runs = run_reference(CLAMP, enabled_bugs=("53252",))
+        assert driver_findings(tiny.findings) == reference_findings(runs)
 
-    def test_tiny_caches_only_cost_speed(self):
-        _, tiny = run_driver(CLAMP, memo=True, enabled_bugs=("53252",),
-                             optimize_cache_size=1, verify_cache_size=1)
-        _, without = run_driver(CLAMP, memo=False, enabled_bugs=("53252",))
-        assert finding_keys(tiny) == finding_keys(without)
+
+class TestOwnership:
+    """Every cache belongs to one driver: nothing one job caches or
+    counts reaches another, and nothing outlives the driver."""
+
+    @staticmethod
+    def _drive(text):
+        return FuzzDriver(parsed(text), make_config(enabled_bugs=("53252",)),
+                          file_name="t.ll")
+
+    def test_interleaved_drivers_count_only_their_own_work(self):
+        # Both modules define @clamp, so a shared plan cache would hand
+        # one driver the other's plans and move exec.plan_cache.hit.
+        alone = []
+        for text in (CLAMP, MIXED):
+            driver = self._drive(text)
+            for seed in range(20):
+                driver.run_one(seed)
+            alone.append(driver.metrics.counters_with_prefix("exec."))
+        first, second = self._drive(CLAMP), self._drive(MIXED)
+        for seed in range(20):
+            first.run_one(seed)
+            second.run_one(seed)
+        assert alone[0]["exec.plan_cache.hit"] > 0
+        assert [first.metrics.counters_with_prefix("exec."),
+                second.metrics.counters_with_prefix("exec.")] == alone
+
+    def test_dropping_the_driver_frees_every_mutant(self):
+        # A plan's call step holds its callee, hence the mutant module
+        # the callee lives in: only the driver owning the plan may keep
+        # that module alive.
+        driver = self._drive(CALLS)
+        watched = []
+        create = driver.mutator.create_mutant
+
+        def spy(seed, operators=None):
+            mutant, record = create(seed, operators)
+            watched.append(weakref.ref(mutant))
+            return mutant, record
+
+        driver.mutator.create_mutant = spy
+        driver.run(iterations=30)
+        assert driver.metrics.counter("tv.checks") > 0
+        del driver, create, spy
+        gc.collect()
+        assert len(watched) == 30
+        assert all(ref() is None for ref in watched)
 
 
 class TestEngineHoist:

@@ -4,8 +4,8 @@ import gc
 import weakref
 
 from repro.fuzz import FuzzConfig, FuzzDriver
-from repro.ir import (BasicBlock, CallInst, Constant, Instruction, PhiNode,
-                      clone_functions_into, parse_module, print_module,
+from repro.ir import (BasicBlock, CallInst, Constant, Instruction, Module,
+                      PhiNode, clone_functions_into, parse_module, print_module,
                       verify_module)
 from repro.mutate import MutatorConfig
 from repro.tv import RefinementConfig
@@ -160,15 +160,19 @@ class TestCowClone:
             cow_mutator = Mutator(
                 parsed(COMPLEX), MutatorConfig(max_mutations=3)
             )
-            deep_mutator = Mutator(
-                parsed(COMPLEX),
-                MutatorConfig(max_mutations=3, cow_clone=False),
-            )
+            # The same engine over a seed whose clone() ignores
+            # ``mutable_only``: every mutant is a full deep copy.
+            deep_seed = parsed(COMPLEX)
+            deep_seed.clone = lambda mutable_only=None, seed=deep_seed: \
+                Module.clone(seed)
+            deep_mutator = Mutator(deep_seed, MutatorConfig(max_mutations=3))
             cow_mutant, cow_record = cow_mutator.create_mutant(seed)
             deep_mutant, deep_record = deep_mutator.create_mutant(seed)
+            assert not deep_mutant.shared_names()
             assert print_module(cow_mutant) == print_module(deep_mutant)
             assert cow_record.applied == deep_record.applied
-            assert cow_record.functions_copied <= deep_record.functions_copied
+            assert cow_record.functions_copied == \
+                len(cow_mutator.target_names)
 
     def test_clone_functions_into_renames(self):
         from repro.ir import clone_functions_into

@@ -11,7 +11,7 @@ from repro.mutate import Mutator, MutatorConfig
 from repro.tv import (Outcome, POISON, RefinementConfig, Verdict,
                       check_function_supported, check_module_refinement,
                       check_refinement, generate_inputs, outcome_refines,
-                      reset_input_cache, value_refines)
+                      TVCaches, value_refines)
 from repro.tv.refine import PointerInput, _inputs_for, memory_refines
 from repro.tv.memory import UNDEF_BYTE
 from repro.tv.memory import POISON as POISON_BYTE
@@ -389,6 +389,9 @@ class TestInputCacheKey:
 
     CONFIG = RefinementConfig(max_inputs=24)
 
+    def setup_method(self):
+        self.cache = TVCaches().inputs
+
     def test_pointer_attributes_and_names_are_in_the_key(self):
         functions = [parsed(f"""
 define i8 @f({params}) {{
@@ -397,10 +400,10 @@ define i8 @f({params}) {{
 """).get_function("f") for params in POINTER_VARIANTS]
         # Warm the cache with every variant, then read each back.
         for function in functions:
-            _inputs_for(function, self.CONFIG)
+            _inputs_for(function, self.CONFIG, self.cache)
         fresh = [tuple(generate_inputs(function, self.CONFIG))
                  for function in functions]
-        assert [_inputs_for(function, self.CONFIG)
+        assert [_inputs_for(function, self.CONFIG, self.cache)
                 for function in functions] == fresh
         # (The variants do differ: most of them in their input sets.)
         assert len(set(fresh)) >= 6
@@ -420,32 +423,37 @@ define i32 @f(i32 %v0) {{
         first = summing(range(100, 110))
         same_eight = summing(list(range(100, 108)) + [7, 9])
         other_eight = summing([99] + list(range(101, 110)))
-        assert _inputs_for(first, self.CONFIG) is \
-            _inputs_for(same_eight, self.CONFIG)
-        assert _inputs_for(other_eight, self.CONFIG) == \
+        assert _inputs_for(first, self.CONFIG, self.cache) is \
+            _inputs_for(same_eight, self.CONFIG, self.cache)
+        assert _inputs_for(other_eight, self.CONFIG, self.cache) == \
             tuple(generate_inputs(other_eight, self.CONFIG))
-        assert _inputs_for(other_eight, self.CONFIG) != \
-            _inputs_for(first, self.CONFIG)
+        assert _inputs_for(other_eight, self.CONFIG, self.cache) != \
+            _inputs_for(first, self.CONFIG, self.cache)
 
     def test_reset_drops_every_input_set(self):
+        # Fresh TVCaches are the reset: each driver starts with its own.
         function = parsed("""
 define i8 @f(i8 %x) {
   ret i8 %x
 }
 """).get_function("f")
-        before = _inputs_for(function, self.CONFIG)
-        assert _inputs_for(function, self.CONFIG) is before
-        reset_input_cache()
-        after = _inputs_for(function, self.CONFIG)
+        before = _inputs_for(function, self.CONFIG, self.cache)
+        assert _inputs_for(function, self.CONFIG, self.cache) is before
+        after = _inputs_for(function, self.CONFIG, TVCaches().inputs)
         assert after == before and after is not before
 
 
 PROPERTY_CORPUS = generate_corpus(len(ARCHETYPES), seed=2024)
 
 
+# The input sets every example of the property below shares, so that a
+# warm example sees those of every mutant an earlier example made.
+_WARM = [TVCaches().inputs]
+
+
 def _assert_cache_is_transparent(module, config):
     for function in module.definitions():
-        assert _inputs_for(function, config) == \
+        assert _inputs_for(function, config, _WARM[0]) == \
             tuple(generate_inputs(function, config)), function.name
 
 
@@ -463,7 +471,7 @@ def test_input_cache_is_transparent_on_mutants(file_index, seed, max_inputs,
     module = parse_module(text, name)
     config = RefinementConfig(max_inputs=max_inputs, seed=seed & 0xFF)
     if cold:
-        reset_input_cache()
+        _WARM[0] = TVCaches().inputs
     else:
         _assert_cache_is_transparent(module, config)
     mutator = Mutator(module, MutatorConfig(max_mutations=4))

@@ -21,8 +21,8 @@ from repro.tv import (
     ExecutionLimits,
     RefinementConfig,
     check_function_supported,
+    TVCaches,
     check_refinement,
-    global_batch_stats,
 )
 from repro.tv import refine
 
@@ -35,11 +35,11 @@ WRONG_CODE_BUGS = tuple(
 )
 
 
-def _run_everything(src, tgt, inputs, config):
+def _run_everything(src, tgt, inputs, config, stats):
     """What ``_source_first`` did before it learned to skip: both sides,
     every input."""
     prepared = [refine._prepare_input(src.function, i) for i in inputs]
-    run = refine._engine(src, tgt, config)
+    run = refine._engine(src, tgt, config, stats)
     return run(src, prepared), run(tgt, prepared)
 
 
@@ -58,16 +58,21 @@ def _reference(monkeypatch, *args, **kwargs):
         return check_refinement(*args, **kwargs)
 
 
-def _assert_exact(monkeypatch, src, tgt, src_module, tgt_module, **knobs):
+def _assert_exact(
+    monkeypatch, src, tgt, src_module, tgt_module, caches=None, **knobs
+):
     """Production equals the reference under both engines; returns the
-    batched production result."""
+    batched production result.  Production runs on ``caches`` and the
+    reference on caches of its own, so only production is counted."""
     results = []
     for batched in (True, False):
         config = RefinementConfig(batched=batched, **knobs)
         expected = _reference(
             monkeypatch, src, tgt, src_module, tgt_module, config
         )
-        actual = check_refinement(src, tgt, src_module, tgt_module, config)
+        actual = check_refinement(
+            src, tgt, src_module, tgt_module, config, caches=caches
+        )
         assert _result_key(actual) == _result_key(expected), src.name
         results.append(actual)
     assert _result_key(results[0]) == _result_key(results[1]), src.name
@@ -83,13 +88,10 @@ def _function_pairs(src_module, tgt_module):
             yield function, target
 
 
-def _stats_delta(before):
-    """Counter name -> how far it moved since ``before`` was taken."""
-    stats = global_batch_stats()
-    return {
-        name: now - then
-        for name, now, then in zip(stats.__slots__, stats.stats(), before)
-    }
+def _counters(caches):
+    """Counter name -> value."""
+    stats = caches.stats
+    return dict(zip(stats.__slots__, stats.stats()))
 
 
 def _plans_shared(delta):
@@ -116,7 +118,7 @@ class TestEqualsFullExecution:
         # (mutant, optimized mutant) pairs as the campaign produces
         # them; many mutants survive the pipeline unchanged, so all
         # three rules fire here.
-        before = global_batch_stats().stats()
+        caches = TVCaches()
         pairs = 0
         modules = corpus_modules(24, seed=3)
         for index, (_, module) in enumerate(modules):
@@ -127,11 +129,17 @@ class TestEqualsFullExecution:
                 PassManager(["O2"], OptContext(WRONG_CODE_BUGS)).run(optimized)
                 for src, tgt in _function_pairs(mutant, optimized):
                     _assert_exact(
-                        monkeypatch, src, tgt, mutant, optimized, max_inputs=12
+                        monkeypatch,
+                        src,
+                        tgt,
+                        mutant,
+                        optimized,
+                        caches=caches,
+                        max_inputs=12,
                     )
                     pairs += 1
         assert pairs >= 200
-        delta = _stats_delta(before)
+        delta = _counters(caches)
         assert delta["same_plan"] > delta["static_skips"] > 0
         assert delta["target_inputs_pruned"] > 0
 
@@ -160,15 +168,14 @@ class TestSamePlan:
         }
         """)
         function = module.get_function("f")
-        before = global_batch_stats().stats()
+        caches = TVCaches()
         result = _assert_exact(
-            monkeypatch, function, function, module, module, max_inputs=8
+            monkeypatch, function, function, module, module, caches, max_inputs=8
         )
         assert result.verdict.value == "correct"
         assert result.inputs_checked > 0 and result.inconclusive_inputs == 0
-        delta = _stats_delta(before)
-        # Two production calls (batched, scalar): both skipped statically;
-        # the only lanes that ran belong to the reference.
+        delta = _counters(caches)
+        # Two production calls (batched, scalar): both skipped statically.
         assert _plans_shared(delta) == (2, 2)
 
     def test_looping_function_against_itself_still_times_out(self, monkeypatch):
@@ -178,19 +185,20 @@ class TestSamePlan:
         module = parsed(LOOP)
         function = module.get_function("spin")
         limits = ExecutionLimits(max_steps=64)
-        before = global_batch_stats().stats()
+        caches = TVCaches()
         result = _assert_exact(
             monkeypatch,
             function,
             function,
             module,
             module,
+            caches,
             max_inputs=12,
             limits=limits,
         )
         assert result.verdict.value == "correct"
         assert 0 < result.inconclusive_inputs < result.inputs_checked
-        delta = _stats_delta(before)
+        delta = _counters(caches)
         assert _plans_shared(delta) == (2, 0)
 
     def test_step_bound_above_budget_does_not_skip(self, monkeypatch):
@@ -224,18 +232,19 @@ class TestSamePlan:
         """
         )
         function = module.get_function("f")
-        before = global_batch_stats().stats()
+        caches = TVCaches()
         result = _assert_exact(
             monkeypatch,
             function,
             function,
             module,
             module,
+            caches,
             max_inputs=12,
             limits=ExecutionLimits(max_steps=64),
         )
         assert result.inconclusive_inputs > 0
-        assert _plans_shared(_stats_delta(before)) == (2, 0)
+        assert _plans_shared(_counters(caches)) == (2, 0)
 
     def test_equal_fingerprints_with_different_local_names_do_not_share(
         self, monkeypatch
@@ -245,17 +254,18 @@ class TestSamePlan:
         template = "define i32 @f(i32 %{x}) {{\n  %{r} = add i32 %{x}, 1\n  ret i32 %{r}\n}}"
         src_module = parsed(template.format(x="x", r="r"))
         tgt_module = parsed(template.format(x="y", r="q"))
-        before = global_batch_stats().stats()
+        caches = TVCaches()
         result = _assert_exact(
             monkeypatch,
             src_module.get_function("f"),
             tgt_module.get_function("f"),
             src_module,
             tgt_module,
+            caches,
             max_inputs=8,
         )
         assert result.verdict.value == "correct"
-        assert _plans_shared(_stats_delta(before)) == (0, 0)
+        assert _plans_shared(_counters(caches)) == (0, 0)
 
     def test_equal_fingerprints_with_different_declaration_attributes_do_not_share(
         self, monkeypatch
@@ -274,17 +284,18 @@ class TestSamePlan:
         """
         src_module = parsed(template.format(attrs=" readnone"))
         tgt_module = parsed(template.format(attrs=""))
-        before = global_batch_stats().stats()
+        caches = TVCaches()
         result = _assert_exact(
             monkeypatch,
             src_module.get_function("f"),
             tgt_module.get_function("f"),
             src_module,
             tgt_module,
+            caches,
             max_inputs=8,
         )
         assert result.verdict.value == "unsound"
-        assert _plans_shared(_stats_delta(before)) == (0, 0)
+        assert _plans_shared(_counters(caches)) == (0, 0)
 
 
 class TestTargetPruning:
@@ -323,10 +334,12 @@ class TestTargetPruning:
         config = RefinementConfig(max_inputs=16, limits=ExecutionLimits(max_steps=64))
         src = src_module.get_function("f")
         tgt = tgt_module.get_function("f")
-        inputs = refine._inputs_for(src, config)
-        before = global_batch_stats().stats()
-        result = check_refinement(src, tgt, src_module, tgt_module, config)
-        delta = _stats_delta(before)
+        caches = TVCaches()
+        inputs = refine._inputs_for(src, config, caches.inputs)
+        result = check_refinement(
+            src, tgt, src_module, tgt_module, config, caches=caches
+        )
+        delta = _counters(caches)
         pruned = delta["target_inputs_pruned"]
         assert result.verdict.value == "correct"
         assert delta["same_plan"] == 0
@@ -351,9 +364,9 @@ class TestTargetPruning:
             tgt_module,
             config,
         )
-        before = global_batch_stats().stats()
-        result = check_refinement(*args)
-        assert not any(_stats_delta(before).values())
+        caches = TVCaches()
+        result = check_refinement(*args, caches=caches)
+        assert not any(_counters(caches).values())
         assert _result_key(result) == _result_key(_reference(monkeypatch, *args))
         assert _result_key(result) == ("correct", 4, 0, "None")
 
