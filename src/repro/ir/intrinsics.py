@@ -3,7 +3,7 @@
 Intrinsics are modeled, as in LLVM, as calls to specially-named declared
 functions (``llvm.smax.i32``).  The registry records each intrinsic's arity,
 signature shape, and width constraints; concrete semantics live in
-:mod:`repro.tv.interp`.
+:mod:`repro.tv.semantics`.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ class ThroughputSnapshot:
     optimize_hit_rate: float = 0.0
     verify_hit_rate: float = 0.0
     # Execution-plan cache effectiveness (paper §III-B "pay once"): hit
-    # rate of the global plan cache, 0.0 when no lookups happened yet.
+    # rate of the driver's plan cache, 0.0 when no lookups happened yet.
     exec_plan_hit_rate: float = 0.0
     # What the plan cache holds and sheds: plans evicted, and the
     # high-water mark of resident frame slots (its bound's unit).

@@ -38,10 +38,11 @@ def fold_binary(opcode: str, lhs: Constant, rhs: Constant, width: int,
                 exact: bool = False) -> Optional[Constant]:
     """Fold a binary op over constants; None when it must not fold."""
     int_ty = IntType(width)
+    if opcode in ("udiv", "sdiv", "urem", "srem") and (
+            isinstance(rhs, PoisonValue)
+            or isinstance(rhs, ConstantInt) and rhs.value == 0):
+        return None  # a poison or zero divisor is UB, whatever the dividend
     if isinstance(lhs, PoisonValue) or isinstance(rhs, PoisonValue):
-        if opcode in ("udiv", "sdiv", "urem", "srem") \
-                and isinstance(rhs, PoisonValue):
-            return None  # division by poison divisor is UB, not poison
         return PoisonValue(int_ty)
     if not (isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt)):
         return None
@@ -67,8 +68,6 @@ def fold_binary(opcode: str, lhs: Constant, rhs: Constant, width: int,
             return PoisonValue(int_ty)
         return ConstantInt(int_ty, a * b)
     if opcode in ("udiv", "urem"):
-        if b == 0:
-            return None  # immediate UB; leave it for the interpreter
         if opcode == "udiv":
             if exact and a % b:
                 return PoisonValue(int_ty)
@@ -76,8 +75,6 @@ def fold_binary(opcode: str, lhs: Constant, rhs: Constant, width: int,
         return ConstantInt(int_ty, a % b)
     if opcode in ("sdiv", "srem"):
         signed_a, signed_b = _signed(a, width), _signed(b, width)
-        if signed_b == 0:
-            return None
         if signed_a == -(1 << (width - 1)) and signed_b == -1:
             return None  # overflow is UB
         quotient = abs(signed_a) // abs(signed_b)

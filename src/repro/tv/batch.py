@@ -29,8 +29,13 @@ executes one *batch* of lanes (one lane per pending input) per walk:
   :attr:`BatchProgram.lane_state`) gets no interpreter at all: its lanes
   are argument columns plus the ``noundef`` entry check.
 
+Every step applies the value-level rules of :mod:`repro.tv.semantics`
+(and the stateful ``Interpreter`` methods, through the lane's
+interpreter) per lane: this module owns lane loops, operand
+specialization and control flow, not instruction semantics.
+
 Batch programs are compiled lazily and cached on the function's
-:class:`~repro.tv.compile.ExecutionPlan`, so the global plan cache
+:class:`~repro.tv.compile.ExecutionPlan`, so the driver's plan cache
 shares them across mutants.  Anything the batch compiler declines —
 deferred size errors whose ``ValueError`` must abort the whole check in
 scalar input order — is tree-walked one input at a time instead,
@@ -45,6 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
+    SIGNED_PREDICATES,
     AllocaInst,
     BinaryOperator,
     BrInst,
@@ -70,25 +76,18 @@ from ..ir.values import (
     Value,
 )
 from .compile import ExecutionPlan
-from .domain import (
-    NULL_POINTER,
-    POISON,
-    Pointer,
-    fits_signed,
-    to_signed,
-    to_unsigned,
-    trunc_div,
-)
-from .interp import (
-    ExecutionLimits,
-    Interpreter,
-    StepLimitExceeded,
+from .domain import NULL_POINTER, POISON, Pointer, to_signed
+from .interp import ExecutionLimits, Interpreter, StepLimitExceeded, byte_size_of_type
+from .memory import MemoryFault
+from .semantics import (
+    ICMP_COMPARATORS,
     UBError,
-    byte_size_of_type,
+    assume,
+    binary_op,
+    cast_op,
     evaluate_intrinsic,
-    pointer_address,
+    icmp_op,
 )
-from .memory import UNDEF_BYTE, MemoryFault, bytes_to_int, int_to_bytes
 
 __all__ = [
     "BatchProgram",
@@ -120,211 +119,6 @@ BatchStep = Callable[["_BatchContext", List[List[Any]], List[int]], Any]
 # A frame slot that was never written.  Distinct from None: void call
 # results are never stored, and a returned None must not read as "set".
 _UNSET = object()
-
-_UNDEF_BYTE_CHOICES = (0, 0xFF, 0x5A)
-
-
-def _constant_pointer_address(value: Value) -> Optional[int]:
-    """``pointer_address`` of a constant-pointer operand, folded at
-    compile time (None for any other operand)."""
-    if isinstance(value, ConstantPointerNull):
-        return pointer_address(NULL_POINTER)
-    if isinstance(value, Function):
-        return pointer_address(Pointer(f"func:{value.name}", 0))
-    return None
-
-
-_ICMP_COMPARATORS = {
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "ugt": operator.gt,
-    "uge": operator.ge,
-    "ult": operator.lt,
-    "ule": operator.le,
-    "sgt": operator.gt,
-    "sge": operator.ge,
-    "slt": operator.lt,
-    "sle": operator.le,
-}
-
-_SIGNED_ICMP = ("sgt", "sge", "slt", "sle")
-
-
-def _safe_size(type) -> Tuple[Optional[int], Optional[str]]:
-    """byte_size_of_type with the error deferred to execution time."""
-    try:
-        return byte_size_of_type(type), None
-    except ValueError as exc:
-        return None, str(exc)
-
-
-# -- binary operator specialization ------------------------------------------
-
-
-def _binary_fn(opcode: str, width: int, nuw: bool, nsw: bool, exact: bool):
-    """A closure computing one binary op on resolved values.  Each branch
-    mirrors the corresponding case of ``Interpreter._eval_binary``."""
-    mask = (1 << width) - 1
-    int_min = -(1 << (width - 1))
-
-    if opcode == "add":
-        def fn(lhs, rhs):
-            if lhs is POISON or rhs is POISON:
-                return POISON
-            total = lhs + rhs
-            result = total & mask
-            if nuw and total > mask:
-                return POISON
-            if nsw and not fits_signed(
-                to_signed(lhs, width) + to_signed(rhs, width), width
-            ):
-                return POISON
-            return result
-        return fn
-    if opcode == "sub":
-        def fn(lhs, rhs):
-            if lhs is POISON or rhs is POISON:
-                return POISON
-            difference = lhs - rhs
-            result = difference & mask
-            if nuw and difference < 0:
-                return POISON
-            if nsw and not fits_signed(
-                to_signed(lhs, width) - to_signed(rhs, width), width
-            ):
-                return POISON
-            return result
-        return fn
-    if opcode == "mul":
-        def fn(lhs, rhs):
-            if lhs is POISON or rhs is POISON:
-                return POISON
-            product = lhs * rhs
-            result = product & mask
-            if nuw and product > mask:
-                return POISON
-            if nsw and not fits_signed(
-                to_signed(lhs, width) * to_signed(rhs, width), width
-            ):
-                return POISON
-            return result
-        return fn
-    if opcode == "udiv":
-        def fn(lhs, rhs):
-            # Division by zero is immediate UB even with poison on the
-            # other side, so check the divisor first.
-            if rhs is POISON:
-                raise UBError("udiv by poison divisor")
-            if rhs == 0:
-                raise UBError("udiv by zero")
-            if lhs is POISON:
-                return POISON
-            result = lhs // rhs
-            if exact and lhs % rhs != 0:
-                return POISON
-            return result
-        return fn
-    if opcode == "sdiv":
-        def fn(lhs, rhs):
-            if rhs is POISON:
-                raise UBError("sdiv by poison divisor")
-            if rhs == 0:
-                raise UBError("sdiv by zero")
-            if lhs is POISON:
-                return POISON
-            signed_lhs = to_signed(lhs, width)
-            signed_rhs = to_signed(rhs, width)
-            if signed_lhs == int_min and signed_rhs == -1:
-                raise UBError("sdiv overflow")
-            quotient = trunc_div(signed_lhs, signed_rhs)
-            if exact and signed_lhs - quotient * signed_rhs != 0:
-                return POISON
-            return to_unsigned(quotient, width)
-        return fn
-    if opcode == "urem":
-        def fn(lhs, rhs):
-            if rhs is POISON:
-                raise UBError("urem by poison divisor")
-            if rhs == 0:
-                raise UBError("urem by zero")
-            if lhs is POISON:
-                return POISON
-            return lhs % rhs
-        return fn
-    if opcode == "srem":
-        def fn(lhs, rhs):
-            if rhs is POISON:
-                raise UBError("srem by poison divisor")
-            if rhs == 0:
-                raise UBError("srem by zero")
-            if lhs is POISON:
-                return POISON
-            signed_lhs = to_signed(lhs, width)
-            signed_rhs = to_signed(rhs, width)
-            if signed_lhs == int_min and signed_rhs == -1:
-                raise UBError("srem overflow")
-            remainder = signed_lhs - trunc_div(signed_lhs, signed_rhs) * signed_rhs
-            return to_unsigned(remainder, width)
-        return fn
-    if opcode == "shl":
-        def fn(lhs, rhs):
-            if lhs is POISON or rhs is POISON:
-                return POISON
-            if rhs >= width:
-                return POISON
-            full = lhs << rhs
-            result = full & mask
-            if nuw and full > mask:
-                return POISON
-            if nsw and to_signed(result, width) != to_signed(lhs, width) * (1 << rhs):
-                return POISON
-            return result
-        return fn
-    if opcode == "lshr":
-        def fn(lhs, rhs):
-            if lhs is POISON or rhs is POISON:
-                return POISON
-            if rhs >= width:
-                return POISON
-            if exact and lhs & ((1 << rhs) - 1):
-                return POISON
-            return lhs >> rhs
-        return fn
-    if opcode == "ashr":
-        def fn(lhs, rhs):
-            if lhs is POISON or rhs is POISON:
-                return POISON
-            if rhs >= width:
-                return POISON
-            if exact and lhs & ((1 << rhs) - 1):
-                return POISON
-            return to_unsigned(to_signed(lhs, width) >> rhs, width)
-        return fn
-    if opcode == "and":
-        def fn(lhs, rhs):
-            if lhs is POISON or rhs is POISON:
-                return POISON
-            return lhs & rhs
-        return fn
-    if opcode == "or":
-        def fn(lhs, rhs):
-            if lhs is POISON or rhs is POISON:
-                return POISON
-            return lhs | rhs
-        return fn
-    if opcode == "xor":
-        def fn(lhs, rhs):
-            if lhs is POISON or rhs is POISON:
-                return POISON
-            return lhs ^ rhs
-        return fn
-
-    def fn(lhs, rhs):  # constructor-validated; defensively mirrored
-        if lhs is POISON or rhs is POISON:
-            return POISON
-        raise UBError(f"unsupported binary opcode {opcode}")
-    return fn
-
 
 class BatchUnsupported(Exception):
     """The batch compiler declines this function (scalar fallback)."""
@@ -876,7 +670,7 @@ _SIMPLE_BINARY_OPS = {
 def _simple_binary_step(op, mask, lhs_info, rhs_info, slot):
     """Inlined step for never-trapping binary ops on slot/const operands.
 
-    Mirrors the flagless branches of ``_binary_fn`` exactly (poison in →
+    Mirrors the flagless branches of ``binary_op`` exactly (poison in →
     poison out, result masked to width) while skipping the per-lane
     closure call and try/except.  Returns ``None`` for operand shapes it
     does not cover; callers fall back to :func:`_binary_step`.
@@ -948,17 +742,16 @@ def _simple_binary_step(op, mask, lhs_info, rhs_info, slot):
 def _int_icmp_step(inst: ICmpInst, lhs_info, rhs_info, slot):
     """Inlined step for icmp over integer-typed slot/const operands.
 
-    Integer slots only ever hold ints or poison (no inttoptr in the
-    cast set), so the pointer normalization of :func:`_icmp_fn` is
-    compiled out and the signedness conversion inlined.  Returns
-    ``None`` for shapes it does not cover.
+    The integer case of ``icmp_op`` with the signedness conversion
+    inlined and no per-lane call.  Returns ``None`` for shapes it does
+    not cover.
     """
     if not (
         isinstance(inst.lhs.type, IntType) and isinstance(inst.rhs.type, IntType)
     ):
         return None
-    compare = _ICMP_COMPARATORS[inst.predicate]
-    signed = inst.predicate in _SIGNED_ICMP
+    compare = ICMP_COMPARATORS[inst.predicate]
+    signed = inst.predicate in SIGNED_PREDICATES
     width = inst.lhs.type.width
     sign_bit = 1 << (width - 1)
     span = 1 << width
@@ -1084,63 +877,6 @@ def _int_icmp_step(inst: ICmpInst, lhs_info, rhs_info, slot):
     return None
 
 
-def _icmp_fn(inst: ICmpInst):
-    """Per-value icmp closure mirroring ``Interpreter._eval_icmp``."""
-    compare = _ICMP_COMPARATORS[inst.predicate]
-    signed = inst.predicate in _SIGNED_ICMP
-    width = inst.lhs.type.width if isinstance(inst.lhs.type, IntType) else 64
-    lhs_address = _constant_pointer_address(inst.lhs)
-    rhs_address = _constant_pointer_address(inst.rhs)
-    if isinstance(inst.lhs.type, IntType) and isinstance(inst.rhs.type, IntType):
-        # Integer-typed operands only ever hold ints or poison at
-        # runtime (the cast set has no inttoptr), so the pointer
-        # normalization can be compiled out.
-        if signed:
-
-            def fn_signed(lhs_value, rhs_value):
-                if lhs_value is POISON or rhs_value is POISON:
-                    return POISON
-                return int(
-                    compare(to_signed(lhs_value, width), to_signed(rhs_value, width))
-                )
-
-            return fn_signed
-
-        def fn_unsigned(lhs_value, rhs_value):
-            if lhs_value is POISON or rhs_value is POISON:
-                return POISON
-            return int(compare(lhs_value, rhs_value))
-
-        return fn_unsigned
-
-    def fn(lhs_value, rhs_value):
-        if lhs_value is POISON or rhs_value is POISON:
-            return POISON
-        if isinstance(lhs_value, Pointer) or isinstance(rhs_value, Pointer):
-            if lhs_address is not None:
-                lhs_num = lhs_address
-            elif isinstance(lhs_value, Pointer):
-                lhs_num = pointer_address(lhs_value)
-            else:
-                lhs_num = lhs_value
-            if rhs_address is not None:
-                rhs_num = rhs_address
-            elif isinstance(rhs_value, Pointer):
-                rhs_num = pointer_address(rhs_value)
-            else:
-                rhs_num = rhs_value
-            effective_width = 64
-        else:
-            lhs_num, rhs_num = lhs_value, rhs_value
-            effective_width = width
-        if signed:
-            lhs_num = to_signed(lhs_num, effective_width)
-            rhs_num = to_signed(rhs_num, effective_width)
-        return int(compare(lhs_num, rhs_num))
-
-    return fn
-
-
 # -- the batch compiler -------------------------------------------------------
 
 
@@ -1257,14 +993,8 @@ class _BatchCompiler:
                 )
                 if step is not None:
                     return step
-            return _binary_step(
-                _binary_fn(
-                    inst.opcode, inst.type.width, inst.nuw, inst.nsw, inst.exact
-                ),
-                lhs,
-                rhs,
-                slot,
-            )
+            op = binary_op(inst.opcode, inst.type.width, inst.nuw, inst.nsw, inst.exact)
+            return _binary_step(op, lhs, rhs, slot)
         if isinstance(inst, ICmpInst):
             lhs = self.operand(inst.lhs)
             rhs = self.operand(inst.rhs)
@@ -1272,7 +1002,8 @@ class _BatchCompiler:
             step = _int_icmp_step(inst, lhs, rhs, slot)
             if step is not None:
                 return step
-            return _binary_step(_icmp_fn(inst), lhs, rhs, slot)
+            op = icmp_op(inst.predicate, inst.lhs.type, inst.rhs.type)
+            return _binary_step(op, lhs, rhs, slot)
         if isinstance(inst, SelectInst):
             return self.compile_select(inst)
         if isinstance(inst, CastInst):
@@ -1347,37 +1078,8 @@ class _BatchCompiler:
         return step
 
     def compile_cast(self, inst: CastInst) -> BatchStep:
-        info = self.operand(inst.value)
-        slot = self.slots[id(inst)]
-        opcode = inst.opcode
-        if opcode == "trunc":
-            mask = (1 << inst.type.width) - 1
-
-            def fn(value):
-                return POISON if value is POISON else value & mask
-
-            return _unary_step(fn, info, slot)
-        if opcode == "zext":
-
-            def fn(value):
-                return value
-
-            return _unary_step(fn, info, slot)
-        if opcode == "sext":
-            src_width = inst.src_type.width
-            dst_width = inst.type.width
-
-            def fn(value):
-                if value is POISON:
-                    return POISON
-                return to_unsigned(to_signed(value, src_width), dst_width)
-
-            return _unary_step(fn, info, slot)
-
-        def fn(value):  # constructor-validated; defensive
-            raise UBError(f"unsupported cast {opcode}")
-
-        return _unary_step(fn, info, slot)
+        op = cast_op(inst.opcode, inst.src_type.width, inst.type.width)
+        return _unary_step(op, self.operand(inst.value), self.slots[id(inst)])
 
     def compile_freeze(self, inst: FreezeInst) -> BatchStep:
         self.lane_state = True
@@ -1419,33 +1121,18 @@ class _BatchCompiler:
 
         return step
 
+    # The memory steps and the call step apply the lane interpreter's
+    # value-level rules (``Interpreter.load`` / ``store`` / ``gep`` /
+    # ``call``).  They close over types and ids, never the instruction,
+    # so a cached plan keeps no mutant module alive.
+
     def compile_load(self, inst: LoadInst) -> BatchStep:
         self.lane_state = True
         pointer = self.lane_operand(inst.pointer)
-        size = _required_size(inst.type)
-        slot = self.slots[id(inst)]
-        if inst.type.is_pointer():
-            label = f"load:{id(inst)}"
-
-            def step(ctx, frame, active):
-                out = frame[slot]
-                interps = ctx.interps
-                for lane in active:
-                    try:
-                        resolved = pointer(ctx, frame, lane)
-                        if resolved is POISON:
-                            raise UBError("load from poison pointer")
-                        if not isinstance(resolved, Pointer):
-                            raise UBError("load from non-pointer value")
-                        interp = interps[lane]
-                        data = interp.memory.load_bytes(resolved, size)
-                        out[lane] = interp._bytes_to_pointer(data, label)
-                    except _LANE_ERRORS as exc:
-                        ctx.trap_exception(lane, exc)
-
-            return step
-        mask = (1 << inst.type.width) - 1
-        undef_label = f"loadundef:{id(inst)}"
+        loaded_type = inst.type
+        _required_size(loaded_type)
+        site = id(inst)
+        slot = self.slots[site]
 
         def step(ctx, frame, active):
             out = frame[slot]
@@ -1453,31 +1140,7 @@ class _BatchCompiler:
             for lane in active:
                 try:
                     resolved = pointer(ctx, frame, lane)
-                    if resolved is POISON:
-                        raise UBError("load from poison pointer")
-                    if not isinstance(resolved, Pointer):
-                        raise UBError("load from non-pointer value")
-                    interp = interps[lane]
-                    data = interp.memory.load_bytes(resolved, size)
-                    for byte in data:
-                        if byte is POISON:
-                            out[lane] = POISON
-                            break
-                    else:
-                        concrete: List[int] = []
-                        for index, byte in enumerate(data):
-                            if byte is UNDEF_BYTE:
-                                interp._note_truncated_domain()
-                                concrete.append(
-                                    interp.oracle.choose(
-                                        f"{undef_label}:{index}", _UNDEF_BYTE_CHOICES
-                                    )
-                                )
-                            elif isinstance(byte, tuple):
-                                concrete.append(interp._pointer_byte_as_int(byte))
-                            else:
-                                concrete.append(byte)
-                        out[lane] = bytes_to_int(concrete) & mask
+                    out[lane] = interps[lane].load(resolved, loaded_type, site)
                 except _LANE_ERRORS as exc:
                     ctx.trap_exception(lane, exc)
 
@@ -1487,28 +1150,16 @@ class _BatchCompiler:
         self.lane_state = True
         pointer = self.lane_operand(inst.pointer)
         value = self.lane_operand(inst.value)
-        size = _required_size(inst.value.type)
+        stored_type = inst.value.type
+        _required_size(stored_type)
 
         def step(ctx, frame, active):
             interps = ctx.interps
             for lane in active:
                 try:
-                    resolved = pointer(ctx, frame, lane)
-                    if resolved is POISON:
-                        raise UBError("store to poison pointer")
-                    if not isinstance(resolved, Pointer):
-                        raise UBError("store to non-pointer value")
-                    stored = value(ctx, frame, lane)
-                    if stored is POISON:
-                        data: List[Any] = [POISON] * size
-                    elif isinstance(stored, Pointer):
-                        data = [
-                            ("ptr", stored.block, stored.offset, index)
-                            for index in range(size)
-                        ]
-                    else:
-                        data = int_to_bytes(stored, size)
-                    interps[lane].memory.store_bytes(resolved, data)
+                    interps[lane].store(
+                        pointer(ctx, frame, lane), stored_type, value, ctx, frame, lane
+                    )
                 except _LANE_ERRORS as exc:
                     ctx.trap_exception(lane, exc)
 
@@ -1517,10 +1168,10 @@ class _BatchCompiler:
     def compile_gep(self, inst: GEPInst) -> BatchStep:
         self.lane_state = True
         pointer = self.lane_operand(inst.pointer)
-        element_size = _required_size(inst.source_type)
+        element_type = inst.source_type
+        _required_size(element_type)
         index_parts = tuple(
-            (self.lane_operand(index), index.type.width)
-            for index in inst.indices
+            (self.lane_operand(index), index.type.width) for index in inst.indices
         )
         inbounds = inst.inbounds
         slot = self.slots[id(inst)]
@@ -1530,32 +1181,13 @@ class _BatchCompiler:
             interps = ctx.interps
             for lane in active:
                 try:
-                    resolved = pointer(ctx, frame, lane)
-                    if resolved is POISON:
-                        out[lane] = POISON
-                        continue
-                    if not isinstance(resolved, Pointer):
-                        raise UBError("gep on non-pointer value")
-                    offset = resolved.offset
-                    poisoned = False
-                    for resolve_index, width in index_parts:
-                        index_value = resolve_index(ctx, frame, lane)
-                        if index_value is POISON:
-                            out[lane] = POISON
-                            poisoned = True
-                            break
-                        offset += to_signed(index_value, width) * element_size
-                    if poisoned:
-                        continue
-                    result: Any = Pointer(resolved.block, offset)
-                    if inbounds and not resolved.is_null():
-                        memory = interps[lane].memory
-                        if memory.has_block(resolved.block):
-                            if offset < 0 or offset > memory.block_size(
-                                resolved.block
-                            ):
-                                result = POISON
-                    out[lane] = result
+                    indices = (
+                        (resolve(ctx, frame, lane), width)
+                        for resolve, width in index_parts
+                    )
+                    out[lane] = interps[lane].gep(
+                        pointer(ctx, frame, lane), element_type, indices, inbounds
+                    )
                 except _LANE_ERRORS as exc:
                     ctx.trap_exception(lane, exc)
 
@@ -1567,11 +1199,6 @@ class _BatchCompiler:
         if callee.name.startswith("llvm."):
             return self.compile_intrinsic(inst, resolvers)
         self.lane_state = True
-        nonnull_checks = tuple(
-            (index, argument.attributes.has("noundef"))
-            for index, argument in enumerate(callee.arguments)
-            if index < len(inst.args) and argument.attributes.has("nonnull")
-        )
         has_result = not inst.type.is_void()
         slot = self.slots[id(inst)] if has_result else None
 
@@ -1583,21 +1210,13 @@ class _BatchCompiler:
                 interp = interps[lane]
                 try:
                     args = [resolve(ctx, frame, lane) for resolve in resolvers]
-                    for index, noundef in nonnull_checks:
-                        value = args[index]
-                        if isinstance(value, Pointer) and value.is_null():
-                            if noundef:
-                                raise UBError(
-                                    "null passed to nonnull noundef argument"
-                                )
-                            args[index] = POISON
                     # The nested call shares this lane's step budget:
                     # sync the scalar counter in, tree-walk the callee
-                    # through the lane's ``_call`` (externals, depth), and
-                    # sync whatever it consumed back out.
+                    # through the lane's interpreter (externals, depth),
+                    # and sync whatever it consumed back out.
                     interp._steps = counts[lane]
                     try:
-                        result = interp._call(callee, args, 1)
+                        result = interp.call(callee, args, 0)
                     finally:
                         counts[lane] = interp._steps
                     if out is not None:
@@ -1612,66 +1231,28 @@ class _BatchCompiler:
     ) -> BatchStep:
         base = inst.intrinsic_name()
         name = inst.callee.name
-        if base == "llvm.assume":
-            bundle_checks = tuple(
-                (
-                    bundle.tag,
-                    tuple(
-                        self.lane_operand(value)
-                        for value in inst.bundle_operands(bundle)
-                    ),
-                )
-                for bundle in inst.bundles
-            )
-
-            def step(ctx, frame, active):
-                for lane in active:
-                    try:
-                        args = [resolve(ctx, frame, lane) for resolve in resolvers]
-                        condition = args[0]
-                        if condition is POISON:
-                            raise UBError("assume of poison")
-                        if condition != 1:
-                            raise UBError("assume of false")
-                        for tag, operand_resolvers in bundle_checks:
-                            operands = [
-                                resolve(ctx, frame, lane)
-                                for resolve in operand_resolvers
-                            ]
-                            if tag == "align" and len(operands) == 2:
-                                pointer, align = operands
-                                if pointer is POISON or align is POISON:
-                                    raise UBError("assume align on poison")
-                                if isinstance(pointer, Pointer) and align:
-                                    if pointer_address(pointer) % align != 0:
-                                        raise UBError("assume align violated")
-                            elif tag == "nonnull" and operands:
-                                pointer = operands[0]
-                                if (
-                                    isinstance(pointer, Pointer)
-                                    and pointer.is_null()
-                                ):
-                                    raise UBError("assume nonnull violated")
-                    except _LANE_ERRORS as exc:
-                        ctx.trap_exception(lane, exc)
-
-            return step
         width = inst.type.width if isinstance(inst.type, IntType) else 0
-        mask = (1 << width) - 1 if width else 0
         has_result = not inst.type.is_void()
         slot = self.slots[id(inst)] if has_result else None
+        assumes = base == "llvm.assume"
+        bundle_checks = tuple(
+            (bundle.tag, tuple(map(self.lane_operand, inst.bundle_operands(bundle))))
+            for bundle in (inst.bundles if assumes else ())
+        )
 
         def step(ctx, frame, active):
             out = frame[slot] if slot is not None else None
             for lane in active:
                 try:
                     args = [resolve(ctx, frame, lane) for resolve in resolvers]
-                    for value in args:
-                        if value is POISON:
-                            result = POISON
-                            break
+                    if assumes:
+                        bundles = (
+                            (tag, [resolve(ctx, frame, lane) for resolve in operands])
+                            for tag, operands in bundle_checks
+                        )
+                        result = assume(args[0], bundles)
                     else:
-                        result = evaluate_intrinsic(base, name, width, mask, args)
+                        result = evaluate_intrinsic(base, name, width, args)
                     if out is not None:
                         out[lane] = result
                 except _LANE_ERRORS as exc:
@@ -1831,13 +1412,13 @@ def _trap_all_step(reason: str) -> BatchStep:
 
 
 def _required_size(type) -> int:
-    """Like ``_safe_size`` but refusing deferred errors: the scalar path
-    raises its ValueError out of the whole check in input order, which a
-    batch cannot reproduce — so such functions stay on the scalar path."""
-    size, error = _safe_size(type)
-    if error is not None:
-        raise BatchUnsupported(error)
-    return size
+    """``byte_size_of_type``, or :class:`BatchUnsupported`: the scalar
+    path raises its ValueError out of the whole check in input order,
+    which a batch cannot reproduce, so such functions stay scalar."""
+    try:
+        return byte_size_of_type(type)
+    except ValueError as exc:
+        raise BatchUnsupported(str(exc)) from exc
 
 
 def compile_batch_program(function: Function) -> BatchProgram:

@@ -1,9 +1,12 @@
 """Concrete interpreter with full poison/undef semantics.
 
-This is the semantic core of the translation validator: it executes one
+The reference tree-walker of the translation validator: it executes one
 function on concrete inputs, tracking poison values, resolving undef and
 frozen-poison through the nondeterminism oracle, modeling byte-granular
-memory, and raising :class:`UBError` on undefined behavior.
+memory, and raising :class:`UBError` on undefined behavior.  The
+value-level rules come from :mod:`repro.tv.semantics`; what needs a
+run's state (memory, oracle, call counters) is written here, once, as
+methods the batch engine also calls through each lane's interpreter.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import semantic
 from ..ir.basicblock import BasicBlock
@@ -48,13 +51,9 @@ from .domain import (
     Pointer,
     RuntimeValue,
     choice_domain,
-    fits_signed,
     interesting_values,
     is_poison,
-    saturate,
     to_signed,
-    to_unsigned,
-    trunc_div,
 )
 from .memory import (
     Byte,
@@ -66,16 +65,19 @@ from .memory import (
     int_to_bytes,
 )
 from .oracle import DeterministicOracle, Oracle
+from .semantics import (
+    UBError,
+    assume,
+    binary_op,
+    block_address,
+    cast_op,
+    evaluate_intrinsic,
+    icmp_op,
+)
 
 POINTER_SIZE = 8
 
-
-class UBError(Exception):
-    """Execution hit undefined behavior."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+_UNDEF_BYTE_CHOICES = (0, 0xFF, 0x5A)
 
 
 class StepLimitExceeded(Exception):
@@ -88,25 +90,10 @@ class ExecutionLimits:
     max_call_depth: int = semantic(8)
 
 
-@lru_cache(maxsize=8192)
-def block_address(block: str) -> int:
-    """Deterministic numeric address for a logical block (same on both
-    sides of a refinement check, so pointer ordering is comparable).
-
-    Memoized: the hot loop recomputes addresses for the same handful of
-    block ids on every pointer comparison, so the crc32 is paid once per
-    id.  Bounded because ``raw:{N}`` ids are open-ended.
-    """
-    if block == "null":
-        return 0
-    return 0x10000 + (zlib.crc32(block.encode()) & 0xFFFF) * 64
-
-
-def pointer_address(pointer: Pointer) -> int:
-    return block_address(pointer.block) + pointer.offset
-
-
+@lru_cache(maxsize=256)
 def byte_size_of_type(type: Type) -> int:
+    """Bytes a value of ``type`` occupies in memory.  Memoized (types are
+    interned): the memory rules ask once per lane."""
     if isinstance(type, IntType):
         return byte_size_of_width(type.width)
     if type.is_pointer():
@@ -222,10 +209,16 @@ class Interpreter:
 
     def _execute(self, inst: Instruction, frame: _Frame, depth: int):
         if isinstance(inst, BinaryOperator):
-            frame.set(inst, self._eval_binary(inst, frame))
+            lhs = frame.get(inst.lhs, self)
+            rhs = frame.get(inst.rhs, self)
+            op = binary_op(inst.opcode, inst.type.width, inst.nuw, inst.nsw, inst.exact)
+            frame.set(inst, op(lhs, rhs))
             return None
         if isinstance(inst, ICmpInst):
-            frame.set(inst, self._eval_icmp(inst, frame))
+            lhs = frame.get(inst.lhs, self)
+            rhs = frame.get(inst.rhs, self)
+            op = icmp_op(inst.predicate, inst.lhs.type, inst.rhs.type)
+            frame.set(inst, op(lhs, rhs))
             return None
         if isinstance(inst, SelectInst):
             condition = frame.get(inst.condition, self)
@@ -237,7 +230,9 @@ class Interpreter:
                 frame.set(inst, frame.get(inst.false_value, self))
             return None
         if isinstance(inst, CastInst):
-            frame.set(inst, self._eval_cast(inst, frame))
+            value = frame.get(inst.value, self)
+            op = cast_op(inst.opcode, inst.src_type.width, inst.type.width)
+            frame.set(inst, op(value))
             return None
         if isinstance(inst, FreezeInst):
             value = frame.get(inst.value, self)
@@ -256,13 +251,20 @@ class Interpreter:
             frame.set(inst, pointer)
             return None
         if isinstance(inst, LoadInst):
-            frame.set(inst, self._eval_load(inst, frame))
+            pointer = frame.get(inst.pointer, self)
+            frame.set(inst, self.load(pointer, inst.type, id(inst)))
             return None
         if isinstance(inst, StoreInst):
-            self._eval_store(inst, frame)
+            pointer = frame.get(inst.pointer, self)
+            self.store(pointer, inst.value.type, frame.get, inst.value, self)
             return None
         if isinstance(inst, GEPInst):
-            frame.set(inst, self._eval_gep(inst, frame))
+            pointer = frame.get(inst.pointer, self)
+            indices = (
+                (frame.get(index, self), index.type.width) for index in inst.indices
+            )
+            result = self.gep(pointer, inst.source_type, indices, inst.inbounds)
+            frame.set(inst, result)
             return None
         if isinstance(inst, CallInst):
             result = self._eval_call(inst, frame, depth)
@@ -333,184 +335,47 @@ class Interpreter:
         if note is not None:
             note()
 
-    # -- arithmetic ----------------------------------------------------------------
+    # -- memory: value-level rules both engines call ------------------------------
 
-    def _eval_binary(self, inst: BinaryOperator, frame: _Frame) -> RuntimeValue:
-        lhs = frame.get(inst.lhs, self)
-        rhs = frame.get(inst.rhs, self)
-        width = inst.type.width
-        opcode = inst.opcode
-
-        # Division by zero is immediate UB even with poison on the other
-        # side, so check divisors first.
-        if opcode in ("udiv", "sdiv", "urem", "srem"):
-            if is_poison(rhs):
-                raise UBError(f"{opcode} by poison divisor")
-            if rhs == 0:
-                raise UBError(f"{opcode} by zero")
-        if is_poison(lhs) or is_poison(rhs):
-            return POISON
-
-        mask = (1 << width) - 1
-        if opcode == "add":
-            result = (lhs + rhs) & mask
-            if inst.nuw and lhs + rhs > mask:
-                return POISON
-            if inst.nsw and not fits_signed(
-                to_signed(lhs, width) + to_signed(rhs, width), width
-            ):
-                return POISON
-            return result
-        if opcode == "sub":
-            result = (lhs - rhs) & mask
-            if inst.nuw and lhs - rhs < 0:
-                return POISON
-            if inst.nsw and not fits_signed(
-                to_signed(lhs, width) - to_signed(rhs, width), width
-            ):
-                return POISON
-            return result
-        if opcode == "mul":
-            result = (lhs * rhs) & mask
-            if inst.nuw and lhs * rhs > mask:
-                return POISON
-            if inst.nsw and not fits_signed(
-                to_signed(lhs, width) * to_signed(rhs, width), width
-            ):
-                return POISON
-            return result
-        if opcode == "udiv":
-            result = lhs // rhs
-            if inst.exact and lhs % rhs != 0:
-                return POISON
-            return result
-        if opcode == "sdiv":
-            signed_lhs = to_signed(lhs, width)
-            signed_rhs = to_signed(rhs, width)
-            if signed_lhs == -(1 << (width - 1)) and signed_rhs == -1:
-                raise UBError("sdiv overflow")
-            quotient = trunc_div(signed_lhs, signed_rhs)
-            if inst.exact and signed_lhs - quotient * signed_rhs != 0:
-                return POISON
-            return to_unsigned(quotient, width)
-        if opcode == "urem":
-            return lhs % rhs
-        if opcode == "srem":
-            signed_lhs = to_signed(lhs, width)
-            signed_rhs = to_signed(rhs, width)
-            if signed_lhs == -(1 << (width - 1)) and signed_rhs == -1:
-                raise UBError("srem overflow")
-            remainder = signed_lhs - trunc_div(signed_lhs, signed_rhs) * signed_rhs
-            return to_unsigned(remainder, width)
-        if opcode in ("shl", "lshr", "ashr"):
-            if rhs >= width:
-                return POISON
-            if opcode == "shl":
-                full = lhs << rhs
-                result = full & mask
-                if inst.nuw and full > mask:
-                    return POISON
-                shifted = to_signed(lhs, width) * (1 << rhs)
-                if inst.nsw and to_signed(result, width) != shifted:
-                    return POISON
-                return result
-            if opcode == "lshr":
-                if inst.exact and lhs & ((1 << rhs) - 1):
-                    return POISON
-                return lhs >> rhs
-            # ashr
-            if inst.exact and lhs & ((1 << rhs) - 1):
-                return POISON
-            return to_unsigned(to_signed(lhs, width) >> rhs, width)
-        if opcode == "and":
-            return lhs & rhs
-        if opcode == "or":
-            return lhs | rhs
-        if opcode == "xor":
-            return lhs ^ rhs
-        raise UBError(f"unsupported binary opcode {opcode}")
-
-    def _eval_icmp(self, inst: ICmpInst, frame: _Frame) -> RuntimeValue:
-        lhs = frame.get(inst.lhs, self)
-        rhs = frame.get(inst.rhs, self)
-        if is_poison(lhs) or is_poison(rhs):
-            return POISON
-        if isinstance(lhs, Pointer) or isinstance(rhs, Pointer):
-            lhs_num = pointer_address(lhs) if isinstance(lhs, Pointer) else lhs
-            rhs_num = pointer_address(rhs) if isinstance(rhs, Pointer) else rhs
-            width = 64
-        else:
-            lhs_num, rhs_num = lhs, rhs
-            width = inst.lhs.type.width
-        predicate = inst.predicate
-        if predicate in ("sgt", "sge", "slt", "sle"):
-            lhs_num = to_signed(lhs_num, width)
-            rhs_num = to_signed(rhs_num, width)
-        result = {
-            "eq": lhs_num == rhs_num,
-            "ne": lhs_num != rhs_num,
-            "ugt": lhs_num > rhs_num,
-            "uge": lhs_num >= rhs_num,
-            "ult": lhs_num < rhs_num,
-            "ule": lhs_num <= rhs_num,
-            "sgt": lhs_num > rhs_num,
-            "sge": lhs_num >= rhs_num,
-            "slt": lhs_num < rhs_num,
-            "sle": lhs_num <= rhs_num,
-        }[predicate]
-        return int(result)
-
-    def _eval_cast(self, inst: CastInst, frame: _Frame) -> RuntimeValue:
-        value = frame.get(inst.value, self)
-        if is_poison(value):
-            return POISON
-        src_width = inst.src_type.width
-        dst_width = inst.type.width
-        if inst.opcode == "trunc":
-            return value & ((1 << dst_width) - 1)
-        if inst.opcode == "zext":
-            return value
-        if inst.opcode == "sext":
-            return to_unsigned(to_signed(value, src_width), dst_width)
-        raise UBError(f"unsupported cast {inst.opcode}")
-
-    # -- memory ---------------------------------------------------------------------
-
-    def _eval_load(self, inst: LoadInst, frame: _Frame) -> RuntimeValue:
-        pointer = frame.get(inst.pointer, self)
-        if is_poison(pointer):
+    def load(self, pointer: RuntimeValue, loaded_type: Type, site: int) -> RuntimeValue:
+        """Read a ``loaded_type`` through ``pointer``; ``site`` (the
+        load's id) labels the oracle choices for uninitialized bytes."""
+        if pointer is POISON:
             raise UBError("load from poison pointer")
         if not isinstance(pointer, Pointer):
             raise UBError("load from non-pointer value")
-        size = byte_size_of_type(inst.type)
-        data = self.memory.load_bytes(pointer, size)
-        if inst.type.is_pointer():
-            return self._bytes_to_pointer(data, f"load:{id(inst)}")
-        if any(b is POISON for b in data):
-            return POISON
+        data = self.memory.load_bytes(pointer, byte_size_of_type(loaded_type))
+        if not isinstance(loaded_type, IntType):
+            return self._bytes_to_pointer(data)
+        for byte in data:
+            if byte is POISON:
+                return POISON
         concrete: List[int] = []
-        for i, byte in enumerate(data):
+        for index, byte in enumerate(data):
             if byte is UNDEF_BYTE:
                 self._note_truncated_domain()
-                concrete.append(
-                    self.oracle.choose(f"loadundef:{id(inst)}:{i}", [0, 0xFF, 0x5A])
-                )
+                label = f"loadundef:{site}:{index}"
+                concrete.append(self.oracle.choose(label, _UNDEF_BYTE_CHOICES))
             elif isinstance(byte, tuple):  # pointer byte read as integer
                 concrete.append(self._pointer_byte_as_int(byte))
             else:
                 concrete.append(byte)
-        width = inst.type.width
-        return bytes_to_int(concrete) & ((1 << width) - 1)
+        return bytes_to_int(concrete) & loaded_type.mask
 
-    def _eval_store(self, inst: StoreInst, frame: _Frame) -> None:
-        pointer = frame.get(inst.pointer, self)
-        if is_poison(pointer):
+    def store(
+        self, pointer: RuntimeValue, stored_type: Type, resolve, *operand
+    ) -> None:
+        """Write a ``stored_type`` value through ``pointer``.  The value
+        is ``resolve(*operand)``, called only once the pointer passed its
+        check: a bad pointer is UB before the stored operand can make an
+        oracle choice or fail."""
+        if pointer is POISON:
             raise UBError("store to poison pointer")
         if not isinstance(pointer, Pointer):
             raise UBError("store to non-pointer value")
-        value = frame.get(inst.value, self)
-        size = byte_size_of_type(inst.value.type)
-        if is_poison(value):
+        value = resolve(*operand)
+        size = byte_size_of_type(stored_type)
+        if value is POISON:
             data: List[Byte] = [POISON] * size
         elif isinstance(value, Pointer):
             data = [("ptr", value.block, value.offset, i) for i in range(size)]
@@ -518,21 +383,29 @@ class Interpreter:
             data = int_to_bytes(value, size)
         self.memory.store_bytes(pointer, data)
 
-    def _eval_gep(self, inst: GEPInst, frame: _Frame) -> RuntimeValue:
-        pointer = frame.get(inst.pointer, self)
-        if is_poison(pointer):
+    def gep(
+        self,
+        pointer: RuntimeValue,
+        element_type: Type,
+        indices: Iterable[Tuple[RuntimeValue, int]],
+        inbounds: bool,
+    ) -> RuntimeValue:
+        """``getelementptr`` from ``pointer``.  ``indices`` yields each
+        index value with its width and is consumed lazily: a poison
+        pointer returns before any index is resolved, and the first
+        poison index stops the walk."""
+        if pointer is POISON:
             return POISON
         if not isinstance(pointer, Pointer):
             raise UBError("gep on non-pointer value")
-        element_size = byte_size_of_type(inst.source_type)
+        element_size = byte_size_of_type(element_type)
         offset = pointer.offset
-        for index in inst.indices:
-            index_value = frame.get(index, self)
-            if is_poison(index_value):
+        for value, width in indices:
+            if value is POISON:
                 return POISON
-            offset += to_signed(index_value, index.type.width) * element_size
+            offset += to_signed(value, width) * element_size
         result = Pointer(pointer.block, offset)
-        if inst.inbounds and not pointer.is_null():
+        if inbounds and not pointer.is_null():
             if not self.memory.has_block(pointer.block):
                 return result
             size = self.memory.block_size(pointer.block)
@@ -540,7 +413,7 @@ class Interpreter:
                 return POISON
         return result
 
-    def _bytes_to_pointer(self, data: List[Byte], label: str) -> RuntimeValue:
+    def _bytes_to_pointer(self, data: List[Byte]) -> RuntimeValue:
         if any(b is POISON for b in data):
             return POISON
         first = data[0]
@@ -593,10 +466,24 @@ class Interpreter:
     def _eval_call(self, inst: CallInst, frame: _Frame, depth: int) -> RuntimeValue:
         callee = inst.callee
         args = [frame.get(a, self) for a in inst.args]
-        if callee.name.startswith("llvm."):
-            return self._eval_intrinsic(inst, callee.name, args, frame)
-        # nonnull on the callee's parameters: violating it yields poison
-        # (or UB when combined with noundef).
+        if not callee.name.startswith("llvm."):
+            return self.call(callee, args, depth)
+        base = inst.intrinsic_name()
+        if base == "llvm.assume":
+            bundles = (
+                (bundle.tag, [frame.get(v, self) for v in inst.bundle_operands(bundle)])
+                for bundle in inst.bundles
+            )
+            return assume(args[0], bundles)
+        width = inst.type.width if isinstance(inst.type, IntType) else 0
+        return evaluate_intrinsic(base, callee.name, width, args)
+
+    def call(
+        self, callee: Function, args: List[RuntimeValue], depth: int
+    ) -> RuntimeValue:
+        """Call ``callee`` from a call site at ``depth``.  A null passed
+        to a ``nonnull`` parameter becomes poison, or is UB when the
+        parameter is also ``noundef``."""
         for index, (argument, value) in enumerate(zip(callee.arguments, args)):
             if (
                 argument.attributes.has("nonnull")
@@ -607,39 +494,6 @@ class Interpreter:
                     raise UBError("null passed to nonnull noundef argument")
                 args[index] = POISON
         return self._call(callee, args, depth + 1)
-
-    def _eval_intrinsic(
-        self, inst: CallInst, name: str, args: List[RuntimeValue], frame: _Frame
-    ) -> RuntimeValue:
-        base = inst.intrinsic_name()
-        if base == "llvm.assume":
-            condition = args[0]
-            if is_poison(condition):
-                raise UBError("assume of poison")
-            if condition != 1:
-                raise UBError("assume of false")
-            self._check_assume_bundles(inst, frame)
-            return None
-        width = inst.type.width if isinstance(inst.type, IntType) else 0
-        if any(is_poison(a) for a in args):
-            return POISON
-        mask = (1 << width) - 1 if width else 0
-        return evaluate_intrinsic(base, name, width, mask, args)
-
-    def _check_assume_bundles(self, inst: CallInst, frame: _Frame) -> None:
-        for bundle in inst.bundles:
-            operands = [frame.get(v, self) for v in inst.bundle_operands(bundle)]
-            if bundle.tag == "align" and len(operands) == 2:
-                pointer, align = operands
-                if is_poison(pointer) or is_poison(align):
-                    raise UBError("assume align on poison")
-                if isinstance(pointer, Pointer) and align:
-                    if pointer_address(pointer) % align != 0:
-                        raise UBError("assume align violated")
-            elif bundle.tag == "nonnull" and operands:
-                pointer = operands[0]
-                if isinstance(pointer, Pointer) and pointer.is_null():
-                    raise UBError("assume nonnull violated")
 
     # -- external (opaque) functions -----------------------------------------------
 
@@ -695,65 +549,6 @@ class Interpreter:
         if return_type.is_pointer():
             return NULL_POINTER
         raise UBError(f"external function returning {return_type}")
-
-
-def evaluate_intrinsic(
-    base: str, name: str, width: int, mask: int, args: List[RuntimeValue]
-) -> RuntimeValue:
-    """Pure evaluation of a (non-assume) intrinsic on poison-free args.
-
-    Shared between the tree-walking evaluator and the batch engine so
-    the two cannot drift.
-    """
-    if base in ("llvm.smax", "llvm.smin"):
-        lhs = to_signed(args[0], width)
-        rhs = to_signed(args[1], width)
-        chosen = max(lhs, rhs) if base.endswith("smax") else min(lhs, rhs)
-        return to_unsigned(chosen, width)
-    if base in ("llvm.umax", "llvm.umin"):
-        return max(args[0], args[1]) if base.endswith("umax") else min(args[0], args[1])
-    if base == "llvm.abs":
-        value = to_signed(args[0], width)
-        if value == -(1 << (width - 1)):
-            if args[1] == 1:
-                return POISON
-            return to_unsigned(value, width)
-        return abs(value)
-    if base == "llvm.ctpop":
-        return bin(args[0]).count("1")
-    if base == "llvm.ctlz":
-        if args[0] == 0:
-            return POISON if args[1] == 1 else width
-        return width - args[0].bit_length()
-    if base == "llvm.cttz":
-        if args[0] == 0:
-            return POISON if args[1] == 1 else width
-        return (args[0] & -args[0]).bit_length() - 1
-    if base == "llvm.bswap":
-        size = width // 8
-        data = int_to_bytes(args[0], size)
-        return bytes_to_int(list(reversed(data)))
-    if base == "llvm.bitreverse":
-        return int(format(args[0], f"0{width}b")[::-1], 2)
-    if base == "llvm.sadd.sat":
-        total = to_signed(args[0], width) + to_signed(args[1], width)
-        return saturate(total, width, signed=True)
-    if base == "llvm.ssub.sat":
-        total = to_signed(args[0], width) - to_signed(args[1], width)
-        return saturate(total, width, signed=True)
-    if base == "llvm.uadd.sat":
-        return saturate(args[0] + args[1], width, signed=False)
-    if base == "llvm.usub.sat":
-        return saturate(args[0] - args[1], width, signed=False)
-    if base in ("llvm.fshl", "llvm.fshr"):
-        amount = args[2] % width
-        concat = (args[0] << width) | args[1]
-        if base.endswith("fshl"):
-            return (concat >> (width - amount)) & mask if amount else args[0]
-        return (concat >> amount) & mask if amount else args[1]
-    if base == "llvm.umul.with.overflow.bit":
-        return int(args[0] * args[1] > mask)
-    raise UBError(f"unsupported intrinsic {name}")
 
 
 def _digest_bytes(data) -> str:

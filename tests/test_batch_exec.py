@@ -552,6 +552,97 @@ class TestRefinementInvariance:
 
 
 # ---------------------------------------------------------------------------
+# Operand order in the memory rules both engines share.
+# ---------------------------------------------------------------------------
+
+
+def assert_no_choice(text):
+    """Every run of the one function in ``text`` ends before its first
+    oracle choice, so a single batched round covers the whole tree."""
+    module = parsed(text)
+    (function,) = module.definitions()
+    inputs = inputs_for(function, RefinementConfig(max_inputs=12))
+    assert assert_lanes_match(module, function, inputs) == len(inputs)
+
+
+def assert_modes_agree(source_text, target_text):
+    """Batched and tree-walked checks of one pair give equal results,
+    ``inconclusive_inputs`` included."""
+    source, target = parsed(source_text), parsed(target_text)
+    (function,) = source.definitions()
+    results = [
+        check_refinement(
+            function,
+            target.get_function(function.name),
+            source,
+            target,
+            RefinementConfig(max_inputs=12, batched=batched),
+        )
+        for batched in (True, False)
+    ]
+    assert _result_key(results[0]) == _result_key(results[1])
+
+
+class TestOperandOrder:
+    """A store checks its pointer before resolving the stored value, and
+    a GEP reads no index of a poison pointer and none after a poison
+    index.  An ``undef`` operand resolved out of that order would make
+    an oracle choice the reference walker does not, changing path
+    counts and inconclusive inputs."""
+
+    def test_store_of_undef_through_poison_pointer(self):
+        source = """
+        define void @f(ptr %p, i1 %c) {
+          %q = select i1 %c, ptr %p, ptr poison
+          store i8 undef, ptr %q
+          ret void
+        }
+        """
+        check_text(source)
+        assert_modes_agree(source, source.replace("i8 undef", "i8 0"))
+        assert_no_choice("""
+        define void @f() {
+          store i8 undef, ptr poison
+          ret void
+        }
+        """)
+
+    def test_gep_of_poison_pointer_with_undef_index(self):
+        source = """
+        define ptr @f(ptr %p, i1 %c) {
+          %q = select i1 %c, ptr %p, ptr poison
+          %g = getelementptr inbounds i8, ptr %q, i2 undef
+          ret ptr %g
+        }
+        """
+        check_text(source)
+        assert_modes_agree(source, source.replace("i2 undef", "i2 0"))
+        assert_no_choice("""
+        define ptr @f() {
+          %g = getelementptr inbounds i8, ptr poison, i2 undef
+          ret ptr %g
+        }
+        """)
+
+    def test_gep_poison_index_before_undef_index(self):
+        source = """
+        define ptr @f(ptr %p, i8 %x) {
+          %i = add nuw i8 %x, 1
+          %g = getelementptr i8, ptr %p, i8 %i, i2 undef
+          ret ptr %g
+        }
+        """
+        check_text(source)
+        assert_modes_agree(source, source.replace("i2 undef", "i2 0"))
+        assert_no_choice("""
+        define ptr @f(ptr %p) {
+          %g = getelementptr i8, ptr %p, i8 poison, i2 undef
+          ret ptr %g
+        }
+        """)
+
+
+# ---------------------------------------------------------------------------
 # Driver-level invariance and the exec.batch.* counters.
 # ---------------------------------------------------------------------------
 

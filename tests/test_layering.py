@@ -116,3 +116,26 @@ def test_lazy_root_lists_its_names_and_refuses_others():
     assert set(repro.__all__) <= set(dir(repro))
     with pytest.raises(AttributeError):
         repro.no_such_name
+
+
+def _imports_of(paths, prefixes):
+    """``module imports name`` for every import of ``paths`` that is one
+    of ``prefixes`` or lies under one."""
+    return sorted({
+        f"{'.'.join(module_name(path))} imports {name}"
+        for path in paths for name in imported_modules(path)
+        if any(name == p or name.startswith(p + ".") for p in prefixes)})
+
+
+def test_semantics_sits_below_both_engines():
+    # The per-opcode rules both TV engines call import neither engine,
+    # nor the optimizer or the fuzzer.
+    path = os.path.join(PACKAGE_ROOT, "tv", "semantics.py")
+    assert _imports_of([path], ("repro.tv.interp", "repro.tv.batch",
+                                "repro.opt", "repro.fuzz")) == []
+
+
+def test_folder_stays_an_independent_oracle():
+    # repro.opt.fold is what tests/test_semantics_pins.py checks
+    # repro.tv.semantics against; shared code would hide a shared bug.
+    assert _imports_of(package_modules("opt"), ("repro.tv",)) == []
