@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from ..ir.function import Function
-from ..ir.values import ConstantInt
 
 
 class ConstantPool:
@@ -20,10 +19,11 @@ class ConstantPool:
     def __init__(self, function: Function) -> None:
         self._by_width: Dict[int, List[int]] = {}
         self._seen: Set[Tuple[int, int]] = set()
-        for inst in function.instructions():
-            for operand in inst.operands:
-                if isinstance(operand, ConstantInt):
-                    self._record(operand.type.width, operand.value)
+        for block in function.blocks:
+            for inst in block.instructions:
+                for operand in inst.operands:
+                    if operand.KIND == "int":
+                        self._record(operand.type.width, operand.value)
 
     def _record(self, width: int, value: int) -> None:
         key = (width, value)

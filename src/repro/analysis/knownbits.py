@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from ..ir.instructions import (BinaryOperator, CallInst, CastInst,
-                               Instruction, PhiNode, SelectInst)
-from ..ir.types import IntType
-from ..ir.values import ConstantInt, Value
+from ..ir.instructions import Instruction, opcode_table
+from ..ir.values import Value
 
 MAX_DEPTH = 6
 
@@ -161,12 +159,13 @@ class KnownBitsMemo:
 
     def lookup(self, inst: Instruction, depth: int) -> KnownBits:
         self.queries += 1
-        entry = self._entries.get(inst)
+        entries = self._entries
+        entry = entries[inst] if inst in entries else None
         if entry is not None and depth + entry[1] <= MAX_DEPTH:
             self.hits += 1
             known, height = entry
         elif depth >= MAX_DEPTH:
-            known, height = KnownBits.unknown(inst.type.width), 1
+            known, height = _new(KnownBits, (inst.type.width, 0, 0)), 1
         else:
             outer, self._reach = self._reach, depth + 1
             known = _known_bits_instruction(inst, depth, self)
@@ -182,130 +181,192 @@ class KnownBitsMemo:
 def compute_known_bits(value: Value, depth: int = 0,
                        memo: Optional[KnownBitsMemo] = None) -> KnownBits:
     """Conservative known-bits for an integer-typed SSA value."""
-    if isinstance(value, ConstantInt):
-        return KnownBits.constant(value.type.width, value.value)
-    if not isinstance(value.type, IntType):
+    if value.KIND == "int":
+        mask = value.type.mask
+        constant = value.value
+        return _new(KnownBits, (value.type.width, ~constant & mask, constant))
+    if not value.type.IS_INTEGER:
         raise ValueError("known bits only defined for integers")
-    if not isinstance(value, Instruction):
+    if not value.IS_INSTRUCTION:
         # Arguments and globals; undef/poison may be folded to anything.
-        return KnownBits.unknown(value.type.width)
+        return _new(KnownBits, (value.type.width, 0, 0))
     if memo is not None:
         return memo.lookup(value, depth)
     if depth >= MAX_DEPTH:
-        return KnownBits.unknown(value.type.width)
+        return _new(KnownBits, (value.type.width, 0, 0))
     return _known_bits_instruction(value, depth, None)
 
 
 def _known_bits_instruction(inst: Instruction, depth: int,
                             memo: Optional[KnownBitsMemo]) -> KnownBits:
-    width = inst.type.width
-    mask = (1 << width) - 1
-    depth += 1  # the operands' level
+    # depth + 1 is the operands' level.
+    return _KNOWN_BITS[inst.opcode](inst, depth + 1, memo)
 
-    if isinstance(inst, BinaryOperator):
-        opcode = inst.opcode
-        if opcode == "and":
-            return (compute_known_bits(inst.lhs, depth, memo)
-                    & compute_known_bits(inst.rhs, depth, memo))
-        if opcode == "or":
-            return (compute_known_bits(inst.lhs, depth, memo)
-                    | compute_known_bits(inst.rhs, depth, memo))
-        if opcode == "xor":
-            return (compute_known_bits(inst.lhs, depth, memo)
-                    ^ compute_known_bits(inst.rhs, depth, memo))
-        if opcode in ("add", "sub"):
-            return _known_bits_addsub(
-                opcode, compute_known_bits(inst.lhs, depth, memo),
-                compute_known_bits(inst.rhs, depth, memo), width)
-        if opcode == "mul":
-            return _known_bits_mul(compute_known_bits(inst.lhs, depth, memo),
-                                   compute_known_bits(inst.rhs, depth, memo),
-                                   width)
-        if opcode == "shl" and isinstance(inst.rhs, ConstantInt):
-            shift = inst.rhs.value
-            if shift >= width:
-                return KnownBits.unknown(width)  # poison; claim nothing
-            known = compute_known_bits(inst.lhs, depth, memo)
-            return _new(KnownBits, (
-                width, ((known.zero << shift) | ((1 << shift) - 1)) & mask,
-                (known.one << shift) & mask))
-        if opcode == "lshr" and isinstance(inst.rhs, ConstantInt):
-            shift = inst.rhs.value
-            if shift >= width:
-                return KnownBits.unknown(width)
-            known = compute_known_bits(inst.lhs, depth, memo)
-            high_zeros = mask & ~(mask >> shift)
-            return _new(KnownBits, (width, (known.zero >> shift) | high_zeros,
-                                    known.one >> shift))
-        if opcode == "ashr" and isinstance(inst.rhs, ConstantInt):
-            shift = inst.rhs.value
-            if shift >= width:
-                return KnownBits.unknown(width)
-            known = compute_known_bits(inst.lhs, depth, memo)
-            zero = known.zero >> shift
-            one = known.one >> shift
-            high = mask & ~(mask >> shift)
-            if known.zero >> (width - 1):
-                zero |= high
-            elif known.one >> (width - 1):
-                one |= high
-            return _new(KnownBits, (width, zero, one))
-        if opcode == "urem" and isinstance(inst.rhs, ConstantInt) \
-                and inst.rhs.value != 0:
-            # Result < divisor: high bits above divisor's top bit are 0.
-            top = inst.rhs.value.bit_length()
-            return _new(KnownBits, (width, mask & ~((1 << top) - 1), 0))
-        return KnownBits.unknown(width)
 
-    if isinstance(inst, CastInst):
-        if inst.opcode == "zext":
-            src = compute_known_bits(inst.value, depth, memo)
-            return _new(KnownBits, (width, src.zero | (mask & ~src.mask),
-                                    src.one))
-        if inst.opcode == "trunc":
-            src = compute_known_bits(inst.value, depth, memo)
-            return _new(KnownBits, (width, src.zero & mask, src.one & mask))
-        if inst.opcode == "sext":
-            src = compute_known_bits(inst.value, depth, memo)
-            high = mask & ~src.mask
-            if src.zero >> (src.width - 1):
-                return _new(KnownBits, (width, src.zero | high, src.one))
-            if src.one >> (src.width - 1):
-                return _new(KnownBits, (width, src.zero, src.one | high))
-            return _new(KnownBits, (width, src.zero, src.one))
-        return KnownBits.unknown(width)
+# -- one transfer function per opcode -----------------------------------------
+#
+# Each takes the instruction, its operands' depth and the memo.
 
-    if isinstance(inst, SelectInst):
-        return compute_known_bits(inst.true_value, depth, memo).intersect(
-            compute_known_bits(inst.false_value, depth, memo))
 
-    if isinstance(inst, PhiNode):
-        if memo is not None:
-            memo.need(depth + 1)
-        merged: Optional[KnownBits] = None
-        for incoming_value, _ in inst.incoming():
-            if depth >= MAX_DEPTH:
-                return KnownBits.unknown(width)
-            known = compute_known_bits(incoming_value, depth, memo)
-            merged = known if merged is None else merged.intersect(known)
-        return merged if merged is not None else KnownBits.unknown(width)
-
-    if isinstance(inst, CallInst):
-        base = inst.intrinsic_name()
-        if base in ("llvm.umin", "llvm.umax") and len(inst.args) == 2:
-            # Common leading bits of both bounds are preserved only in
-            # special cases; keep it simple and sound: intersect.
-            return compute_known_bits(inst.args[0], depth, memo).intersect(
-                compute_known_bits(inst.args[1], depth, memo))
-        if base == "llvm.ctpop":
-            top = width.bit_length()
-            return _new(KnownBits, (width, mask & ~((1 << top) - 1), 0))
-        return KnownBits.unknown(width)
-
+def _kb_unknown(inst: Instruction, depth: int,
+                memo: Optional[KnownBitsMemo]) -> KnownBits:
     # freeze: facts about the input hold for non-poison inputs, but a
     # poison input may become anything, so claim nothing.  icmp and the
     # rest: nothing tracked.
-    return KnownBits.unknown(width)
+    return _new(KnownBits, (inst.type.width, 0, 0))
+
+
+def _kb_and(inst, depth, memo):
+    operands = inst.operands
+    return (compute_known_bits(operands[0], depth, memo)
+            & compute_known_bits(operands[1], depth, memo))
+
+
+def _kb_or(inst, depth, memo):
+    operands = inst.operands
+    return (compute_known_bits(operands[0], depth, memo)
+            | compute_known_bits(operands[1], depth, memo))
+
+
+def _kb_xor(inst, depth, memo):
+    operands = inst.operands
+    return (compute_known_bits(operands[0], depth, memo)
+            ^ compute_known_bits(operands[1], depth, memo))
+
+
+def _kb_addsub(inst, depth, memo):
+    operands = inst.operands
+    return _known_bits_addsub(
+        inst.opcode, compute_known_bits(operands[0], depth, memo),
+        compute_known_bits(operands[1], depth, memo), inst.type.width)
+
+
+def _kb_mul(inst, depth, memo):
+    operands = inst.operands
+    return _known_bits_mul(compute_known_bits(operands[0], depth, memo),
+                           compute_known_bits(operands[1], depth, memo),
+                           inst.type.width)
+
+
+def _kb_shl(inst, depth, memo):
+    shift_amount = inst.operands[1]
+    width = inst.type.width
+    if shift_amount.KIND != "int" or shift_amount.value >= width:
+        return _new(KnownBits, (width, 0, 0))  # poison; claim nothing
+    shift = shift_amount.value
+    mask = inst.type.mask
+    known = compute_known_bits(inst.operands[0], depth, memo)
+    return _new(KnownBits, (
+        width, ((known.zero << shift) | ((1 << shift) - 1)) & mask,
+        (known.one << shift) & mask))
+
+
+def _kb_lshr(inst, depth, memo):
+    shift_amount = inst.operands[1]
+    width = inst.type.width
+    if shift_amount.KIND != "int" or shift_amount.value >= width:
+        return _new(KnownBits, (width, 0, 0))
+    shift = shift_amount.value
+    mask = inst.type.mask
+    known = compute_known_bits(inst.operands[0], depth, memo)
+    high_zeros = mask & ~(mask >> shift)
+    return _new(KnownBits, (width, (known.zero >> shift) | high_zeros,
+                            known.one >> shift))
+
+
+def _kb_ashr(inst, depth, memo):
+    shift_amount = inst.operands[1]
+    width = inst.type.width
+    if shift_amount.KIND != "int" or shift_amount.value >= width:
+        return _new(KnownBits, (width, 0, 0))
+    shift = shift_amount.value
+    mask = inst.type.mask
+    known = compute_known_bits(inst.operands[0], depth, memo)
+    zero = known.zero >> shift
+    one = known.one >> shift
+    high = mask & ~(mask >> shift)
+    if known.zero >> (width - 1):
+        zero |= high
+    elif known.one >> (width - 1):
+        one |= high
+    return _new(KnownBits, (width, zero, one))
+
+
+def _kb_urem(inst, depth, memo):
+    divisor = inst.operands[1]
+    width = inst.type.width
+    if divisor.KIND != "int" or divisor.value == 0:
+        return _new(KnownBits, (width, 0, 0))
+    # Result < divisor: high bits above divisor's top bit are 0.
+    top = divisor.value.bit_length()
+    return _new(KnownBits, (width, inst.type.mask & ~((1 << top) - 1), 0))
+
+
+def _kb_zext(inst, depth, memo):
+    src = compute_known_bits(inst.operands[0], depth, memo)
+    return _new(KnownBits, (inst.type.width,
+                            src.zero | (inst.type.mask & ~src.mask), src.one))
+
+
+def _kb_trunc(inst, depth, memo):
+    src = compute_known_bits(inst.operands[0], depth, memo)
+    mask = inst.type.mask
+    return _new(KnownBits, (inst.type.width, src.zero & mask, src.one & mask))
+
+
+def _kb_sext(inst, depth, memo):
+    src = compute_known_bits(inst.operands[0], depth, memo)
+    width = inst.type.width
+    high = inst.type.mask & ~src.mask
+    if src.zero >> (src.width - 1):
+        return _new(KnownBits, (width, src.zero | high, src.one))
+    if src.one >> (src.width - 1):
+        return _new(KnownBits, (width, src.zero, src.one | high))
+    return _new(KnownBits, (width, src.zero, src.one))
+
+
+def _kb_select(inst, depth, memo):
+    operands = inst.operands
+    return compute_known_bits(operands[1], depth, memo).intersect(
+        compute_known_bits(operands[2], depth, memo))
+
+
+def _kb_phi(inst, depth, memo):
+    if memo is not None:
+        memo.need(depth + 1)
+    merged: Optional[KnownBits] = None
+    for incoming_value in inst.operands[::2]:
+        if depth >= MAX_DEPTH:
+            return _new(KnownBits, (inst.type.width, 0, 0))
+        known = compute_known_bits(incoming_value, depth, memo)
+        merged = known if merged is None else merged.intersect(known)
+    return merged if merged is not None else _new(KnownBits,
+                                                  (inst.type.width, 0, 0))
+
+
+def _kb_call(inst, depth, memo):
+    base = inst.intrinsic_name()
+    width = inst.type.width
+    if base in ("llvm.umin", "llvm.umax"):
+        args = inst.args
+        if len(args) == 2:
+            # Common leading bits of both bounds are preserved only in
+            # special cases; keep it simple and sound: intersect.
+            return compute_known_bits(args[0], depth, memo).intersect(
+                compute_known_bits(args[1], depth, memo))
+    elif base == "llvm.ctpop":
+        top = width.bit_length()
+        return _new(KnownBits, (width, inst.type.mask & ~((1 << top) - 1), 0))
+    return _new(KnownBits, (width, 0, 0))
+
+
+_KNOWN_BITS = opcode_table(_kb_unknown, {
+    "and": _kb_and, "or": _kb_or, "xor": _kb_xor,
+    "add": _kb_addsub, "sub": _kb_addsub, "mul": _kb_mul,
+    "shl": _kb_shl, "lshr": _kb_lshr, "ashr": _kb_ashr, "urem": _kb_urem,
+    "zext": _kb_zext, "trunc": _kb_trunc, "sext": _kb_sext,
+    "select": _kb_select, "phi": _kb_phi, "call": _kb_call,
+})
 
 
 def _known_bits_addsub(opcode: str, lhs: KnownBits, rhs: KnownBits,
@@ -339,55 +400,57 @@ def _known_bits_mul(lhs: KnownBits, rhs: KnownBits, width: int) -> KnownBits:
 
 
 def is_known_non_zero(value: Value, depth: int = 0) -> bool:
-    if isinstance(value, ConstantInt):
+    if value.KIND == "int":
         return value.value != 0
-    if not isinstance(value.type, IntType):
+    if not value.type.IS_INTEGER:
         return False
     known = compute_known_bits(value, depth)
     if known.is_non_zero():
         return True
-    if isinstance(value, BinaryOperator) and value.opcode == "or":
-        return (is_known_non_zero(value.lhs, depth + 1)
-                or is_known_non_zero(value.rhs, depth + 1))
+    if value.KIND == "binop" and value.opcode == "or":
+        return (is_known_non_zero(value.operands[0], depth + 1)
+                or is_known_non_zero(value.operands[1], depth + 1))
     return False
 
 
 def is_known_non_negative(value: Value, depth: int = 0,
                           memo: Optional[KnownBitsMemo] = None) -> bool:
-    if not isinstance(value.type, IntType):
+    if not value.type.IS_INTEGER:
         return False
-    if isinstance(value, CastInst) and value.opcode == "zext":
+    if value.KIND == "cast" and value.opcode == "zext":
         return True
     return compute_known_bits(value, depth, memo).is_non_negative()
 
 
 def compute_num_sign_bits(value: Value, depth: int = 0) -> int:
     """Lower bound on the number of identical top (sign) bits."""
-    if not isinstance(value.type, IntType):
+    if not value.type.IS_INTEGER:
         return 1
     width = value.type.width
-    if isinstance(value, ConstantInt):
+    if value.KIND == "int":
         signed = value.signed_value()
         if signed < 0:
             signed = ~signed
         return width - signed.bit_length()
-    if depth >= MAX_DEPTH or not isinstance(value, Instruction):
+    if depth >= MAX_DEPTH or not value.IS_INSTRUCTION:
         return 1
-    if isinstance(value, CastInst):
+    kind = value.KIND
+    if kind == "cast":
         if value.opcode == "sext":
-            gained = width - value.src_type.width
-            return gained + compute_num_sign_bits(value.value, depth + 1)
+            gained = width - value.operands[0].type.width
+            return gained + compute_num_sign_bits(value.operands[0], depth + 1)
         if value.opcode == "zext":
-            gained = width - value.src_type.width
+            gained = width - value.operands[0].type.width
             return max(1, gained)
         return 1
-    if isinstance(value, BinaryOperator) and value.opcode == "ashr" \
-            and isinstance(value.rhs, ConstantInt) and value.rhs.value < width:
-        base = compute_num_sign_bits(value.lhs, depth + 1)
-        return min(width, base + value.rhs.value)
-    if isinstance(value, SelectInst):
-        return min(compute_num_sign_bits(value.true_value, depth + 1),
-                   compute_num_sign_bits(value.false_value, depth + 1))
+    if kind == "binop" and value.opcode == "ashr":
+        lhs, rhs = value.operands
+        if rhs.KIND == "int" and rhs.value < width:
+            base = compute_num_sign_bits(lhs, depth + 1)
+            return min(width, base + rhs.value)
+    if kind == "select":
+        return min(compute_num_sign_bits(value.operands[1], depth + 1),
+                   compute_num_sign_bits(value.operands[2], depth + 1))
     known = compute_known_bits(value, depth)
     return max(1, known.count_leading_known_zeros(),
                known.count_leading_known_ones())

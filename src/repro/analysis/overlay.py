@@ -21,8 +21,7 @@ from typing import Callable, Dict, List, Optional
 from ..ir.basicblock import BasicBlock
 from ..ir.domtree import DominatorTree
 from ..ir.function import Function
-from ..ir.instructions import Instruction
-from ..ir.values import Argument, Constant, Value
+from ..ir.values import Value
 from .constants_pool import ConstantPool
 from .shuffle_ranges import ShuffleRange, shufflable_ranges
 
@@ -87,17 +86,15 @@ class MutantOverlay:
         must not do it.  Computed lazily and cached per mutant.
         """
         if self._has_callers is None:
-            from ..ir.instructions import CallInst
-
             module = self.mutant.parent
             self._has_callers = False
             if module is not None:
                 for function in module.definitions():
                     if function is self.mutant:
                         continue
-                    for inst in function.instructions():
-                        if isinstance(inst, CallInst) \
-                                and inst.callee is self.mutant:
+                    for inst in [inst for block in function.blocks
+                                 for inst in block.instructions]:
+                        if inst.KIND == "call" and inst.callee is self.mutant:
                             self._has_callers = True
                             break
                     if self._has_callers:
@@ -194,9 +191,9 @@ class MutantOverlay:
         Block-level dominance goes through the two-level lookup;
         same-block ordering is read live from the mutant.
         """
-        if isinstance(definition, (Constant, Argument)):
+        if definition.IS_CONSTANT or definition.KIND == "argument":
             return True
-        if not isinstance(definition, Instruction):
+        if not definition.IS_INSTRUCTION:
             return False
         def_block = definition.parent
         if def_block is None:
@@ -221,12 +218,12 @@ class MutantOverlay:
         for candidate_block in self.mutant.blocks:
             if candidate_block is block:
                 for inst in candidate_block.instructions[:index]:
-                    if inst.type.is_first_class() and (
+                    if inst.type.IS_FIRST_CLASS and (
                             type is None or inst.type is type):
                         values.append(inst)
             elif self.strictly_dominates_block(candidate_block, block):
                 for inst in candidate_block.instructions:
-                    if inst.type.is_first_class() and (
+                    if inst.type.IS_FIRST_CLASS and (
                             type is None or inst.type is type):
                         values.append(inst)
         return values

@@ -19,7 +19,6 @@ from typing import List
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import PhiNode
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ def shufflable_ranges_in_block(block: BasicBlock) -> List[ShuffleRange]:
     instructions = block.instructions
     lo = block.first_non_phi_index()
     hi = len(instructions)
-    if instructions and instructions[-1].is_terminator():
+    if instructions and instructions[-1].IS_TERMINATOR:
         hi -= 1
 
     ranges: List[ShuffleRange] = []
@@ -77,7 +76,7 @@ def range_is_still_valid(block: BasicBlock, shuffle_range: ShuffleRange) -> bool
     if shuffle_range.end > len(instructions):
         return False
     selected = instructions[shuffle_range.start:shuffle_range.end]
-    if any(isinstance(inst, PhiNode) or inst.is_terminator()
+    if any(inst.KIND == "phi" or inst.IS_TERMINATOR
            for inst in selected):
         return False
     defined = {id(inst) for inst in selected}

@@ -11,17 +11,15 @@ from __future__ import annotations
 from typing import List
 
 from ..ir.function import Function
-from ..ir.instructions import (BITWIDTH_POLYMORPHIC_OPCODES, BinaryOperator,
-                               Instruction)
-from ..ir.types import IntType
+from ..ir.instructions import BITWIDTH_POLYMORPHIC_OPCODES, Instruction
 from ..ir.values import Value
 
 
 def is_width_polymorphic(inst: Instruction) -> bool:
     """Can this instruction be re-created at any integer width?"""
-    return (isinstance(inst, BinaryOperator)
+    return (inst.KIND == "binop"
             and inst.opcode in BITWIDTH_POLYMORPHIC_OPCODES
-            and isinstance(inst.type, IntType))
+            and inst.type.IS_INTEGER)
 
 
 def polymorphic_users(value: Value) -> List[Instruction]:
@@ -30,7 +28,7 @@ def polymorphic_users(value: Value) -> List[Instruction]:
     seen = set()
     for use in value.uses:
         user = use.user
-        if isinstance(user, Instruction) and is_width_polymorphic(user):
+        if user.IS_INSTRUCTION and is_width_polymorphic(user):
             if id(user) not in seen:
                 seen.add(id(user))
                 result.append(user)
@@ -63,5 +61,5 @@ def use_path_from(root: Instruction, choose) -> List[Instruction]:
 
 def width_change_roots(function: Function) -> List[Instruction]:
     """All instructions eligible as roots of a bitwidth-change path."""
-    return [inst for inst in function.instructions()
+    return [inst for block in function.blocks for inst in block.instructions
             if is_width_polymorphic(inst)]

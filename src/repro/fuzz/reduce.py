@@ -117,7 +117,7 @@ def _candidate_edits(module: Module) -> Iterator[Tuple]:
         for block_index, block in enumerate(function.blocks):
             for inst_index in range(len(block.instructions) - 1, -1, -1):
                 inst = block.instructions[inst_index]
-                if inst.is_terminator():
+                if inst.IS_TERMINATOR:
                     if isinstance(inst, BrInst) and inst.is_conditional():
                         yield ("fold-branch", name, block_index, inst_index, 0)
                         yield ("fold-branch", name, block_index, inst_index, 1)
@@ -196,7 +196,7 @@ def _apply_edit(module: Module, edit: Tuple) -> bool:
     if inst is None:
         return False
     if kind == "delete":
-        if inst.has_uses() or inst.is_terminator():
+        if inst.has_uses() or inst.IS_TERMINATOR:
             return False
         inst.erase_from_parent()
         return True
@@ -224,11 +224,11 @@ def _apply_edit(module: Module, edit: Tuple) -> bool:
         inst.replace_all_uses_with(deep)
         inst.erase_from_parent()
         if not operand.has_uses() and not operand.has_side_effects() \
-                and not operand.is_terminator():
+                and not operand.IS_TERMINATOR:
             operand.erase_from_parent()
         return True
     if kind == "constify":
-        if not isinstance(inst.type, IntType) or inst.is_terminator():
+        if not isinstance(inst.type, IntType) or inst.IS_TERMINATOR:
             return False
         inst.replace_all_uses_with(ConstantInt(inst.type, edit[4]))
         if not inst.has_side_effects():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, TYPE_CHECKING
 
-from .instructions import Instruction, PhiNode, terminator_successors
+from .instructions import Instruction, PhiNode
 from .types import LabelType
 from .values import Value
 
@@ -17,6 +17,8 @@ class BasicBlock(Value):
     can reference them through ordinary use lists."""
 
     __slots__ = ("parent", "instructions")
+
+    KIND = "block"
 
     def __init__(self, name: str = "", parent: Optional["Function"] = None) -> None:
         super().__init__(LabelType(), name)
@@ -66,23 +68,24 @@ class BasicBlock(Value):
     # -- queries -------------------------------------------------------------
 
     def terminator(self) -> Optional[Instruction]:
-        if self.instructions and self.instructions[-1].is_terminator():
-            return self.instructions[-1]
+        instructions = self.instructions
+        if instructions and instructions[-1].IS_TERMINATOR:
+            return instructions[-1]
         return None
 
     def successors(self) -> List["BasicBlock"]:
-        terminator = self.terminator()
-        if terminator is None:
-            return []
-        return terminator_successors(terminator)
+        instructions = self.instructions
+        if instructions and instructions[-1].IS_TERMINATOR:
+            return instructions[-1].successors()
+        return []
 
     def predecessors(self) -> List["BasicBlock"]:
         """Blocks that branch here, via this block's label use list."""
         preds = []
         seen = set()
-        for use in self.uses:
+        for use in self._uses:
             user = use.user
-            if isinstance(user, Instruction) and user.is_terminator():
+            if user.IS_TERMINATOR:
                 block = user.parent
                 if block is not None and id(block) not in seen:
                     seen.add(id(block))
@@ -92,7 +95,7 @@ class BasicBlock(Value):
     def phis(self) -> List[PhiNode]:
         result = []
         for inst in self.instructions:
-            if isinstance(inst, PhiNode):
+            if inst.KIND == "phi":
                 result.append(inst)
             else:
                 break
@@ -100,7 +103,7 @@ class BasicBlock(Value):
 
     def first_non_phi_index(self) -> int:
         for i, inst in enumerate(self.instructions):
-            if not isinstance(inst, PhiNode):
+            if inst.KIND != "phi":
                 return i
         return len(self.instructions)
 

@@ -110,7 +110,7 @@ class _TypeTable:
         existing = self._index.get(type)
         if existing is not None:
             return existing
-        if isinstance(type, FunctionType):
+        if type.IS_FUNCTION:
             # Intern components first so decoding sees them earlier.
             self.intern(type.return_type)
             for param in type.param_types:
@@ -123,16 +123,16 @@ class _TypeTable:
     def write(self, out: io.BytesIO) -> None:
         _write_varint(out, len(self.types))
         for type in self.types:
-            if isinstance(type, VoidType):
+            if type.IS_VOID:
                 _write_varint(out, _TYPE_VOID)
-            elif isinstance(type, IntType):
+            elif type.IS_INTEGER:
                 _write_varint(out, _TYPE_INT)
                 _write_varint(out, type.width)
-            elif isinstance(type, PtrType):
+            elif type.IS_POINTER:
                 _write_varint(out, _TYPE_PTR)
-            elif isinstance(type, LabelType):
+            elif type.IS_LABEL:
                 _write_varint(out, _TYPE_LABEL)
-            elif isinstance(type, FunctionType):
+            elif type.IS_FUNCTION:
                 _write_varint(out, _TYPE_FUNCTION)
                 _write_varint(out, self._index[type.return_type])
                 _write_varint(out, len(type.param_types))
@@ -223,23 +223,23 @@ class _FunctionEncoder:
             _write_varint(out, _OP_VALUE)
             _write_varint(out, local)
             return
-        if isinstance(value, ConstantInt):
+        if value.KIND == "int":
             _write_varint(out, _OP_CONST_INT)
             _write_varint(out, self.types.intern(value.type))
             _write_varint(out, value.value)
             return
-        if isinstance(value, UndefValue):
+        if value.KIND == "undef":
             _write_varint(out, _OP_UNDEF)
             _write_varint(out, self.types.intern(value.type))
             return
-        if isinstance(value, PoisonValue):
+        if value.KIND == "poison":
             _write_varint(out, _OP_POISON)
             _write_varint(out, self.types.intern(value.type))
             return
-        if isinstance(value, ConstantPointerNull):
+        if value.KIND == "null":
             _write_varint(out, _OP_NULL)
             return
-        if isinstance(value, Function):
+        if value.KIND == "function":
             _write_varint(out, _OP_GLOBAL)
             _write_varint(out, self.global_index[id(value)])
             return
@@ -255,46 +255,46 @@ class _FunctionEncoder:
 def _write_instruction(out: io.BytesIO, inst: Instruction,
                        enc: _FunctionEncoder) -> None:
     _write_str(out, inst.name)
-    if isinstance(inst, BinaryOperator):
+    if inst.KIND == "binop":
         _write_varint(out, _I_BINOP)
         _write_varint(out, BINARY_OPCODES.index(inst.opcode))
         flags = (inst.nuw << 0) | (inst.nsw << 1) | (inst.exact << 2)
         _write_varint(out, flags)
         _write_varint(out, enc.types.intern(inst.type))
-        enc.write_operand(out, inst.lhs)
-        enc.write_operand(out, inst.rhs)
-    elif isinstance(inst, ICmpInst):
+        enc.write_operand(out, inst.operands[0])
+        enc.write_operand(out, inst.operands[1])
+    elif inst.KIND == "icmp":
         _write_varint(out, _I_ICMP)
         _write_varint(out, ICMP_PREDICATES.index(inst.predicate))
-        enc.write_operand(out, inst.lhs)
-        enc.write_operand(out, inst.rhs)
-    elif isinstance(inst, SelectInst):
+        enc.write_operand(out, inst.operands[0])
+        enc.write_operand(out, inst.operands[1])
+    elif inst.KIND == "select":
         _write_varint(out, _I_SELECT)
         for operand in inst.operands:
             enc.write_operand(out, operand)
-    elif isinstance(inst, CastInst):
+    elif inst.KIND == "cast":
         _write_varint(out, _I_CAST)
         _write_varint(out, CAST_OPCODES.index(inst.opcode))
         _write_varint(out, enc.types.intern(inst.type))
         enc.write_operand(out, inst.value)
-    elif isinstance(inst, FreezeInst):
+    elif inst.KIND == "freeze":
         _write_varint(out, _I_FREEZE)
         enc.write_operand(out, inst.value)
-    elif isinstance(inst, AllocaInst):
+    elif inst.KIND == "alloca":
         _write_varint(out, _I_ALLOCA)
         _write_varint(out, enc.types.intern(inst.allocated_type))
         _write_varint(out, inst.align)
-    elif isinstance(inst, LoadInst):
+    elif inst.KIND == "load":
         _write_varint(out, _I_LOAD)
         _write_varint(out, enc.types.intern(inst.type))
         _write_varint(out, inst.align)
         enc.write_operand(out, inst.pointer)
-    elif isinstance(inst, StoreInst):
+    elif inst.KIND == "store":
         _write_varint(out, _I_STORE)
         _write_varint(out, inst.align)
         enc.write_operand(out, inst.value)
         enc.write_operand(out, inst.pointer)
-    elif isinstance(inst, GEPInst):
+    elif inst.KIND == "gep":
         _write_varint(out, _I_GEP)
         _write_varint(out, enc.types.intern(inst.source_type))
         _write_varint(out, int(inst.inbounds))
@@ -302,7 +302,7 @@ def _write_instruction(out: io.BytesIO, inst: Instruction,
         enc.write_operand(out, inst.pointer)
         for index in inst.indices:
             enc.write_operand(out, index)
-    elif isinstance(inst, CallInst):
+    elif inst.KIND == "call":
         _write_varint(out, _I_CALL)
         _write_varint(out, enc.global_index[id(inst.callee)])
         args = inst.args
@@ -316,19 +316,19 @@ def _write_instruction(out: io.BytesIO, inst: Instruction,
             _write_varint(out, len(operands))
             for operand in operands:
                 enc.write_operand(out, operand)
-    elif isinstance(inst, RetInst):
+    elif inst.KIND == "ret":
         _write_varint(out, _I_RET)
         if inst.return_value is None:
             _write_varint(out, 0)
         else:
             _write_varint(out, 1)
             enc.write_operand(out, inst.return_value)
-    elif isinstance(inst, BrInst):
+    elif inst.KIND == "br":
         _write_varint(out, _I_BR)
         _write_varint(out, int(inst.is_conditional()))
         for operand in inst.operands:
             enc.write_operand(out, operand)
-    elif isinstance(inst, SwitchInst):
+    elif inst.KIND == "switch":
         _write_varint(out, _I_SWITCH)
         cases = inst.cases()
         _write_varint(out, len(cases))
@@ -337,9 +337,9 @@ def _write_instruction(out: io.BytesIO, inst: Instruction,
         for case_value, case_block in cases:
             enc.write_operand(out, case_value)
             enc.write_operand(out, case_block)
-    elif isinstance(inst, UnreachableInst):
+    elif inst.KIND == "unreachable":
         _write_varint(out, _I_UNREACHABLE)
-    elif isinstance(inst, PhiNode):
+    elif inst.KIND == "phi":
         _write_varint(out, _I_PHI)
         _write_varint(out, enc.types.intern(inst.type))
         incoming = inst.incoming()

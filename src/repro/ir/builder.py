@@ -52,7 +52,7 @@ class IRBuilder:
         else:
             self._block.insert(self._index, inst)
             self._index += 1
-        if not inst.name and inst.type.is_first_class():
+        if not inst.name and inst.type.IS_FIRST_CLASS:
             function = self._block.parent
             if function is not None:
                 inst.name = function.next_temp_name()

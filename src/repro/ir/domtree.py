@@ -18,8 +18,8 @@ from typing import Dict, List, Optional
 from .basicblock import BasicBlock
 from .cfg import reverse_postorder
 from .function import Function
-from .instructions import Instruction, PhiNode
-from .values import Argument, Constant, Value
+from .instructions import Instruction
+from .values import Value
 
 
 class DominatorTree:
@@ -107,9 +107,9 @@ class DominatorTree:
         dominates points strictly after it in its own block, and every point
         in blocks its block strictly dominates.
         """
-        if isinstance(definition, (Constant, Argument)):
+        if definition.IS_CONSTANT or definition.KIND == "argument":
             return True
-        if isinstance(definition, Instruction):
+        if definition.IS_INSTRUCTION:
             def_block = definition.parent
             if def_block is None:
                 return False
@@ -127,9 +127,9 @@ class DominatorTree:
         use_block = user.parent
         if use_block is None:
             return False
-        if isinstance(user, PhiNode) and operand_index % 2 == 0:
+        if user.KIND == "phi" and operand_index % 2 == 0:
             incoming_block = user.operands[operand_index + 1]
-            if not isinstance(incoming_block, BasicBlock):
+            if incoming_block.KIND != "block":
                 return False
             return self.dominates(definition, incoming_block,
                                   len(incoming_block.instructions))

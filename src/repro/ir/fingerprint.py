@@ -31,8 +31,7 @@ from .function import Function
 from .instructions import (AllocaInst, BinaryOperator, CallInst, GEPInst,
                            ICmpInst, Instruction, LoadInst, StoreInst)
 from .types import Type
-from .values import (ConstantInt, ConstantPointerNull, PoisonValue,
-                     UndefValue, Value)
+from .values import Value
 
 __all__ = [
     "called_definitions",
@@ -52,23 +51,25 @@ def _encode_operand(value: Value, function: Function,
     by its position now, and remembered in ``labels``), or a value of
     another function, which only malformed IR holds.
     """
-    if isinstance(value, ConstantInt):
-        return f"ci{value.type.width}:{value.value}"
-    if isinstance(value, UndefValue):
-        return f"undef:{value.type}"
-    if isinstance(value, PoisonValue):
-        return f"poison:{value.type}"
-    if isinstance(value, ConstantPointerNull):
-        return "null"
-    if isinstance(value, Function):
-        return f"fn:{value.name}"
-    if isinstance(value, Instruction):
+    if value.IS_CONSTANT:
+        return _CONSTANT_ENCODINGS[value.KIND](value)
+    if value.IS_INSTRUCTION:
         position = _layout_position(function, value)
         if position is not None:
             label = labels[value] = f"V{position}"
             return label
     kind = type(value).__name__
     return f"?{kind}:{value.type}:{value.name}"
+
+
+# The encoding of each kind of constant, by ``KIND``.
+_CONSTANT_ENCODINGS = {
+    "int": lambda value: f"ci{value.type.width}:{value.value}",
+    "undef": lambda value: f"undef:{value.type}",
+    "poison": lambda value: f"poison:{value.type}",
+    "null": lambda value: "null",
+    "function": lambda value: f"fn:{value.name}",
+}
 
 
 def _layout_position(function: Function, inst: Instruction) -> Optional[int]:
@@ -186,10 +187,9 @@ def referenced_functions(function: Function) -> List[Function]:
     for block in function.blocks:
         for inst in block.instructions:
             for value in inst.operands:
-                if isinstance(value, Function):
+                if value.KIND == "function":
                     seen[value] = None
-            if isinstance(inst, CallInst) and isinstance(inst.callee,
-                                                         Function):
+            if inst.KIND == "call" and inst.callee.KIND == "function":
                 seen[inst.callee] = None
     seen.pop(function, None)
     return list(seen)

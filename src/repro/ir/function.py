@@ -25,6 +25,8 @@ class Function(Constant):
     __slots__ = ("function_type", "arguments", "blocks", "attributes",
                  "parent", "_next_temp", "_names", "__weakref__")
 
+    KIND = "function"
+
     def __init__(self, function_type: FunctionType, name: str,
                  module: Optional["Module"] = None,
                  arg_names: Optional[List[str]] = None) -> None:
@@ -100,6 +102,8 @@ class Function(Constant):
     # -- traversal -------------------------------------------------------------
 
     def instructions(self) -> Iterator[Instruction]:
+        """Every instruction in layout order.  Each item is a generator
+        resume, so hot loops walk ``block.instructions`` directly."""
         for block in self.blocks:
             yield from block.instructions
 

@@ -4,11 +4,18 @@ The instruction set covers what the paper's mutations and optimizations
 exercise: integer arithmetic with poison-generating flags, comparisons,
 selects, casts, memory operations, calls (including intrinsics and
 ``llvm.assume`` operand bundles), control flow, phis, and ``freeze``.
+
+Each instruction class names its kind (``KIND``) and whether it is a
+terminator (``IS_TERMINATOR``) as class constants, and every opcode names
+exactly one class (:data:`OPCODE_CLASSES`), so code that switches on
+the instruction in hand reads ``inst.opcode`` or ``inst.KIND`` and
+dispatches through a table built by :func:`opcode_table`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (Dict, List, Mapping, Optional, Sequence, Tuple,
+                    TYPE_CHECKING, TypeVar)
 
 from .attributes import AttributeSet
 from .types import IntType, PtrType, Type, VoidType
@@ -67,6 +74,9 @@ class Instruction(User):
 
     __slots__ = ("opcode", "parent")
 
+    KIND = "instruction"
+    IS_INSTRUCTION = True
+
     def __init__(self, opcode: str, type: Type, operands: Sequence[Value],
                  name: str = "") -> None:
         super().__init__(type, name)
@@ -97,34 +107,16 @@ class Instruction(User):
             raise ValueError("instruction has no parent block")
         return self.parent.index_of(self)
 
-    # -- classification ----------------------------------------------------
-
-    def is_terminator(self) -> bool:
-        return isinstance(self, (RetInst, BrInst, SwitchInst, UnreachableInst))
-
-    def is_binary_op(self) -> bool:
-        return isinstance(self, BinaryOperator)
-
-    def is_phi(self) -> bool:
-        return isinstance(self, PhiNode)
+    # -- memory effects (loads, stores, allocas and calls override) ---------
 
     def may_read_memory(self) -> bool:
-        if isinstance(self, LoadInst):
-            return True
-        if isinstance(self, CallInst):
-            return not self.is_readnone()
         return False
 
     def may_write_memory(self) -> bool:
-        if isinstance(self, StoreInst):
-            return True
-        if isinstance(self, CallInst):
-            return not (self.is_readnone() or self.is_readonly())
         return False
 
     def has_side_effects(self) -> bool:
-        return (self.may_write_memory() or self.is_terminator()
-                or isinstance(self, (StoreInst, AllocaInst)))
+        return self.IS_TERMINATOR or self.may_write_memory()
 
     def flags_repr(self) -> str:
         """Printable flag string (``"nuw nsw "`` etc.); empty by default."""
@@ -170,6 +162,8 @@ class BinaryOperator(Instruction):
 
     __slots__ = ("nuw", "nsw", "exact")
 
+    KIND = "binop"
+
     def __init__(self, opcode: str, lhs: Value, rhs: Value, name: str = "",
                  nuw: bool = False, nsw: bool = False, exact: bool = False) -> None:
         if opcode not in BINARY_OPCODES:
@@ -179,6 +173,8 @@ class BinaryOperator(Instruction):
         self.nsw = nsw
         self.exact = exact
 
+    # Public accessors for tests and tools; code in the package reads
+    # ``operands[0]`` / ``operands[1]`` (a property is a call).
     @property
     def lhs(self) -> Value:
         return self.operands[0]
@@ -219,12 +215,15 @@ class ICmpInst(Instruction):
 
     __slots__ = ("predicate",)
 
+    KIND = "icmp"
+
     def __init__(self, predicate: str, lhs: Value, rhs: Value, name: str = "") -> None:
         if predicate not in ICMP_PREDICATES:
             raise ValueError(f"unknown icmp predicate: {predicate}")
         super().__init__("icmp", IntType(1), [lhs, rhs], name)
         self.predicate = predicate
 
+    # Public accessors; see BinaryOperator.lhs.
     @property
     def lhs(self) -> Value:
         return self.operands[0]
@@ -259,6 +258,8 @@ class SelectInst(Instruction):
 
     __slots__ = ()
 
+    KIND = "select"
+
     def __init__(self, condition: Value, true_value: Value, false_value: Value,
                  name: str = "") -> None:
         super().__init__("select", true_value.type,
@@ -282,6 +283,8 @@ class CastInst(Instruction):
 
     __slots__ = ()
 
+    KIND = "cast"
+
     def __init__(self, opcode: str, value: Value, dest_type: Type, name: str = "") -> None:
         if opcode not in CAST_OPCODES:
             raise ValueError(f"unknown cast opcode: {opcode}")
@@ -301,6 +304,8 @@ class FreezeInst(Instruction):
 
     __slots__ = ()
 
+    KIND = "freeze"
+
     def __init__(self, value: Value, name: str = "") -> None:
         super().__init__("freeze", value.type, [value], name)
 
@@ -314,10 +319,15 @@ class AllocaInst(Instruction):
 
     __slots__ = ("allocated_type", "align")
 
+    KIND = "alloca"
+
     def __init__(self, allocated_type: Type, name: str = "", align: int = 0) -> None:
         super().__init__("alloca", PtrType(), [], name)
         self.allocated_type = allocated_type
         self.align = align
+
+    def has_side_effects(self) -> bool:
+        return True
 
     def _bare_copy(self) -> "AllocaInst":
         new = Instruction._bare_copy(self)
@@ -331,6 +341,8 @@ class LoadInst(Instruction):
 
     __slots__ = ("align",)
 
+    KIND = "load"
+
     def __init__(self, loaded_type: Type, pointer: Value, name: str = "",
                  align: int = 0) -> None:
         super().__init__("load", loaded_type, [pointer], name)
@@ -339,6 +351,9 @@ class LoadInst(Instruction):
     @property
     def pointer(self) -> Value:
         return self.operands[0]
+
+    def may_read_memory(self) -> bool:
+        return True
 
     def _bare_copy(self) -> "LoadInst":
         new = Instruction._bare_copy(self)
@@ -351,6 +366,8 @@ class StoreInst(Instruction):
 
     __slots__ = ("align",)
 
+    KIND = "store"
+
     def __init__(self, value: Value, pointer: Value, align: int = 0) -> None:
         super().__init__("store", VoidType(), [value, pointer], "")
         self.align = align
@@ -362,6 +379,9 @@ class StoreInst(Instruction):
     @property
     def pointer(self) -> Value:
         return self.operands[1]
+
+    def may_write_memory(self) -> bool:
+        return True
 
     def _bare_copy(self) -> "StoreInst":
         new = Instruction._bare_copy(self)
@@ -377,6 +397,8 @@ class GEPInst(Instruction):
     """
 
     __slots__ = ("source_type", "inbounds")
+
+    KIND = "gep"
 
     def __init__(self, source_type: Type, pointer: Value, indices: Sequence[Value],
                  name: str = "", inbounds: bool = False) -> None:
@@ -427,6 +449,8 @@ class CallInst(Instruction):
 
     __slots__ = ("callee", "bundles", "attributes")
 
+    KIND = "call"
+
     def __init__(self, callee, args: Sequence[Value], name: str = "",
                  bundles: Sequence[OperandBundle] = ()) -> None:
         return_type = callee.return_type
@@ -451,8 +475,10 @@ class CallInst(Instruction):
 
     @property
     def args(self) -> List[Value]:
+        if not self.bundles:
+            return self.operands[:]
         num_bundle_inputs = sum(len(b.inputs) for b in self.bundles)
-        end = self.num_operands() - num_bundle_inputs
+        end = len(self.operands) - num_bundle_inputs
         return self.operands[:end]
 
     def bundle_operands(self, bundle: OperandBundle) -> List[Value]:
@@ -477,6 +503,12 @@ class CallInst(Instruction):
 
     def is_readonly(self) -> bool:
         return self.callee.attributes.has("readonly")
+
+    def may_read_memory(self) -> bool:
+        return not self.is_readnone()
+
+    def may_write_memory(self) -> bool:
+        return not (self.is_readnone() or self.is_readonly())
 
     def copy_with(self, operands: Sequence[Value]) -> "CallInst":
         new = Instruction.copy_with(self, operands)
@@ -506,6 +538,9 @@ class RetInst(Instruction):
 
     __slots__ = ()
 
+    KIND = "ret"
+    IS_TERMINATOR = True
+
     def __init__(self, value: Optional[Value] = None) -> None:
         operands = [] if value is None else [value]
         super().__init__("ret", VoidType(), operands, "")
@@ -514,11 +549,17 @@ class RetInst(Instruction):
     def return_value(self) -> Optional[Value]:
         return self.operands[0] if self.operands else None
 
+    def successors(self) -> List["BasicBlock"]:
+        return []
+
 
 class BrInst(Instruction):
     """Unconditional (``br label %bb``) or conditional branch."""
 
     __slots__ = ()
+
+    KIND = "br"
+    IS_TERMINATOR = True
 
     def __init__(self, *args) -> None:
         if len(args) == 1:
@@ -531,16 +572,18 @@ class BrInst(Instruction):
             raise ValueError("BrInst takes 1 (dest) or 3 (cond, t, f) operands")
 
     def is_conditional(self) -> bool:
-        return self.num_operands() == 3
+        return len(self.operands) == 3
 
     @property
     def condition(self) -> Optional[Value]:
-        return self.operands[0] if self.is_conditional() else None
+        operands = self.operands
+        return operands[0] if len(operands) == 3 else None
 
     def successors(self) -> List["BasicBlock"]:
-        if self.is_conditional():
-            return [self.operands[1], self.operands[2]]
-        return [self.operands[0]]
+        operands = self.operands
+        if len(operands) == 3:
+            return [operands[1], operands[2]]
+        return [operands[0]]
 
 
 class SwitchInst(Instruction):
@@ -550,6 +593,9 @@ class SwitchInst(Instruction):
     """
 
     __slots__ = ()
+
+    KIND = "switch"
+    IS_TERMINATOR = True
 
     def __init__(self, value: Value, default: "BasicBlock",
                  cases: Sequence[Tuple[ConstantInt, "BasicBlock"]] = ()) -> None:
@@ -568,13 +614,11 @@ class SwitchInst(Instruction):
         return self.operands[1]
 
     def cases(self) -> List[Tuple[ConstantInt, "BasicBlock"]]:
-        pairs = []
-        for i in range(2, self.num_operands(), 2):
-            pairs.append((self.operands[i], self.operands[i + 1]))
-        return pairs
+        operands = self.operands
+        return list(zip(operands[2::2], operands[3::2]))
 
     def successors(self) -> List["BasicBlock"]:
-        return [self.default] + [block for _, block in self.cases()]
+        return self.operands[1::2]
 
 
 class UnreachableInst(Instruction):
@@ -582,14 +626,22 @@ class UnreachableInst(Instruction):
 
     __slots__ = ()
 
+    KIND = "unreachable"
+    IS_TERMINATOR = True
+
     def __init__(self) -> None:
         super().__init__("unreachable", VoidType(), [], "")
+
+    def successors(self) -> List["BasicBlock"]:
+        return []
 
 
 class PhiNode(Instruction):
     """SSA phi. Operand layout: ``[v0, bb0, v1, bb1, ...]``."""
 
     __slots__ = ()
+
+    KIND = "phi"
 
     def __init__(self, type: Type,
                  incoming: Sequence[Tuple[Value, "BasicBlock"]] = (),
@@ -605,15 +657,14 @@ class PhiNode(Instruction):
         self._append_operand(block)
 
     def incoming(self) -> List[Tuple[Value, "BasicBlock"]]:
-        pairs = []
-        for i in range(0, self.num_operands(), 2):
-            pairs.append((self.operands[i], self.operands[i + 1]))
-        return pairs
+        operands = self.operands
+        return list(zip(operands[::2], operands[1::2]))
 
     def incoming_value_for(self, block: "BasicBlock") -> Optional[Value]:
-        for value, incoming_block in self.incoming():
-            if incoming_block is block:
-                return value
+        operands = self.operands
+        for i in range(1, len(operands), 2):
+            if operands[i] is block:
+                return operands[i - 1]
         return None
 
     def remove_incoming(self, block: "BasicBlock") -> None:
@@ -625,15 +676,49 @@ class PhiNode(Instruction):
             self._append_operand(incoming_block)
 
     def set_incoming_value_for(self, block: "BasicBlock", value: Value) -> None:
-        for i in range(1, self.num_operands(), 2):
+        for i in range(1, len(self.operands), 2):
             if self.operands[i] is block:
                 self.set_operand(i - 1, value)
                 return
         raise ValueError(f"phi has no incoming edge from {block}")
 
 
-def terminator_successors(inst: Instruction) -> List["BasicBlock"]:
-    """Successor blocks of a terminator (empty for ret/unreachable)."""
-    if isinstance(inst, (BrInst, SwitchInst)):
-        return inst.successors()
-    return []
+# -- opcodes -----------------------------------------------------------------
+
+#: The class of every opcode the parser reads; each opcode names exactly
+#: one class, so ``inst.opcode`` alone decides what ``inst`` is.
+OPCODE_CLASSES: Dict[str, type] = {
+    **dict.fromkeys(BINARY_OPCODES, BinaryOperator),
+    "icmp": ICmpInst,
+    "select": SelectInst,
+    **dict.fromkeys(CAST_OPCODES, CastInst),
+    "freeze": FreezeInst,
+    "alloca": AllocaInst,
+    "load": LoadInst,
+    "store": StoreInst,
+    "getelementptr": GEPInst,
+    "call": CallInst,
+    "ret": RetInst,
+    "br": BrInst,
+    "switch": SwitchInst,
+    "unreachable": UnreachableInst,
+    "phi": PhiNode,
+}
+
+OPCODES: Tuple[str, ...] = tuple(OPCODE_CLASSES)
+
+_T = TypeVar("_T")
+
+
+def opcode_table(default: _T, entries: Mapping[str, _T]) -> Dict[str, _T]:
+    """A dispatch table with an entry for every opcode.
+
+    ``entries`` where it has one, ``default`` everywhere else, so a
+    lookup is a subscription that cannot miss: ``table[inst.opcode]``.
+    """
+    unknown = set(entries) - set(OPCODE_CLASSES)
+    if unknown:
+        raise ValueError(f"not opcodes: {sorted(unknown)}")
+    table = dict.fromkeys(OPCODES, default)
+    table.update(entries)
+    return table

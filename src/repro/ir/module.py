@@ -12,7 +12,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .basicblock import BasicBlock
 from .function import Function
-from .instructions import CallInst, Instruction
+from .instructions import Instruction
 from .types import FunctionType
 from .values import NO_USES, Use, Value
 
@@ -202,7 +202,7 @@ def _clone_function_body(source: Function, dest: Function,
         for inst in block.instructions:
             new = inst._bare_copy()
             new.name = inst.name
-            is_call = isinstance(inst, CallInst)
+            is_call = inst.KIND == "call"
             if is_call:
                 # Before the operands: resolving may create declarations,
                 # and they join ``dest`` in order of first reference.
@@ -219,7 +219,7 @@ def _clone_function_body(source: Function, dest: Function,
                     uses = value._uses
                 elif value._uses is NO_USES:
                     if resolve_function is not None \
-                            and isinstance(value, Function):
+                            and value.KIND == "function":
                         value = resolve_function(value)
                     uses = NO_USES
                 else:
@@ -240,5 +240,5 @@ def _clone_function_body(source: Function, dest: Function,
     for new, slot, value in forward:
         value = new.operands[slot] = value_map.get(value, value)
         value._add_use(new._operand_uses[slot])
-        if isinstance(new, CallInst):
+        if new.KIND == "call":
             new._bind_bundle_inputs()

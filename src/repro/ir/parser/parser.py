@@ -40,6 +40,8 @@ class _Forward(Value):
 
     __slots__ = ()
 
+    KIND = "forward"
+
 
 def parse_module(source: str, name: str = "module") -> Module:
     """Parse a whole module from text."""
@@ -327,7 +329,7 @@ class _BodyParser:
             return self.lookup_value(token.text, type)
         if token.kind == INT:
             self.tokens.next()
-            if not isinstance(type, IntType):
+            if not type.IS_INTEGER:
                 raise SyntaxError(f"integer literal used as {type}")
             return ConstantInt(type, int(token.text))
         if token.kind == GLOBAL:
@@ -351,7 +353,7 @@ class _BodyParser:
                 return PoisonValue(type)
             if token.text == "null":
                 self.tokens.next()
-                if not type.is_pointer():
+                if not type.IS_POINTER:
                     raise SyntaxError("null literal used at non-pointer type")
                 return ConstantPointerNull()
         raise SyntaxError(
@@ -360,7 +362,7 @@ class _BodyParser:
 
     def parse_typed_value(self) -> Value:
         type = self.parent.parse_type()
-        if type.is_label():
+        if type.IS_LABEL:
             label = self.tokens.expect(LOCAL).text
             return self.get_block(label)
         return self.parse_value(type)
@@ -397,10 +399,10 @@ class _BodyParser:
         opcode = opcode_token.text
         inst = self._dispatch(opcode, result_name)
         self._skip_metadata()
-        inst.name = result_name if not inst.type.is_void() else ""
+        inst.name = result_name if not inst.type.IS_VOID else ""
         block.append(inst)
         if result_name:
-            if inst.type.is_void():
+            if inst.type.IS_VOID:
                 raise SyntaxError(f"%{result_name} assigned from void instruction")
             self.define_value(result_name, inst)
 
@@ -482,7 +484,7 @@ class _BodyParser:
         loaded_type = self.parent.parse_type()
         self.tokens.expect(PUNCT, ",")
         pointer = self.parse_typed_value()
-        if not pointer.type.is_pointer():
+        if not pointer.type.IS_POINTER:
             raise SyntaxError("load pointer operand is not a pointer")
         align = self._parse_align_suffix()
         return LoadInst(loaded_type, pointer, align=align)
@@ -491,7 +493,7 @@ class _BodyParser:
         value = self.parse_typed_value()
         self.tokens.expect(PUNCT, ",")
         pointer = self.parse_typed_value()
-        if not pointer.type.is_pointer():
+        if not pointer.type.IS_POINTER:
             raise SyntaxError("store pointer operand is not a pointer")
         align = self._parse_align_suffix()
         return StoreInst(value, pointer, align=align)
@@ -576,7 +578,7 @@ class _BodyParser:
         while not self.tokens.at(PUNCT, "]"):
             case_type = self.parent.parse_type()
             case_value = self.parse_value(case_type)
-            if not isinstance(case_value, ConstantInt):
+            if case_value.KIND != "int":
                 raise SyntaxError("switch case values must be integer constants")
             self.tokens.expect(PUNCT, ",")
             cases.append((case_value, self.parse_label_operand()))

@@ -10,14 +10,9 @@ from typing import Dict, List
 
 from .basicblock import BasicBlock
 from .function import Function
-from .instructions import (AllocaInst, BinaryOperator, BrInst, CallInst,
-                           CastInst, FreezeInst, GEPInst, ICmpInst,
-                           Instruction, LoadInst, PhiNode, RetInst,
-                           SelectInst, StoreInst, SwitchInst,
-                           UnreachableInst)
+from .instructions import Instruction
 from .module import Module
-from .values import (ConstantInt, ConstantPointerNull, PoisonValue, UndefValue,
-                     Value)
+from .values import Value
 
 
 def print_module(module: Module) -> str:
@@ -60,65 +55,67 @@ def print_function(function: Function) -> str:
 
 def format_value(value: Value, namer: "_Namer") -> str:
     """The operand form of a value, without its type."""
-    if isinstance(value, ConstantInt):
+    if value.KIND == "int":
         if value.type.width == 1:
             return "true" if value.value else "false"
         return str(value.signed_value())
-    if isinstance(value, UndefValue):
+    if value.KIND == "undef":
         return "undef"
-    if isinstance(value, PoisonValue):
+    if value.KIND == "poison":
         return "poison"
-    if isinstance(value, ConstantPointerNull):
+    if value.KIND == "null":
         return "null"
-    if isinstance(value, Function):
+    if value.KIND == "function":
         return f"@{value.name}"
-    if isinstance(value, BasicBlock):
+    if value.KIND == "block":
         return f"%{namer.block_label(value)}"
     return f"%{namer.name_of(value)}"
 
 
 def format_typed(value: Value, namer: "_Namer") -> str:
-    if isinstance(value, BasicBlock):
+    if value.KIND == "block":
         return f"label %{namer.block_label(value)}"
     return f"{value.type} {format_value(value, namer)}"
 
 
 def print_instruction(inst: Instruction, namer: "_Namer") -> str:
     result = ""
-    if not inst.type.is_void():
+    if not inst.type.IS_VOID:
         result = f"%{namer.name_of(inst)} = "
 
-    if isinstance(inst, BinaryOperator):
+    if inst.KIND == "binop":
+        lhs, rhs = inst.operands
         return (f"{result}{inst.opcode} {inst.flags_repr()}{inst.type} "
-                f"{format_value(inst.lhs, namer)}, {format_value(inst.rhs, namer)}")
-    if isinstance(inst, ICmpInst):
-        return (f"{result}icmp {inst.predicate} {inst.lhs.type} "
-                f"{format_value(inst.lhs, namer)}, {format_value(inst.rhs, namer)}")
-    if isinstance(inst, SelectInst):
+                f"{format_value(lhs, namer)}, {format_value(rhs, namer)}")
+    if inst.KIND == "icmp":
+        lhs, rhs = inst.operands
+        return (f"{result}icmp {inst.predicate} {lhs.type} "
+                f"{format_value(lhs, namer)}, {format_value(rhs, namer)}")
+    if inst.KIND == "select":
         return (f"{result}select {format_typed(inst.condition, namer)}, "
                 f"{format_typed(inst.true_value, namer)}, "
                 f"{format_typed(inst.false_value, namer)}")
-    if isinstance(inst, CastInst):
+    if inst.KIND == "cast":
         return (f"{result}{inst.opcode} {format_typed(inst.value, namer)} "
                 f"to {inst.type}")
-    if isinstance(inst, FreezeInst):
+    if inst.KIND == "freeze":
         return f"{result}freeze {format_typed(inst.value, namer)}"
-    if isinstance(inst, AllocaInst):
+    if inst.KIND == "alloca":
         align = f", align {inst.align}" if inst.align else ""
         return f"{result}alloca {inst.allocated_type}{align}"
-    if isinstance(inst, LoadInst):
+    if inst.KIND == "load":
         align = f", align {inst.align}" if inst.align else ""
         return (f"{result}load {inst.type}, "
                 f"{format_typed(inst.pointer, namer)}{align}")
-    if isinstance(inst, StoreInst):
+    if inst.KIND == "store":
         align = f", align {inst.align}" if inst.align else ""
         return (f"store {format_typed(inst.value, namer)}, "
                 f"{format_typed(inst.pointer, namer)}{align}")
-    if isinstance(inst, GEPInst):
+    if inst.KIND == "gep":
         indices = ", ".join(format_typed(i, namer) for i in inst.indices)
         return (f"{result}getelementptr {inst.flags_repr()}{inst.source_type}, "
                 f"{format_typed(inst.pointer, namer)}, {indices}")
-    if isinstance(inst, CallInst):
+    if inst.KIND == "call":
         args = ", ".join(format_typed(a, namer) for a in inst.args)
         text = f"call {inst.callee.return_type} @{inst.callee.name}({args})"
         if inst.bundles:
@@ -129,25 +126,25 @@ def print_instruction(inst: Instruction, namer: "_Namer") -> str:
                 rendered.append(f'"{bundle.tag}"({inputs})')
             text += f" [ {', '.join(rendered)} ]"
         return result + text
-    if isinstance(inst, RetInst):
+    if inst.KIND == "ret":
         if inst.return_value is None:
             return "ret void"
         return f"ret {format_typed(inst.return_value, namer)}"
-    if isinstance(inst, BrInst):
+    if inst.KIND == "br":
         if inst.is_conditional():
             return (f"br {format_typed(inst.condition, namer)}, "
                     f"{format_typed(inst.operands[1], namer)}, "
                     f"{format_typed(inst.operands[2], namer)}")
         return f"br {format_typed(inst.operands[0], namer)}"
-    if isinstance(inst, SwitchInst):
+    if inst.KIND == "switch":
         cases = " ".join(
             f"{format_typed(v, namer)}, {format_typed(b, namer)}"
             for v, b in inst.cases())
         return (f"switch {format_typed(inst.value, namer)}, "
                 f"{format_typed(inst.default, namer)} [ {cases} ]")
-    if isinstance(inst, UnreachableInst):
+    if inst.KIND == "unreachable":
         return "unreachable"
-    if isinstance(inst, PhiNode):
+    if inst.KIND == "phi":
         incoming = ", ".join(
             f"[ {format_value(v, namer)}, %{namer.block_label(b)} ]"
             for v, b in inst.incoming())
@@ -190,7 +187,7 @@ class _Namer:
             else:
                 self._names[id(block)] = fresh()
             for inst in block.instructions:
-                if inst.type.is_void():
+                if inst.type.IS_VOID:
                     continue
                 self._names[id(inst)] = inst.name or fresh()
 

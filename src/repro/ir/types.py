@@ -5,6 +5,11 @@ mutations exercise: arbitrary-bitwidth integers (``i1`` .. ``i128``),
 opaque pointers (``ptr``), ``void``, labels (basic-block references), and
 function types.  Types are interned so identity comparison (``is``) works,
 matching how LLVM contexts unique their types.
+
+What a type *is* is a class constant (``IS_INTEGER``, ``IS_POINTER``,
+``IS_VOID``, ...), and an integer type's ``width`` and ``mask`` are plain
+attributes: hot code reads them instead of calling a predicate or a
+property (DESIGN §3, "IR classification and dispatch").
 """
 
 from __future__ import annotations
@@ -16,32 +21,27 @@ MAX_INT_BITS = 128
 
 
 class Type:
-    """Base class for all IR types."""
+    """Base class for all IR types.
 
-    def is_integer(self) -> bool:
-        return isinstance(self, IntType)
+    The ``IS_*`` constants classify a type by its class; each subclass
+    sets its own.  First-class types (integers and pointers) are the ones
+    instructions can produce and pass around.
+    """
 
-    def is_pointer(self) -> bool:
-        return isinstance(self, PtrType)
-
-    def is_void(self) -> bool:
-        return isinstance(self, VoidType)
-
-    def is_label(self) -> bool:
-        return isinstance(self, LabelType)
-
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
-
-    def is_first_class(self) -> bool:
-        """First-class types can be produced by instructions and passed around."""
-        return self.is_integer() or self.is_pointer()
+    IS_INTEGER = False
+    IS_POINTER = False
+    IS_VOID = False
+    IS_LABEL = False
+    IS_FUNCTION = False
+    IS_FIRST_CLASS = False
 
     def __str__(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
 
 
 class VoidType(Type):
+    IS_VOID = True
+
     _instance: "VoidType" = None
 
     def __new__(cls) -> "VoidType":
@@ -57,6 +57,8 @@ class VoidType(Type):
 
 
 class LabelType(Type):
+    IS_LABEL = True
+
     _instance: "LabelType" = None
 
     def __new__(cls) -> "LabelType":
@@ -72,7 +74,14 @@ class LabelType(Type):
 
 
 class IntType(Type):
-    """An integer type of a fixed bit width (``iN``)."""
+    """An integer type of a fixed bit width (``iN``).
+
+    ``width`` and ``mask`` (all ones at this width) are plain attributes
+    of the interned instance.
+    """
+
+    IS_INTEGER = True
+    IS_FIRST_CLASS = True
 
     _cache: Dict[int, "IntType"] = {}
 
@@ -83,36 +92,28 @@ class IntType(Type):
         if cached is not None:
             return cached
         instance = super().__new__(cls)
-        instance._width = width
+        instance.width = width
+        instance.mask = (1 << width) - 1
         cls._cache[width] = instance
         return instance
 
     @property
-    def width(self) -> int:
-        return self._width
-
-    @property
-    def mask(self) -> int:
-        """All-ones bit mask for this width."""
-        return (1 << self._width) - 1
-
-    @property
     def signed_min(self) -> int:
-        return -(1 << (self._width - 1))
+        return -(1 << (self.width - 1))
 
     @property
     def signed_max(self) -> int:
-        return (1 << (self._width - 1)) - 1
+        return (1 << (self.width - 1)) - 1
 
     @property
     def unsigned_max(self) -> int:
         return self.mask
 
     def __str__(self) -> str:
-        return f"i{self._width}"
+        return f"i{self.width}"
 
     def __repr__(self) -> str:
-        return f"IntType({self._width})"
+        return f"IntType({self.width})"
 
 
 class PtrType(Type):
@@ -121,6 +122,9 @@ class PtrType(Type):
     Typed-pointer syntax such as ``i32*`` is accepted by the parser but is
     normalized to the opaque pointer type, just like contemporary LLVM.
     """
+
+    IS_POINTER = True
+    IS_FIRST_CLASS = True
 
     _instance: "PtrType" = None
 
@@ -138,6 +142,8 @@ class PtrType(Type):
 
 class FunctionType(Type):
     """A function signature: return type plus parameter types."""
+
+    IS_FUNCTION = True
 
     _cache: Dict[Tuple, "FunctionType"] = {}
 

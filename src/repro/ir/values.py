@@ -4,6 +4,12 @@ Every operand edge in the IR is a :class:`Use` that is registered on the
 used value, so ``replace_all_uses_with`` and the mutation engine's
 "who uses this value" queries are O(uses), like LLVM's use lists.
 Constants are the exception: they keep no use list (see :class:`Constant`).
+
+Every value class carries its classification as class constants
+(:attr:`Value.KIND` and the ``IS_*`` flags), so hot code classifies a
+value by reading an attribute, the way LLVM's ``isa<>`` tests a per-class
+ID, instead of calling ``isinstance`` (DESIGN §3, "IR classification and
+dispatch").
 """
 
 from __future__ import annotations
@@ -33,9 +39,25 @@ class Use:
 
 
 class Value:
-    """Base class of everything that can be used as an operand."""
+    """Base class of everything that can be used as an operand.
+
+    Class constants, set by each subclass and never per instance:
+
+    * ``KIND`` names the concrete class: ``"int"`` for
+      :class:`ConstantInt`, ``"poison"``, ``"undef"``, ``"null"``,
+      ``"function"``, ``"argument"``, ``"block"``, and one kind per
+      instruction class (``"binop"``, ``"icmp"``, ``"phi"``, ...).
+      ``value.KIND == "int"`` is ``isinstance(value, ConstantInt)``.
+    * ``IS_CONSTANT``, ``IS_INSTRUCTION`` and ``IS_TERMINATOR`` test
+      membership of a group of classes.
+    """
 
     __slots__ = ("type", "name", "_uses")
+
+    KIND = "value"
+    IS_CONSTANT = False
+    IS_INSTRUCTION = False
+    IS_TERMINATOR = False
 
     def __init__(self, type: Type, name: str = "") -> None:
         self.type = type
@@ -75,9 +97,6 @@ class Value:
             return
         for use in list(self._uses):
             use.set(new_value)
-
-    def is_constant(self) -> bool:
-        return isinstance(self, Constant)
 
     def short_name(self) -> str:
         """A human-readable handle for diagnostics."""
@@ -148,6 +167,8 @@ class Constant(Value):
 
     __slots__ = ()
 
+    IS_CONSTANT = True
+
     def __init__(self, type: Type, name: str = "") -> None:
         self.type = type
         self.name = name
@@ -163,8 +184,10 @@ class ConstantInt(Constant):
 
     __slots__ = ("value",)
 
+    KIND = "int"
+
     def __init__(self, type: IntType, value: int) -> None:
-        if not isinstance(type, IntType):
+        if not type.IS_INTEGER:
             raise TypeError(f"ConstantInt requires an integer type, got {type}")
         super().__init__(type)
         self.value = value & type.mask
@@ -205,6 +228,8 @@ class UndefValue(Constant):
 
     __slots__ = ()
 
+    KIND = "undef"
+
     def __repr__(self) -> str:
         return f"UndefValue({self.type})"
 
@@ -214,6 +239,8 @@ class PoisonValue(Constant):
 
     __slots__ = ()
 
+    KIND = "poison"
+
     def __repr__(self) -> str:
         return f"PoisonValue({self.type})"
 
@@ -222,6 +249,8 @@ class ConstantPointerNull(Constant):
     """The ``null`` pointer constant."""
 
     __slots__ = ()
+
+    KIND = "null"
 
     def __init__(self) -> None:
         super().__init__(PtrType())
@@ -234,6 +263,8 @@ class Argument(Value):
     """A formal function parameter."""
 
     __slots__ = ("parent", "index", "attributes")
+
+    KIND = "argument"
 
     def __init__(self, type: Type, name: str = "", parent=None, index: int = -1) -> None:
         from .attributes import AttributeSet
@@ -255,21 +286,24 @@ def same_value(a: "Value", b: "Value") -> bool:
     """
     if a is b:
         return True
-    if isinstance(a, ConstantInt) and isinstance(b, ConstantInt):
+    kind = a.KIND
+    if kind != b.KIND:
+        return False
+    if kind == "int":
         return a.type is b.type and a.value == b.value
-    if isinstance(a, ConstantPointerNull) and isinstance(b, ConstantPointerNull):
-        return True
-    return False
+    return kind == "null"
 
 
 def constant_to_key(value: Constant):
     """A hashable structural key for a constant (used by GVN/CSE)."""
-    if isinstance(value, ConstantInt):
-        return ("int", value.type.width, value.value)
-    if isinstance(value, UndefValue):
-        return ("undef", str(value.type))
-    if isinstance(value, PoisonValue):
-        return ("poison", str(value.type))
-    if isinstance(value, ConstantPointerNull):
-        return ("null",)
-    return ("const", id(value))
+    return _CONSTANT_KEYS[value.KIND](value)
+
+
+# By constant kind; any other constant (a function) is keyed by identity.
+_CONSTANT_KEYS = {
+    "int": lambda value: ("int", value.type.width, value.value),
+    "undef": lambda value: ("undef", str(value.type)),
+    "poison": lambda value: ("poison", str(value.type)),
+    "null": lambda value: ("null",),
+    "function": lambda value: ("const", id(value)),
+}

@@ -11,14 +11,10 @@ from typing import List
 from .basicblock import BasicBlock
 from .domtree import DominatorTree
 from .function import Function
-from .instructions import (BinaryOperator, BrInst, CallInst, CastInst,
-                           EXACT_FLAG_OPCODES, GEPInst, ICmpInst, Instruction,
-                           LoadInst, PhiNode, RetInst, SelectInst, StoreInst,
-                           SwitchInst, WRAPPING_FLAG_OPCODES)
+from .instructions import (CallInst, EXACT_FLAG_OPCODES, Instruction,
+                           WRAPPING_FLAG_OPCODES)
 from .intrinsics import intrinsic_base_name, lookup as lookup_intrinsic
 from .module import Module
-from .types import IntType
-from .values import ConstantInt
 
 
 class VerificationError(Exception):
@@ -74,9 +70,9 @@ def collect_function_errors(function: Function) -> List[str]:
         for i, inst in enumerate(block.instructions):
             if inst.parent is not block:
                 errors.append(f"{where}/{block_name}: instruction with wrong parent")
-            if inst.is_terminator() and i != len(block.instructions) - 1:
+            if inst.IS_TERMINATOR and i != len(block.instructions) - 1:
                 errors.append(f"{where}/{block_name}: terminator mid-block")
-            if isinstance(inst, PhiNode) and i > block.first_non_phi_index():
+            if inst.KIND == "phi" and i > block.first_non_phi_index():
                 errors.append(f"{where}/{block_name}: phi after non-phi")
             errors.extend(_check_instruction(function, block, inst))
 
@@ -97,79 +93,81 @@ def _check_instruction(function: Function, block: BasicBlock,
     def err(message: str) -> None:
         errors.append(f"{where}: {message}")
 
-    if isinstance(inst, BinaryOperator):
-        if not isinstance(inst.type, IntType):
+    if inst.KIND == "binop":
+        if not inst.type.IS_INTEGER:
             err("binary operator on non-integer type")
-        elif inst.lhs.type is not inst.type or inst.rhs.type is not inst.type:
+        elif inst.operands[0].type is not inst.type \
+                or inst.operands[1].type is not inst.type:
             err("operand types do not match result type")
         if (inst.nuw or inst.nsw) and inst.opcode not in WRAPPING_FLAG_OPCODES:
             err(f"nuw/nsw flag on '{inst.opcode}'")
         if inst.exact and inst.opcode not in EXACT_FLAG_OPCODES:
             err(f"exact flag on '{inst.opcode}'")
-    elif isinstance(inst, ICmpInst):
-        if inst.lhs.type is not inst.rhs.type:
+    elif inst.KIND == "icmp":
+        lhs, rhs = inst.operands
+        if lhs.type is not rhs.type:
             err("icmp operand types differ")
-        if not (inst.lhs.type.is_integer() or inst.lhs.type.is_pointer()):
+        if not (lhs.type.IS_INTEGER or lhs.type.IS_POINTER):
             err("icmp on non-integer, non-pointer type")
-    elif isinstance(inst, SelectInst):
-        if not (isinstance(inst.condition.type, IntType)
+    elif inst.KIND == "select":
+        if not (inst.condition.type.IS_INTEGER
                 and inst.condition.type.width == 1):
             err("select condition is not i1")
         if inst.true_value.type is not inst.false_value.type:
             err("select arms have different types")
         if inst.type is not inst.true_value.type:
             err("select result type mismatch")
-    elif isinstance(inst, CastInst):
+    elif inst.KIND == "cast":
         src, dst = inst.src_type, inst.type
-        if not (isinstance(src, IntType) and isinstance(dst, IntType)):
+        if not (src.IS_INTEGER and dst.IS_INTEGER):
             err("cast between non-integer types")
         elif inst.opcode == "trunc" and not src.width > dst.width:
             err("trunc must narrow")
         elif inst.opcode in ("zext", "sext") and not src.width < dst.width:
             err(f"{inst.opcode} must widen")
-    elif isinstance(inst, LoadInst):
-        if not inst.pointer.type.is_pointer():
+    elif inst.KIND == "load":
+        if not inst.pointer.type.IS_POINTER:
             err("load pointer operand is not a pointer")
-        if not inst.type.is_first_class():
+        if not inst.type.IS_FIRST_CLASS:
             err("load of non-first-class type")
-    elif isinstance(inst, StoreInst):
-        if not inst.pointer.type.is_pointer():
+    elif inst.KIND == "store":
+        if not inst.pointer.type.IS_POINTER:
             err("store pointer operand is not a pointer")
-        if not inst.value.type.is_first_class():
+        if not inst.value.type.IS_FIRST_CLASS:
             err("store of non-first-class type")
-    elif isinstance(inst, GEPInst):
-        if not inst.pointer.type.is_pointer():
+    elif inst.KIND == "gep":
+        if not inst.pointer.type.IS_POINTER:
             err("gep pointer operand is not a pointer")
         for index in inst.indices:
-            if not isinstance(index.type, IntType):
+            if not index.type.IS_INTEGER:
                 err("gep index is not an integer")
-    elif isinstance(inst, CallInst):
+    elif inst.KIND == "call":
         errors.extend(_check_call(function, inst))
-    elif isinstance(inst, RetInst):
-        if function.return_type.is_void():
+    elif inst.KIND == "ret":
+        if function.return_type.IS_VOID:
             if inst.return_value is not None:
                 err("ret with value in void function")
         elif inst.return_value is None:
             err("ret void in non-void function")
         elif inst.return_value.type is not function.return_type:
             err("ret value type does not match function return type")
-    elif isinstance(inst, BrInst):
+    elif inst.KIND == "br":
         if inst.is_conditional():
             condition = inst.condition
-            if not (isinstance(condition.type, IntType)
+            if not (condition.type.IS_INTEGER
                     and condition.type.width == 1):
                 err("br condition is not i1")
         for successor in inst.successors():
-            if not isinstance(successor, BasicBlock):
+            if successor.KIND != "block":
                 err("br target is not a block")
             elif successor.parent is not function:
                 err("br target belongs to a different function")
-    elif isinstance(inst, SwitchInst):
-        if not isinstance(inst.value.type, IntType):
+    elif inst.KIND == "switch":
+        if not inst.value.type.IS_INTEGER:
             err("switch on non-integer value")
         seen = set()
         for case_value, case_block in inst.cases():
-            if not isinstance(case_value, ConstantInt):
+            if case_value.KIND != "int":
                 err("switch case value is not a constant int")
                 continue
             if case_value.type is not inst.value.type:
@@ -213,7 +211,7 @@ def _check_ssa(function: Function, domtree: DominatorTree) -> List[str]:
             continue
         for inst in block.instructions:
             for operand_index, operand in enumerate(inst.operands):
-                if isinstance(operand, Instruction):
+                if operand.IS_INSTRUCTION:
                     if operand.parent is None or operand.function is not function:
                         errors.append(
                             f"@{function.name}: %{inst.name or '?'} uses a "
@@ -224,7 +222,7 @@ def _check_ssa(function: Function, domtree: DominatorTree) -> List[str]:
                             f"@{function.name}: use of %{operand.name or '?'} in "
                             f"%{inst.name or inst.opcode} is not dominated by "
                             "its definition")
-                elif isinstance(operand, BasicBlock):
+                elif operand.KIND == "block":
                     if operand.parent is not function:
                         errors.append(
                             f"@{function.name}: reference to foreign block")

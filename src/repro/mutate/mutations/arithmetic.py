@@ -14,9 +14,7 @@ from typing import List, Tuple
 from ...analysis.overlay import MutantOverlay
 from ...ir.instructions import (BINARY_OPCODES, BinaryOperator,
                                 EXACT_FLAG_OPCODES, ICMP_PREDICATES,
-                                ICmpInst, Instruction, SwitchInst,
-                                WRAPPING_FLAG_OPCODES)
-from ...ir.values import ConstantInt
+                                Instruction, WRAPPING_FLAG_OPCODES)
 from ..primitives import random_constant
 from ..rng import MutationRNG
 
@@ -39,14 +37,14 @@ def _binop_scan(function) -> List[tuple]:
     return [(bi, ii)
             for bi, block in enumerate(function.blocks)
             for ii, inst in enumerate(block.instructions)
-            if isinstance(inst, BinaryOperator)]
+            if inst.KIND == "binop"]
 
 
 def _icmp_scan(function) -> List[tuple]:
     return [(bi, ii)
             for bi, block in enumerate(function.blocks)
             for ii, inst in enumerate(block.instructions)
-            if isinstance(inst, ICmpInst)]
+            if inst.KIND == "icmp"]
 
 
 def _binops(overlay: MutantOverlay) -> List[BinaryOperator]:
@@ -118,10 +116,10 @@ def _constant_scan(function) -> List[tuple]:
     sites: List[tuple] = []
     for bi, block in enumerate(function.blocks):
         for ii, inst in enumerate(block.instructions):
-            if isinstance(inst, SwitchInst):
+            if inst.KIND == "switch":
                 continue
             for index, operand in enumerate(inst.operands):
-                if isinstance(operand, ConstantInt):
+                if operand.KIND == "int":
                     sites.append((bi, ii, index))
     return sites
 

@@ -43,7 +43,7 @@ def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:
         return True
 
     argument = rng.choice(function.arguments)
-    if argument.type.is_pointer():
+    if argument.type.IS_POINTER:
         if rng.chance(0.3):
             # Toggle a dereferenceable(N) guarantee.
             if argument.attributes.has("dereferenceable"):
@@ -55,7 +55,7 @@ def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:
         name = rng.choice(TOGGLEABLE_POINTER_ATTRIBUTES)
         argument.attributes.toggle(Attribute(name))
         return True
-    if argument.type.is_integer():
+    if argument.type.IS_INTEGER:
         name = rng.choice(TOGGLEABLE_INT_ATTRIBUTES)
         argument.attributes.toggle(Attribute(name))
         return True

@@ -39,7 +39,7 @@ def _resize(builder: IRBuilder, value: Value, new_type: IntType,
     old_width = value.type.width
     if old_width == new_type.width:
         return value
-    if isinstance(value, ConstantInt):
+    if value.KIND == "int":
         # Fold constant resizes directly so the retargeted instruction
         # keeps a literal operand (as in the paper's Listing 13).
         if old_width > new_type.width or not rng.chance(0.5):

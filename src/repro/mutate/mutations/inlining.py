@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 from ...analysis.overlay import MutantOverlay
 from ...ir.function import Function
-from ...ir.instructions import CallInst, RetInst
+from ...ir.instructions import CallInst
 from ...ir.values import Value
 from ..primitives import random_dominating_value
 from ..rng import MutationRNG
@@ -26,7 +26,7 @@ def _inlinable(function: Function) -> bool:
     if function.is_declaration() or len(function.blocks) != 1:
         return False
     terminator = function.blocks[0].terminator()
-    return isinstance(terminator, RetInst)
+    return terminator is not None and terminator.KIND == "ret"
 
 
 def _signature_compatible(call: CallInst, candidate: Function) -> bool:
@@ -41,8 +41,8 @@ def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:
     module = function.parent
     if module is None:
         return False
-    calls = [inst for inst in function.instructions()
-             if isinstance(inst, CallInst) and not inst.is_intrinsic()]
+    calls = [inst for block in function.blocks for inst in block.instructions
+             if inst.KIND == "call" and not inst.is_intrinsic()]
     call = rng.maybe_choice(calls)
     if call is None:
         return False
@@ -68,7 +68,7 @@ def _inline_body(call: CallInst, callee: Function, overlay: MutantOverlay,
     insert_at = block.index_of(call)
     return_value: Optional[Value] = None
     for inst in callee.blocks[0].instructions:
-        if isinstance(inst, RetInst):
+        if inst.KIND == "ret":
             value = inst.return_value
             if value is not None:
                 return_value = value_map.get(value, value)
@@ -76,12 +76,12 @@ def _inline_body(call: CallInst, callee: Function, overlay: MutantOverlay,
         cloned = inst.copy_with([value_map.get(value, value)
                                  for value in inst.operands])
         cloned.name = call.parent.parent.next_temp_name() \
-            if cloned.type.is_first_class() else ""
+            if cloned.type.IS_FIRST_CLASS else ""
         block.insert(insert_at, cloned)
         insert_at += 1
         value_map[inst] = cloned
 
-    if call.type.is_void():
+    if call.type.IS_VOID:
         call.erase_from_parent()
         return
     if return_value is not None and return_value.type is call.type:

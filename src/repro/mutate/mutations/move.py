@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List
 
 from ...analysis.overlay import MutantOverlay
-from ...ir.instructions import Instruction, PhiNode
+from ...ir.instructions import Instruction
 from ..primitives import replace_operand_with_dominating
 from ..rng import MutationRNG
 
@@ -60,14 +60,14 @@ def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:
                    if inst is not victim
                    and new_index < block.index_of(inst) <= old_index}
         for index, operand in enumerate(list(victim.operands)):
-            if isinstance(operand, Instruction) and id(operand) in crossed:
+            if operand.IS_INSTRUCTION and id(operand) in crossed:
                 replace_operand_with_dominating(overlay, victim, index, rng)
     else:
         # Moved down: users between the old and new position lose their
         # dominating definition.
         for use in victim.uses:
             user = use.user
-            if isinstance(user, PhiNode) or user.parent is not block:
+            if user.KIND == "phi" or user.parent is not block:
                 continue
             user_index = block.index_of(user)
             if old_index <= user_index < block.index_of(victim):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import List
 
 from ...analysis.overlay import MutantOverlay
-from ...ir.instructions import CallInst
 from ..rng import MutationRNG
 
 
@@ -18,7 +17,7 @@ def _void_call_scan(function) -> List[tuple]:
     return [(bi, ii)
             for bi, block in enumerate(function.blocks)
             for ii, inst in enumerate(block.instructions)
-            if isinstance(inst, CallInst) and inst.type.is_void()
+            if inst.KIND == "call" and inst.type.IS_VOID
             and inst.intrinsic_name() != "llvm.assume"]
 
 
@@ -26,7 +25,7 @@ def _any_void_call_scan(function) -> List[tuple]:
     return [(bi, ii)
             for bi, block in enumerate(function.blocks)
             for ii, inst in enumerate(block.instructions)
-            if isinstance(inst, CallInst) and inst.type.is_void()]
+            if inst.KIND == "call" and inst.type.IS_VOID]
 
 
 def apply(overlay: MutantOverlay, rng: MutationRNG) -> bool:

@@ -10,8 +10,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ...analysis.overlay import MutantOverlay
-from ...ir.basicblock import BasicBlock
-from ...ir.instructions import BrInst, Instruction, PhiNode, SwitchInst
+from ...ir.instructions import Instruction
 from ..primitives import replace_operand_with_dominating
 from ..rng import MutationRNG
 
@@ -20,16 +19,17 @@ def _use_scan(function) -> List[tuple]:
     sites: List[tuple] = []
     for bi, block in enumerate(function.blocks):
         for ii, inst in enumerate(block.instructions):
-            if isinstance(inst, SwitchInst):
+            kind = inst.KIND
+            if kind == "switch":
                 continue  # case constants / labels: structural constraints
             for index, operand in enumerate(inst.operands):
-                if isinstance(operand, BasicBlock):
+                if operand.KIND == "block":
                     continue
-                if isinstance(inst, PhiNode) and index % 2 == 1:
+                if kind == "phi" and index % 2 == 1:
                     continue
-                if isinstance(inst, BrInst) and index > 0:
+                if kind == "br" and index > 0:
                     continue
-                if not operand.type.is_first_class():
+                if not operand.type.IS_FIRST_CLASS:
                     continue
                 sites.append((bi, ii, index))
     return sites

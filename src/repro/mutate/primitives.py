@@ -50,14 +50,14 @@ def random_dominating_value(overlay: MutantOverlay, anchor: Instruction,
     existing = overlay.dominating_values_at(block, block.index_of(anchor), type)
     if existing and roll < 0.55:
         return rng.choice(existing)
-    if isinstance(type, IntType):
+    if type.IS_INTEGER:
         if roll < 0.75 or depth >= MAX_RECURSION:
             return random_constant(type, overlay, rng, allow_undef)
         fresh = _random_instruction(overlay, anchor, type, rng, depth)
         if fresh is not None:
             return fresh
         return random_constant(type, overlay, rng, allow_undef)
-    if type.is_pointer():
+    if type.IS_POINTER:
         if allow_undef and rng.chance(UNDEF_PROBABILITY):
             return UndefValue(type)
         if roll < 0.8 and not overlay.signature_is_frozen():
@@ -67,7 +67,7 @@ def random_dominating_value(overlay: MutantOverlay, anchor: Instruction,
         return _fresh_parameter(overlay, type)
     if existing:
         return rng.choice(existing)
-    if isinstance(type, IntType):
+    if type.IS_INTEGER:
         return random_constant(type, overlay, rng, allow_undef)
     return ConstantPointerNull()
 
@@ -141,15 +141,14 @@ def replace_operand_with_dominating(overlay: MutantOverlay,
                                     rng: MutationRNG) -> bool:
     """Replace one operand of ``inst`` using the primitive (the §IV-F
     use mutation)."""
-    from ..ir.instructions import PhiNode
 
     if inst.parent is None:
         return False
     operand = inst.operands[operand_index]
-    if not operand.type.is_first_class():
+    if not operand.type.IS_FIRST_CLASS:
         return False
     anchor: Instruction = inst
-    if isinstance(inst, PhiNode):
+    if inst.KIND == "phi":
         if operand_index % 2 == 1:
             return False  # the block operand of an incoming edge
         # A phi value must dominate the END of its incoming block, and

@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..ir.instructions import (BINARY_OPCODES, CAST_OPCODES, BinaryOperator,
                                CallInst, CastInst, ICmpInst, Instruction,
-                               SelectInst)
+                               SelectInst, opcode_table)
 from ..ir.types import IntType
 from ..ir.values import Constant, ConstantInt, PoisonValue
 
@@ -38,13 +38,13 @@ def fold_binary(opcode: str, lhs: Constant, rhs: Constant, width: int,
                 exact: bool = False) -> Optional[Constant]:
     """Fold a binary op over constants; None when it must not fold."""
     int_ty = IntType(width)
+    lhs_kind, rhs_kind = lhs.KIND, rhs.KIND
     if opcode in ("udiv", "sdiv", "urem", "srem") and (
-            isinstance(rhs, PoisonValue)
-            or isinstance(rhs, ConstantInt) and rhs.value == 0):
+            rhs_kind == "poison" or rhs_kind == "int" and rhs.value == 0):
         return None  # a poison or zero divisor is UB, whatever the dividend
-    if isinstance(lhs, PoisonValue) or isinstance(rhs, PoisonValue):
+    if lhs_kind == "poison" or rhs_kind == "poison":
         return PoisonValue(int_ty)
-    if not (isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt)):
+    if not (lhs_kind == "int" and rhs_kind == "int"):
         return None
 
     a, b = lhs.value, rhs.value
@@ -112,9 +112,9 @@ def fold_binary(opcode: str, lhs: Constant, rhs: Constant, width: int,
 def fold_icmp(predicate: str, lhs: Constant, rhs: Constant,
               width: int) -> Optional[Constant]:
     bool_ty = IntType(1)
-    if isinstance(lhs, PoisonValue) or isinstance(rhs, PoisonValue):
+    if lhs.KIND == "poison" or rhs.KIND == "poison":
         return PoisonValue(bool_ty)
-    if not (isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt)):
+    if not (lhs.KIND == "int" and rhs.KIND == "int"):
         return None
     a, b = lhs.value, rhs.value
     if predicate in ("sgt", "sge", "slt", "sle"):
@@ -130,9 +130,9 @@ def fold_icmp(predicate: str, lhs: Constant, rhs: Constant,
 def fold_cast(opcode: str, value: Constant, src_width: int,
               dst_width: int) -> Optional[Constant]:
     int_ty = IntType(dst_width)
-    if isinstance(value, PoisonValue):
+    if value.KIND == "poison":
         return PoisonValue(int_ty)
-    if not isinstance(value, ConstantInt):
+    if value.KIND != "int":
         return None
     if opcode == "trunc":
         return ConstantInt(int_ty, value.value)
@@ -147,9 +147,9 @@ def fold_cast(opcode: str, value: Constant, src_width: int,
 def fold_intrinsic(base_name: str, args, width: int) -> Optional[Constant]:
     """Fold an integer intrinsic over fully-constant arguments."""
     int_ty = IntType(width)
-    if any(isinstance(a, PoisonValue) for a in args):
+    if any(a.KIND == "poison" for a in args):
         return PoisonValue(int_ty)
-    if not all(isinstance(a, ConstantInt) for a in args):
+    if not all(a.KIND == "int" for a in args):
         return None
     values = [a.value for a in args]
     mask = (1 << width) - 1
@@ -201,59 +201,60 @@ def _clamp_signed(value: int, width: int) -> int:
 
 
 def _fold_binary_inst(inst: BinaryOperator) -> Optional[Constant]:
-    if isinstance(inst.lhs, Constant) and isinstance(inst.rhs, Constant):
-        return fold_binary(inst.opcode, inst.lhs, inst.rhs,
-                           inst.type.width, nuw=inst.nuw, nsw=inst.nsw,
-                           exact=inst.exact)
+    lhs, rhs = inst.operands
+    if lhs.IS_CONSTANT and rhs.IS_CONSTANT:
+        return fold_binary(inst.opcode, lhs, rhs, inst.type.width,
+                           nuw=inst.nuw, nsw=inst.nsw, exact=inst.exact)
     return None
 
 
 def _fold_icmp_inst(inst: ICmpInst) -> Optional[Constant]:
-    if isinstance(inst.lhs, Constant) and isinstance(inst.rhs, Constant) \
-            and isinstance(inst.lhs.type, IntType):
-        return fold_icmp(inst.predicate, inst.lhs, inst.rhs,
-                         inst.lhs.type.width)
+    lhs, rhs = inst.operands
+    if lhs.IS_CONSTANT and rhs.IS_CONSTANT and lhs.type.IS_INTEGER:
+        return fold_icmp(inst.predicate, lhs, rhs, lhs.type.width)
     return None
 
 
 def _fold_cast_inst(inst: CastInst) -> Optional[Constant]:
-    if isinstance(inst.value, Constant):
-        return fold_cast(inst.opcode, inst.value, inst.src_type.width,
+    value = inst.operands[0]
+    if value.IS_CONSTANT:
+        return fold_cast(inst.opcode, value, value.type.width,
                          inst.type.width)
     return None
 
 
 def _fold_select_inst(inst: SelectInst) -> Optional[Constant]:
-    condition = inst.condition
-    if isinstance(condition, PoisonValue):
+    condition, true_value, false_value = inst.operands
+    if condition.KIND == "poison":
         return PoisonValue(inst.type)
-    if isinstance(condition, ConstantInt):
-        chosen = inst.true_value if condition.value else inst.false_value
-        return chosen if isinstance(chosen, Constant) else None
+    if condition.KIND == "int":
+        chosen = true_value if condition.value else false_value
+        return chosen if chosen.IS_CONSTANT else None
     return None
 
 
 def _fold_call_inst(inst: CallInst) -> Optional[Constant]:
-    if inst.is_intrinsic() and isinstance(inst.type, IntType) \
-            and all(isinstance(a, Constant) for a in inst.args):
-        return fold_intrinsic(inst.intrinsic_name(), inst.args,
-                              inst.type.width)
+    if inst.is_intrinsic() and inst.type.IS_INTEGER:
+        args = inst.args
+        if all(a.IS_CONSTANT for a in args):
+            return fold_intrinsic(inst.intrinsic_name(), args,
+                                  inst.type.width)
     return None
 
 
-# Opcode-keyed dispatch (see repro.opt.rewrite): each opcode names exactly
-# one instruction class, so the per-class isinstance chain collapses into
-# one dict probe and instructions with no folder (phi, load, br, ...) are
-# rejected without trying any of them.
-_FOLDERS = {"icmp": _fold_icmp_inst, "select": _fold_select_inst,
-            "call": _fold_call_inst}
-for _opcode in BINARY_OPCODES:
-    _FOLDERS[_opcode] = _fold_binary_inst
-for _opcode in CAST_OPCODES:
-    _FOLDERS[_opcode] = _fold_cast_inst
+# Opcode-keyed dispatch: each opcode names exactly one instruction class,
+# so one table subscription picks the folder; instructions with no folder
+# (phi, load, br, ...) map to None.
+_FOLDERS = opcode_table(None, {
+    **dict.fromkeys(BINARY_OPCODES, _fold_binary_inst),
+    "icmp": _fold_icmp_inst,
+    **dict.fromkeys(CAST_OPCODES, _fold_cast_inst),
+    "select": _fold_select_inst,
+    "call": _fold_call_inst,
+})
 
 
 def fold_instruction(inst: Instruction) -> Optional[Constant]:
     """Fold a whole instruction if its operands allow it."""
-    folder = _FOLDERS.get(inst.opcode)
-    return folder(inst) if folder is not None else None
+    folder = _FOLDERS[inst.opcode]
+    return None if folder is None else folder(inst)

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..ir.instructions import (BinaryOperator, CallInst, CastInst, ICmpInst,
-                               SelectInst)
-from ..ir.values import ConstantInt, PoisonValue, UndefValue, Value
+from ..ir.values import ConstantInt, Value
 
 Matcher = Callable[[Value], bool]
 
@@ -41,7 +39,7 @@ class ConstCapture:
         self.constant: Optional[ConstantInt] = None
 
     def __call__(self, value: Value) -> bool:
-        if isinstance(value, ConstantInt):
+        if value.KIND == "int":
             self.constant = value
             return True
         return False
@@ -71,13 +69,13 @@ def m_specific(expected: Value) -> Matcher:
 
 def m_constant_int(capture: Optional[ConstCapture] = None) -> Matcher:
     if capture is None:
-        return lambda value: isinstance(value, ConstantInt)
+        return lambda value: value.KIND == "int"
     return capture
 
 
 def m_specific_int(number: int) -> Matcher:
     def match(value: Value) -> bool:
-        return (isinstance(value, ConstantInt)
+        return (value.KIND == "int"
                 and value.value == number & value.type.mask)
     return match
 
@@ -92,13 +90,13 @@ def m_one() -> Matcher:
 
 def m_all_ones() -> Matcher:
     def match(value: Value) -> bool:
-        return isinstance(value, ConstantInt) and value.is_all_ones()
+        return value.KIND == "int" and value.is_all_ones()
     return match
 
 
 def m_power_of_two(capture: Optional[ConstCapture] = None) -> Matcher:
     def match(value: Value) -> bool:
-        if not isinstance(value, ConstantInt):
+        if value.KIND != "int":
             return False
         if value.value == 0 or value.value & (value.value - 1):
             return False
@@ -109,19 +107,19 @@ def m_power_of_two(capture: Optional[ConstCapture] = None) -> Matcher:
 
 
 def m_undef() -> Matcher:
-    return lambda value: isinstance(value, UndefValue)
+    return lambda value: value.KIND == "undef"
 
 
 def m_poison() -> Matcher:
-    return lambda value: isinstance(value, PoisonValue)
+    return lambda value: value.KIND == "poison"
 
 
 def m_binop(opcode: str, lhs: Matcher, rhs: Matcher,
             capture: Optional[Capture] = None) -> Matcher:
     def match(value: Value) -> bool:
-        if not isinstance(value, BinaryOperator) or value.opcode != opcode:
+        if value.KIND != "binop" or value.opcode != opcode:
             return False
-        if lhs(value.lhs) and rhs(value.rhs):
+        if lhs(value.operands[0]) and rhs(value.operands[1]):
             if capture is not None:
                 capture.value = value
             return True
@@ -132,11 +130,11 @@ def m_binop(opcode: str, lhs: Matcher, rhs: Matcher,
 def m_c_binop(opcode: str, lhs: Matcher, rhs: Matcher) -> Matcher:
     """Commutative match: tries both operand orders."""
     def match(value: Value) -> bool:
-        if not isinstance(value, BinaryOperator) or value.opcode != opcode:
+        if value.KIND != "binop" or value.opcode != opcode:
             return False
-        if lhs(value.lhs) and rhs(value.rhs):
+        if lhs(value.operands[0]) and rhs(value.operands[1]):
             return True
-        return lhs(value.rhs) and rhs(value.lhs)
+        return lhs(value.operands[1]) and rhs(value.operands[0])
     return match
 
 
@@ -179,12 +177,12 @@ def m_ashr(lhs: Matcher, rhs: Matcher) -> Matcher:
 def m_not(inner: Matcher) -> Matcher:
     """xor X, -1 in either operand order."""
     def match(value: Value) -> bool:
-        if not isinstance(value, BinaryOperator) or value.opcode != "xor":
+        if value.KIND != "binop" or value.opcode != "xor":
             return False
-        if isinstance(value.rhs, ConstantInt) and value.rhs.is_all_ones():
-            return inner(value.lhs)
-        if isinstance(value.lhs, ConstantInt) and value.lhs.is_all_ones():
-            return inner(value.rhs)
+        if value.operands[1].KIND == "int" and value.operands[1].is_all_ones():
+            return inner(value.operands[0])
+        if value.operands[0].KIND == "int" and value.operands[0].is_all_ones():
+            return inner(value.operands[1])
         return False
     return match
 
@@ -192,20 +190,20 @@ def m_not(inner: Matcher) -> Matcher:
 def m_neg(inner: Matcher) -> Matcher:
     """sub 0, X."""
     def match(value: Value) -> bool:
-        return (isinstance(value, BinaryOperator) and value.opcode == "sub"
-                and isinstance(value.lhs, ConstantInt)
-                and value.lhs.is_zero() and inner(value.rhs))
+        return (value.KIND == "binop" and value.opcode == "sub"
+                and value.operands[0].KIND == "int"
+                and value.operands[0].is_zero() and inner(value.operands[1]))
     return match
 
 
 def m_icmp(predicate: Optional[str], lhs: Matcher, rhs: Matcher,
            capture: Optional[Capture] = None) -> Matcher:
     def match(value: Value) -> bool:
-        if not isinstance(value, ICmpInst):
+        if value.KIND != "icmp":
             return False
         if predicate is not None and value.predicate != predicate:
             return False
-        if lhs(value.lhs) and rhs(value.rhs):
+        if lhs(value.operands[0]) and rhs(value.operands[1]):
             if capture is not None:
                 capture.value = value
             return True
@@ -216,7 +214,7 @@ def m_icmp(predicate: Optional[str], lhs: Matcher, rhs: Matcher,
 def m_select(condition: Matcher, true_value: Matcher,
              false_value: Matcher) -> Matcher:
     def match(value: Value) -> bool:
-        return (isinstance(value, SelectInst) and condition(value.condition)
+        return (value.KIND == "select" and condition(value.condition)
                 and true_value(value.true_value)
                 and false_value(value.false_value))
     return match
@@ -224,28 +222,28 @@ def m_select(condition: Matcher, true_value: Matcher,
 
 def m_zext(inner: Matcher) -> Matcher:
     def match(value: Value) -> bool:
-        return (isinstance(value, CastInst) and value.opcode == "zext"
+        return (value.KIND == "cast" and value.opcode == "zext"
                 and inner(value.value))
     return match
 
 
 def m_sext(inner: Matcher) -> Matcher:
     def match(value: Value) -> bool:
-        return (isinstance(value, CastInst) and value.opcode == "sext"
+        return (value.KIND == "cast" and value.opcode == "sext"
                 and inner(value.value))
     return match
 
 
 def m_trunc(inner: Matcher) -> Matcher:
     def match(value: Value) -> bool:
-        return (isinstance(value, CastInst) and value.opcode == "trunc"
+        return (value.KIND == "cast" and value.opcode == "trunc"
                 and inner(value.value))
     return match
 
 
 def m_intrinsic(base_name: str, *arg_matchers: Matcher) -> Matcher:
     def match(value: Value) -> bool:
-        if not isinstance(value, CallInst) or not value.is_intrinsic():
+        if value.KIND != "call" or not value.is_intrinsic():
             return False
         if value.intrinsic_name() != base_name:
             return False

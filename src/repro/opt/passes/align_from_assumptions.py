@@ -11,8 +11,6 @@ they are ("missing a corner case") and dies on e.g. ``align 123``.
 from __future__ import annotations
 
 from ...ir.function import Function
-from ...ir.instructions import CallInst, LoadInst, StoreInst
-from ...ir.values import ConstantInt
 from ..context import OptContext
 from ..pass_manager import FunctionPass, register_pass
 
@@ -25,35 +23,38 @@ def _is_power_of_two(value: int) -> bool:
 class AlignmentFromAssumptions(FunctionPass):
     def run_on_function(self, function: Function, ctx: OptContext) -> bool:
         changed = False
-        for inst in function.instructions():
-            if not (isinstance(inst, CallInst)
-                    and inst.intrinsic_name() == "llvm.assume"):
-                continue
-            for bundle in inst.bundles:
-                if bundle.tag != "align":
+        for block in function.blocks:
+            for inst in block.instructions:
+                if not (inst.KIND == "call"
+                        and inst.intrinsic_name() == "llvm.assume"):
                     continue
-                operands = inst.bundle_operands(bundle)
-                if len(operands) != 2:
-                    continue
-                pointer, align_value = operands
-                if not isinstance(align_value, ConstantInt):
-                    continue
-                align = align_value.value
-                if not _is_power_of_two(align):
-                    if ctx.bug_enabled("64687"):
-                        ctx.crash("64687", "AlignmentFromAssumptions assumed "
-                                           "all alignments are powers of two")
-                    continue  # the fixed behavior: skip the odd alignment
-                for use in pointer.uses:
-                    user = use.user
-                    if isinstance(user, LoadInst) and user.pointer is pointer:
-                        if user.align < align:
-                            user.align = align
-                            ctx.count("align-assume.load")
-                            changed = True
-                    elif isinstance(user, StoreInst) and user.pointer is pointer:
-                        if user.align < align:
-                            user.align = align
-                            ctx.count("align-assume.store")
-                            changed = True
+                for bundle in inst.bundles:
+                    if bundle.tag != "align":
+                        continue
+                    operands = inst.bundle_operands(bundle)
+                    if len(operands) != 2:
+                        continue
+                    pointer, align_value = operands
+                    if align_value.KIND != "int":
+                        continue
+                    align = align_value.value
+                    if not _is_power_of_two(align):
+                        if ctx.bug_enabled("64687"):
+                            ctx.crash("64687",
+                                      "AlignmentFromAssumptions assumed "
+                                      "all alignments are powers of two")
+                        continue  # the fixed behavior: skip the odd alignment
+                    for use in pointer.uses:
+                        user = use.user
+                        if user.KIND == "load" and user.operands[0] is pointer:
+                            if user.align < align:
+                                user.align = align
+                                ctx.count("align-assume.load")
+                                changed = True
+                        elif user.KIND == "store" \
+                                and user.operands[1] is pointer:
+                            if user.align < align:
+                                user.align = align
+                                ctx.count("align-assume.store")
+                                changed = True
         return changed

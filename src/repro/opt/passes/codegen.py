@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 from ...ir.builder import IRBuilder
 from ...ir.function import Function
 from ...ir.instructions import (BinaryOperator, CallInst, CastInst, FreezeInst,
-                                Instruction, SelectInst)
+                                Instruction)
 from ...ir.intrinsics import declare_intrinsic, supports_width
 from ...ir.types import IntType
 from ...ir.values import ConstantInt, PoisonValue, UndefValue, Value
@@ -55,7 +55,7 @@ class CodegenLowering(FunctionPass):
         if ctx.bug_enabled("58321"):
             for block in function.blocks:
                 for inst in list(block.instructions):
-                    if isinstance(inst, FreezeInst):
+                    if inst.KIND == "freeze":
                         replacement = self._lower_freeze(inst, ctx)
                         if replacement is not None:
                             replace_and_erase(inst, replacement)
@@ -80,19 +80,19 @@ class CodegenLowering(FunctionPass):
     # -- dispatch --------------------------------------------------------------
 
     def _lower(self, inst: Instruction, ctx: OptContext) -> Optional[Value]:
-        if isinstance(inst, CallInst):
+        if inst.KIND == "call":
             if inst.is_intrinsic():
                 return self._lower_intrinsic(inst, ctx)
             return self._check_libfunc(inst, ctx)
-        if isinstance(inst, CastInst) and inst.opcode == "zext" \
+        if inst.KIND == "cast" and inst.opcode == "zext" \
                 and inst.src_type.width == 1 and inst.type.width > 1:
             return self._lower_bool_zext(inst, ctx)
-        if isinstance(inst, BinaryOperator):
+        if inst.KIND == "binop":
             lowered = self._match_idioms(inst, ctx)
             if lowered is not None:
                 return lowered
             return self._promote_illegal_width(inst, ctx)
-        if isinstance(inst, FreezeInst):
+        if inst.KIND == "freeze":
             return self._lower_freeze(inst, ctx)
         return None
 
@@ -108,7 +108,7 @@ class CodegenLowering(FunctionPass):
             return self._expand_uadd_sat(inst, ctx)
         if base in ("llvm.fshl", "llvm.fshr"):
             if ctx.bug_enabled("56377") \
-                    and not isinstance(inst.args[2], ConstantInt):
+                    and inst.args[2].KIND != "int":
                 ctx.crash("56377", "VectorCombine created a shuffle for an "
                                    "extract-extract pattern it cannot legalize")
             return None
@@ -186,7 +186,7 @@ class CodegenLowering(FunctionPass):
         if expected is None:
             return None
         return_type = inst.callee.return_type
-        if not (isinstance(return_type, IntType)
+        if not (return_type.IS_INTEGER
                 and return_type.width == expected):
             ctx.crash("59757", "TargetLibraryInfo signature for "
                                f"{inst.callee.name} is wrong")
@@ -206,10 +206,10 @@ class CodegenLowering(FunctionPass):
         compose in either order.
         """
         for user in inst.users():
-            if isinstance(user, BinaryOperator) and user.opcode == "lshr" \
-                    and user.lhs is inst \
-                    and isinstance(user.rhs, ConstantInt) \
-                    and 1 <= user.rhs.value < user.type.width:
+            if user.KIND == "binop" and user.opcode == "lshr" \
+                    and user.operands[0] is inst \
+                    and user.operands[1].KIND == "int" \
+                    and 1 <= user.operands[1].value < user.type.width:
                 return None
         builder = IRBuilder()
         builder.set_insert_before(inst)
@@ -255,14 +255,14 @@ class CodegenLowering(FunctionPass):
         leaves the type.  Bug 55003: the buggy combine emits the combined
         shift even when C1+C2 >= width, turning a well-defined 0 into
         poison (the "shifts of undef" GISel combine family)."""
-        inner = inst.lhs
-        if not (isinstance(inner, BinaryOperator) and inner.opcode == "shl"
-                and isinstance(inner.rhs, ConstantInt)
-                and isinstance(inst.rhs, ConstantInt)
+        inner = inst.operands[0]
+        if not (inner.KIND == "binop" and inner.opcode == "shl"
+                and inner.operands[1].KIND == "int"
+                and inst.operands[1].KIND == "int"
                 and inner.num_uses() == 1):
             return None
         width = inst.type.width
-        c1, c2 = inner.rhs.value, inst.rhs.value
+        c1, c2 = inner.operands[1].value, inst.operands[1].value
         if c1 >= width or c2 >= width:
             return None
         total = c1 + c2
@@ -271,7 +271,8 @@ class CodegenLowering(FunctionPass):
         if total >= width:
             if ctx.bug_enabled("55003"):
                 ctx.note_bug_trigger("55003")
-                return builder.shl(inner.lhs, ConstantInt(inst.type, total))
+                return builder.shl(inner.operands[0],
+                                   ConstantInt(inst.type, total))
             return ConstantInt(inst.type, 0)
         return None  # in-range combines belong to InstCombine
 
@@ -282,18 +283,18 @@ class CodegenLowering(FunctionPass):
         Bug 55129 (the paper's Listing 18): the buggy version treats the
         zero-width bitfield extract as the input and returns ``zext b``.
         """
-        if not (isinstance(inst.rhs, ConstantInt)
-                and 1 <= inst.rhs.value < inst.type.width):
+        if not (inst.operands[1].KIND == "int"
+                and 1 <= inst.operands[1].value < inst.type.width):
             return None
-        source = inst.lhs
-        is_bool = (isinstance(source, CastInst) and source.opcode == "zext"
+        source = inst.operands[0]
+        is_bool = (source.KIND == "cast" and source.opcode == "zext"
                    and source.src_type.width == 1)
         if not is_bool:
             # The i1 zext may already have been lowered to select c, 1, 0.
-            is_bool = (isinstance(source, SelectInst)
-                       and isinstance(source.true_value, ConstantInt)
+            is_bool = (source.KIND == "select"
+                       and source.true_value.KIND == "int"
                        and source.true_value.is_one()
-                       and isinstance(source.false_value, ConstantInt)
+                       and source.false_value.KIND == "int"
                        and source.false_value.is_zero())
         if not is_bool:
             return None
@@ -311,17 +312,17 @@ class CodegenLowering(FunctionPass):
         isDef32): the buggy condition drops the mask one bit too early
         (>= width - 1).
         """
-        shift = inst.lhs
-        if not (isinstance(shift, BinaryOperator) and shift.opcode == "lshr"
-                and isinstance(shift.rhs, ConstantInt)
-                and isinstance(inst.rhs, ConstantInt)):
+        shift = inst.operands[0]
+        if not (shift.KIND == "binop" and shift.opcode == "lshr"
+                and shift.operands[1].KIND == "int"
+                and inst.operands[1].KIND == "int"):
             return None
-        mask = inst.rhs.value
+        mask = inst.operands[1].value
         if mask == 0 or (mask & (mask + 1)) != 0:
             return None  # not a low-bit mask
         width = inst.type.width
         bits = mask.bit_length()
-        c = shift.rhs.value
+        c = shift.operands[1].value
         if c >= width:
             return None
         threshold = width - 1 if ctx.bug_enabled("55833") else width
@@ -340,9 +341,9 @@ class CodegenLowering(FunctionPass):
         and ignores them.
         """
         shl = lshr = None
-        for first, second in ((inst.lhs, inst.rhs), (inst.rhs, inst.lhs)):
-            if isinstance(first, BinaryOperator) and first.opcode == "shl" \
-                    and isinstance(second, BinaryOperator) \
+        for first, second in (inst.operands, inst.operands[::-1]):
+            if first.KIND == "binop" and first.opcode == "shl" \
+                    and second.KIND == "binop" \
                     and second.opcode == "lshr":
                 shl, lshr = first, second
                 break
@@ -350,24 +351,24 @@ class CodegenLowering(FunctionPass):
             return None
 
         def strip_mask(value: Value) -> Tuple[Value, bool]:
-            if isinstance(value, BinaryOperator) and value.opcode == "and" \
-                    and isinstance(value.rhs, ConstantInt):
-                return value.lhs, True
+            if value.KIND == "binop" and value.opcode == "and" \
+                    and value.operands[1].KIND == "int":
+                return value.operands[0], True
             return value, False
 
-        shl_src, shl_masked = shl.lhs, False
-        lshr_src, lshr_masked = lshr.lhs, False
+        shl_src, shl_masked = shl.operands[0], False
+        lshr_src, lshr_masked = lshr.operands[0], False
         if ctx.bug_enabled("55201"):
-            shl_src, shl_masked = strip_mask(shl.lhs)
-            lshr_src, lshr_masked = strip_mask(lshr.lhs)
+            shl_src, shl_masked = strip_mask(shl.operands[0])
+            lshr_src, lshr_masked = strip_mask(lshr.operands[0])
         if shl_src is not lshr_src:
             return None
-        if not (isinstance(shl.rhs, ConstantInt)
-                and isinstance(lshr.rhs, ConstantInt)):
+        if not (shl.operands[1].KIND == "int"
+                and lshr.operands[1].KIND == "int"):
             return None
         width = inst.type.width
-        c = shl.rhs.value
-        if c == 0 or c >= width or lshr.rhs.value != width - c:
+        c = shl.operands[1].value
+        if c == 0 or c >= width or lshr.operands[1].value != width - c:
             return None
         module = self._module(inst)
         if module is None or not supports_width("llvm.fshl", width):
@@ -390,18 +391,18 @@ class CodegenLowering(FunctionPass):
         """
         if not ctx.bug_enabled("55284"):
             return None
-        lhs, rhs = inst.lhs, inst.rhs
-        if not (isinstance(lhs, BinaryOperator) and lhs.opcode == "and"
-                and isinstance(rhs, BinaryOperator) and rhs.opcode == "and"
-                and isinstance(lhs.rhs, ConstantInt)
-                and isinstance(rhs.rhs, ConstantInt)):
+        lhs, rhs = inst.operands[0], inst.operands[1]
+        if not (lhs.KIND == "binop" and lhs.opcode == "and"
+                and rhs.KIND == "binop" and rhs.opcode == "and"
+                and lhs.operands[1].KIND == "int"
+                and rhs.operands[1].KIND == "int"):
             return None
-        if (lhs.rhs.value ^ rhs.rhs.value) != inst.type.mask:
+        if (lhs.operands[1].value ^ rhs.operands[1].value) != inst.type.mask:
             return None
         ctx.note_bug_trigger("55284")
         builder = IRBuilder()
         builder.set_insert_before(inst)
-        return builder.or_(lhs, rhs.lhs)
+        return builder.or_(lhs, rhs.operands[0])
 
     def _match_bswap_hword(self, inst: BinaryOperator,
                            ctx: OptContext) -> Optional[Value]:
@@ -413,18 +414,18 @@ class CodegenLowering(FunctionPass):
         if inst.type.width != 16:
             return None
         shl = lshr = None
-        for first, second in ((inst.lhs, inst.rhs), (inst.rhs, inst.lhs)):
-            if isinstance(first, BinaryOperator) and first.opcode == "shl" \
-                    and isinstance(second, BinaryOperator) \
+        for first, second in (inst.operands, inst.operands[::-1]):
+            if first.KIND == "binop" and first.opcode == "shl" \
+                    and second.KIND == "binop" \
                     and second.opcode == "lshr":
                 shl, lshr = first, second
                 break
-        if shl is None or shl.lhs is not lshr.lhs:
+        if shl is None or shl.operands[0] is not lshr.operands[0]:
             return None
-        if not (isinstance(shl.rhs, ConstantInt)
-                and isinstance(lshr.rhs, ConstantInt)):
+        if not (shl.operands[1].KIND == "int"
+                and lshr.operands[1].KIND == "int"):
             return None
-        c1, c2 = shl.rhs.value, lshr.rhs.value
+        c1, c2 = shl.operands[1].value, lshr.operands[1].value
         buggy = ctx.bug_enabled("55484")
         if not buggy and not (c1 == 8 and c2 == 8):
             return None
@@ -438,7 +439,7 @@ class CodegenLowering(FunctionPass):
         callee = declare_intrinsic(module, "llvm.bswap", 16)
         builder = IRBuilder()
         builder.set_insert_before(inst)
-        return builder.call(callee, [shl.lhs])
+        return builder.call(callee, [shl.operands[0]])
 
     def _expand_urem_pow2(self, inst: BinaryOperator,
                           ctx: OptContext) -> Optional[Value]:
@@ -447,17 +448,19 @@ class CodegenLowering(FunctionPass):
         Bug 55287 (urem+udiv GISel miscompile): the buggy expansion masks
         with the modulus itself instead of modulus-1.
         """
-        if not isinstance(inst.rhs, ConstantInt):
+        if inst.operands[1].KIND != "int":
             return None
-        modulus = inst.rhs.value
+        modulus = inst.operands[1].value
         if modulus == 0 or modulus & (modulus - 1):
             return None
         builder = IRBuilder()
         builder.set_insert_before(inst)
         if ctx.bug_enabled("55287"):
             ctx.note_bug_trigger("55287")
-            return builder.and_(inst.lhs, ConstantInt(inst.type, modulus))
-        return builder.and_(inst.lhs, ConstantInt(inst.type, modulus - 1))
+            return builder.and_(inst.operands[0],
+                                ConstantInt(inst.type, modulus))
+        return builder.and_(inst.operands[0],
+                            ConstantInt(inst.type, modulus - 1))
 
     # -- width promotion (bugs 55296, 55342, 55490, 55627) -----------------------------
 
@@ -490,7 +493,7 @@ class CodegenLowering(FunctionPass):
         builder.set_insert_before(inst)
 
         def extend(value: Value, use_sext: bool) -> Value:
-            if isinstance(value, ConstantInt):
+            if value.KIND == "int":
                 source = value.signed_value() if use_sext else value.value
                 return ConstantInt(wide, source & wide.mask)
             return builder.sext(value, wide) if use_sext \
@@ -499,11 +502,11 @@ class CodegenLowering(FunctionPass):
         lhs_sext = signed
         rhs_sext = signed
         if signed and ctx.bug_enabled("55342") \
-                and isinstance(inst.rhs, ConstantInt):
+                and inst.operands[1].KIND == "int":
             ctx.note_bug_trigger("55342")
             rhs_sext = False
         if inst.opcode == "srem" and ctx.bug_enabled("55490") \
-                and not isinstance(inst.rhs, ConstantInt):
+                and inst.operands[1].KIND != "int":
             ctx.note_bug_trigger("55490")
             rhs_sext = False
         if inst.opcode == "sdiv" and ctx.bug_enabled("55627"):
@@ -515,8 +518,8 @@ class CodegenLowering(FunctionPass):
 
         # Division needs exact ranges; bit ops and add/sub/mul are width-
         # agnostic in the low bits, so any extension works for them.
-        wide_lhs = extend(inst.lhs, lhs_sext)
-        wide_rhs = extend(inst.rhs, rhs_sext)
+        wide_lhs = extend(inst.operands[0], lhs_sext)
+        wide_rhs = extend(inst.operands[1], rhs_sext)
         wide_op = builder.binop(inst.opcode, wide_lhs, wide_rhs)
         return builder.trunc(wide_op, inst.type)
 
@@ -531,7 +534,7 @@ class CodegenLowering(FunctionPass):
             return None
         value = inst.value
         if isinstance(value, (PoisonValue, UndefValue)) \
-                or (isinstance(value, BinaryOperator)
+                or (value.KIND == "binop"
                     and (value.nuw or value.nsw or value.exact)):
             ctx.note_bug_trigger("58321")
             return value
@@ -544,6 +547,6 @@ class CodegenLowering(FunctionPass):
 
 
 def _flag_value(value: Value) -> int:
-    if isinstance(value, ConstantInt):
+    if value.KIND == "int":
         return value.value
     return -1

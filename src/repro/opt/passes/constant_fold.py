@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from ...ir.function import Function
-from ...ir.instructions import CallInst, SelectInst
-from ...ir.values import PoisonValue
 from ..context import OptContext
 from ..fold import fold_instruction
 from ..scan import ScanPass, SweepState
@@ -28,6 +26,8 @@ class ConstantFolding(ScanPass):
 
     def _run(self, function: Function, ctx: OptContext,
              sweep: SweepState) -> bool:
+        poison_intrinsic_bug = ctx.bug_enabled("56945")
+        poison_select_bug = ctx.bug_enabled("56981")
         changed = True
         any_change = False
         while changed:
@@ -41,13 +41,13 @@ class ConstantFolding(ScanPass):
                             or not (everything or inst in visit):
                         continue
                     sweep.visits += 1
-                    if ctx.bug_enabled("56945") and isinstance(inst, CallInst) \
+                    if poison_intrinsic_bug and inst.KIND == "call" \
                             and inst.is_intrinsic() \
-                            and any(isinstance(a, PoisonValue) for a in inst.args):
+                            and any(a.KIND == "poison" for a in inst.args):
                         ctx.crash("56945",
                                   "dyn_cast<ConstantInt> on poison operand")
-                    if ctx.bug_enabled("56981") and isinstance(inst, SelectInst) \
-                            and isinstance(inst.condition, PoisonValue):
+                    if poison_select_bug and inst.KIND == "select" \
+                            and inst.operands[0].KIND == "poison":
                         ctx.crash("56981",
                                   "assert(isa<ConstantInt>(Cond)) is too strong")
                     folded = fold_instruction(inst)

@@ -5,17 +5,17 @@ from __future__ import annotations
 from typing import List, Set
 
 from ...ir.function import Function
-from ...ir.instructions import CallInst, Instruction
+from ...ir.instructions import Instruction
 from ..context import OptContext
 from ..pass_manager import FunctionPass, register_pass
 
 
 def is_trivially_dead(inst: Instruction) -> bool:
     """Unused, side-effect-free, non-terminator instructions are dead."""
-    if inst.has_uses() or inst.is_terminator():
+    if inst.has_uses() or inst.IS_TERMINATOR:
         return False
-    if isinstance(inst, CallInst):
-        return inst.is_readnone() and not inst.type.is_void() \
+    if inst.KIND == "call":
+        return inst.is_readnone() and not inst.type.IS_VOID \
             and inst.intrinsic_name() != "llvm.assume"
     return not inst.has_side_effects()
 
@@ -25,14 +25,14 @@ class DeadCodeElimination(FunctionPass):
     """Iteratively removes trivially-dead instructions."""
 
     def run_on_function(self, function: Function, ctx: OptContext) -> bool:
-        worklist = list(function.instructions())
+        worklist = [inst for block in function.blocks
+                    for inst in block.instructions]
         changed = False
         while worklist:
             inst = worklist.pop()
             if inst.parent is None or not is_trivially_dead(inst):
                 continue
-            operands = [op for op in inst.operands
-                        if isinstance(op, Instruction)]
+            operands = [op for op in inst.operands if op.IS_INSTRUCTION]
             inst.erase_from_parent()
             ctx.count("dce.removed")
             changed = True
@@ -52,15 +52,16 @@ class AggressiveDeadCodeElimination(FunctionPass):
         live: Set[int] = set()
         worklist: List[Instruction] = []
 
-        for inst in function.instructions():
-            if self._is_root(inst):
-                live.add(id(inst))
-                worklist.append(inst)
+        for block in function.blocks:
+            for inst in block.instructions:
+                if self._is_root(inst):
+                    live.add(id(inst))
+                    worklist.append(inst)
 
         while worklist:
             inst = worklist.pop()
             for operand in inst.operands:
-                if isinstance(operand, Instruction) and id(operand) not in live:
+                if operand.IS_INSTRUCTION and id(operand) not in live:
                     live.add(id(operand))
                     worklist.append(operand)
 
@@ -75,8 +76,8 @@ class AggressiveDeadCodeElimination(FunctionPass):
 
     @staticmethod
     def _is_root(inst: Instruction) -> bool:
-        if inst.is_terminator():
+        if inst.IS_TERMINATOR:
             return True
-        if isinstance(inst, CallInst):
-            return not inst.is_readnone() or inst.type.is_void()
+        if inst.KIND == "call":
+            return not inst.is_readnone() or inst.type.IS_VOID
         return inst.has_side_effects()

@@ -14,17 +14,9 @@ from __future__ import annotations
 from typing import Dict
 
 from ...ir.function import Function
-from ...ir.instructions import CallInst, Instruction, LoadInst, StoreInst
+from ...ir.instructions import StoreInst
 from ..context import OptContext
 from ..pass_manager import FunctionPass, register_pass
-
-
-def _may_read(inst: Instruction) -> bool:
-    if isinstance(inst, LoadInst):
-        return True
-    if isinstance(inst, CallInst):
-        return not inst.is_readnone()
-    return False
 
 
 @register_pass("dse")
@@ -36,14 +28,15 @@ class DeadStoreElimination(FunctionPass):
             # reading memory since.
             pending: Dict[int, StoreInst] = {}
             for inst in list(block.instructions):
-                if isinstance(inst, StoreInst):
-                    earlier = pending.get(id(inst.pointer))
+                if inst.KIND == "store":
+                    value, pointer = inst.operands
+                    earlier = pending.get(id(pointer))
                     if earlier is not None and earlier.parent is not None \
-                            and earlier.value.type is inst.value.type:
+                            and earlier.operands[0].type is value.type:
                         earlier.erase_from_parent()
                         ctx.count("dse.removed")
                         changed = True
-                    pending[id(inst.pointer)] = inst
-                elif _may_read(inst):
+                    pending[id(pointer)] = inst
+                elif inst.may_read_memory():
                     pending.clear()
         return changed

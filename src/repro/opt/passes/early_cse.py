@@ -14,16 +14,17 @@ from typing import Dict, Optional, Tuple
 from ...ir.basicblock import BasicBlock
 from ...ir.domtree import DominatorTree
 from ...ir.function import Function
-from ...ir.instructions import (BinaryOperator, CallInst, CastInst,
-                                COMMUTATIVE_OPCODES, GEPInst, ICmpInst,
-                                Instruction, LoadInst, SelectInst, StoreInst)
-from ...ir.values import constant_to_key, Constant, Value
+from ...ir.instructions import (BINARY_OPCODES, CAST_OPCODES,
+                                COMMUTATIVE_OPCODES, BinaryOperator,
+                                CallInst, CastInst, GEPInst, ICmpInst,
+                                Instruction, SelectInst, opcode_table)
+from ...ir.values import constant_to_key, Value
 from ..context import OptContext
 from ..pass_manager import FunctionPass, register_pass, replace_and_erase
 
 
 def _operand_key(value: Value):
-    if isinstance(value, Constant):
+    if value.IS_CONSTANT:
         return constant_to_key(value)
     return ("val", id(value))
 
@@ -31,43 +32,78 @@ def _operand_key(value: Value):
 def expression_key(inst: Instruction) -> Optional[Tuple]:
     """Structural hash key; flags are deliberately excluded so that
     flag-differing duplicates unify (with flag intersection applied)."""
-    if isinstance(inst, BinaryOperator):
-        operands = [_operand_key(inst.lhs), _operand_key(inst.rhs)]
-        if inst.opcode in COMMUTATIVE_OPCODES:
-            operands.sort()
-        return ("bin", inst.opcode, tuple(operands))
-    if isinstance(inst, ICmpInst):
-        return ("icmp", inst.predicate, _operand_key(inst.lhs),
-                _operand_key(inst.rhs))
-    if isinstance(inst, SelectInst):
-        return ("select", _operand_key(inst.condition),
-                _operand_key(inst.true_value), _operand_key(inst.false_value))
-    if isinstance(inst, CastInst):
-        return ("cast", inst.opcode, str(inst.type), _operand_key(inst.value))
-    if isinstance(inst, GEPInst):
-        return ("gep", str(inst.source_type), inst.inbounds,
-                tuple(_operand_key(op) for op in inst.operands))
-    if isinstance(inst, CallInst) and inst.is_readnone() and not inst.bundles:
+    key = _EXPRESSION_KEYS[inst.opcode]
+    return None if key is None else key(inst)
+
+
+def _binary_key(inst: BinaryOperator) -> Tuple:
+    lhs, rhs = inst.operands
+    first, second = _operand_key(lhs), _operand_key(rhs)
+    if inst.opcode in COMMUTATIVE_OPCODES and second < first:
+        first, second = second, first
+    return ("bin", inst.opcode, (first, second))
+
+
+def _icmp_key(inst: ICmpInst) -> Tuple:
+    lhs, rhs = inst.operands
+    return ("icmp", inst.predicate, _operand_key(lhs), _operand_key(rhs))
+
+
+def _select_key(inst: SelectInst) -> Tuple:
+    condition, true_value, false_value = inst.operands
+    return ("select", _operand_key(condition), _operand_key(true_value),
+            _operand_key(false_value))
+
+
+def _cast_key(inst: CastInst) -> Tuple:
+    return ("cast", inst.opcode, str(inst.type),
+            _operand_key(inst.operands[0]))
+
+
+def _gep_key(inst: GEPInst) -> Tuple:
+    return ("gep", str(inst.source_type), inst.inbounds,
+            tuple([_operand_key(op) for op in inst.operands]))
+
+
+def _call_key(inst: CallInst) -> Optional[Tuple]:
+    if inst.is_readnone() and not inst.bundles:
         return ("call", inst.callee.name,
-                tuple(_operand_key(a) for a in inst.args))
+                tuple([_operand_key(a) for a in inst.args]))
     return None
 
 
+# By opcode; None for instructions that are never CSE candidates.
+_EXPRESSION_KEYS = opcode_table(None, {
+    **dict.fromkeys(BINARY_OPCODES, _binary_key),
+    "icmp": _icmp_key,
+    "select": _select_key,
+    **dict.fromkeys(CAST_OPCODES, _cast_key),
+    "getelementptr": _gep_key,
+    "call": _call_key,
+})
+
+
 def _same_flags(a: Instruction, b: Instruction) -> bool:
-    if isinstance(a, BinaryOperator) and isinstance(b, BinaryOperator):
+    kind = a.KIND
+    if kind != b.KIND:
+        return True
+    if kind == "binop":
         return (a.nuw == b.nuw and a.nsw == b.nsw and a.exact == b.exact)
-    if isinstance(a, GEPInst) and isinstance(b, GEPInst):
+    if kind == "gep":
         return a.inbounds == b.inbounds
     return True
 
 
 def intersect_flags(leader: Instruction, duplicate: Instruction) -> None:
     """Keep only flags present on both (LLVM's ``andIRFlags``)."""
-    if isinstance(leader, BinaryOperator) and isinstance(duplicate, BinaryOperator):
+    kind = leader.KIND
+    if kind != duplicate.KIND:
+        return
+    if kind == "binop":
         leader.nuw = leader.nuw and duplicate.nuw
         leader.nsw = leader.nsw and duplicate.nsw
         leader.exact = leader.exact and duplicate.exact
-    if isinstance(leader, GEPInst) and isinstance(duplicate, GEPInst):
+    elif kind == "gep":
         leader.inbounds = leader.inbounds and duplicate.inbounds
 
 
@@ -90,8 +126,10 @@ class EarlyCSE(FunctionPass):
         for inst in list(block.instructions):
             if inst.parent is None:
                 continue
-            if isinstance(inst, LoadInst):
-                load_key = ("load", str(inst.type), _operand_key(inst.pointer))
+            kind = inst.KIND
+            if kind == "load":
+                load_key = ("load", str(inst.type),
+                            _operand_key(inst.operands[0]))
                 known = loads.get(load_key)
                 if known is not None:
                     replace_and_erase(inst, known)
@@ -100,12 +138,13 @@ class EarlyCSE(FunctionPass):
                 else:
                     loads[load_key] = inst
                 continue
-            if isinstance(inst, StoreInst):
+            if kind == "store":
                 # A store makes its own value the known content, and kills
                 # every other tracked load (conservative aliasing).
+                value, pointer = inst.operands
                 loads.clear()
-                loads[("load", str(inst.value.type),
-                       _operand_key(inst.pointer))] = inst.value
+                loads[("load", str(value.type),
+                       _operand_key(pointer))] = value
                 continue
             if inst.may_write_memory():
                 loads.clear()

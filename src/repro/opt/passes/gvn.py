@@ -19,7 +19,6 @@ from typing import Dict, Optional, Tuple
 from ...ir.domtree import DominatorTree
 from ...ir.function import Function
 from ...ir.instructions import Instruction, PhiNode
-from ...ir.values import UndefValue
 from ..context import OptContext
 from ..pass_manager import FunctionPass, register_pass, replace_and_erase
 from .early_cse import expression_key, intersect_flags, _operand_key
@@ -35,9 +34,9 @@ class GlobalValueNumbering(FunctionPass):
             for inst in list(block.instructions):
                 if inst.parent is None:
                     continue
-                if isinstance(inst, PhiNode):
+                if inst.KIND == "phi":
                     if ctx.bug_enabled("51618") and any(
-                            isinstance(value, UndefValue)
+                            value.KIND == "undef"
                             for value, _ in inst.incoming()):
                         ctx.crash("51618", "NewGVN: phi with undef input "
                                            "hits wrong congruence assert")

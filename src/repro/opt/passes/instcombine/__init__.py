@@ -102,11 +102,11 @@ class InstCombine(ScanPass):
                 for inst in list(block.instructions):
                     if inst.parent is None \
                             or not (everything or inst in visit) \
-                            or inst.is_terminator():
+                            or inst.IS_TERMINATOR:
                         continue
                     sweep.visits += 1
                     simplified = None
-                    if not inst.type.is_void():
+                    if not inst.type.IS_VOID:
                         simplified = simplify_instruction(inst, ctx)
                     if simplified is not None and simplified is not inst:
                         sweep.note_rewrite(inst)
@@ -145,13 +145,13 @@ class InstCombine(ScanPass):
                               sweep: SweepState) -> None:
         from ..dce import is_trivially_dead
 
-        worklist = list(function.instructions())
+        worklist = [inst for block in function.blocks
+                    for inst in block.instructions]
         while worklist:
             inst = worklist.pop()
             if inst.parent is None or not is_trivially_dead(inst):
                 continue
-            operands = [op for op in inst.operands
-                        if isinstance(op, Instruction)]
+            operands = [op for op in inst.operands if op.IS_INSTRUCTION]
             inst.erase_from_parent()
             ctx.count("instcombine.dead")
             worklist.extend(operands)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ....ir.instructions import BinaryOperator
 from ....ir.values import ConstantInt, Value
 from ...matchers import Capture, is_one_use, m_any, m_neg, m_not
 from ...rewrite import rule
@@ -12,28 +11,27 @@ from ...rewrite import rule
 
 def rule_add_self_to_shl(inst, combine) -> Optional[Value]:
     """add x, x  ->  shl x, 1 (flags carry over: both compute 2*x)."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "add"):
+    if not (inst.KIND == "binop" and inst.opcode == "add"):
         return None
-    if inst.lhs is not inst.rhs:
+    if inst.operands[0] is not inst.operands[1]:
         return None
     if inst.type.width == 1:
         return None  # shl i1 x, 1 would be poison
     builder = combine.builder_before(inst)
-    return builder.shl(inst.lhs, ConstantInt(inst.type, 1),
+    return builder.shl(inst.operands[0], ConstantInt(inst.type, 1),
                        nuw=inst.nuw, nsw=inst.nsw)
 
 
 def rule_add_of_not_is_neg_like(inst, combine) -> Optional[Value]:
     """add (xor x, -1), 1  ->  sub 0, x  (i.e. ~x + 1 == -x)."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "add"):
+    if not (inst.KIND == "binop" and inst.opcode == "add"):
         return None
     inner = Capture()
     matched = None
-    if m_not(m_any(inner))(inst.lhs) and isinstance(inst.rhs, ConstantInt) \
-            and inst.rhs.is_one():
+    lhs, rhs = inst.operands
+    if m_not(m_any(inner))(lhs) and rhs.KIND == "int" and rhs.is_one():
         matched = inner.value
-    elif m_not(m_any(inner))(inst.rhs) and isinstance(inst.lhs, ConstantInt) \
-            and inst.lhs.is_one():
+    elif m_not(m_any(inner))(rhs) and lhs.KIND == "int" and lhs.is_one():
         matched = inner.value
     if matched is None:
         return None
@@ -43,31 +41,32 @@ def rule_add_of_not_is_neg_like(inst, combine) -> Optional[Value]:
 
 def rule_sub_of_sub_constant(inst, combine) -> Optional[Value]:
     """sub C1, (sub C2, x)  ->  add x, (C1 - C2); flags dropped."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "sub"):
+    if not (inst.KIND == "binop" and inst.opcode == "sub"):
         return None
-    if not isinstance(inst.lhs, ConstantInt):
+    if inst.operands[0].KIND != "int":
         return None
-    inner = inst.rhs
-    if not (isinstance(inner, BinaryOperator) and inner.opcode == "sub"
-            and is_one_use(inner) and isinstance(inner.lhs, ConstantInt)):
+    inner = inst.operands[1]
+    if not (inner.KIND == "binop" and inner.opcode == "sub"
+            and is_one_use(inner) and inner.operands[0].KIND == "int"):
         return None
-    difference = (inst.lhs.value - inner.lhs.value) & inst.type.mask
+    difference = ((inst.operands[0].value - inner.operands[0].value)
+                  & inst.type.mask)
     builder = combine.builder_before(inst)
-    return builder.add(inner.rhs, ConstantInt(inst.type, difference))
+    return builder.add(inner.operands[1], ConstantInt(inst.type, difference))
 
 
 def rule_sub_neg_to_add(inst, combine) -> Optional[Value]:
     """sub a, (sub 0, b)  ->  add a, b (flags dropped: -b may be poisoned
     differently)."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "sub"):
+    if not (inst.KIND == "binop" and inst.opcode == "sub"):
         return None
     negated = Capture()
-    if not m_neg(m_any(negated))(inst.rhs):
+    if not m_neg(m_any(negated))(inst.operands[1]):
         return None
-    if not (isinstance(inst.rhs, BinaryOperator) and is_one_use(inst.rhs)):
+    if not (inst.operands[1].KIND == "binop" and is_one_use(inst.operands[1])):
         return None
     builder = combine.builder_before(inst)
-    return builder.add(inst.lhs, negated.value)
+    return builder.add(inst.operands[0], negated.value)
 
 
 def rule_add_sub_cancel(inst, combine) -> Optional[Value]:
@@ -76,40 +75,40 @@ def rule_add_sub_cancel(inst, combine) -> Optional[Value]:
     Flags on the sub do not matter: when the sub does not overflow both
     sides equal a; when it does, the sub was poison and a refines poison.
     """
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "add"):
+    if not (inst.KIND == "binop" and inst.opcode == "add"):
         return None
-    for first, second in ((inst.lhs, inst.rhs), (inst.rhs, inst.lhs)):
-        if isinstance(first, BinaryOperator) and first.opcode == "sub" \
-                and first.rhs is second:
-            return first.lhs
+    for first, second in (inst.operands, inst.operands[::-1]):
+        if first.KIND == "binop" and first.opcode == "sub" \
+                and first.operands[1] is second:
+            return first.operands[0]
     return None
 
 
 def rule_sub_add_cancel(inst, combine) -> Optional[Value]:
     """sub (add a, b), a  ->  b (either position of a)."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "sub"):
+    if not (inst.KIND == "binop" and inst.opcode == "sub"):
         return None
-    inner = inst.lhs
-    if isinstance(inner, BinaryOperator) and inner.opcode == "add":
-        if inner.lhs is inst.rhs:
-            return inner.rhs
-        if inner.rhs is inst.rhs:
-            return inner.lhs
+    inner = inst.operands[0]
+    if inner.KIND == "binop" and inner.opcode == "add":
+        if inner.operands[0] is inst.operands[1]:
+            return inner.operands[1]
+        if inner.operands[1] is inst.operands[1]:
+            return inner.operands[0]
     return None
 
 
 def rule_sub_constant_to_add(inst, combine) -> Optional[Value]:
     """sub x, C  ->  add x, -C (canonicalization; nsw is dropped because
     negating C can overflow at the type's minimum)."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "sub"):
+    if not (inst.KIND == "binop" and inst.opcode == "sub"):
         return None
-    if not isinstance(inst.rhs, ConstantInt) or isinstance(inst.lhs, ConstantInt):
+    if inst.operands[1].KIND != "int" or inst.operands[0].KIND == "int":
         return None
-    if inst.rhs.is_zero():
+    if inst.operands[1].is_zero():
         return None
     builder = combine.builder_before(inst)
-    negated = (-inst.rhs.value) & inst.type.mask
-    return builder.add(inst.lhs, ConstantInt(inst.type, negated))
+    negated = (-inst.operands[1].value) & inst.type.mask
+    return builder.add(inst.operands[0], ConstantInt(inst.type, negated))
 
 
 RULES = [

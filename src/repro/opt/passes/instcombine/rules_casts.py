@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ....analysis.knownbits import is_known_non_negative
-from ....ir.instructions import CastInst
 from ....ir.values import ConstantInt, Value
 from ...matchers import is_one_use
 from ...rewrite import rule
@@ -13,10 +12,10 @@ from ...rewrite import rule
 
 def rule_trunc_of_ext(inst, combine) -> Optional[Value]:
     """trunc (zext/sext x to M) to N folds by comparing N to x's width."""
-    if not (isinstance(inst, CastInst) and inst.opcode == "trunc"):
+    if not (inst.KIND == "cast" and inst.opcode == "trunc"):
         return None
     inner = inst.value
-    if not (isinstance(inner, CastInst) and inner.opcode in ("zext", "sext")):
+    if not (inner.KIND == "cast" and inner.opcode in ("zext", "sext")):
         return None
     src_width = inner.src_type.width
     dst_width = inst.type.width
@@ -30,10 +29,10 @@ def rule_trunc_of_ext(inst, combine) -> Optional[Value]:
 
 def rule_ext_of_ext(inst, combine) -> Optional[Value]:
     """zext(zext x) -> zext x; sext(sext x) -> sext x; sext(zext x) -> zext."""
-    if not (isinstance(inst, CastInst) and inst.opcode in ("zext", "sext")):
+    if not (inst.KIND == "cast" and inst.opcode in ("zext", "sext")):
         return None
     inner = inst.value
-    if not (isinstance(inner, CastInst) and inner.opcode in ("zext", "sext")):
+    if not (inner.KIND == "cast" and inner.opcode in ("zext", "sext")):
         return None
     builder = combine.builder_before(inst)
     if inner.opcode == "zext":
@@ -47,10 +46,10 @@ def rule_ext_of_ext(inst, combine) -> Optional[Value]:
 
 def rule_zext_of_trunc_same_width(inst, combine) -> Optional[Value]:
     """zext (trunc x to M) to N where N == width(x)  ->  and x, (2**M - 1)."""
-    if not (isinstance(inst, CastInst) and inst.opcode == "zext"):
+    if not (inst.KIND == "cast" and inst.opcode == "zext"):
         return None
     inner = inst.value
-    if not (isinstance(inner, CastInst) and inner.opcode == "trunc"
+    if not (inner.KIND == "cast" and inner.opcode == "trunc"
             and is_one_use(inner)):
         return None
     if inner.src_type is not inst.type:
@@ -62,7 +61,7 @@ def rule_zext_of_trunc_same_width(inst, combine) -> Optional[Value]:
 
 def rule_sext_of_nonnegative(inst, combine) -> Optional[Value]:
     """sext x  ->  zext x when the sign bit of x is known zero."""
-    if not (isinstance(inst, CastInst) and inst.opcode == "sext"):
+    if not (inst.KIND == "cast" and inst.opcode == "sext"):
         return None
     if not is_known_non_negative(inst.value, 0, combine.known_bits):
         return None

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ....ir.instructions import BinaryOperator, CastInst, ICmpInst
 from ....ir.types import IntType
 from ....ir.values import ConstantInt, Value
 from ...matchers import is_one_use
@@ -22,28 +21,28 @@ _NONSTRICT_TO_STRICT = {
 def rule_canonicalize_strict(inst, combine) -> Optional[Value]:
     """icmp uge x, C  ->  icmp ugt x, C-1 (and the other non-strict
     predicates), keeping compares in strict canonical form."""
-    if not isinstance(inst, ICmpInst):
+    if inst.KIND != "icmp":
         return None
     mapping = _NONSTRICT_TO_STRICT.get(inst.predicate)
-    if mapping is None or not isinstance(inst.rhs, ConstantInt):
+    if mapping is None or inst.operands[1].KIND != "int":
         return None
-    if not isinstance(inst.lhs.type, IntType):
+    if not inst.operands[0].type.IS_INTEGER:
         return None
     strict, delta, _ = mapping
-    width = inst.lhs.type.width
-    value = inst.rhs.value
+    width = inst.operands[0].type.width
+    value = inst.operands[1].value
     # Skip boundary constants where the shifted compare would wrap.
     if inst.predicate == "uge" and value == 0:
         return None
-    if inst.predicate == "ule" and value == inst.rhs.type.mask:
+    if inst.predicate == "ule" and value == inst.operands[1].type.mask:
         return None
     if inst.predicate == "sge" and value == 1 << (width - 1):
         return None
     if inst.predicate == "sle" and value == (1 << (width - 1)) - 1:
         return None
     builder = combine.builder_before(inst)
-    return builder.icmp(strict, inst.lhs,
-                        ConstantInt(inst.rhs.type, value + delta))
+    return builder.icmp(strict, inst.operands[0],
+                        ConstantInt(inst.operands[1].type, value + delta))
 
 
 def rule_icmp_eq_add_const(inst, combine) -> Optional[Value]:
@@ -52,17 +51,17 @@ def rule_icmp_eq_add_const(inst, combine) -> Optional[Value]:
     Sound for plain and flagged adds: if the add was poison the original
     compare was poison, which any result refines.
     """
-    if not (isinstance(inst, ICmpInst) and inst.is_equality()):
+    if not (inst.KIND == "icmp" and inst.is_equality()):
         return None
-    add = inst.lhs
-    if not (isinstance(add, BinaryOperator) and add.opcode == "add"
+    add = inst.operands[0]
+    if not (add.KIND == "binop" and add.opcode == "add"
             and is_one_use(add)
-            and isinstance(add.rhs, ConstantInt)
-            and isinstance(inst.rhs, ConstantInt)):
+            and add.operands[1].KIND == "int"
+            and inst.operands[1].KIND == "int"):
         return None
     builder = combine.builder_before(inst)
-    adjusted = (inst.rhs.value - add.rhs.value) & add.type.mask
-    return builder.icmp(inst.predicate, add.lhs,
+    adjusted = (inst.operands[1].value - add.operands[1].value) & add.type.mask
+    return builder.icmp(inst.predicate, add.operands[0],
                         ConstantInt(add.type, adjusted))
 
 
@@ -72,31 +71,31 @@ def rule_icmp_ult_add_nuw(inst, combine) -> Optional[Value]:
     With nuw the addition cannot wrap, so the range check shifts directly.
     When C2 < C1 the compare is always false.
     """
-    if not (isinstance(inst, ICmpInst) and inst.predicate == "ult"):
+    if not (inst.KIND == "icmp" and inst.predicate == "ult"):
         return None
-    add = inst.lhs
-    if not (isinstance(add, BinaryOperator) and add.opcode == "add"
+    add = inst.operands[0]
+    if not (add.KIND == "binop" and add.opcode == "add"
             and add.nuw and is_one_use(add)
-            and isinstance(add.rhs, ConstantInt)
-            and isinstance(inst.rhs, ConstantInt)):
+            and add.operands[1].KIND == "int"
+            and inst.operands[1].KIND == "int"):
         return None
-    c1, c2 = add.rhs.value, inst.rhs.value
+    c1, c2 = add.operands[1].value, inst.operands[1].value
     if c2 < c1:
         return ConstantInt(IntType(1), 0)
     builder = combine.builder_before(inst)
-    return builder.icmp("ult", add.lhs, ConstantInt(add.type, c2 - c1))
+    return builder.icmp("ult", add.operands[0], ConstantInt(add.type, c2 - c1))
 
 
 def rule_icmp_of_zext(inst, combine) -> Optional[Value]:
     """Compares of zext fold into the narrow domain."""
-    if not isinstance(inst, ICmpInst):
+    if inst.KIND != "icmp":
         return None
-    zext = inst.lhs
-    if not (isinstance(zext, CastInst) and zext.opcode == "zext"
-            and isinstance(inst.rhs, ConstantInt)):
+    zext = inst.operands[0]
+    if not (zext.KIND == "cast" and zext.opcode == "zext"
+            and inst.operands[1].KIND == "int"):
         return None
     src_width = zext.src_type.width
-    value = inst.rhs.value
+    value = inst.operands[1].value
     narrow_max = (1 << src_width) - 1
     builder = combine.builder_before(inst)
     if inst.is_equality():
@@ -120,20 +119,20 @@ def rule_icmp_of_zext(inst, combine) -> Optional[Value]:
 def rule_icmp_signed_of_zext(inst, combine) -> Optional[Value]:
     """Signed compares of zext values are unsigned compares (zext output
     is always non-negative when the source is narrower)."""
-    if not isinstance(inst, ICmpInst) or not inst.is_signed():
+    if inst.KIND != "icmp" or not inst.is_signed():
         return None
-    zext = inst.lhs
-    if not (isinstance(zext, CastInst) and zext.opcode == "zext"
-            and isinstance(inst.rhs, ConstantInt)):
+    zext = inst.operands[0]
+    if not (zext.KIND == "cast" and zext.opcode == "zext"
+            and inst.operands[1].KIND == "int"):
         return None
-    rhs_signed = inst.rhs.signed_value()
+    rhs_signed = inst.operands[1].signed_value()
     builder = combine.builder_before(inst)
     if rhs_signed < 0:
         # zext value is >= 0 > rhs.
         result = inst.predicate in ("sgt", "sge")
         return ConstantInt(IntType(1), int(result))
     unsigned = {"sgt": "ugt", "sge": "uge", "slt": "ult", "sle": "ule"}
-    return builder.icmp(unsigned[inst.predicate], zext, inst.rhs)
+    return builder.icmp(unsigned[inst.predicate], zext, inst.operands[1])
 
 
 RULES = [

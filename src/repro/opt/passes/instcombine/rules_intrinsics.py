@@ -15,19 +15,18 @@ from __future__ import annotations
 from typing import Optional
 
 from ....analysis.knownbits import is_known_non_negative
-from ....ir.instructions import BinaryOperator, CallInst
 from ....ir.intrinsics import declare_intrinsic, supports_width
-from ....ir.values import ConstantInt, UndefValue, Value
+from ....ir.values import ConstantInt, Value
 from ...rewrite import rule
 
 
 def _intrinsic_call(inst, base: str) -> bool:
-    return (isinstance(inst, CallInst) and inst.is_intrinsic()
+    return (inst.KIND == "call" and inst.is_intrinsic()
             and inst.intrinsic_name() == base)
 
 
 def _minmax_base(inst) -> Optional[str]:
-    if not (isinstance(inst, CallInst) and inst.is_intrinsic()):
+    if not (inst.KIND == "call" and inst.is_intrinsic()):
         return None
     base = inst.intrinsic_name()
     if base in ("llvm.smax", "llvm.smin", "llvm.umax", "llvm.umin"):
@@ -59,7 +58,7 @@ def rule_minmax_identity(inst, combine) -> Optional[Value]:
         "llvm.umin": 0,
     }
     for value, other in ((x, y), (y, x)):
-        if isinstance(value, ConstantInt):
+        if value.KIND == "int":
             if value.value == identities[base]:
                 return other
             if value.value == absorbers[base]:
@@ -77,7 +76,7 @@ def rule_minmax_of_minmax(inst, combine) -> Optional[Value]:
         return None
     if combine.ctx.bug_enabled("52884"):
         for arg in inst.args:
-            if isinstance(arg, BinaryOperator) and arg.opcode == "add" \
+            if arg.KIND == "binop" and arg.opcode == "add" \
                     and arg.nuw and arg.nsw:
                 combine.ctx.crash(
                     "52884", "InstCombine: InstSimplify was expected to "
@@ -85,14 +84,14 @@ def rule_minmax_of_minmax(inst, combine) -> Optional[Value]:
                              "thwarted the analysis")
     inner = outer_const = None
     for first, second in (inst.args, reversed(inst.args)):
-        if isinstance(second, ConstantInt) and isinstance(first, CallInst) \
+        if second.KIND == "int" and first.KIND == "call" \
                 and first.is_intrinsic() and first.intrinsic_name() == base \
                 and first.num_uses() == 1:
             inner, outer_const = first, second
             break
     if inner is None:
         return None
-    inner_const = next((a for a in inner.args if isinstance(a, ConstantInt)),
+    inner_const = next((a for a in inner.args if a.KIND == "int"),
                        None)
     if inner_const is None:
         return None
@@ -130,7 +129,7 @@ def rule_abs_of_abs(inst, combine) -> Optional[Value]:
         return None
     outer_flag = inst.args[1]
     inner_flag = inner.args[1]
-    if isinstance(outer_flag, ConstantInt) and isinstance(inner_flag, ConstantInt):
+    if outer_flag.KIND == "int" and inner_flag.KIND == "int":
         if outer_flag.value <= inner_flag.value:
             return inner
     return None
@@ -140,11 +139,11 @@ def rule_call_site_noundef(inst, combine) -> Optional[Value]:
     """Seeded crash 56463 ("calling a function with a bad signature"):
     the call-site combiner assumes arguments are well-formed values and
     dies when one is literally ``undef``."""
-    if not isinstance(inst, CallInst) or inst.is_intrinsic():
+    if inst.KIND != "call" or inst.is_intrinsic():
         return None
     if not combine.ctx.bug_enabled("56463"):
         return None
-    if any(isinstance(value, UndefValue) for value in inst.args):
+    if any(value.KIND == "undef" for value in inst.args):
         combine.ctx.crash("56463", "call-site combine assumed a "
                                    "well-formed signature/argument pair")
     return None

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ....ir.instructions import BinaryOperator, ICmpInst
 from ....ir.types import IntType
 from ....ir.values import ConstantInt, Value
 from ...matchers import is_one_use
@@ -18,23 +17,23 @@ from ...rewrite import rule
 def _unsigned_range_pair(inst) -> Optional[tuple]:
     """Match and/or of two one-use unsigned compares of the same value
     against constants; returns (op, x, pred1, c1, pred2, c2)."""
-    if not (isinstance(inst, BinaryOperator)
+    if not (inst.KIND == "binop"
             and inst.opcode in ("and", "or")):
         return None
-    lhs, rhs = inst.lhs, inst.rhs
-    if not (isinstance(lhs, ICmpInst) and isinstance(rhs, ICmpInst)
+    lhs, rhs = inst.operands[0], inst.operands[1]
+    if not (lhs.KIND == "icmp" and rhs.KIND == "icmp"
             and is_one_use(lhs) and is_one_use(rhs)):
         return None
-    if lhs.lhs is not rhs.lhs:
+    if lhs.operands[0] is not rhs.operands[0]:
         return None
-    if not (isinstance(lhs.rhs, ConstantInt)
-            and isinstance(rhs.rhs, ConstantInt)):
+    if not (lhs.operands[1].KIND == "int"
+            and rhs.operands[1].KIND == "int"):
         return None
     if lhs.predicate not in ("ult", "ugt") \
             or rhs.predicate not in ("ult", "ugt"):
         return None
-    return (inst.opcode, lhs.lhs, lhs.predicate, lhs.rhs.value,
-            rhs.predicate, rhs.rhs.value)
+    return (inst.opcode, lhs.operands[0], lhs.predicate, lhs.operands[1].value,
+            rhs.predicate, rhs.operands[1].value)
 
 
 def rule_and_or_of_unsigned_range(inst, combine) -> Optional[Value]:
@@ -95,18 +94,18 @@ def rule_or_of_full_range(inst, combine) -> Optional[Value]:
 def rule_power_of_two_bit_test(inst, combine) -> Optional[Value]:
     """icmp eq (and x, Pow2), 0  ->  stays canonical, but the inverted
     form icmp ne (and x, Pow2), Pow2 folds to the eq-0 test."""
-    if not (isinstance(inst, ICmpInst) and inst.predicate == "ne"):
+    if not (inst.KIND == "icmp" and inst.predicate == "ne"):
         return None
-    mask_inst = inst.lhs
-    if not (isinstance(mask_inst, BinaryOperator)
+    mask_inst = inst.operands[0]
+    if not (mask_inst.KIND == "binop"
             and mask_inst.opcode == "and"
-            and isinstance(mask_inst.rhs, ConstantInt)):
+            and mask_inst.operands[1].KIND == "int"):
         return None
-    mask = mask_inst.rhs.value
+    mask = mask_inst.operands[1].value
     if mask == 0 or mask & (mask - 1):
         return None  # not a single bit
-    if not (isinstance(inst.rhs, ConstantInt)
-            and inst.rhs.value == mask):
+    if not (inst.operands[1].KIND == "int"
+            and inst.operands[1].value == mask):
         return None
     # (x & bit) != bit  <=>  (x & bit) == 0
     builder = combine.builder_before(inst)
@@ -116,21 +115,21 @@ def rule_power_of_two_bit_test(inst, combine) -> Optional[Value]:
 def rule_and_icmp_eq_zero_pair(inst, combine) -> Optional[Value]:
     """and (icmp eq (and x, M1), 0), (icmp eq (and x, M2), 0)
        -> icmp eq (and x, M1|M2), 0  (both bit groups clear)."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "and"):
+    if not (inst.KIND == "binop" and inst.opcode == "and"):
         return None
     parts = []
-    for side in (inst.lhs, inst.rhs):
-        if not (isinstance(side, ICmpInst) and side.predicate == "eq"
+    for side in (inst.operands[0], inst.operands[1]):
+        if not (side.KIND == "icmp" and side.predicate == "eq"
                 and is_one_use(side)
-                and isinstance(side.rhs, ConstantInt)
-                and side.rhs.is_zero()):
+                and side.operands[1].KIND == "int"
+                and side.operands[1].is_zero()):
             return None
-        masked = side.lhs
-        if not (isinstance(masked, BinaryOperator)
+        masked = side.operands[0]
+        if not (masked.KIND == "binop"
                 and masked.opcode == "and" and is_one_use(masked)
-                and isinstance(masked.rhs, ConstantInt)):
+                and masked.operands[1].KIND == "int"):
             return None
-        parts.append((masked.lhs, masked.rhs.value))
+        parts.append((masked.operands[0], masked.operands[1].value))
     (x1, m1), (x2, m2) = parts
     if x1 is not x2:
         return None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ....ir.instructions import BinaryOperator, CastInst
 from ....ir.values import ConstantInt, Value
 from ...rewrite import rule
 
@@ -24,11 +23,11 @@ def _log2_exact(value: int) -> Optional[int]:
 
 def rule_mul_pow2_to_shl(inst, combine) -> Optional[Value]:
     """mul x, 2**C  ->  shl x, C (flags carry over)."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "mul"):
+    if not (inst.KIND == "binop" and inst.opcode == "mul"):
         return None
-    if not isinstance(inst.rhs, ConstantInt):
+    if inst.operands[1].KIND != "int":
         return None
-    shift = _log2_exact(inst.rhs.value)
+    shift = _log2_exact(inst.operands[1].value)
     if shift is None or shift == 0:
         return None
     if shift >= inst.type.width:
@@ -38,21 +37,22 @@ def rule_mul_pow2_to_shl(inst, combine) -> Optional[Value]:
     # `shl nsw x, w-1` poison on different inputs.
     keep_nsw = inst.nsw and shift < inst.type.width - 1
     builder = combine.builder_before(inst)
-    return builder.shl(inst.lhs, ConstantInt(inst.type, shift),
+    return builder.shl(inst.operands[0], ConstantInt(inst.type, shift),
                        nuw=inst.nuw, nsw=keep_nsw)
 
 
 def rule_mul_allones_to_neg(inst, combine) -> Optional[Value]:
     """mul x, -1  ->  sub 0, x (drops nuw/nsw: x*-1 nsw poisons only at
     INT_MIN, exactly like 0-x nsw, so nsw could be kept — we keep it)."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "mul"):
+    if not (inst.KIND == "binop" and inst.opcode == "mul"):
         return None
-    if not (isinstance(inst.rhs, ConstantInt) and inst.rhs.is_all_ones()):
+    if not (inst.operands[1].KIND == "int" and inst.operands[1].is_all_ones()):
         return None
     if inst.type.width == 1:
         return None
     builder = combine.builder_before(inst)
-    return builder.sub(ConstantInt(inst.type, 0), inst.lhs, nsw=inst.nsw)
+    return builder.sub(ConstantInt(inst.type, 0), inst.operands[0],
+                       nsw=inst.nsw)
 
 
 def _zext_source_width(value: Value, look_through_trunc: bool) -> Optional[int]:
@@ -62,12 +62,12 @@ def _zext_source_width(value: Value, look_through_trunc: bool) -> Optional[int]:
     (59836) accepts it and reports the *original* zext source width even
     though the trunc may have reintroduced high bits.
     """
-    if isinstance(value, CastInst) and value.opcode == "zext":
+    if value.KIND == "cast" and value.opcode == "zext":
         return value.src_type.width
-    if look_through_trunc and isinstance(value, CastInst) \
+    if look_through_trunc and value.KIND == "cast" \
             and value.opcode == "trunc":
         inner = value.value
-        if isinstance(inner, CastInst) and inner.opcode == "zext":
+        if inner.KIND == "cast" and inner.opcode == "zext":
             return inner.src_type.width
     return None
 
@@ -75,13 +75,13 @@ def _zext_source_width(value: Value, look_through_trunc: bool) -> Optional[int]:
 def rule_mul_of_zexts_is_nuw(inst, combine) -> Optional[Value]:
     """mul (zext a), (zext b) cannot overflow when the source widths fit:
     mark it nuw (and nsw when there is also a spare sign bit)."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "mul"):
+    if not (inst.KIND == "binop" and inst.opcode == "mul"):
         return None
     if inst.nuw:
         return None
     buggy = combine.ctx.bug_enabled("59836")
-    lhs_width = _zext_source_width(inst.lhs, look_through_trunc=buggy)
-    rhs_width = _zext_source_width(inst.rhs, look_through_trunc=buggy)
+    lhs_width = _zext_source_width(inst.operands[0], look_through_trunc=buggy)
+    rhs_width = _zext_source_width(inst.operands[1], look_through_trunc=buggy)
     if lhs_width is None or rhs_width is None:
         return None
     if lhs_width + rhs_width > inst.type.width:
@@ -99,47 +99,48 @@ def rule_mul_of_zexts_is_nuw(inst, combine) -> Optional[Value]:
 
 def rule_udiv_pow2_to_lshr(inst, combine) -> Optional[Value]:
     """udiv x, 2**C  ->  lshr x, C (exact carries over)."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "udiv"):
+    if not (inst.KIND == "binop" and inst.opcode == "udiv"):
         return None
-    if not isinstance(inst.rhs, ConstantInt):
+    if inst.operands[1].KIND != "int":
         return None
-    shift = _log2_exact(inst.rhs.value)
+    shift = _log2_exact(inst.operands[1].value)
     if shift is None:
         return None
     if shift == 0:
-        return inst.lhs
+        return inst.operands[0]
     builder = combine.builder_before(inst)
-    return builder.lshr(inst.lhs, ConstantInt(inst.type, shift),
+    return builder.lshr(inst.operands[0], ConstantInt(inst.type, shift),
                         exact=inst.exact)
 
 
 def rule_urem_pow2_to_and(inst, combine) -> Optional[Value]:
     """urem x, 2**C  ->  and x, 2**C - 1."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "urem"):
+    if not (inst.KIND == "binop" and inst.opcode == "urem"):
         return None
-    if not isinstance(inst.rhs, ConstantInt):
+    if inst.operands[1].KIND != "int":
         return None
-    if _log2_exact(inst.rhs.value) is None:
+    if _log2_exact(inst.operands[1].value) is None:
         return None
     builder = combine.builder_before(inst)
-    return builder.and_(inst.lhs, ConstantInt(inst.type, inst.rhs.value - 1))
+    return builder.and_(inst.operands[0],
+                        ConstantInt(inst.type, inst.operands[1].value - 1))
 
 
 def rule_mul_shl_operand(inst, combine) -> Optional[Value]:
     """mul (shl x, C), y  ->  shl (mul x, y), C — only with one use and no
     flags (the regrouping changes intermediate overflow)."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "mul"):
+    if not (inst.KIND == "binop" and inst.opcode == "mul"):
         return None
     if inst.nuw or inst.nsw:
         return None
-    for first, second in ((inst.lhs, inst.rhs), (inst.rhs, inst.lhs)):
-        if isinstance(first, BinaryOperator) and first.opcode == "shl" \
+    for first, second in (inst.operands, inst.operands[::-1]):
+        if first.KIND == "binop" and first.opcode == "shl" \
                 and first.num_uses() == 1 \
-                and isinstance(first.rhs, ConstantInt) \
+                and first.operands[1].KIND == "int" \
                 and not (first.nuw or first.nsw):
             builder = combine.builder_before(inst)
-            product = builder.mul(first.lhs, second)
-            return builder.shl(product, first.rhs)
+            product = builder.mul(first.operands[0], second)
+            return builder.shl(product, first.operands[1])
     return None
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ....ir.instructions import BinaryOperator, ICmpInst, SelectInst
 from ....ir.intrinsics import declare_intrinsic, supports_width
 from ....ir.types import IntType
 from ....ir.values import ConstantInt, Value, same_value
@@ -19,17 +18,18 @@ from ...rewrite import rule
 
 def rule_select_inverted_condition(inst, combine) -> Optional[Value]:
     """select (xor c, true), x, y  ->  select c, y, x."""
-    if not isinstance(inst, SelectInst):
+    if inst.KIND != "select":
         return None
     condition = inst.condition
-    if not (isinstance(condition, BinaryOperator) and condition.opcode == "xor"
+    if not (condition.KIND == "binop" and condition.opcode == "xor"
             and is_one_use(condition)
-            and isinstance(condition.rhs, ConstantInt)
-            and condition.rhs.is_one()
+            and condition.operands[1].KIND == "int"
+            and condition.operands[1].is_one()
             and condition.type.width == 1):
         return None
     builder = combine.builder_before(inst)
-    return builder.select(condition.lhs, inst.false_value, inst.true_value)
+    return builder.select(condition.operands[0], inst.false_value,
+                          inst.true_value)
 
 
 def rule_select_bool_constant_arms(inst, combine) -> Optional[Value]:
@@ -38,16 +38,16 @@ def rule_select_bool_constant_arms(inst, combine) -> Optional[Value]:
     Only with a *constant* other arm: with an arbitrary value the or/and
     form would let poison flow where select blocked it.
     """
-    if not isinstance(inst, SelectInst):
+    if inst.KIND != "select":
         return None
-    if not (isinstance(inst.type, IntType) and inst.type.width == 1):
+    if not (inst.type.IS_INTEGER and inst.type.width == 1):
         return None
     builder = combine.builder_before(inst)
-    if isinstance(inst.true_value, ConstantInt) and inst.true_value.is_one() \
-            and isinstance(inst.false_value, ConstantInt):
+    if inst.true_value.KIND == "int" and inst.true_value.is_one() \
+            and inst.false_value.KIND == "int":
         return builder.or_(inst.condition, inst.false_value)
-    if isinstance(inst.false_value, ConstantInt) and inst.false_value.is_zero() \
-            and isinstance(inst.true_value, ConstantInt):
+    if inst.false_value.KIND == "int" and inst.false_value.is_zero() \
+            and inst.true_value.KIND == "int":
         return builder.and_(inst.condition, inst.true_value)
     return None
 
@@ -70,18 +70,18 @@ def rule_canonicalize_clamp_like(inst, combine) -> Optional[Value]:
     Bug 53252: the buggy version keeps the *signed* intrinsic even when
     the predicate was unsigned — "didn't update the predicate".
     """
-    if not isinstance(inst, SelectInst):
+    if inst.KIND != "select":
         return None
-    if not isinstance(inst.type, IntType) or inst.type.width == 1:
+    if not inst.type.IS_INTEGER or inst.type.width == 1:
         return None
     compare = inst.condition
-    if not (isinstance(compare, ICmpInst) and is_one_use(compare)
-            and isinstance(compare.rhs, ConstantInt)):
+    if not (compare.KIND == "icmp" and is_one_use(compare)
+            and compare.operands[1].KIND == "int"):
         return None
     base = _MINMAX_FOR_PREDICATE.get(compare.predicate)
     if base is None:
         return None
-    x, c = compare.lhs, compare.rhs
+    x, c = compare.operands[0], compare.operands[1]
     if inst.true_value is x and same_value(inst.false_value, c):
         chosen = base
     elif same_value(inst.true_value, c) and inst.false_value is x:
@@ -102,41 +102,42 @@ def rule_canonicalize_clamp_like(inst, combine) -> Optional[Value]:
 
 def rule_select_same_compare_operands(inst, combine) -> Optional[Value]:
     """select (icmp eq a, b), a, b  ->  b  (equal when taken, b otherwise)."""
-    if not isinstance(inst, SelectInst):
+    if inst.KIND != "select":
         return None
     compare = inst.condition
-    if not (isinstance(compare, ICmpInst) and compare.predicate == "eq"):
+    if not (compare.KIND == "icmp" and compare.predicate == "eq"):
         return None
-    if inst.true_value is compare.lhs and inst.false_value is compare.rhs:
+    lhs, rhs = compare.operands
+    if inst.true_value is lhs and inst.false_value is rhs:
         return inst.false_value
-    if inst.true_value is compare.rhs and inst.false_value is compare.lhs:
+    if inst.true_value is rhs and inst.false_value is lhs:
         return inst.false_value
     return None
 
 
 def rule_select_of_selects(inst, combine) -> Optional[Value]:
     """select c, (select c, x, y), z  ->  select c, x, z (same condition)."""
-    if not isinstance(inst, SelectInst):
+    if inst.KIND != "select":
         return None
     condition = inst.condition
     true_value = inst.true_value
     false_value = inst.false_value
     builder = combine.builder_before(inst)
-    if isinstance(true_value, SelectInst) and true_value.condition is condition:
+    if true_value.KIND == "select" and true_value.condition is condition:
         return builder.select(condition, true_value.true_value, false_value)
-    if isinstance(false_value, SelectInst) and false_value.condition is condition:
+    if false_value.KIND == "select" and false_value.condition is condition:
         return builder.select(condition, true_value, false_value.false_value)
     return None
 
 
 def rule_select_zext_arms(inst, combine) -> Optional[Value]:
     """select c, 1, 0  ->  zext c (and select c, 0, 1 -> zext (xor c))."""
-    if not isinstance(inst, SelectInst):
+    if inst.KIND != "select":
         return None
-    if not isinstance(inst.type, IntType) or inst.type.width <= 1:
+    if not inst.type.IS_INTEGER or inst.type.width <= 1:
         return None
     t, f = inst.true_value, inst.false_value
-    if not (isinstance(t, ConstantInt) and isinstance(f, ConstantInt)):
+    if not (t.KIND == "int" and f.KIND == "int"):
         return None
     builder = combine.builder_before(inst)
     if t.is_one() and f.is_zero():

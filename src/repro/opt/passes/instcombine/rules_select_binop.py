@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ....ir.instructions import (BINARY_OPCODES, BinaryOperator, ICmpInst,
-                                 SelectInst)
+from ....ir.instructions import BINARY_OPCODES
 from ....ir.values import ConstantInt, Value, same_value
 from ...matchers import is_one_use
 from ...rewrite import rule
@@ -19,24 +18,25 @@ def rule_binop_of_select_constants(inst, combine) -> Optional[Value]:
     folded op must be flagless (constant-folding with flags could differ
     in poison between the arms and the original).
     """
-    if not isinstance(inst, BinaryOperator):
+    if inst.KIND != "binop":
         return None
     if inst.nuw or inst.nsw or inst.exact:
         return None
-    select = inst.lhs
-    if not (isinstance(select, SelectInst) and is_one_use(select)
-            and isinstance(select.true_value, ConstantInt)
-            and isinstance(select.false_value, ConstantInt)
-            and isinstance(inst.rhs, ConstantInt)):
+    select = inst.operands[0]
+    if not (select.KIND == "select" and is_one_use(select)
+            and select.true_value.KIND == "int"
+            and select.false_value.KIND == "int"
+            and inst.operands[1].KIND == "int"):
         return None
     from ...fold import fold_binary
 
-    true_folded = fold_binary(inst.opcode, select.true_value, inst.rhs,
+    constant = inst.operands[1]
+    true_folded = fold_binary(inst.opcode, select.true_value, constant,
                               inst.type.width)
-    false_folded = fold_binary(inst.opcode, select.false_value, inst.rhs,
+    false_folded = fold_binary(inst.opcode, select.false_value, constant,
                                inst.type.width)
-    if not (isinstance(true_folded, ConstantInt)
-            and isinstance(false_folded, ConstantInt)):
+    if true_folded is None or false_folded is None \
+            or true_folded.KIND != "int" or false_folded.KIND != "int":
         return None
     builder = combine.builder_before(inst)
     return builder.select(select.condition, true_folded, false_folded)
@@ -48,17 +48,17 @@ def rule_select_icmp_eq_constant_arm(inst, combine) -> Optional[Value]:
     (constant preferred), so we implement the profitable special case:
     when the true arm equals the compared constant, substituting x makes
     both arms x-derived and often unlocks select-elimination."""
-    if not isinstance(inst, SelectInst):
+    if inst.KIND != "select":
         return None
     compare = inst.condition
-    if not (isinstance(compare, ICmpInst) and compare.predicate == "eq"
-            and isinstance(compare.rhs, ConstantInt)):
+    if not (compare.KIND == "icmp" and compare.predicate == "eq"
+            and compare.operands[1].KIND == "int"):
         return None
-    if not same_value(inst.true_value, compare.rhs):
+    if not same_value(inst.true_value, compare.operands[1]):
         return None
-    if inst.false_value is compare.lhs:
+    if inst.false_value is compare.operands[0]:
         # select (x == C), C, x  ->  x
-        return compare.lhs
+        return compare.operands[0]
     return None
 
 
@@ -66,26 +66,26 @@ def rule_select_of_sub_zero(inst, combine) -> Optional[Value]:
     """select (icmp slt x, 0), (sub 0, x), x  ->  abs-like shape stays,
     but the reversed arms form select (icmp sgt x, -1), x, (sub 0, x)
     canonicalizes to the same order for downstream matching."""
-    if not isinstance(inst, SelectInst):
+    if inst.KIND != "select":
         return None
     compare = inst.condition
-    if not (isinstance(compare, ICmpInst) and compare.predicate == "sgt"
-            and isinstance(compare.rhs, ConstantInt)
-            and compare.rhs.is_all_ones()
+    if not (compare.KIND == "icmp" and compare.predicate == "sgt"
+            and compare.operands[1].KIND == "int"
+            and compare.operands[1].is_all_ones()
             and is_one_use(compare)):
         return None
     negated = inst.false_value
-    if not (isinstance(negated, BinaryOperator) and negated.opcode == "sub"
-            and isinstance(negated.lhs, ConstantInt)
-            and negated.lhs.is_zero()
-            and negated.rhs is compare.lhs
-            and inst.true_value is compare.lhs):
+    if not (negated.KIND == "binop" and negated.opcode == "sub"
+            and negated.operands[0].KIND == "int"
+            and negated.operands[0].is_zero()
+            and negated.operands[1] is compare.operands[0]
+            and inst.true_value is compare.operands[0]):
         return None
     # select (x > -1), x, (0 - x)  ->  select (x < 0), (0 - x), x
     builder = combine.builder_before(inst)
-    flipped = builder.icmp("slt", compare.lhs,
-                           ConstantInt(compare.lhs.type, 0))
-    return builder.select(flipped, negated, compare.lhs)
+    flipped = builder.icmp("slt", compare.operands[0],
+                           ConstantInt(compare.operands[0].type, 0))
+    return builder.select(flipped, negated, compare.operands[0])
 
 
 def rule_shared_operand_select(inst, combine) -> Optional[Value]:
@@ -96,12 +96,12 @@ def rule_shared_operand_select(inst, combine) -> Optional[Value]:
     Both arms now execute unconditionally, so the op must not be able to
     raise UB (division by an unselected zero would be a new crash).
     """
-    if not isinstance(inst, BinaryOperator):
+    if inst.KIND != "binop":
         return None
     if inst.opcode in ("udiv", "sdiv", "urem", "srem"):
         return None
-    lhs, rhs = inst.lhs, inst.rhs
-    if not (isinstance(lhs, SelectInst) and isinstance(rhs, SelectInst)
+    lhs, rhs = inst.operands[0], inst.operands[1]
+    if not (lhs.KIND == "select" and rhs.KIND == "select"
             and lhs.condition is rhs.condition
             and is_one_use(lhs) and is_one_use(rhs)):
         return None

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ....ir.instructions import BinaryOperator, CastInst
 from ....ir.values import ConstantInt, Value
 from ...rewrite import rule
 
@@ -19,62 +18,62 @@ def rule_shl_shl_combine(inst, combine) -> Optional[Value]:
 
     Flags are dropped: the combined shift has different overflow behavior.
     """
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "shl"):
+    if not (inst.KIND == "binop" and inst.opcode == "shl"):
         return None
-    inner = inst.lhs
-    if not (isinstance(inner, BinaryOperator) and inner.opcode == "shl"
-            and isinstance(inner.rhs, ConstantInt)
-            and isinstance(inst.rhs, ConstantInt)):
+    inner = inst.operands[0]
+    if not (inner.KIND == "binop" and inner.opcode == "shl"
+            and inner.operands[1].KIND == "int"
+            and inst.operands[1].KIND == "int"):
         return None
     width = inst.type.width
-    c1, c2 = inner.rhs.value, inst.rhs.value
+    c1, c2 = inner.operands[1].value, inst.operands[1].value
     if c1 >= width or c2 >= width:
         return None  # already poison; leave it visible
     total = c1 + c2
     if total >= width:
         return ConstantInt(inst.type, 0)
     builder = combine.builder_before(inst)
-    return builder.shl(inner.lhs, ConstantInt(inst.type, total))
+    return builder.shl(inner.operands[0], ConstantInt(inst.type, total))
 
 
 def rule_lshr_lshr_combine(inst, combine) -> Optional[Value]:
     """lshr (lshr x, C1), C2  ->  lshr x, C1+C2 (or 0)."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "lshr"):
+    if not (inst.KIND == "binop" and inst.opcode == "lshr"):
         return None
-    inner = inst.lhs
-    if not (isinstance(inner, BinaryOperator) and inner.opcode == "lshr"
-            and isinstance(inner.rhs, ConstantInt)
-            and isinstance(inst.rhs, ConstantInt)):
+    inner = inst.operands[0]
+    if not (inner.KIND == "binop" and inner.opcode == "lshr"
+            and inner.operands[1].KIND == "int"
+            and inst.operands[1].KIND == "int"):
         return None
     width = inst.type.width
-    c1, c2 = inner.rhs.value, inst.rhs.value
+    c1, c2 = inner.operands[1].value, inst.operands[1].value
     if c1 >= width or c2 >= width:
         return None
     total = c1 + c2
     if total >= width:
         return ConstantInt(inst.type, 0)
     builder = combine.builder_before(inst)
-    return builder.lshr(inner.lhs, ConstantInt(inst.type, total))
+    return builder.lshr(inner.operands[0], ConstantInt(inst.type, total))
 
 
 def rule_shl_then_lshr_to_and(inst, combine) -> Optional[Value]:
     """lshr (shl x, C), C  ->  and x, (-1 >> C) — masks the top C bits."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "lshr"):
+    if not (inst.KIND == "binop" and inst.opcode == "lshr"):
         return None
-    inner = inst.lhs
-    if not (isinstance(inner, BinaryOperator) and inner.opcode == "shl"
-            and isinstance(inner.rhs, ConstantInt)
-            and isinstance(inst.rhs, ConstantInt)
-            and inner.rhs.value == inst.rhs.value
+    inner = inst.operands[0]
+    if not (inner.KIND == "binop" and inner.opcode == "shl"
+            and inner.operands[1].KIND == "int"
+            and inst.operands[1].KIND == "int"
+            and inner.operands[1].value == inst.operands[1].value
             and inner.num_uses() == 1):
         return None
     width = inst.type.width
-    shift = inst.rhs.value
+    shift = inst.operands[1].value
     if shift >= width:
         return None
     mask = inst.type.mask >> shift
     builder = combine.builder_before(inst)
-    return builder.and_(inner.lhs, ConstantInt(inst.type, mask))
+    return builder.and_(inner.operands[0], ConstantInt(inst.type, mask))
 
 
 def rule_opposite_shifts_of_allones(inst, combine) -> Optional[Value]:
@@ -83,31 +82,32 @@ def rule_opposite_shifts_of_allones(inst, combine) -> Optional[Value]:
     Bug 50693: the buggy version returns -1, which is wrong for any
     nonzero x.
     """
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "lshr"):
+    if not (inst.KIND == "binop" and inst.opcode == "lshr"):
         return None
-    inner = inst.lhs
-    if not (isinstance(inner, BinaryOperator) and inner.opcode == "shl"
-            and isinstance(inner.lhs, ConstantInt)
-            and inner.lhs.is_all_ones()
-            and inner.rhs is inst.rhs):
+    inner = inst.operands[0]
+    if not (inner.KIND == "binop" and inner.opcode == "shl"
+            and inner.operands[0].KIND == "int"
+            and inner.operands[0].is_all_ones()
+            and inner.operands[1] is inst.operands[1]):
         return None
     if combine.ctx.bug_enabled("50693"):
         combine.ctx.note_bug_trigger("50693")
         return ConstantInt(inst.type, inst.type.mask)
     builder = combine.builder_before(inst)
-    return builder.lshr(ConstantInt(inst.type, inst.type.mask), inst.rhs)
+    return builder.lshr(ConstantInt(inst.type, inst.type.mask),
+                        inst.operands[1])
 
 
 def rule_ashr_of_nonnegative_to_lshr(inst, combine) -> Optional[Value]:
     """ashr (zext x), C  ->  lshr (zext x), C — the sign bit is zero."""
-    if not (isinstance(inst, BinaryOperator) and inst.opcode == "ashr"):
+    if not (inst.KIND == "binop" and inst.opcode == "ashr"):
         return None
-    lhs = inst.lhs
-    if not (isinstance(lhs, CastInst) and lhs.opcode == "zext"
+    lhs = inst.operands[0]
+    if not (lhs.KIND == "cast" and lhs.opcode == "zext"
             and lhs.src_type.width < inst.type.width):
         return None
     builder = combine.builder_before(inst)
-    return builder.lshr(lhs, inst.rhs, exact=inst.exact)
+    return builder.lshr(lhs, inst.operands[1], exact=inst.exact)
 
 
 RULES = [

@@ -18,9 +18,8 @@ from typing import Set
 from ...analysis.loops import Loop, LoopInfo
 from ...ir.domtree import DominatorTree
 from ...ir.function import Function
-from ...ir.instructions import (BinaryOperator, CallInst, CastInst,
-                                FreezeInst, GEPInst, ICmpInst, Instruction,
-                                SelectInst)
+from ...ir.instructions import (CastInst, FreezeInst, GEPInst, ICmpInst,
+                                Instruction, SelectInst)
 from ..context import OptContext
 from ..pass_manager import FunctionPass, register_pass
 
@@ -28,12 +27,12 @@ _UB_CAPABLE_OPCODES = frozenset({"udiv", "sdiv", "urem", "srem"})
 
 
 def _is_hoistable_kind(inst: Instruction) -> bool:
-    if isinstance(inst, BinaryOperator):
+    if inst.KIND == "binop":
         return inst.opcode not in _UB_CAPABLE_OPCODES
     if isinstance(inst, (ICmpInst, SelectInst, CastInst, FreezeInst,
                          GEPInst)):
         return True
-    if isinstance(inst, CallInst):
+    if inst.KIND == "call":
         # Only speculatable pure intrinsics; calls that can trap or
         # observe memory stay put.
         return inst.is_readnone() and inst.intrinsic_name() not in (
@@ -70,8 +69,8 @@ class LoopInvariantCodeMotion(FunctionPass):
             progress = False
             for block in loop.blocks:
                 for inst in list(block.instructions):
-                    if inst.parent is None or inst.is_terminator() \
-                            or inst.is_phi():
+                    if inst.parent is None or inst.IS_TERMINATOR \
+                            or inst.KIND == "phi":
                         continue
                     if not _is_hoistable_kind(inst):
                         continue

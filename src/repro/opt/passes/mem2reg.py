@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from ...ir.domtree import DominatorTree
 from ...ir.function import Function
-from ...ir.instructions import AllocaInst, Instruction, LoadInst, StoreInst
+from ...ir.instructions import AllocaInst, Instruction
 from ...ir.values import UndefValue, Value
 from ..context import OptContext
 from ..pass_manager import FunctionPass, register_pass
@@ -25,9 +25,9 @@ def _promotable_uses(alloca: AllocaInst) -> Optional[List[Instruction]]:
     uses: List[Instruction] = []
     for use in alloca.uses:
         user = use.user
-        if isinstance(user, LoadInst) and user.pointer is alloca:
+        if user.KIND == "load" and user.pointer is alloca:
             uses.append(user)
-        elif isinstance(user, StoreInst) and user.pointer is alloca \
+        elif user.KIND == "store" and user.pointer is alloca \
                 and user.value is not alloca:
             uses.append(user)
         else:
@@ -39,8 +39,8 @@ def _promotable_uses(alloca: AllocaInst) -> Optional[List[Instruction]]:
 class Mem2Reg(FunctionPass):
     def run_on_function(self, function: Function, ctx: OptContext) -> bool:
         changed = False
-        allocas = [inst for inst in function.instructions()
-                   if isinstance(inst, AllocaInst)]
+        allocas = [inst for block in function.blocks
+                   for inst in block.instructions if inst.KIND == "alloca"]
         if not allocas:
             return False
         domtree = DominatorTree(function)
@@ -51,13 +51,13 @@ class Mem2Reg(FunctionPass):
             if uses is None:
                 continue
             if ctx.bug_enabled("72035") and any(
-                    isinstance(u, LoadInst) and u.type is not alloca.allocated_type
+                    u.KIND == "load" and u.type is not alloca.allocated_type
                     for u in uses):
                 ctx.crash("72035", "SROA AllocaSliceRewriter mis-sizes a "
                                    "type-punned slice")
-            if any(isinstance(u, LoadInst) and u.type is not alloca.allocated_type
+            if any(u.KIND == "load" and u.type is not alloca.allocated_type
                    for u in uses) or any(
-                    isinstance(u, StoreInst)
+                    u.KIND == "store"
                     and u.value.type is not alloca.allocated_type
                     for u in uses):
                 continue  # type-punned access; leave to the interpreter
@@ -79,10 +79,10 @@ class Mem2Reg(FunctionPass):
         block = uses[0].parent
         current: Optional[Value] = None
         for inst in list(block.instructions):
-            if isinstance(inst, StoreInst) and inst.pointer is alloca:
+            if inst.KIND == "store" and inst.pointer is alloca:
                 current = inst.value
                 inst.erase_from_parent()
-            elif isinstance(inst, LoadInst) and inst.pointer is alloca:
+            elif inst.KIND == "load" and inst.pointer is alloca:
                 if current is None:
                     # Load before any store: uninitialized -> undef.
                     if ctx.bug_enabled("64661"):
@@ -100,8 +100,8 @@ class Mem2Reg(FunctionPass):
                               uses: List[Instruction],
                               domtree: DominatorTree,
                               ctx: OptContext) -> bool:
-        stores = [u for u in uses if isinstance(u, StoreInst)]
-        loads = [u for u in uses if isinstance(u, LoadInst)]
+        stores = [u for u in uses if u.KIND == "store"]
+        loads = [u for u in uses if u.KIND == "load"]
         if len(stores) != 1:
             return False
         store = stores[0]

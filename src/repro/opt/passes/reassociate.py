@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from ...ir.function import Function
 from ...ir.instructions import BinaryOperator, COMMUTATIVE_OPCODES
-from ...ir.values import Constant, ConstantInt
 from ..context import OptContext
 from ..fold import fold_binary
 from ..pass_manager import FunctionPass, register_pass
@@ -22,7 +21,7 @@ class Reassociate(FunctionPass):
         changed = False
         for block in function.blocks:
             for inst in list(block.instructions):
-                if not isinstance(inst, BinaryOperator):
+                if inst.KIND != "binop":
                     continue
                 if inst.opcode not in COMMUTATIVE_OPCODES:
                     continue
@@ -36,8 +35,8 @@ class Reassociate(FunctionPass):
     def _canonicalize_constant_position(inst: BinaryOperator,
                                         ctx: OptContext) -> bool:
         """Move a constant LHS of a commutative op to the RHS."""
-        if isinstance(inst.lhs, Constant) and not isinstance(inst.rhs, Constant):
-            lhs, rhs = inst.lhs, inst.rhs
+        if inst.operands[0].IS_CONSTANT and not inst.operands[1].IS_CONSTANT:
+            lhs, rhs = inst.operands[0], inst.operands[1]
             inst.set_operand(0, rhs)
             inst.set_operand(1, lhs)
             ctx.count("reassociate.swapped")
@@ -47,18 +46,18 @@ class Reassociate(FunctionPass):
     @staticmethod
     def _fold_chained_constants(inst: BinaryOperator, ctx: OptContext) -> bool:
         """(x op C1) op C2 -> x op (C1 op C2), dropping wrapping flags."""
-        inner = inst.lhs
-        if not (isinstance(inner, BinaryOperator)
+        inner = inst.operands[0]
+        if not (inner.KIND == "binop"
                 and inner.opcode == inst.opcode
                 and inner.num_uses() == 1
-                and isinstance(inner.rhs, ConstantInt)
-                and isinstance(inst.rhs, ConstantInt)):
+                and inner.operands[1].KIND == "int"
+                and inst.operands[1].KIND == "int"):
             return False
-        combined = fold_binary(inst.opcode, inner.rhs, inst.rhs,
-                               inst.type.width)
-        if not isinstance(combined, ConstantInt):
+        combined = fold_binary(inst.opcode, inner.operands[1],
+                               inst.operands[1], inst.type.width)
+        if combined is None or combined.KIND != "int":
             return False
-        inst.set_operand(0, inner.lhs)
+        inst.set_operand(0, inner.operands[0])
         inst.set_operand(1, combined)
         # Regrouping invalidates wrapping facts on the surviving op.
         inst.nuw = False

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from ...ir.cfg import reachable_blocks
 from ...ir.function import Function
-from ...ir.instructions import BrInst, SwitchInst
-from ...ir.values import ConstantInt
+from ...ir.instructions import BrInst
 from ..context import OptContext
 from ..pass_manager import FunctionPass, register_pass
 
@@ -45,7 +44,9 @@ class SimplifyCFG(FunctionPass):
             if len(block.instructions) != 1:
                 continue
             terminator = block.terminator()
-            if not (isinstance(terminator, BrInst)
+            if terminator is None:
+                continue
+            if not (terminator.KIND == "br"
                     and not terminator.is_conditional()):
                 continue
             successor = terminator.operands[0]
@@ -79,8 +80,10 @@ class SimplifyCFG(FunctionPass):
         changed = False
         for block in function.blocks:
             terminator = block.terminator()
-            if isinstance(terminator, BrInst) and terminator.is_conditional() \
-                    and isinstance(terminator.condition, ConstantInt):
+            if terminator is None:
+                continue
+            if terminator.KIND == "br" and terminator.is_conditional() \
+                    and terminator.condition.KIND == "int":
                 taken_index = 1 if terminator.condition.value else 2
                 dead_index = 2 if terminator.condition.value else 1
                 taken = terminator.operands[taken_index]
@@ -92,8 +95,8 @@ class SimplifyCFG(FunctionPass):
                         phi.remove_incoming(block)
                 ctx.count("simplifycfg.const-br")
                 changed = True
-            elif isinstance(terminator, SwitchInst) \
-                    and isinstance(terminator.value, ConstantInt):
+            elif terminator.KIND == "switch" \
+                    and terminator.value.KIND == "int":
                 value = terminator.value.value
                 taken = terminator.default
                 for case_value, case_block in terminator.cases():
@@ -118,7 +121,9 @@ class SimplifyCFG(FunctionPass):
         changed = False
         for block in function.blocks:
             terminator = block.terminator()
-            if isinstance(terminator, BrInst) and terminator.is_conditional() \
+            if terminator is None:
+                continue
+            if terminator.KIND == "br" and terminator.is_conditional() \
                     and terminator.operands[1] is terminator.operands[2]:
                 target = terminator.operands[1]
                 terminator.erase_from_parent()
@@ -156,7 +161,9 @@ class SimplifyCFG(FunctionPass):
     def _merge_straight_line(self, function: Function, ctx: OptContext) -> bool:
         for block in list(function.blocks):
             terminator = block.terminator()
-            if not (isinstance(terminator, BrInst)
+            if terminator is None:
+                continue
+            if not (terminator.KIND == "br"
                     and not terminator.is_conditional()):
                 continue
             successor = terminator.operands[0]

@@ -52,12 +52,13 @@ class SweepState:
 
     def note_affected(self, seeds: Iterable[Instruction]) -> None:
         """Grow the worklists with ``seeds`` and their transitive users."""
-        stack = [seed for seed in seeds if isinstance(seed, Instruction)]
+        stack = [seed for seed in seeds if seed.IS_INSTRUCTION]
+        pending = self.pending
         while stack:
             inst = stack.pop()
-            if inst in self.pending:
+            if inst in pending:
                 continue
-            self.pending.add(inst)
+            pending.add(inst)
             self.visit.add(inst)
             parent = inst.parent
             if parent is not None:
@@ -65,7 +66,7 @@ class SweepState:
                 self.visit_blocks.add(id(parent))
             for use in inst.uses:
                 user = use.user
-                if isinstance(user, Instruction) and user not in self.pending:
+                if user.IS_INSTRUCTION and user not in pending:
                     stack.append(user)
 
     def note_rewrite(self, inst: Instruction,

@@ -50,6 +50,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
+    BINARY_OPCODES,
+    CAST_OPCODES,
     SIGNED_PREDICATES,
     AllocaInst,
     BinaryOperator,
@@ -66,15 +68,9 @@ from ..ir.instructions import (
     StoreInst,
     SwitchInst,
     UnreachableInst,
+    opcode_table,
 )
-from ..ir.types import IntType
-from ..ir.values import (
-    ConstantInt,
-    ConstantPointerNull,
-    PoisonValue,
-    UndefValue,
-    Value,
-)
+from ..ir.values import UndefValue, Value
 from .compile import ExecutionPlan
 from .domain import NULL_POINTER, POISON, Pointer, to_signed
 from .interp import ExecutionLimits, Interpreter, StepLimitExceeded, byte_size_of_type
@@ -473,33 +469,39 @@ class BatchProgram:
 
 def _operand_info(compiler: "_BatchCompiler", value: Value):
     """Classify one operand into const / slot / dyn form."""
-    if isinstance(value, ConstantInt):
-        return (_CONST, value.value)
-    if isinstance(value, PoisonValue):
-        return (_CONST, POISON)
-    if isinstance(value, ConstantPointerNull):
-        return (_CONST, NULL_POINTER)
-    if isinstance(value, Function):
-        return (_CONST, Pointer(f"func:{value.name}", 0))
-    if isinstance(value, UndefValue):
-        compiler.lane_state = True
-        value_type = value.type
-        label = f"undef:{id(value)}"
-
-        def choose_undef(ctx, frame, lane):
-            # Each use of undef is an independent per-lane choice.
-            return ctx.interps[lane]._choose_value(value_type, label)
-
-        return (_DYN, choose_undef)
-    slot = compiler.slots.get(id(value))
+    if value.IS_CONSTANT:
+        return _CONSTANT_OPERANDS[value.KIND](compiler, value)
+    slots = compiler.slots
     reason = f"use of unevaluated value %{value.name or '?'}"
-    if slot is None:
+    if value not in slots:
 
         def raise_ub(ctx, frame, lane):
             raise UBError(reason)
 
         return (_DYN, raise_ub)
-    return (_SLOT, slot, reason)
+    return (_SLOT, slots[value], reason)
+
+
+def _undef_operand(compiler: "_BatchCompiler", value: UndefValue):
+    compiler.lane_state = True
+    value_type = value.type
+    label = f"undef:{id(value)}"
+
+    def choose_undef(ctx, frame, lane):
+        # Each use of undef is an independent per-lane choice.
+        return ctx.interps[lane]._choose_value(value_type, label)
+
+    return (_DYN, choose_undef)
+
+
+# Operand info of each kind of constant, by ``KIND``.
+_CONSTANT_OPERANDS = {
+    "int": lambda compiler, value: (_CONST, value.value),
+    "poison": lambda compiler, value: (_CONST, POISON),
+    "null": lambda compiler, value: (_CONST, NULL_POINTER),
+    "function": lambda compiler, value: (_CONST, Pointer(f"func:{value.name}", 0)),
+    "undef": _undef_operand,
+}
 
 
 def _as_lane_resolver(info) -> LaneResolver:
@@ -656,8 +658,11 @@ def _binary_step(fn, lhs_info, rhs_info, slot: int) -> BatchStep:
 
 
 # Flagless binary opcodes that can neither trap nor overflow-poison:
-# poison propagation plus one C-level operator call per lane.
+# poison propagation plus one C-level operator call per lane.  Every
+# binary opcode has an entry; the others (division, remainder, shifts)
+# map to None.
 _SIMPLE_BINARY_OPS = {
+    **dict.fromkeys(BINARY_OPCODES),
     "add": operator.add,
     "sub": operator.sub,
     "mul": operator.mul,
@@ -746,13 +751,12 @@ def _int_icmp_step(inst: ICmpInst, lhs_info, rhs_info, slot):
     inlined and no per-lane call.  Returns ``None`` for shapes it does
     not cover.
     """
-    if not (
-        isinstance(inst.lhs.type, IntType) and isinstance(inst.rhs.type, IntType)
-    ):
+    lhs_type = inst.operands[0].type
+    if not (lhs_type.IS_INTEGER and inst.operands[1].type.IS_INTEGER):
         return None
     compare = ICMP_COMPARATORS[inst.predicate]
     signed = inst.predicate in SIGNED_PREDICATES
-    width = inst.lhs.type.width
+    width = lhs_type.width
     sign_bit = 1 << (width - 1)
     span = 1 << width
     lhs_kind = lhs_info[0]
@@ -890,13 +894,14 @@ class _BatchCompiler:
 
     def __init__(self, function: Function) -> None:
         self.function = function
-        self.slots: Dict[int, int] = {}
+        # Keyed by the value itself: values hash by identity.
+        self.slots: Dict[Value, int] = {}
         for index, argument in enumerate(function.arguments):
-            self.slots[id(argument)] = index
+            self.slots[argument] = index
         position = len(function.arguments)
         for block in function.blocks:
             for inst in block.instructions:
-                self.slots[id(inst)] = position
+                self.slots[inst] = position
                 position += 1
         self.frame_size = position + 1
         self.blocks: Dict[int, _BBlock] = {
@@ -906,7 +911,7 @@ class _BatchCompiler:
         # (see BatchProgram.lane_state); the entry checks read memory for
         # pointer and dereferenceable parameters.
         self.lane_state = any(
-            argument.type.is_pointer()
+            argument.type.IS_POINTER
             or argument.attributes.get_int("dereferenceable")
             for argument in function.arguments
         )
@@ -917,15 +922,14 @@ class _BatchCompiler:
             start = block.first_non_phi_index()
             instructions = block.instructions[start:]
             compiled.steps = [
-                self.compile_instruction(block, inst)
-                for inst in instructions
+                self.compile_instruction(block, inst) for inst in instructions
             ]
             compiled.step_count = len(instructions)
-            compiled.call_free = not any(
-                isinstance(inst, CallInst)
-                and not inst.callee.name.startswith("llvm.")
-                for inst in instructions
-            )
+            compiled.call_free = True
+            for inst in instructions:
+                if inst.KIND == "call" and not inst.callee.name.startswith("llvm."):
+                    compiled.call_free = False
+                    break
         entry = self.function.entry_block()
         return BatchProgram(
             self.frame_size,
@@ -951,7 +955,7 @@ class _BatchCompiler:
                 )
             else:
                 infos.append(self.operand(incoming))
-            slots.append(self.slots[id(phi)])
+            slots.append(self.slots[phi])
         resolvers = tuple(_as_lane_resolver(info) for info in infos)
         slot_pairs = const_pairs = None
         if all(info[0] is not _DYN for info in infos):
@@ -977,66 +981,44 @@ class _BatchCompiler:
     # -- instructions ----------------------------------------------------
 
     def compile_instruction(self, block: BasicBlock, inst: Instruction) -> BatchStep:
-        if isinstance(inst, BinaryOperator):
-            lhs = self.operand(inst.lhs)
-            rhs = self.operand(inst.rhs)
-            slot = self.slots[id(inst)]
-            simple_op = _SIMPLE_BINARY_OPS.get(inst.opcode)
-            if (
-                simple_op is not None
-                and not inst.nuw
-                and not inst.nsw
-                and not inst.exact
-            ):
-                step = _simple_binary_step(
-                    simple_op, (1 << inst.type.width) - 1, lhs, rhs, slot
-                )
-                if step is not None:
-                    return step
-            op = binary_op(inst.opcode, inst.type.width, inst.nuw, inst.nsw, inst.exact)
-            return _binary_step(op, lhs, rhs, slot)
-        if isinstance(inst, ICmpInst):
-            lhs = self.operand(inst.lhs)
-            rhs = self.operand(inst.rhs)
-            slot = self.slots[id(inst)]
-            step = _int_icmp_step(inst, lhs, rhs, slot)
+        return _COMPILERS[inst.opcode](self, block, inst)
+
+    # Every compile method takes (block, inst), so one opcode table
+    # dispatches them all; only the branches use the block.
+
+    def compile_binary(self, block: BasicBlock, inst: BinaryOperator) -> BatchStep:
+        lhs_value, rhs_value = inst.operands
+        lhs = self.operand(lhs_value)
+        rhs = self.operand(rhs_value)
+        slot = self.slots[inst]
+        width = inst.type.width
+        simple_op = _SIMPLE_BINARY_OPS[inst.opcode]
+        if simple_op is not None and not inst.nuw and not inst.nsw and not inst.exact:
+            step = _simple_binary_step(simple_op, (1 << width) - 1, lhs, rhs, slot)
             if step is not None:
                 return step
-            op = icmp_op(inst.predicate, inst.lhs.type, inst.rhs.type)
-            return _binary_step(op, lhs, rhs, slot)
-        if isinstance(inst, SelectInst):
-            return self.compile_select(inst)
-        if isinstance(inst, CastInst):
-            return self.compile_cast(inst)
-        if isinstance(inst, FreezeInst):
-            return self.compile_freeze(inst)
-        if isinstance(inst, AllocaInst):
-            return self.compile_alloca(inst)
-        if isinstance(inst, LoadInst):
-            return self.compile_load(inst)
-        if isinstance(inst, StoreInst):
-            return self.compile_store(inst)
-        if isinstance(inst, GEPInst):
-            return self.compile_gep(inst)
-        if isinstance(inst, CallInst):
-            return self.compile_call(inst)
-        if isinstance(inst, RetInst):
-            return self.compile_ret(inst)
-        if isinstance(inst, BrInst):
-            return self.compile_br(block, inst)
-        if isinstance(inst, SwitchInst):
-            return self.compile_switch(block, inst)
-        if isinstance(inst, UnreachableInst):
-            return _trap_all_step("reached unreachable")
-        return _trap_all_step(f"unsupported instruction {inst.opcode}")
+        op = binary_op(inst.opcode, width, inst.nuw, inst.nsw, inst.exact)
+        return _binary_step(op, lhs, rhs, slot)
 
-    def compile_select(self, inst: SelectInst) -> BatchStep:
-        condition = self.operand(inst.condition)
+    def compile_icmp(self, block: BasicBlock, inst: ICmpInst) -> BatchStep:
+        lhs_value, rhs_value = inst.operands
+        lhs = self.operand(lhs_value)
+        rhs = self.operand(rhs_value)
+        slot = self.slots[inst]
+        step = _int_icmp_step(inst, lhs, rhs, slot)
+        if step is not None:
+            return step
+        op = icmp_op(inst.predicate, lhs_value.type, rhs_value.type)
+        return _binary_step(op, lhs, rhs, slot)
+
+    def compile_select(self, block: BasicBlock, inst: SelectInst) -> BatchStep:
+        condition_value, true_arm, false_arm = inst.operands
+        condition = self.operand(condition_value)
         # Only the taken arm is evaluated (undef/oracle order), so arms
         # stay in per-lane resolver form.
-        true_value = self.lane_operand(inst.true_value)
-        false_value = self.lane_operand(inst.false_value)
-        slot = self.slots[id(inst)]
+        true_value = self.lane_operand(true_arm)
+        false_value = self.lane_operand(false_arm)
+        slot = self.slots[inst]
         if condition[0] is _SLOT:
             cond_slot, cond_reason = condition[1], condition[2]
 
@@ -1077,14 +1059,15 @@ class _BatchCompiler:
 
         return step
 
-    def compile_cast(self, inst: CastInst) -> BatchStep:
-        op = cast_op(inst.opcode, inst.src_type.width, inst.type.width)
-        return _unary_step(op, self.operand(inst.value), self.slots[id(inst)])
+    def compile_cast(self, block: BasicBlock, inst: CastInst) -> BatchStep:
+        value = inst.operands[0]
+        op = cast_op(inst.opcode, value.type.width, inst.type.width)
+        return _unary_step(op, self.operand(value), self.slots[inst])
 
-    def compile_freeze(self, inst: FreezeInst) -> BatchStep:
+    def compile_freeze(self, block: BasicBlock, inst: FreezeInst) -> BatchStep:
         self.lane_state = True
         value = self.lane_operand(inst.value)
-        slot = self.slots[id(inst)]
+        slot = self.slots[inst]
         frozen_type = inst.type
         label = f"freeze:{id(inst)}"
 
@@ -1104,10 +1087,10 @@ class _BatchCompiler:
 
         return step
 
-    def compile_alloca(self, inst: AllocaInst) -> BatchStep:
+    def compile_alloca(self, block: BasicBlock, inst: AllocaInst) -> BatchStep:
         self.lane_state = True
         size = _required_size(inst.allocated_type)
-        slot = self.slots[id(inst)]
+        slot = self.slots[inst]
 
         def step(ctx, frame, active):
             out = frame[slot]
@@ -1126,13 +1109,13 @@ class _BatchCompiler:
     # ``call``).  They close over types and ids, never the instruction,
     # so a cached plan keeps no mutant module alive.
 
-    def compile_load(self, inst: LoadInst) -> BatchStep:
+    def compile_load(self, block: BasicBlock, inst: LoadInst) -> BatchStep:
         self.lane_state = True
-        pointer = self.lane_operand(inst.pointer)
+        pointer = self.lane_operand(inst.operands[0])
         loaded_type = inst.type
         _required_size(loaded_type)
         site = id(inst)
-        slot = self.slots[site]
+        slot = self.slots[inst]
 
         def step(ctx, frame, active):
             out = frame[slot]
@@ -1146,11 +1129,12 @@ class _BatchCompiler:
 
         return step
 
-    def compile_store(self, inst: StoreInst) -> BatchStep:
+    def compile_store(self, block: BasicBlock, inst: StoreInst) -> BatchStep:
         self.lane_state = True
-        pointer = self.lane_operand(inst.pointer)
-        value = self.lane_operand(inst.value)
-        stored_type = inst.value.type
+        stored, pointer_value = inst.operands
+        pointer = self.lane_operand(pointer_value)
+        value = self.lane_operand(stored)
+        stored_type = stored.type
         _required_size(stored_type)
 
         def step(ctx, frame, active):
@@ -1165,7 +1149,7 @@ class _BatchCompiler:
 
         return step
 
-    def compile_gep(self, inst: GEPInst) -> BatchStep:
+    def compile_gep(self, block: BasicBlock, inst: GEPInst) -> BatchStep:
         self.lane_state = True
         pointer = self.lane_operand(inst.pointer)
         element_type = inst.source_type
@@ -1174,7 +1158,7 @@ class _BatchCompiler:
             (self.lane_operand(index), index.type.width) for index in inst.indices
         )
         inbounds = inst.inbounds
-        slot = self.slots[id(inst)]
+        slot = self.slots[inst]
 
         def step(ctx, frame, active):
             out = frame[slot]
@@ -1193,14 +1177,14 @@ class _BatchCompiler:
 
         return step
 
-    def compile_call(self, inst: CallInst) -> BatchStep:
+    def compile_call(self, block: BasicBlock, inst: CallInst) -> BatchStep:
         callee = inst.callee
         resolvers = tuple(self.lane_operand(argument) for argument in inst.args)
         if callee.name.startswith("llvm."):
             return self.compile_intrinsic(inst, resolvers)
         self.lane_state = True
-        has_result = not inst.type.is_void()
-        slot = self.slots[id(inst)] if has_result else None
+        has_result = not inst.type.IS_VOID
+        slot = self.slots[inst] if has_result else None
 
         def step(ctx, frame, active):
             out = frame[slot] if slot is not None else None
@@ -1231,9 +1215,9 @@ class _BatchCompiler:
     ) -> BatchStep:
         base = inst.intrinsic_name()
         name = inst.callee.name
-        width = inst.type.width if isinstance(inst.type, IntType) else 0
-        has_result = not inst.type.is_void()
-        slot = self.slots[id(inst)] if has_result else None
+        width = inst.type.width if inst.type.IS_INTEGER else 0
+        has_result = not inst.type.IS_VOID
+        slot = self.slots[inst] if has_result else None
         assumes = base == "llvm.assume"
         bundle_checks = tuple(
             (bundle.tag, tuple(map(self.lane_operand, inst.bundle_operands(bundle))))
@@ -1260,7 +1244,7 @@ class _BatchCompiler:
 
         return step
 
-    def compile_ret(self, inst: RetInst) -> BatchStep:
+    def compile_ret(self, block: BasicBlock, inst: RetInst) -> BatchStep:
         if inst.return_value is None:
 
             def step(ctx, frame, active):
@@ -1297,14 +1281,14 @@ class _BatchCompiler:
         return step
 
     def compile_br(self, block: BasicBlock, inst: BrInst) -> BatchStep:
-        if not inst.is_conditional():
+        if len(inst.operands) == 1:
             edge = self.edge(block, inst.operands[0])
 
             def step(ctx, frame, active):
                 return ((edge, active),)
 
             return step
-        condition = self.operand(inst.condition)
+        condition = self.operand(inst.operands[0])
         true_edge = self.edge(block, inst.operands[1])
         false_edge = self.edge(block, inst.operands[2])
         if condition[0] is _SLOT:
@@ -1393,6 +1377,36 @@ class _BatchCompiler:
             return groups
 
         return step
+
+    def compile_unreachable(
+        self, block: BasicBlock, inst: UnreachableInst
+    ) -> BatchStep:
+        return _trap_all_step("reached unreachable")
+
+    def compile_unsupported(self, block: BasicBlock, inst: Instruction) -> BatchStep:
+        return _trap_all_step(f"unsupported instruction {inst.opcode}")
+
+
+# By opcode.  Phis have no step: edges copy them (see ``edge``).
+_COMPILERS = opcode_table(
+    _BatchCompiler.compile_unsupported,
+    {
+        **dict.fromkeys(BINARY_OPCODES, _BatchCompiler.compile_binary),
+        "icmp": _BatchCompiler.compile_icmp,
+        "select": _BatchCompiler.compile_select,
+        **dict.fromkeys(CAST_OPCODES, _BatchCompiler.compile_cast),
+        "freeze": _BatchCompiler.compile_freeze,
+        "alloca": _BatchCompiler.compile_alloca,
+        "load": _BatchCompiler.compile_load,
+        "store": _BatchCompiler.compile_store,
+        "getelementptr": _BatchCompiler.compile_gep,
+        "call": _BatchCompiler.compile_call,
+        "ret": _BatchCompiler.compile_ret,
+        "br": _BatchCompiler.compile_br,
+        "switch": _BatchCompiler.compile_switch,
+        "unreachable": _BatchCompiler.compile_unreachable,
+    },
+)
 
 
 def _ub_lane_raiser(reason: str) -> LaneResolver:

@@ -37,7 +37,7 @@ from ..ir.instructions import (
     SwitchInst,
     UnreachableInst,
 )
-from ..ir.types import IntType, Type
+from ..ir.types import Type
 from ..ir.values import (
     ConstantInt,
     ConstantPointerNull,
@@ -94,9 +94,9 @@ class ExecutionLimits:
 def byte_size_of_type(type: Type) -> int:
     """Bytes a value of ``type`` occupies in memory.  Memoized (types are
     interned): the memory rules ask once per lane."""
-    if isinstance(type, IntType):
+    if type.IS_INTEGER:
         return byte_size_of_width(type.width)
-    if type.is_pointer():
+    if type.IS_POINTER:
         return POINTER_SIZE
     raise ValueError(f"no memory size for type {type}")
 
@@ -209,15 +209,16 @@ class Interpreter:
 
     def _execute(self, inst: Instruction, frame: _Frame, depth: int):
         if isinstance(inst, BinaryOperator):
-            lhs = frame.get(inst.lhs, self)
-            rhs = frame.get(inst.rhs, self)
+            lhs = frame.get(inst.operands[0], self)
+            rhs = frame.get(inst.operands[1], self)
             op = binary_op(inst.opcode, inst.type.width, inst.nuw, inst.nsw, inst.exact)
             frame.set(inst, op(lhs, rhs))
             return None
         if isinstance(inst, ICmpInst):
-            lhs = frame.get(inst.lhs, self)
-            rhs = frame.get(inst.rhs, self)
-            op = icmp_op(inst.predicate, inst.lhs.type, inst.rhs.type)
+            lhs_value, rhs_value = inst.operands
+            lhs = frame.get(lhs_value, self)
+            rhs = frame.get(rhs_value, self)
+            op = icmp_op(inst.predicate, lhs_value.type, rhs_value.type)
             frame.set(inst, op(lhs, rhs))
             return None
         if isinstance(inst, SelectInst):
@@ -268,7 +269,7 @@ class Interpreter:
             return None
         if isinstance(inst, CallInst):
             result = self._eval_call(inst, frame, depth)
-            if not inst.type.is_void():
+            if not inst.type.IS_VOID:
                 frame.set(inst, result)
             return None
         if isinstance(inst, RetInst):
@@ -315,7 +316,7 @@ class Interpreter:
         return stored
 
     def _choose_value(self, type: Type, label: str) -> RuntimeValue:
-        if isinstance(type, IntType):
+        if type.IS_INTEGER:
             if type.width <= 3:
                 options: Sequence = choice_domain(type.width)
             else:
@@ -325,7 +326,7 @@ class Interpreter:
                 options = interesting_values(type.width)
                 self._note_truncated_domain()
             return self.oracle.choose(label, options)
-        if type.is_pointer():
+        if type.IS_POINTER:
             self._note_truncated_domain()
             return self.oracle.choose(label, [NULL_POINTER])
         raise UBError(f"cannot choose a value of type {type}")
@@ -345,7 +346,7 @@ class Interpreter:
         if not isinstance(pointer, Pointer):
             raise UBError("load from non-pointer value")
         data = self.memory.load_bytes(pointer, byte_size_of_type(loaded_type))
-        if not isinstance(loaded_type, IntType):
+        if not loaded_type.IS_INTEGER:
             return self._bytes_to_pointer(data)
         for byte in data:
             if byte is POISON:
@@ -475,7 +476,7 @@ class Interpreter:
                 for bundle in inst.bundles
             )
             return assume(args[0], bundles)
-        width = inst.type.width if isinstance(inst.type, IntType) else 0
+        width = inst.type.width if inst.type.IS_INTEGER else 0
         return evaluate_intrinsic(base, callee.name, width, args)
 
     def call(
@@ -542,11 +543,11 @@ class Interpreter:
                 self.memory.fill(pointer.block, new_bytes)
 
         return_type = function.return_type
-        if return_type.is_void():
+        if return_type.IS_VOID:
             return None
-        if isinstance(return_type, IntType):
+        if return_type.IS_INTEGER:
             return seed & ((1 << return_type.width) - 1)
-        if return_type.is_pointer():
+        if return_type.IS_POINTER:
             return NULL_POINTER
         raise UBError(f"external function returning {return_type}")
 

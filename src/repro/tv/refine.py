@@ -29,10 +29,8 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.constants_pool import ConstantPool
 from ..config import operational, semantic, semantic_key
 from ..ir.function import Function
-from ..ir.instructions import CallInst
 from ..ir.intrinsics import lookup as lookup_intrinsic
 from ..ir.module import Module
-from ..ir.types import IntType
 from .batch import BatchRunner, BatchStats, batch_program_for
 from .compile import LRUCache, PlanCache
 from .domain import (
@@ -179,20 +177,44 @@ def check_function_supported(function: Function) -> Optional[str]:
     if function.function_type.is_vararg:
         return "vararg function"
     for argument in function.arguments:
-        if not (argument.type.is_integer() or argument.type.is_pointer()):
+        if not (argument.type.IS_INTEGER or argument.type.IS_POINTER):
             return f"unsupported parameter type {argument.type}"
-        if argument.type.is_integer() and argument.type.width > 64:
+        if argument.type.IS_INTEGER and argument.type.width > 64:
             return "integer parameter wider than 64 bits"
     if not (
-        function.return_type.is_void()
-        or function.return_type.is_integer()
-        or function.return_type.is_pointer()
+        function.return_type.IS_VOID
+        or function.return_type.IS_INTEGER
+        or function.return_type.IS_POINTER
     ):
         return f"unsupported return type {function.return_type}"
-    for inst in function.instructions():
-        if isinstance(inst, CallInst) and inst.callee.name.startswith("llvm."):
-            if lookup_intrinsic(inst.callee.name) is None:
-                return f"unknown intrinsic {inst.callee.name}"
+    # Types the parser accepts but neither engine can run (the verifier
+    # rejects them): fail closed with a reason instead of crashing.
+    for block in function.blocks:
+        for inst in block.instructions:
+            kind = inst.KIND
+            if kind == "binop" or kind == "cast":
+                source = inst.operands[0].type
+                if not (source.IS_INTEGER and inst.type.IS_INTEGER):
+                    return f"{inst.opcode} from {source} to {inst.type}"
+            elif kind == "load" or kind == "alloca" or kind == "gep":
+                if kind == "load":
+                    accessed = inst.type
+                elif kind == "alloca":
+                    accessed = inst.allocated_type
+                else:
+                    accessed = inst.source_type
+                    for index in inst.operands[1:]:
+                        if not index.type.IS_INTEGER:
+                            return f"getelementptr index of type {index.type}"
+                if not accessed.IS_FIRST_CLASS:
+                    return f"{inst.opcode} of unsized type {accessed}"
+            elif kind == "call" and inst.callee.name.startswith("llvm."):
+                if lookup_intrinsic(inst.callee.name) is None:
+                    return f"unknown intrinsic {inst.callee.name}"
+                for argument in inst.args:
+                    if not argument.type.IS_INTEGER:
+                        return (f"{inst.callee.name} argument of type "
+                                f"{argument.type}")
     return None
 
 
@@ -215,9 +237,9 @@ def generate_inputs(
         pool = ConstantPool(function)
     per_arg: List[List[object]] = []
     for arg_index, argument in enumerate(function.arguments):
-        if isinstance(argument.type, IntType):
+        if argument.type.IS_INTEGER:
             per_arg.append(_int_candidates(argument.type.width, pool, rng))
-        elif argument.type.is_pointer():
+        elif argument.type.IS_POINTER:
             per_arg.append(_pointer_candidates(function, arg_index, config, rng))
         else:
             per_arg.append([0])
@@ -286,7 +308,7 @@ def _input_key(
     arguments = []
     by_width: Dict[int, tuple] = {}  # arguments mostly share a width
     for argument in function.arguments:
-        if isinstance(argument.type, IntType):
+        if argument.type.IS_INTEGER:
             width = argument.type.width
             constants = by_width.get(width)
             if constants is None:
@@ -296,7 +318,7 @@ def _input_key(
                     else ()
                 )
             arguments.append((width, constants))
-        elif argument.type.is_pointer():
+        elif argument.type.IS_POINTER:
             attributes = argument.attributes
             arguments.append(
                 (
@@ -367,7 +389,7 @@ def _pointer_candidates(
     for earlier_index in range(arg_index):
         earlier = function.arguments[earlier_index]
         if (
-            earlier.type.is_pointer()
+            earlier.type.IS_POINTER
             and not argument.attributes.has("noalias")
             and not earlier.attributes.has("noalias")
         ):

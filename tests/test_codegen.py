@@ -188,7 +188,7 @@ define i26 @f(i26 %x, i26 %y) {{
         optimized, _ = optimize(module, "backend")
         fn = optimized.get_function("f")
         widths = {i.type.width for i in fn.instructions()
-                  if i.type.is_integer()}
+                  if i.type.IS_INTEGER}
         assert 32 in widths
         assert_sound(module, "backend")
 

@@ -110,14 +110,14 @@ class TestMemoryOps:
 
     def test_store(self):
         store = StoreInst(arg(I32), arg(PTR, "p"))
-        assert store.type.is_void()
+        assert store.type.IS_VOID
         assert store.may_write_memory() and store.has_side_effects()
 
 
 class TestTerminators:
     def test_ret_void(self):
         ret = RetInst()
-        assert ret.return_value is None and ret.is_terminator()
+        assert ret.return_value is None and ret.IS_TERMINATOR
 
     def test_ret_value(self):
         value = arg()
@@ -147,7 +147,7 @@ class TestTerminators:
         assert sw.successors() == [d, a]
 
     def test_unreachable(self):
-        assert UnreachableInst().is_terminator()
+        assert UnreachableInst().IS_TERMINATOR
 
 
 class TestPhi:

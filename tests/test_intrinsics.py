@@ -71,7 +71,7 @@ class TestDeclaration:
         module = Module()
         fn = declare_assume(module)
         assert fn.name == "llvm.assume"
-        assert fn.return_type.is_void()
+        assert fn.return_type.IS_VOID
 
 
 class TestAttributeSet:

@@ -725,7 +725,7 @@ b1:
                                               name=step[2])
         elif kind == "erase":
             candidates = [inst for inst in function.instructions()
-                          if not inst.is_terminator()]
+                          if not inst.IS_TERMINATOR]
             if candidates:
                 victim = candidates[step[1] % len(candidates)]
                 victim.replace_all_uses_with(first)

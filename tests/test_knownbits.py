@@ -220,7 +220,7 @@ def test_known_bits_sound_on_concrete_runs(mask1, set1, const, op1, op2, x, y):
     fn = module.get_function("f")
     facts = {inst.name: compute_known_bits(inst)
              for inst in fn.instructions()
-             if inst.name and inst.type.is_integer()}
+             if inst.name and inst.type.IS_INTEGER}
     result = Interpreter(module).run(fn, [x, y])
     # Cross-check the intermediate facts against a hand-rolled evaluation.
     concrete = {"m": x & mask1, "n": y | set1}

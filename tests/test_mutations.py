@@ -264,7 +264,7 @@ define i32 @f(i32 %a, i32 %b) {
         casts = [i for i in fn.instructions() if isinstance(i, CastInst)]
         assert casts, print_module(mutated)
         widths = {i.type.width for i in fn.instructions()
-                  if i.type.is_integer()}
+                  if i.type.IS_INTEGER}
         assert widths - {32}, "no new width introduced"
 
     def test_no_polymorphic_roots(self):

@@ -76,7 +76,7 @@ define i32 @f(i32* %p) {
   ret i32 %v
 }
 """)
-        assert fn.arguments[0].type.is_pointer()
+        assert fn.arguments[0].type.IS_POINTER
 
     def test_flags(self):
         fn = single_function("""

@@ -2,6 +2,7 @@
 nondeterminism handling, and input generation."""
 
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -304,6 +305,40 @@ define i32 @f(i32 %x, ptr %p) {
 }
 """).get_function("f")
         assert check_function_supported(fn) is None
+
+    # Ill-typed bodies the parser takes (the verifier rejects them), with
+    # the reason each is refused; both engines used to crash on them.
+    ILL_TYPED = {
+        "add ptr": ("%a = add ptr %p, %p", "add from ptr to ptr"),
+        "zext ptr": ("%a = zext ptr %p to i64", "zext from ptr to i64"),
+        "load void": ("load void, ptr %p", "load of unsized type void"),
+        "trunc to ptr": ("%a = trunc i64 %x to ptr", "trunc from i64 to ptr"),
+        "alloca void": ("%a = alloca void", "alloca of unsized type void"),
+        "gep void": ("%a = getelementptr void, ptr %p, i64 1",
+                     "getelementptr of unsized type void"),
+        "gep ptr index": ("%a = getelementptr i8, ptr %p, ptr %p",
+                          "getelementptr index of type ptr"),
+        "intrinsic ptr": ("%a = call i64 @llvm.umax.i64(ptr %p, i64 1)",
+                          "llvm.umax.i64 argument of type ptr"),
+    }
+
+    @pytest.mark.parametrize("batched", [True, False],
+                             ids=["batched", "tree-walked"])
+    @pytest.mark.parametrize("name", sorted(ILL_TYPED))
+    def test_ill_typed_ir_is_refused(self, name, batched):
+        body, reason = self.ILL_TYPED[name]
+        header = ("declare i64 @llvm.umax.i64(i64, i64)\n"
+                  "define i64 @f(i64 %x, ptr %p) {\n")
+        src = parse_module(f"{header}  {body}\n  ret i64 0\n}}")
+        # A twin with an extra block, so the pair is not trivially equal.
+        tgt = parse_module(f"{header}first:\n  br label %second\n"
+                           f"second:\n  {body}\n  ret i64 0\n}}")
+        assert check_function_supported(src.get_function("f")) == reason
+        result = check_refinement(src.get_function("f"),
+                                  tgt.get_function("f"), src, tgt,
+                                  RefinementConfig(batched=batched))
+        assert result.verdict == Verdict.UNSUPPORTED
+        assert result.reason == reason
 
 
 class TestInputGeneration:

@@ -84,8 +84,8 @@ class ResweepInstSimplify(FunctionPass):
             changed = False
             for block in function.blocks:
                 for inst in list(block.instructions):
-                    if inst.parent is None or inst.type.is_void() \
-                            or inst.is_terminator():
+                    if inst.parent is None or inst.type.IS_VOID \
+                            or inst.IS_TERMINATOR:
                         continue
                     simplified = simplify_instruction(inst, ctx)
                     if simplified is not None and simplified is not inst:
@@ -109,10 +109,10 @@ class ResweepInstCombine(FunctionPass):
                 for inst in list(block.instructions):
                     if inst.parent is None:
                         continue
-                    if inst.is_terminator():
+                    if inst.IS_TERMINATOR:
                         continue
                     simplified = None
-                    if not inst.type.is_void():
+                    if not inst.type.IS_VOID:
                         simplified = simplify_instruction(inst, ctx)
                     if simplified is not None and simplified is not inst:
                         replace_and_erase(inst, simplified)

@@ -48,27 +48,27 @@ class TestIntType:
         assert int_type(12) is IntType(12)
 
     def test_classification(self):
-        assert I32.is_integer()
-        assert not I32.is_pointer()
-        assert I32.is_first_class()
+        assert I32.IS_INTEGER
+        assert not I32.IS_POINTER
+        assert I32.IS_FIRST_CLASS
 
 
 class TestOtherTypes:
     def test_void_singleton(self):
         assert VoidType() is VoidType()
-        assert VOID.is_void()
+        assert VOID.IS_VOID
         assert str(VOID) == "void"
-        assert not VOID.is_first_class()
+        assert not VOID.IS_FIRST_CLASS
 
     def test_ptr_singleton(self):
         assert PtrType() is PtrType()
-        assert PTR.is_pointer()
+        assert PTR.IS_POINTER
         assert str(PTR) == "ptr"
-        assert PTR.is_first_class()
+        assert PTR.IS_FIRST_CLASS
 
     def test_label(self):
         assert LabelType() is LabelType()
-        assert LabelType().is_label()
+        assert LabelType().IS_LABEL
 
     def test_same_type(self):
         assert same_type(IntType(5), IntType(5))
@@ -96,4 +96,4 @@ class TestFunctionType:
         assert str(FunctionType(VOID, (I8,), True)) == "void (i8, ...)"
 
     def test_is_function(self):
-        assert FunctionType(VOID, ()).is_function()
+        assert FunctionType(VOID, ()).IS_FUNCTION
