@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -22,13 +23,28 @@ GLOBAL = "global"      # @name
 ATTR_GROUP = "attr_group"  # #0
 INT = "int"            # integer literal (may be negative)
 STRING = "string"      # "..." (operand bundle tags)
-PUNCT = "punct"        # ( ) { } [ ] = , * : ...
+PUNCT = "punct"        # ( ) { } [ ] = , * :
 METADATA = "metadata"  # !name or !0
 EOF = "eof"
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ$._")
-_IDENT_CONT = _IDENT_START | set("0123456789-")
-_PUNCT_CHARS = set("(){}[]=,*:")
+_SIGIL_KINDS = {"%": LOCAL, "@": GLOBAL, "#": ATTR_GROUP, "!": METADATA}
+
+# One alternative per token shape; the groups named after a token kind
+# (word, int, string, punct) yield that kind.  Digits are ASCII only, as
+# in LLVM: ``str.isdigit`` would also take ``²`` and ``٣``.  Quoted names
+# and strings may span lines without moving the line counter, and ``...``
+# is a word (``.`` starts identifiers).
+_SCAN = re.compile(
+    r"(?P<newline>\n)"
+    r"|[ \t\r]+"
+    r"|;[^\n]*"
+    r'|(?P<sigil>[%@#!])(?:"(?P<quoted>[^"]*)"|(?P<name>[-A-Za-z$._0-9]*))'
+    r'|"(?P<string>[^"]*)"'
+    r"|(?P<int>-?[0-9]+)"
+    r"|(?P<word>[A-Za-z$._][A-Za-z$._0-9]*)"
+    r"|(?P<punct>[(){}\[\]=,*:])"
+    r"|(?P<error>.)"
+)
 
 
 @dataclass
@@ -45,137 +61,80 @@ class Token:
 def tokenize(source: str) -> List[Token]:
     """Tokenize the whole input, dropping comments."""
     tokens: List[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(source)
-
-    def make(kind: str, text: str) -> None:
-        tokens.append(Token(kind, text, line, start_col))
-
-    while i < n:
-        ch = source[i]
-        start_col = col
-        if ch == "\n":
-            i += 1
+    line_start = 0  # offset of the current line's first character
+    for match in _SCAN.finditer(source):
+        group = match.lastgroup
+        if group is None:  # blanks and comments
+            continue
+        if group == "newline":
             line += 1
-            col = 1
+            line_start = match.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == ";":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in "%@#!":
-            sigil = ch
-            j = i + 1
-            if j < n and source[j] == '"':
-                # Quoted name: %"spaced name"
-                j += 1
-                start = j
-                while j < n and source[j] != '"':
-                    j += 1
-                if j >= n:
-                    raise LexError("unterminated quoted name", line, start_col)
-                name = source[start:j]
-                j += 1
-            else:
-                start = j
-                while j < n and source[j] in _IDENT_CONT:
-                    j += 1
-                name = source[start:j]
-            if not name:
-                raise LexError(f"empty name after {sigil!r}", line, start_col)
-            kind = {"%": LOCAL, "@": GLOBAL, "#": ATTR_GROUP, "!": METADATA}[sigil]
-            col += j - i
-            i = j
-            make(kind, name)
-            continue
-        if ch == '"':
-            j = i + 1
-            start = j
-            while j < n and source[j] != '"':
-                j += 1
-            if j >= n:
-                raise LexError("unterminated string", line, start_col)
-            text = source[start:j]
-            col += (j + 1) - i
-            i = j + 1
-            make(STRING, text)
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            text = source[i:j]
-            col += j - i
-            i = j
-            make(INT, text)
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and (source[j] in _IDENT_START or source[j].isdigit()):
-                j += 1
-            text = source[i:j]
-            col += j - i
-            i = j
-            make(WORD, text)
-            continue
-        if ch == "." and source[i:i + 3] == "...":
-            col += 3
-            i += 3
-            make(PUNCT, "...")
-            continue
-        if ch in _PUNCT_CHARS:
-            i += 1
-            col += 1
-            make(PUNCT, ch)
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, start_col)
-
-    tokens.append(Token(EOF, "", line, col))
+        start = match.start()
+        column = start - line_start + 1
+        if group == "name" or group == "quoted":
+            text = match[group]
+            sigil = match["sigil"]
+            if not text:
+                if group == "name" and source.startswith('"', start + 1):
+                    raise LexError("unterminated quoted name", line, column)
+                raise LexError(f"empty name after {sigil!r}", line, column)
+            append(Token(_SIGIL_KINDS[sigil], text, line, column))
+        elif group == "error":
+            if match[group] == '"':
+                raise LexError("unterminated string", line, column)
+            raise LexError(f"unexpected character {match[group]!r}", line, column)
+        else:
+            append(Token(group, match[group], line, column))
+    append(Token(EOF, "", line, len(source) - line_start + 1))
     return tokens
 
 
 class TokenStream:
-    """Cursor over a token list with peek/expect helpers."""
+    """Cursor over a token list with peek/expect helpers.
+
+    The list ends in two EOF tokens, so a look one token ahead
+    (``peek(1)``, ``at(kind, text, 1)``) is in range wherever the cursor
+    stands: ``next`` never moves past the first EOF.
+    """
 
     def __init__(self, tokens: List[Token]) -> None:
-        self._tokens = tokens
+        self._tokens = tokens + tokens[-1:]
         self._pos = 0
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
     def next(self) -> Token:
-        token = self.peek()
+        token = self._tokens[self._pos]
         if token.kind != EOF:
             self._pos += 1
         return token
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        token = self.peek()
-        if token.kind != kind:
-            return False
-        return text is None or token.text == text
+    def at(self, kind: str, text: Optional[str] = None, offset: int = 0) -> bool:
+        token = self._tokens[self._pos + offset]
+        return token.kind == kind and (text is None or token.text == text)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, text):
-            return self.next()
-        return None
+        token = self._tokens[self._pos]
+        if token.kind != kind or (text is not None and token.text != text):
+            return None
+        if kind != EOF:
+            self._pos += 1
+        return token
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        token = self.peek()
-        if not self.at(kind, text):
+        token = self._tokens[self._pos]
+        if token.kind != kind or (text is not None and token.text != text):
             wanted = text if text is not None else kind
             raise SyntaxError(
                 f"expected {wanted!r}, found {token.text!r} "
                 f"at line {token.line}:{token.column}")
-        return self.next()
+        if kind != EOF:
+            self._pos += 1
+        return token
 
     def at_eof(self) -> bool:
-        return self.peek().kind == EOF
+        return self._tokens[self._pos].kind == EOF

@@ -27,8 +27,17 @@ from ..types import (FunctionType, IntType, LabelType, PtrType, Type,
                      VoidType)
 from ..values import (ConstantInt, ConstantPointerNull, PoisonValue,
                       UndefValue, Value)
-from .lexer import (ATTR_GROUP, GLOBAL, INT, LOCAL, METADATA, PUNCT, STRING,
-                    TokenStream, WORD, tokenize)
+from .lexer import (ATTR_GROUP, EOF, GLOBAL, INT, LOCAL, METADATA, PUNCT,
+                    STRING, TokenStream, WORD, tokenize)
+
+
+# Common type names, answered without parsing a width.
+_NAMED_TYPES: Dict[str, Type] = {
+    "void": VoidType(),
+    "ptr": PtrType(),
+    "label": LabelType(),
+    **{f"i{width}": IntType(width) for width in (1, 8, 16, 32, 64)},
+}
 
 
 class ParseError(Exception):
@@ -214,23 +223,18 @@ class _Parser:
     def parse_type(self) -> Type:
         token = self.tokens.expect(WORD)
         text = token.text
-        base: Type
-        if text == "void":
-            base = VoidType()
-        elif text == "ptr":
-            base = PtrType()
-        elif text == "label":
-            base = LabelType()
-        elif text.startswith("i") and text[1:].isdigit():
+        if text in _NAMED_TYPES:
+            base = _NAMED_TYPES[text]
+        else:
+            if not (text.startswith("i") and text[1:].isdigit()):
+                raise SyntaxError(
+                    f"unknown type {text!r} at line {token.line}:{token.column}")
             try:
                 base = IntType(int(text[1:]))
             except ValueError as exc:
                 raise SyntaxError(
                     f"invalid integer type {text!r} at line "
                     f"{token.line}:{token.column}") from exc
-        else:
-            raise SyntaxError(
-                f"unknown type {text!r} at line {token.line}:{token.column}")
         # Typed pointers (i32*, i8**) normalize to opaque ptr.
         while self.tokens.accept(PUNCT, "*"):
             base = PtrType()
@@ -294,13 +298,15 @@ class _BodyParser:
 
     def parse_body(self) -> None:
         current: Optional[BasicBlock] = None
-        while not self.tokens.at(PUNCT, "}"):
-            if self.tokens.at_eof():
+        while True:
+            token = self.tokens.peek()
+            kind = token.kind
+            if kind == PUNCT and token.text == "}":
+                break
+            if kind == EOF:
                 raise SyntaxError("unexpected end of input inside function body")
             # A label: WORD/INT followed by ':'.
-            if ((self.tokens.at(WORD) or self.tokens.at(INT))
-                    and self.tokens.peek(1).kind == PUNCT
-                    and self.tokens.peek(1).text == ":"):
+            if (kind == WORD or kind == INT) and self.tokens.at(PUNCT, ":", 1):
                 label = self.tokens.next().text
                 self.tokens.expect(PUNCT, ":")
                 block = self.get_block(label)
@@ -323,36 +329,29 @@ class _BodyParser:
     # -- operands ------------------------------------------------------------------
 
     def parse_value(self, type: Type) -> Value:
-        token = self.tokens.peek()
+        # Every path that does not consume the token raises.
+        token = self.tokens.next()
         if token.kind == LOCAL:
-            self.tokens.next()
             return self.lookup_value(token.text, type)
         if token.kind == INT:
-            self.tokens.next()
             if not type.IS_INTEGER:
                 raise SyntaxError(f"integer literal used as {type}")
             return ConstantInt(type, int(token.text))
         if token.kind == GLOBAL:
-            self.tokens.next()
             function = self.module.get_function(token.text)
             if function is None:
                 raise SyntaxError(f"use of undefined global @{token.text}")
             return function
         if token.kind == WORD:
             if token.text == "true":
-                self.tokens.next()
                 return ConstantInt(IntType(1), 1)
             if token.text == "false":
-                self.tokens.next()
                 return ConstantInt(IntType(1), 0)
             if token.text == "undef":
-                self.tokens.next()
                 return UndefValue(type)
             if token.text == "poison":
-                self.tokens.next()
                 return PoisonValue(type)
             if token.text == "null":
-                self.tokens.next()
                 if not type.IS_POINTER:
                     raise SyntaxError("null literal used at non-pointer type")
                 return ConstantPointerNull()
@@ -373,7 +372,7 @@ class _BodyParser:
 
     def _skip_metadata(self) -> None:
         """Skip trailing ``, !dbg !7``-style metadata."""
-        while self.tokens.at(PUNCT, ",") and self.tokens.peek(1).kind == METADATA:
+        while self.tokens.at(PUNCT, ",") and self.tokens.at(METADATA, None, 1):
             self.tokens.next()
             self.tokens.next()
             if self.tokens.at(METADATA):
@@ -381,8 +380,7 @@ class _BodyParser:
 
     def _parse_align_suffix(self) -> int:
         align = 0
-        if self.tokens.at(PUNCT, ",") and self.tokens.peek(1).kind == WORD \
-                and self.tokens.peek(1).text == "align":
+        if self.tokens.at(PUNCT, ",") and self.tokens.at(WORD, "align", 1):
             self.tokens.next()
             self.tokens.next()
             align = int(self.tokens.expect(INT).text)
@@ -392,8 +390,9 @@ class _BodyParser:
 
     def parse_instruction(self, block: BasicBlock) -> None:
         result_name = ""
-        if self.tokens.at(LOCAL):
-            result_name = self.tokens.next().text
+        local = self.tokens.accept(LOCAL)
+        if local is not None:
+            result_name = local.text
             self.tokens.expect(PUNCT, "=")
         opcode_token = self.tokens.expect(WORD)
         opcode = opcode_token.text

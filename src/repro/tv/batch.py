@@ -34,12 +34,16 @@ Every step applies the value-level rules of :mod:`repro.tv.semantics`
 interpreter) per lane: this module owns lane loops, operand
 specialization and control flow, not instruction semantics.
 
-Batch programs are compiled lazily and cached on the function's
-:class:`~repro.tv.compile.ExecutionPlan`, so the driver's plan cache
-shares them across mutants.  Anything the batch compiler declines —
-deferred size errors whose ``ValueError`` must abort the whole check in
-scalar input order — is tree-walked one input at a time instead,
-counted in ``exec.batch.scalar_fallbacks``.
+Batch programs are built on the first batched run and cached on the
+function's :class:`~repro.tv.compile.ExecutionPlan`, so the driver's
+plan cache shares them across mutants.  A build lays out the frame and
+one empty shell per block, and scans the body once for
+:attr:`BatchProgram.lane_state` and for everything the compiler
+declines — deferred size errors whose ``ValueError`` must abort the
+whole check in scalar input order.  A declined function is tree-walked
+one input at a time instead, counted in ``exec.batch.scalar_fallbacks``.
+Each block's steps are compiled the first time a lane group enters it,
+from the function of that run: blocks no input reaches cost nothing.
 """
 
 from __future__ import annotations
@@ -174,6 +178,8 @@ class _BatchContext:
     """
 
     __slots__ = (
+        "function",
+        "compiler",
         "size",
         "max_steps",
         "steps",
@@ -188,7 +194,13 @@ class _BatchContext:
         "pending",
     )
 
-    def __init__(self, size: int, max_steps: int) -> None:
+    def __init__(
+        self, size: int, max_steps: int, function: Optional[Function] = None
+    ) -> None:
+        # The function being run: blocks compile from it on first entry,
+        # through one compiler per run (made when first needed).
+        self.function = function
+        self.compiler: Optional[_BatchCompiler] = None
         self.size = size
         self.max_steps = max_steps
         self.steps = [0] * size
@@ -251,7 +263,11 @@ _LANE_ERRORS = (
 
 
 class _BBlock:
-    """A compiled block: batched steps plus accounting metadata.
+    """One block of a program: batched steps plus accounting metadata.
+
+    ``steps`` is None until a lane group first enters the block; the
+    executor then compiles the function's ``index``-th block into it
+    (see :meth:`_BatchCompiler.compile_block`).
 
     ``call_free`` blocks whose lanes all have ``step_count`` of budget
     headroom skip per-step accounting — the executor bulk-charges the
@@ -260,10 +276,11 @@ class _BBlock:
     are the only ones that need an exact mid-block counter to sync into
     the nested scalar call)."""
 
-    __slots__ = ("steps", "step_count", "call_free")
+    __slots__ = ("index", "steps", "step_count", "call_free")
 
-    def __init__(self) -> None:
-        self.steps: List[BatchStep] = []
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.steps: Optional[List[BatchStep]] = None
         self.step_count = 0
         self.call_free = True
 
@@ -304,16 +321,28 @@ class BatchProgram:
     pointer (or ``dereferenceable``) parameter.  Only
     such programs get a scalar interpreter per lane; the others never
     index ``ctx.interps``, so a missed case fails with ``IndexError``
-    rather than silently.
+    rather than silently.  The build's scan sets it for every block,
+    compiled or not.
+
+    ``blocks`` holds one :class:`_BBlock` per block of the function, in
+    order; the executor compiles each on first entry.  Steps close over
+    types, constants and ids, never an IR object, so a cached program
+    keeps no module alive.
     """
 
-    __slots__ = ("frame_size", "num_args", "entry", "lane_state")
+    __slots__ = ("frame_size", "num_args", "blocks", "entry", "lane_state")
 
     def __init__(
-        self, frame_size: int, num_args: int, entry: _BEdge, lane_state: bool
+        self,
+        frame_size: int,
+        num_args: int,
+        blocks: Tuple[_BBlock, ...],
+        entry: _BEdge,
+        lane_state: bool,
     ) -> None:
         self.frame_size = frame_size
         self.num_args = num_args
+        self.blocks = blocks
         self.entry = entry
         self.lane_state = lane_state
 
@@ -326,7 +355,9 @@ class BatchProgram:
         Divergent terminators return per-edge lane groups; all but the
         first continue from a worklist, sharing the frame columns.
         Call-free blocks with budget headroom use bulk accounting (see
-        :class:`_BBlock`), everything else counts step by step.
+        :class:`_BBlock`), everything else counts step by step.  A block
+        entered for the first time is compiled first, from
+        ``ctx.function``.
         """
         if not lanes:
             # An unconditional branch hands its group on as it is, so an
@@ -387,6 +418,13 @@ class BatchProgram:
                         if not active:
                             break
                 block = edge.target
+                steps = block.steps
+                if steps is None:
+                    compiler = ctx.compiler
+                    if compiler is None:
+                        compiler = _BatchCompiler(ctx.function, self.blocks)
+                        ctx.compiler = compiler
+                    steps = compiler.compile_block(block)
                 control = None
                 if block.call_free and worst + block.step_count <= max_steps:
                     # Bulk accounting: no lane can time out inside this
@@ -395,7 +433,7 @@ class BatchProgram:
                     # via ``pending`` on trap/finish, or below for lanes
                     # continuing into a successor group.
                     executed = 0
-                    for step in block.steps:
+                    for step in steps:
                         executed += 1
                         ctx.pending = executed
                         control = step(ctx, frame, active)
@@ -421,7 +459,7 @@ class BatchProgram:
                     worst += executed
                     ctx.pending = 0
                 else:
-                    for step in block.steps:
+                    for step in steps:
                         for lane in active:
                             count = counts[lane] + 1
                             counts[lane] = count
@@ -888,11 +926,19 @@ class _BatchCompiler:
     """Lowers one function to batched steps, one compile method per
     case of the tree-walking ``Interpreter._execute``.
 
+    :meth:`build` makes the program: its frame layout, one empty
+    :class:`_BBlock` per block, the entry edge and the :meth:`scan`.
+    :meth:`compile_block` fills one block in, on its first entry; it may
+    run on another compiler, made from any function with the program's
+    plan key (the two compile to the same steps).
+
     Slot layout is identical to the :class:`ExecutionPlan` (arguments, then
     instructions in program order; the trailing depth slot is unused
     here — batched execution always runs at call depth 0)."""
 
-    def __init__(self, function: Function) -> None:
+    def __init__(
+        self, function: Function, shells: Optional[Tuple[_BBlock, ...]] = None
+    ) -> None:
         self.function = function
         # Keyed by the value itself: values hash by identity.
         self.slots: Dict[Value, int] = {}
@@ -904,12 +950,16 @@ class _BatchCompiler:
                 self.slots[inst] = position
                 position += 1
         self.frame_size = position + 1
+        if shells is None:
+            shells = tuple(_BBlock(index) for index in range(len(function.blocks)))
+        self.shells = shells
         self.blocks: Dict[int, _BBlock] = {
-            id(block): _BBlock() for block in function.blocks
+            id(block): shell for block, shell in zip(function.blocks, shells)
         }
         # Raised by every compile method whose step reads ``ctx.interps``
         # (see BatchProgram.lane_state); the entry checks read memory for
-        # pointer and dereferenceable parameters.
+        # pointer and dereferenceable parameters.  Compiling every block
+        # leaves it equal to what :meth:`scan` computes without compiling.
         self.lane_state = any(
             argument.type.IS_POINTER
             or argument.attributes.get_int("dereferenceable")
@@ -917,26 +967,73 @@ class _BatchCompiler:
         )
 
     def build(self) -> BatchProgram:
-        for block in self.function.blocks:
-            compiled = self.blocks[id(block)]
-            start = block.first_non_phi_index()
-            instructions = block.instructions[start:]
-            compiled.steps = [
-                self.compile_instruction(block, inst) for inst in instructions
-            ]
-            compiled.step_count = len(instructions)
-            compiled.call_free = True
-            for inst in instructions:
-                if inst.KIND == "call" and not inst.callee.name.startswith("llvm."):
-                    compiled.call_free = False
-                    break
+        lane_state = self.scan()
         entry = self.function.entry_block()
         return BatchProgram(
             self.frame_size,
             len(self.function.arguments),
+            self.shells,
             self.edge(None, entry),
-            self.lane_state,
+            lane_state,
         )
+
+    def scan(self) -> bool:
+        """The program's ``lane_state`` over every block, and each
+        refusal a compile method makes, without compiling a step:
+        :class:`BatchUnsupported` is raised here, never at run time.
+
+        Mirrors what the compile methods read: memory steps, ``freeze``
+        and non-intrinsic calls are stateful; any other step is stateful
+        when an operand it compiles is undef, phi inputs included (each
+        branch compiles the copies into its successors' phis).
+        """
+        lane_state = self.lane_state
+        for block in self.function.blocks:
+            for inst in block.instructions:
+                kind = inst.KIND
+                if kind in _ACCESSED_TYPE:
+                    # The memory rules size their type up front.
+                    _required_size(_ACCESSED_TYPE[kind](inst))
+                    lane_state = True
+                elif lane_state or kind == "phi":
+                    continue
+                elif kind == "freeze":
+                    lane_state = True
+                elif kind == "call":
+                    if not inst.callee.name.startswith("llvm."):
+                        lane_state = True
+                    else:
+                        # Bundle inputs are compiled for llvm.assume only.
+                        operands = (
+                            inst.operands
+                            if inst.intrinsic_name() == "llvm.assume"
+                            else inst.args
+                        )
+                        lane_state = _any_undef(operands)
+                else:
+                    lane_state = _any_undef(inst.operands)
+                    if not lane_state and (kind == "br" or kind == "switch"):
+                        for target in inst.operands:
+                            if target.KIND == "block" and _any_undef(
+                                phi.incoming_value_for(block) for phi in target.phis()
+                            ):
+                                lane_state = True
+        return lane_state
+
+    def compile_block(self, shell: _BBlock) -> List[BatchStep]:
+        """Compile the ``shell.index``-th block into ``shell``; returns
+        its steps.  Phis have no step: edges copy them (see ``edge``)."""
+        block = self.function.blocks[shell.index]
+        instructions = block.instructions[block.first_non_phi_index() :]
+        steps = [self.compile_instruction(block, inst) for inst in instructions]
+        shell.step_count = len(instructions)
+        shell.call_free = True
+        for inst in instructions:
+            if inst.KIND == "call" and not inst.callee.name.startswith("llvm."):
+                shell.call_free = False
+                break
+        shell.steps = steps
+        return steps
 
     def operand(self, value: Value):
         return _operand_info(self, value)
@@ -1107,13 +1204,13 @@ class _BatchCompiler:
     # The memory steps and the call step apply the lane interpreter's
     # value-level rules (``Interpreter.load`` / ``store`` / ``gep`` /
     # ``call``).  They close over types and ids, never the instruction,
-    # so a cached plan keeps no mutant module alive.
+    # so a cached plan keeps no mutant module alive.  ``scan`` has
+    # already refused the types these steps cannot size.
 
     def compile_load(self, block: BasicBlock, inst: LoadInst) -> BatchStep:
         self.lane_state = True
         pointer = self.lane_operand(inst.operands[0])
         loaded_type = inst.type
-        _required_size(loaded_type)
         site = id(inst)
         slot = self.slots[inst]
 
@@ -1135,7 +1232,6 @@ class _BatchCompiler:
         pointer = self.lane_operand(pointer_value)
         value = self.lane_operand(stored)
         stored_type = stored.type
-        _required_size(stored_type)
 
         def step(ctx, frame, active):
             interps = ctx.interps
@@ -1153,7 +1249,6 @@ class _BatchCompiler:
         self.lane_state = True
         pointer = self.lane_operand(inst.pointer)
         element_type = inst.source_type
-        _required_size(element_type)
         index_parts = tuple(
             (self.lane_operand(index), index.type.width) for index in inst.indices
         )
@@ -1178,18 +1273,22 @@ class _BatchCompiler:
         return step
 
     def compile_call(self, block: BasicBlock, inst: CallInst) -> BatchStep:
-        callee = inst.callee
         resolvers = tuple(self.lane_operand(argument) for argument in inst.args)
-        if callee.name.startswith("llvm."):
+        if inst.callee.name.startswith("llvm."):
             return self.compile_intrinsic(inst, resolvers)
         self.lane_state = True
         has_result = not inst.type.IS_VOID
         slot = self.slots[inst] if has_result else None
+        # The callee is read from the function being run, at this call's
+        # position: the step holds no Function.
+        block_index = self.blocks[id(block)].index
+        inst_index = block.instructions.index(inst)
 
         def step(ctx, frame, active):
             out = frame[slot] if slot is not None else None
             interps = ctx.interps
             counts = ctx.steps
+            callee = ctx.function.blocks[block_index].instructions[inst_index].callee
             for lane in active:
                 interp = interps[lane]
                 try:
@@ -1409,6 +1508,23 @@ _COMPILERS = opcode_table(
 )
 
 
+# The type each memory instruction sizes (``_required_size``), by KIND.
+_ACCESSED_TYPE = {
+    "alloca": lambda inst: inst.allocated_type,
+    "load": lambda inst: inst.type,
+    "store": lambda inst: inst.operands[0].type,
+    "gep": lambda inst: inst.source_type,
+}
+
+
+def _any_undef(values) -> bool:
+    """Whether any of ``values`` (None entries allowed) is undef."""
+    for value in values:
+        if value is not None and value.KIND == "undef":
+            return True
+    return False
+
+
 def _ub_lane_raiser(reason: str) -> LaneResolver:
     def raise_ub(ctx, frame, lane):
         raise UBError(reason)
@@ -1436,7 +1552,9 @@ def _required_size(type) -> int:
 
 
 def compile_batch_program(function: Function) -> BatchProgram:
-    """Lower one defined function into a :class:`BatchProgram`.
+    """Build one defined function's :class:`BatchProgram`: its layout,
+    entry edge and scan; blocks compile on first entry.  The function
+    must pass :func:`repro.tv.refine.check_function_supported`.
 
     Raises (:class:`BatchUnsupported` or anything the IR walk trips
     over) when the function cannot be batch-executed; callers fall back
@@ -1513,7 +1631,7 @@ class BatchRunner:
         without lane state never consults the oracle, which may then be
         None."""
         size = len(lanes)
-        ctx = _BatchContext(size, self.limits.max_steps)
+        ctx = _BatchContext(size, self.limits.max_steps, function)
         frame = [[_UNSET] * size for _ in range(program.frame_size)]
         num_args = program.num_args
         depth_exceeded = 0 > self.limits.max_call_depth

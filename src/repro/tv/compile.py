@@ -4,11 +4,12 @@ The refinement checker executes the same two functions across
 ``max_inputs x max_nondet_runs`` runs, and the campaign re-executes the
 fixed source function for every mutant.  An :class:`ExecutionPlan` is
 what that reuse keys on: a function's frame layout, its static step
-bound, and — compiled on the first batched run — its struct-of-arrays
-program (:mod:`repro.tv.batch`).  Anything run one input at a time
-(nested calls from batch lanes, the ``batched=False`` ablation, a
-function the batch compiler declines) is tree-walked by the reference
-:class:`~repro.tv.interp.Interpreter`; no plan is needed for that.
+bound, and — built on the first batched run, each block compiled on its
+first entry — its struct-of-arrays program (:mod:`repro.tv.batch`).
+Anything run one input at a time (nested calls from batch lanes, the
+``batched=False`` ablation, a function the batch compiler declines) is
+tree-walked by the reference :class:`~repro.tv.interp.Interpreter`; no
+plan is needed for that.
 
 Plans are cached in a :class:`PlanCache`, one per fuzzing driver (see
 :class:`repro.tv.refine.TVCaches`), keyed by structural fingerprint plus
@@ -133,9 +134,10 @@ class ExecutionPlan:
     """One function's frame layout, step bound and batch program.
 
     Construction is cheap: no closures, and no reference to the IR kept.
-    The batch program (:mod:`repro.tv.batch`) is compiled on the first
-    batched run, from the function in the runner's hands (any function
-    with this plan's key compiles to the same program).
+    The batch program (:mod:`repro.tv.batch`) is built on the first
+    batched run, and each of its blocks compiled on first entry, from
+    the function in the runner's hands (any function with this plan's
+    key compiles to the same steps).
     """
 
     __slots__ = (

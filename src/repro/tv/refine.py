@@ -31,6 +31,7 @@ from ..config import operational, semantic, semantic_key
 from ..ir.function import Function
 from ..ir.intrinsics import lookup as lookup_intrinsic
 from ..ir.module import Module
+from ..ir.types import IntType, VoidType
 from .batch import BatchRunner, BatchStats, batch_program_for
 from .compile import LRUCache, PlanCache
 from .domain import (
@@ -172,6 +173,10 @@ class RefinementConfig:
 # ---------------------------------------------------------------------------
 
 
+_I1 = IntType(1)
+_VOID = VoidType()
+
+
 def check_function_supported(function: Function) -> Optional[str]:
     """Why the validator cannot handle this function, or None if it can."""
     if function.function_type.is_vararg:
@@ -187,8 +192,11 @@ def check_function_supported(function: Function) -> Optional[str]:
         or function.return_type.IS_POINTER
     ):
         return f"unsupported return type {function.return_type}"
-    # Types the parser accepts but neither engine can run (the verifier
-    # rejects them): fail closed with a reason instead of crashing.
+    # Types the parser accepts but the verifier rejects: neither engine
+    # runs them faithfully, so fail closed with a reason instead of
+    # crashing or answering.  With batch blocks compiled on first entry,
+    # this and the batch build's scan are the only gates.
+    return_type = function.return_type
     for block in function.blocks:
         for inst in block.instructions:
             kind = inst.KIND
@@ -196,6 +204,23 @@ def check_function_supported(function: Function) -> Optional[str]:
                 source = inst.operands[0].type
                 if not (source.IS_INTEGER and inst.type.IS_INTEGER):
                     return f"{inst.opcode} from {source} to {inst.type}"
+                if kind == "cast" and (
+                    source.width <= inst.type.width
+                    if inst.opcode == "trunc"
+                    else source.width >= inst.type.width
+                ):
+                    return f"{inst.opcode} from {source} to {inst.type}"
+            elif kind == "select":
+                if inst.operands[0].type is not _I1:
+                    return f"select condition of type {inst.operands[0].type}"
+            elif kind == "switch":
+                if not inst.operands[0].type.IS_INTEGER:
+                    return f"switch on a value of type {inst.operands[0].type}"
+            elif kind == "ret":
+                operands = inst.operands
+                returned = operands[0].type if operands else _VOID
+                if returned is not return_type:
+                    return f"ret {returned} in a function returning {return_type}"
             elif kind == "load" or kind == "alloca" or kind == "gep":
                 if kind == "load":
                     accessed = inst.type

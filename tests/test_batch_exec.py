@@ -10,11 +10,14 @@ driver-level invariance contracts (`RefinementConfig.batched` /
 ``--no-batched-exec`` may change speed, never findings or metrics).
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fuzz import FuzzConfig, FuzzDriver, corpus_modules
+from repro.fuzz import FuzzConfig, FuzzDriver, corpus_modules, generate_corpus
 from repro.ir import parse_module
 from repro.mutate import Mutator, MutatorConfig
 from repro.opt import OptContext, PassManager
@@ -23,16 +26,20 @@ from repro.tv import (
     ExecutionLimits,
     PathOracle,
     Pointer,
+    PlanCache,
     RefinementConfig,
     check_function_supported,
     TVCaches,
+    Verdict,
     check_refinement,
 )
 from repro.tv.batch import (
     BatchRunner,
     BatchStats,
     BatchUnsupported,
+    _BatchCompiler,
     _BatchContext,
+    batch_program_for,
     compile_batch_program,
 )
 from repro.tv.refine import _inputs_for, _prepare_input
@@ -430,6 +437,196 @@ class TestEmptyBatch:
         ctx.frame = [[] for _ in range(program.frame_size)]
         program.execute(ctx, [])
         assert ctx.divergence_splits == 0
+
+
+# ---------------------------------------------------------------------------
+# Blocks compile on first entry; the build only scans.
+# ---------------------------------------------------------------------------
+
+
+def scan_and_full_compile(function):
+    """``lane_state`` as the build's scan sets it, and the flag the
+    compile methods raise when every block is compiled."""
+    compiler = _BatchCompiler(function)
+    program = compiler.build()
+    for shell in program.blocks:
+        compiler.compile_block(shell)
+    return program.lane_state, compiler.lane_state
+
+
+def _supported_definitions(module):
+    return [
+        function
+        for function in module.definitions()
+        if check_function_supported(function) is None
+    ]
+
+
+UNREACHED_BLOCK = """
+define i8 @f(i8 %x) {
+entry:
+  %c = icmp ult i8 %x, 0
+  br i1 %c, label %never, label %done
+never:
+  %y = mul i8 %x, 3
+  ret i8 %y
+done:
+  %r = add i8 %x, 1
+  ret i8 %r
+}
+"""
+
+SPLIT_WITH_CALL = """
+declare i8 @ext(i8)
+
+define i8 @f(i8 %x) {
+entry:
+  %c = icmp ult i8 %x, 100
+  br i1 %c, label %small, label %big
+small:
+  %a = call i8 @ext(i8 %x)
+  ret i8 %a
+big:
+  %b = mul i8 %x, 3
+  ret i8 %b
+}
+"""
+
+
+def _lanes(values):
+    return [([value], [], [], PathOracle([])) for value in values]
+
+
+class TestLazyBlocks:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_scan_matches_full_compile_on_mutants(self, seed):
+        pairs = corpus_modules(4, seed=seed % 1000 + 1)
+        module = pairs[seed % len(pairs)][1]
+        mutant, _record = Mutator(module, MutatorConfig(max_mutations=3)).create_mutant(
+            seed
+        )
+        for function in _supported_definitions(mutant):
+            scanned, compiled = scan_and_full_compile(function)
+            assert scanned == compiled, f"@{function.name}"
+
+    def test_scan_matches_full_compile_on_the_corpus(self):
+        flags = set()
+        for _name, text in generate_corpus(48, 0):
+            for function in _supported_definitions(parse_module(text)):
+                try:
+                    scanned, compiled = scan_and_full_compile(function)
+                except BatchUnsupported:
+                    continue
+                assert scanned == compiled, f"@{function.name}"
+                flags.add(scanned)
+        assert flags == {True, False}
+
+    def test_undef_phi_input_on_a_compiled_edge_sets_the_flag(self):
+        module = parsed("""
+define i32 @f(i32 %x) {
+entry:
+  br label %join
+join:
+  %r = phi i32 [ undef, %entry ]
+  ret i32 %r
+}
+""")
+        assert scan_and_full_compile(module.get_function("f")) == (True, True)
+
+    def test_unreached_block_stays_uncompiled(self):
+        module = parsed(UNREACHED_BLOCK)
+        function = module.get_function("f")
+        target = parsed(UNREACHED_BLOCK.replace("add i8 %x, 1", "sub i8 %x, -1"))
+        caches = TVCaches()
+        result = check_refinement(
+            function,
+            target.get_function("f"),
+            config=RefinementConfig(max_inputs=16),
+            caches=caches,
+        )
+        assert result.verdict == Verdict.CORRECT
+        program = caches.plans.plan_for(function).batch_program
+        entry, never, done = program.blocks
+        assert entry.steps is not None and done.steps is not None
+        assert never.steps is None
+        lanes = _lanes([0, 1, 77, 255])
+        batched = BatchRunner(module).run_batch(function, program, lanes)
+        assert batched == reference_lanes(module, function, lanes, ExecutionLimits())
+        assert never.steps is None
+
+    def test_program_shared_by_plan_equal_functions(self):
+        first = parsed(SPLIT_WITH_CALL)
+        second = parsed(SPLIT_WITH_CALL)
+        plans = PlanCache()
+        plan = plans.plan_for(first.get_function("f"))
+        assert plans.plan_for(second.get_function("f")) is plan
+        program = batch_program_for(plan, first.get_function("f"))
+        entry, small, big = program.blocks
+        # First entries under the first function, then under the second.
+        BatchRunner(first).run_batch(
+            first.get_function("f"), program, _lanes([1, 2])
+        )
+        assert small.steps is not None and big.steps is None
+        BatchRunner(second).run_batch(
+            second.get_function("f"), program, _lanes([200])
+        )
+        assert big.steps is not None
+        values = [0, 1, 99, 100, 150, 255]
+        for module in (first, second):
+            function = module.get_function("f")
+            lanes = _lanes(values)
+            batched = BatchRunner(module).run_batch(function, program, lanes)
+            assert batched == reference_lanes(
+                module, function, lanes, ExecutionLimits()
+            )
+        watched = [weakref.ref(first.get_function("f")),
+                   weakref.ref(second.get_function("f"))]
+        del first, second, module, function
+        gc.collect()
+        assert [ref() for ref in watched] == [None, None]
+        assert all(shell.steps is not None for shell in program.blocks)
+
+    def test_unreached_unsized_load_is_refused_at_build(self):
+        module = parse_module("""
+define i8 @f(i8 %x, ptr %p) {
+entry:
+  ret i8 %x
+dead:
+  load void, ptr %p
+  ret i8 0
+}
+""")
+        with pytest.raises(BatchUnsupported, match="no memory size for type void"):
+            compile_batch_program(module.get_function("f"))
+
+    def test_unreached_unsized_store_falls_back_to_scalar(self):
+        # check_function_supported refuses unsized loads, allocas and
+        # GEPs itself; an unsized store reaches the batch build, which
+        # refuses it although no input would run it.
+        template = """
+define i8 @f(i8 %x, ptr %p) {
+entry:
+  %r = add i8 %x, 1
+  ret i8 %r
+dead:
+  store label %dead, ptr %p
+  ret i8 0
+}
+"""
+        src = parse_module(template)
+        tgt = parse_module(template.replace("add i8", "add nuw i8"))
+        results = {}
+        for batched in (True, False):
+            caches = TVCaches()
+            results[batched] = check_refinement(
+                src.get_function("f"),
+                tgt.get_function("f"),
+                config=RefinementConfig(max_inputs=8, batched=batched),
+                caches=caches,
+            )
+            assert caches.stats.scalar_fallbacks == (1 if batched else 0)
+        assert _result_key(results[True]) == _result_key(results[False])
 
 
 class TestStatelessEntryChecks:

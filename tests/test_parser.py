@@ -1,11 +1,16 @@
 """Tests for the .ll lexer and parser."""
 
+import hashlib
+import importlib.util
+import os
+
 import pytest
 
 from repro.ir import (BinaryOperator, CallInst, GEPInst, ICmpInst, IntType,
                       LoadInst, ParseError, PhiNode, parse_function,
                       parse_module, SelectInst, StoreInst, SwitchInst)
-from repro.ir.parser.lexer import LexError, tokenize
+from repro.fuzz.seeds import generate_corpus
+from repro.ir.parser.lexer import LexError, TokenStream, tokenize
 
 from helpers import parsed, round_trips, single_function
 
@@ -49,6 +54,106 @@ class TestLexer:
     def test_unterminated_string(self):
         with pytest.raises(LexError):
             tokenize('"oops')
+
+    # Each malformed input with its exact message and position.
+    LEX_ERRORS = [
+        ('%"abc', "unterminated quoted name at line 1:1"),
+        ("%", "empty name after '%' at line 1:1"),
+        ("% x", "empty name after '%' at line 1:1"),
+        ('@"', "unterminated quoted name at line 1:1"),
+        ('!""', "empty name after '!' at line 1:1"),
+        ('"oops', "unterminated string at line 1:1"),
+        ("a\n  -x", "unexpected character '-' at line 2:3"),
+        ("a $b ^", "unexpected character '^' at line 1:6"),
+        ("x\t\r&", "unexpected character '&' at line 1:4"),
+        # A quoted name spanning lines does not move the line counter.
+        ('%"a\nb" c\n "d', "unterminated string at line 2:2"),
+    ]
+
+    @pytest.mark.parametrize("source, message", LEX_ERRORS)
+    def test_lex_error_messages_and_positions(self, source, message):
+        with pytest.raises(LexError) as info:
+            tokenize(source)
+        assert str(info.value) == message
+
+    def test_dots_lex_as_one_word(self):
+        assert [(t.kind, t.text) for t in tokenize("... a.b")] == [
+            ("word", "..."), ("word", "a.b"), ("eof", "")]
+
+    def test_sigil_names_take_dashes_and_digits(self):
+        tokens = tokenize("%a-1.b$ @0 #12 !dbg 1-2 -3x")
+        assert [(t.kind, t.text, t.column) for t in tokens] == [
+            ("local", "a-1.b$", 1), ("global", "0", 9),
+            ("attr_group", "12", 12), ("metadata", "dbg", 16),
+            ("int", "1", 21), ("int", "-2", 22), ("int", "-3", 25),
+            ("word", "x", 27), ("eof", "", 28)]
+
+
+class TestNonAsciiDigits:
+    """Digits are ASCII ``[0-9]`` only, as in LLVM: ``str.isdigit``
+    would also take superscripts and other scripts' digits."""
+
+    @pytest.mark.parametrize("source, column", [
+        ("define i8 @f(i8 %x) {\n  %r = add i8 %x, \u00b2\n  ret i8 %r\n}", 19),
+        ("define i8 @f(i8 %x) {\n  %r = add i8 %x, \u0663\n  ret i8 %r\n}", 19),
+        ("define i\u0663 @f(i8 %x) {\n  ret i8 %x\n}", 9),
+    ], ids=["superscript-literal", "arabic-indic-literal", "arabic-indic-width"])
+    def test_non_ascii_digit_is_a_parse_error(self, source, column):
+        with pytest.raises(ParseError, match=f"unexpected character .* at line "
+                           f"\\d+:{column}"):
+            parse_module(source)
+
+    def test_ascii_widths_still_parse(self):
+        fn = single_function("define i7 @f(i007 %x) {\n  ret i7 %x\n}")
+        assert fn.return_type is IntType(7)
+
+
+def _token_stream_digest(texts):
+    digest = hashlib.sha256()
+    for text in texts:
+        for token in tokenize(text):
+            digest.update(repr((token.kind, token.text, token.line,
+                                token.column)).encode())
+            digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _block_corpus():
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "benchmarks", "ledger", "blocks.py")
+    spec = importlib.util.spec_from_file_location("ledger_blocks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.block_corpus
+
+
+class TestTokenStreamPin:
+    # (kind, text, line, column) of every token of the seed corpus and
+    # the optimize_blocks inputs, as the per-character lexer produced
+    # them: the scanner must reproduce it exactly.
+    DIGEST = "9306bad6f39efcd768136593ac43cd632e5e58a5e40be2792dd398e862c007e9"
+
+    def test_corpus_token_stream_is_unchanged(self):
+        texts = [text for _, text in generate_corpus(48, 0)]
+        block_corpus = _block_corpus()
+        for seed in range(4):
+            texts += [text for _, text in block_corpus(16, seed)]
+        assert _token_stream_digest(texts) == self.DIGEST
+
+
+class TestTokenStream:
+    def test_peek_past_the_end_stays_on_eof(self):
+        stream = TokenStream(tokenize("ret"))
+        assert stream.next().text == "ret"
+        assert stream.at_eof() and stream.peek(1).kind == "eof"
+        assert stream.next().kind == "eof" and stream.at_eof()
+        assert stream.accept("word") is None and not stream.at("word", None, 1)
+
+    def test_expect_reports_what_it_found(self):
+        stream = TokenStream(tokenize("define"))
+        with pytest.raises(SyntaxError, match="expected 'declare', found "
+                           "'define' at line 1:1"):
+            stream.expect("word", "declare")
 
 
 class TestParseBasics:

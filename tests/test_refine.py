@@ -320,6 +320,17 @@ define i32 @f(i32 %x, ptr %p) {
                           "getelementptr index of type ptr"),
         "intrinsic ptr": ("%a = call i64 @llvm.umax.i64(ptr %p, i64 1)",
                           "llvm.umax.i64 argument of type ptr"),
+        # These each used to check CORRECT: both engines ran them.
+        "zext narrows": ("%a = zext i64 %x to i8", "zext from i64 to i8"),
+        "sext narrows": ("%a = sext i64 %x to i8", "sext from i64 to i8"),
+        "zext keeps width": ("%a = zext i64 %x to i64",
+                             "zext from i64 to i64"),
+        "trunc widens": ("%a = trunc i64 %x to i65", "trunc from i64 to i65"),
+        "select i64": ("%a = select i64 %x, i64 1, i64 2",
+                       "select condition of type i64"),
+        "switch ptr": ("switch ptr %p, label %exit [\n  ]\nexit:",
+                       "switch on a value of type ptr"),
+        "ret void": ("ret void", "ret void in a function returning i64"),
     }
 
     @pytest.mark.parametrize("batched", [True, False],
@@ -339,6 +350,37 @@ define i32 @f(i32 %x, ptr %p) {
                                   RefinementConfig(batched=batched))
         assert result.verdict == Verdict.UNSUPPORTED
         assert result.reason == reason
+
+    @pytest.mark.parametrize("batched", [True, False],
+                             ids=["batched", "tree-walked"])
+    def test_value_returned_from_void_function_is_refused(self, batched):
+        src = parse_module("define void @f(i64 %x) {\n  ret i64 %x\n}")
+        tgt = parse_module("define void @f(i64 %x) {\nfirst:\n"
+                           "  br label %second\nsecond:\n  ret i64 %x\n}")
+        reason = "ret i64 in a function returning void"
+        assert check_function_supported(src.get_function("f")) == reason
+        result = check_refinement(src.get_function("f"),
+                                  tgt.get_function("f"), src, tgt,
+                                  RefinementConfig(batched=batched))
+        assert result.verdict == Verdict.UNSUPPORTED
+        assert result.reason == reason
+
+    def test_well_typed_casts_and_returns_are_supported(self):
+        fn = parsed("""
+define i64 @f(i64 %x, i1 %c) {
+  %t = trunc i64 %x to i8
+  %z = zext i8 %t to i64
+  %s = sext i8 %t to i32
+  %w = zext i32 %s to i64
+  %r = select i1 %c, i64 %z, i64 %w
+  switch i64 %r, label %exit [
+    i64 0, label %exit
+  ]
+exit:
+  ret i64 %r
+}
+""").get_function("f")
+        assert check_function_supported(fn) is None
 
 
 class TestInputGeneration:
