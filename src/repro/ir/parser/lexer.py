@@ -23,7 +23,7 @@ GLOBAL = "global"      # @name
 ATTR_GROUP = "attr_group"  # #0
 INT = "int"            # integer literal (may be negative)
 STRING = "string"      # "..." (operand bundle tags)
-PUNCT = "punct"        # ( ) { } [ ] = , * :
+PUNCT = "punct"        # ( ) { } [ ] = , * : ...
 METADATA = "metadata"  # !name or !0
 EOF = "eof"
 
@@ -32,8 +32,8 @@ _SIGIL_KINDS = {"%": LOCAL, "@": GLOBAL, "#": ATTR_GROUP, "!": METADATA}
 # One alternative per token shape; the groups named after a token kind
 # (word, int, string, punct) yield that kind.  Digits are ASCII only, as
 # in LLVM: ``str.isdigit`` would also take ``²`` and ``٣``.  Quoted names
-# and strings may span lines without moving the line counter, and ``...``
-# is a word (``.`` starts identifiers).
+# and strings may span lines without moving the line counter.  ``...``
+# (varargs) is punctuation, matched before words, which ``.`` may start.
 _SCAN = re.compile(
     r"(?P<newline>\n)"
     r"|[ \t\r]+"
@@ -41,8 +41,8 @@ _SCAN = re.compile(
     r'|(?P<sigil>[%@#!])(?:"(?P<quoted>[^"]*)"|(?P<name>[-A-Za-z$._0-9]*))'
     r'|"(?P<string>[^"]*)"'
     r"|(?P<int>-?[0-9]+)"
+    r"|(?P<punct>\.\.\.|[(){}\[\]=,*:])"
     r"|(?P<word>[A-Za-z$._][A-Za-z$._0-9]*)"
-    r"|(?P<punct>[(){}\[\]=,*:])"
     r"|(?P<error>.)"
 )
 

@@ -140,8 +140,8 @@ class _Parser:
         self.tokens.expect(WORD, "declare")
         return_type = self.parse_type()
         name = self.tokens.expect(GLOBAL).text
-        param_types, param_attr_sets, _ = self._parse_param_list(named=False)
-        function_type = FunctionType(return_type, tuple(param_types))
+        param_types, param_attr_sets, _, vararg = self._parse_param_list(named=False)
+        function_type = FunctionType(return_type, tuple(param_types), vararg)
         function = self.module.get_or_insert_function(name, function_type)
         for arg, attrs in zip(function.arguments, param_attr_sets):
             arg.attributes = attrs
@@ -151,8 +151,10 @@ class _Parser:
         self.tokens.expect(WORD, "define")
         return_type = self.parse_type()
         name = self.tokens.expect(GLOBAL).text
-        param_types, param_attr_sets, param_names = self._parse_param_list(named=True)
-        function_type = FunctionType(return_type, tuple(param_types))
+        param_types, param_attr_sets, param_names, vararg = self._parse_param_list(
+            named=True
+        )
+        function_type = FunctionType(return_type, tuple(param_types), vararg)
         if name in self.module:
             raise SyntaxError(f"redefinition of @{name}")
         function = Function(function_type, name, self.module,
@@ -170,11 +172,13 @@ class _Parser:
         attr_sets: List[AttributeSet] = []
         names: List[str] = []
         first = True
+        vararg = False
         while not self.tokens.at(PUNCT, ")"):
             if not first:
                 self.tokens.expect(PUNCT, ",")
             first = False
             if self.tokens.accept(PUNCT, "..."):
+                vararg = True
                 break
             param_type = self.parse_type()
             attrs = self._parse_param_attrs(param_type)
@@ -186,7 +190,7 @@ class _Parser:
             attr_sets.append(attrs)
             names.append(param_name)
         self.tokens.expect(PUNCT, ")")
-        return types, attr_sets, names
+        return types, attr_sets, names, vararg
 
     def _parse_param_attrs(self, param_type: Type) -> AttributeSet:
         attrs = AttributeSet()

@@ -25,9 +25,12 @@ def print_module(module: Module) -> str:
 
 
 def print_declaration(function: Function) -> str:
-    params = ", ".join(str(t) for t in function.function_type.param_types)
+    params = [str(t) for t in function.function_type.param_types]
+    if function.function_type.is_vararg:
+        params.append("...")
     attrs = f" {function.attributes}" if function.attributes else ""
-    return f"declare {function.return_type} @{function.name}({params}){attrs}"
+    return (f"declare {function.return_type} @{function.name}"
+            f"({', '.join(params)}){attrs}")
 
 
 def print_function(function: Function) -> str:
@@ -36,6 +39,8 @@ def print_function(function: Function) -> str:
     for arg in function.arguments:
         attr_str = f" {arg.attributes}" if arg.attributes else ""
         params.append(f"{arg.type}{attr_str} %{namer.name_of(arg)}")
+    if function.function_type.is_vararg:
+        params.append("...")
     header = (f"define {function.return_type} @{function.name}"
               f"({', '.join(params)})")
     if function.attributes:

@@ -48,7 +48,8 @@ from the function of that run: blocks no input reaches cost nothing.
 
 from __future__ import annotations
 
-import operator
+import os
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..ir.basicblock import BasicBlock
@@ -76,11 +77,10 @@ from ..ir.instructions import (
 )
 from ..ir.values import UndefValue, Value
 from .compile import ExecutionPlan
-from .domain import NULL_POINTER, POISON, Pointer, to_signed
+from .domain import NULL_POINTER, POISON, Pointer
 from .interp import ExecutionLimits, Interpreter, StepLimitExceeded, byte_size_of_type
 from .memory import MemoryFault
 from .semantics import (
-    ICMP_COMPARATORS,
     UBError,
     assume,
     binary_op,
@@ -695,228 +695,132 @@ def _binary_step(fn, lhs_info, rhs_info, slot: int) -> BatchStep:
     return step
 
 
-# Flagless binary opcodes that can neither trap nor overflow-poison:
-# poison propagation plus one C-level operator call per lane.  Every
-# binary opcode has an entry; the others (division, remainder, shifts)
-# map to None.
-_SIMPLE_BINARY_OPS = {
-    **dict.fromkeys(BINARY_OPCODES),
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "and": operator.and_,
-    "or": operator.or_,
-    "xor": operator.xor,
+# -- lane kernels ---------------------------------------------------------------
+
+# The one lane loop of every kernel.  It reads the two operands, traps an
+# unset one (lhs first), passes poison through and computes the result
+# inline: no Python call per lane.  A kernel is instantiated per
+# (opcode or icmp predicate, nuw, nsw, operand shape); ``{columns}``
+# binds the operands' columns or constants, ``{read}`` is the shape's
+# checks and ``{compute}`` the op's statement on ints ``x`` and ``y``.
+_KERNEL_TEMPLATE = """\
+def kernel(slot, lhs, lhs_reason, rhs, rhs_reason, mask, sign_bit):
+    def step(ctx, frame, active):
+        out = frame[slot]
+        {columns}
+        for lane in active:
+            {read}
+            else:
+                {compute}
+    return step
+"""
+
+# Per shape: (columns, read).  Constants are ints, bound outside the loop.
+_KERNEL_SHAPES = {
+    (_SLOT, _SLOT): (
+        "xs = frame[lhs]; ys = frame[rhs]",
+        """x = xs[lane]; y = ys[lane]
+            if x is _UNSET:
+                ctx.trap(lane, lhs_reason)
+            elif y is _UNSET:
+                ctx.trap(lane, rhs_reason)
+            elif x is POISON or y is POISON:
+                out[lane] = POISON""",
+    ),
+    (_SLOT, _CONST): (
+        "xs = frame[lhs]; y = rhs",
+        """x = xs[lane]
+            if x is _UNSET:
+                ctx.trap(lane, lhs_reason)
+            elif x is POISON:
+                out[lane] = POISON""",
+    ),
+    (_CONST, _SLOT): (
+        "x = lhs; ys = frame[rhs]",
+        """y = ys[lane]
+            if y is _UNSET:
+                ctx.trap(lane, rhs_reason)
+            elif y is POISON:
+                out[lane] = POISON""",
+    ),
+}
+
+_ARITHMETIC = {"add": "+", "sub": "-", "mul": "*"}
+_BITWISE = {"and": "&", "or": "|", "xor": "^"}
+_COMPARISONS = {
+    "eq": "==", "ne": "!=", "ugt": ">", "uge": ">=", "ult": "<", "ule": "<=",
+    "sgt": ">", "sge": ">=", "slt": "<", "sle": "<=",
+}
+# When each flag makes ``r = x op y`` (unmasked) poison.  A signed
+# overflow shows in the sign bit, which masking does not change.
+_OVERFLOWS = {
+    ("add", "nuw"): "r > mask",
+    ("add", "nsw"): "(x ^ r) & (y ^ r) & sign_bit",
+    ("sub", "nuw"): "r < 0",
+    ("sub", "nsw"): "(x ^ y) & (x ^ r) & sign_bit",
 }
 
 
-def _simple_binary_step(op, mask, lhs_info, rhs_info, slot):
-    """Inlined step for never-trapping binary ops on slot/const operands.
-
-    Mirrors the flagless branches of ``binary_op`` exactly (poison in →
-    poison out, result masked to width) while skipping the per-lane
-    closure call and try/except.  Returns ``None`` for operand shapes it
-    does not cover; callers fall back to :func:`_binary_step`.
-    """
-    lhs_kind = lhs_info[0]
-    rhs_kind = rhs_info[0]
-    if lhs_kind is _SLOT and rhs_kind is _SLOT:
-        lhs_slot, lhs_reason = lhs_info[1], lhs_info[2]
-        rhs_slot, rhs_reason = rhs_info[1], rhs_info[2]
-
-        def step(ctx, frame, active):
-            out = frame[slot]
-            xs = frame[lhs_slot]
-            ys = frame[rhs_slot]
-            for lane in active:
-                lhs = xs[lane]
-                rhs = ys[lane]
-                if lhs is _UNSET:
-                    ctx.trap(lane, lhs_reason)
-                elif rhs is _UNSET:
-                    ctx.trap(lane, rhs_reason)
-                elif lhs is POISON or rhs is POISON:
-                    out[lane] = POISON
-                else:
-                    out[lane] = op(lhs, rhs) & mask
-
-        return step
-    if lhs_kind is _SLOT and rhs_kind is _CONST:
-        lhs_slot, lhs_reason = lhs_info[1], lhs_info[2]
-        rhs_const = rhs_info[1]
-        if not isinstance(rhs_const, int):
-            return None
-
-        def step(ctx, frame, active):
-            out = frame[slot]
-            xs = frame[lhs_slot]
-            for lane in active:
-                lhs = xs[lane]
-                if lhs is _UNSET:
-                    ctx.trap(lane, lhs_reason)
-                elif lhs is POISON:
-                    out[lane] = POISON
-                else:
-                    out[lane] = op(lhs, rhs_const) & mask
-
-        return step
-    if lhs_kind is _CONST and rhs_kind is _SLOT:
-        lhs_const = lhs_info[1]
-        rhs_slot, rhs_reason = rhs_info[1], rhs_info[2]
-        if not isinstance(lhs_const, int):
-            return None
-
-        def step(ctx, frame, active):
-            out = frame[slot]
-            ys = frame[rhs_slot]
-            for lane in active:
-                rhs = ys[lane]
-                if rhs is _UNSET:
-                    ctx.trap(lane, rhs_reason)
-                elif rhs is POISON:
-                    out[lane] = POISON
-                else:
-                    out[lane] = op(lhs_const, rhs) & mask
-
-        return step
-    return None
-
-
-def _int_icmp_step(inst: ICmpInst, lhs_info, rhs_info, slot):
-    """Inlined step for icmp over integer-typed slot/const operands.
-
-    The integer case of ``icmp_op`` with the signedness conversion
-    inlined and no per-lane call.  Returns ``None`` for shapes it does
-    not cover.
-    """
-    lhs_type = inst.operands[0].type
-    if not (lhs_type.IS_INTEGER and inst.operands[1].type.IS_INTEGER):
+def _kernel_compute(name: str, nuw: bool, nsw: bool) -> Optional[str]:
+    """The kernel statement of one op, or None when no kernel covers it
+    (other opcodes, and ``mul`` / bitwise ops with flags)."""
+    if name in _COMPARISONS:
+        operator_ = _COMPARISONS[name]
+        if name in SIGNED_PREDICATES:
+            # Flipping the sign bit maps signed order onto unsigned.
+            return f"out[lane] = 1 if (x ^ sign_bit) {operator_} (y ^ sign_bit) else 0"
+        return f"out[lane] = 1 if x {operator_} y else 0"
+    if name in _BITWISE and not (nuw or nsw):
+        return f"out[lane] = x {_BITWISE[name]} y"
+    if name not in _ARITHMETIC or (name == "mul" and (nuw or nsw)):
         return None
-    compare = ICMP_COMPARATORS[inst.predicate]
-    signed = inst.predicate in SIGNED_PREDICATES
-    width = lhs_type.width
-    sign_bit = 1 << (width - 1)
-    span = 1 << width
-    lhs_kind = lhs_info[0]
-    rhs_kind = rhs_info[0]
-    if lhs_kind is _SLOT and rhs_kind is _SLOT:
-        lhs_slot, lhs_reason = lhs_info[1], lhs_info[2]
-        rhs_slot, rhs_reason = rhs_info[1], rhs_info[2]
+    operator_ = _ARITHMETIC[name]
+    tests = [_OVERFLOWS[name, flag] for flag, on in (("nuw", nuw), ("nsw", nsw)) if on]
+    if not tests:
+        return f"out[lane] = (x {operator_} y) & mask"
+    # Without wrap-around under nuw, r already lies in [0, mask].
+    result = "r" if nuw else "r & mask"
+    poison = " or ".join(tests)
+    return f"r = x {operator_} y; out[lane] = POISON if {poison} else {result}"
 
-        if signed:
 
-            def step(ctx, frame, active):
-                out = frame[slot]
-                xs = frame[lhs_slot]
-                ys = frame[rhs_slot]
-                for lane in active:
-                    lhs = xs[lane]
-                    rhs = ys[lane]
-                    if lhs is _UNSET:
-                        ctx.trap(lane, lhs_reason)
-                    elif rhs is _UNSET:
-                        ctx.trap(lane, rhs_reason)
-                    elif lhs is POISON or rhs is POISON:
-                        out[lane] = POISON
-                    else:
-                        slhs = lhs - span if lhs >= sign_bit else lhs
-                        srhs = rhs - span if rhs >= sign_bit else rhs
-                        out[lane] = 1 if compare(slhs, srhs) else 0
+@lru_cache(maxsize=None)
+def _kernel(name: str, nuw: bool, nsw: bool, shape: Tuple[str, str]):
+    """The kernel factory of one (op, flags, shape), or None.  Pure and
+    finite, so cached for the process; compiled under this package's
+    directory, so profiles and tracebacks name the kernel."""
+    compute = _kernel_compute(name, nuw, nsw)
+    if compute is None or shape not in _KERNEL_SHAPES:
+        return None
+    columns, read = _KERNEL_SHAPES[shape]
+    source = _KERNEL_TEMPLATE.format(columns=columns, read=read, compute=compute)
+    flags = "".join(f" {flag}" for flag, on in (("nuw", nuw), ("nsw", nsw)) if on)
+    filename = os.path.join(
+        os.path.dirname(__file__), f"<kernel {name}{flags} {shape[0]}-{shape[1]}>"
+    )
+    namespace = {"_UNSET": _UNSET, "POISON": POISON}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["kernel"]
 
-            return step
 
-        def step(ctx, frame, active):
-            out = frame[slot]
-            xs = frame[lhs_slot]
-            ys = frame[rhs_slot]
-            for lane in active:
-                lhs = xs[lane]
-                rhs = ys[lane]
-                if lhs is _UNSET:
-                    ctx.trap(lane, lhs_reason)
-                elif rhs is _UNSET:
-                    ctx.trap(lane, rhs_reason)
-                elif lhs is POISON or rhs is POISON:
-                    out[lane] = POISON
-                else:
-                    out[lane] = 1 if compare(lhs, rhs) else 0
-
-        return step
-    if lhs_kind is _SLOT and rhs_kind is _CONST:
-        lhs_slot, lhs_reason = lhs_info[1], lhs_info[2]
-        rhs_const = rhs_info[1]
-        if not isinstance(rhs_const, int):
+def _kernel_step(name, nuw, nsw, width, lhs_info, rhs_info, slot):
+    """The kernel step for one instruction, or None when its op or an
+    operand (dyn, or a constant that is not an int) has no kernel."""
+    for info in (lhs_info, rhs_info):
+        if info[0] is _CONST and not isinstance(info[1], int):
             return None
-        rhs_value = to_signed(rhs_const, width) if signed else rhs_const
-
-        if signed:
-
-            def step(ctx, frame, active):
-                out = frame[slot]
-                xs = frame[lhs_slot]
-                for lane in active:
-                    lhs = xs[lane]
-                    if lhs is _UNSET:
-                        ctx.trap(lane, lhs_reason)
-                    elif lhs is POISON:
-                        out[lane] = POISON
-                    else:
-                        slhs = lhs - span if lhs >= sign_bit else lhs
-                        out[lane] = 1 if compare(slhs, rhs_value) else 0
-
-            return step
-
-        def step(ctx, frame, active):
-            out = frame[slot]
-            xs = frame[lhs_slot]
-            for lane in active:
-                lhs = xs[lane]
-                if lhs is _UNSET:
-                    ctx.trap(lane, lhs_reason)
-                elif lhs is POISON:
-                    out[lane] = POISON
-                else:
-                    out[lane] = 1 if compare(lhs, rhs_value) else 0
-
-        return step
-    if lhs_kind is _CONST and rhs_kind is _SLOT:
-        lhs_const = lhs_info[1]
-        rhs_slot, rhs_reason = rhs_info[1], rhs_info[2]
-        if not isinstance(lhs_const, int):
-            return None
-        lhs_value = to_signed(lhs_const, width) if signed else lhs_const
-
-        if signed:
-
-            def step(ctx, frame, active):
-                out = frame[slot]
-                ys = frame[rhs_slot]
-                for lane in active:
-                    rhs = ys[lane]
-                    if rhs is _UNSET:
-                        ctx.trap(lane, rhs_reason)
-                    elif rhs is POISON:
-                        out[lane] = POISON
-                    else:
-                        srhs = rhs - span if rhs >= sign_bit else rhs
-                        out[lane] = 1 if compare(lhs_value, srhs) else 0
-
-            return step
-
-        def step(ctx, frame, active):
-            out = frame[slot]
-            ys = frame[rhs_slot]
-            for lane in active:
-                rhs = ys[lane]
-                if rhs is _UNSET:
-                    ctx.trap(lane, rhs_reason)
-                elif rhs is POISON:
-                    out[lane] = POISON
-                else:
-                    out[lane] = 1 if compare(lhs_value, rhs) else 0
-
-        return step
-    return None
+    kernel = _kernel(name, nuw, nsw, (lhs_info[0], rhs_info[0]))
+    if kernel is None:
+        return None
+    return kernel(
+        slot,
+        lhs_info[1],
+        lhs_info[2] if lhs_info[0] is _SLOT else None,
+        rhs_info[1],
+        rhs_info[2] if rhs_info[0] is _SLOT else None,
+        (1 << width) - 1,
+        1 << (width - 1),
+    )
 
 
 # -- the batch compiler -------------------------------------------------------
@@ -991,9 +895,9 @@ class _BatchCompiler:
         for block in self.function.blocks:
             for inst in block.instructions:
                 kind = inst.KIND
-                if kind in _ACCESSED_TYPE:
+                if kind in ACCESSED_TYPE:
                     # The memory rules size their type up front.
-                    _required_size(_ACCESSED_TYPE[kind](inst))
+                    _required_size(ACCESSED_TYPE[kind](inst))
                     lane_state = True
                 elif lane_state or kind == "phi":
                     continue
@@ -1089,11 +993,9 @@ class _BatchCompiler:
         rhs = self.operand(rhs_value)
         slot = self.slots[inst]
         width = inst.type.width
-        simple_op = _SIMPLE_BINARY_OPS[inst.opcode]
-        if simple_op is not None and not inst.nuw and not inst.nsw and not inst.exact:
-            step = _simple_binary_step(simple_op, (1 << width) - 1, lhs, rhs, slot)
-            if step is not None:
-                return step
+        step = _kernel_step(inst.opcode, inst.nuw, inst.nsw, width, lhs, rhs, slot)
+        if step is not None:
+            return step
         op = binary_op(inst.opcode, width, inst.nuw, inst.nsw, inst.exact)
         return _binary_step(op, lhs, rhs, slot)
 
@@ -1102,10 +1004,14 @@ class _BatchCompiler:
         lhs = self.operand(lhs_value)
         rhs = self.operand(rhs_value)
         slot = self.slots[inst]
-        step = _int_icmp_step(inst, lhs, rhs, slot)
-        if step is not None:
-            return step
-        op = icmp_op(inst.predicate, lhs_value.type, rhs_value.type)
+        lhs_type = lhs_value.type
+        if lhs_type.IS_INTEGER and rhs_value.type.IS_INTEGER:
+            step = _kernel_step(
+                inst.predicate, False, False, lhs_type.width, lhs, rhs, slot
+            )
+            if step is not None:
+                return step
+        op = icmp_op(inst.predicate, lhs_type, rhs_value.type)
         return _binary_step(op, lhs, rhs, slot)
 
     def compile_select(self, block: BasicBlock, inst: SelectInst) -> BatchStep:
@@ -1508,8 +1414,10 @@ _COMPILERS = opcode_table(
 )
 
 
-# The type each memory instruction sizes (``_required_size``), by KIND.
-_ACCESSED_TYPE = {
+# The type each memory instruction accesses, by KIND: the batch build
+# sizes it (``_required_size``), and ``check_function_supported`` refuses
+# it unless it is first-class.
+ACCESSED_TYPE = {
     "alloca": lambda inst: inst.allocated_type,
     "load": lambda inst: inst.type,
     "store": lambda inst: inst.operands[0].type,
@@ -1618,11 +1526,6 @@ class BatchRunner:
         for interp in self._interps:
             interp.module = module
 
-    def _lane_interp(self, index: int) -> Interpreter:
-        while len(self._interps) <= index:
-            self._interps.append(Interpreter(self.module, None, self.limits))
-        return self._interps[index]
-
     def run_batch(self, function: Function, program: BatchProgram, lanes):
         """Run one batch; ``lanes`` is a list of ``(runtime_args, blocks,
         observable, oracle)`` tuples.  Returns per-lane ``(status, value,
@@ -1655,19 +1558,23 @@ class BatchRunner:
                 checks_attributes = True
             elif attributes.get_int("dereferenceable"):
                 checks_attributes = True
+        interps = self._interps
+        if stateful:
+            # The arena grows to the widest batch once; a lane reuses the
+            # interpreter of its index.
+            missing = size - len(interps)
+            if missing > 0:
+                interps.extend(
+                    Interpreter(self.module, None, self.limits) for _ in range(missing)
+                )
+            ctx.interps = interps
+        arg_columns = frame[:num_args]
         for index, (runtime_args, blocks, _observable, oracle) in enumerate(lanes):
-            count = len(runtime_args)
-            if count > num_args:
-                count = num_args
-            for position in range(count):
-                frame[position][index] = runtime_args[position]
+            for column, value in zip(arg_columns, runtime_args):
+                column[index] = value
             if stateful:
-                interp = self._lane_interp(index)
-                interp.reset(oracle)
-                arena = interp.memory
-                for block_id, block_size, contents in blocks:
-                    arena.add_block(block_id, block_size, list(contents))
-                ctx.interps.append(interp)
+                interp = interps[index]
+                interp.reset(oracle, blocks)
             # Entry checks, in scalar _call order: depth, then argument
             # attributes (which may read this lane's fresh memory).
             if depth_exceeded:
@@ -1679,8 +1586,9 @@ class BatchRunner:
                     except _LANE_ERRORS as exc:
                         ctx.trap_exception(index, exc)
             else:
+                # An argument column stays unset past the lane's arity.
                 for position, reason in noundef:
-                    if position < count and runtime_args[position] is POISON:
+                    if frame[position][index] is POISON:
                         ctx.trap(index, reason)
                         break
         ctx.frame = frame
@@ -1690,23 +1598,25 @@ class BatchRunner:
         stats.lanes += size
         if not stateful:
             stats.stateless_lanes += size
-        program.execute(ctx, [index for index in range(size) if ctx.running[index]])
+        running = ctx.running
+        program.execute(ctx, [index for index in range(size) if running[index]])
         stats.divergence_splits += ctx.divergence_splits
-        results = []
+        statuses = ctx.statuses
+        values = ctx.values
+        details = ctx.details
+        counts = ctx.steps
+        results: List[Any] = [None] * size
         for index in range(size):
-            status = ctx.statuses[index]
-            steps = ctx.steps[index]
+            status = statuses[index]
             if status == "ok":
+                memory = ()
                 if stateful:
-                    snapshot = ctx.interps[index].memory.snapshot(lanes[index][2])
-                    memory = tuple(sorted(snapshot.items()))
-                else:
-                    memory = ()
-                results.append(("ok", ctx.values[index], memory, "", steps))
+                    memory = interps[index].memory.observe(lanes[index][2])
+                results[index] = ("ok", values[index], memory, "", counts[index])
             elif status == "ub":
-                results.append(("ub", None, (), ctx.details[index], steps))
+                results[index] = ("ub", None, (), details[index], counts[index])
             elif status == "timeout":
-                results.append(("timeout", None, (), "", steps))
+                results[index] = ("timeout", None, (), "", counts[index])
             else:  # pragma: no cover - executor invariant
                 raise RuntimeError(
                     f"batched lane {index} of @{function.name} did not terminate"

@@ -62,7 +62,6 @@ from .memory import (
     UNDEF_BYTE,
     byte_size_of_width,
     bytes_to_int,
-    int_to_bytes,
 )
 from .oracle import DeterministicOracle, Oracle
 from .semantics import (
@@ -146,17 +145,22 @@ class Interpreter:
         except (ZeroDivisionError, RecursionError) as exc:  # defensive
             raise UBError(str(exc)) from exc
 
-    def reset(self, oracle: Optional[Oracle] = None) -> None:
+    def reset(
+        self,
+        oracle: Optional[Oracle] = None,
+        blocks: Iterable[Tuple[str, int, Sequence[Byte]]] = (),
+    ) -> None:
         """Rewind this interpreter for a fresh run of the same module.
 
         Clears memory and the step/alloca/call counters exactly as a new
-        instance would — this is the arena the refinement checker reuses
-        across inputs and nondeterminism paths instead of reallocating
-        per run.
+        instance would, then installs ``blocks`` (see
+        :meth:`Memory.reset`) — this is the arena the refinement checker
+        reuses across inputs and nondeterminism paths instead of
+        reallocating per run.
         """
         if oracle is not None:
             self.oracle = oracle
-        self.memory.reset()
+        self.memory.reset(blocks)
         self._steps = 0
         self._alloca_counter = 0
         self._call_counter = 0
@@ -377,11 +381,11 @@ class Interpreter:
         value = resolve(*operand)
         size = byte_size_of_type(stored_type)
         if value is POISON:
-            data: List[Byte] = [POISON] * size
+            data: Sequence[Byte] = [POISON] * size
         elif isinstance(value, Pointer):
             data = [("ptr", value.block, value.offset, i) for i in range(size)]
-        else:
-            data = int_to_bytes(value, size)
+        else:  # integer values are unsigned and fit their width
+            data = value.to_bytes(size, "little")
         self.memory.store_bytes(pointer, data)
 
     def gep(

@@ -8,7 +8,7 @@ loads/stores are little-endian.  Out-of-bounds or null accesses raise
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .domain import POISON as POISON  # re-exported: the byte-level poison marker
 from .domain import Pointer
@@ -41,13 +41,18 @@ class Memory:
     def __init__(self) -> None:
         self._blocks: Dict[str, List[Byte]] = {}
 
-    def reset(self) -> None:
-        """Drop every block, returning to the freshly-constructed state.
+    def reset(self, blocks: Iterable[Tuple[str, int, Sequence[Byte]]] = ()) -> None:
+        """Drop every block, then install ``blocks``: ``(id, size,
+        contents)`` triples with distinct ids and ``size`` contents each,
+        as :func:`repro.tv.refine._prepare_input` builds them.
 
         Used by :meth:`Interpreter.reset` so one memory arena serves many
         runs instead of allocating a new ``Memory`` per execution.
         """
-        self._blocks.clear()
+        installed: Dict[str, List[Byte]] = {}
+        for block_id, _size, contents in blocks:
+            installed[block_id] = list(contents)
+        self._blocks = installed
 
     def add_block(
         self, block_id: str, size: int, initial: Optional[List[int]] = None
@@ -79,13 +84,30 @@ class Memory:
             raise MemoryFault(f"out-of-bounds access at {pointer!r} size {size}")
         return block, pointer.offset
 
+    # The accessors check bounds inline and reach ``_slot`` only to raise
+    # its fault (no block is called "null", the null pointer's block).
+
     def load_bytes(self, pointer: Pointer, size: int) -> List[Byte]:
+        blocks = self._blocks
+        if pointer.block in blocks:
+            block = blocks[pointer.block]
+            offset = pointer.offset
+            if offset >= 0 and offset + size <= len(block):
+                return block[offset:offset + size]
         block, offset = self._slot(pointer, size)
         return block[offset:offset + size]
 
-    def store_bytes(self, pointer: Pointer, data: List[Byte]) -> None:
-        block, offset = self._slot(pointer, size=len(data))
-        block[offset:offset + len(data)] = data
+    def store_bytes(self, pointer: Pointer, data: Sequence[Byte]) -> None:
+        size = len(data)
+        blocks = self._blocks
+        if pointer.block in blocks:
+            block = blocks[pointer.block]
+            offset = pointer.offset
+            if offset >= 0 and offset + size <= len(block):
+                block[offset:offset + size] = data
+                return
+        block, offset = self._slot(pointer, size)
+        block[offset:offset + size] = data
 
     def fill(self, block_id: str, data: List[int]) -> None:
         """Overwrite a whole block with concrete bytes."""
@@ -101,6 +123,13 @@ class Memory:
             for block_id in block_ids
             if block_id in self._blocks
         }
+
+    def observe(self, block_ids) -> Tuple[Tuple[str, Tuple[Byte, ...]], ...]:
+        """What a run leaves observable: the snapshot of ``block_ids`` as
+        ``(id, bytes)`` pairs sorted by id, the form outcomes compare."""
+        if not block_ids:
+            return ()
+        return tuple(sorted(self.snapshot(block_ids).items()))
 
     def observable_digest(self, block_id: str) -> Tuple[Byte, ...]:
         return tuple(self._blocks[block_id])

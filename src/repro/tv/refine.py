@@ -24,7 +24,7 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..analysis.constants_pool import ConstantPool
 from ..config import operational, semantic, semantic_key
@@ -32,7 +32,7 @@ from ..ir.function import Function
 from ..ir.intrinsics import lookup as lookup_intrinsic
 from ..ir.module import Module
 from ..ir.types import IntType, VoidType
-from .batch import BatchRunner, BatchStats, batch_program_for
+from .batch import ACCESSED_TYPE, BatchRunner, BatchStats, batch_program_for
 from .compile import LRUCache, PlanCache
 from .domain import (
     NULL_POINTER,
@@ -53,9 +53,10 @@ class Verdict(Enum):
     UNSUPPORTED = "unsupported"    # function outside the validator's scope
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """One observed behavior: status, return value, final visible memory."""
+class Outcome(NamedTuple):
+    """One observed behavior: status, return value, final visible memory.
+    A named tuple, so deduplicating and comparing outcomes hashes and
+    compares tuples, with no Python-level ``__eq__`` / ``__hash__``."""
 
     status: str                    # "ok" | "ub" | "timeout"
     value: object = None
@@ -221,16 +222,12 @@ def check_function_supported(function: Function) -> Optional[str]:
                 returned = operands[0].type if operands else _VOID
                 if returned is not return_type:
                     return f"ret {returned} in a function returning {return_type}"
-            elif kind == "load" or kind == "alloca" or kind == "gep":
-                if kind == "load":
-                    accessed = inst.type
-                elif kind == "alloca":
-                    accessed = inst.allocated_type
-                else:
-                    accessed = inst.source_type
+            elif kind in ACCESSED_TYPE:
+                if kind == "gep":
                     for index in inst.operands[1:]:
                         if not index.type.IS_INTEGER:
                             return f"getelementptr index of type {index.type}"
+                accessed = ACCESSED_TYPE[kind](inst)
                 if not accessed.IS_FIRST_CLASS:
                     return f"{inst.opcode} of unsized type {accessed}"
             elif kind == "call" and inst.callee.name.startswith("llvm."):
@@ -471,8 +468,7 @@ def _enumerate_outcomes(
     memory and counters) instead of allocating a new interpreter+memory
     pair per path — the per-run allocations the old ``_materialize``
     paid on every single execution."""
-    outcomes: List[Outcome] = []
-    seen = set()
+    outcomes: List[Outcome] = []  # distinct, in first-seen order
     path: Optional[List[int]] = []
     runs = 0
     exhausted = True
@@ -481,10 +477,7 @@ def _enumerate_outcomes(
             exhausted = False
             break
         oracle = PathOracle(path)
-        interpreter.reset(oracle)
-        memory = interpreter.memory
-        for block_id, size, contents in blocks:
-            memory.add_block(block_id, size, list(contents))
+        interpreter.reset(oracle, blocks)
         outcome = _run_once(interpreter, function, runtime_args, observable)
         runs += 1
         if oracle.domain_truncated:
@@ -492,8 +485,7 @@ def _enumerate_outcomes(
             # undef memory): the enumerated set under-approximates the
             # true behavior set even if the tree is fully walked.
             exhausted = False
-        if outcome not in seen:
-            seen.add(outcome)
+        if outcome not in outcomes:
             outcomes.append(outcome)
         path = advance_path(oracle.taken, oracle.domain_sizes)
     return outcomes, exhausted
@@ -525,9 +517,7 @@ def _run_once(
         return Outcome("ub", detail=ub.reason)
     except StepLimitExceeded:
         return Outcome("timeout")
-    snapshot = interpreter.memory.snapshot(observable)
-    memory = tuple(sorted(snapshot.items()))
-    return Outcome("ok", value=value, memory=memory)
+    return Outcome("ok", value=value, memory=interpreter.memory.observe(observable))
 
 
 def _enumerate_all_batched(
@@ -563,7 +553,6 @@ def _enumerate_all_batched(
             for status, value, memory, detail, _steps in results
         ]
     outcomes: List[List[Outcome]] = [[] for _ in range(count)]
-    seen = [set() for _ in range(count)]
     exhausted = [True] * count
     paths: List[Optional[List[int]]] = [[] for _ in range(count)]
     runs = [0] * count
@@ -577,14 +566,14 @@ def _enumerate_all_batched(
         next_pending = []
         for position, input_index in enumerate(pending):
             status, value, memory, detail, _steps = results[position]
-            outcome = Outcome(status, value=value, memory=memory, detail=detail)
+            outcome = Outcome(status, value, memory, detail)
             runs[input_index] += 1
             oracle = oracles[position]
             if oracle.domain_truncated:
                 exhausted[input_index] = False
-            if outcome not in seen[input_index]:
-                seen[input_index].add(outcome)
-                outcomes[input_index].append(outcome)
+            found = outcomes[input_index]
+            if outcome not in found:
+                found.append(outcome)
             path = advance_path(oracle.taken, oracle.domain_sizes)
             if path is None:
                 continue
@@ -612,32 +601,30 @@ def value_refines(tgt_value: object, src_value: object) -> bool:
     return tgt_value == src_value
 
 
-def _byte_refines(tgt_byte: object, src_byte: object) -> bool:
-    if src_byte is _POISON_BYTE or src_byte is UNDEF_BYTE:
-        return True
-    if tgt_byte is _POISON_BYTE or tgt_byte is UNDEF_BYTE:
-        return False
-    return tgt_byte == src_byte
-
-
 def memory_refines(tgt_memory, src_memory) -> bool:
     src_blocks = dict(src_memory)
     for block_id, tgt_bytes in tgt_memory:
         src_bytes = src_blocks.get(block_id)
         if src_bytes is None or len(src_bytes) != len(tgt_bytes):
             return False
+        if tgt_bytes == src_bytes:
+            continue
         for tgt_byte, src_byte in zip(tgt_bytes, src_bytes):
-            if not _byte_refines(tgt_byte, src_byte):
+            if src_byte is _POISON_BYTE or src_byte is UNDEF_BYTE:
+                continue
+            if tgt_byte is _POISON_BYTE or tgt_byte is UNDEF_BYTE:
+                return False
+            if tgt_byte != src_byte:
                 return False
     return True
 
 
 def outcome_refines(tgt: Outcome, src: Outcome) -> bool:
-    if src.is_ub():
+    if src.status == "ub":
         return True
-    if tgt.is_ub():
+    if tgt.status == "ub":
         return False
-    if src.is_timeout() or tgt.is_timeout():
+    if src.status == "timeout" or tgt.status == "timeout":
         # Not comparable; handled by the caller as inconclusive.
         return False
     return value_refines(tgt.value, src.value) and memory_refines(
@@ -753,11 +740,13 @@ def _source_first(
     src_results = run(src, prepared)
     if same_plan:
         return src_results, src_results
-    needed = [
-        index
-        for index, (outcomes, _) in enumerate(src_results)
-        if all(outcome.status == "ok" for outcome in outcomes)
-    ]
+    needed = []
+    for index, (outcomes, _) in enumerate(src_results):
+        for outcome in outcomes:
+            if outcome.status != "ok":
+                break
+        else:
+            needed.append(index)
     stats.target_inputs_pruned += len(prepared) - len(needed)
     tgt_results = [_NOT_RUN] * len(prepared)
     for index, result in zip(needed, run(tgt, [prepared[i] for i in needed])):
@@ -824,48 +813,54 @@ def check_refinement(
     for test_input, (src_outcomes, src_exhausted), (tgt_outcomes, _) in zip(
         inputs, src_results, tgt_results
     ):
-        if len(src_outcomes) == 1:
-            # A lone source behavior (DESIGN §6): UB allows anything,
-            # and a lone target behavior equal to an ok one refines it.
-            src_outcome = src_outcomes[0]
-            if src_outcome.status == "ub":
-                continue
-            if (
-                len(tgt_outcomes) == 1
-                and src_outcome.status == "ok"
-                and tgt_outcomes[0] == src_outcome
-            ):
-                continue
-        if any(o.is_ub() for o in src_outcomes):
-            # Some source nondeterminism hits UB; under the refinement
-            # ordering anything is then allowed for choices we cannot
-            # separate, so skip conservatively.
+        # Each status is read once.  Some source nondeterminism hitting
+        # UB allows anything for choices we cannot separate, so skip
+        # conservatively (a lone UB source behavior allows anything
+        # outright, DESIGN §6); a timeout on either side leaves the
+        # input undecided.
+        source_ub = timed_out = False
+        for outcome in src_outcomes:
+            status = outcome.status
+            if status == "ub":
+                source_ub = True
+                break
+            if status == "timeout":
+                timed_out = True
+        if source_ub:
             continue
-        if any(o.is_timeout() for o in src_outcomes + tgt_outcomes):
+        if not timed_out:
+            for outcome in tgt_outcomes:
+                if outcome.status == "timeout":
+                    timed_out = True
+                    break
+        if timed_out:
             inconclusive += 1
             continue
         for tgt_outcome in tgt_outcomes:
-            if any(
-                outcome_refines(tgt_outcome, src_outcome)
-                for src_outcome in src_outcomes
-            ):
+            # Every source behavior is ok here, so a target behavior
+            # equal to one of them refines it.
+            if tgt_outcome in src_outcomes:
                 continue
-            if not src_exhausted:
-                inconclusive += 1
-                continue
-            counterexample = Counterexample(
-                function_name=src_function.name,
-                test_input=test_input,
-                input_description=test_input.describe(src_function),
-                src_outcomes=src_outcomes,
-                tgt_outcome=tgt_outcome,
-            )
-            return TVResult(
-                Verdict.UNSOUND,
-                counterexample,
-                inputs_checked=len(inputs),
-                inconclusive_inputs=inconclusive,
-            )
+            for src_outcome in src_outcomes:
+                if outcome_refines(tgt_outcome, src_outcome):
+                    break
+            else:
+                if not src_exhausted:
+                    inconclusive += 1
+                    continue
+                counterexample = Counterexample(
+                    function_name=src_function.name,
+                    test_input=test_input,
+                    input_description=test_input.describe(src_function),
+                    src_outcomes=src_outcomes,
+                    tgt_outcome=tgt_outcome,
+                )
+                return TVResult(
+                    Verdict.UNSOUND,
+                    counterexample,
+                    inputs_checked=len(inputs),
+                    inconclusive_inputs=inconclusive,
+                )
     # No definite violation; inconclusive inputs are recorded but do not
     # downgrade the verdict (bounded TV is inherently incomplete).
     return TVResult(

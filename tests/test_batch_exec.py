@@ -12,6 +12,7 @@ driver-level invariance contracts (`RefinementConfig.batched` /
 
 import gc
 import weakref
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +25,13 @@ from repro.opt import OptContext, PassManager
 from repro.tv import (
     POISON,
     ExecutionLimits,
+    Interpreter,
     PathOracle,
     Pointer,
     PlanCache,
     RefinementConfig,
+    StepLimitExceeded,
+    UBError,
     check_function_supported,
     TVCaches,
     Verdict,
@@ -42,7 +46,13 @@ from repro.tv.batch import (
     batch_program_for,
     compile_batch_program,
 )
-from repro.tv.refine import _inputs_for, _prepare_input
+from repro.tv.oracle import advance_path
+from repro.tv.refine import (
+    _enumerate_all_batched,
+    _enumerate_outcomes,
+    _inputs_for,
+    _prepare_input,
+)
 
 from helpers import assert_lanes_match, parsed, reference_lanes
 
@@ -274,6 +284,32 @@ class TestArbitraryPlans:
                 mutant, function, inputs_for(function, config)
             )
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_outcome_dedup_order_is_first_seen(self, seed):
+        # Both engines list an input's distinct outcomes in the order its
+        # runs first produced them, as deduplicating through a set of
+        # frozen-dataclass outcomes did.
+        pairs = corpus_modules(4, seed=seed % 1000 + 1)
+        module = pairs[seed % len(pairs)][1]
+        mutant, _record = Mutator(module, MutatorConfig(max_mutations=3)).create_mutant(
+            seed
+        )
+        config = RefinementConfig(max_inputs=6, seed=seed % 7)
+        for function in mutant.definitions():
+            if check_function_supported(function) is not None:
+                continue
+            assert_first_seen_order(mutant, function, config)
+
+    def test_outcome_dedup_order_under_nondeterminism(self):
+        # The undef choices 0, 1, 3, 0, 3, 2 repeat outcomes out of
+        # order, with memory effects and a trap among them.
+        module = parsed(NONDETERMINISTIC_FUNCTION)
+        function = module.get_function("f")
+        config = RefinementConfig(max_inputs=8)
+        counts = assert_first_seen_order(module, function, config)
+        assert max(counts) > 2
+
     def test_wide_batch_of_256_lanes(self):
         # Two i8 arguments give a sampled set of max_inputs lanes in one
         # batch; traps, poison and divergence all occur among them.
@@ -304,6 +340,89 @@ join:
   ret i8 %m
 }
 """
+
+
+@dataclass(frozen=True)
+class _DataclassOutcome:
+    """An outcome as a frozen dataclass: the reference dedup order."""
+
+    status: str
+    value: object = None
+    memory: tuple = ()
+    detail: str = ""
+
+
+NONDETERMINISTIC_FUNCTION = """
+define i8 @f(i8 %x, ptr %p) {
+entry:
+  %u = and i8 undef, 3
+  %v = xor i8 %u, %x
+  %c = icmp eq i8 %v, 2
+  br i1 %c, label %trap, label %store
+trap:
+  %q = udiv i8 %x, 0
+  ret i8 %q
+store:
+  store i8 %u, ptr %p
+  %r = and i8 %v, 1
+  ret i8 %r
+}
+"""
+
+
+def assert_first_seen_order(module, function, config):
+    """Both engines' outcome lists for every input of ``function`` equal
+    :func:`first_seen_outcomes`; returns each input's outcome count."""
+    prepared = [
+        _prepare_input(function, test_input)
+        for test_input in inputs_for(function, config)
+    ]
+    expected = [
+        first_seen_outcomes(module, function, lane, config) for lane in prepared
+    ]
+    interp = Interpreter(module, None, config.limits)
+    scalar = [
+        _enumerate_outcomes(interp, function, *lane, config)[0] for lane in prepared
+    ]
+    assert [list(map(tuple, outcomes)) for outcomes in scalar] == expected
+    program = batch_program_for(PlanCache().plan_for(function), function)
+    if program is not None:
+        runner = BatchRunner(module, config.limits)
+        batched = _enumerate_all_batched(runner, function, program, prepared, config)
+        assert [list(map(tuple, outcomes)) for outcomes, _ in batched] == expected
+    return [len(outcomes) for outcomes in expected]
+
+
+def first_seen_outcomes(module, function, lane, config):
+    """One prepared input's distinct outcomes as ``(status, value,
+    memory, detail)`` tuples, deduplicated through a set of
+    :class:`_DataclassOutcome` in first-seen order, over the runs the
+    nondeterminism walk makes."""
+    runtime_args, blocks, observable = lane
+    interp = Interpreter(module, None, config.limits)
+    seen = set()
+    order = []
+    path = []
+    runs = 0
+    while path is not None and runs < config.max_nondet_runs:
+        oracle = PathOracle(path)
+        interp.reset(oracle)
+        for block_id, size, contents in blocks:
+            interp.memory.add_block(block_id, size, list(contents))
+        try:
+            value = interp.run(function, runtime_args)
+            memory = tuple(sorted(interp.memory.snapshot(observable).items()))
+            outcome = _DataclassOutcome("ok", value, memory)
+        except UBError as ub:
+            outcome = _DataclassOutcome("ub", detail=ub.reason)
+        except StepLimitExceeded:
+            outcome = _DataclassOutcome("timeout")
+        runs += 1
+        if outcome not in seen:
+            seen.add(outcome)
+            order.append(outcome)
+        path = advance_path(oracle.taken, oracle.domain_sizes)
+    return [(o.status, o.value, o.memory, o.detail) for o in order]
 
 
 def assert_stateless_matches_forced(module, function, inputs):
@@ -601,10 +720,10 @@ dead:
             compile_batch_program(module.get_function("f"))
 
     def test_unreached_unsized_store_falls_back_to_scalar(self):
-        # check_function_supported refuses unsized loads, allocas and
-        # GEPs itself; an unsized store reaches the batch build, which
-        # refuses it although no input would run it.
-        template = """
+        # check_function_supported refuses unsized stores itself, so
+        # check_refinement never builds this program; the build's own
+        # refusal still holds, although no input would run the store.
+        module = parse_module("""
 define i8 @f(i8 %x, ptr %p) {
 entry:
   %r = add i8 %x, 1
@@ -613,20 +732,14 @@ dead:
   store label %dead, ptr %p
   ret i8 0
 }
-"""
-        src = parse_module(template)
-        tgt = parse_module(template.replace("add i8", "add nuw i8"))
-        results = {}
-        for batched in (True, False):
-            caches = TVCaches()
-            results[batched] = check_refinement(
-                src.get_function("f"),
-                tgt.get_function("f"),
-                config=RefinementConfig(max_inputs=8, batched=batched),
-                caches=caches,
-            )
-            assert caches.stats.scalar_fallbacks == (1 if batched else 0)
-        assert _result_key(results[True]) == _result_key(results[False])
+""")
+        function = module.get_function("f")
+        with pytest.raises(BatchUnsupported, match="no memory size for type label"):
+            compile_batch_program(function)
+        plan = PlanCache().plan_for(function)
+        assert batch_program_for(plan, function) is None
+        assert batch_program_for(plan, function) is None  # cached refusal
+        assert check_function_supported(function) == "store of unsized type label"
 
 
 class TestStatelessEntryChecks:

@@ -11,6 +11,7 @@ from repro.ir import (BinaryOperator, CallInst, GEPInst, ICmpInst, IntType,
                       parse_module, SelectInst, StoreInst, SwitchInst)
 from repro.fuzz.seeds import generate_corpus
 from repro.ir.parser.lexer import LexError, TokenStream, tokenize
+from repro.ir.printer import print_module
 
 from helpers import parsed, round_trips, single_function
 
@@ -76,9 +77,11 @@ class TestLexer:
             tokenize(source)
         assert str(info.value) == message
 
-    def test_dots_lex_as_one_word(self):
-        assert [(t.kind, t.text) for t in tokenize("... a.b")] == [
-            ("word", "..."), ("word", "a.b"), ("eof", "")]
+    def test_ellipsis_is_punctuation(self):
+        # Varargs' ``...`` is one token; other dots stay inside words.
+        assert [(t.kind, t.text) for t in tokenize("... a.b (i8, ...)")] == [
+            ("punct", "..."), ("word", "a.b"), ("punct", "("), ("word", "i8"),
+            ("punct", ","), ("punct", "..."), ("punct", ")"), ("eof", "")]
 
     def test_sigil_names_take_dashes_and_digits(self):
         tokens = tokenize("%a-1.b$ @0 #12 !dbg 1-2 -3x")
@@ -470,3 +473,16 @@ define i26 @odd(i26 %a) {
     @pytest.mark.parametrize("index", range(len(SNIPPETS)))
     def test_round_trip(self, index):
         assert round_trips(parsed(self.SNIPPETS[index]))
+
+    def test_vararg_signatures_round_trip(self):
+        text = ("declare i32 @g(i32, ...)\n\n"
+                "declare void @h(...)\n\n"
+                "define i32 @f(i32 %x, ...) {\n"
+                "  %r = call i32 @g(i32 %x, i32 1)\n"
+                "  ret i32 %r\n}\n")
+        module = parse_module(text)
+        assert module.get_function("g").function_type.is_vararg
+        assert module.get_function("h").function_type.param_types == ()
+        assert module.get_function("f").function_type.is_vararg
+        assert print_module(module) == text
+        assert round_trips(module)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.fuzz.seeds import ARCHETYPES, generate_corpus
 from repro.ir import parse_module
 from repro.mutate import Mutator, MutatorConfig
-from repro.tv import (Outcome, POISON, RefinementConfig, Verdict,
+from repro.tv import (Outcome, POISON, Pointer, RefinementConfig, Verdict,
                       check_function_supported, check_module_refinement,
                       check_refinement, generate_inputs, outcome_refines,
                       TVCaches, value_refines)
@@ -54,6 +54,28 @@ class TestValueRefinement:
         assert memory_refines(good, src)
         assert not memory_refines(bad, src)
         assert not memory_refines(poisoned, src)
+
+    @settings(max_examples=200, deadline=None)
+    @given(memory=st.dictionaries(
+               st.sampled_from(["arg:p", "arg:q", "alloca:1"]),
+               st.lists(st.one_of(
+                   st.integers(0, 255), st.just(POISON_BYTE),
+                   st.just(UNDEF_BYTE),
+                   st.tuples(st.just("ptr"), st.sampled_from(["arg:p", "null"]),
+                             st.integers(-4, 20), st.integers(0, 7))),
+                   max_size=8)),
+           value=st.one_of(st.none(), st.integers(0, 2**64 - 1), st.just(POISON),
+                           st.builds(Pointer, st.sampled_from(["arg:p", "null"]),
+                                     st.integers(-8, 8))))
+    def test_equal_snapshots_refine(self, memory, value):
+        # Two runs leaving equal memory and value refine each other,
+        # whatever poison, undef or pointer bytes they hold; the check
+        # compares equal outcomes and blocks before any byte.
+        snapshot = tuple(sorted((block, tuple(data)) for block, data in memory.items()))
+        copy = tuple((block, tuple(list(data))) for block, data in snapshot)
+        assert memory_refines(copy, snapshot)
+        assert outcome_refines(Outcome("ok", value, copy),
+                               Outcome("ok", value, snapshot))
 
 
 class TestEndToEnd:
@@ -364,6 +386,30 @@ define i32 @f(i32 %x, ptr %p) {
                                   RefinementConfig(batched=batched))
         assert result.verdict == Verdict.UNSUPPORTED
         assert result.reason == reason
+
+    @pytest.mark.parametrize("batched", [True, False],
+                             ids=["batched", "tree-walked"])
+    def test_store_of_a_label_is_refused(self, batched):
+        # Every input of the source used to be UB (the label has no
+        # value), so any target checked CORRECT against it.
+        text = "define void @f(ptr %p) {\nentry:\n  STORE, ptr %p\n  ret void\n}"
+        src = parse_module(text.replace("STORE", "store label %entry"))
+        tgt = parse_module(text.replace("STORE", "store i8 7"))
+        reason = "store of unsized type label"
+        assert check_function_supported(src.get_function("f")) == reason
+        result = check_refinement(src.get_function("f"),
+                                  tgt.get_function("f"), src, tgt,
+                                  RefinementConfig(batched=batched))
+        assert result.verdict == Verdict.UNSUPPORTED
+        assert result.reason == reason
+
+    def test_vararg_definition_is_refused(self):
+        module = parse_module("declare i32 @g(i32, ...)\n"
+                              "define i32 @f(i32 %x, ...) {\n"
+                              "  %r = call i32 @g(i32 %x, i32 1)\n"
+                              "  ret i32 %r\n}")
+        assert check_function_supported(module.get_function("f")) == (
+            "vararg function")
 
     def test_well_typed_casts_and_returns_are_supported(self):
         fn = parsed("""
